@@ -39,6 +39,7 @@ from .scenarios import (
     BLOCK_CHOICES,
     ExperimentConfig,
     RUN_MODES,
+    TeleportEngine,
     background_probability,
     build_default_config,
     mismatch_grid,
@@ -195,8 +196,8 @@ def _cmd_mandel(args) -> int:
     return 0
 
 
-def _teleport_net_section(cfg, fit, pulses) -> Dict[str, object]:
-    background = background_probability(cfg) * pulses
+def _teleport_net_section(cfg, fit, pulses, engine) -> Dict[str, object]:
+    background = background_probability(cfg, engine) * pulses
     section: Dict[str, object] = {"background_counts": background}
     try:
         nv = net_visibility(fit.visibility, fit.offset, background)
@@ -220,7 +221,9 @@ def _cmd_teleport(args) -> int:
         overrides["heralded"] = True
     cfg = load_config(args.config, overrides)
     phases = phase_grid(args.points, args.periods)
-    scan = run_teleport_scan(cfg, phases)
+    # one engine serves the scan, the acceptance and the blocking runs
+    engine = TeleportEngine(cfg)
+    scan = run_teleport_scan(cfg, phases, engine)
     fit = fit_fringe(scan.control, scan.counts)
     if args.out:
         _write_csv(
@@ -236,8 +239,8 @@ def _cmd_teleport(args) -> int:
             "fidelity_raw": fidelity_from_visibility(fit.visibility),
             "classification_raw": classify_visibility(fit.visibility),
             "fringe": _fit_to_dict(fit),
-            "acceptance_probability": teleport_acceptance(cfg),
-            "net": _teleport_net_section(cfg, fit, scan.pulses),
+            "acceptance_probability": teleport_acceptance(cfg, engine),
+            "net": _teleport_net_section(cfg, fit, scan.pulses, engine),
             "pulses_per_point": scan.pulses,
             "csv": args.out,
             "config": asdict(cfg),
@@ -248,7 +251,8 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
-    probs = {mode: run_blocking(cfg, mode) for mode in BLOCK_CHOICES}
+    engine = TeleportEngine(cfg)
+    probs = {mode: run_blocking(cfg, mode, engine) for mode in BLOCK_CHOICES}
     if args.out:
         _write_csv(
             args.out,
@@ -259,7 +263,8 @@ def _cmd_noise(args) -> int:
         {
             "scenario": "noise",
             "blocking_probabilities": probs,
-            "background_probability": background_probability(cfg),
+            # reweights the blocking runs above; no new detection pass
+            "background_probability": background_probability(cfg, engine),
             "csv": args.out,
             "config": asdict(cfg),
         }

@@ -11,22 +11,23 @@ asymmetry halves the accepted time orderings and is switchable.  Acceptance
 of a projection onto the antisymmetric Bell state requires exactly two
 clicks, on different detectors, in adjacent time bins inside the clock
 window.
+
+A state is reduced once per call to arrays: a (terms x modes) occupation
+matrix and |amplitude|^2 per term.  That matrix times the registry's
+mode-to-gate indicator gives the photons in every detector gate, and the
+click probabilities of all terms follow from array operations.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigError, UnnormalizedStateError
-from .fock import FockState, occupation_distribution
-
-# a click pattern maps (detector label, time bin) -> clicked; absent = no click
-ClickPattern = FrozenSet[Tuple[str, int]]
+from .fock import NORM_ATOL, FockState, occupation_matrix
 
 Ensemble = Sequence[Tuple[float, FockState]]
 
@@ -48,6 +49,11 @@ class DetectorModel:
         miss = (1.0 - self.efficiency) ** n_photons
         return 1.0 - (1.0 - self.dark_prob) * miss
 
+    def click_probs(self, counts: np.ndarray) -> np.ndarray:
+        """click_prob of every entry of an integer photon-count array."""
+        table = np.array([self.click_prob(n) for n in range(int(counts.max(initial=0)) + 1)])
+        return table[counts]
+
 
 @dataclass(frozen=True)
 class DetectorChannel:
@@ -62,118 +68,40 @@ class DetectorChannel:
     follows: Optional[str] = None
 
 
-@dataclass
-class DetectionLayout:
-    channels: List[DetectorChannel]
-
-    def __post_init__(self):
-        labels = [ch.model.label for ch in self.channels]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate detector labels: {labels}")
-        for ch in self.channels:
-            if ch.follows is not None and ch.follows not in labels:
-                raise ConfigError(f"{ch.model.label} follows unknown {ch.follows}")
-
-
 def _check_ensemble(ensemble: Ensemble) -> None:
     total = sum(w for w, _ in ensemble)
     if abs(total - 1.0) > 1e-9:
         raise UnnormalizedStateError(f"ensemble weights sum to {total}, not 1")
 
 
-def _gate_counts(state: FockState, occ, spatial: str) -> List[int]:
-    """Photons per time bin on one channel, summed over internal labels."""
-    reg = state.registry
-    counts = [0] * reg.max_bins
-    for idx in reg.indices_for(spatial):
-        counts[reg.key_at(idx).time_bin] += occ[idx]
-    return counts
+def _term_arrays(state: FockState, spatials: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-term probabilities and photon counts per (channel, bin) gate.
 
-
-def _subset_probs(gates: List[Tuple[str, int, float]]):
-    """All (clicked-set, probability) pairs for independent gates.
-
-    Zero-probability options are skipped, so the expansion stays small when
-    dark counts are off.
+    Returns probs of shape (terms,) and integer counts of shape (terms,
+    len(spatials), max_bins); the state must be normalized.
     """
-    options = []
-    for label, t, pc in gates:
-        opts = []
-        if pc > 0.0:
-            opts.append(((label, t), pc))
-        if pc < 1.0:
-            opts.append((None, 1.0 - pc))
-        options.append(opts)
-    for combo in itertools.product(*options):
-        clicked = frozenset(g for g, _ in combo if g is not None)
-        prob = 1.0
-        for _, q in combo:
-            prob *= q
-        yield clicked, prob
+    amps = np.fromiter(state.terms.values(), dtype=complex, count=len(state.terms))
+    probs = amps.real**2 + amps.imag**2
+    total = probs.sum()
+    if abs(total - 1.0) > NORM_ATOL:
+        raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
+    reg = state.registry
+    counts = occupation_matrix(state) @ reg.bin_indicator(spatials)
+    return probs, counts.astype(np.intp).reshape(len(probs), len(spatials), reg.max_bins)
 
 
-def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[ClickPattern, float]:
-    """Full distribution over click patterns for a weighted state ensemble."""
-    _check_ensemble(ensemble)
-    free = [ch for ch in layout.channels if ch.follows is None]
-    followers = [ch for ch in layout.channels if ch.follows is not None]
-    out: Dict[ClickPattern, float] = {}
-    for weight, state in ensemble:
-        if weight == 0.0:
-            continue
-        n_bins = state.registry.max_bins
-        for occ, p_occ in occupation_distribution(state).items():
-            free_gates = []
-            counts = {}
-            for ch in free + followers:
-                counts[ch.model.label] = _gate_counts(state, occ, ch.spatial)
-            for ch in free:
-                for t in range(n_bins):
-                    free_gates.append(
-                        (ch.model.label, t, ch.model.click_prob(counts[ch.model.label][t]))
-                    )
-            for free_clicks, p_free in _subset_probs(free_gates):
-                armed = []
-                for ch in followers:
-                    for (label, t) in free_clicks:
-                        if label == ch.follows and t + 1 < n_bins:
-                            armed.append(
-                                (
-                                    ch.model.label,
-                                    t + 1,
-                                    ch.model.click_prob(counts[ch.model.label][t + 1]),
-                                )
-                            )
-                for sub_clicks, p_sub in _subset_probs(armed):
-                    pattern = free_clicks | sub_clicks
-                    out[pattern] = out.get(pattern, 0.0) + weight * p_occ * p_free * p_sub
-    return out
+def _alone(pc: np.ndarray) -> np.ndarray:
+    """P(gate t clicks and no other gate of the detector does), per term and bin.
 
-
-def psi_minus_filter(
-    pattern: ClickPattern,
-    labels: Tuple[str, str] = ("bsa-ge", "bsa-ingaas"),
-    window: Sequence[int] = (0, 1, 2),
-) -> bool:
-    """Exactly two clicks, different detectors, adjacent bins, inside the window."""
-    clicks = [(lab, t) for lab, t in pattern if lab in labels]
-    if len(clicks) != 2:
-        return False
-    (la, ta), (lb, tb) = clicks
-    if la == lb:
-        return False
-    return abs(ta - tb) == 1 and ta in window and tb in window
-
-
-def herald_filter(
-    pattern: ClickPattern,
-    label: str = "herald",
-    time_bin: int = 0,
-    enabled: bool = True,
-) -> bool:
-    if not enabled:
-        return True
-    return (label, time_bin) in pattern
+    Leave-one-out products of the miss probabilities, so a gate that is
+    certain to click (pc = 1) needs no division by 1 - pc.
+    """
+    miss = 1.0 - pc
+    before = np.ones_like(miss)
+    before[:, 1:] = np.cumprod(miss[:, :-1], axis=1)
+    after = np.ones_like(miss)
+    after[:, :-1] = np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
+    return pc * before * after
 
 
 @dataclass(frozen=True)
@@ -197,59 +125,47 @@ def teleport_outcome_distribution(
 ) -> TeleportOutcome:
     """P(accepted Bell pattern [and herald] [and Bob click at bin b]).
 
-    Direct enumeration of the accepted patterns only; much cheaper than
-    click_distribution when dark counts open up the full pattern space.
-    Accepted patterns with the free-running detector at bin t and its
-    partner at t+1 always count; the reversed ordering needs symmetric_bsa.
+    Sums over the accepted patterns only, term by term with array
+    operations.  Accepted patterns with the free-running detector alone at
+    bin t and its partner at t+1 always count; the reversed ordering needs
+    symmetric_bsa.  tests/oracles.py holds the full click-pattern
+    enumeration this agrees with.
     """
     _check_ensemble(ensemble)
+    spatials = (ge.spatial, ingaas.spatial, bob.spatial)
+    if herald is not None:
+        spatials += (herald.spatial,)
     accept_total = 0.0
     bob_total = {b: 0.0 for b in bob_bins}
     for weight, state in ensemble:
         if weight == 0.0:
             continue
         n_bins = state.registry.max_bins
-        pairs: List[Tuple[int, int]] = []
+        probs, counts = _term_arrays(state, spatials)
+        pc_ge = ge.model.click_probs(counts[:, 0])
+        pc_in = ingaas.model.click_probs(counts[:, 1])
+        alone_ge = _alone(pc_ge)
+        alone_in = _alone(pc_in) if symmetric_bsa else None
+        p_accept = np.zeros(len(probs))
         for t in window:
-            if t + 1 < n_bins and (t + 1) in window:
-                pairs.append((t, t + 1))
-        for occ, p_occ in occupation_distribution(state).items():
-            n_ge = _gate_counts(state, occ, ge.spatial)
-            n_in = _gate_counts(state, occ, ingaas.spatial)
-            pc_ge = [ge.model.click_prob(n) for n in n_ge]
-            pc_in = [ingaas.model.click_prob(n) for n in n_in]
-
-            def only_at(probs, t):
-                prob = probs[t]
-                for u, q in enumerate(probs):
-                    if u != t:
-                        prob *= 1.0 - q
-                return prob
-
-            p_accept = 0.0
-            for t, t1 in pairs:
-                if symmetric_bsa:
-                    # both detectors free-running: exactly one click on each,
-                    # either time ordering
-                    p_accept += only_at(pc_ge, t) * only_at(pc_in, t1)
-                    p_accept += only_at(pc_in, t) * only_at(pc_ge, t1)
-                else:
-                    # free-running detector fires at t alone; its partner is
-                    # armed only at t+1, so no other partner gates exist
-                    p_accept += only_at(pc_ge, t) * pc_in[t1]
-            if p_accept == 0.0:
+            if t + 1 >= n_bins or (t + 1) not in window:
                 continue
-            h = 1.0
-            if herald is not None:
-                n_h = _gate_counts(state, occ, herald.spatial)
-                h = herald.model.click_prob(n_h[herald_bin])
-                if h == 0.0:
-                    continue
-            n_b = _gate_counts(state, occ, bob.spatial)
-            base = weight * p_occ * p_accept * h
-            accept_total += base
-            for b in bob_bins:
-                bob_total[b] += base * bob.model.click_prob(n_b[b])
+            if symmetric_bsa:
+                # both detectors free-running: exactly one click on each,
+                # either time ordering
+                p_accept += alone_ge[:, t] * alone_in[:, t + 1]
+                p_accept += alone_in[:, t] * alone_ge[:, t + 1]
+            else:
+                # free-running detector fires at t alone; its partner is
+                # armed only at t+1, so no other partner gates exist
+                p_accept += alone_ge[:, t] * pc_in[:, t + 1]
+        base = weight * probs * p_accept
+        if herald is not None:
+            base *= herald.model.click_probs(counts[:, 3, herald_bin])
+        accept_total += float(base.sum())
+        pc_bob = bob.model.click_probs(counts[:, 2])
+        for b in bob_bins:
+            bob_total[b] += float(base @ pc_bob[:, b])
     return TeleportOutcome(accept_total, bob_total)
 
 
@@ -269,17 +185,11 @@ def coincidence_probability(
     for weight, state in ensemble:
         if weight == 0.0:
             continue
-        use_bins = range(state.registry.max_bins) if bins is None else bins
-        for occ, p_occ in occupation_distribution(state).items():
-            n_a = _gate_counts(state, occ, det_a.spatial)
-            n_b = _gate_counts(state, occ, det_b.spatial)
-            for t in use_bins:
-                total += (
-                    weight
-                    * p_occ
-                    * det_a.model.click_prob(n_a[t])
-                    * det_b.model.click_prob(n_b[t])
-                )
+        use_bins = list(range(state.registry.max_bins) if bins is None else bins)
+        probs, counts = _term_arrays(state, (det_a.spatial, det_b.spatial))
+        pc_a = det_a.model.click_probs(counts[:, 0, use_bins])
+        pc_b = det_b.model.click_probs(counts[:, 1, use_bins])
+        total += weight * float(probs @ (pc_a * pc_b).sum(axis=1))
     return total
 
 

@@ -29,6 +29,11 @@ class TailMassError(QRelayError):
     """Truncating a pair-number distribution would discard too much probability."""
 
 
+class HarmonicSynthesisError(QRelayError):
+    """A scan synthesized from its harmonic samples fell below zero by more
+    than rounding."""
+
+
 class ConfigError(QRelayError):
     """Bad configuration value or unknown configuration key."""
 

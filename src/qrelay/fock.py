@@ -54,6 +54,7 @@ class ModeRegistry:
         self.max_bins = max_bins
         self._keys: List[ModeKey] = []
         self._index: Dict[ModeKey, int] = {}
+        self._indicators: Dict[Tuple[str, ...], np.ndarray] = {}
 
     def add(self, key: ModeKey) -> int:
         if key in self._index:
@@ -69,6 +70,7 @@ class ModeRegistry:
         idx = len(self._keys)
         self._keys.append(key)
         self._index[key] = idx
+        self._indicators.clear()
         return idx
 
     def add_channel(self, spatial: str, internals: Sequence[int] = (0,)) -> List[int]:
@@ -99,6 +101,25 @@ class ModeRegistry:
 
     def indices_for(self, spatial: str) -> List[int]:
         return [i for i, k in enumerate(self._keys) if k.spatial == spatial]
+
+    def bin_indicator(self, spatials: Sequence[str]) -> np.ndarray:
+        """0/1 matrix of shape (modes, len(spatials) * max_bins).
+
+        Column c * max_bins + t marks the modes of channel spatials[c] in bin
+        t, so an occupation matrix times it gives photons per detector gate,
+        summed over internal labels.  Cached until the next mode is added.
+        """
+        key = tuple(spatials)
+        cached = self._indicators.get(key)
+        if cached is None:
+            cached = np.zeros((len(self._keys), len(key) * self.max_bins))
+            for idx, mode in enumerate(self._keys):
+                for c, spatial in enumerate(key):
+                    if mode.spatial == spatial:
+                        cached[idx, c * self.max_bins + mode.time_bin] = 1.0
+            cached.flags.writeable = False
+            self._indicators[key] = cached
+        return cached
 
 
 def _check_same_registry(a: "FockState", b: "FockState") -> None:
@@ -279,6 +300,17 @@ def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
     if abs(total - 1.0) > NORM_ATOL:
         raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
     return {tuple(k): (v * v.conjugate()).real for k, v in state.terms.items()}
+
+
+def occupation_matrix(state: FockState) -> np.ndarray:
+    """Occupation vectors as a (terms, modes) uint8 matrix, in `terms` order."""
+    packed = b"".join(state.terms)
+    rows, modes = len(state.terms), len(state.registry)
+    if len(packed) != rows * modes:
+        raise RegistryMismatchError(
+            f"state terms do not all span the {modes} registered modes"
+        )
+    return np.frombuffer(packed, dtype=np.uint8).reshape(rows, modes)
 
 
 def inner(a: FockState, b: FockState) -> complex:

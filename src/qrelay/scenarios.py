@@ -31,8 +31,13 @@ from .detection import (
     coincidence_probability,
     teleport_outcome_distribution,
 )
-from .errors import ConfigError, FitConvergenceError
-from .fock import FockState, ModeKey, ModeRegistry, vacuum
+from .errors import (
+    ConfigError,
+    FitConvergenceError,
+    HarmonicSynthesisError,
+    UnnormalizedStateError,
+)
+from .fock import FockState, ModeKey, ModeRegistry, occupation_matrix, vacuum
 from .optics import Circuit, apply, loss_from_db
 from .sources import (
     STATISTICS,
@@ -145,8 +150,8 @@ class ExperimentConfig:
             raise ConfigError("rep_rate_hz must be > 0")
         if self.bin_pitch_ns <= 0:
             raise ConfigError("bin_pitch_ns must be > 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be in [0, 2**64)")
 
     def alice_mean(self) -> float:
         return self.pair_mean if self.pair_mean is not None else self.pair_mean_alice
@@ -202,12 +207,23 @@ def build_ideal_config() -> ExperimentConfig:
     )
 
 
+def pair_branches() -> List[Tuple[int, int]]:
+    """Every (alice pairs, relay pairs) branch kept by the pair truncation."""
+    return [
+        (na, nc)
+        for na in range(MAX_PAIRS_EACH + 1)
+        for nc in range(MAX_PAIRS_EACH + 1 - na)
+    ]
+
+
 def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
     """Joint (alice pairs, relay pairs) weights, truncated and renormalized.
 
     Branches with more than MAX_PAIRS_EACH total pairs are dropped and the
-    rest rescaled to sum to one; the per-source tail check bounds what the
-    truncation discards.
+    rest rescaled to sum to one.  The per-source tail check bounds only what
+    each source's own cut at MAX_PAIRS_EACH pairs discards; the joint cut on
+    the total discards more (6.3e-3 of the probability at the defaults,
+    above tail_tol) and nothing checks it yet.
     """
     cfg = config.materialized()
     if cfg.ideal_single_pairs:
@@ -218,10 +234,7 @@ def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
     pc = pair_count_distribution(
         SpdcSource(cfg.epr_mean(), cfg.statistics), MAX_PAIRS_EACH, cfg.tail_tol
     )
-    raw: Dict[Tuple[int, int], float] = {}
-    for na in range(MAX_PAIRS_EACH + 1):
-        for nc in range(MAX_PAIRS_EACH + 1 - na):
-            raw[(na, nc)] = float(pa[na] * pc[nc])
+    raw = {(na, nc): float(pa[na] * pc[nc]) for na, nc in pair_branches()}
     total = sum(raw.values())
     return {k: v / total for k, v in raw.items()}
 
@@ -285,14 +298,26 @@ def _detectors(
     return ge, ingaas, herald, bob
 
 
-class _TeleportEngine:
+# largest harmonic-synthesis rounding error accepted, relative to the
+# largest sample; a more negative synthesized probability is an error
+_SYNTHESIS_RTOL = 64 * np.finfo(float).eps
+
+
+class TeleportEngine:
     """Branch states through preparation, losses, and the Bell-state mixer.
 
-    The receiver analyzer is the only phase-scanned element, so everything
-    before it is computed once per configuration and the analyzer pass is
-    cached per phase.  Branch states do not depend on the pair means, which
-    lets blocking runs and dark-count scans reuse one engine with different
-    weights and detector models.
+    Everything before the receiver analyzer is computed once per
+    configuration.  Branch states do not depend on the pair means or the
+    detectors, so the engine holds every branch of the pair truncation and
+    blocking runs, dark-count scans and forced single-pair mode only
+    reweight them (branches they leave out get weight 0).  Detection is
+    cached per branch, analyzer phase and detector set.
+
+    The analyzer is the only element that depends on phi_b: each photon it
+    delays picks up e^{i phi_b}.  Every detection probability is therefore
+    a trigonometric polynomial in phi_b of degree D (`degree`), the largest
+    photon number at the analyzer input over the branch states, and 2D+1
+    equally spaced samples fix it at every phase.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -319,64 +344,171 @@ class _TeleportEngine:
                 pre.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
         # register the analyzer's loss channel before any state is built so
         # later per-phase circuits reuse the same mode slots
-        Circuit(reg).add_michelson(EPR_BOB, 0.0)
+        analyzer_loss = Circuit(reg).add_michelson(EPR_BOB, 0.0)
 
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
         self.states: Dict[Tuple[int, int], FockState] = {}
-        for na, nc in branch_weights(cfg):
+        for na, nc in pair_branches():
             st = vacuum(reg, cfg.n_max)
             st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
             st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, (0, 1), cfg.phase_pump)
             self.states[(na, nc)] = apply(pre, st)
+        analyzer_in = reg.indices_for(EPR_BOB) + reg.indices_for(analyzer_loss)
+        self.degree = max(
+            int(occupation_matrix(st)[:, analyzer_in].sum(axis=1).max(initial=0))
+            for st in self.states.values()
+        )
         self._analyzed: Dict[float, Dict[Tuple[int, int], FockState]] = {}
+        self._detected: Dict[tuple, Dict[Tuple[int, int], TeleportOutcome]] = {}
 
     def _through_analyzer(self, phi_b: float) -> Dict[Tuple[int, int], FockState]:
         cached = self._analyzed.get(phi_b)
-        if cached is not None:
-            return cached
-        circ = Circuit(self.registry)
-        circ.add_michelson(EPR_BOB, phi_b)
-        out = {k: apply(circ, st) for k, st in self.states.items()}
-        self._analyzed[phi_b] = out
-        return out
+        if cached is None:
+            circ = Circuit(self.registry)
+            circ.add_michelson(EPR_BOB, phi_b)
+            cached = {k: apply(circ, st) for k, st in self.states.items()}
+            self._analyzed[phi_b] = cached
+        return cached
+
+    def _branch_outcomes(self, phi_b: float, detectors):
+        key = (phi_b, detectors)
+        cached = self._detected.get(key)
+        if cached is None:
+            ge, ingaas, herald, bob = detectors
+            cached = {
+                k: teleport_outcome_distribution(
+                    [(1.0, st)],
+                    ge,
+                    ingaas,
+                    bob,
+                    herald=herald if self.config.heralded else None,
+                    symmetric_bsa=self.config.symmetric_bsa,
+                )
+                for k, st in self._through_analyzer(phi_b).items()
+            }
+            self._detected[key] = cached
+        return cached
 
     def outcome(
         self,
         phi_b: float,
         weights: Optional[Dict[Tuple[int, int], float]] = None,
         detectors=None,
-        heralded: Optional[bool] = None,
     ) -> TeleportOutcome:
+        """Outcome of the branch ensemble at one analyzer phase."""
         cfg = self.config
         if weights is None:
             weights = branch_weights(cfg)
-        ge, ingaas, herald, bob = detectors if detectors is not None else _detectors(cfg)
-        use_herald = cfg.heralded if heralded is None else heralded
-        states = self._through_analyzer(phi_b)
-        ensemble = [(weights[k], states[k]) for k in states]
-        return teleport_outcome_distribution(
-            ensemble,
-            ge,
-            ingaas,
-            bob,
-            herald=herald if use_herald else None,
-            symmetric_bsa=cfg.symmetric_bsa,
+        total = sum(weights.values())
+        if abs(total - 1.0) > 1e-9:
+            raise UnnormalizedStateError(f"branch weights sum to {total}, not 1")
+        detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
+        per_branch = self._branch_outcomes(phi_b, detectors)
+        accept = 0.0
+        bob = {b: 0.0 for b in next(iter(per_branch.values())).bob}
+        for k, w in weights.items():
+            if w == 0.0:
+                continue
+            accept += w * per_branch[k].accept
+            for b, p in per_branch[k].bob.items():
+                bob[b] += w * p
+        return TeleportOutcome(accept, bob)
+
+    def _received(self, offsets: np.ndarray, detectors=None) -> np.ndarray:
+        """Central-bin receiver probability at phase_bob + each offset."""
+        phi0 = self.config.phase_bob
+        return np.array([self.outcome(phi0 + o, detectors=detectors).bob[1] for o in offsets])
+
+    def scan(self, phases: Sequence[float]) -> np.ndarray:
+        """Central-bin receiver probability at each phase, from 2D+1 samples.
+
+        The samples sit at equal spacing from phase_bob, so the acceptance
+        and blocking runs at phase_bob reuse the first.  Each phase is the
+        degree-D trigonometric interpolant of the samples (a Dirichlet-kernel
+        sum), which is exact.  Rounding-level negatives at fringe zeros are
+        clamped to 0; anything more negative raises.
+        """
+        n = 2 * self.degree + 1
+        offsets = 2.0 * math.pi * np.arange(n) / n
+        samples = self._received(offsets)
+        x = np.asarray(phases, dtype=float) - self.config.phase_bob
+        harmonics = np.arange(1, self.degree + 1)
+        angles = np.subtract.outer(x, offsets)[..., None] * harmonics
+        kernel = (1.0 + 2.0 * np.cos(angles).sum(axis=-1)) / n
+        values = kernel @ samples
+        floor = -_SYNTHESIS_RTOL * float(np.abs(samples).max(initial=0.0))
+        if np.any(values < floor):
+            raise HarmonicSynthesisError(
+                f"synthesized probability {values.min():.3e} is below the rounding "
+                f"floor {floor:.3e}"
+            )
+        return np.maximum(values, 0.0)
+
+    def mean(self, detectors=None) -> float:
+        """Phase average of the central-bin receiver probability.
+
+        D+1 equally spaced phases average every harmonic up to D to zero,
+        so the mean is exact.
+        """
+        n = self.degree + 1
+        offsets = 2.0 * math.pi * np.arange(n) / n
+        return float(np.mean(self._received(offsets, detectors)))
+
+    def blocking(self, blocked: str, detectors=None) -> float:
+        """Central-bin receiver probability at phase_bob with sources blocked.
+
+        Blocking zeroes the chosen source's pair mean, which reweights the
+        branches; forced single-pair mode is released since a blocked source
+        cannot emit.
+        """
+        if blocked not in BLOCK_CHOICES:
+            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}")
+        cfg = replace(self.config, ideal_single_pairs=False)
+        if blocked in ("alice", "both"):
+            cfg = replace(cfg, pair_mean_alice=0.0)
+        if blocked in ("epr", "both"):
+            cfg = replace(cfg, pair_mean_epr=0.0)
+        return self.outcome(cfg.phase_bob, branch_weights(cfg), detectors).bob[1]
+
+    def background(self, detectors=None) -> float:
+        """Phase-independent background estimated from blocking runs.
+
+        Single-source backgrounds add; the both-blocked (dark only) term is
+        counted in each single-blocking run, so it is subtracted once.
+        """
+        return (
+            self.blocking("alice", detectors)
+            + self.blocking("epr", detectors)
+            - self.blocking("both", detectors)
         )
 
 
-def run_teleport_scan(config: ExperimentConfig, phases: Sequence[float]) -> ScanResult:
+def _engine_for(config: ExperimentConfig, engine: Optional[TeleportEngine]) -> TeleportEngine:
+    if engine is None:
+        return TeleportEngine(config)
+    if engine.config != config.materialized():
+        raise ConfigError("the engine was built for a different configuration")
+    return engine
+
+
+def run_teleport_scan(
+    config: ExperimentConfig,
+    phases: Sequence[float],
+    engine: Optional[TeleportEngine] = None,
+) -> ScanResult:
     """Accepted-and-received coincidences in the central bin versus the
     receiver analyzer phase."""
-    engine = _TeleportEngine(config)
     xs = np.asarray(list(phases), dtype=float)
-    probs = np.array([engine.outcome(p).bob[1] for p in xs])
+    probs = _engine_for(config, engine).scan(xs)
     counts, pulses = _counts(config, probs, stream=2)
     return ScanResult("phi_b_rad", xs, probs, counts, pulses)
 
 
-def teleport_acceptance(config: ExperimentConfig) -> float:
+def teleport_acceptance(
+    config: ExperimentConfig, engine: Optional[TeleportEngine] = None
+) -> float:
     """Bell-pattern acceptance probability at the configured phases."""
-    return _TeleportEngine(config).outcome(config.phase_bob).accept
+    return _engine_for(config, engine).outcome(config.phase_bob).accept
 
 
 class _MandelEngine:
@@ -450,50 +582,28 @@ def run_mandel_scan(
     )
 
 
-def run_blocking(config: ExperimentConfig, blocked: str = "none") -> float:
-    """Accepted-and-received probability with sources physically blocked.
-
-    Blocking zeroes the chosen source's pair mean, which reweights the
-    pair-number branches; with everything blocked only dark counts remain.
-    Forced single-pair mode is released here since a blocked source cannot
-    emit.
-    """
-    if blocked not in BLOCK_CHOICES:
-        raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}")
-    cfg = config.materialized()
-    if cfg.ideal_single_pairs:
-        cfg = replace(cfg, ideal_single_pairs=False)
-    if blocked in ("alice", "both"):
-        cfg = replace(cfg, pair_mean_alice=0.0)
-    if blocked in ("epr", "both"):
-        cfg = replace(cfg, pair_mean_epr=0.0)
-    engine = _TeleportEngine(cfg)
-    return engine.outcome(cfg.phase_bob).bob[1]
+def run_blocking(
+    config: ExperimentConfig,
+    blocked: str = "none",
+    engine: Optional[TeleportEngine] = None,
+) -> float:
+    """Accepted-and-received probability with sources physically blocked;
+    see TeleportEngine.blocking."""
+    return _engine_for(config, engine).blocking(blocked)
 
 
-def background_probability(config: ExperimentConfig) -> float:
-    """Phase-independent background estimated from blocking runs.
-
-    Single-source backgrounds add; the both-blocked (dark only) term is
-    counted in each single-blocking run, so it is subtracted once.
-    """
-    b_alice = run_blocking(config, "alice")
-    b_epr = run_blocking(config, "epr")
-    b_both = run_blocking(config, "both")
-    return b_alice + b_epr - b_both
+def background_probability(
+    config: ExperimentConfig, engine: Optional[TeleportEngine] = None
+) -> float:
+    """Phase-independent background from the blocking runs; see
+    TeleportEngine.background."""
+    return _engine_for(config, engine).background()
 
 
 def fringe_mean(config: ExperimentConfig) -> float:
-    """Phase-averaged accepted-and-received probability in the central bin.
-
-    With at most two photons at the receiver the fringe holds harmonics up
-    to the second, so a four-point phase average is exact.
-    """
-    engine = _TeleportEngine(config)
-    vals = [
-        engine.outcome(config.phase_bob + k * math.pi / 2.0).bob[1] for k in range(4)
-    ]
-    return float(np.mean(vals))
+    """Phase-averaged accepted-and-received probability in the central bin,
+    exact for any photon number at the receiver; see TeleportEngine.mean."""
+    return TeleportEngine(config).mean()
 
 
 @dataclass(frozen=True)
@@ -521,6 +631,16 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
     return replace(config, **{k: min(v * scale, _DARK_CAP) for k, v in base.items()})
 
 
+def _background_ratio(scale: float, engine: TeleportEngine) -> float:
+    """Background over signal with every dark probability scaled by `scale`."""
+    dets = _detectors(_with_dark_scale(engine.config, scale))
+    background = engine.background(dets)
+    signal = engine.mean(dets) - background
+    if signal <= 0.0:
+        return 1e9
+    return background / signal
+
+
 def calibrate_dark_counts(
     config: ExperimentConfig, target_ratio: float = 1.0
 ) -> Tuple[ExperimentConfig, CalibrationReport]:
@@ -537,43 +657,29 @@ def calibrate_dark_counts(
     if cfg.ideal_single_pairs:
         cfg = replace(cfg, ideal_single_pairs=False)
 
-    weights_full = branch_weights(cfg)
-    weights_alice = branch_weights(replace(cfg, pair_mean_alice=0.0))
-    weights_epr = branch_weights(replace(cfg, pair_mean_epr=0.0))
-    weights_both = branch_weights(
-        replace(cfg, pair_mean_alice=0.0, pair_mean_epr=0.0)
-    )
-    engine = _TeleportEngine(cfg)
-    mean_phases = [cfg.phase_bob + k * math.pi / 2.0 for k in range(4)]
-
-    def ratio(scale: float) -> float:
-        trial = _with_dark_scale(cfg, scale)
-        dets = _detectors(trial)
-        background = (
-            engine.outcome(cfg.phase_bob, weights_alice, dets).bob[1]
-            + engine.outcome(cfg.phase_bob, weights_epr, dets).bob[1]
-            - engine.outcome(cfg.phase_bob, weights_both, dets).bob[1]
-        )
-        mean = float(
-            np.mean([engine.outcome(p, weights_full, dets).bob[1] for p in mean_phases])
-        )
-        signal = mean - background
-        if signal <= 0.0:
-            return 1e9
-        return background / signal
-
-    r0 = ratio(0.0)
+    engine = TeleportEngine(cfg)
+    r0 = _background_ratio(0.0, engine)
     if r0 >= target_ratio:
         calibrated = replace(_with_dark_scale(cfg, 0.0), detectors_calibrated=True)
         return calibrated, CalibrationReport(target_ratio, r0, 0.0, True)
 
     hi = 1.0
-    while ratio(hi) < target_ratio:
+    while _background_ratio(hi, engine) < target_ratio:
         hi *= 4.0
         if hi > 1e7:
             raise FitConvergenceError(
                 "dark-count calibration cannot reach the target background ratio"
             )
-    scale = brentq(lambda s: ratio(s) - target_ratio, 0.0, hi, rtol=1e-6)
+    # the engine travels in args, not in a closure: brentq's function wrapper
+    # sits in a reference cycle, which would keep a captured engine and its
+    # caches alive until the next full garbage collection
+    scale = brentq(
+        lambda s, eng: _background_ratio(s, eng) - target_ratio,
+        0.0,
+        hi,
+        args=(engine,),
+        rtol=1e-6,
+    )
     calibrated = replace(_with_dark_scale(cfg, scale), detectors_calibrated=True)
-    return calibrated, CalibrationReport(target_ratio, ratio(scale), float(scale), False)
+    achieved = _background_ratio(scale, engine)
+    return calibrated, CalibrationReport(target_ratio, achieved, float(scale), False)

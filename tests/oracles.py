@@ -1,0 +1,128 @@
+"""Brute-force reference implementations, used only by the tests.
+
+click_distribution enumerates every click pattern of a detector layout,
+term by term and gate by gate; the Bell-state and herald filters then pick
+the accepted patterns out of it.  The fast array paths in qrelay.detection
+are checked against these.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+from qrelay.detection import DetectorChannel, Ensemble, _check_ensemble
+from qrelay.errors import ConfigError
+from qrelay.fock import FockState, occupation_distribution
+
+# a click pattern maps (detector label, time bin) -> clicked; absent = no click
+ClickPattern = FrozenSet[Tuple[str, int]]
+
+
+@dataclass
+class DetectionLayout:
+    channels: List[DetectorChannel]
+
+    def __post_init__(self):
+        labels = [ch.model.label for ch in self.channels]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"duplicate detector labels: {labels}")
+        for ch in self.channels:
+            if ch.follows is not None and ch.follows not in labels:
+                raise ConfigError(f"{ch.model.label} follows unknown {ch.follows}")
+
+
+def _gate_counts(state: FockState, occ, spatial: str) -> List[int]:
+    """Photons per time bin on one channel, summed over internal labels."""
+    reg = state.registry
+    counts = [0] * reg.max_bins
+    for idx in reg.indices_for(spatial):
+        counts[reg.key_at(idx).time_bin] += occ[idx]
+    return counts
+
+
+def _subset_probs(gates: List[Tuple[str, int, float]]):
+    """All (clicked-set, probability) pairs for independent gates.
+
+    Zero-probability options are skipped, so the expansion stays small when
+    dark counts are off.
+    """
+    options = []
+    for label, t, pc in gates:
+        opts = []
+        if pc > 0.0:
+            opts.append(((label, t), pc))
+        if pc < 1.0:
+            opts.append((None, 1.0 - pc))
+        options.append(opts)
+    for combo in itertools.product(*options):
+        clicked = frozenset(g for g, _ in combo if g is not None)
+        prob = 1.0
+        for _, q in combo:
+            prob *= q
+        yield clicked, prob
+
+
+def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[ClickPattern, float]:
+    """Full distribution over click patterns for a weighted state ensemble."""
+    _check_ensemble(ensemble)
+    free = [ch for ch in layout.channels if ch.follows is None]
+    followers = [ch for ch in layout.channels if ch.follows is not None]
+    out: Dict[ClickPattern, float] = {}
+    for weight, state in ensemble:
+        if weight == 0.0:
+            continue
+        n_bins = state.registry.max_bins
+        for occ, p_occ in occupation_distribution(state).items():
+            free_gates = []
+            counts = {}
+            for ch in free + followers:
+                counts[ch.model.label] = _gate_counts(state, occ, ch.spatial)
+            for ch in free:
+                for t in range(n_bins):
+                    free_gates.append(
+                        (ch.model.label, t, ch.model.click_prob(counts[ch.model.label][t]))
+                    )
+            for free_clicks, p_free in _subset_probs(free_gates):
+                armed = []
+                for ch in followers:
+                    for (label, t) in free_clicks:
+                        if label == ch.follows and t + 1 < n_bins:
+                            armed.append(
+                                (
+                                    ch.model.label,
+                                    t + 1,
+                                    ch.model.click_prob(counts[ch.model.label][t + 1]),
+                                )
+                            )
+                for sub_clicks, p_sub in _subset_probs(armed):
+                    pattern = free_clicks | sub_clicks
+                    out[pattern] = out.get(pattern, 0.0) + weight * p_occ * p_free * p_sub
+    return out
+
+
+def psi_minus_filter(
+    pattern: ClickPattern,
+    labels: Tuple[str, str] = ("bsa-ge", "bsa-ingaas"),
+    window: Sequence[int] = (0, 1, 2),
+) -> bool:
+    """Exactly two clicks, different detectors, adjacent bins, inside the window."""
+    clicks = [(lab, t) for lab, t in pattern if lab in labels]
+    if len(clicks) != 2:
+        return False
+    (la, ta), (lb, tb) = clicks
+    if la == lb:
+        return False
+    return abs(ta - tb) == 1 and ta in window and tb in window
+
+
+def herald_filter(
+    pattern: ClickPattern,
+    label: str = "herald",
+    time_bin: int = 0,
+    enabled: bool = True,
+) -> bool:
+    if not enabled:
+        return True
+    return (label, time_bin) in pattern

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qrelay import cli
+from qrelay import cli, scenarios
 from qrelay.scenarios import build_default_config
 
 
@@ -236,3 +236,29 @@ def test_stability_uncontrolled_flag(capsys):
     doc = json.loads(out)
     assert not doc["controlled"]
     assert doc["peak"] >= 0.95
+
+
+def test_one_engine_per_command(monkeypatch, capsys):
+    built = []
+    original = scenarios.TeleportEngine.__init__
+
+    def counting_init(self, config):
+        built.append(config)
+        original(self, config)
+
+    monkeypatch.setattr(scenarios.TeleportEngine, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, ["teleport", "--points", "8"])
+    assert code == 0
+    assert len(built) == 1
+    code, _, _ = run_cli(capsys, ["noise"])
+    assert code == 0
+    assert len(built) == 2
+
+
+def test_seed_beyond_64_bits_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["teleport", "--points", "8", "--mode", "montecarlo", "--seed", str(2**64)],
+    )
+    assert code == 2
+    assert "seed" in err

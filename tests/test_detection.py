@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import DetectionLayout, click_distribution, herald_filter, psi_minus_filter
 from qrelay.detection import (
-    DetectionLayout,
     DetectorChannel,
     DetectorModel,
     TimingBudget,
-    click_distribution,
     coincidence_probability,
-    herald_filter,
-    psi_minus_filter,
     teleport_outcome_distribution,
     validate_timing,
 )

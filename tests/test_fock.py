@@ -16,6 +16,7 @@ from qrelay.fock import (
     inner,
     mode_transform,
     occupation_distribution,
+    occupation_matrix,
     vacuum,
 )
 
@@ -176,3 +177,17 @@ def test_prune_drops_negligible_terms():
     reg, a, _ = _two_mode_registry()
     st = FockState(reg, 4, {bytes([1, 0]): 1.0 + 0j, bytes([0, 1]): 1e-17 + 0j})
     assert len(st.prune()) == 1
+
+
+def test_occupation_matrix_and_bin_indicator():
+    reg = ModeRegistry(max_bins=2)
+    reg.add_channel("a", (0, 1))
+    st = apply_creation(vacuum(reg), ModeKey("a", 1, 1))
+    assert occupation_matrix(st).tolist() == [[0, 0, 0, 1]]
+    # internal labels sum into one gate per (channel, bin)
+    assert (occupation_matrix(st) @ reg.bin_indicator(("a",))).tolist() == [[0, 1]]
+    # a mode registered later resizes the indicator but leaves old keys short
+    reg.add_channel("b")
+    assert reg.bin_indicator(("b", "a")).shape == (6, 4)
+    with pytest.raises(RegistryMismatchError):
+        occupation_matrix(st)

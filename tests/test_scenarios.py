@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qrelay import scenarios
 from qrelay.analysis import fit_dip, fit_fringe, net_visibility
-from qrelay.errors import ConfigError
+from qrelay.errors import ConfigError, HarmonicSynthesisError
 from qrelay.scenarios import (
+    TeleportEngine,
     background_probability,
     branch_weights,
     build_default_config,
@@ -238,3 +240,63 @@ def test_grid_validation():
         phase_grid(3)
     with pytest.raises(ConfigError):
         mismatch_grid(4)
+
+
+@pytest.mark.parametrize("heralded", [False, True])
+def test_harmonic_scan_matches_per_phase_outcome(heralded):
+    cfg = replace(build_default_config(), heralded=heralded, phase_bob=0.4)
+    phis = phase_grid(13, 1.7, start=0.25)
+    engine = TeleportEngine(cfg)
+    scan = run_teleport_scan(cfg, phis, engine)
+    direct = np.array([engine.outcome(p).bob[1] for p in phis])
+    assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
+    # the acceptance and blocking runs reuse the sample at phase_bob, the
+    # first of the 2D+1
+    assert engine.degree == 2
+    assert len(engine._analyzed) == 5 + len(phis)
+    teleport_acceptance(cfg, engine)
+    background_probability(cfg, engine)
+    assert len(engine._analyzed) == 5 + len(phis)
+
+
+def test_more_receiver_photons_raise_the_sample_count(monkeypatch):
+    # three pairs put up to three photons at the receiver: degree 3, so
+    # 2D+1 = 7 analyzer passes give the scan and D+1 = 4 the mean
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
+    cfg = replace(build_default_config(), n_max=6, pair_mean=0.1)
+    engine = TeleportEngine(cfg)
+    assert engine.degree == 3
+    phis = phase_grid(6, 1.3, start=0.1)
+    scan = run_teleport_scan(cfg, phis, engine)
+    assert sorted(engine._analyzed) == pytest.approx(2 * math.pi * np.arange(7) / 7)
+    direct = np.array([engine.outcome(p).bob[1] for p in phis])
+    assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
+    dense = engine.scan(phase_grid(16, 1.0)).mean()
+    assert abs(engine.mean() - dense) <= 1e-12 * dense
+    # the mean shares its first phase, phase_bob, with the scan samples
+    assert len(engine._analyzed) == 7 + len(phis) + 3
+
+
+def test_harmonic_scan_clamps_only_rounding(monkeypatch):
+    engine = TeleportEngine(build_ideal_config())
+    phis = [0.0, 1.0]
+    monkeypatch.setattr(engine, "_received", lambda *a: np.array([-1e-18, 0.1, 0.1, 0.1, 0.1]))
+    assert 0.0 <= engine.scan(phis)[0] < 1e-15
+    monkeypatch.setattr(engine, "_received", lambda *a: np.array([-1e-6, 0.1, 0.1, 0.1, 0.1]))
+    with pytest.raises(HarmonicSynthesisError):
+        engine.scan(phis)
+
+
+def test_engine_must_match_the_config():
+    engine = TeleportEngine(build_default_config())
+    with pytest.raises(ConfigError):
+        teleport_acceptance(replace(build_default_config(), loss_bob_db=3.0), engine)
+    # the pair_mean override is folded in before the comparison
+    cfg = replace(build_default_config(), pair_mean=0.13)
+    teleport_acceptance(cfg, TeleportEngine(cfg))
+
+
+def test_seed_range():
+    replace(build_default_config(), seed=2**64 - 1)
+    with pytest.raises(ConfigError):
+        replace(build_default_config(), seed=2**64)
