@@ -7,8 +7,6 @@ campaigns), stability (path-length drift and the rep-rate-tracking
 controller), analysis (fringe and dip fits, fidelity bookkeeping), cli.
 """
 
-from .kernels import backend_name
-
 __version__ = "0.1.0"
 
-__all__ = ["backend_name", "__version__"]
+__all__ = ["__version__"]

@@ -137,10 +137,13 @@ def _format_value(value) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(_format_value(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _emit_json(document: Dict[str, object]) -> None:

@@ -7,10 +7,10 @@ Dark counts are independent Bernoulli events OR'd into every open gate.
 
 The measurement station pairs a free-running detector with one that is
 armed only for the bin right after the free-running detector fired; that
-asymmetry halves the accepted time orderings and is switchable.  Acceptance
-of a projection onto the antisymmetric Bell state requires exactly two
-clicks, on different detectors, in adjacent time bins inside the clock
-window.
+asymmetry halves the accepted time orderings, and a partner that runs free
+too accepts both.  Acceptance of a projection onto the antisymmetric Bell
+state requires exactly two clicks, on different detectors, in adjacent
+time bins inside the clock window.
 
 A state is reduced once per call to arrays: a (terms x modes) occupation
 matrix and |amplitude|^2 per term.  That matrix times the registry's
@@ -37,7 +37,6 @@ class DetectorModel:
     label: str
     efficiency: float = 1.0
     dark_prob: float = 0.0
-    gated: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -112,13 +111,25 @@ class TeleportOutcome:
     bob: Dict[int, float]         # bin -> P(acceptance and herald and Bob click there)
 
 
+def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
+    """True when the Bell-state partner is free-running, False when ge arms it."""
+    if ge.follows is not None:
+        raise ConfigError(f"{ge.model.label} must run free, not follow {ge.follows}")
+    if ingaas.follows is None:
+        return True
+    if ingaas.follows != ge.model.label:
+        raise ConfigError(
+            f"{ingaas.model.label} can only follow {ge.model.label}, not {ingaas.follows}"
+        )
+    return False
+
+
 def teleport_outcome_distribution(
     ensemble: Ensemble,
     ge: DetectorChannel,
     ingaas: DetectorChannel,
     bob: DetectorChannel,
     herald: Optional[DetectorChannel] = None,
-    symmetric_bsa: bool = False,
     window: Sequence[int] = (0, 1, 2),
     herald_bin: int = 0,
     bob_bins: Sequence[int] = (0, 1, 2),
@@ -126,11 +137,13 @@ def teleport_outcome_distribution(
     """P(accepted Bell pattern [and herald] [and Bob click at bin b]).
 
     Sums over the accepted patterns only, term by term with array
-    operations.  Accepted patterns with the free-running detector alone at
-    bin t and its partner at t+1 always count; the reversed ordering needs
-    symmetric_bsa.  tests/oracles.py holds the full click-pattern
-    enumeration this agrees with.
+    operations.  ge runs free.  Accepted patterns with ge alone at bin t
+    and its partner at t+1 always count; the reversed ordering counts only
+    when the partner runs free too (ingaas.follows is None) rather than
+    being armed by ge (ingaas.follows == ge's label).  tests/oracles.py
+    holds the full click-pattern enumeration this agrees with.
     """
+    symmetric = _partner_runs_free(ge, ingaas)
     _check_ensemble(ensemble)
     spatials = (ge.spatial, ingaas.spatial, bob.spatial)
     if herald is not None:
@@ -145,12 +158,12 @@ def teleport_outcome_distribution(
         pc_ge = ge.model.click_probs(counts[:, 0])
         pc_in = ingaas.model.click_probs(counts[:, 1])
         alone_ge = _alone(pc_ge)
-        alone_in = _alone(pc_in) if symmetric_bsa else None
+        alone_in = _alone(pc_in) if symmetric else None
         p_accept = np.zeros(len(probs))
         for t in window:
             if t + 1 >= n_bins or (t + 1) not in window:
                 continue
-            if symmetric_bsa:
+            if symmetric:
                 # both detectors free-running: exactly one click on each,
                 # either time ordering
                 p_accept += alone_ge[:, t] * alone_in[:, t + 1]
@@ -216,9 +229,13 @@ class TimingBudget:
             "quantum_fiber_m",
             "classical_fiber_m",
             "bob_spool_m",
+            "decision_latency_s",
         ):
-            if getattr(self, name) < 0:
+            # written so that NaN fails too
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if not self.group_index > 0:
+            raise ConfigError("group_index must be > 0")
 
 
 def validate_timing(budget: TimingBudget) -> float:

@@ -58,8 +58,8 @@ ENCODERS = ("michelson", "lossless")
 RUN_MODES = ("analytic", "montecarlo")
 BLOCK_CHOICES = ("none", "alice", "epr", "both")
 
-# at most two pairs per source per gate; with four photons total this
-# already saturates the default truncation
+# at most two pairs in total per gate; states are truncated at the
+# 2 * MAX_PAIRS_EACH photons those pairs carry, read when an engine is built
 MAX_PAIRS_EACH = 2
 
 
@@ -101,7 +101,6 @@ class ExperimentConfig:
     dark_herald: float = 1e-4
     dark_bob: float = 1e-4
     detectors_calibrated: bool = False
-    n_max: int = 4
     max_bins: int = 4
     tail_tol: float = 5e-3
     pulses_per_point: int = 10_000_000
@@ -134,8 +133,6 @@ class ExperimentConfig:
         for name in ("dark_ge", "dark_ingaas_bsa", "dark_herald", "dark_bob"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if self.n_max < 2:
-            raise ConfigError("n_max must be >= 2")
         if self.max_bins < 3:
             raise ConfigError("max_bins must be >= 3")
         if not 0.0 < self.tail_tol < 1.0:
@@ -261,6 +258,8 @@ def mismatch_grid(
 ) -> np.ndarray:
     if points < 5:
         raise ConfigError("a mismatch scan needs at least 5 points")
+    if not (math.isfinite(span_um) and span_um > 0):
+        raise ConfigError(f"the mismatch span must be finite and > 0, got {span_um}")
     return center_um + np.linspace(-span_um, span_um, points)
 
 
@@ -347,9 +346,10 @@ class TeleportEngine:
         analyzer_loss = Circuit(reg).add_michelson(EPR_BOB, 0.0)
 
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
+        n_max = 2 * MAX_PAIRS_EACH
         self.states: Dict[Tuple[int, int], FockState] = {}
         for na, nc in pair_branches():
-            st = vacuum(reg, cfg.n_max)
+            st = vacuum(reg, n_max)
             st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
             st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, (0, 1), cfg.phase_pump)
             self.states[(na, nc)] = apply(pre, st)
@@ -382,7 +382,6 @@ class TeleportEngine:
                     ingaas,
                     bob,
                     herald=herald if self.config.heralded else None,
-                    symmetric_bsa=self.config.symmetric_bsa,
                 )
                 for k, st in self._through_analyzer(phi_b).items()
             }
@@ -542,6 +541,7 @@ class _MandelEngine:
                 circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
         self.circuit = circ
         self.weights = branch_weights(cfg)
+        self.n_max = 2 * MAX_PAIRS_EACH
         ge, ingaas, _, _ = _detectors(cfg)
         self.ge = ge
         self.ingaas = ingaas
@@ -552,7 +552,7 @@ class _MandelEngine:
         xi = self.overlap.xi(delta_x_um)
         ensemble = []
         for (na, nc), w in self.weights.items():
-            st = vacuum(self.registry, cfg.n_max)
+            st = vacuum(self.registry, self.n_max)
             st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
             if cfg.mandel_mode == "symmetric":
                 st = emit_pairs_single_bin(st, EPR_QUBIT, EPR_BOB, nc, 0, 1.0)

@@ -262,3 +262,31 @@ def test_seed_beyond_64_bits_exits_2(capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--points", "8", "--out", "{missing}"],
+        ["noise", "--out", "{missing}"],
+        ["mandel", "--span-um", "0"],
+        ["validate-timing", "--group-index", "-1"],
+        ["validate-timing", "--latency-ns", "-500"],
+    ],
+    ids=["teleport-out", "noise-out", "mandel-span", "group-index", "latency"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "x.csv")
+    code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_config_may_not_name_n_max(tmp_path, capsys):
+    # the truncation follows from the pair limit and is not a config key
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("n_max = 4\n")
+    code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
+    assert code == 2
+    assert "n_max" in err

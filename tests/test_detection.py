@@ -185,13 +185,12 @@ def _bsa_circuit(reg):
 
 
 def _ideal_bsa_outcome(state, symmetric):
-    reg = state.registry
     ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
-    bob = DetectorChannel(DetectorModel("bob", dark_prob=0.0), "dump")
-    return teleport_outcome_distribution(
-        [(1.0, state)], ge, ingaas, bob, symmetric_bsa=symmetric
+    ingaas = DetectorChannel(
+        DetectorModel("bsa-ingaas"), "c", follows=None if symmetric else "bsa-ge"
     )
+    bob = DetectorChannel(DetectorModel("bob", dark_prob=0.0), "dump")
+    return teleport_outcome_distribution([(1.0, state)], ge, ingaas, bob)
 
 
 def test_antisymmetric_state_always_accepted():
@@ -200,6 +199,30 @@ def test_antisymmetric_state_always_accepted():
     assert abs(_ideal_bsa_outcome(psi, True).accept - 1.0) < 1e-12
     # the one-way trigger keeps only one of the two time orderings
     assert abs(_ideal_bsa_outcome(psi, False).accept - 0.5) < 1e-12
+
+
+def test_free_running_partner_accepts_both_orderings():
+    # the partner's own follows field, not a separate flag, picks the model
+    reg = _registry("a", "c", "dump", max_bins=4)
+    psi = apply(_bsa_circuit(reg), _bell_state(reg, -1.0))
+    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
+    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows=None)
+    bob = DetectorChannel(DetectorModel("bob"), "dump")
+    out = teleport_outcome_distribution([(1.0, psi)], ge, ingaas, bob)
+    assert abs(out.accept - 1.0) < 1e-12
+
+
+def test_bsa_partner_must_follow_the_free_running_detector():
+    reg = _registry("a", "c", "dump")
+    bob = DetectorChannel(DetectorModel("bob"), "dump")
+    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
+    stray = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="herald")
+    with pytest.raises(ConfigError):
+        teleport_outcome_distribution([(1.0, vacuum(reg))], ge, stray, bob)
+    armed_ge = DetectorChannel(DetectorModel("bsa-ge"), "a", follows="bsa-ingaas")
+    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
+    with pytest.raises(ConfigError):
+        teleport_outcome_distribution([(1.0, vacuum(reg))], armed_ge, ingaas, bob)
 
 
 def test_symmetric_states_never_accepted():
@@ -234,9 +257,7 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
         ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
         ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
         bobdet = DetectorChannel(DetectorModel("bob"), "bob")
-        res = teleport_outcome_distribution(
-            [(1.0, out)], ge, ingaas, bobdet, symmetric_bsa=True
-        )
+        res = teleport_outcome_distribution([(1.0, out)], ge, ingaas, bobdet)
         assert abs(res.accept - 0.25) < 1e-12
         # without an analyzing interferometer Bob's arrival bin carries no
         # phase information: the accepted weight splits evenly over his bins
@@ -251,7 +272,7 @@ def test_dark_only_acceptance_oracle():
     d = 0.01
     reg = _registry("a", "c", "dump", max_bins=4)
     ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c")
+    ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
     bob = DetectorChannel(DetectorModel("bob"), "dump")
     out = teleport_outcome_distribution([(1.0, vacuum(reg))], ge, ingaas, bob)
     expect = 2.0 * d * (1 - d) ** 3 * d
@@ -264,7 +285,7 @@ def test_dark_only_acceptance_is_monotone():
     last = -1.0
     for d in (0.0, 1e-4, 1e-3, 1e-2, 0.05):
         ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
-        ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c")
+        ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
         out = teleport_outcome_distribution([(1.0, vacuum(reg))], ge, ingaas, bob)
         assert out.accept >= last
         last = out.accept
@@ -299,3 +320,18 @@ def test_timing_latency_linearity():
 def test_timing_budget_rejects_negative_lengths():
     with pytest.raises(ConfigError):
         TimingBudget(bob_spool_m=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("group_index", 0.0),
+        ("group_index", -1.0),
+        ("decision_latency_s", -1e-9),
+        ("decision_latency_s", float("nan")),
+        ("quantum_fiber_m", float("nan")),
+    ],
+)
+def test_timing_budget_rejects_unphysical_values(field, value):
+    with pytest.raises(ConfigError):
+        TimingBudget(**{field: value})

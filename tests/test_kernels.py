@@ -1,12 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
-from qrelay import kernels
-from qrelay._kernels_py import scale_mode_transform as py_scale
-from qrelay._kernels_py import two_mode_transform as py_two_mode
-from qrelay.fock import FockState, ModeKey, ModeRegistry, _general_transform
+from qrelay.fock import _general_transform
+from qrelay.kernels import scale_mode_transform, two_mode_transform
 
 
 def _random_unitary(rng, k=2):
@@ -35,50 +32,20 @@ def test_two_mode_kernel_matches_general_transform():
     for _ in range(10):
         terms = _random_terms(rng)
         u = _random_unitary(rng)
-        fast = py_two_mode(terms, 0, 2, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15)
+        fast = two_mode_transform(terms, 0, 2, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15)
         slow = _general_transform(terms, [0, 2], u, 1e-15)
         assert _max_diff(fast, slow) < 1e-12
 
 
 def test_scale_kernel_applies_phase_per_photon():
     ph = np.exp(0.7j)
-    out = py_scale({bytes([3, 1]): 1.0 + 0j}, 0, ph, 1e-15)
+    out = scale_mode_transform({bytes([3, 1]): 1.0 + 0j}, 0, ph, 1e-15)
     assert abs(out[bytes([3, 1])] - ph**3) < 1e-14
 
 
 def test_kernel_prunes_small_amplitudes():
     u = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
-    out = py_two_mode({bytes([1, 1]): 1.0 + 0j}, 0, 1, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15)
+    out = two_mode_transform(
+        {bytes([1, 1]): 1.0 + 0j}, 0, 1, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15
+    )
     assert bytes([1, 1]) not in out
-
-
-def test_backends_agree():
-    if "compiled" not in kernels.available_backends():
-        pytest.skip("compiled kernels not built")
-    from qrelay import _ckernels
-
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        terms = _random_terms(rng, n_modes=4, max_occ=4)
-        u = _random_unitary(rng)
-        a = py_two_mode(terms, 1, 3, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15)
-        b = _ckernels.two_mode_transform(terms, 1, 3, u[0, 0], u[0, 1], u[1, 0], u[1, 1], 1e-15)
-        assert _max_diff(a, b) < 1e-12
-        sa = py_scale(terms, 2, np.exp(1.3j), 1e-15)
-        sb = _ckernels.scale_mode_transform(terms, 2, np.exp(1.3j), 1e-15)
-        assert _max_diff(sa, sb) < 1e-12
-
-
-def test_set_backend_switches_and_rejects_unknown():
-    names = kernels.available_backends()
-    current = kernels.backend_name()
-    try:
-        kernels.set_backend("python")
-        assert kernels.backend_name() == "python"
-        if "compiled" in names:
-            kernels.set_backend("compiled")
-            assert kernels.backend_name() == "compiled"
-        with pytest.raises(ValueError):
-            kernels.set_backend("gpu")
-    finally:
-        kernels.set_backend(current)

@@ -242,6 +242,12 @@ def test_grid_validation():
         mismatch_grid(4)
 
 
+def test_mismatch_span_must_be_finite_and_positive():
+    for span in (0.0, -300.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            mismatch_grid(21, span)
+
+
 @pytest.mark.parametrize("heralded", [False, True])
 def test_harmonic_scan_matches_per_phase_outcome(heralded):
     cfg = replace(build_default_config(), heralded=heralded, phase_bob=0.4)
@@ -263,7 +269,7 @@ def test_more_receiver_photons_raise_the_sample_count(monkeypatch):
     # three pairs put up to three photons at the receiver: degree 3, so
     # 2D+1 = 7 analyzer passes give the scan and D+1 = 4 the mean
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
-    cfg = replace(build_default_config(), n_max=6, pair_mean=0.1)
+    cfg = replace(build_default_config(), pair_mean=0.1)
     engine = TeleportEngine(cfg)
     assert engine.degree == 3
     phis = phase_grid(6, 1.3, start=0.1)
