@@ -40,14 +40,11 @@ from .scenarios import (
     ExperimentConfig,
     RUN_MODES,
     TeleportEngine,
-    background_probability,
     build_default_config,
     mismatch_grid,
     phase_grid,
-    run_blocking,
     run_mandel_scan,
     run_teleport_scan,
-    teleport_acceptance,
 )
 from .stability import DRIFT_KINDS, Controller, DriftModel, simulate
 
@@ -199,8 +196,8 @@ def _cmd_mandel(args) -> int:
     return 0
 
 
-def _teleport_net_section(cfg, fit, pulses, engine) -> Dict[str, object]:
-    background = background_probability(cfg, engine) * pulses
+def _teleport_net_section(fit, pulses, engine) -> Dict[str, object]:
+    background = engine.background() * pulses
     section: Dict[str, object] = {"background_counts": background}
     try:
         nv = net_visibility(fit.visibility, fit.offset, background)
@@ -226,7 +223,7 @@ def _cmd_teleport(args) -> int:
     phases = phase_grid(args.points, args.periods)
     # one engine serves the scan, the acceptance and the blocking runs
     engine = TeleportEngine(cfg)
-    scan = run_teleport_scan(cfg, phases, engine)
+    scan = run_teleport_scan(engine, phases)
     fit = fit_fringe(scan.control, scan.counts)
     if args.out:
         _write_csv(
@@ -242,8 +239,8 @@ def _cmd_teleport(args) -> int:
             "fidelity_raw": fidelity_from_visibility(fit.visibility),
             "classification_raw": classify_visibility(fit.visibility),
             "fringe": _fit_to_dict(fit),
-            "acceptance_probability": teleport_acceptance(cfg, engine),
-            "net": _teleport_net_section(cfg, fit, scan.pulses, engine),
+            "acceptance_probability": engine.outcome(cfg.phase_bob).accept,
+            "net": _teleport_net_section(fit, scan.pulses, engine),
             "pulses_per_point": scan.pulses,
             "csv": args.out,
             "config": asdict(cfg),
@@ -255,7 +252,7 @@ def _cmd_teleport(args) -> int:
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
     engine = TeleportEngine(cfg)
-    probs = {mode: run_blocking(cfg, mode, engine) for mode in BLOCK_CHOICES}
+    probs = {mode: engine.blocking(mode) for mode in BLOCK_CHOICES}
     if args.out:
         _write_csv(
             args.out,
@@ -267,7 +264,7 @@ def _cmd_noise(args) -> int:
             "scenario": "noise",
             "blocking_probabilities": probs,
             # reweights the blocking runs above; no new detection pass
-            "background_probability": background_probability(cfg, engine),
+            "background_probability": engine.background(),
             "csv": args.out,
             "config": asdict(cfg),
         }

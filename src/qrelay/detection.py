@@ -31,6 +31,13 @@ from .fock import NORM_ATOL, FockState, occupation_matrix
 
 Ensemble = Sequence[Tuple[float, FockState]]
 
+# time bins of the clock window in which Bell-state clicks are accepted
+CLOCK_WINDOW = (0, 1, 2)
+# the herald gate opens in the bin the prepared photon is emitted in
+HERALD_BIN = 0
+# receiver bins reported by teleport_outcome_distribution
+BOB_BINS = (0, 1, 2)
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -130,9 +137,6 @@ def teleport_outcome_distribution(
     ingaas: DetectorChannel,
     bob: DetectorChannel,
     herald: Optional[DetectorChannel] = None,
-    window: Sequence[int] = (0, 1, 2),
-    herald_bin: int = 0,
-    bob_bins: Sequence[int] = (0, 1, 2),
 ) -> TeleportOutcome:
     """P(accepted Bell pattern [and herald] [and Bob click at bin b]).
 
@@ -149,7 +153,7 @@ def teleport_outcome_distribution(
     if herald is not None:
         spatials += (herald.spatial,)
     accept_total = 0.0
-    bob_total = {b: 0.0 for b in bob_bins}
+    bob_total = {b: 0.0 for b in BOB_BINS}
     for weight, state in ensemble:
         if weight == 0.0:
             continue
@@ -160,8 +164,8 @@ def teleport_outcome_distribution(
         alone_ge = _alone(pc_ge)
         alone_in = _alone(pc_in) if symmetric else None
         p_accept = np.zeros(len(probs))
-        for t in window:
-            if t + 1 >= n_bins or (t + 1) not in window:
+        for t in CLOCK_WINDOW:
+            if t + 1 >= n_bins or (t + 1) not in CLOCK_WINDOW:
                 continue
             if symmetric:
                 # both detectors free-running: exactly one click on each,
@@ -174,10 +178,10 @@ def teleport_outcome_distribution(
                 p_accept += alone_ge[:, t] * pc_in[:, t + 1]
         base = weight * probs * p_accept
         if herald is not None:
-            base *= herald.model.click_probs(counts[:, 3, herald_bin])
+            base *= herald.model.click_probs(counts[:, 3, HERALD_BIN])
         accept_total += float(base.sum())
         pc_bob = bob.model.click_probs(counts[:, 2])
-        for b in bob_bins:
+        for b in BOB_BINS:
             bob_total[b] += float(base @ pc_bob[:, b])
     return TeleportOutcome(accept_total, bob_total)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .errors import (
 
 PRUNE_TOL = 1e-15
 NORM_ATOL = 1e-9
-
-OccupationVector = Tuple[int, ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -131,8 +129,7 @@ class FockState:
     """Sparse ket: dict from occupation bytes to complex amplitude.
 
     The byte string has one entry per registered mode, in registry order.
-    Mutating methods return self to allow chaining; `copy` gives an
-    independent state sharing the registry.
+    Mutating methods return self to allow chaining.
     """
 
     __slots__ = ("registry", "n_max", "terms")
@@ -141,9 +138,6 @@ class FockState:
         self.registry = registry
         self.n_max = n_max
         self.terms: Dict[bytes, complex] = dict(terms) if terms else {}
-
-    def copy(self) -> "FockState":
-        return FockState(self.registry, self.n_max, self.terms)
 
     def norm_sq(self) -> float:
         return sum((a * a.conjugate()).real for a in self.terms.values())
@@ -161,10 +155,6 @@ class FockState:
 
     def amplitude(self, occupation: Sequence[int]) -> complex:
         return self.terms.get(bytes(occupation), 0.0 + 0.0j)
-
-    def occupations(self) -> Iterable[Tuple[OccupationVector, complex]]:
-        for k, v in self.terms.items():
-            yield tuple(k), v
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -194,79 +184,18 @@ def apply_creation(state: FockState, mode: ModeKey) -> FockState:
     return FockState(state.registry, state.n_max, out)
 
 
-def _general_transform(terms, idxs, u, prune):
-    """K-mode substitution via multinomial re-expansion (reference path)."""
-    k_modes = len(idxs)
-    sqrt_fact = [math.sqrt(math.factorial(n)) for n in range(17)]
-
-    def compositions(n, k):
-        if k == 1:
-            yield (n,)
-            return
-        for first in range(n + 1):
-            for rest in compositions(n - first, k - 1):
-                yield (first,) + rest
-
-    out: Dict[bytes, complex] = {}
-    for occ, amp in terms.items():
-        ns = [occ[i] for i in idxs]
-        # expansion of prod_j (sum_k U[j,k] a_k)^(n_j); options[j] lists
-        # (counts over outputs, coefficient) for input mode j
-        options = []
-        for j, nj in enumerate(ns):
-            opts = []
-            for comp in compositions(nj, k_modes):
-                coeff = math.factorial(nj)
-                for m in comp:
-                    coeff /= math.factorial(m)
-                val = complex(coeff)
-                for k, m in enumerate(comp):
-                    if m:
-                        val *= u[j][k] ** m
-                if val != 0.0:
-                    opts.append((comp, val))
-            options.append(opts)
-
-        base = amp
-        for nj in ns:
-            base /= sqrt_fact[nj]
-
-        stack = [((0,) * k_modes, base)]
-        for opts in options:
-            nxt = []
-            for acc_counts, acc_val in stack:
-                for comp, val in opts:
-                    nxt.append(
-                        (
-                            tuple(a + b for a, b in zip(acc_counts, comp)),
-                            acc_val * val,
-                        )
-                    )
-            stack = nxt
-
-        occ_b = bytearray(occ)
-        for counts, val in stack:
-            for pos, idx in enumerate(idxs):
-                occ_b[idx] = counts[pos]
-                val *= sqrt_fact[counts[pos]]
-            key = bytes(occ_b)
-            out[key] = out.get(key, 0.0) + val
-    if prune > 0.0:
-        out = {k: v for k, v in out.items() if abs(v) >= prune}
-    return out
-
-
 def mode_transform(
     state: FockState,
     modes: Sequence[ModeKey],
     matrix: np.ndarray,
     prune: float = PRUNE_TOL,
 ) -> FockState:
-    """Apply a linear-optical transform on the listed modes.
+    """Apply a linear-optical transform on one or two listed modes.
 
     matrix[j, k] is the coefficient of output mode k in the substitution of
     input mode j.  Photon number over the listed modes is conserved term by
-    term; modes outside the list are untouched.
+    term; modes outside the list are untouched.  Every circuit element acts
+    on one or two modes, so no other mode count is accepted.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (len(modes), len(modes)):
@@ -290,16 +219,10 @@ def mode_transform(
             prune,
         )
     else:
-        terms = _general_transform(state.terms, idxs, m.tolist(), prune)
+        raise DimensionMismatchError(
+            f"transforms act on one or two modes, got {len(idxs)}"
+        )
     return FockState(state.registry, state.n_max, terms)
-
-
-def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
-    """Probabilities over occupation outcomes; input must be normalized."""
-    total = state.norm_sq()
-    if abs(total - 1.0) > NORM_ATOL:
-        raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
-    return {tuple(k): (v * v.conjugate()).real for k, v in state.terms.items()}
 
 
 def occupation_matrix(state: FockState) -> np.ndarray:

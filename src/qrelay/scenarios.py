@@ -111,6 +111,9 @@ class ExperimentConfig:
     seed: int = 12345
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.statistics not in STATISTICS:
             raise ConfigError(f"statistics must be one of {STATISTICS}")
         if self.mandel_mode not in MANDEL_MODES:
@@ -248,8 +251,12 @@ class ScanResult:
 
 
 def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np.ndarray:
+    """`points` equally spaced analyzer phases over `periods` periods from
+    `start`; a negative period count scans backwards."""
     if points < 4:
         raise ConfigError("a phase scan needs at least 4 points")
+    if not math.isfinite(periods) or periods == 0:
+        raise ConfigError(f"the period count must be finite and nonzero, got {periods}")
     return start + np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
 
 
@@ -297,6 +304,24 @@ def _detectors(
     return ge, ingaas, herald, bob
 
 
+def _relay_registry(max_bins: int) -> ModeRegistry:
+    """The four relay channels; the two qubit channels carry internal labels 0, 1."""
+    reg = ModeRegistry(max_bins)
+    reg.add_channel(ALICE_QUBIT, (0, 1))
+    reg.add_channel(EPR_QUBIT, (0, 1))
+    reg.add_channel(ALICE_HERALD)
+    reg.add_channel(EPR_BOB)
+    return reg
+
+
+def _add_bell_mixer(circ: Circuit) -> None:
+    """50/50 beamsplitters between the two qubit channels, bin by bin and
+    label by label: the Bell-state measurement's mixer."""
+    for t in range(circ.registry.max_bins):
+        for i in (0, 1):
+            circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
+
+
 # largest harmonic-synthesis rounding error accepted, relative to the
 # largest sample; a more negative synthesized probability is an error
 _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
@@ -322,11 +347,7 @@ class TeleportEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config.materialized()
         cfg = self.config
-        reg = ModeRegistry(cfg.max_bins)
-        reg.add_channel(ALICE_QUBIT, (0, 1))
-        reg.add_channel(EPR_QUBIT, (0, 1))
-        reg.add_channel(ALICE_HERALD)
-        reg.add_channel(EPR_BOB)
+        reg = _relay_registry(cfg.max_bins)
         self.registry = reg
 
         pre = Circuit(reg)
@@ -338,9 +359,7 @@ class TeleportEngine:
         pre.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
         pre.add_channel_loss(ALICE_HERALD, loss_from_db(cfg.loss_herald_db))
         pre.add_channel_loss(EPR_BOB, loss_from_db(cfg.loss_bob_db))
-        for t in range(cfg.max_bins):
-            for i in (0, 1):
-                pre.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
+        _add_bell_mixer(pre)
         # register the analyzer's loss channel before any state is built so
         # later per-phase circuits reuse the same mode slots
         analyzer_loss = Circuit(reg).add_michelson(EPR_BOB, 0.0)
@@ -482,32 +501,13 @@ class TeleportEngine:
         )
 
 
-def _engine_for(config: ExperimentConfig, engine: Optional[TeleportEngine]) -> TeleportEngine:
-    if engine is None:
-        return TeleportEngine(config)
-    if engine.config != config.materialized():
-        raise ConfigError("the engine was built for a different configuration")
-    return engine
-
-
-def run_teleport_scan(
-    config: ExperimentConfig,
-    phases: Sequence[float],
-    engine: Optional[TeleportEngine] = None,
-) -> ScanResult:
+def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
     """Accepted-and-received coincidences in the central bin versus the
     receiver analyzer phase."""
     xs = np.asarray(list(phases), dtype=float)
-    probs = _engine_for(config, engine).scan(xs)
-    counts, pulses = _counts(config, probs, stream=2)
+    probs = engine.scan(xs)
+    counts, pulses = _counts(engine.config, probs, stream=2)
     return ScanResult("phi_b_rad", xs, probs, counts, pulses)
-
-
-def teleport_acceptance(
-    config: ExperimentConfig, engine: Optional[TeleportEngine] = None
-) -> float:
-    """Bell-pattern acceptance probability at the configured phases."""
-    return _engine_for(config, engine).outcome(config.phase_bob).accept
 
 
 class _MandelEngine:
@@ -524,21 +524,14 @@ class _MandelEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config.materialized()
         cfg = self.config
-        reg = ModeRegistry(cfg.max_bins)
-        reg.add_channel(ALICE_QUBIT, (0, 1))
-        reg.add_channel(EPR_QUBIT, (0, 1))
-        reg.add_channel(ALICE_HERALD)
-        reg.add_channel(EPR_BOB)
-        self.registry = reg
-        circ = Circuit(reg)
+        self.registry = _relay_registry(cfg.max_bins)
+        circ = Circuit(self.registry)
         circ.add_michelson(ALICE_QUBIT, cfg.mandel_phase, internals=(0, 1))
         if cfg.mandel_mode == "symmetric":
             circ.add_michelson(EPR_QUBIT, cfg.mandel_phase, internals=(0, 1))
         circ.add_channel_loss(ALICE_QUBIT, loss_from_db(cfg.loss_alice_db))
         circ.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
-        for t in range(cfg.max_bins):
-            for i in (0, 1):
-                circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
+        _add_bell_mixer(circ)
         self.circuit = circ
         self.weights = branch_weights(cfg)
         self.n_max = 2 * MAX_PAIRS_EACH
@@ -580,30 +573,6 @@ def run_mandel_scan(
         ScanResult("delta_x_um", xs, p_short, c_short, pulses),
         ScanResult("delta_x_um", xs, p_long, c_long, pulses),
     )
-
-
-def run_blocking(
-    config: ExperimentConfig,
-    blocked: str = "none",
-    engine: Optional[TeleportEngine] = None,
-) -> float:
-    """Accepted-and-received probability with sources physically blocked;
-    see TeleportEngine.blocking."""
-    return _engine_for(config, engine).blocking(blocked)
-
-
-def background_probability(
-    config: ExperimentConfig, engine: Optional[TeleportEngine] = None
-) -> float:
-    """Phase-independent background from the blocking runs; see
-    TeleportEngine.background."""
-    return _engine_for(config, engine).background()
-
-
-def fringe_mean(config: ExperimentConfig) -> float:
-    """Phase-averaged accepted-and-received probability in the central bin,
-    exact for any photon number at the receiver; see TeleportEngine.mean."""
-    return TeleportEngine(config).mean()
 
 
 @dataclass(frozen=True)

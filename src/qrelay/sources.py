@@ -78,10 +78,6 @@ class OverlapModel:
         return math.exp(-((delta_x_um / ell) ** 2))
 
 
-def overlap_from_mismatch(delta_x_um: float, fwhm_um: float = 144.0) -> float:
-    return OverlapModel(fwhm_um).xi(delta_x_um)
-
-
 EmissionTerm = Tuple[complex, Sequence[ModeKey]]
 
 

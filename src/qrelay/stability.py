@@ -34,9 +34,9 @@ DEFAULT_GAIN_UM_PER_HZ = 0.07
 
 def pulse_spacing(rep_rate_hz: float, group_index: float = 1.468) -> float:
     """In-fiber distance between successive pulses, in meters."""
-    if rep_rate_hz <= 0:
+    if not rep_rate_hz > 0:
         raise ConfigError("rep_rate_hz must be > 0")
-    if group_index < 1.0:
+    if not group_index >= 1.0:
         raise ConfigError("group_index must be >= 1")
     return _SPEED_OF_LIGHT / (group_index * rep_rate_hz)
 
@@ -80,21 +80,21 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ConfigError(f"kind must be one of {DRIFT_KINDS}")
-        if self.amplitude_k < 0:
-            raise ConfigError("amplitude_k must be >= 0")
-        if self.period_h <= 0:
+        if not 0 <= self.amplitude_k < math.inf:
+            raise ConfigError("amplitude_k must be finite and >= 0")
+        if not self.period_h > 0:
             raise ConfigError("period_h must be > 0")
-        if self.thermal_um_per_k < 0:
+        if not self.thermal_um_per_k >= 0:
             raise ConfigError("thermal_um_per_k must be >= 0")
-        if self.rep_wander_bound_hz_per_h < 0:
+        if not self.rep_wander_bound_hz_per_h >= 0:
             raise ConfigError("rep_wander_bound_hz_per_h must be >= 0")
-        if self.jitter_sigma_um < 0 or self.jitter_bound_um < 0:
+        if not (self.jitter_sigma_um >= 0 and self.jitter_bound_um >= 0):
             raise ConfigError("jitter parameters must be >= 0")
-        if self.jitter_tau_s <= 0:
+        if not self.jitter_tau_s > 0:
             raise ConfigError("jitter_tau_s must be > 0")
-        if self.rep_rate_hz <= 0:
+        if not self.rep_rate_hz > 0:
             raise ConfigError("rep_rate_hz must be > 0")
-        if self.temp_to_rate_hz_per_k is not None and self.temp_to_rate_hz_per_k < 0:
+        if self.temp_to_rate_hz_per_k is not None and not self.temp_to_rate_hz_per_k >= 0:
             raise ConfigError("temp_to_rate_hz_per_k must be >= 0")
 
     def spacing_m(self) -> float:
@@ -138,11 +138,11 @@ class Controller:
     update_interval_s: float = 60.0
 
     def __post_init__(self):
-        if self.gain_um_per_hz < 0:
-            raise ConfigError("gain_um_per_hz must be >= 0")
-        if self.motor_resolution_um < 0:
+        if not 0 <= self.gain_um_per_hz < math.inf:
+            raise ConfigError("gain_um_per_hz must be finite and >= 0")
+        if not self.motor_resolution_um >= 0:
             raise ConfigError("motor_resolution_um must be >= 0")
-        if self.update_interval_s <= 0:
+        if not self.update_interval_s > 0:
             raise ConfigError("update_interval_s must be > 0")
 
 
@@ -202,11 +202,12 @@ def simulate(
     sits at 1 - dip_visibility while the mismatch is held at zero and climbs
     toward one as drift pulls the analyzers apart.
     """
-    if duration_s <= 0 or dt_s <= 0:
-        raise ConfigError("duration_s and dt_s must be > 0")
+    # the step count and the time axis need both finite
+    if not (0 < duration_s < math.inf and 0 < dt_s < math.inf):
+        raise ConfigError("duration_s and dt_s must be finite and > 0")
     if not 0.0 <= dip_visibility <= 1.0:
         raise ConfigError("dip_visibility must be in [0, 1]")
-    if fwhm_um <= 0:
+    if not fwhm_um > 0:
         raise ConfigError("fwhm_um must be > 0")
     n = int(round(duration_s / dt_s)) + 1
     times = np.arange(n) * dt_s
@@ -270,7 +271,7 @@ def pid_alternative_analysis(
     mismatch of resolve_um at the dip bottom before the drift has moved
     that far; otherwise the error signal is stale and the loop hunts.
     """
-    if count_rate_per_s <= 0:
+    if not count_rate_per_s > 0:
         raise ConfigError("count_rate_per_s must be > 0")
     if resolve_um is None:
         resolve_um = min(10.0, fwhm_um / 4.0)

@@ -3,21 +3,101 @@
 click_distribution enumerates every click pattern of a detector layout,
 term by term and gate by gate; the Bell-state and herald filters then pick
 the accepted patterns out of it.  The fast array paths in qrelay.detection
-are checked against these.
+are checked against these.  occupation_distribution lists a state's
+outcome probabilities term by term, and general_transform re-expands a
+linear-optical substitution on any number of modes, the reference for the
+one- and two-mode kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from qrelay.detection import DetectorChannel, Ensemble, _check_ensemble
-from qrelay.errors import ConfigError
-from qrelay.fock import FockState, occupation_distribution
+from qrelay.errors import ConfigError, UnnormalizedStateError
+from qrelay.fock import NORM_ATOL, FockState
+
+OccupationVector = Tuple[int, ...]
 
 # a click pattern maps (detector label, time bin) -> clicked; absent = no click
 ClickPattern = FrozenSet[Tuple[str, int]]
+
+
+def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
+    """Probabilities over occupation outcomes; input must be normalized."""
+    total = state.norm_sq()
+    if abs(total - 1.0) > NORM_ATOL:
+        raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
+    return {tuple(k): (v * v.conjugate()).real for k, v in state.terms.items()}
+
+
+def general_transform(terms, idxs, u, prune):
+    """K-mode substitution via multinomial re-expansion, for any K.
+
+    The reference for qrelay.kernels and for transforms on more modes than
+    qrelay.fock.mode_transform accepts.
+    """
+    k_modes = len(idxs)
+    sqrt_fact = [math.sqrt(math.factorial(n)) for n in range(17)]
+
+    def compositions(n, k):
+        if k == 1:
+            yield (n,)
+            return
+        for first in range(n + 1):
+            for rest in compositions(n - first, k - 1):
+                yield (first,) + rest
+
+    out: Dict[bytes, complex] = {}
+    for occ, amp in terms.items():
+        ns = [occ[i] for i in idxs]
+        # expansion of prod_j (sum_k U[j,k] a_k)^(n_j); options[j] lists
+        # (counts over outputs, coefficient) for input mode j
+        options = []
+        for j, nj in enumerate(ns):
+            opts = []
+            for comp in compositions(nj, k_modes):
+                coeff = math.factorial(nj)
+                for m in comp:
+                    coeff /= math.factorial(m)
+                val = complex(coeff)
+                for k, m in enumerate(comp):
+                    if m:
+                        val *= u[j][k] ** m
+                if val != 0.0:
+                    opts.append((comp, val))
+            options.append(opts)
+
+        base = amp
+        for nj in ns:
+            base /= sqrt_fact[nj]
+
+        stack = [((0,) * k_modes, base)]
+        for opts in options:
+            nxt = []
+            for acc_counts, acc_val in stack:
+                for comp, val in opts:
+                    nxt.append(
+                        (
+                            tuple(a + b for a, b in zip(acc_counts, comp)),
+                            acc_val * val,
+                        )
+                    )
+            stack = nxt
+
+        occ_b = bytearray(occ)
+        for counts, val in stack:
+            for pos, idx in enumerate(idxs):
+                occ_b[idx] = counts[pos]
+                val *= sqrt_fact[counts[pos]]
+            key = bytes(occ_b)
+            out[key] = out.get(key, 0.0) + val
+    if prune > 0.0:
+        out = {k: v for k, v in out.items() if abs(v) >= prune}
+    return out
 
 
 @dataclass

@@ -22,7 +22,7 @@ from qrelay.analysis import (
 )
 from qrelay.detection import TimingBudget, validate_timing
 from qrelay.scenarios import (
-    background_probability,
+    TeleportEngine,
     build_default_config,
     build_ideal_config,
     calibrate_dark_counts,
@@ -30,7 +30,6 @@ from qrelay.scenarios import (
     phase_grid,
     run_mandel_scan,
     run_teleport_scan,
-    teleport_acceptance,
 )
 from qrelay.stability import (
     Controller,
@@ -68,7 +67,7 @@ def _dip_scan():
 def _noise_fringe():
     cal, _ = calibrate_dark_counts(build_default_config())
     phases = phase_grid(24, 2.0)
-    scan = run_teleport_scan(cal, phases)
+    scan = run_teleport_scan(TeleportEngine(cal), phases)
     fit = fit_fringe(scan.control, scan.counts)
     return cal, scan, fit
 
@@ -107,8 +106,9 @@ def test_criterion_03_dip_width_and_shared_center():
 
 def test_criterion_04_ideal_teleportation():
     cfg = build_ideal_config()
-    acceptance = teleport_acceptance(cfg)
-    scan = run_teleport_scan(cfg, phase_grid(16, 1.0))
+    engine = TeleportEngine(cfg)
+    acceptance = engine.outcome(cfg.phase_bob).accept
+    scan = run_teleport_scan(engine, phase_grid(16, 1.0))
     fit = fit_fringe(scan.control, scan.counts)
     ok = fit.visibility >= 0.999 and abs(acceptance - 0.25) <= 1e-6
     assert _report(
@@ -121,7 +121,7 @@ def test_criterion_04_ideal_teleportation():
 
 def test_criterion_05_noise_limited_visibility_windows():
     cal, scan, fit = _noise_fringe()
-    background = background_probability(cal) * scan.pulses
+    background = TeleportEngine(cal).background() * scan.pulses
     nv = net_visibility(fit.visibility, fit.offset, background)
     ok = 0.40 <= fit.visibility <= 0.52 and 0.79 <= nv.value <= 1.00
     assert _report(
@@ -135,7 +135,7 @@ def test_criterion_05_noise_limited_visibility_windows():
 def test_criterion_06_heralded_visibility():
     cal, _, fit5 = _noise_fringe()
     heralded = replace(cal, heralded=True, pair_mean=0.13)
-    scan = run_teleport_scan(heralded, phase_grid(24, 2.0))
+    scan = run_teleport_scan(TeleportEngine(heralded), phase_grid(24, 2.0))
     fit = fit_fringe(scan.control, scan.counts)
     in_window = abs(fit.visibility - 0.87) <= 0.07
     ok = fit.visibility >= 2.0 / 3.0 and fit.visibility >= fit5.visibility
@@ -224,8 +224,8 @@ def test_criterion_11_montecarlo_consistency():
     # ideal teleportation scenario
     cfg4 = replace(build_ideal_config(), mode="montecarlo", trials=10**6, seed=102)
     phases = phase_grid(12, 1.0)
-    tel_a = run_teleport_scan(cfg4, phases)
-    tel_b = run_teleport_scan(cfg4, phases)
+    tel_a = run_teleport_scan(TeleportEngine(cfg4), phases)
+    tel_b = run_teleport_scan(TeleportEngine(cfg4), phases)
     lam = tel_a.probability * tel_a.pulses
     checks.append(bool(abs(tel_a.counts.sum() - lam.sum()) <= 3.0 * math.sqrt(lam.sum() + 1.0)))
     reruns.append(np.array_equal(tel_a.counts, tel_b.counts))
@@ -233,8 +233,8 @@ def test_criterion_11_montecarlo_consistency():
     # noise-limited fringe scenario
     cal, _ = calibrate_dark_counts(build_default_config())
     cfg5 = replace(cal, mode="montecarlo", trials=10**6, seed=103)
-    noisy_a = run_teleport_scan(cfg5, phase_grid(24, 2.0))
-    noisy_b = run_teleport_scan(cfg5, phase_grid(24, 2.0))
+    noisy_a = run_teleport_scan(TeleportEngine(cfg5), phase_grid(24, 2.0))
+    noisy_b = run_teleport_scan(TeleportEngine(cfg5), phase_grid(24, 2.0))
     lam = noisy_a.probability * noisy_a.pulses
     checks.append(bool(abs(noisy_a.counts.sum() - lam.sum()) <= 3.0 * math.sqrt(lam.sum() + 1.0)))
     reruns.append(np.array_equal(noisy_a.counts, noisy_b.counts))

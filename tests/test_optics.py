@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import occupation_distribution
 from qrelay.errors import BinOverflowError, ConfigError
-from qrelay.fock import (
-    FockState,
-    ModeKey,
-    ModeRegistry,
-    apply_creation,
-    occupation_distribution,
-    vacuum,
-)
+from qrelay.fock import FockState, ModeKey, ModeRegistry, apply_creation, vacuum
 from qrelay.optics import BinDelay, Circuit, apply, loss_from_db
 
 

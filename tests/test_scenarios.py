@@ -9,19 +9,15 @@ from qrelay.analysis import fit_dip, fit_fringe, net_visibility
 from qrelay.errors import ConfigError, HarmonicSynthesisError
 from qrelay.scenarios import (
     TeleportEngine,
-    background_probability,
     branch_weights,
     build_default_config,
     build_ideal_config,
     calibrate_dark_counts,
     config_keys,
-    fringe_mean,
     mismatch_grid,
     phase_grid,
-    run_blocking,
     run_mandel_scan,
     run_teleport_scan,
-    teleport_acceptance,
 )
 
 IDEAL_DETECTORS = dict(
@@ -77,16 +73,18 @@ def test_branch_weights_thermal_identity():
 
 
 def test_ideal_acceptance_is_one_quarter():
-    assert abs(teleport_acceptance(build_ideal_config()) - 0.25) < 1e-12
+    cfg = build_ideal_config()
+    assert abs(TeleportEngine(cfg).outcome(cfg.phase_bob).accept - 0.25) < 1e-12
 
 
 def test_ideal_fringe_unit_visibility():
     cfg = replace(build_ideal_config(), phase_alice=0.4, phase_pump=1.3)
-    scan = run_teleport_scan(cfg, phase_grid(16, 1.0))
+    engine = TeleportEngine(cfg)
+    scan = run_teleport_scan(engine, phase_grid(16, 1.0))
     fit = fit_fringe(scan.control, scan.counts)
     assert fit.visibility > 0.999999
     # destructive point sits where the analyzer undoes the preparation phases
-    probe = run_teleport_scan(cfg, [cfg.phase_pump - cfg.phase_alice])
+    probe = run_teleport_scan(engine, [cfg.phase_pump - cfg.phase_alice])
     assert probe.probability[0] < 1e-12
 
 
@@ -146,16 +144,16 @@ def test_dip_depth_independent_of_pair_mean():
 
 def test_analytic_counts_are_probability_times_pulses():
     cfg = replace(build_ideal_config(), pulses_per_point=12345)
-    scan = run_teleport_scan(cfg, phase_grid(8, 1.0))
+    scan = run_teleport_scan(TeleportEngine(cfg), phase_grid(8, 1.0))
     assert np.array_equal(scan.counts, scan.probability * 12345.0)
     assert scan.pulses == 12345
 
 
 def test_fringe_mean_independent_of_phases():
     base = replace(build_default_config(), **IDEAL_DETECTORS)
-    m0 = fringe_mean(base)
-    m1 = fringe_mean(replace(base, phase_alice=0.9))
-    m2 = fringe_mean(replace(base, phase_pump=2.1))
+    m0 = TeleportEngine(base).mean()
+    m1 = TeleportEngine(replace(base, phase_alice=0.9)).mean()
+    m2 = TeleportEngine(replace(base, phase_pump=2.1)).mean()
     assert abs(m1 - m0) < 1e-9 * m0
     assert abs(m2 - m0) < 1e-9 * m0
 
@@ -166,7 +164,7 @@ def test_heralding_never_lowers_visibility():
     v = {}
     for heralded in (False, True):
         cfg = replace(cal, heralded=heralded, pair_mean=0.13)
-        v[heralded] = fit_fringe(phis, run_teleport_scan(cfg, phis).counts).visibility
+        v[heralded] = fit_fringe(phis, run_teleport_scan(TeleportEngine(cfg), phis).counts).visibility
     assert v[True] >= v[False] - 1e-12
 
 
@@ -176,25 +174,27 @@ def test_lower_pump_never_lowers_visibility():
     v = {}
     for mu in (0.13, 0.13 / 4.0):
         cfg = replace(cal, pair_mean=mu)
-        v[mu] = fit_fringe(phis, run_teleport_scan(cfg, phis).counts).visibility
+        v[mu] = fit_fringe(phis, run_teleport_scan(TeleportEngine(cfg), phis).counts).visibility
     assert v[0.13 / 4.0] >= v[0.13] - 1e-12
 
 
 def test_blocking_behaviour():
     base = build_default_config()
+    engine = TeleportEngine(base)
     # placeholder dark counts keep every blocked configuration clicking
-    assert run_blocking(base, "epr") > 0.0
-    assert run_blocking(base, "both") > 0.0
+    assert engine.blocking("epr") > 0.0
+    assert engine.blocking("both") > 0.0
     cal, _ = calibrate_dark_counts(base)
+    calibrated = TeleportEngine(cal)
     if cal.dark_bob == 0.0:
         # with dark-free calibrated detectors the receiver cannot click
         # unless the relay source fired
-        assert run_blocking(cal, "epr") == 0.0
-        assert run_blocking(cal, "both") == 0.0
-    assert run_blocking(cal, "alice") > 0.0
-    assert background_probability(cal) > 0.0
+        assert calibrated.blocking("epr") == 0.0
+        assert calibrated.blocking("both") == 0.0
+    assert calibrated.blocking("alice") > 0.0
+    assert calibrated.background() > 0.0
     with pytest.raises(ConfigError):
-        run_blocking(base, "charlie")
+        engine.blocking("charlie")
 
 
 def test_calibration_clamps_when_multipair_background_dominates():
@@ -212,25 +212,26 @@ def test_calibration_reaches_feasible_target():
     assert abs(report.achieved_ratio - 1.0) < 1e-4
     assert cal.dark_bob > 0.0
     # the calibrated configuration reproduces the target ratio end to end
-    b = background_probability(cal)
-    s = fringe_mean(cal) - b
+    engine = TeleportEngine(cal)
+    b = engine.background()
+    s = engine.mean() - b
     assert abs(b / s - 1.0) < 1e-4
 
 
 def test_montecarlo_reruns_byte_identical():
     cfg = replace(build_ideal_config(), mode="montecarlo", trials=10**5, seed=42)
     phis = phase_grid(8, 1.0)
-    a = run_teleport_scan(cfg, phis)
-    b = run_teleport_scan(cfg, phis)
+    a = run_teleport_scan(TeleportEngine(cfg), phis)
+    b = run_teleport_scan(TeleportEngine(cfg), phis)
     assert np.array_equal(a.counts, b.counts)
-    c = run_teleport_scan(replace(cfg, seed=43), phis)
+    c = run_teleport_scan(TeleportEngine(replace(cfg, seed=43)), phis)
     assert not np.array_equal(a.counts, c.counts)
 
 
 def test_montecarlo_matches_analytic_within_three_se():
     cfg = replace(build_ideal_config(), mode="montecarlo", trials=10**6, seed=7)
     phis = phase_grid(12, 1.0)
-    scan = run_teleport_scan(cfg, phis)
+    scan = run_teleport_scan(TeleportEngine(cfg), phis)
     lam = scan.probability * scan.pulses
     assert abs(scan.counts.sum() - lam.sum()) <= 3.0 * math.sqrt(lam.sum())
 
@@ -238,6 +239,11 @@ def test_montecarlo_matches_analytic_within_three_se():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         phase_grid(3)
+    for periods in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            phase_grid(8, periods)
+    # a negative period count scans the analyzer backwards
+    assert np.all(np.diff(phase_grid(8, -1.0)) < 0)
     with pytest.raises(ConfigError):
         mismatch_grid(4)
 
@@ -253,15 +259,15 @@ def test_harmonic_scan_matches_per_phase_outcome(heralded):
     cfg = replace(build_default_config(), heralded=heralded, phase_bob=0.4)
     phis = phase_grid(13, 1.7, start=0.25)
     engine = TeleportEngine(cfg)
-    scan = run_teleport_scan(cfg, phis, engine)
+    scan = run_teleport_scan(engine, phis)
     direct = np.array([engine.outcome(p).bob[1] for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     # the acceptance and blocking runs reuse the sample at phase_bob, the
     # first of the 2D+1
     assert engine.degree == 2
     assert len(engine._analyzed) == 5 + len(phis)
-    teleport_acceptance(cfg, engine)
-    background_probability(cfg, engine)
+    engine.outcome(cfg.phase_bob)
+    engine.background()
     assert len(engine._analyzed) == 5 + len(phis)
 
 
@@ -273,7 +279,7 @@ def test_more_receiver_photons_raise_the_sample_count(monkeypatch):
     engine = TeleportEngine(cfg)
     assert engine.degree == 3
     phis = phase_grid(6, 1.3, start=0.1)
-    scan = run_teleport_scan(cfg, phis, engine)
+    scan = run_teleport_scan(engine, phis)
     assert sorted(engine._analyzed) == pytest.approx(2 * math.pi * np.arange(7) / 7)
     direct = np.array([engine.outcome(p).bob[1] for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
@@ -291,15 +297,6 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
     monkeypatch.setattr(engine, "_received", lambda *a: np.array([-1e-6, 0.1, 0.1, 0.1, 0.1]))
     with pytest.raises(HarmonicSynthesisError):
         engine.scan(phis)
-
-
-def test_engine_must_match_the_config():
-    engine = TeleportEngine(build_default_config())
-    with pytest.raises(ConfigError):
-        teleport_acceptance(replace(build_default_config(), loss_bob_db=3.0), engine)
-    # the pair_mean override is folded in before the comparison
-    cfg = replace(build_default_config(), pair_mean=0.13)
-    teleport_acceptance(cfg, TeleportEngine(cfg))
 
 
 def test_seed_range():

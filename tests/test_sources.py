@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import occupation_distribution
 from qrelay.errors import ConfigError, TailMassError
-from qrelay.fock import ModeKey, ModeRegistry, occupation_distribution, vacuum
+from qrelay.fock import ModeKey, ModeRegistry, vacuum
 from qrelay.sources import (
     OverlapModel,
     SpdcSource,
     emit_pairs_entangled,
     emit_pairs_single_bin,
-    overlap_from_mismatch,
     pair_count_distribution,
 )
 
@@ -60,7 +60,6 @@ def test_overlap_width():
     # dip runs on xi^2, so half depth sits at +-fwhm/2
     assert abs(m.xi(72.0) ** 2 - 0.5) < 1e-12
     assert abs(m.xi(-72.0) ** 2 - 0.5) < 1e-12
-    assert abs(overlap_from_mismatch(72.0) - m.xi(72.0)) < 1e-15
 
 
 def test_single_bin_pair_emission():
