@@ -160,9 +160,15 @@ def fit_dip(positions, counts) -> DipFit:
     def residuals(p):
         return (y - model(p)) * w
 
+    p0 = np.array([a0, d0, x0, w0])
+    # spans near the float range overflow the model before the fit starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_finite = np.all(np.isfinite(residuals(p0)))
+    if not start_finite:
+        raise FitConvergenceError("dip fit residuals are not finite at the starting point")
     sol = least_squares(
         residuals,
-        [a0, d0, x0, w0],
+        p0,
         bounds=([1e-12, 0.0, x.min() - span, 1e-9], [np.inf, 1.0, x.max() + span, 10 * span + 1.0]),
         max_nfev=5000,
     )

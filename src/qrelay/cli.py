@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .analysis import (
@@ -40,7 +40,6 @@ from .scenarios import (
     ExperimentConfig,
     RUN_MODES,
     TeleportEngine,
-    build_default_config,
     mismatch_grid,
     phase_grid,
     run_mandel_scan,
@@ -124,7 +123,7 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
             raise ConfigError(f"cannot read config file {path}: {exc}")
         values = parse_config_text(text)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return replace(build_default_config(), **values)
+    return ExperimentConfig(**values)
 
 
 def _format_value(value) -> str:

@@ -20,6 +20,7 @@ click probabilities of all terms follow from array operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -236,10 +237,10 @@ class TimingBudget:
             "decision_latency_s",
         ):
             # written so that NaN fails too
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not self.group_index > 0:
-            raise ConfigError("group_index must be > 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0 < self.group_index < math.inf:
+            raise ConfigError("group_index must be finite and > 0")
 
 
 def validate_timing(budget: TimingBudget) -> float:

@@ -46,7 +46,7 @@ class ModeKey:
 class ModeRegistry:
     """Append-only mapping from ModeKey to a stable dense index."""
 
-    def __init__(self, max_bins: int = 4):
+    def __init__(self, max_bins: int):
         if max_bins < 1:
             raise ValueError("max_bins must be >= 1")
         self.max_bins = max_bins

@@ -18,13 +18,14 @@ reruns are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .detection import (
+    CLOCK_WINDOW,
     DetectorChannel,
     DetectorModel,
     TeleportOutcome,
@@ -101,11 +102,8 @@ class ExperimentConfig:
     dark_herald: float = 1e-4
     dark_bob: float = 1e-4
     detectors_calibrated: bool = False
-    max_bins: int = 4
     tail_tol: float = 5e-3
     pulses_per_point: int = 10_000_000
-    rep_rate_hz: float = 75e6
-    bin_pitch_ns: float = 1.2
     mode: str = "analytic"
     trials: int = 1_000_000
     seed: int = 12345
@@ -136,8 +134,6 @@ class ExperimentConfig:
         for name in ("dark_ge", "dark_ingaas_bsa", "dark_herald", "dark_bob"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if self.max_bins < 3:
-            raise ConfigError("max_bins must be >= 3")
         if not 0.0 < self.tail_tol < 1.0:
             raise ConfigError("tail_tol must be in (0, 1)")
         if self.dip_fwhm_um <= 0:
@@ -146,10 +142,6 @@ class ExperimentConfig:
             raise ConfigError("pulses_per_point must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.rep_rate_hz <= 0:
-            raise ConfigError("rep_rate_hz must be > 0")
-        if self.bin_pitch_ns <= 0:
-            raise ConfigError("bin_pitch_ns must be > 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
 
@@ -169,14 +161,6 @@ class ExperimentConfig:
             pair_mean_alice=self.pair_mean,
             pair_mean_epr=self.pair_mean,
         )
-
-
-def config_keys() -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(ExperimentConfig))
-
-
-def build_default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def build_ideal_config() -> ExperimentConfig:
@@ -304,9 +288,16 @@ def _detectors(
     return ge, ingaas, herald, bob
 
 
-def _relay_registry(max_bins: int) -> ModeRegistry:
-    """The four relay channels; the two qubit channels carry internal labels 0, 1."""
-    reg = ModeRegistry(max_bins)
+def _relay_registry() -> ModeRegistry:
+    """The four relay channels over the clock window's time bins; the two
+    qubit channels carry internal labels 0, 1.
+
+    Sources emit into bins 0 and 1 and one analyzer delay reaches bin 2, so
+    the window holds every occupied mode, and the Bell-state veto ("only
+    this gate clicks") spans exactly the gates the detectors open.  A delay
+    that pushes an occupied mode further raises BinOverflowError.
+    """
+    reg = ModeRegistry(len(CLOCK_WINDOW))
     reg.add_channel(ALICE_QUBIT, (0, 1))
     reg.add_channel(EPR_QUBIT, (0, 1))
     reg.add_channel(ALICE_HERALD)
@@ -347,7 +338,7 @@ class TeleportEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config.materialized()
         cfg = self.config
-        reg = _relay_registry(cfg.max_bins)
+        reg = _relay_registry()
         self.registry = reg
 
         pre = Circuit(reg)
@@ -524,7 +515,7 @@ class _MandelEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config.materialized()
         cfg = self.config
-        self.registry = _relay_registry(cfg.max_bins)
+        self.registry = _relay_registry()
         circ = Circuit(self.registry)
         circ.add_michelson(ALICE_QUBIT, cfg.mandel_phase, internals=(0, 1))
         if cfg.mandel_mode == "symmetric":

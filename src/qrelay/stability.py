@@ -31,6 +31,10 @@ DRIFT_KINDS = ("sinusoid", "random-walk")
 # empirical feedforward gain, micrometers of delay per hertz of rate shift
 DEFAULT_GAIN_UM_PER_HZ = 0.07
 
+# largest step count simulate() accepts: each step costs about 80 bytes of
+# trace arrays, so the cap keeps a run under about 1 GB
+MAX_STEPS = 10**7
+
 
 def pulse_spacing(rep_rate_hz: float, group_index: float = 1.468) -> float:
     """In-fiber distance between successive pulses, in meters."""
@@ -209,7 +213,12 @@ def simulate(
         raise ConfigError("dip_visibility must be in [0, 1]")
     if not fwhm_um > 0:
         raise ConfigError("fwhm_um must be > 0")
-    n = int(round(duration_s / dt_s)) + 1
+    steps = duration_s / dt_s
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"duration_s / dt_s = {steps:.3g} steps, above the cap of {MAX_STEPS}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
+    n = int(round(steps)) + 1
     times = np.arange(n) * dt_s
     rng_walk = np.random.Generator(np.random.Philox(key=[seed, 0]))
     rng_jitter = np.random.Generator(np.random.Philox(key=[seed, 1]))

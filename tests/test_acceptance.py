@@ -22,8 +22,8 @@ from qrelay.analysis import (
 )
 from qrelay.detection import TimingBudget, validate_timing
 from qrelay.scenarios import (
+    ExperimentConfig,
     TeleportEngine,
-    build_default_config,
     build_ideal_config,
     calibrate_dark_counts,
     mismatch_grid,
@@ -58,14 +58,14 @@ def _report(number: int, ok: bool, detail: str) -> bool:
 
 
 def _dip_scan():
-    cfg = replace(build_default_config(), pair_mean=1e-3, **IDEAL_DETECTORS)
+    cfg = ExperimentConfig(pair_mean=1e-3, **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     return xs, short, long_
 
 
 def _noise_fringe():
-    cal, _ = calibrate_dark_counts(build_default_config())
+    cal, _ = calibrate_dark_counts(ExperimentConfig())
     phases = phase_grid(24, 2.0)
     scan = run_teleport_scan(TeleportEngine(cal), phases)
     fit = fit_fringe(scan.control, scan.counts)
@@ -206,8 +206,7 @@ def test_criterion_11_montecarlo_consistency():
     reruns = []
 
     # bunching-dip scenario
-    cfg2 = replace(
-        build_default_config(),
+    cfg2 = ExperimentConfig(
         pair_mean=1e-3,
         mode="montecarlo",
         trials=10**6,
@@ -231,7 +230,7 @@ def test_criterion_11_montecarlo_consistency():
     reruns.append(np.array_equal(tel_a.counts, tel_b.counts))
 
     # noise-limited fringe scenario
-    cal, _ = calibrate_dark_counts(build_default_config())
+    cal, _ = calibrate_dark_counts(ExperimentConfig())
     cfg5 = replace(cal, mode="montecarlo", trials=10**6, seed=103)
     noisy_a = run_teleport_scan(TeleportEngine(cfg5), phase_grid(24, 2.0))
     noisy_b = run_teleport_scan(TeleportEngine(cfg5), phase_grid(24, 2.0))

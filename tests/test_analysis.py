@@ -11,7 +11,7 @@ from qrelay.analysis import (
     fit_fringe,
     net_visibility,
 )
-from qrelay.errors import ConfigError, InsufficientPointsError
+from qrelay.errors import ConfigError, FitConvergenceError, InsufficientPointsError
 
 
 def test_fidelity_arithmetic():
@@ -128,3 +128,10 @@ def test_dip_fit_under_poisson_noise():
 def test_dip_fit_rejects_too_few_points():
     with pytest.raises(InsufficientPointsError):
         fit_dip([0, 1, 2, 3], [1, 0.5, 0.4, 1])
+
+
+def test_dip_fit_rejects_non_finite_start():
+    # a starting width of span / 8 squares past the float range
+    x = np.linspace(-1e155, 1e155, 5)
+    with pytest.raises(FitConvergenceError):
+        fit_dip(x, [10.0, 10.0, 5.0, 10.0, 10.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrelay import cli, scenarios
-from qrelay.scenarios import build_default_config
+from qrelay.scenarios import ExperimentConfig
 
 
 def run_cli(capsys, argv):
@@ -89,7 +89,7 @@ def test_empty_config_runs_defaults(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 0
     doc = json.loads(out)
-    assert doc["config"] == asdict(build_default_config())
+    assert doc["config"] == asdict(ExperimentConfig())
     assert doc["blocking_probabilities"]["both"] > 0.0
 
 
@@ -281,11 +281,17 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--gain", "inf"],
         ["stability", "--amplitude-k", "inf"],
         ["stability", "--duration-h", "inf"],
+        ["stability", "--duration-h", "0.5", "--dt-s", "1e-9"],
+        ["stability", "--seed", str(2**64)],
+        ["stability", "--seed", "-1"],
+        ["validate-timing", "--group-index", "inf"],
+        ["validate-timing", "--quantum-fiber-m", "inf"],
     ],
     ids=[
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf",
+        "step-cap", "seed-2**64", "seed-negative", "group-index-inf", "fiber-inf",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
@@ -293,6 +299,15 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
     assert code == 2
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_mandel_span_beyond_the_fit_range_exits_3(capsys):
+    # the scan itself runs; the dip model overflows at its starting point
+    code, out, err = run_cli(capsys, ["mandel", "--points", "5", "--span-um", "1e155"])
+    assert code == 3
+    assert "Traceback" not in err
+    assert "not finite" in err
     assert out == ""
 
 
@@ -316,10 +331,16 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     assert out == ""
 
 
-def test_config_may_not_name_n_max(tmp_path, capsys):
-    # the truncation follows from the pair limit and is not a config key
+@pytest.mark.parametrize(
+    "line",
+    ["n_max = 4", "max_bins = 3", "rep_rate_hz = 75e6", "bin_pitch_ns = 1.2"],
+    ids=["n_max", "max_bins", "rep_rate_hz", "bin_pitch_ns"],
+)
+def test_config_may_not_name_n_max(tmp_path, capsys, line):
+    # the truncation follows from the pair limit and the time bins from the
+    # clock window; the pulse rate and bin pitch enter no simulated number
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("n_max = 4\n")
+    cfg.write_text(line + "\n")
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 2
-    assert "n_max" in err
+    assert line.split()[0] in err

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from qrelay import scenarios
 from qrelay.analysis import fit_dip, fit_fringe, net_visibility
 from qrelay.errors import ConfigError, HarmonicSynthesisError
 from qrelay.scenarios import (
+    ExperimentConfig,
     TeleportEngine,
     branch_weights,
-    build_default_config,
     build_ideal_config,
     calibrate_dark_counts,
-    config_keys,
     mismatch_grid,
     phase_grid,
     run_mandel_scan,
@@ -34,29 +33,27 @@ IDEAL_DETECTORS = dict(
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        build_default_config().__class__(statistics="chaotic")
+        ExperimentConfig(statistics="chaotic")
     with pytest.raises(ConfigError):
-        replace(build_default_config(), eta_bob=1.5)
+        ExperimentConfig(eta_bob=1.5)
     with pytest.raises(ConfigError):
-        replace(build_default_config(), pair_mean=-0.1)
+        ExperimentConfig(pair_mean=-0.1)
     with pytest.raises(ConfigError):
-        replace(build_default_config(), mandel_mode="sideways")
+        ExperimentConfig(mandel_mode="sideways")
     with pytest.raises(ConfigError):
-        replace(build_default_config(), mode="exact")
-    with pytest.raises(ConfigError):
-        replace(build_default_config(), max_bins=2)
+        ExperimentConfig(mode="exact")
 
 
 def test_pair_mean_override():
-    cfg = replace(build_default_config(), pair_mean=0.13).materialized()
+    cfg = ExperimentConfig(pair_mean=0.13).materialized()
     assert cfg.pair_mean is None
     assert cfg.alice_mean() == 0.13
     assert cfg.epr_mean() == 0.13
-    assert "pair_mean" in config_keys()
+    assert "pair_mean" in {f.name for f in fields(ExperimentConfig)}
 
 
 def test_branch_weights_normalized():
-    w = branch_weights(build_default_config())
+    w = branch_weights(ExperimentConfig())
     assert abs(sum(w.values()) - 1.0) < 1e-12
     assert set(w) == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2)}
     # forced single-pair mode collapses the enumeration
@@ -67,7 +64,7 @@ def test_branch_weights_normalized():
 def test_branch_weights_thermal_identity():
     # for one thermal source, P0 * P2 equals P1 squared, so the double-pair
     # branches together weigh exactly as much as the coincidence branch
-    w = branch_weights(replace(build_default_config(), pair_mean=0.09))
+    w = branch_weights(ExperimentConfig(pair_mean=0.09))
     assert abs(w[(2, 0)] - w[(1, 1)]) < 1e-15
     assert abs(w[(0, 2)] - w[(1, 1)]) < 1e-15
 
@@ -95,7 +92,7 @@ def test_ideal_mandel_null():
 
 
 def test_thermal_dip_depth_one_third():
-    cfg = replace(build_default_config(), pair_mean=1e-3, **IDEAL_DETECTORS)
+    cfg = ExperimentConfig(pair_mean=1e-3, **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     fs = fit_dip(xs, short.counts)
@@ -110,9 +107,7 @@ def test_thermal_dip_depth_one_third():
 def test_poissonian_dip_depth_one_half():
     # poissonian pair numbers double-weight the single-source double pairs
     # relative to thermal, pushing the dip to one half
-    cfg = replace(
-        build_default_config(), pair_mean=1e-3, statistics="poissonian", **IDEAL_DETECTORS
-    )
+    cfg = ExperimentConfig(pair_mean=1e-3, statistics="poissonian", **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, _ = run_mandel_scan(cfg, xs)
     assert abs(fit_dip(xs, short.counts).depth - 0.5) < 1e-6
@@ -121,9 +116,7 @@ def test_poissonian_dip_depth_one_half():
 def test_entangled_mode_dip_depth():
     # two-bin relay emission dilutes which-path erasure; at equal means the
     # depth lands exactly at 6/25
-    cfg = replace(
-        build_default_config(), pair_mean=0.07, mandel_mode="entangled", **IDEAL_DETECTORS
-    )
+    cfg = ExperimentConfig(pair_mean=0.07, mandel_mode="entangled", **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     assert abs(fit_dip(xs, short.counts).depth - 0.24) < 1e-9
@@ -136,7 +129,7 @@ def test_dip_depth_independent_of_pair_mean():
     xs = mismatch_grid(9, 200.0)
     depths = []
     for mu in (1e-3, 0.05):
-        cfg = replace(build_default_config(), pair_mean=mu, **IDEAL_DETECTORS)
+        cfg = ExperimentConfig(pair_mean=mu, **IDEAL_DETECTORS)
         short, _ = run_mandel_scan(cfg, xs)
         depths.append(fit_dip(xs, short.counts).depth)
     assert abs(depths[0] - depths[1]) < 1e-9
@@ -150,7 +143,7 @@ def test_analytic_counts_are_probability_times_pulses():
 
 
 def test_fringe_mean_independent_of_phases():
-    base = replace(build_default_config(), **IDEAL_DETECTORS)
+    base = ExperimentConfig(**IDEAL_DETECTORS)
     m0 = TeleportEngine(base).mean()
     m1 = TeleportEngine(replace(base, phase_alice=0.9)).mean()
     m2 = TeleportEngine(replace(base, phase_pump=2.1)).mean()
@@ -159,7 +152,7 @@ def test_fringe_mean_independent_of_phases():
 
 
 def test_heralding_never_lowers_visibility():
-    cal, _ = calibrate_dark_counts(build_default_config())
+    cal, _ = calibrate_dark_counts(ExperimentConfig())
     phis = phase_grid(12, 1.0)
     v = {}
     for heralded in (False, True):
@@ -169,7 +162,7 @@ def test_heralding_never_lowers_visibility():
 
 
 def test_lower_pump_never_lowers_visibility():
-    cal, _ = calibrate_dark_counts(build_default_config())
+    cal, _ = calibrate_dark_counts(ExperimentConfig())
     phis = phase_grid(12, 1.0)
     v = {}
     for mu in (0.13, 0.13 / 4.0):
@@ -179,7 +172,7 @@ def test_lower_pump_never_lowers_visibility():
 
 
 def test_blocking_behaviour():
-    base = build_default_config()
+    base = ExperimentConfig()
     engine = TeleportEngine(base)
     # placeholder dark counts keep every blocked configuration clicking
     assert engine.blocking("epr") > 0.0
@@ -198,7 +191,7 @@ def test_blocking_behaviour():
 
 
 def test_calibration_clamps_when_multipair_background_dominates():
-    cal, report = calibrate_dark_counts(build_default_config())
+    cal, report = calibrate_dark_counts(ExperimentConfig())
     assert report.clamped
     assert report.achieved_ratio >= report.target_ratio
     assert cal.dark_ge == 0.0 and cal.dark_bob == 0.0
@@ -206,7 +199,7 @@ def test_calibration_clamps_when_multipair_background_dominates():
 
 
 def test_calibration_reaches_feasible_target():
-    cfg = replace(build_default_config(), pair_mean_epr=0.005)
+    cfg = ExperimentConfig(pair_mean_epr=0.005)
     cal, report = calibrate_dark_counts(cfg)
     assert not report.clamped
     assert abs(report.achieved_ratio - 1.0) < 1e-4
@@ -256,7 +249,7 @@ def test_mismatch_span_must_be_finite_and_positive():
 
 @pytest.mark.parametrize("heralded", [False, True])
 def test_harmonic_scan_matches_per_phase_outcome(heralded):
-    cfg = replace(build_default_config(), heralded=heralded, phase_bob=0.4)
+    cfg = ExperimentConfig(heralded=heralded, phase_bob=0.4)
     phis = phase_grid(13, 1.7, start=0.25)
     engine = TeleportEngine(cfg)
     scan = run_teleport_scan(engine, phis)
@@ -271,11 +264,27 @@ def test_harmonic_scan_matches_per_phase_outcome(heralded):
     assert len(engine._analyzed) == 5 + len(phis)
 
 
+@pytest.mark.parametrize("symmetric_bsa", [False, True])
+def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
+    # with no photons only dark counts click, and the "only this gate
+    # clicks" veto spans the three clock-window gates of each detector
+    d_ge, d_in = 0.1, 0.2
+    cfg = ExperimentConfig(
+        dark_ge=d_ge, dark_ingaas_bsa=d_in, symmetric_bsa=symmetric_bsa
+    )
+    accept = TeleportEngine(cfg).outcome(cfg.phase_bob, {(0, 0): 1.0}).accept
+    if symmetric_bsa:
+        expected = 4 * d_ge * (1 - d_ge) ** 2 * d_in * (1 - d_in) ** 2
+    else:
+        expected = 2 * d_ge * (1 - d_ge) ** 2 * d_in
+    assert abs(accept - expected) <= 1e-12 * expected
+
+
 def test_more_receiver_photons_raise_the_sample_count(monkeypatch):
     # three pairs put up to three photons at the receiver: degree 3, so
     # 2D+1 = 7 analyzer passes give the scan and D+1 = 4 the mean
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
-    cfg = replace(build_default_config(), pair_mean=0.1)
+    cfg = ExperimentConfig(pair_mean=0.1)
     engine = TeleportEngine(cfg)
     assert engine.degree == 3
     phis = phase_grid(6, 1.3, start=0.1)
@@ -300,6 +309,6 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
 
 
 def test_seed_range():
-    replace(build_default_config(), seed=2**64 - 1)
+    ExperimentConfig(seed=2**64 - 1)
     with pytest.raises(ConfigError):
-        replace(build_default_config(), seed=2**64)
+        ExperimentConfig(seed=2**64)

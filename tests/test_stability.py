@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qrelay import stability
 from qrelay.errors import ConfigError
 from qrelay.stability import (
     Controller,
@@ -133,3 +134,13 @@ def test_trace_shapes_consistent():
     assert n == 121
     for arr in (tr.delta_x_um, tr.rep_rate_hz, tr.motor_um, tr.norm_coincidences):
         assert len(arr) == n
+
+
+def test_step_count_and_seed_limits(monkeypatch):
+    monkeypatch.setattr(stability, "MAX_STEPS", 10)
+    assert len(simulate(DriftModel(), None, 600.0, 60.0).time_s) == 11
+    with pytest.raises(ConfigError):
+        simulate(DriftModel(), None, 660.0, 60.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            simulate(DriftModel(), None, 600.0, 60.0, seed=seed)
