@@ -9,10 +9,6 @@ class RegistryMismatchError(QRelayError):
     """Two states or a state and an operation disagree about the mode registry."""
 
 
-class TruncationOverflowError(QRelayError):
-    """An operation would push the total photon number past n_max."""
-
-
 class BinOverflowError(QRelayError):
     """A bin delay would move an occupied mode past the last registered bin."""
 

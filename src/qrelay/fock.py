@@ -4,14 +4,7 @@ A mode is identified by (spatial channel, time bin, internal label).  The
 internal label tags which member of an orthonormal wavepacket basis the
 photon occupies; it is used to model partial distinguishability and is
 invisible to detectors.  States are sparse maps from occupation vectors to
-complex amplitudes, truncated at a total photon number n_max.
-
-Linear optics acts by substituting creation operators,
-
-    a^dag_j  ->  sum_k U[j, k] a^dag_k,
-
-and re-expanding the resulting polynomial on the occupation basis.  For a
-unitary U this preserves the norm exactly (up to float rounding).
+complex amplitudes.
 """
 
 from __future__ import annotations
@@ -22,13 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
-from .errors import (
-    DimensionMismatchError,
-    RegistryMismatchError,
-    TruncationOverflowError,
-    UnnormalizedStateError,
-)
+from .errors import RegistryMismatchError, UnnormalizedStateError
 
 PRUNE_TOL = 1e-15
 NORM_ATOL = 1e-9
@@ -91,9 +78,6 @@ class ModeRegistry:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def keys(self) -> Tuple[ModeKey, ...]:
-        return tuple(self._keys)
-
     def key_at(self, idx: int) -> ModeKey:
         return self._keys[idx]
 
@@ -120,11 +104,6 @@ class ModeRegistry:
         return cached
 
 
-def _check_same_registry(a: "FockState", b: "FockState") -> None:
-    if a.registry is not b.registry and a.registry.keys() != b.registry.keys():
-        raise RegistryMismatchError("states use different mode registries")
-
-
 class FockState:
     """Sparse ket: dict from occupation bytes to complex amplitude.
 
@@ -132,11 +111,10 @@ class FockState:
     Mutating methods return self to allow chaining.
     """
 
-    __slots__ = ("registry", "n_max", "terms")
+    __slots__ = ("registry", "terms")
 
-    def __init__(self, registry: ModeRegistry, n_max: int = 4, terms=None):
+    def __init__(self, registry: ModeRegistry, terms=None):
         self.registry = registry
-        self.n_max = n_max
         self.terms: Dict[bytes, complex] = dict(terms) if terms else {}
 
     def norm_sq(self) -> float:
@@ -160,69 +138,31 @@ class FockState:
         return len(self.terms)
 
 
-def vacuum(registry: ModeRegistry, n_max: int = 4) -> FockState:
+def vacuum(registry: ModeRegistry) -> FockState:
     """The vacuum ket |0...0> with amplitude 1."""
     zero = bytes(len(registry))
-    return FockState(registry, n_max, {zero: 1.0 + 0.0j})
+    return FockState(registry, {zero: 1.0 + 0.0j})
+
+
+def create(terms: Dict[bytes, complex], row: Sequence[Tuple[int, complex]]) -> Dict[bytes, complex]:
+    """Apply sum_k c_k a^dag_k for each (k, c_k) in row: occupation n_k ->
+    n_k + 1 with amplitude factor c_k sqrt(n_k + 1)."""
+    out: Dict[bytes, complex] = {}
+    for occ, amp in terms.items():
+        new = bytearray(occ)
+        for k, c in row:
+            n = occ[k]
+            new[k] = n + 1
+            key = bytes(new)
+            out[key] = out.get(key, 0.0) + amp * c * math.sqrt(n + 1)
+            new[k] = n
+    return out
 
 
 def apply_creation(state: FockState, mode: ModeKey) -> FockState:
     """Apply a^dag_mode: occupation n -> n+1 with amplitude factor sqrt(n+1)."""
     idx = state.registry.index(mode)
-    out: Dict[bytes, complex] = {}
-    for occ, amp in state.terms.items():
-        total = sum(occ)
-        if total + 1 > state.n_max:
-            raise TruncationOverflowError(
-                f"creation on {mode} exceeds n_max={state.n_max}"
-            )
-        n = occ[idx]
-        new = bytearray(occ)
-        new[idx] = n + 1
-        key = bytes(new)
-        out[key] = out.get(key, 0.0) + amp * math.sqrt(n + 1)
-    return FockState(state.registry, state.n_max, out)
-
-
-def mode_transform(
-    state: FockState,
-    modes: Sequence[ModeKey],
-    matrix: np.ndarray,
-    prune: float = PRUNE_TOL,
-) -> FockState:
-    """Apply a linear-optical transform on one or two listed modes.
-
-    matrix[j, k] is the coefficient of output mode k in the substitution of
-    input mode j.  Photon number over the listed modes is conserved term by
-    term; modes outside the list are untouched.  Every circuit element acts
-    on one or two modes, so no other mode count is accepted.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (len(modes), len(modes)):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape} does not match {len(modes)} modes"
-        )
-    idxs = [state.registry.index(k) for k in modes]
-    if len(set(idxs)) != len(idxs):
-        raise DimensionMismatchError("duplicate modes in transform list")
-    if len(idxs) == 1:
-        terms = kernels.scale_mode_transform(state.terms, idxs[0], complex(m[0, 0]), prune)
-    elif len(idxs) == 2:
-        terms = kernels.two_mode_transform(
-            state.terms,
-            idxs[0],
-            idxs[1],
-            complex(m[0, 0]),
-            complex(m[0, 1]),
-            complex(m[1, 0]),
-            complex(m[1, 1]),
-            prune,
-        )
-    else:
-        raise DimensionMismatchError(
-            f"transforms act on one or two modes, got {len(idxs)}"
-        )
-    return FockState(state.registry, state.n_max, terms)
+    return FockState(state.registry, create(state.terms, [(idx, 1.0)]))
 
 
 def occupation_matrix(state: FockState) -> np.ndarray:
@@ -234,16 +174,3 @@ def occupation_matrix(state: FockState) -> np.ndarray:
             f"state terms do not all span the {modes} registered modes"
         )
     return np.frombuffer(packed, dtype=np.uint8).reshape(rows, modes)
-
-
-def inner(a: FockState, b: FockState) -> complex:
-    """<a|b> on a shared registry."""
-    _check_same_registry(a, b)
-    if len(a.terms) > len(b.terms):
-        return complex(inner(b, a).conjugate())
-    s = 0.0 + 0.0j
-    for k, va in a.terms.items():
-        vb = b.terms.get(k)
-        if vb is not None:
-            s += va.conjugate() * vb
-    return s

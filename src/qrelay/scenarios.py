@@ -259,10 +259,10 @@ def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[n
         return probs * float(config.pulses_per_point), config.pulses_per_point
     counts = np.empty(len(probs))
     for i, p in enumerate(probs):
-        # one counter-based generator per scan point, independent of order
-        gen = np.random.Generator(
-            np.random.Philox(key=[config.seed, (stream << 32) + i])
-        )
+        # one counter-based generator per scan point, independent of order;
+        # a uint64 key, because a plain list goes through float64 at seed >= 2**63
+        key = np.array([config.seed, (stream << 32) + i], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
         counts[i] = gen.poisson(p * config.trials)
     return counts, config.trials
 
@@ -356,10 +356,9 @@ class TeleportEngine:
         analyzer_loss = Circuit(reg).add_michelson(EPR_BOB, 0.0)
 
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
-        n_max = 2 * MAX_PAIRS_EACH
         self.states: Dict[Tuple[int, int], FockState] = {}
         for na, nc in pair_branches():
-            st = vacuum(reg, n_max)
+            st = vacuum(reg)
             st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
             st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, (0, 1), cfg.phase_pump)
             self.states[(na, nc)] = apply(pre, st)
@@ -525,7 +524,6 @@ class _MandelEngine:
         _add_bell_mixer(circ)
         self.circuit = circ
         self.weights = branch_weights(cfg)
-        self.n_max = 2 * MAX_PAIRS_EACH
         ge, ingaas, _, _ = _detectors(cfg)
         self.ge = ge
         self.ingaas = ingaas
@@ -536,7 +534,7 @@ class _MandelEngine:
         xi = self.overlap.xi(delta_x_um)
         ensemble = []
         for (na, nc), w in self.weights.items():
-            st = vacuum(self.registry, self.n_max)
+            st = vacuum(self.registry)
             st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
             if cfg.mandel_mode == "symmetric":
                 st = emit_pairs_single_bin(st, EPR_QUBIT, EPR_BOB, nc, 0, 1.0)

@@ -30,7 +30,6 @@ STATISTICS = ("thermal", "poissonian")
 class SpdcSource:
     mean_pairs: float
     statistics: str = "thermal"
-    pump_phase: float = 0.0
 
     def __post_init__(self):
         if self.mean_pairs < 0:
@@ -90,7 +89,7 @@ def _apply_emission(state: FockState, terms: Sequence[EmissionTerm]) -> FockStat
             st = apply_creation(st, m)
         for occ, amp in st.terms.items():
             acc[occ] = acc.get(occ, 0.0) + coeff * amp
-    return FockState(state.registry, state.n_max, acc).prune()
+    return FockState(state.registry, acc).prune()
 
 
 def emit_pairs_single_bin(

@@ -220,8 +220,9 @@ def simulate(
         raise ConfigError("seed must be in [0, 2**64)")
     n = int(round(steps)) + 1
     times = np.arange(n) * dt_s
-    rng_walk = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    rng_jitter = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    # uint64 keys, because a plain list goes through float64 at seed >= 2**63
+    rng_walk = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng_jitter = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
 
     theta = _temperature_series(drift, times, rng_walk)
     delta_f = drift.rate_coupling_hz_per_k() * theta

@@ -5,8 +5,8 @@ term by term and gate by gate; the Bell-state and herald filters then pick
 the accepted patterns out of it.  The fast array paths in qrelay.detection
 are checked against these.  occupation_distribution lists a state's
 outcome probabilities term by term, and general_transform re-expands a
-linear-optical substitution on any number of modes, the reference for the
-one- and two-mode kernels.
+linear-optical substitution on any number of modes; folded over a circuit's
+elements one at a time, it is the reference for qrelay.optics.apply.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
 
 
 def general_transform(terms, idxs, u, prune):
-    """K-mode substitution via multinomial re-expansion, for any K.
-
-    The reference for qrelay.kernels and for transforms on more modes than
-    qrelay.fock.mode_transform accepts.
-    """
+    """K-mode substitution via multinomial re-expansion, for any K."""
     k_modes = len(idxs)
     sqrt_fact = [math.sqrt(math.factorial(n)) for n in range(17)]
 

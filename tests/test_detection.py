@@ -164,7 +164,7 @@ def _bell_state(reg, sign):
     terms = dict(t1.terms)
     for occ, amp in t2.terms.items():
         terms[occ] = terms.get(occ, 0.0) + sign * amp
-    return FockState(reg, 4, terms).normalize()
+    return FockState(reg, terms).normalize()
 
 
 def _phi_plus(reg):
@@ -174,7 +174,7 @@ def _phi_plus(reg):
     terms = dict(t1.terms)
     for occ, amp in t2.terms.items():
         terms[occ] = terms.get(occ, 0.0) + amp
-    return FockState(reg, 4, terms).normalize()
+    return FockState(reg, terms).normalize()
 
 
 def _bsa_circuit(reg):
@@ -252,7 +252,7 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
             n2 = bytearray(o)
             n2[reg.index(ModeKey("a", 1))] += 1
             terms[bytes(n2)] = terms.get(bytes(n2), 0.0) + amp * np.exp(1j * phi_a) / math.sqrt(2)
-        joint = FockState(reg, 4, terms).normalize()
+        joint = FockState(reg, terms).normalize()
         out = apply(_bsa_circuit(reg), joint)
         ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
         ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")

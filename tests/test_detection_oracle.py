@@ -46,7 +46,7 @@ def small_states(draw, reg):
             occ[draw(hs.integers(0, len(reg) - 1))] += 1
         amp = complex(draw(hs.floats(-1.0, 1.0)), draw(hs.floats(-1.0, 1.0)))
         terms[bytes(occ)] = terms.get(bytes(occ), 0.0) + amp
-    state = FockState(reg, 4, terms)
+    state = FockState(reg, terms)
     if state.norm_sq() < 1e-3:
         state = vacuum(reg)
     return state.normalize()

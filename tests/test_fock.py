@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from oracles import general_transform, occupation_distribution
-from qrelay.errors import (
-    DimensionMismatchError,
-    RegistryMismatchError,
-    TruncationOverflowError,
-    UnnormalizedStateError,
-)
+from oracles import occupation_distribution
+from qrelay.errors import RegistryMismatchError, UnnormalizedStateError
 from qrelay.fock import (
-    PRUNE_TOL,
     FockState,
     ModeKey,
     ModeRegistry,
     apply_creation,
-    inner,
-    mode_transform,
     occupation_matrix,
     vacuum,
 )
+from qrelay.optics import Circuit, apply
+
+
+def _transform(state, modes, u):
+    circ = Circuit(state.registry)
+    circ.add_unitary(modes, u)
+    return apply(circ, state)
 
 
 def _random_unitary(rng, k):
@@ -44,7 +43,7 @@ def _random_state(reg, rng, n_terms=6, max_occ=2):
         occ = bytes(int(rng.integers(0, max_occ + 1)) for _ in range(len(reg)))
         terms[occ] = complex(rng.normal(), rng.normal())
     norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
-    return FockState(reg, 4, {k: v / norm for k, v in terms.items()})
+    return FockState(reg, {k: v / norm for k, v in terms.items()})
 
 
 def test_registry_add_is_idempotent():
@@ -71,23 +70,6 @@ def test_creation_operator_weights():
     assert abs(st.normalize().norm_sq() - 1.0) < 1e-12
 
 
-def test_creation_overflow_raises():
-    reg, a, _ = _two_mode_registry()
-    st = vacuum(reg, n_max=2)
-    st = apply_creation(st, a)
-    st = apply_creation(st, a)
-    with pytest.raises(TruncationOverflowError):
-        apply_creation(st, a)
-
-
-def test_inner_orthonormal_number_states():
-    reg, a, b = _two_mode_registry()
-    one_a = apply_creation(vacuum(reg), a)
-    one_b = apply_creation(vacuum(reg), b)
-    assert abs(inner(one_a, one_a) - 1.0) < 1e-12
-    assert abs(inner(one_a, one_b)) < 1e-12
-
-
 def test_two_photon_interference_matches_permanent_oracle():
     # Independent oracle for |1,1> through any 2x2 unitary:
     #   amp(2,0) = sqrt(2) u00 u10
@@ -98,7 +80,7 @@ def test_two_photon_interference_matches_permanent_oracle():
     st0 = apply_creation(apply_creation(vacuum(reg), a), b)
     for _ in range(20):
         u = _random_unitary(rng, 2)
-        st = mode_transform(st0, [a, b], u)
+        st = _transform(st0, [a, b], u)
         assert abs(st.amplitude([2, 0]) - math.sqrt(2) * u[0, 0] * u[1, 0]) < 1e-12
         assert abs(st.amplitude([1, 1]) - (u[0, 0] * u[1, 1] + u[0, 1] * u[1, 0])) < 1e-12
         assert abs(st.amplitude([0, 2]) - math.sqrt(2) * u[0, 1] * u[1, 1]) < 1e-12
@@ -108,22 +90,14 @@ def test_balanced_splitter_cancels_coincidences():
     reg, a, b = _two_mode_registry()
     st = apply_creation(apply_creation(vacuum(reg), a), b)
     u = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
-    dist = occupation_distribution(mode_transform(st, [a, b], u))
+    dist = occupation_distribution(_transform(st, [a, b], u))
     assert dist.get((1, 1), 0.0) < 1e-24
     assert abs(dist[(2, 0)] - 0.5) < 1e-12
     assert abs(dist[(0, 2)] - 0.5) < 1e-12
 
 
-def _oracle_transform(state, modes, u):
-    idxs = [state.registry.index(m) for m in modes]
-    terms = general_transform(state.terms, idxs, u.tolist(), PRUNE_TOL)
-    return FockState(state.registry, state.n_max, terms)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_unitaries_preserve_norm(k):
-    # mode_transform takes one or two modes; wider unitaries run on the oracle
-    transform = mode_transform if k == 2 else _oracle_transform
     rng = np.random.default_rng(100 + k)
     reg = ModeRegistry(max_bins=2)
     modes = []
@@ -135,17 +109,8 @@ def test_unitaries_preserve_norm(k):
     for _ in range(5):
         st = _random_state(reg, rng)
         u = _random_unitary(rng, k)
-        out = transform(st, modes, u)
+        out = _transform(st, modes, u)
         assert abs(out.norm_sq() - 1.0) < 1e-10
-
-
-def test_transform_rejects_more_than_two_modes():
-    reg = ModeRegistry(max_bins=1)
-    modes = [ModeKey(s, 0) for s in "abc"]
-    for m in modes:
-        reg.add(m)
-    with pytest.raises(DimensionMismatchError):
-        mode_transform(vacuum(reg), modes, np.eye(3))
 
 
 def test_transform_composition_law():
@@ -154,9 +119,9 @@ def test_transform_composition_law():
     st = _random_state(reg, rng)
     u = _random_unitary(rng, 2)
     v = _random_unitary(rng, 2)
-    seq = mode_transform(mode_transform(st, [a, b], u), [a, b], v)
+    seq = _transform(_transform(st, [a, b], u), [a, b], v)
     # row-is-input convention: applying u then v composes as u @ v
-    combined = mode_transform(st, [a, b], u @ v)
+    combined = _transform(st, [a, b], u @ v)
     diff = 0.0
     for occ, amp in seq.terms.items():
         diff = max(diff, abs(amp - combined.terms.get(occ, 0.0)))
@@ -169,7 +134,7 @@ def test_transform_conserves_photon_number():
     rng = np.random.default_rng(13)
     reg, a, b = _two_mode_registry()
     st = apply_creation(apply_creation(vacuum(reg), a), a)
-    out = mode_transform(st, [a, b], _random_unitary(rng, 2))
+    out = _transform(st, [a, b], _random_unitary(rng, 2))
     for occ in out.terms:
         assert sum(occ) == 2
 
@@ -178,14 +143,14 @@ def test_transform_checks_matrix_shape():
     reg, a, b = _two_mode_registry()
     st = vacuum(reg)
     with pytest.raises(Exception):
-        mode_transform(st, [a, b], np.eye(3))
+        _transform(st, [a, b], np.eye(3))
     with pytest.raises(Exception):
-        mode_transform(st, [a, a], np.eye(2))
+        _transform(st, [a, a], np.eye(2))
 
 
 def test_occupation_distribution_requires_normalization():
     reg, a, _ = _two_mode_registry()
-    st = FockState(reg, 4, {bytes([1, 0]): 0.5 + 0j})
+    st = FockState(reg, {bytes([1, 0]): 0.5 + 0j})
     with pytest.raises(UnnormalizedStateError):
         occupation_distribution(st)
     dist = occupation_distribution(st.normalize())
@@ -194,7 +159,7 @@ def test_occupation_distribution_requires_normalization():
 
 def test_prune_drops_negligible_terms():
     reg, a, _ = _two_mode_registry()
-    st = FockState(reg, 4, {bytes([1, 0]): 1.0 + 0j, bytes([0, 1]): 1e-17 + 0j})
+    st = FockState(reg, {bytes([1, 0]): 1.0 + 0j, bytes([0, 1]): 1e-17 + 0j})
     assert len(st.prune()) == 1
 
 

@@ -312,3 +312,17 @@ def test_seed_range():
     ExperimentConfig(seed=2**64 - 1)
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=2**64)
+
+
+def test_montecarlo_seeds_above_2_63_draw_distinct_counts():
+    # seeds differing only in low bits, and seeds near 2**64, once shared
+    # keys through a float64 cast
+    seeds = (0, 2**63, 2**63 + 1, 2**63 + 5, 2**64 - 2, 2**64 - 1)
+    probs = np.full(4, 0.5)
+    draws = {
+        seed: tuple(scenarios._counts(
+            ExperimentConfig(mode="montecarlo", trials=10**6, seed=seed), probs, stream=0
+        )[0])
+        for seed in seeds
+    }
+    assert len(set(draws.values())) == len(seeds)

@@ -144,3 +144,12 @@ def test_step_count_and_seed_limits(monkeypatch):
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError):
             simulate(DriftModel(), None, 600.0, 60.0, seed=seed)
+
+
+def test_seeds_above_2_63_draw_distinct_walks():
+    seeds = (0, 2**63, 2**63 + 1, 2**63 + 5, 2**64 - 2, 2**64 - 1)
+    walks = {
+        tuple(simulate(DriftModel(kind="random-walk"), None, 600.0, 60.0, seed=s).delta_x_um)
+        for s in seeds
+    }
+    assert len(walks) == len(seeds)
