@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin, get_type_hints

@@ -12,10 +12,10 @@ too accepts both.  Acceptance of a projection onto the antisymmetric Bell
 state requires exactly two clicks, on different detectors, in adjacent
 time bins inside the clock window.
 
-A state is reduced once per call to arrays: a (terms x modes) occupation
-matrix and |amplitude|^2 per term.  That matrix times the registry's
-mode-to-gate indicator gives the photons in every detector gate, and the
-click probabilities of all terms follow from array operations.
+A state already is a (terms x modes) occupation matrix plus amplitudes.
+The matrix times the registry's mode-to-gate indicator gives the photons
+in every detector gate, and with |amplitude|^2 per term the click
+probabilities of all terms follow from array operations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigError, UnnormalizedStateError
-from .fock import NORM_ATOL, FockState, occupation_matrix
+from .fock import NORM_ATOL, FockState
 
 Ensemble = Sequence[Tuple[float, FockState]]
 
@@ -87,13 +87,15 @@ def _term_arrays(state: FockState, spatials: Sequence[str]) -> Tuple[np.ndarray,
     Returns probs of shape (terms,) and integer counts of shape (terms,
     len(spatials), max_bins); the state must be normalized.
     """
-    amps = np.fromiter(state.terms.values(), dtype=complex, count=len(state.terms))
+    amps = state.amplitudes
     probs = amps.real**2 + amps.imag**2
     total = probs.sum()
     if abs(total - 1.0) > NORM_ATOL:
         raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
     reg = state.registry
-    counts = occupation_matrix(state) @ reg.bin_indicator(spatials)
+    occ = state.occupations
+    # modes registered after the state was built hold no photons
+    counts = occ @ reg.bin_indicator(spatials)[: occ.shape[1]]
     return probs, counts.astype(np.intp).reshape(len(probs), len(spatials), reg.max_bins)
 
 

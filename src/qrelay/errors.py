@@ -13,6 +13,10 @@ class BinOverflowError(QRelayError):
     """A bin delay would move an occupied mode past the last registered bin."""
 
 
+class OccupiedModeError(QRelayError):
+    """A closed-form emission targets a mode that already holds photons."""
+
+
 class UnnormalizedStateError(QRelayError):
     """A state (or ensemble) that must be normalized is not."""
 

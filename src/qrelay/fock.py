@@ -1,21 +1,24 @@
-"""Sparse truncated Fock-space engine.
+"""Truncated Fock-space states as arrays.
 
 A mode is identified by (spatial channel, time bin, internal label).  The
 internal label tags which member of an orthonormal wavepacket basis the
 photon occupies; it is used to model partial distinguishability and is
-invisible to detectors.  States are sparse maps from occupation vectors to
-complex amplitudes.
+invisible to detectors.  A state is a (terms x modes) occupation matrix
+plus one complex amplitude per term.  Sources write their states in closed
+form and optics re-expands them through a circuit's transfer matrix, both
+with array operations.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RegistryMismatchError, UnnormalizedStateError
+from .errors import RegistryMismatchError
 
 PRUNE_TOL = 1e-15
 NORM_ATOL = 1e-9
@@ -72,9 +75,6 @@ class ModeRegistry:
         except KeyError:
             raise RegistryMismatchError(f"mode {key} is not registered") from None
 
-    def __contains__(self, key: ModeKey) -> bool:
-        return key in self._index
-
     def __len__(self) -> int:
         return len(self._keys)
 
@@ -105,72 +105,41 @@ class ModeRegistry:
 
 
 class FockState:
-    """Sparse ket: dict from occupation bytes to complex amplitude.
+    """Ket as arrays: row r of `occupations` holds amplitude `amplitudes[r]`.
 
-    The byte string has one entry per registered mode, in registry order.
-    Mutating methods return self to allow chaining.
+    `occupations` is a (terms, modes) uint8 matrix, so at most 255 photons
+    per mode, with one column per registered mode, in registry order, and
+    distinct rows.  A mode registered after the state was built has no
+    column yet and holds no photon.  `prune` returns self to allow chaining.
     """
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "occupations", "amplitudes")
 
-    def __init__(self, registry: ModeRegistry, terms=None):
+    def __init__(self, registry: ModeRegistry, occupations, amplitudes):
         self.registry = registry
-        self.terms: Dict[bytes, complex] = dict(terms) if terms else {}
-
-    def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.terms.values())
-
-    def normalize(self) -> "FockState":
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise UnnormalizedStateError("cannot normalize the zero vector")
-        self.terms = {k: v / n for k, v in self.terms.items()}
-        return self
+        self.occupations = np.asarray(occupations, dtype=np.uint8)
+        self.amplitudes = np.asarray(amplitudes, dtype=complex)
 
     def prune(self, tol: float = PRUNE_TOL) -> "FockState":
-        self.terms = {k: v for k, v in self.terms.items() if abs(v) >= tol}
+        keep = np.abs(self.amplitudes) >= tol
+        self.occupations, self.amplitudes = self.occupations[keep], self.amplitudes[keep]
         return self
 
-    def amplitude(self, occupation: Sequence[int]) -> complex:
-        return self.terms.get(bytes(occupation), 0.0 + 0.0j)
-
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.amplitudes)
 
 
 def vacuum(registry: ModeRegistry) -> FockState:
     """The vacuum ket |0...0> with amplitude 1."""
-    zero = bytes(len(registry))
-    return FockState(registry, {zero: 1.0 + 0.0j})
+    return FockState(registry, np.zeros((1, len(registry)), dtype=np.uint8), [1.0])
 
 
-def create(terms: Dict[bytes, complex], row: Sequence[Tuple[int, complex]]) -> Dict[bytes, complex]:
-    """Apply sum_k c_k a^dag_k for each (k, c_k) in row: occupation n_k ->
-    n_k + 1 with amplitude factor c_k sqrt(n_k + 1)."""
-    out: Dict[bytes, complex] = {}
-    for occ, amp in terms.items():
-        new = bytearray(occ)
-        for k, c in row:
-            n = occ[k]
-            new[k] = n + 1
-            key = bytes(new)
-            out[key] = out.get(key, 0.0) + amp * c * math.sqrt(n + 1)
-            new[k] = n
-    return out
-
-
-def apply_creation(state: FockState, mode: ModeKey) -> FockState:
-    """Apply a^dag_mode: occupation n -> n+1 with amplitude factor sqrt(n+1)."""
-    idx = state.registry.index(mode)
-    return FockState(state.registry, create(state.terms, [(idx, 1.0)]))
-
-
-def occupation_matrix(state: FockState) -> np.ndarray:
-    """Occupation vectors as a (terms, modes) uint8 matrix, in `terms` order."""
-    packed = b"".join(state.terms)
-    rows, modes = len(state.terms), len(state.registry)
-    if len(packed) != rows * modes:
-        raise RegistryMismatchError(
-            f"state terms do not all span the {modes} registered modes"
-        )
-    return np.frombuffer(packed, dtype=np.uint8).reshape(rows, modes)
+@functools.lru_cache(maxsize=None)
+def multisets(n: int, parts: int) -> np.ndarray:
+    """Every way to put n identical quanta into `parts` slots, as a read-only
+    (ways, parts) matrix of counts."""
+    combos = list(itertools.combinations_with_replacement(range(parts), n))
+    counts = np.array([[c.count(k) for k in range(parts)] for c in combos], dtype=np.intp)
+    counts = counts.reshape(len(combos), parts)
+    counts.flags.writeable = False
+    return counts

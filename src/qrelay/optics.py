@@ -22,16 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BinOverflowError, ConfigError, DimensionMismatchError
-from .fock import NORM_ATOL, FockState, ModeKey, ModeRegistry, create
+from .fock import NORM_ATOL, FockState, ModeKey, ModeRegistry, multisets
 
 # (mode indices, matrix): matrix[j, k] is the coefficient of listed mode k in
 # the substitution of listed mode j
 Element = Tuple[Tuple[int, ...], np.ndarray]
+
+# n! and sqrt(n!) for every photon number a mode can hold
+_FACTORIAL = np.array([float(math.factorial(n)) for n in range(171)])
+_SQRT_FACTORIAL = np.sqrt(_FACTORIAL)
 
 
 def loss_from_db(db: float) -> float:
@@ -55,8 +59,8 @@ def beamsplitter_matrix(transmittance: float = 0.5, phase: float = 0.0) -> np.nd
 class Circuit:
     registry: ModeRegistry
     elements: List[Element] = field(default_factory=list)
-    # (registry size, element count, T, the nonzero entries of each row of T
-    # or None for an identity row, the rows that lost norm)
+    # (registry size, element count, T, mask of rows of T that move, mask of
+    # rows that lost norm, row powers cached by (row, n))
     _composed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_unitary(self, modes: Sequence[ModeKey], matrix) -> None:
@@ -164,16 +168,10 @@ class Circuit:
             for idxs, m in self.elements:
                 cols = list(idxs)
                 t[:, cols] = t[:, cols] @ m
-            rows: List[Optional[List[Tuple[int, complex]]]] = []
-            lost = set()
-            for j, row in enumerate(t):
-                nz = np.flatnonzero(row)
-                if float(np.vdot(row, row).real) < 1.0 - NORM_ATOL:
-                    lost.add(j)
-                moves = len(nz) != 1 or nz[0] != j or row[j] != 1.0
-                rows.append([(int(k), complex(row[k])) for k in nz] if moves else None)
             t.flags.writeable = False
-            cached = self._composed = (size, len(self.elements), t, rows, lost)
+            moves = (t != np.eye(size)).any(axis=1)
+            lost = (t.real**2 + t.imag**2).sum(axis=1) < 1.0 - NORM_ATOL
+            cached = self._composed = (size, len(self.elements), t, moves, lost, {})
         return cached
 
     def transfer(self) -> np.ndarray:
@@ -181,34 +179,60 @@ class Circuit:
         a_j -> sum_k T[j, k] a_k, the elements applied in order."""
         return self._compose()[2]
 
+    def _row_power(self, j: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(sum_k T[j, k] a^dag_k)^n as rows of (photons added per mode,
+        multinomial coefficient), one per multiset of n photons over the
+        nonzero entries of row j; cached with T."""
+        _, _, t, _, _, powers = self._compose()
+        if (j, n) not in powers:
+            nz = np.flatnonzero(t[j])
+            counts = multisets(n, len(nz))
+            created = np.zeros((len(counts), len(t)), dtype=np.uint8)
+            created[:, nz] = counts
+            weights = _FACTORIAL[n] / _FACTORIAL[counts].prod(axis=1)
+            powers[(j, n)] = (created, weights * (t[j, nz] ** counts).prod(axis=1))
+        return powers[(j, n)]
+
 
 def apply(circuit: Circuit, state: FockState) -> FockState:
-    """Run a state through the circuit: each creation operator of each term
-    becomes its row of the transfer matrix, re-expanded on the occupation
-    basis at the registry's full width."""
+    """Run a state through the circuit at the registry's full width.
+
+    The n photons of each mode j whose row of T moves become the expansion
+    of (sum_k T[j, k] a^dag_k)^n, mode after mode for all terms at once;
+    photons on identity rows stay.  With the bosonic factors sqrt(prod n!)
+    divided out of the input and put back on the output, the expansions
+    multiply as plain polynomials, and output rows with equal occupations
+    merge.
+    """
     reg = circuit.registry
-    _, _, _, rows, lost = circuit._compose()
-    out: Dict[bytes, complex] = {}
-    for occ, amp in state.terms.items():
-        # photons on identity rows stay where they are; the rest are re-created
-        start = bytearray(len(reg))
-        moved = []
-        for j, n in enumerate(occ):
-            if not n:
-                continue
-            if j in lost:
-                raise BinOverflowError(
-                    f"a delay pushes occupied mode {reg.key_at(j)} past the last bin"
-                )
-            if rows[j] is None:
-                start[j] = n
-            else:
-                moved.append((rows[j], n))
-        norm = math.sqrt(math.prod(math.factorial(n) for _, n in moved))
-        partial = {bytes(start): amp / norm}
-        for row, n in moved:
-            for _ in range(n):
-                partial = create(partial, row)
-        for k, v in partial.items():
-            out[k] = out.get(k, 0.0) + v
-    return FockState(reg, out).prune()
+    size = len(reg)
+    _, _, _, moves, lost, _ = circuit._compose()
+    occ = np.zeros((len(state), size), dtype=np.uint8)
+    occ[:, : state.occupations.shape[1]] = state.occupations
+    occupied = occ.any(axis=0)
+    overflow = np.flatnonzero(occupied & lost)
+    if len(overflow):
+        raise BinOverflowError(
+            f"a delay pushes occupied mode {reg.key_at(int(overflow[0]))} past the last bin"
+        )
+    moved = np.flatnonzero(occupied & moves)
+    out = occ.copy()
+    out[:, moved] = 0
+    amps = state.amplitudes / _SQRT_FACTORIAL[occ].prod(axis=1)
+    src = np.arange(len(occ))  # the input term of each output row
+    for j in moved.tolist():
+        n_in = occ[src, j]
+        parts = [(src[n_in == 0], out[n_in == 0], amps[n_in == 0])]
+        for n in range(1, int(n_in.max()) + 1):
+            rows = n_in == n
+            created, coeffs = circuit._row_power(j, n)
+            parts.append((
+                np.repeat(src[rows], len(coeffs)),
+                (out[rows, None, :] + created).reshape(-1, size),
+                (amps[rows, None] * coeffs).ravel(),
+            ))
+        src, out, amps = map(np.concatenate, zip(*parts))
+    keys = out.view(np.dtype((np.void, size))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    amps = np.bincount(inverse, amps.real) + 1j * np.bincount(inverse, amps.imag)
+    return FockState(reg, out[first], amps * _SQRT_FACTORIAL[out[first]].prod(axis=1)).prune()

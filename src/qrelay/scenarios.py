@@ -38,7 +38,7 @@ from .errors import (
     HarmonicSynthesisError,
     UnnormalizedStateError,
 )
-from .fock import FockState, ModeKey, ModeRegistry, occupation_matrix, vacuum
+from .fock import FockState, ModeKey, ModeRegistry, vacuum
 from .optics import Circuit, apply, loss_from_db
 from .sources import (
     STATISTICS,
@@ -53,6 +53,8 @@ ALICE_QUBIT = "alice-1310"
 ALICE_HERALD = "alice-1555"
 EPR_QUBIT = "charlie-1310"
 EPR_BOB = "bob-1555"
+# unobserved mode whose photon number tags a pair-number branch
+BRANCH_RECORD = ModeKey("branch-record", 0)
 
 MANDEL_MODES = ("symmetric", "entangled")
 ENCODERS = ("michelson", "lossless")
@@ -112,21 +114,14 @@ class ExperimentConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.statistics not in STATISTICS:
-            raise ConfigError(f"statistics must be one of {STATISTICS}")
-        if self.mandel_mode not in MANDEL_MODES:
-            raise ConfigError(f"mandel_mode must be one of {MANDEL_MODES}")
-        if self.alice_encoder not in ENCODERS:
-            raise ConfigError(f"alice_encoder must be one of {ENCODERS}")
-        if self.mode not in RUN_MODES:
-            raise ConfigError(f"mode must be one of {RUN_MODES}")
-        for name in ("pair_mean_alice", "pair_mean_epr"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.pair_mean is not None and self.pair_mean < 0:
-            raise ConfigError("pair_mean must be >= 0")
-        for name in ("loss_alice_db", "loss_epr_db", "loss_herald_db", "loss_bob_db"):
-            if getattr(self, name) < 0:
+        for name, choices in (("statistics", STATISTICS), ("mandel_mode", MANDEL_MODES),
+                              ("alice_encoder", ENCODERS), ("mode", RUN_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}")
+        for name in ("pair_mean_alice", "pair_mean_epr", "pair_mean", "loss_alice_db",
+                     "loss_epr_db", "loss_herald_db", "loss_bob_db"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("eta_ge", "eta_ingaas_bsa", "eta_herald", "eta_bob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -138,10 +133,10 @@ class ExperimentConfig:
             raise ConfigError("tail_tol must be in (0, 1)")
         if self.dip_fwhm_um <= 0:
             raise ConfigError("dip_fwhm_um must be > 0")
-        if self.pulses_per_point < 1:
-            raise ConfigError("pulses_per_point must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        # keeps Poisson means below numpy's limit (about 9.2e18), counts finite
+        for name in ("pulses_per_point", "trials"):
+            if not 1 <= getattr(self, name) <= 10**18:
+                raise ConfigError(f"{name} must be in [1, 10**18]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
 
@@ -289,8 +284,8 @@ def _detectors(
 
 
 def _relay_registry() -> ModeRegistry:
-    """The four relay channels over the clock window's time bins; the two
-    qubit channels carry internal labels 0, 1.
+    """The four relay channels over the clock window's time bins, and the
+    branch record mode; the two qubit channels carry internal labels 0, 1.
 
     Sources emit into bins 0 and 1 and one analyzer delay reaches bin 2, so
     the window holds every occupied mode, and the Bell-state veto ("only
@@ -302,7 +297,28 @@ def _relay_registry() -> ModeRegistry:
     reg.add_channel(EPR_QUBIT, (0, 1))
     reg.add_channel(ALICE_HERALD)
     reg.add_channel(EPR_BOB)
+    reg.add(BRANCH_RECORD)
     return reg
+
+
+def _branch_mixture(reg: ModeRegistry, amplitudes: Dict[Tuple[int, int], float], xi: float,
+                    relay_bins: Sequence[int], phase_pump: float) -> FockState:
+    """The (alice pairs, relay pairs) branches of `amplitudes` as one state.
+
+    Branch b starts as the vacuum with its amplitude and b photons in the
+    unobserved record mode, so rows of different branches never merge and
+    one pass through a circuit carries the whole branch ensemble.
+    """
+    occupations, amps = [], []
+    for b, ((na, nc), amp) in enumerate(amplitudes.items()):
+        st = vacuum(reg)
+        st.occupations[0, reg.index(BRANCH_RECORD)] = b
+        st.amplitudes *= amp
+        st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
+        st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, relay_bins, phase_pump)
+        occupations.append(st.occupations)
+        amps.append(st.amplitudes)
+    return FockState(reg, np.concatenate(occupations), np.concatenate(amps))
 
 
 def _add_bell_mixer(circ: Circuit) -> None:
@@ -323,10 +339,10 @@ class TeleportEngine:
 
     Everything before the receiver analyzer is computed once per
     configuration.  Branch states do not depend on the pair means or the
-    detectors, so the engine holds every branch of the pair truncation and
-    blocking runs, dark-count scans and forced single-pair mode only
-    reweight them (branches they leave out get weight 0).  Detection is
-    cached per branch, analyzer phase and detector set.
+    detectors, so the engine holds every branch of the pair truncation, in
+    one branch mixture, and blocking runs, dark-count scans and forced
+    single-pair mode only reweight them (branches they leave out get weight
+    0).  Detection is cached per analyzer phase, detector set and weights.
 
     The analyzer is the only element that depends on phi_b: each photon it
     delays picks up e^{i phi_b}.  Every detection probability is therefore
@@ -351,50 +367,22 @@ class TeleportEngine:
         pre.add_channel_loss(ALICE_HERALD, loss_from_db(cfg.loss_herald_db))
         pre.add_channel_loss(EPR_BOB, loss_from_db(cfg.loss_bob_db))
         _add_bell_mixer(pre)
-        # register the analyzer's loss channel before any state is built so
-        # later per-phase circuits reuse the same mode slots
-        analyzer_loss = Circuit(reg).add_michelson(EPR_BOB, 0.0)
 
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
-        self.states: Dict[Tuple[int, int], FockState] = {}
-        for na, nc in pair_branches():
-            st = vacuum(reg)
-            st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
-            st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, (0, 1), cfg.phase_pump)
-            self.states[(na, nc)] = apply(pre, st)
-        analyzer_in = reg.indices_for(EPR_BOB) + reg.indices_for(analyzer_loss)
-        self.degree = max(
-            int(occupation_matrix(st)[:, analyzer_in].sum(axis=1).max(initial=0))
-            for st in self.states.values()
-        )
-        self._analyzed: Dict[float, Dict[Tuple[int, int], FockState]] = {}
-        self._detected: Dict[tuple, Dict[Tuple[int, int], TeleportOutcome]] = {}
+        self.branches = pair_branches()
+        mixture = _branch_mixture(reg, dict.fromkeys(self.branches, 1.0), xi, (0, 1), cfg.phase_pump)
+        self.prepared = apply(pre, mixture)
+        bob = reg.indices_for(EPR_BOB)
+        self.degree = int(self.prepared.occupations[:, bob].sum(axis=1).max(initial=0))
+        self._analyzed: Dict[float, FockState] = {}
+        self._detected: Dict[tuple, TeleportOutcome] = {}
 
-    def _through_analyzer(self, phi_b: float) -> Dict[Tuple[int, int], FockState]:
+    def _through_analyzer(self, phi_b: float) -> FockState:
         cached = self._analyzed.get(phi_b)
         if cached is None:
             circ = Circuit(self.registry)
             circ.add_michelson(EPR_BOB, phi_b)
-            cached = {k: apply(circ, st) for k, st in self.states.items()}
-            self._analyzed[phi_b] = cached
-        return cached
-
-    def _branch_outcomes(self, phi_b: float, detectors):
-        key = (phi_b, detectors)
-        cached = self._detected.get(key)
-        if cached is None:
-            ge, ingaas, herald, bob = detectors
-            cached = {
-                k: teleport_outcome_distribution(
-                    [(1.0, st)],
-                    ge,
-                    ingaas,
-                    bob,
-                    herald=herald if self.config.heralded else None,
-                )
-                for k, st in self._through_analyzer(phi_b).items()
-            }
-            self._detected[key] = cached
+            cached = self._analyzed[phi_b] = apply(circ, self.prepared)
         return cached
 
     def outcome(
@@ -403,7 +391,9 @@ class TeleportEngine:
         weights: Optional[Dict[Tuple[int, int], float]] = None,
         detectors=None,
     ) -> TeleportOutcome:
-        """Outcome of the branch ensemble at one analyzer phase."""
+        """Outcome of the branch ensemble at one analyzer phase: one detection
+        pass over the branch mixture with each branch's rows scaled by
+        sqrt(weight)."""
         cfg = self.config
         if weights is None:
             weights = branch_weights(cfg)
@@ -411,16 +401,17 @@ class TeleportEngine:
         if abs(total - 1.0) > 1e-9:
             raise UnnormalizedStateError(f"branch weights sum to {total}, not 1")
         detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
-        per_branch = self._branch_outcomes(phi_b, detectors)
-        accept = 0.0
-        bob = {b: 0.0 for b in next(iter(per_branch.values())).bob}
-        for k, w in weights.items():
-            if w == 0.0:
-                continue
-            accept += w * per_branch[k].accept
-            for b, p in per_branch[k].bob.items():
-                bob[b] += w * p
-        return TeleportOutcome(accept, bob)
+        key = (phi_b, detectors, tuple(weights.get(k, 0.0) for k in self.branches))
+        cached = self._detected.get(key)
+        if cached is None:
+            st = self._through_analyzer(phi_b)
+            scale = np.sqrt(key[2])[st.occupations[:, self.registry.index(BRANCH_RECORD)]]
+            weighted = FockState(self.registry, st.occupations, st.amplitudes * scale)
+            ge, ingaas, herald, bob = detectors
+            cached = self._detected[key] = teleport_outcome_distribution(
+                [(1.0, weighted)], ge, ingaas, bob, herald=herald if cfg.heralded else None
+            )
+        return cached
 
     def _received(self, offsets: np.ndarray, detectors=None) -> np.ndarray:
         """Central-bin receiver probability at phase_bob + each offset."""
@@ -523,24 +514,19 @@ class _MandelEngine:
         circ.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
         _add_bell_mixer(circ)
         self.circuit = circ
-        self.weights = branch_weights(cfg)
-        ge, ingaas, _, _ = _detectors(cfg)
-        self.ge = ge
-        self.ingaas = ingaas
+        self.amplitudes = {k: math.sqrt(w) for k, w in branch_weights(cfg).items()}
+        # the symmetric mode's relay emits into the first bin only
+        self.relay_bins = (0,) if cfg.mandel_mode == "symmetric" else (0, 1)
+        self.ge, self.ingaas, _, _ = _detectors(cfg)
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
 
     def coincidences(self, delta_x_um: float) -> Tuple[float, float]:
-        cfg = self.config
+        """Short- and long-bin coincidences at one mismatch, from one pass of
+        the branch mixture, whose branch amplitudes are sqrt(weight)."""
         xi = self.overlap.xi(delta_x_um)
-        ensemble = []
-        for (na, nc), w in self.weights.items():
-            st = vacuum(self.registry)
-            st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
-            if cfg.mandel_mode == "symmetric":
-                st = emit_pairs_single_bin(st, EPR_QUBIT, EPR_BOB, nc, 0, 1.0)
-            else:
-                st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, (0, 1), cfg.phase_pump)
-            ensemble.append((w, apply(self.circuit, st)))
+        mixture = _branch_mixture(self.registry, self.amplitudes, xi, self.relay_bins,
+                                  self.config.phase_pump)
+        ensemble = [(1.0, apply(self.circuit, mixture))]
         short = coincidence_probability(ensemble, self.ge, self.ingaas, bins=(0,))
         long = coincidence_probability(ensemble, self.ge, self.ingaas, bins=(1,))
         return short, long

@@ -2,9 +2,11 @@
 
 A source is characterized by its mean pair number per gate and its photon
 number statistics (thermal for a single filtered down-conversion mode,
-poissonian for the many-mode limit).  State preparation works by repeated
-application of a two-photon emission operator, so multi-pair terms carry the
-correct bosonic weights automatically.
+poissonian for the many-mode limit).  The n-pair branch state is the n-th
+power of a two-photon emission operator, normalized, applied to the incoming
+state, whose norm it keeps; each source writes it in closed form, with its
+bosonic weights.  The closed form holds when the emission modes start
+empty, which is checked.
 
 Spectral or temporal mismatch between independently generated photons is
 modeled with a single overlap amplitude xi: the mismatched photon is created
@@ -16,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TailMassError
-from .fock import FockState, ModeKey, apply_creation
+from .errors import ConfigError, OccupiedModeError, TailMassError
+from .fock import PRUNE_TOL, FockState, ModeKey, multisets
 
 STATISTICS = ("thermal", "poissonian")
 
@@ -77,65 +79,67 @@ class OverlapModel:
         return math.exp(-((delta_x_um / ell) ** 2))
 
 
-EmissionTerm = Tuple[complex, Sequence[ModeKey]]
+def _emit(state: FockState, modes: Sequence[ModeKey], counts, coeffs) -> FockState:
+    """Add counts[w][m] photons to modes[m] on every term, times coeffs[w].
+
+    This closed form of an emission operator's power holds only when the
+    modes are empty, so an occupied one raises OccupiedModeError.  A mode
+    that gets no photon need not be registered; sum_w |coeffs[w]|^2 = 1
+    keeps the norm.
+    """
+    reg, occ = state.registry, state.occupations
+    counts = np.asarray(counts)
+    used = counts.any(axis=0)
+    idxs = [reg.index(m) for m, u in zip(modes, used) if u]
+    for i in idxs:
+        if i < occ.shape[1] and occ[:, i].any():
+            raise OccupiedModeError(f"emission into occupied mode {reg.key_at(i)}")
+    out = np.zeros((len(occ), len(coeffs), len(reg)), dtype=np.uint8)
+    out[:, :, : occ.shape[1]] = occ[:, None, :]
+    out[:, :, idxs] = counts[:, used]
+    amps = state.amplitudes[:, None] * np.asarray(coeffs)
+    return FockState(reg, out.reshape(-1, len(reg)), amps.ravel())
 
 
-def _apply_emission(state: FockState, terms: Sequence[EmissionTerm]) -> FockState:
-    """Apply sum_i c_i (prod_j a_dag(mode_ij)) to the state."""
-    acc = {}
-    for coeff, modes in terms:
-        st = state
-        for m in modes:
-            st = apply_creation(st, m)
-        for occ, amp in st.terms.items():
-            acc[occ] = acc.get(occ, 0.0) + coeff * amp
-    return FockState(state.registry, acc).prune()
+def emit_pairs_single_bin(state: FockState, signal_spatial: str, idler_spatial: str,
+                          n_pairs: int, time_bin: int = 0, xi: float = 1.0) -> FockState:
+    """n_pairs emissions into one bin; xi, with |xi| <= 1, splits the signal
+    photon between internal modes 0 and 1.
 
-
-def emit_pairs_single_bin(
-    state: FockState,
-    signal_spatial: str,
-    idler_spatial: str,
-    n_pairs: int,
-    time_bin: int = 0,
-    xi: float = 1.0,
-) -> FockState:
-    """n_pairs emissions into one bin, normalized; xi splits the signal photon
-    between internal modes 0 and 1."""
-    if n_pairs == 0:
-        return state
-    idler = ModeKey(idler_spatial, time_bin)
-    terms: List[EmissionTerm] = [(xi, (ModeKey(signal_spatial, time_bin, 0), idler))]
-    ortho = math.sqrt(max(0.0, 1.0 - xi * xi))
-    if ortho > 0.0:
-        terms.append((ortho, (ModeKey(signal_spatial, time_bin, 1), idler)))
-    for _ in range(n_pairs):
-        state = _apply_emission(state, terms)
-    return state.normalize()
-
-
-def emit_pairs_entangled(
-    state: FockState,
-    signal_spatial: str,
-    idler_spatial: str,
-    n_pairs: int,
-    bins: Sequence[int] = (0, 1),
-    phase: float = 0.0,
-) -> FockState:
-    """n_pairs coherent emissions spread over the given bins, normalized.
-
-    Each emission creates signal and idler in the same bin, with relative
-    phase e^{i phase t} between bins (the pump's interferometer phase).
+    (xi a_0^dag + sqrt(1 - xi^2) a_1^dag)^n (b^dag)^n |0>, normalized, puts
+    amplitude sqrt(C(n, j)) xi^j (1 - xi^2)^((n - j)/2) on j signal photons
+    in label 0, n - j in label 1 and n idler photons.  Terms below
+    PRUNE_TOL are left out.
     """
     if n_pairs == 0:
         return state
-    terms: List[EmissionTerm] = [
-        (
-            np.exp(1j * phase * t),
-            (ModeKey(signal_spatial, b, 0), ModeKey(idler_spatial, b, 0)),
-        )
-        for t, b in enumerate(bins)
-    ]
-    for _ in range(n_pairs):
-        state = _apply_emission(state, terms)
-    return state.normalize()
+    if not abs(xi) <= 1.0:
+        raise ConfigError(f"overlap xi must be in [-1, 1], got {xi}")
+    ortho = math.sqrt(1.0 - xi * xi)
+    ways = [(j, math.sqrt(math.comb(n_pairs, j)) * xi**j * ortho ** (n_pairs - j))
+            for j in range(n_pairs + 1)]
+    ways = [(j, c) for j, c in ways if abs(c) >= PRUNE_TOL]
+    modes = [ModeKey(signal_spatial, time_bin, 0), ModeKey(idler_spatial, time_bin),
+             ModeKey(signal_spatial, time_bin, 1)]
+    return _emit(state, modes, [[j, n_pairs, n_pairs - j] for j, _ in ways], [c for _, c in ways])
+
+
+def emit_pairs_entangled(state: FockState, signal_spatial: str, idler_spatial: str,
+                         n_pairs: int, bins: Sequence[int] = (0, 1),
+                         phase: float = 0.0) -> FockState:
+    """n_pairs coherent emissions spread over the given distinct bins.
+
+    Each emission creates signal and idler in the same bin, with relative
+    phase e^{i phase t} between bins (the pump's interferometer phase).
+    (sum_t e^{i phase t} s_t^dag i_t^dag)^n |0>, normalized, gives every
+    split (k_t) of the n pairs over the bins the same weight and the phase
+    e^{i phase sum_t t k_t}.
+    """
+    if n_pairs == 0:
+        return state
+    if len(set(bins)) != len(bins):
+        raise ConfigError(f"emission bins must be distinct, got {tuple(bins)}")
+    counts = multisets(n_pairs, len(bins))
+    coeffs = np.exp(1j * phase * (counts @ np.arange(len(bins)))) / math.sqrt(len(counts))
+    modes = [ModeKey(spatial, b, 0) for spatial in (signal_spatial, idler_spatial) for b in bins]
+    return _emit(state, modes, np.hstack([counts, counts]), coeffs)

@@ -7,6 +7,12 @@ are checked against these.  occupation_distribution lists a state's
 outcome probabilities term by term, and general_transform re-expands a
 linear-optical substitution on any number of modes; folded over a circuit's
 elements one at a time, it is the reference for qrelay.optics.apply.
+
+The oracles work on a state's terms as a dict from occupation bytes to
+amplitude (`terms`, `from_terms`).  `create` applies one creation operator
+(or a sum of them) term by term, and the emission oracles repeat the
+two-photon emission operator with it: the references for the closed-form
+sources in qrelay.sources.
 """
 
 from __future__ import annotations
@@ -16,22 +22,118 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
+
 from qrelay.detection import DetectorChannel, Ensemble, _check_ensemble
 from qrelay.errors import ConfigError, UnnormalizedStateError
-from qrelay.fock import NORM_ATOL, FockState
+from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 
 OccupationVector = Tuple[int, ...]
+Terms = Dict[bytes, complex]
+# (coefficient, modes): the product of the modes' creation operators
+EmissionTerm = Tuple[complex, Sequence[ModeKey]]
 
 # a click pattern maps (detector label, time bin) -> clicked; absent = no click
 ClickPattern = FrozenSet[Tuple[str, int]]
 
 
+def norm_sq(state: FockState) -> float:
+    return float(np.vdot(state.amplitudes, state.amplitudes).real)
+
+
+def normalized(state: FockState) -> FockState:
+    n = math.sqrt(norm_sq(state))
+    if n == 0.0:
+        raise UnnormalizedStateError("cannot normalize the zero vector")
+    return FockState(state.registry, state.occupations, state.amplitudes / n)
+
+
+def terms(state: FockState) -> Terms:
+    """A state's terms at the registry's width; absent columns are empty modes."""
+    width = len(state.registry)
+    out: Terms = {}
+    for occ, amp in zip(state.occupations, state.amplitudes):
+        key = bytes(occ) + bytes(width - len(occ))
+        out[key] = out.get(key, 0.0) + complex(amp)
+    return out
+
+
+def from_terms(registry: ModeRegistry, start: Terms) -> FockState:
+    """The state with these terms; every key spans the registry."""
+    occ = [list(k) for k in start]
+    return FockState(
+        registry,
+        np.array(occ, dtype=np.uint8).reshape(len(occ), len(registry)),
+        np.array(list(start.values()), dtype=complex),
+    )
+
+
+def amplitude(state: FockState, occupation: Sequence[int]) -> complex:
+    return terms(state).get(bytes(occupation), 0.0 + 0.0j)
+
+
+def create(current: Terms, row: Sequence[Tuple[int, complex]]) -> Terms:
+    """Apply sum_k c_k a^dag_k for each (k, c_k) in row: occupation n_k ->
+    n_k + 1 with amplitude factor c_k sqrt(n_k + 1)."""
+    out: Terms = {}
+    for occ, amp in current.items():
+        new = bytearray(occ)
+        for k, c in row:
+            n = occ[k]
+            new[k] = n + 1
+            key = bytes(new)
+            out[key] = out.get(key, 0.0) + amp * c * math.sqrt(n + 1)
+            new[k] = n
+    return out
+
+
+def apply_creation(state: FockState, mode: ModeKey) -> FockState:
+    """Apply a^dag_mode: occupation n -> n+1 with amplitude factor sqrt(n+1)."""
+    idx = state.registry.index(mode)
+    return from_terms(state.registry, create(terms(state), [(idx, 1.0)]))
+
+
+def emit(state: FockState, emission: Sequence[EmissionTerm], n_pairs: int) -> FockState:
+    """Apply sum_i c_i (prod_j a^dag(mode_ij)) n_pairs times, then normalize."""
+    reg = state.registry
+    current = terms(state)
+    for _ in range(n_pairs):
+        acc: Terms = {}
+        for coeff, modes in emission:
+            st = current
+            for m in modes:
+                st = create(st, [(reg.index(m), 1.0)])
+            for occ, amp in st.items():
+                acc[occ] = acc.get(occ, 0.0) + coeff * amp
+        current = {k: v for k, v in acc.items() if abs(v) >= PRUNE_TOL}
+    return normalized(from_terms(reg, current))
+
+
+def emit_pairs_single_bin(state, signal_spatial, idler_spatial, n_pairs, time_bin=0, xi=1.0):
+    """(xi a_0^dag + sqrt(1 - xi^2) a_1^dag) b^dag on one bin, n_pairs times."""
+    idler = ModeKey(idler_spatial, time_bin)
+    emission: List[EmissionTerm] = [(xi, (ModeKey(signal_spatial, time_bin, 0), idler))]
+    ortho = math.sqrt(max(0.0, 1.0 - xi * xi))
+    if ortho > 0.0:
+        emission.append((ortho, (ModeKey(signal_spatial, time_bin, 1), idler)))
+    return emit(state, emission, n_pairs)
+
+
+def emit_pairs_entangled(state, signal_spatial, idler_spatial, n_pairs, bins=(0, 1), phase=0.0):
+    """sum_t e^{i phase t} s_t^dag i_t^dag over the bins, n_pairs times."""
+    emission = [
+        (np.exp(1j * phase * t), (ModeKey(signal_spatial, b, 0), ModeKey(idler_spatial, b, 0)))
+        for t, b in enumerate(bins)
+    ]
+    return emit(state, emission, n_pairs)
+
+
 def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
     """Probabilities over occupation outcomes; input must be normalized."""
-    total = state.norm_sq()
+    total = norm_sq(state)
     if abs(total - 1.0) > NORM_ATOL:
         raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
-    return {tuple(k): (v * v.conjugate()).real for k, v in state.terms.items()}
+    return {tuple(k): abs(v) ** 2 for k, v in terms(state).items()}
 
 
 def general_transform(terms, idxs, u, prune):

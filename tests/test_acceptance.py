@@ -57,6 +57,12 @@ def _report(number: int, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _fixed(value: float) -> str:
+    """Three decimals; adding 0.0 turns a rounded -0.0 into 0.0, so rounding
+    noise around zero prints the same way on either side."""
+    return f"{round(value, 3) + 0.0:.3f}"
+
+
 def _dip_scan():
     cfg = ExperimentConfig(pair_mean=1e-3, **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
@@ -100,7 +106,7 @@ def test_criterion_03_dip_width_and_shared_center():
         3,
         ok,
         f"fwhm {fs.fwhm:.2f}/{fl.fwhm:.2f} um (144 within 2%), "
-        f"centers {fs.center:.2e}/{fl.center:.2e} um",
+        f"centers {_fixed(fs.center)}/{_fixed(fl.center)} um",
     )
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qrelay.analysis import (
-    DipFit,
     classify_visibility,
     fidelity_from_visibility,
     fit_dip,

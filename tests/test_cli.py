@@ -1,7 +1,6 @@
 import json
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from qrelay import cli, scenarios
@@ -329,6 +328,32 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     assert "Traceback" not in err
     assert line.split()[0] in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["teleport", "--mode", "montecarlo", "--trials", "1" + "0" * 26, "--points", "6"], None),
+        (["teleport", "--points", "6"], "pulses_per_point = 1" + "0" * 400),
+        (["mandel", "--points", "5"], "pulses_per_point = 1" + "0" * 400),
+        (["teleport", "--points", "6"], "trials = 1000000000000000001"),
+    ],
+    ids=["trials-flag", "teleport-pulses", "mandel-pulses", "trials-config"],
+)
+def test_oversized_count_exits_2(tmp_path, capsys, argv, line):
+    if line is not None:
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(line + "\n")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "10**18" in err
+    assert out == ""
+
+
+def test_count_bound_is_inclusive():
+    ExperimentConfig(trials=10**18, pulses_per_point=10**18)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import DetectionLayout, click_distribution, herald_filter, psi_minus_filter
+from oracles import (
+    DetectionLayout,
+    apply_creation,
+    click_distribution,
+    from_terms,
+    herald_filter,
+    normalized,
+    psi_minus_filter,
+    terms,
+)
 from qrelay.detection import (
     DetectorChannel,
     DetectorModel,
@@ -13,13 +22,7 @@ from qrelay.detection import (
     validate_timing,
 )
 from qrelay.errors import ConfigError, UnnormalizedStateError
-from qrelay.fock import (
-    FockState,
-    ModeKey,
-    ModeRegistry,
-    apply_creation,
-    vacuum,
-)
+from qrelay.fock import ModeKey, ModeRegistry, vacuum
 from qrelay.optics import Circuit, apply
 
 
@@ -67,18 +70,18 @@ def test_thinning_matches_explicit_loss_element():
     # followed by a perfect threshold detector
     eta = 0.37
     reg = _registry("a")
-    two = apply_creation(
+    two = normalized(apply_creation(
         apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("a", 0)
-    ).normalize()
+    ))
     layout = DetectionLayout([DetectorChannel(DetectorModel("d", efficiency=eta), "a")])
     p_thin = _marginal(click_distribution([(1.0, two)], layout), ("d", 0))
 
     reg2 = _registry("a")
     circ = Circuit(reg2)
     circ.add_channel_loss("a", eta, "sink")
-    two2 = apply_creation(
+    two2 = normalized(apply_creation(
         apply_creation(vacuum(reg2), ModeKey("a", 0)), ModeKey("a", 0)
-    ).normalize()
+    ))
     lossy = apply(circ, two2)
     ideal = DetectionLayout([DetectorChannel(DetectorModel("d"), "a")])
     p_loss = _marginal(click_distribution([(1.0, lossy)], ideal), ("d", 0))
@@ -161,20 +164,20 @@ def _bell_state(reg, sign):
     st = vacuum(reg)
     t1 = apply_creation(apply_creation(st, ModeKey("a", 0)), ModeKey("c", 1))
     t2 = apply_creation(apply_creation(st, ModeKey("a", 1)), ModeKey("c", 0))
-    terms = dict(t1.terms)
-    for occ, amp in t2.terms.items():
-        terms[occ] = terms.get(occ, 0.0) + sign * amp
-    return FockState(reg, terms).normalize()
+    joint = terms(t1)
+    for occ, amp in terms(t2).items():
+        joint[occ] = joint.get(occ, 0.0) + sign * amp
+    return normalized(from_terms(reg, joint))
 
 
 def _phi_plus(reg):
     st = vacuum(reg)
     t1 = apply_creation(apply_creation(st, ModeKey("a", 0)), ModeKey("c", 0))
     t2 = apply_creation(apply_creation(st, ModeKey("a", 1)), ModeKey("c", 1))
-    terms = dict(t1.terms)
-    for occ, amp in t2.terms.items():
-        terms[occ] = terms.get(occ, 0.0) + amp
-    return FockState(reg, terms).normalize()
+    joint = terms(t1)
+    for occ, amp in terms(t2).items():
+        joint[occ] = joint.get(occ, 0.0) + amp
+    return normalized(from_terms(reg, joint))
 
 
 def _bsa_circuit(reg):
@@ -243,16 +246,15 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
         for s in ("a", "c", "bob"):
             reg.add_channel(s)
         st = emit_pairs_entangled(vacuum(reg), "c", "bob", 1, phase=phi_p)
-        occ = {}
-        terms = {}
-        for o, amp in st.terms.items():
+        joint = {}
+        for o, amp in terms(st).items():
             n = bytearray(o)
             n[reg.index(ModeKey("a", 0))] += 1
-            terms[bytes(n)] = terms.get(bytes(n), 0.0) + amp / math.sqrt(2)
+            joint[bytes(n)] = joint.get(bytes(n), 0.0) + amp / math.sqrt(2)
             n2 = bytearray(o)
             n2[reg.index(ModeKey("a", 1))] += 1
-            terms[bytes(n2)] = terms.get(bytes(n2), 0.0) + amp * np.exp(1j * phi_a) / math.sqrt(2)
-        joint = FockState(reg, terms).normalize()
+            joint[bytes(n2)] = joint.get(bytes(n2), 0.0) + amp * np.exp(1j * phi_a) / math.sqrt(2)
+        joint = normalized(from_terms(reg, joint))
         out = apply(_bsa_circuit(reg), joint)
         ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
         ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")

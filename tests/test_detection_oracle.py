@@ -10,7 +10,10 @@ from hypothesis import strategies as hs  # noqa: E402
 from oracles import (  # noqa: E402
     DetectionLayout,
     click_distribution,
+    from_terms,
     herald_filter,
+    norm_sq,
+    normalized,
     psi_minus_filter,
 )
 from qrelay.detection import (  # noqa: E402
@@ -19,7 +22,7 @@ from qrelay.detection import (  # noqa: E402
     coincidence_probability,
     teleport_outcome_distribution,
 )
-from qrelay.fock import FockState, ModeRegistry, vacuum  # noqa: E402
+from qrelay.fock import ModeRegistry, vacuum  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
 # same examples
@@ -46,10 +49,10 @@ def small_states(draw, reg):
             occ[draw(hs.integers(0, len(reg) - 1))] += 1
         amp = complex(draw(hs.floats(-1.0, 1.0)), draw(hs.floats(-1.0, 1.0)))
         terms[bytes(occ)] = terms.get(bytes(occ), 0.0) + amp
-    state = FockState(reg, terms)
-    if state.norm_sq() < 1e-3:
+    state = from_terms(reg, terms)
+    if norm_sq(state) < 1e-3:
         state = vacuum(reg)
-    return state.normalize()
+    return normalized(state)
 
 
 @hs.composite

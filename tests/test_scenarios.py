@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrelay import scenarios
-from qrelay.analysis import fit_dip, fit_fringe, net_visibility
+from qrelay.analysis import fit_dip, fit_fringe
 from qrelay.errors import ConfigError, HarmonicSynthesisError
 from qrelay.scenarios import (
     ExperimentConfig,
