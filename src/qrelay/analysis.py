@@ -171,6 +171,10 @@ def fit_dip(positions, counts) -> DipFit:
         p0,
         bounds=([1e-12, 0.0, x.min() - span, 1e-9], [np.inf, 1.0, x.max() + span, 10 * span + 1.0]),
         max_nfev=5000,
+        # the 1e-8 defaults leave fitted values moving at 1e-8 under rounding noise
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
     )
     if not sol.success:
         raise FitConvergenceError(f"dip fit failed: {sol.message}")

@@ -30,8 +30,13 @@ class TailMassError(QRelayError):
 
 
 class HarmonicSynthesisError(QRelayError):
-    """A scan synthesized from its harmonic samples fell below zero by more
-    than rounding."""
+    """A scan synthesized from its harmonic or polynomial samples fell below
+    zero by more than rounding."""
+
+
+class LabelMixingError(QRelayError):
+    """A circuit couples two internal labels where a shortcut needs them
+    kept apart."""
 
 
 class ConfigError(QRelayError):

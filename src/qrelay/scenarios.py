@@ -7,9 +7,12 @@ relay pair, Bell-state acceptance, receiver analyzer phase scan), and
 source-blocking runs that isolate the phase-independent background.
 
 Every run first enumerates the joint pair-number branches of the two
-sources, builds each branch state exactly in the truncated Fock space,
-and pushes it through the optical circuit; detector response is applied
-analytically at the end.  Counts are either probability times pulses
+sources, builds them exactly in the truncated Fock space as one branch
+mixture, and pushes it through the optical circuit; detector response is
+applied analytically at the end.  Neither scan builds a state per point:
+the fringe is a trigonometric polynomial in the analyzer phase, fixed by
+2D+1 phase samples, and the dip a polynomial in the squared overlap xi^2,
+fixed by D+1 state builds.  Counts are either probability times pulses
 (analytic mode) or Poisson draws around that expectation (montecarlo
 mode) with a counter-based generator keyed by (seed, scan point), so
 reruns are reproducible bit for bit.
@@ -36,6 +39,7 @@ from .errors import (
     ConfigError,
     FitConvergenceError,
     HarmonicSynthesisError,
+    LabelMixingError,
     UnnormalizedStateError,
 )
 from .fock import FockState, ModeKey, ModeRegistry, vacuum
@@ -329,9 +333,21 @@ def _add_bell_mixer(circ: Circuit) -> None:
             circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
 
 
-# largest harmonic-synthesis rounding error accepted, relative to the
-# largest sample; a more negative synthesized probability is an error
+# largest synthesis rounding error accepted, relative to the largest
+# sample; a more negative synthesized probability is an error
 _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
+
+
+def _clamp_rounding(values: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Probabilities synthesized from exact samples, with rounding-level
+    negatives at zeros clamped to 0; anything more negative raises."""
+    floor = -_SYNTHESIS_RTOL * float(np.abs(samples).max(initial=0.0))
+    if np.any(values < floor):
+        raise HarmonicSynthesisError(
+            f"synthesized probability {values.min():.3e} is below the rounding "
+            f"floor {floor:.3e}"
+        )
+    return np.maximum(values, 0.0)
 
 
 class TeleportEngine:
@@ -434,14 +450,7 @@ class TeleportEngine:
         harmonics = np.arange(1, self.degree + 1)
         angles = np.subtract.outer(x, offsets)[..., None] * harmonics
         kernel = (1.0 + 2.0 * np.cos(angles).sum(axis=-1)) / n
-        values = kernel @ samples
-        floor = -_SYNTHESIS_RTOL * float(np.abs(samples).max(initial=0.0))
-        if np.any(values < floor):
-            raise HarmonicSynthesisError(
-                f"synthesized probability {values.min():.3e} is below the rounding "
-                f"floor {floor:.3e}"
-            )
-        return np.maximum(values, 0.0)
+        return _clamp_rounding(kernel @ samples, samples)
 
     def mean(self, detectors=None) -> float:
         """Phase average of the central-bin receiver probability.
@@ -491,6 +500,20 @@ def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanRe
     return ScanResult("phi_b_rad", xs, probs, counts, pulses)
 
 
+def _check_labels_separate(circuit: Circuit) -> None:
+    """Raise LabelMixingError if the circuit's transfer matrix has an entry
+    between modes of different internal labels."""
+    reg = circuit.registry
+    t = circuit.transfer()
+    labels = np.array([reg.key_at(i).internal for i in range(len(reg))])
+    mixed = np.argwhere((t != 0) & (labels[:, None] != labels))
+    if len(mixed):
+        j, k = mixed[0]
+        raise LabelMixingError(
+            f"the dip circuit couples {reg.key_at(int(j))} to {reg.key_at(int(k))}"
+        )
+
+
 class _MandelEngine:
     """Two sources onto the Bell-state mixer for the bunching-dip scan.
 
@@ -500,6 +523,23 @@ class _MandelEngine:
     prepared qubit.  The overlap parameter enters the qubit photon's
     internal-mode split, so only coincidence rates near zero mismatch
     change.
+
+    Each coincidence probability is a polynomial of degree D in s = xi^2,
+    where D (`degree`, at most MAX_PAIRS_EACH) is the largest Alice pair
+    number with nonzero branch weight.  Alice's n-pair branch puts amplitude
+    sqrt(C(n, j)) xi^j (1 - s)^((n - j)/2) on j label-0 and n - j label-1
+    signal photons, and the relay emits into label 0 only.  This is exact
+    when
+    - the circuit's transfer matrix has no entry between two internal labels
+      (checked when the engine is built: LabelMixingError otherwise), so
+      every output term keeps the n - j label-1 photons it started with and
+      components with different j never interfere, and
+    - detection reads only photon numbers summed over labels, as every
+      detector model here does.
+    A bin's probability is then sum_b w_b sum_j C(n_b, j) s^j (1 - s)^(n_b - j)
+    P_bj, and D+1 state builds at the Chebyshev-Lobatto nodes
+    s_k = (1 - cos(k pi / D)) / 2 fix it at every mismatch.  s = 1 is a
+    node, so the ideal Hong-Ou-Mandel null is reproduced exactly.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -513,17 +553,19 @@ class _MandelEngine:
         circ.add_channel_loss(ALICE_QUBIT, loss_from_db(cfg.loss_alice_db))
         circ.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
         _add_bell_mixer(circ)
+        _check_labels_separate(circ)
         self.circuit = circ
-        self.amplitudes = {k: math.sqrt(w) for k, w in branch_weights(cfg).items()}
+        weights = branch_weights(cfg)
+        self.amplitudes = {k: math.sqrt(w) for k, w in weights.items()}
+        self.degree = max((na for (na, _), w in weights.items() if w > 0), default=0)
         # the symmetric mode's relay emits into the first bin only
         self.relay_bins = (0,) if cfg.mandel_mode == "symmetric" else (0, 1)
         self.ge, self.ingaas, _, _ = _detectors(cfg)
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
 
-    def coincidences(self, delta_x_um: float) -> Tuple[float, float]:
-        """Short- and long-bin coincidences at one mismatch, from one pass of
+    def coincidences(self, xi: float) -> Tuple[float, float]:
+        """Short- and long-bin coincidences at overlap xi, from one pass of
         the branch mixture, whose branch amplitudes are sqrt(weight)."""
-        xi = self.overlap.xi(delta_x_um)
         mixture = _branch_mixture(self.registry, self.amplitudes, xi, self.relay_bins,
                                   self.config.phase_pump)
         ensemble = [(1.0, apply(self.circuit, mixture))]
@@ -531,17 +573,30 @@ class _MandelEngine:
         long = coincidence_probability(ensemble, self.ge, self.ingaas, bins=(1,))
         return short, long
 
+    def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
+        """(short, long) coincidences at each mismatch, one row per point:
+        the degree-D Lagrange interpolant in s of the D+1 node samples."""
+        d = self.degree
+        nodes = (1.0 - np.cos(math.pi * np.arange(d + 1) / max(d, 1))) / 2.0
+        samples = np.array([self.coincidences(math.sqrt(s)) for s in nodes])
+        s = np.array([self.overlap.xi(x) ** 2 for x in mismatches_um])
+        # the product form gives exactly 1 and 0 at the nodes
+        basis = np.ones((len(s), d + 1))
+        for k in range(d + 1):
+            for m in range(d + 1):
+                if m != k:
+                    basis[:, k] *= (s - nodes[m]) / (nodes[k] - nodes[m])
+        return _clamp_rounding(basis @ samples, samples)
+
 
 def run_mandel_scan(
     config: ExperimentConfig, mismatches_um: Sequence[float]
 ) -> Tuple[ScanResult, ScanResult]:
     """Same-bin coincidences versus path mismatch for the first (short-short)
     and second (long-long) arrival bins; returns (short, long) scans."""
-    engine = _MandelEngine(config)
     xs = np.asarray(list(mismatches_um), dtype=float)
-    pairs = [engine.coincidences(x) for x in xs]
-    p_short = np.array([p[0] for p in pairs])
-    p_long = np.array([p[1] for p in pairs])
+    probs = _MandelEngine(config).scan(xs)
+    p_short, p_long = probs[:, 0], probs[:, 1]
     c_short, pulses = _counts(config, p_short, stream=0)
     c_long, _ = _counts(config, p_long, stream=1)
     return (

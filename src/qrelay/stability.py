@@ -12,7 +12,10 @@ exactly the right one for the simulated plant.
 
 simulate() produces the time series needed to reproduce both behaviours:
 free-running drift walking off the dip within hours and the stabilized
-trace pinned at the dip floor for a day.
+trace pinned at the dip floor for a day.  It is array code that takes the
+same random streams, in the same order, as one draw and one controller
+step per time step, and gives the same traces byte for byte; only the
+clipped jitter recurrence still steps through time, on plain floats.
 """
 
 from __future__ import annotations
@@ -100,6 +103,9 @@ class DriftModel:
             raise ConfigError("rep_rate_hz must be > 0")
         if self.temp_to_rate_hz_per_k is not None and not self.temp_to_rate_hz_per_k >= 0:
             raise ConfigError("temp_to_rate_hz_per_k must be >= 0")
+        # the walk bounds its temperature steps by the rate wander over this
+        if self.kind == "random-walk" and not self.rate_coupling_hz_per_k() > 0:
+            raise ConfigError("the random walk needs a temperature-to-rate coupling > 0")
 
     def spacing_m(self) -> float:
         return pulse_spacing(self.rep_rate_hz, self.group_index)
@@ -144,10 +150,10 @@ class Controller:
     def __post_init__(self):
         if not 0 <= self.gain_um_per_hz < math.inf:
             raise ConfigError("gain_um_per_hz must be finite and >= 0")
-        if not self.motor_resolution_um >= 0:
-            raise ConfigError("motor_resolution_um must be >= 0")
-        if not self.update_interval_s > 0:
-            raise ConfigError("update_interval_s must be > 0")
+        if not 0 <= self.motor_resolution_um < math.inf:
+            raise ConfigError("motor_resolution_um must be finite and >= 0")
+        if not 0 < self.update_interval_s < math.inf:
+            raise ConfigError("update_interval_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -161,33 +167,57 @@ class StabilityTrace:
     norm_coincidences: np.ndarray
 
 
+# steps per chunk of the jitter recurrence, whose noise and decay arrays
+# then stay small next to the trace arrays
+_JITTER_CHUNK = 4096
+
+
 def _temperature_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     if drift.kind == "sinusoid":
         period_s = drift.period_h * 3600.0
         return drift.amplitude_k * np.sin(2.0 * math.pi * times / period_s)
     # bounded random walk: per-step temperature increments are capped so the
-    # implied rate wander never exceeds the hourly bound
-    kappa = drift.rate_coupling_hz_per_k()
+    # implied rate wander never exceeds the hourly bound; one uniform draw per
+    # step, summed in order (cumsum adds sequentially)
+    dt_h = np.diff(times) / 3600.0
+    with np.errstate(over="ignore"):
+        max_step = drift.rep_wander_bound_hz_per_h * dt_h / drift.rate_coupling_hz_per_k()
+    # uniform() needs the width 2 * max_step finite
+    if not (max_step <= np.finfo(float).max / 2.0).all():
+        raise ConfigError("the random walk's step bound overflows; raise temp_to_rate_hz_per_k")
     theta = np.empty(len(times))
     theta[0] = 0.0
-    for i in range(1, len(times)):
-        dt_h = (times[i] - times[i - 1]) / 3600.0
-        max_step = drift.rep_wander_bound_hz_per_h * dt_h / kappa
-        theta[i] = theta[i - 1] + rng.uniform(-max_step, max_step)
-    return theta
+    theta[1:] = rng.uniform(-max_step, max_step)
+    return np.cumsum(theta, out=theta)
 
 
 def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
+    """Clipped Ornstein-Uhlenbeck jitter, one normal draw per step.
+
+    The draws come in chunks of array calls, which take the same stream as
+    one call per step; decays use math.exp, whose last bit np.exp need not
+    match, and the clipped recurrence runs on plain floats.
+    """
     out = np.zeros(len(times))
     if drift.jitter_sigma_um == 0.0:
         return out
+    bound = drift.jitter_bound_um
     x = 0.0
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        decay = math.exp(-dt / drift.jitter_tau_s)
-        x = x * decay + rng.normal(0.0, drift.jitter_sigma_um * math.sqrt(1.0 - decay * decay))
-        x = min(max(x, -drift.jitter_bound_um), drift.jitter_bound_um)
-        out[i] = x
+    for start in range(1, len(times), _JITTER_CHUNK):
+        stop = min(start + _JITTER_CHUNK, len(times))
+        dts, which = np.unique(np.diff(times[start - 1:stop]), return_inverse=True)
+        decays = np.array([math.exp(-dt / drift.jitter_tau_s) for dt in dts.tolist()])
+        noise = rng.normal(0.0, drift.jitter_sigma_um * np.sqrt(1.0 - decays * decays)[which])
+        chunk = []
+        for decay, z in zip(decays[which].tolist(), noise.tolist()):
+            x = x * decay + z
+            # min(max(x, -bound), bound), signs of zero included
+            if x > bound:
+                x = bound
+            elif x < -bound:
+                x = -bound
+            chunk.append(x)
+        out[start:stop] = chunk
     return out
 
 
@@ -204,7 +234,10 @@ def simulate(
 
     Coincidences are normalized to the far-from-overlap level, so the trace
     sits at 1 - dip_visibility while the mismatch is held at zero and climbs
-    toward one as drift pulls the analyzers apart.
+    toward one as drift pulls the analyzers apart.  The controller's motor
+    takes gain * (rate shift) every update interval, rounded to its
+    resolution, and holds it in between; a command that overflows raises
+    ConfigError.
     """
     # the step count and the time axis need both finite
     if not (0 < duration_s < math.inf and 0 < dt_s < math.inf):
@@ -235,21 +268,22 @@ def simulate(
 
     motor = np.zeros(n)
     if controller is not None:
-        steps_per_update = max(1, int(round(controller.update_interval_s / dt_s)))
-        held = 0.0
-        for i in range(n):
-            if i % steps_per_update == 0:
-                target = controller.gain_um_per_hz * delta_f[i]
-                if controller.motor_resolution_um > 0:
-                    target = controller.motor_resolution_um * round(
-                        target / controller.motor_resolution_um
-                    )
-                held = target
-            motor[i] = held
+        steps_per_update = min(max(1, int(round(controller.update_interval_s / dt_s))), n)
+        res = controller.motor_resolution_um
+        with np.errstate(over="ignore"):
+            target = controller.gain_um_per_hz * delta_f[::steps_per_update]
+            if res > 0:
+                # + 0.0 turns np.round's -0.0 into the 0.0 of an integer round
+                target = res * (np.round(target / res) + 0.0)
+        if not np.isfinite(target).all():
+            raise ConfigError("the motor command is not finite; lower gain_um_per_hz")
+        motor = np.repeat(target, steps_per_update)[:n]
 
     delta_x = drift_um - motor
     ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
-    xi_sq = np.exp(-2.0 * (delta_x / ell) ** 2)
+    # a mismatch far past the dip overflows the square: exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        xi_sq = np.exp(-2.0 * (delta_x / ell) ** 2)
     norm = 1.0 - dip_visibility * xi_sq
     return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor, norm)
 

@@ -13,6 +13,13 @@ amplitude (`terms`, `from_terms`).  `create` applies one creation operator
 (or a sum of them) term by term, and the emission oracles repeat the
 two-photon emission operator with it: the references for the closed-form
 sources in qrelay.sources.
+
+mandel_per_point builds, pushes through the circuit and detects the dip
+branch mixture at every mismatch point: the reference for the polynomial
+interpolation in qrelay.scenarios.run_mandel_scan.  simulate_per_step is
+the stability simulation with one random draw and one controller step per
+Python loop iteration: the reference for qrelay.stability.simulate's array
+code, which must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from qrelay import scenarios
 from qrelay.detection import DetectorChannel, Ensemble, _check_ensemble
 from qrelay.errors import ConfigError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
+from qrelay.stability import StabilityTrace
 
 OccupationVector = Tuple[int, ...]
 Terms = Dict[bytes, complex]
@@ -304,3 +313,60 @@ def herald_filter(
     if not enabled:
         return True
     return (label, time_bin) in pattern
+
+
+def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.ndarray:
+    """(short, long) dip coincidences, one branch-mixture build per point."""
+    engine = scenarios._MandelEngine(config)
+    return np.array([engine.coincidences(engine.overlap.xi(x)) for x in mismatches_um])
+
+
+def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0,
+                      dip_visibility=1.0 / 3.0, fwhm_um=144.0) -> StabilityTrace:
+    """qrelay.stability.simulate on valid input, one step per loop iteration."""
+    n = int(round(duration_s / dt_s)) + 1
+    times = np.arange(n) * dt_s
+    rng_walk = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng_jitter = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+
+    if drift.kind == "sinusoid":
+        theta = drift.amplitude_k * np.sin(2.0 * math.pi * times / (drift.period_h * 3600.0))
+    else:
+        kappa = drift.rate_coupling_hz_per_k()
+        theta = np.empty(n)
+        theta[0] = 0.0
+        for i in range(1, n):
+            dt_h = (times[i] - times[i - 1]) / 3600.0
+            max_step = drift.rep_wander_bound_hz_per_h * dt_h / kappa
+            theta[i] = theta[i - 1] + rng_walk.uniform(-max_step, max_step)
+    delta_f = drift.rate_coupling_hz_per_k() * theta
+
+    jitter = np.zeros(n)
+    if drift.jitter_sigma_um != 0.0:
+        x = 0.0
+        for i in range(1, n):
+            dt = times[i] - times[i - 1]
+            decay = math.exp(-dt / drift.jitter_tau_s)
+            sigma = drift.jitter_sigma_um * math.sqrt(1.0 - decay * decay)
+            x = x * decay + rng_jitter.normal(0.0, sigma)
+            x = min(max(x, -drift.jitter_bound_um), drift.jitter_bound_um)
+            jitter[i] = x
+    drift_um = drift.thermal_um_per_k * theta + drift.rate_length_um_per_hz() * delta_f + jitter
+
+    motor = np.zeros(n)
+    if controller is not None:
+        steps_per_update = max(1, int(round(controller.update_interval_s / dt_s)))
+        held = 0.0
+        for i in range(n):
+            if i % steps_per_update == 0:
+                held = controller.gain_um_per_hz * delta_f[i]
+                if controller.motor_resolution_um > 0:
+                    held = controller.motor_resolution_um * round(
+                        held / controller.motor_resolution_um
+                    )
+            motor[i] = held
+
+    delta_x = drift_um - motor
+    ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
+    norm = 1.0 - dip_visibility * np.exp(-2.0 * (delta_x / ell) ** 2)
+    return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor, norm)

@@ -134,3 +134,22 @@ def test_dip_fit_rejects_non_finite_start():
     x = np.linspace(-1e155, 1e155, 5)
     with pytest.raises(FitConvergenceError):
         fit_dip(x, [10.0, 10.0, 5.0, 10.0, 10.0])
+
+
+@pytest.mark.parametrize("depth, rtol", [(1.0, 2e-11), (0.25, 1e-13)])
+def test_dip_fit_holds_under_rounding_noise(depth, rtol):
+    # exact dip data, then the same data with 2e-16 relative noise: the fit
+    # converges far enough that the noise barely moves it; a full-depth dip
+    # sits on the depth bound, where convergence is slowest
+    x = np.linspace(-300.0, 300.0, 41)
+    y = 1e7 * (1.0 - depth * np.exp(-4.0 * math.log(2.0) * x**2 / 144.0**2))
+    base = fit_dip(x, y)
+    assert abs(base.depth - depth) < 1e-10
+    assert abs(base.fwhm - 144.0) < 1e-8
+    assert abs(base.center) < 1e-9
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        fit = fit_dip(x, y * (1.0 + 2e-16 * rng.standard_normal(x.size)))
+        for name in ("amplitude", "depth", "fwhm"):
+            assert abs(getattr(fit, name) / getattr(base, name) - 1.0) < rtol, name
+        assert abs(fit.center - base.center) < 1e-9

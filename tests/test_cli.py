@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -237,6 +238,16 @@ def test_stability_uncontrolled_flag(capsys):
     assert doc["peak"] >= 0.95
 
 
+def test_huge_gain_runs_without_overflow_warning(capsys):
+    # the motor overshoots by about 1e301 um: far past the dip, where
+    # exp(-inf) = 0 is the right coincidence limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, ["stability", "--gain", "1e300", "--duration-h", "1"])
+    assert code == 0
+    assert json.loads(out)["peak"] == 1.0
+
+
 def test_one_engine_per_command(monkeypatch, capsys):
     built = []
     original = scenarios.TeleportEngine.__init__
@@ -283,6 +294,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--duration-h", "0.5", "--dt-s", "1e-9"],
         ["stability", "--seed", str(2**64)],
         ["stability", "--seed", "-1"],
+        ["stability", "--gain", "1e308"],
         ["validate-timing", "--group-index", "inf"],
         ["validate-timing", "--quantum-fiber-m", "inf"],
     ],
@@ -290,7 +302,8 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf",
-        "step-cap", "seed-2**64", "seed-negative", "group-index-inf", "fiber-inf",
+        "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
+        "fiber-inf",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):

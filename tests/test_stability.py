@@ -153,3 +153,32 @@ def test_seeds_above_2_63_draw_distinct_walks():
         for s in seeds
     }
     assert len(walks) == len(seeds)
+
+
+def test_random_walk_needs_a_positive_rate_coupling():
+    for kwargs in ({"temp_to_rate_hz_per_k": 0.0}, {"thermal_um_per_k": 0.0}):
+        with pytest.raises(ConfigError):
+            DriftModel(kind="random-walk", **kwargs)
+    # the sinusoid simulation never divides by the coupling
+    tr = simulate(DriftModel(temp_to_rate_hz_per_k=0.0), None, 600.0, 60.0)
+    assert np.all(tr.rep_rate_hz == 75e6)
+    # a coupling so weak that the walk's step bound overflows
+    with pytest.raises(ConfigError):
+        simulate(DriftModel(kind="random-walk", temp_to_rate_hz_per_k=1e-310), None, 600.0, 60.0)
+
+
+def test_non_finite_motor_command_raises():
+    for resolution in (0.2, 0.0):
+        controller = Controller(gain_um_per_hz=1e308, motor_resolution_um=resolution)
+        with pytest.raises(ConfigError):
+            simulate(DriftModel(), controller, 3600.0, 60.0)
+    with pytest.raises(ConfigError):
+        Controller(motor_resolution_um=math.inf)
+    with pytest.raises(ConfigError):
+        Controller(update_interval_s=math.inf)
+
+
+def test_update_interval_beyond_the_run_holds_the_first_command():
+    tr = simulate(DriftModel(), Controller(update_interval_s=1e300), 3600.0, 60.0)
+    assert len(tr.motor_um) == 61
+    assert np.all(tr.motor_um == tr.motor_um[0])

@@ -1,0 +1,51 @@
+"""Property test: qrelay.stability.simulate's array code against the
+per-step loops in tests/oracles.py, byte for byte."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as hs  # noqa: E402
+from oracles import simulate_per_step  # noqa: E402
+from qrelay.stability import DRIFT_KINDS, Controller, DriftModel, simulate  # noqa: E402
+
+FIELDS = ("time_s", "delta_x_um", "rep_rate_hz", "motor_um", "norm_coincidences")
+
+
+@hs.composite
+def drift_cases(draw):
+    """(drift, controller or None, duration_s, dt_s, seed); non-integer dt,
+    update intervals shorter than dt, zero jitter and zero resolution."""
+    drift = DriftModel(
+        kind=draw(hs.sampled_from(DRIFT_KINDS)),
+        amplitude_k=draw(hs.floats(0.0, 3.0)),
+        period_h=draw(hs.floats(1.0, 96.0)),
+        jitter_sigma_um=draw(hs.one_of(hs.just(0.0), hs.floats(0.0, 10.0))),
+        jitter_tau_s=draw(hs.floats(1.0, 3600.0)),
+        jitter_bound_um=draw(hs.one_of(hs.just(0.0), hs.floats(0.0, 20.0))),
+    )
+    controller = None
+    if draw(hs.booleans()):
+        controller = Controller(
+            gain_um_per_hz=draw(hs.floats(0.0, 0.2)),
+            motor_resolution_um=draw(hs.one_of(hs.just(0.0), hs.floats(0.01, 1.0))),
+            update_interval_s=draw(hs.floats(0.1, 600.0)),
+        )
+    dt_s = draw(hs.floats(0.3, 120.0))
+    steps = draw(hs.integers(1, 3000))
+    return drift, controller, steps * dt_s, dt_s, draw(hs.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drift_cases())
+# more steps than one jitter chunk holds, both kinds, controlled
+@example((DriftModel(kind="random-walk"), Controller(), 9000 * 7.3, 7.3, 5))
+@example((DriftModel(jitter_sigma_um=8.0), Controller(update_interval_s=30.0), 9000 * 61.7, 61.7, 9))
+def test_simulate_matches_per_step_loops(case):
+    drift, controller, duration_s, dt_s, seed = case
+    got = simulate(drift, controller, duration_s, dt_s, seed)
+    want = simulate_per_step(drift, controller, duration_s, dt_s, seed)
+    for name in FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
