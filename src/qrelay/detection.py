@@ -15,22 +15,25 @@ time bins inside the clock window.
 A state already is a (terms x modes) occupation matrix plus amplitudes.
 The matrix times the registry's mode-to-gate indicator gives the photons
 in every detector gate, and with |amplitude|^2 per term the click
-probabilities of all terms follow from array operations.
+probabilities of all terms follow from array operations.  The state may be
+a mixture of pair-number branches, its rows tagged by their photons in
+fock.BRANCH_RECORD; each branch must be normalized on its own, and every
+probability comes back per branch, one row per branch index, for the
+caller to dot with the branch weights.  A state without a record column
+is one branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigError, UnnormalizedStateError
 from .fock import NORM_ATOL, FockState
-
-Ensemble = Sequence[Tuple[float, FockState]]
 
 # time bins of the clock window in which Bell-state clicks are accepted
 CLOCK_WINDOW = (0, 1, 2)
@@ -75,28 +78,26 @@ class DetectorChannel:
     follows: Optional[str] = None
 
 
-def _check_ensemble(ensemble: Ensemble) -> None:
-    total = sum(w for w, _ in ensemble)
-    if abs(total - 1.0) > 1e-9:
-        raise UnnormalizedStateError(f"ensemble weights sum to {total}, not 1")
-
-
 def _term_arrays(state: FockState, spatials: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-term probabilities and photon counts per (channel, bin) gate.
+    """Term probabilities per branch and photon counts per (channel, bin) gate.
 
-    Returns probs of shape (terms,) and integer counts of shape (terms,
-    len(spatials), max_bins); the state must be normalized.
+    Returns probs of shape (branches, terms), each term's |amplitude|^2 in
+    its branch's row and 0 in the others, and integer counts of shape
+    (terms, len(spatials), max_bins); every branch must be normalized.
     """
     amps = state.amplitudes
-    probs = amps.real**2 + amps.imag**2
-    total = probs.sum()
-    if abs(total - 1.0) > NORM_ATOL:
-        raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
+    branch = state.branches()
+    probs = np.zeros((int(branch.max(initial=0)) + 1, len(amps)))
+    probs[branch, np.arange(len(amps))] = amps.real**2 + amps.imag**2
+    norms = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+    if len(bad):
+        raise UnnormalizedStateError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
     reg = state.registry
     occ = state.occupations
     # modes registered after the state was built hold no photons
     counts = occ @ reg.bin_indicator(spatials)[: occ.shape[1]]
-    return probs, counts.astype(np.intp).reshape(len(probs), len(spatials), reg.max_bins)
+    return probs, counts.astype(np.intp).reshape(len(amps), len(spatials), reg.max_bins)
 
 
 def _alone(pc: np.ndarray) -> np.ndarray:
@@ -115,10 +116,11 @@ def _alone(pc: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """Joint acceptance probabilities for one scan point."""
+    """Joint acceptance probabilities for one scan point, with a leading
+    branch axis as detection returns them, or without it once weighted."""
 
-    accept: float                 # P(Bell acceptance and herald)
-    bob: Dict[int, float]         # bin -> P(acceptance and herald and Bob click there)
+    accept: np.ndarray    # P(Bell acceptance and herald)
+    bob: np.ndarray       # [..., i]: P(acceptance and herald and Bob click in BOB_BINS[i])
 
 
 def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
@@ -135,13 +137,14 @@ def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
 
 
 def teleport_outcome_distribution(
-    ensemble: Ensemble,
+    state: FockState,
     ge: DetectorChannel,
     ingaas: DetectorChannel,
     bob: DetectorChannel,
     herald: Optional[DetectorChannel] = None,
 ) -> TeleportOutcome:
-    """P(accepted Bell pattern [and herald] [and Bob click at bin b]).
+    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
+    branch: accept of shape (branches,), bob of shape (branches, len(BOB_BINS)).
 
     Sums over the accepted patterns only, term by term with array
     operations.  ge runs free.  Accepted patterns with ge alone at bin t
@@ -151,66 +154,45 @@ def teleport_outcome_distribution(
     holds the full click-pattern enumeration this agrees with.
     """
     symmetric = _partner_runs_free(ge, ingaas)
-    _check_ensemble(ensemble)
     spatials = (ge.spatial, ingaas.spatial, bob.spatial)
     if herald is not None:
         spatials += (herald.spatial,)
-    accept_total = 0.0
-    bob_total = {b: 0.0 for b in BOB_BINS}
-    for weight, state in ensemble:
-        if weight == 0.0:
+    n_bins = state.registry.max_bins
+    probs, counts = _term_arrays(state, spatials)
+    pc_ge = ge.model.click_probs(counts[:, 0])
+    pc_in = ingaas.model.click_probs(counts[:, 1])
+    alone_ge = _alone(pc_ge)
+    alone_in = _alone(pc_in) if symmetric else None
+    p_accept = np.zeros(len(counts))
+    for t in CLOCK_WINDOW:
+        if t + 1 >= n_bins or (t + 1) not in CLOCK_WINDOW:
             continue
-        n_bins = state.registry.max_bins
-        probs, counts = _term_arrays(state, spatials)
-        pc_ge = ge.model.click_probs(counts[:, 0])
-        pc_in = ingaas.model.click_probs(counts[:, 1])
-        alone_ge = _alone(pc_ge)
-        alone_in = _alone(pc_in) if symmetric else None
-        p_accept = np.zeros(len(probs))
-        for t in CLOCK_WINDOW:
-            if t + 1 >= n_bins or (t + 1) not in CLOCK_WINDOW:
-                continue
-            if symmetric:
-                # both detectors free-running: exactly one click on each,
-                # either time ordering
-                p_accept += alone_ge[:, t] * alone_in[:, t + 1]
-                p_accept += alone_in[:, t] * alone_ge[:, t + 1]
-            else:
-                # free-running detector fires at t alone; its partner is
-                # armed only at t+1, so no other partner gates exist
-                p_accept += alone_ge[:, t] * pc_in[:, t + 1]
-        base = weight * probs * p_accept
-        if herald is not None:
-            base *= herald.model.click_probs(counts[:, 3, HERALD_BIN])
-        accept_total += float(base.sum())
-        pc_bob = bob.model.click_probs(counts[:, 2])
-        for b in BOB_BINS:
-            bob_total[b] += float(base @ pc_bob[:, b])
-    return TeleportOutcome(accept_total, bob_total)
+        if symmetric:
+            # both detectors free-running: exactly one click on each,
+            # either time ordering
+            p_accept += alone_ge[:, t] * alone_in[:, t + 1]
+            p_accept += alone_in[:, t] * alone_ge[:, t + 1]
+        else:
+            # free-running detector fires at t alone; its partner is
+            # armed only at t+1, so no other partner gates exist
+            p_accept += alone_ge[:, t] * pc_in[:, t + 1]
+    if herald is not None:
+        p_accept *= herald.model.click_probs(counts[:, 3, HERALD_BIN])
+    pc_bob = bob.model.click_probs(counts[:, 2, list(BOB_BINS)])
+    return TeleportOutcome(probs @ p_accept, probs @ (p_accept[:, None] * pc_bob))
 
 
 def coincidence_probability(
-    ensemble: Ensemble,
-    det_a: DetectorChannel,
-    det_b: DetectorChannel,
-    bins: Optional[Sequence[int]] = None,
-) -> float:
-    """Same-bin two-detector coincidence probability, summed over bins.
+    state: FockState, det_a: DetectorChannel, det_b: DetectorChannel
+) -> np.ndarray:
+    """Same-bin two-detector coincidence probability per branch and bin,
+    shape (branches, max_bins).
 
     Marginal per gate; extra clicks elsewhere are not vetoed, as in a plain
     coincidence counter.
     """
-    _check_ensemble(ensemble)
-    total = 0.0
-    for weight, state in ensemble:
-        if weight == 0.0:
-            continue
-        use_bins = list(range(state.registry.max_bins) if bins is None else bins)
-        probs, counts = _term_arrays(state, (det_a.spatial, det_b.spatial))
-        pc_a = det_a.model.click_probs(counts[:, 0, use_bins])
-        pc_b = det_b.model.click_probs(counts[:, 1, use_bins])
-        total += weight * float(probs @ (pc_a * pc_b).sum(axis=1))
-    return total
+    probs, counts = _term_arrays(state, (det_a.spatial, det_b.spatial))
+    return probs @ (det_a.model.click_probs(counts[:, 0]) * det_b.model.click_probs(counts[:, 1]))
 
 
 @dataclass(frozen=True)

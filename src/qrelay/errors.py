@@ -18,7 +18,7 @@ class OccupiedModeError(QRelayError):
 
 
 class UnnormalizedStateError(QRelayError):
-    """A state (or ensemble) that must be normalized is not."""
+    """A state's branch, or a set of branch weights, that must be normalized is not."""
 
 
 class DimensionMismatchError(QRelayError):

@@ -7,6 +7,11 @@ invisible to detectors.  A state is a (terms x modes) occupation matrix
 plus one complex amplitude per term.  Sources write their states in closed
 form and optics re-expands them through a circuit's transfer matrix, both
 with array operations.
+
+A mixture of pair-number branches is one state whose rows carry their
+branch index as photons in the unobserved BRANCH_RECORD mode, so branches
+never merge in a circuit; each branch is a normalized ket of its own, and
+a state with no record column is one branch.  Detection answers per branch.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ class ModeKey:
     spatial: str
     time_bin: int
     internal: int = 0
+
+
+# unobserved mode whose photon number tags a row's pair-number branch
+BRANCH_RECORD = ModeKey("branch-record", 0)
 
 
 class ModeRegistry:
@@ -127,6 +136,13 @@ class FockState:
 
     def __len__(self) -> int:
         return len(self.amplitudes)
+
+    def branches(self) -> np.ndarray:
+        """Each row's branch index: its photons in the BRANCH_RECORD mode, 0
+        when the state has no column for that mode."""
+        cols = [i for i in self.registry.indices_for(BRANCH_RECORD.spatial)
+                if i < self.occupations.shape[1]]
+        return self.occupations[:, cols].sum(axis=1, dtype=np.intp)
 
 
 def vacuum(registry: ModeRegistry) -> FockState:

@@ -9,7 +9,8 @@ source-blocking runs that isolate the phase-independent background.
 Every run first enumerates the joint pair-number branches of the two
 sources, builds them exactly in the truncated Fock space as one branch
 mixture, and pushes it through the optical circuit; detector response is
-applied analytically at the end.  Neither scan builds a state per point:
+applied analytically at the end, branch by branch, and the branch weights
+come in last, as a dot product.  Neither scan builds a state per point:
 the fringe is a trigonometric polynomial in the analyzer phase, fixed by
 2D+1 phase samples, and the dip a polynomial in the squared overlap xi^2,
 fixed by D+1 state builds.  Counts are either probability times pulses
@@ -42,7 +43,7 @@ from .errors import (
     LabelMixingError,
     UnnormalizedStateError,
 )
-from .fock import FockState, ModeKey, ModeRegistry, vacuum
+from .fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum
 from .optics import Circuit, apply, loss_from_db
 from .sources import (
     STATISTICS,
@@ -57,8 +58,6 @@ ALICE_QUBIT = "alice-1310"
 ALICE_HERALD = "alice-1555"
 EPR_QUBIT = "charlie-1310"
 EPR_BOB = "bob-1555"
-# unobserved mode whose photon number tags a pair-number branch
-BRANCH_RECORD = ModeKey("branch-record", 0)
 
 MANDEL_MODES = ("symmetric", "entangled")
 ENCODERS = ("michelson", "lossless")
@@ -68,6 +67,11 @@ BLOCK_CHOICES = ("none", "alice", "epr", "both")
 # at most two pairs in total per gate; states are truncated at the
 # 2 * MAX_PAIRS_EACH photons those pairs carry, read when an engine is built
 MAX_PAIRS_EACH = 2
+
+# largest point count a scan accepts: at the default pair truncation a dip
+# point costs about 400 bytes (a fringe point 200) across the interpolation,
+# the fit and the CSV row, so the cap keeps a scan under about 0.5 GB
+MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -236,8 +240,8 @@ class ScanResult:
 def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np.ndarray:
     """`points` equally spaced analyzer phases over `periods` periods from
     `start`; a negative period count scans backwards."""
-    if points < 4:
-        raise ConfigError("a phase scan needs at least 4 points")
+    if not 4 <= points <= MAX_POINTS:
+        raise ConfigError(f"a phase scan needs 4 to {MAX_POINTS} points, got {points}")
     if not math.isfinite(periods) or periods == 0:
         raise ConfigError(f"the period count must be finite and nonzero, got {periods}")
     return start + np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
@@ -246,8 +250,8 @@ def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np
 def mismatch_grid(
     points: int = 41, span_um: float = 300.0, center_um: float = 0.0
 ) -> np.ndarray:
-    if points < 5:
-        raise ConfigError("a mismatch scan needs at least 5 points")
+    if not 5 <= points <= MAX_POINTS:
+        raise ConfigError(f"a mismatch scan needs 5 to {MAX_POINTS} points, got {points}")
     if not (math.isfinite(span_um) and span_um > 0):
         raise ConfigError(f"the mismatch span must be finite and > 0, got {span_um}")
     return center_um + np.linspace(-span_um, span_um, points)
@@ -305,19 +309,19 @@ def _relay_registry() -> ModeRegistry:
     return reg
 
 
-def _branch_mixture(reg: ModeRegistry, amplitudes: Dict[Tuple[int, int], float], xi: float,
+def _branch_mixture(reg: ModeRegistry, branches: Sequence[Tuple[int, int]], xi: float,
                     relay_bins: Sequence[int], phase_pump: float) -> FockState:
-    """The (alice pairs, relay pairs) branches of `amplitudes` as one state.
+    """The (alice pairs, relay pairs) branches as one mixture.
 
-    Branch b starts as the vacuum with its amplitude and b photons in the
-    unobserved record mode, so rows of different branches never merge and
-    one pass through a circuit carries the whole branch ensemble.
+    Branch b, the b-th entry of `branches`, starts as the vacuum with b
+    photons in the BRANCH_RECORD mode, so rows of different branches never
+    merge, one pass through a circuit carries every branch, and detection
+    answers per branch.
     """
     occupations, amps = [], []
-    for b, ((na, nc), amp) in enumerate(amplitudes.items()):
+    for b, (na, nc) in enumerate(branches):
         st = vacuum(reg)
         st.occupations[0, reg.index(BRANCH_RECORD)] = b
-        st.amplitudes *= amp
         st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
         st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, relay_bins, phase_pump)
         occupations.append(st.occupations)
@@ -358,7 +362,8 @@ class TeleportEngine:
     detectors, so the engine holds every branch of the pair truncation, in
     one branch mixture, and blocking runs, dark-count scans and forced
     single-pair mode only reweight them (branches they leave out get weight
-    0).  Detection is cached per analyzer phase, detector set and weights.
+    0).  Detection answers per branch and is cached per analyzer phase and
+    detector set; an outcome is the branch weights dotted into it.
 
     The analyzer is the only element that depends on phi_b: each photon it
     delays picks up e^{i phi_b}.  Every detection probability is therefore
@@ -386,7 +391,7 @@ class TeleportEngine:
 
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
         self.branches = pair_branches()
-        mixture = _branch_mixture(reg, dict.fromkeys(self.branches, 1.0), xi, (0, 1), cfg.phase_pump)
+        mixture = _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump)
         self.prepared = apply(pre, mixture)
         bob = reg.indices_for(EPR_BOB)
         self.degree = int(self.prepared.occupations[:, bob].sum(axis=1).max(initial=0))
@@ -407,27 +412,24 @@ class TeleportEngine:
         weights: Optional[Dict[Tuple[int, int], float]] = None,
         detectors=None,
     ) -> TeleportOutcome:
-        """Outcome of the branch ensemble at one analyzer phase: one detection
-        pass over the branch mixture with each branch's rows scaled by
-        sqrt(weight)."""
+        """Outcome of the branch mixture at one analyzer phase: the weights,
+        which must put all their mass on the engine's branches, dotted into
+        the per-branch detection pass."""
         cfg = self.config
         if weights is None:
             weights = branch_weights(cfg)
-        total = sum(weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise UnnormalizedStateError(f"branch weights sum to {total}, not 1")
+        w = np.array([weights.get(k, 0.0) for k in self.branches])
+        if abs(sum(weights.values()) - 1.0) > 1e-9 or abs(w.sum() - 1.0) > 1e-9:
+            raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
         detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
-        key = (phi_b, detectors, tuple(weights.get(k, 0.0) for k in self.branches))
-        cached = self._detected.get(key)
-        if cached is None:
-            st = self._through_analyzer(phi_b)
-            scale = np.sqrt(key[2])[st.occupations[:, self.registry.index(BRANCH_RECORD)]]
-            weighted = FockState(self.registry, st.occupations, st.amplitudes * scale)
+        key = (phi_b, detectors)
+        per_branch = self._detected.get(key)
+        if per_branch is None:
             ge, ingaas, herald, bob = detectors
-            cached = self._detected[key] = teleport_outcome_distribution(
-                [(1.0, weighted)], ge, ingaas, bob, herald=herald if cfg.heralded else None
+            per_branch = self._detected[key] = teleport_outcome_distribution(
+                self._through_analyzer(phi_b), ge, ingaas, bob, herald if cfg.heralded else None
             )
-        return cached
+        return TeleportOutcome(w @ per_branch.accept, w @ per_branch.bob)
 
     def _received(self, offsets: np.ndarray, detectors=None) -> np.ndarray:
         """Central-bin receiver probability at phase_bob + each offset."""
@@ -555,23 +557,21 @@ class _MandelEngine:
         _add_bell_mixer(circ)
         _check_labels_separate(circ)
         self.circuit = circ
-        weights = branch_weights(cfg)
-        self.amplitudes = {k: math.sqrt(w) for k, w in weights.items()}
-        self.degree = max((na for (na, _), w in weights.items() if w > 0), default=0)
+        held = {k: w for k, w in branch_weights(cfg).items() if w > 0}
+        self.branches, self.weights = list(held), np.array(list(held.values()))
+        self.degree = max((na for na, _ in self.branches), default=0)
         # the symmetric mode's relay emits into the first bin only
         self.relay_bins = (0,) if cfg.mandel_mode == "symmetric" else (0, 1)
         self.ge, self.ingaas, _, _ = _detectors(cfg)
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
 
-    def coincidences(self, xi: float) -> Tuple[float, float]:
-        """Short- and long-bin coincidences at overlap xi, from one pass of
-        the branch mixture, whose branch amplitudes are sqrt(weight)."""
-        mixture = _branch_mixture(self.registry, self.amplitudes, xi, self.relay_bins,
+    def coincidences(self, xi: float) -> np.ndarray:
+        """(short, long) coincidences at overlap xi: the branch weights dotted
+        into one detection pass of the positive-weight branches' mixture."""
+        mixture = _branch_mixture(self.registry, self.branches, xi, self.relay_bins,
                                   self.config.phase_pump)
-        ensemble = [(1.0, apply(self.circuit, mixture))]
-        short = coincidence_probability(ensemble, self.ge, self.ingaas, bins=(0,))
-        long = coincidence_probability(ensemble, self.ge, self.ingaas, bins=(1,))
-        return short, long
+        per_branch = coincidence_probability(apply(self.circuit, mixture), self.ge, self.ingaas)
+        return self.weights @ per_branch[:, :2]
 
     def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
         """(short, long) coincidences at each mismatch, one row per point:

@@ -135,8 +135,19 @@ class DriftModel:
         )
 
     def ideal_gain_um_per_hz(self) -> float:
-        """Feedforward gain that exactly cancels the temperature drift."""
-        return self.mismatch_um_per_k() / self.rate_coupling_hz_per_k()
+        """Feedforward gain that exactly cancels the temperature drift.
+
+        A rate that does not follow temperature carries no information about
+        the drift, so a zero coupling (or one so weak that the gain
+        overflows) raises ConfigError.
+        """
+        kappa = self.rate_coupling_hz_per_k()
+        gain = self.mismatch_um_per_k() / kappa if kappa > 0 else math.inf
+        if not math.isfinite(gain):
+            raise ConfigError(
+                f"no finite feedforward gain: the temperature-to-rate coupling is {kappa} Hz/K"
+            )
+        return gain
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Brute-force reference implementations, used only by the tests.
 
 click_distribution enumerates every click pattern of a detector layout,
-term by term and gate by gate; the Bell-state and herald filters then pick
-the accepted patterns out of it.  The fast array paths in qrelay.detection
-are checked against these.  occupation_distribution lists a state's
+term by term and gate by gate, for a weighted ensemble of separate states;
+the Bell-state and herald filters then pick the accepted patterns out of
+it.  The fast array paths in qrelay.detection, which answer per branch of
+one record-tagged mixture, are checked against it branch by branch and
+with the branch weights dotted in.  occupation_distribution lists a state's
 outcome probabilities term by term, and general_transform re-expands a
 linear-optical substitution on any number of modes; folded over a circuit's
 elements one at a time, it is the reference for qrelay.optics.apply.
@@ -32,12 +34,14 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from qrelay import scenarios
-from qrelay.detection import DetectorChannel, Ensemble, _check_ensemble
+from qrelay.detection import DetectorChannel
 from qrelay.errors import ConfigError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 from qrelay.stability import StabilityTrace
 
 OccupationVector = Tuple[int, ...]
+# (weight, state) pairs; the weights must sum to 1
+Ensemble = Sequence[Tuple[float, FockState]]
 Terms = Dict[bytes, complex]
 # (coefficient, modes): the product of the modes' creation operators
 EmissionTerm = Tuple[complex, Sequence[ModeKey]]
@@ -249,6 +253,12 @@ def _subset_probs(gates: List[Tuple[str, int, float]]):
         for _, q in combo:
             prob *= q
         yield clicked, prob
+
+
+def _check_ensemble(ensemble: Ensemble) -> None:
+    total = sum(w for w, _ in ensemble)
+    if abs(total - 1.0) > 1e-9:
+        raise UnnormalizedStateError(f"ensemble weights sum to {total}, not 1")
 
 
 def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[ClickPattern, float]:

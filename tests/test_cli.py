@@ -265,6 +265,33 @@ def test_one_engine_per_command(monkeypatch, capsys):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, target, passes",
+    [
+        (["teleport", "--points", "8"], "teleport_outcome_distribution", 5),
+        (["teleport", "--points", "8", "--heralded"], "teleport_outcome_distribution", 5),
+        (["noise"], "teleport_outcome_distribution", 1),
+        (["mandel", "--points", "9"], "coincidence_probability", 3),
+    ],
+    ids=["teleport", "heralded", "noise", "mandel"],
+)
+def test_detection_passes_per_command(monkeypatch, capsys, argv, target, passes):
+    # the default config has degree D = 2: the fringe takes 2D+1 analyzer
+    # phases, the first of which also serves the acceptance and every
+    # blocking run, and the dip takes D+1 nodes
+    real = getattr(scenarios, target)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, target, counting)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == passes
+
+
 def test_seed_beyond_64_bits_exits_2(capsys):
     code, _, err = run_cli(
         capsys,
@@ -297,13 +324,15 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--gain", "1e308"],
         ["validate-timing", "--group-index", "inf"],
         ["validate-timing", "--quantum-fiber-m", "inf"],
+        ["teleport", "--points", "10000000000000"],
+        ["mandel", "--points", "10000000000000"],
     ],
     ids=[
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf",
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
-        "fiber-inf",
+        "fiber-inf", "teleport-point-cap", "mandel-point-cap",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):

@@ -22,7 +22,7 @@ from qrelay.detection import (
     validate_timing,
 )
 from qrelay.errors import ConfigError, UnnormalizedStateError
-from qrelay.fock import ModeKey, ModeRegistry, vacuum
+from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum
 from qrelay.optics import Circuit, apply
 
 
@@ -193,15 +193,15 @@ def _ideal_bsa_outcome(state, symmetric):
         DetectorModel("bsa-ingaas"), "c", follows=None if symmetric else "bsa-ge"
     )
     bob = DetectorChannel(DetectorModel("bob", dark_prob=0.0), "dump")
-    return teleport_outcome_distribution([(1.0, state)], ge, ingaas, bob)
+    return teleport_outcome_distribution(state, ge, ingaas, bob)
 
 
 def test_antisymmetric_state_always_accepted():
     reg = _registry("a", "c", "dump", max_bins=4)
     psi = apply(_bsa_circuit(reg), _bell_state(reg, -1.0))
-    assert abs(_ideal_bsa_outcome(psi, True).accept - 1.0) < 1e-12
+    assert abs(_ideal_bsa_outcome(psi, True).accept[0] - 1.0) < 1e-12
     # the one-way trigger keeps only one of the two time orderings
-    assert abs(_ideal_bsa_outcome(psi, False).accept - 0.5) < 1e-12
+    assert abs(_ideal_bsa_outcome(psi, False).accept[0] - 0.5) < 1e-12
 
 
 def test_free_running_partner_accepts_both_orderings():
@@ -211,8 +211,8 @@ def test_free_running_partner_accepts_both_orderings():
     ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
     ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows=None)
     bob = DetectorChannel(DetectorModel("bob"), "dump")
-    out = teleport_outcome_distribution([(1.0, psi)], ge, ingaas, bob)
-    assert abs(out.accept - 1.0) < 1e-12
+    out = teleport_outcome_distribution(psi, ge, ingaas, bob)
+    assert abs(out.accept[0] - 1.0) < 1e-12
 
 
 def test_bsa_partner_must_follow_the_free_running_detector():
@@ -221,18 +221,18 @@ def test_bsa_partner_must_follow_the_free_running_detector():
     ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
     stray = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="herald")
     with pytest.raises(ConfigError):
-        teleport_outcome_distribution([(1.0, vacuum(reg))], ge, stray, bob)
+        teleport_outcome_distribution(vacuum(reg), ge, stray, bob)
     armed_ge = DetectorChannel(DetectorModel("bsa-ge"), "a", follows="bsa-ingaas")
     ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
     with pytest.raises(ConfigError):
-        teleport_outcome_distribution([(1.0, vacuum(reg))], armed_ge, ingaas, bob)
+        teleport_outcome_distribution(vacuum(reg), armed_ge, ingaas, bob)
 
 
 def test_symmetric_states_never_accepted():
     reg = _registry("a", "c", "dump", max_bins=4)
     for st in (_bell_state(reg, +1.0), _phi_plus(reg)):
         out = apply(_bsa_circuit(reg), st)
-        assert _ideal_bsa_outcome(out, True).accept < 1e-12
+        assert _ideal_bsa_outcome(out, True).accept[0] < 1e-12
 
 
 def test_qubit_against_pair_acceptance_is_one_quarter():
@@ -259,13 +259,13 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
         ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
         ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
         bobdet = DetectorChannel(DetectorModel("bob"), "bob")
-        res = teleport_outcome_distribution([(1.0, out)], ge, ingaas, bobdet)
-        assert abs(res.accept - 0.25) < 1e-12
+        res = teleport_outcome_distribution(out, ge, ingaas, bobdet)
+        assert abs(res.accept[0] - 0.25) < 1e-12
         # without an analyzing interferometer Bob's arrival bin carries no
         # phase information: the accepted weight splits evenly over his bins
-        assert abs(res.bob[0] - 0.125) < 1e-12
-        assert abs(res.bob[1] - 0.125) < 1e-12
-        assert abs(res.bob[2]) < 1e-12
+        assert abs(res.bob[0, 0] - 0.125) < 1e-12
+        assert abs(res.bob[0, 1] - 0.125) < 1e-12
+        assert abs(res.bob[0, 2]) < 1e-12
 
 
 def test_dark_only_acceptance_oracle():
@@ -276,9 +276,9 @@ def test_dark_only_acceptance_oracle():
     ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
     ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
     bob = DetectorChannel(DetectorModel("bob"), "dump")
-    out = teleport_outcome_distribution([(1.0, vacuum(reg))], ge, ingaas, bob)
+    out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, bob)
     expect = 2.0 * d * (1 - d) ** 3 * d
-    assert abs(out.accept - expect) < 1e-15
+    assert abs(out.accept[0] - expect) < 1e-15
 
 
 def test_dark_only_acceptance_is_monotone():
@@ -288,9 +288,9 @@ def test_dark_only_acceptance_is_monotone():
     for d in (0.0, 1e-4, 1e-3, 1e-2, 0.05):
         ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
         ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
-        out = teleport_outcome_distribution([(1.0, vacuum(reg))], ge, ingaas, bob)
-        assert out.accept >= last
-        last = out.accept
+        out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, bob)
+        assert out.accept[0] >= last
+        last = out.accept[0]
 
 
 def test_coincidence_probability_independent_gates():
@@ -298,7 +298,27 @@ def test_coincidence_probability_independent_gates():
     st = apply_creation(apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("c", 0))
     da = DetectorChannel(DetectorModel("da", efficiency=0.5), "a")
     db = DetectorChannel(DetectorModel("db", efficiency=0.25), "c")
-    assert abs(coincidence_probability([(1.0, st)], da, db) - 0.125) < 1e-12
+    # one branch, two bins: both photons sit in bin 0
+    assert np.allclose(coincidence_probability(st, da, db), [[0.125, 0.0]], rtol=0, atol=1e-12)
+
+
+def test_each_branch_of_a_record_mixture_must_be_normalized():
+    reg = _registry("a", "c")
+    rec = reg.add(BRANCH_RECORD)
+    occ = np.zeros((2, len(reg)), dtype=np.uint8)
+    occ[1, rec] = 1
+    da = DetectorChannel(DetectorModel("da", dark_prob=0.5), "a")
+    db = DetectorChannel(DetectorModel("db", dark_prob=0.5), "c")
+    # two vacuum branches: each is normalized on its own, though the rows
+    # together carry norm^2 2
+    per_branch = coincidence_probability(FockState(reg, occ, [1.0, 1.0]), da, db)
+    assert np.allclose(per_branch, np.full((2, 2), 0.25), rtol=0, atol=1e-15)
+    with pytest.raises(UnnormalizedStateError, match="branch 1"):
+        coincidence_probability(FockState(reg, occ, [1.0, 0.5]), da, db)
+    # a record that skips branch 1 leaves that branch empty
+    occ[1, rec] = 2
+    with pytest.raises(UnnormalizedStateError, match="branch 1"):
+        coincidence_probability(FockState(reg, occ, [1.0, 1.0]), da, db)
 
 
 def test_timing_budget_defaults():

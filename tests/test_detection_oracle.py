@@ -1,6 +1,8 @@
 """Property tests: the array paths of qrelay.detection against the
-brute-force click enumeration in tests/oracles.py."""
+brute-force click enumeration in tests/oracles.py, branch by branch of a
+record-tagged mixture."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,7 +24,7 @@ from qrelay.detection import (  # noqa: E402
     coincidence_probability,
     teleport_outcome_distribution,
 )
-from qrelay.fock import ModeRegistry, vacuum  # noqa: E402
+from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry, vacuum  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
 # same examples
@@ -56,12 +58,29 @@ def small_states(draw, reg):
 
 
 @hs.composite
-def small_ensembles(draw, reg):
-    states = [draw(small_states(reg)) for _ in range(draw(hs.integers(1, 2)))]
-    if len(states) == 1:
-        return [(1.0, states[0])]
-    w = draw(hs.sampled_from([0.0, 0.5, 1.0]) | hs.floats(0.0, 1.0))
-    return [(w, states[0]), (1.0 - w, states[1])]
+def record_mixtures(draw, reg):
+    """One to three random states, and the mixture that tags each state's
+    rows with its position in the BRANCH_RECORD mode, registered last."""
+    states = [draw(small_states(reg)) for _ in range(draw(hs.integers(1, 3)))]
+    reg.add(BRANCH_RECORD)
+    mixture = FockState(
+        reg,
+        np.concatenate([
+            np.column_stack([st.occupations, np.full(len(st), b)])
+            for b, st in enumerate(states)
+        ]),
+        np.concatenate([st.amplitudes for st in states]),
+    )
+    return mixture, states
+
+
+@hs.composite
+def branch_weights(draw, n):
+    """n weights summing to 1, with exact zeros and ones among them."""
+    raw = np.array([draw(hs.sampled_from([0.0, 1.0]) | hs.floats(0.0, 1.0)) for _ in range(n)])
+    if raw.sum() == 0.0:
+        raw[0] = 1.0
+    return raw / raw.sum()
 
 
 @hs.composite
@@ -95,7 +114,7 @@ def _oracle_outcome(ensemble, ge, ingaas, bob, herald):
 @given(hs.data(), hs.booleans(), hs.booleans())
 def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded):
     reg = _teleport_registry()
-    ensemble = data.draw(small_ensembles(reg))
+    mixture, states = data.draw(record_mixtures(reg))
     ge = data.draw(detector("bsa-ge", "a"))
     drawn = data.draw(detector("bsa-ingaas", "c"))
     # a free-running partner accepts both time orderings, an armed one only
@@ -105,26 +124,34 @@ def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded):
     )
     bob = data.draw(detector("bob", "b"))
     herald = data.draw(detector("herald", "h")) if heralded else None
-    fast = teleport_outcome_distribution(ensemble, ge, ingaas, bob, herald=herald)
-    accept, bob_probs = _oracle_outcome(ensemble, ge, ingaas, bob, herald)
-    assert abs(fast.accept - accept) < 1e-12
-    for b in (0, 1, 2):
-        assert abs(fast.bob[b] - bob_probs[b]) < 1e-12
+    fast = teleport_outcome_distribution(mixture, ge, ingaas, bob, herald=herald)
+    assert fast.accept.shape == (len(states),)
+    assert fast.bob.shape == (len(states), 3)
+    for b, state in enumerate(states):
+        accept, bob_probs = _oracle_outcome([(1.0, state)], ge, ingaas, bob, herald)
+        assert abs(fast.accept[b] - accept) < 1e-12
+        for t in (0, 1, 2):
+            assert abs(fast.bob[b, t] - bob_probs[t]) < 1e-12
+    # a weighted mixture's outcome is the weights dotted into the branches'
+    w = data.draw(branch_weights(len(states)))
+    accept, bob_probs = _oracle_outcome(list(zip(w, states)), ge, ingaas, bob, herald)
+    assert abs(w @ fast.accept - accept) < 1e-12
+    assert np.abs(w @ fast.bob - [bob_probs[t] for t in (0, 1, 2)]).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(hs.data(), hs.sampled_from([None, (0,), (1, 2)]))
-def test_coincidence_probability_matches_click_enumeration(data, bins):
+@given(hs.data())
+def test_coincidence_probability_matches_click_enumeration(data):
     reg = _teleport_registry()
-    ensemble = data.draw(small_ensembles(reg))
+    mixture, states = data.draw(record_mixtures(reg))
     da = data.draw(detector("da", "a"))
     db = data.draw(detector("db", "c"))
-    dist = click_distribution(ensemble, DetectionLayout([da, db]))
-    use_bins = range(reg.max_bins) if bins is None else bins
-    expect = sum(
-        p
-        for pattern, p in dist.items()
-        for t in use_bins
-        if ("da", t) in pattern and ("db", t) in pattern
-    )
-    assert abs(coincidence_probability(ensemble, da, db, bins=bins) - expect) < 1e-12
+    fast = coincidence_probability(mixture, da, db)
+    assert fast.shape == (len(states), reg.max_bins)
+    for b, state in enumerate(states):
+        dist = click_distribution([(1.0, state)], DetectionLayout([da, db]))
+        for t in range(reg.max_bins):
+            expect = sum(
+                p for pattern, p in dist.items() if ("da", t) in pattern and ("db", t) in pattern
+            )
+            assert abs(fast[b, t] - expect) < 1e-12

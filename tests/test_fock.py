@@ -13,7 +13,7 @@ from oracles import (
     terms,
 )
 from qrelay.errors import RegistryMismatchError, UnnormalizedStateError
-from qrelay.fock import FockState, ModeKey, ModeRegistry, multisets, vacuum
+from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, multisets, vacuum
 from qrelay.optics import Circuit, apply
 
 
@@ -172,6 +172,19 @@ def test_occupation_matrix_and_bin_indicator():
     reg.add_channel("b")
     assert reg.bin_indicator(("b", "a")).shape == (6, 4)
     assert terms(st) == {bytes([0, 0, 0, 1, 0, 0]): 1.0}
+
+
+def test_branches_read_the_record_mode():
+    reg, a, _ = _two_mode_registry()
+    occ = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.uint8)
+    # no record mode, or a record mode registered after the state was built:
+    # the whole state is branch 0
+    assert FockState(reg, occ, [1, 1, 1]).branches().tolist() == [0, 0, 0]
+    rec = reg.add(BRANCH_RECORD)
+    assert FockState(reg, occ, [1, 1, 1]).branches().tolist() == [0, 0, 0]
+    tagged = np.zeros((3, len(reg)), dtype=np.uint8)
+    tagged[:, rec] = [2, 0, 1]
+    assert FockState(reg, tagged, [1, 1, 1]).branches().tolist() == [2, 0, 1]
 
 
 def test_multisets_count_every_split_once():

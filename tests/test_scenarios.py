@@ -6,7 +6,7 @@ import pytest
 
 from qrelay import scenarios
 from qrelay.analysis import fit_dip, fit_fringe
-from qrelay.errors import ConfigError, HarmonicSynthesisError
+from qrelay.errors import ConfigError, HarmonicSynthesisError, UnnormalizedStateError
 from qrelay.scenarios import (
     ExperimentConfig,
     TeleportEngine,
@@ -239,6 +239,12 @@ def test_grid_validation():
     assert np.all(np.diff(phase_grid(8, -1.0)) < 0)
     with pytest.raises(ConfigError):
         mismatch_grid(4)
+    # the point cap is inclusive
+    assert len(phase_grid(scenarios.MAX_POINTS)) == scenarios.MAX_POINTS
+    with pytest.raises(ConfigError):
+        phase_grid(scenarios.MAX_POINTS + 1)
+    with pytest.raises(ConfigError):
+        mismatch_grid(scenarios.MAX_POINTS + 1)
 
 
 def test_mismatch_span_must_be_finite_and_positive():
@@ -278,6 +284,17 @@ def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
     else:
         expected = 2 * d_ge * (1 - d_ge) ** 2 * d_in
     assert abs(accept - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{(3, 0): 1.0}, {(0, 0): 1.0, (3, 0): 0.5}, {(0, 0): 0.5}],
+    ids=["all-off-engine", "some-off-engine", "short"],
+)
+def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
+    # at K = 2 the engine holds no (3, 0) branch
+    with pytest.raises(UnnormalizedStateError):
+        TeleportEngine(ExperimentConfig()).outcome(0.0, weights)
 
 
 def test_more_receiver_photons_raise_the_sample_count(monkeypatch):

@@ -84,17 +84,25 @@ def test_dip_scan_matches_per_point_builds(case):
     ids=["K2", "K4", "single-pairs", "alice-dark"],
 )
 def test_dip_scan_builds_d_plus_one_states(monkeypatch, points, k, overrides, builds):
+    # one circuit pass and one detection pass, reading both bins, per node
     real_apply = scenarios.apply
-    calls = []
+    real_detect = scenarios.coincidence_probability
+    calls, detections = [], []
 
     def counting_apply(circuit, state):
         calls.append(len(state))
         return real_apply(circuit, state)
 
+    def counting_detect(state, det_a, det_b):
+        detections.append(len(state))
+        return real_detect(state, det_a, det_b)
+
     monkeypatch.setattr(scenarios, "apply", counting_apply)
+    monkeypatch.setattr(scenarios, "coincidence_probability", counting_detect)
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     run_mandel_scan(ExperimentConfig(tail_tol=0.5, **overrides), mismatch_grid(points))
     assert len(calls) == builds
+    assert len(detections) == builds
 
 
 def test_label_mixing_circuit_raises(monkeypatch, capsys):

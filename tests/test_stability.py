@@ -167,6 +167,16 @@ def test_random_walk_needs_a_positive_rate_coupling():
         simulate(DriftModel(kind="random-walk", temp_to_rate_hz_per_k=1e-310), None, 600.0, 60.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"temp_to_rate_hz_per_k": 0.0}, {"thermal_um_per_k": 0.0}, {"temp_to_rate_hz_per_k": 1e-310}],
+    ids=["zero-coupling", "derived-zero-coupling", "gain-overflow"],
+)
+def test_ideal_gain_needs_a_rate_coupling(kwargs):
+    with pytest.raises(ConfigError, match="coupling"):
+        DriftModel(**kwargs).ideal_gain_um_per_hz()
+
+
 def test_non_finite_motor_command_raises():
     for resolution in (0.2, 0.0):
         controller = Controller(gain_um_per_hz=1e308, motor_resolution_um=resolution)
