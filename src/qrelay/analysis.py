@@ -6,6 +6,11 @@ constrained refit through a sigmoid reparametrization runs only when the
 linear estimate leaves the physical range [0, 1].  Dips are fit as an
 inverted Gaussian parametrized directly by its full width at half maximum.
 Count uncertainties are taken as sqrt(max(count, 1)).
+
+The two nonlinear fits, the dip and the constrained fringe refit, run
+scipy.optimize.least_squares and import it where they call it: scipy
+costs a cold start several times numpy's import, and an in-range fringe
+never needs it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, FitConvergenceError, InsufficientPointsError
 
@@ -104,6 +108,8 @@ def fit_fringe(phases, counts) -> FringeFit:
         return FringeFit(visibility, sigma, phase0, c0, False, visibility)
 
     # out of range: refit with V = sigmoid(u) so the estimate stays physical
+    from scipy.optimize import least_squares
+
     def residuals(p):
         off, u, ph = p
         v = 1.0 / (1.0 + math.exp(-u))
@@ -166,6 +172,8 @@ def fit_dip(positions, counts) -> DipFit:
         start_finite = np.all(np.isfinite(residuals(p0)))
     if not start_finite:
         raise FitConvergenceError("dip fit residuals are not finite at the starting point")
+    from scipy.optimize import least_squares
+
     sol = least_squares(
         residuals,
         p0,

@@ -125,18 +125,28 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
     return ExperimentConfig(**values)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """One line per row: a float cell prints as .9g, any other cell as str.
 
-
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    A column's cell types are read once, so a row is one %-format call; a
+    column that mixes floats with other cells has its floats formatted first.
+    """
+    formats = []
+    cells = []
+    for column in columns:
+        floats = [issubclass(kind, float) for kind in set(map(type, column))]
+        if all(floats):
+            formats.append("%.9g")
+        else:
+            formats.append("%s")
+            if any(floats):
+                column = ["%.9g" % v if isinstance(v, float) else v for v in column]
+        cells.append(column)
+    line = ",".join(formats) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_format_value(v) for v in row) + "\n")
+            handle.writelines(map(line.__mod__, zip(*cells)))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
@@ -174,7 +184,7 @@ def _cmd_mandel(args) -> int:
         _write_csv(
             args.out,
             ("delta_x_um", "coinc_short", "coinc_long"),
-            zip(xs.tolist(), short.counts.tolist(), long_.counts.tolist()),
+            (xs.tolist(), short.counts.tolist(), long_.counts.tolist()),
         )
     _emit_json(
         {
@@ -227,7 +237,7 @@ def _cmd_teleport(args) -> int:
         _write_csv(
             args.out,
             ("phi_b_rad", "counts", "expected_prob"),
-            zip(scan.control.tolist(), scan.counts.tolist(), scan.probability.tolist()),
+            (scan.control.tolist(), scan.counts.tolist(), scan.probability.tolist()),
         )
     _emit_json(
         {
@@ -255,7 +265,7 @@ def _cmd_noise(args) -> int:
         _write_csv(
             args.out,
             ("blocked", "probability"),
-            ((mode, probs[mode]) for mode in BLOCK_CHOICES),
+            (BLOCK_CHOICES, [probs[mode] for mode in BLOCK_CHOICES]),
         )
     _emit_json(
         {
@@ -288,7 +298,7 @@ def _cmd_stability(args) -> int:
         _write_csv(
             args.out,
             ("t", "delta_x_um", "rep_rate_hz", "motor_um", "norm_coincidences"),
-            zip(
+            (
                 trace.time_s.tolist(),
                 trace.delta_x_um.tolist(),
                 trace.rep_rate_hz.tolist(),

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigError, UnnormalizedStateError
 from .fock import NORM_ATOL, FockState
+
+# speed of light in vacuum, m/s; exact in the SI
+_SPEED_OF_LIGHT = 299_792_458.0
 
 # time bins of the clock window in which Bell-state clicks are accepted
 CLOCK_WINDOW = (0, 1, 2)

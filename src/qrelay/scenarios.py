@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .detection import (
     CLOCK_WINDOW,
@@ -649,6 +648,8 @@ def calibrate_dark_counts(
     by calibration, so when it already exceeds the target the dark counts
     clamp to zero and the report says so.  Branch states are independent
     of detector parameters, which keeps the search to one engine build.
+    The root search is scipy.optimize.brentq, imported only once a search
+    is needed, so the rest of this module runs without scipy.
     """
     if target_ratio <= 0:
         raise ConfigError("target_ratio must be > 0")
@@ -669,6 +670,8 @@ def calibrate_dark_counts(
             raise FitConvergenceError(
                 "dark-count calibration cannot reach the target background ratio"
             )
+    from scipy.optimize import brentq
+
     # the engine travels in args, not in a closure: brentq's function wrapper
     # sits in a reference cycle, which would keep a captured engine and its
     # caches alive until the next full garbage collection

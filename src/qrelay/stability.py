@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigError
+
+# speed of light in vacuum, m/s; exact in the SI
+_SPEED_OF_LIGHT = 299_792_458.0
 
 DRIFT_KINDS = ("sinusoid", "random-walk")
 
@@ -89,8 +91,8 @@ class DriftModel:
             raise ConfigError(f"kind must be one of {DRIFT_KINDS}")
         if not 0 <= self.amplitude_k < math.inf:
             raise ConfigError("amplitude_k must be finite and >= 0")
-        if not self.period_h > 0:
-            raise ConfigError("period_h must be > 0")
+        if not 0 < self.period_h < math.inf:
+            raise ConfigError("period_h must be finite and > 0")
         if not self.thermal_um_per_k >= 0:
             raise ConfigError("thermal_um_per_k must be >= 0")
         if not self.rep_wander_bound_hz_per_h >= 0:

@@ -22,6 +22,9 @@ interpolation in qrelay.scenarios.run_mandel_scan.  simulate_per_step is
 the stability simulation with one random draw and one controller step per
 Python loop iteration: the reference for qrelay.stability.simulate's array
 code, which must match it byte for byte.
+
+csv_text formats a table cell by cell, a float as .9g and any other value
+as str: the reference for the column-wise writer in qrelay.cli.
 """
 
 from __future__ import annotations
@@ -380,3 +383,14 @@ def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0,
     ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
     norm = 1.0 - dip_visibility * np.exp(-2.0 * (delta_x / ell) ** 2)
     return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor, norm)
+
+
+def format_value(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+import scipy.constants
 
-from qrelay import cli, scenarios
+from qrelay import cli, detection, scenarios, stability
 from qrelay.scenarios import ExperimentConfig
 
 
@@ -318,6 +323,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--gain", "inf"],
         ["stability", "--amplitude-k", "inf"],
         ["stability", "--duration-h", "inf"],
+        ["stability", "--period-h", "inf"],
         ["stability", "--duration-h", "0.5", "--dt-s", "1e-9"],
         ["stability", "--seed", str(2**64)],
         ["stability", "--seed", "-1"],
@@ -330,7 +336,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
     ids=[
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
-        "period-nan", "gain-inf", "amplitude-inf", "duration-inf",
+        "period-nan", "gain-inf", "amplitude-inf", "duration-inf", "period-inf",
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
         "fiber-inf", "teleport-point-cap", "mandel-point-cap",
     ],
@@ -411,3 +417,53 @@ def test_config_may_not_name_n_max(tmp_path, capsys, line):
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 2
     assert line.split()[0] in err
+
+
+# prints, as JSON, the scipy modules loaded after `import qrelay.cli` and
+# after each command named in argv[1] (a JSON list of argv lists) has run
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import qrelay.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [("import", 0, scipy_modules())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append((" ".join(argv), code, scipy_modules()))
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_where_a_solver_runs():
+    commands = [
+        ["teleport"],
+        ["teleport", "--heralded"],
+        ["noise"],
+        ["stability"],
+        ["validate-timing"],
+        ["limits"],
+        ["mandel"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [name for name, _, _ in seen] == ["import"] + [" ".join(a) for a in commands]
+    assert all(code == 0 for _, code, _ in seen)
+    for name, _, modules in seen[:-1]:
+        assert modules == [], name
+    # the dip fit is where scipy is needed
+    assert "scipy.optimize" in seen[-1][2]
+
+
+def test_speed_of_light_literal_is_scipys():
+    assert detection._SPEED_OF_LIGHT == scipy.constants.c
+    assert stability._SPEED_OF_LIGHT == scipy.constants.c
