@@ -73,12 +73,23 @@ class FringeFit:
     unconstrained_visibility: float = 0.0
 
 
+def _phase(sine: float, cosine: float) -> float:
+    """The angle of (cosine, sine) in [-pi, pi).
+
+    atan2 answers in (-pi, pi], and at pi the sign of a zero or
+    rounding-level sine picks +pi or -pi; folding +pi onto -pi reports a
+    fringe at pi the same way whatever that sign.
+    """
+    angle = math.atan2(sine, cosine)
+    return -math.pi if angle == math.pi else angle
+
+
 def _sigmas(counts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(counts, 1.0))
 
 
 def fit_fringe(phases, counts) -> FringeFit:
-    """Fit counts = offset * (1 + V cos(phase - phase0))."""
+    """Fit counts = offset * (1 + V cos(phase - phase0)), phase0 in [-pi, pi)."""
     x = np.asarray(phases, dtype=float)
     y = np.asarray(counts, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -95,7 +106,7 @@ def fit_fringe(phases, counts) -> FringeFit:
         raise FitConvergenceError(f"non-positive fringe offset {c0:.3g}")
     r = math.hypot(c1, c2)
     visibility = r / c0
-    phase0 = math.atan2(c2, c1)
+    phase0 = _phase(c2, c1)
 
     cov = np.linalg.inv((basis * w[:, None]).T @ (basis * w[:, None]))
     if r == 0.0:
@@ -124,7 +135,7 @@ def fit_fringe(phases, counts) -> FringeFit:
         raise FitConvergenceError(f"non-positive fringe offset {off:.3g}")
     v = 1.0 / (1.0 + math.exp(-u))
     return FringeFit(
-        v, sigma, math.atan2(math.sin(ph), math.cos(ph)), off, True, visibility
+        v, sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility
     )
 
 

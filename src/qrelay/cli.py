@@ -271,7 +271,7 @@ def _cmd_noise(args) -> int:
         {
             "scenario": "noise",
             "blocking_probabilities": probs,
-            # reweights the blocking runs above; no new detection pass
+            # the blocking runs above reweighted, from the same detection pass
             "background_probability": engine.background(),
             "csv": args.out,
             "config": asdict(cfg),

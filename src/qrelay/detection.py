@@ -20,7 +20,9 @@ a mixture of pair-number branches, its rows tagged by their photons in
 fock.BRANCH_RECORD; each branch must be normalized on its own, and every
 probability comes back per branch, one row per branch index, for the
 caller to dot with the branch weights.  A state without a record column
-is one branch.
+is one branch.  teleport_clicks returns the per-row click probabilities
+themselves, for a caller that weighs the rows by something other than
+|amplitude|^2, such as the teleport engine's phase harmonics.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, UnnormalizedStateError
-from .fock import NORM_ATOL, FockState
+from .fock import NORM_ATOL, FockState, ModeRegistry
 
 # speed of light in vacuum, m/s; exact in the SI
 _SPEED_OF_LIGHT = 299_792_458.0
@@ -80,13 +82,19 @@ class DetectorChannel:
     follows: Optional[str] = None
 
 
-def _term_arrays(state: FockState, spatials: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Term probabilities per branch and photon counts per (channel, bin) gate.
+def _gate_counts(registry: ModeRegistry, occupations: np.ndarray,
+                 spatials: Sequence[str]) -> np.ndarray:
+    """Integer photon counts per (term, channel, bin) gate, shape
+    (terms, len(spatials), max_bins)."""
+    # modes registered after the state was built hold no photons
+    counts = occupations @ registry.bin_indicator(spatials)[: occupations.shape[1]]
+    return counts.astype(np.intp).reshape(len(occupations), len(spatials), registry.max_bins)
 
-    Returns probs of shape (branches, terms), each term's |amplitude|^2 in
-    its branch's row and 0 in the others, and integer counts of shape
-    (terms, len(spatials), max_bins); every branch must be normalized.
-    """
+
+def _branch_probs(state: FockState) -> np.ndarray:
+    """Term probabilities per branch, shape (branches, terms): each term's
+    |amplitude|^2 in its branch's row and 0 in the others; every branch must
+    be normalized."""
     amps = state.amplitudes
     branch = state.branches()
     probs = np.zeros((int(branch.max(initial=0)) + 1, len(amps)))
@@ -95,11 +103,7 @@ def _term_arrays(state: FockState, spatials: Sequence[str]) -> Tuple[np.ndarray,
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
     if len(bad):
         raise UnnormalizedStateError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
-    reg = state.registry
-    occ = state.occupations
-    # modes registered after the state was built hold no photons
-    counts = occ @ reg.bin_indicator(spatials)[: occ.shape[1]]
-    return probs, counts.astype(np.intp).reshape(len(amps), len(spatials), reg.max_bins)
+    return probs
 
 
 def _alone(pc: np.ndarray) -> np.ndarray:
@@ -138,29 +142,31 @@ def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
     return False
 
 
-def teleport_outcome_distribution(
-    state: FockState,
+def teleport_clicks(
+    registry: ModeRegistry,
+    occupations: np.ndarray,
     ge: DetectorChannel,
     ingaas: DetectorChannel,
     bob: DetectorChannel,
     herald: Optional[DetectorChannel] = None,
-) -> TeleportOutcome:
-    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
-    branch: accept of shape (branches,), bob of shape (branches, len(BOB_BINS)).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per occupation row: P(accepted Bell pattern [and herald]), shape
+    (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
+    (terms, len(BOB_BINS)).
 
-    Sums over the accepted patterns only, term by term with array
-    operations.  ge runs free.  Accepted patterns with ge alone at bin t
-    and its partner at t+1 always count; the reversed ordering counts only
-    when the partner runs free too (ingaas.follows is None) rather than
-    being armed by ge (ingaas.follows == ge's label).  tests/oracles.py
-    holds the full click-pattern enumeration this agrees with.
+    Sums over the accepted patterns only, with array operations.  ge runs
+    free.  Accepted patterns with ge alone at bin t and its partner at t+1
+    always count; the reversed ordering counts only when the partner runs
+    free too (ingaas.follows is None) rather than being armed by ge
+    (ingaas.follows == ge's label).  tests/oracles.py holds the full
+    click-pattern enumeration this agrees with.
     """
     symmetric = _partner_runs_free(ge, ingaas)
     spatials = (ge.spatial, ingaas.spatial, bob.spatial)
     if herald is not None:
         spatials += (herald.spatial,)
-    n_bins = state.registry.max_bins
-    probs, counts = _term_arrays(state, spatials)
+    n_bins = registry.max_bins
+    counts = _gate_counts(registry, occupations, spatials)
     pc_ge = ge.model.click_probs(counts[:, 0])
     pc_in = ingaas.model.click_probs(counts[:, 1])
     alone_ge = _alone(pc_ge)
@@ -181,7 +187,22 @@ def teleport_outcome_distribution(
     if herald is not None:
         p_accept *= herald.model.click_probs(counts[:, 3, HERALD_BIN])
     pc_bob = bob.model.click_probs(counts[:, 2, list(BOB_BINS)])
-    return TeleportOutcome(probs @ p_accept, probs @ (p_accept[:, None] * pc_bob))
+    return p_accept, p_accept[:, None] * pc_bob
+
+
+def teleport_outcome_distribution(
+    state: FockState,
+    ge: DetectorChannel,
+    ingaas: DetectorChannel,
+    bob: DetectorChannel,
+    herald: Optional[DetectorChannel] = None,
+) -> TeleportOutcome:
+    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
+    branch: accept of shape (branches,), bob of shape (branches, len(BOB_BINS)),
+    the branch's term probabilities dotted into teleport_clicks."""
+    probs = _branch_probs(state)
+    accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob, herald)
+    return TeleportOutcome(probs @ accept, probs @ bob_clicks)
 
 
 def coincidence_probability(
@@ -193,7 +214,8 @@ def coincidence_probability(
     Marginal per gate; extra clicks elsewhere are not vetoed, as in a plain
     coincidence counter.
     """
-    probs, counts = _term_arrays(state, (det_a.spatial, det_b.spatial))
+    probs = _branch_probs(state)
+    counts = _gate_counts(state.registry, state.occupations, (det_a.spatial, det_b.spatial))
     return probs @ (det_a.model.click_probs(counts[:, 0]) * det_b.model.click_probs(counts[:, 1]))
 
 

@@ -11,12 +11,13 @@ sources, builds them exactly in the truncated Fock space as one branch
 mixture, and pushes it through the optical circuit; detector response is
 applied analytically at the end, branch by branch, and the branch weights
 come in last, as a dot product.  Neither scan builds a state per point:
-the fringe is a trigonometric polynomial in the analyzer phase, fixed by
-2D+1 phase samples, and the dip a polynomial in the squared overlap xi^2,
-fixed by D+1 state builds.  Counts are either probability times pulses
-(analytic mode) or Poisson draws around that expectation (montecarlo
-mode) with a counter-based generator keyed by (seed, scan point), so
-reruns are reproducible bit for bit.
+the fringe is a trigonometric polynomial in the analyzer phase whose
+harmonics come from one analyzer pass and one detection pass, and the dip
+a polynomial in the squared overlap xi^2, fixed by D+1 state builds.
+Counts are either probability times pulses (analytic mode) or Poisson
+draws around that expectation (montecarlo mode) with a counter-based
+generator keyed by (seed, scan point), so reruns are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .detection import (
     DetectorModel,
     TeleportOutcome,
     coincidence_probability,
-    teleport_outcome_distribution,
+    teleport_clicks,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +43,7 @@ from .errors import (
     LabelMixingError,
     UnnormalizedStateError,
 )
-from .fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum
+from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry, vacuum
 from .optics import Circuit, apply, loss_from_db
 from .sources import (
     STATISTICS,
@@ -336,39 +337,145 @@ def _add_bell_mixer(circ: Circuit) -> None:
             circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
 
 
-# largest synthesis rounding error accepted, relative to the largest
-# sample; a more negative synthesized probability is an error
+# largest synthesis rounding error accepted, relative to a bound on the
+# synthesized magnitude; a more negative synthesized probability is an error
 _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
 
+# unobserved mode whose photon number is a row's summed time-bin index
+# before the receiver analyzer
+DELAY_RECORD = ModeKey("delay-record", 0)
 
-def _clamp_rounding(values: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Probabilities synthesized from exact samples, with rounding-level
-    negatives at zeros clamped to 0; anything more negative raises."""
-    floor = -_SYNTHESIS_RTOL * float(np.abs(samples).max(initial=0.0))
+
+def _clamp_rounding(values: np.ndarray, bound) -> np.ndarray:
+    """Probabilities synthesized exactly, with rounding-level negatives at
+    zeros clamped to 0; anything more negative raises.  `bound`, a bound on
+    |values| that broadcasts against them, scales the rounding floor."""
+    floor = -_SYNTHESIS_RTOL * np.asarray(bound)
     if np.any(values < floor):
         raise HarmonicSynthesisError(
-            f"synthesized probability {values.min():.3e} is below the rounding "
-            f"floor {floor:.3e}"
+            f"a synthesized probability is {np.max(floor - values):.3e} below its rounding floor"
         )
     return np.maximum(values, 0.0)
 
 
+def _analyzer(registry: ModeRegistry, phi_b: float) -> Circuit:
+    """The receiver analyzer: an unbalanced Michelson on Bob's channel."""
+    circ = Circuit(registry)
+    circ.add_michelson(EPR_BOB, phi_b)
+    return circ
+
+
+def _check_phase_rides_the_delay(analyzer: Circuit, bins: np.ndarray) -> None:
+    """Raise HarmonicSynthesisError unless phi_b enters the analyzer, built
+    at phi_b = 0, only as a factor e^{i phi_b} per bin that an entry of its
+    transfer matrix moves a photon later; `bins` holds each mode's time bin.
+    The matrices are compared at one probe phase away from multiples of pi/2."""
+    probe = 1.0
+    shift = bins[None, :] - bins[:, None]
+    expected = analyzer.transfer() * np.exp(1j * probe * shift)
+    off = np.abs(_analyzer(analyzer.registry, probe).transfer() - expected).max(initial=0.0)
+    if off > _SYNTHESIS_RTOL:
+        raise HarmonicSynthesisError(
+            f"the analyzer phase enters other than through its delay arm ({off:.3e} off)"
+        )
+
+
+def _delay_harmonics(occupations: np.ndarray, delays: np.ndarray, amplitudes: np.ndarray,
+                     degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by occupation: (distinct occupations, harmonics c).
+
+    Row r holds amplitudes[r] e^{i delays[r] phi} at analyzer phase phi, so
+    a group's amplitudes A_k, k in [0, degree], give |amplitude|^2 =
+    Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) with c_m = sum_k A_{k+m} conj(A_k);
+    c has shape (degree + 1, groups).  Raises HarmonicSynthesisError if a
+    delay count lies outside [0, degree] or repeats within one occupation.
+    """
+    outside = (delays < 0) | (delays > degree)
+    if np.any(outside):
+        raise HarmonicSynthesisError(
+            f"a row has {delays[outside][0]} delayed photons, outside [0, {degree}]"
+        )
+    occupations = np.ascontiguousarray(occupations)
+    keys = occupations.view(np.dtype((np.void, occupations.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    slots = delays * len(first) + inverse.ravel()
+    if np.bincount(slots).max(initial=0) > 1:
+        raise HarmonicSynthesisError("two rows of one occupation have the same delay count")
+    coeffs = np.zeros((degree + 1, len(first)), dtype=complex)
+    coeffs.flat[slots] = amplitudes
+    conj = coeffs.conj()
+    harmonics = np.stack(
+        [(coeffs[m:] * conj[: degree + 1 - m]).sum(axis=0) for m in range(degree + 1)]
+    )
+    return occupations[first], harmonics
+
+
+def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
+    """Re(H_0 + 2 sum_{m>=1} H_m e^{i m phi}) at each phase, from harmonics
+    H_m in the rows of a (D+1, columns) array: shape (len(phases), columns).
+    |H_0| + 2 sum |H_m| bounds the magnitude, and sets the rounding floor."""
+    factors = np.full(len(harmonics), 2.0)
+    factors[0] = 1.0
+    m = np.arange(len(harmonics))
+    rotations = factors * np.exp(1j * np.multiply.outer(np.asarray(phases, dtype=float), m))
+    return _clamp_rounding((rotations @ harmonics).real, factors @ np.abs(harmonics))
+
+
+def _analyzed_harmonics(prepared: FockState, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The prepared mixture through the receiver analyzer, applied once at
+    phi_b = 0: (distinct output occupations, their phase harmonics), as
+    _delay_harmonics returns them; see TeleportEngine."""
+    reg = prepared.registry
+    analyzer = _analyzer(reg, 0.0)
+    record = reg.add(DELAY_RECORD)
+    bins = np.array([reg.key_at(i).time_bin for i in range(len(reg))])
+    _check_phase_rides_the_delay(analyzer, bins)
+    tagged = np.zeros((len(prepared), len(reg)), dtype=np.uint8)
+    tagged[:, : prepared.occupations.shape[1]] = prepared.occupations
+    tagged[:, record] = tagged @ bins
+    analyzed = apply(analyzer, FockState(reg, tagged, prepared.amplitudes))
+    occupations = analyzed.occupations
+    delays = occupations @ bins - occupations[:, record]
+    occupations[:, record] = 0
+    return _delay_harmonics(occupations, delays, analyzed.amplitudes, degree)
+
+
 class TeleportEngine:
-    """Branch states through preparation, losses, and the Bell-state mixer.
+    """Branch states through preparation, losses, the Bell-state mixer and
+    the receiver analyzer, each applied once.
 
-    Everything before the receiver analyzer is computed once per
-    configuration.  Branch states do not depend on the pair means or the
-    detectors, so the engine holds every branch of the pair truncation, in
-    one branch mixture, and blocking runs, dark-count scans and forced
-    single-pair mode only reweight them (branches they leave out get weight
-    0).  Detection answers per branch and is cached per analyzer phase and
-    detector set; an outcome is the branch weights dotted into it.
+    Branch states do not depend on the pair means or the detectors, so the
+    engine holds every branch of the pair truncation, in one branch
+    mixture, and blocking runs, dark-count scans and forced single-pair mode
+    only reweight them (branches they leave out get weight 0).  Detection
+    answers per branch, once per detector set and cached, and an outcome is
+    the branch weights dotted into it; the default and blocking weights are
+    computed once per engine.
 
-    The analyzer is the only element that depends on phi_b: each photon it
-    delays picks up e^{i phi_b}.  Every detection probability is therefore
-    a trigonometric polynomial in phi_b of degree D (`degree`), the largest
-    photon number at the analyzer input over the branch states, and 2D+1
-    equally spaced samples fix it at every phase.
+    The analyzer is the only element that depends on phi_b, and it is
+    applied once, at phi_b = 0.  A photon that takes its delay arm moves one
+    bin later and picks up e^{i phi_b}, so an output row reached with k
+    delayed photons has amplitude A_k e^{i k phi_b}, where k is the row's
+    summed time-bin index after the analyzer minus the sum before it.  The
+    prepared rows carry the latter as photons in the unobserved
+    DELAY_RECORD mode, so rows with different k never merge.  Grouped by
+    occupation without the record, each output occupation has amplitudes
+    A_0..A_D, D (`degree`) being the most photons at the analyzer input,
+    and its probability is a degree-D trigonometric polynomial in phi_b
+    with harmonics c_m = sum_k A_{k+m} conj(A_k) (`_delay_harmonics`).  One
+    detection pass per detector set, and a matmul with the c_m per branch,
+    give the per-branch harmonics H_m of every detection probability; the
+    probability at phi_b is Re(H_0 + 2 sum_{m>=1} H_m e^{i m phi_b}) and
+    its phase average is H_0.  This is exact when
+    - phi_b enters the analyzer's transfer matrix only as a factor
+      e^{i phi_b} per bin that an entry moves a photon later, so that a row's
+      phase is e^{i k phi_b} whichever paths reach it, and
+    - every delay count k lies in [0, D], which holds when each photon is
+      delayed by at most one bin, and is unique within its output
+      occupation.
+    Both are checked when the engine is built, and HarmonicSynthesisError
+    raised otherwise; each branch must also come out normalized at every
+    phase (norm harmonic 0 equal to 1, the others 0).
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -394,16 +501,80 @@ class TeleportEngine:
         self.prepared = apply(pre, mixture)
         bob = reg.indices_for(EPR_BOB)
         self.degree = int(self.prepared.occupations[:, bob].sum(axis=1).max(initial=0))
-        self._analyzed: Dict[float, FockState] = {}
-        self._detected: Dict[tuple, TeleportOutcome] = {}
 
-    def _through_analyzer(self, phi_b: float) -> FockState:
-        cached = self._analyzed.get(phi_b)
+        occupations, harmonics = _analyzed_harmonics(self.prepared, self.degree)
+        # groups sorted by branch, each branch's slice of them, and the real
+        # and imaginary parts of their harmonics stacked
+        branch = occupations[:, reg.index(BRANCH_RECORD)]
+        order = np.argsort(branch, kind="stable")
+        self._occupations = occupations[order]
+        self._parts = np.concatenate([harmonics.real[:, order], harmonics.imag[:, order]])
+        bounds = np.searchsorted(branch[order], np.arange(len(self.branches) + 1))
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        norms = self._per_branch(np.ones((len(occupations), 1)))[:, 0]
+        off = np.abs(norms - (np.arange(self.degree + 1) == 0)[:, None])
+        if np.any(off > NORM_ATOL):
+            b = int(np.argmax(off.max(axis=0)))
+            raise UnnormalizedStateError(
+                f"branch {b} has norm^2 harmonics {norms[:, b]}, expected 1, 0, ..."
+            )
+        self._weights: Dict[Optional[str], np.ndarray] = {}
+        self._harmonics: Dict[tuple, np.ndarray] = {}
+
+    def _per_branch(self, values: np.ndarray) -> np.ndarray:
+        """Per-branch harmonics of per-group values (groups, columns): shape
+        (degree + 1, columns, branches), complex; a real matmul per branch
+        over its slice of the groups."""
+        real = np.stack([self._parts[:, s] @ values[s] for s in self._slices], axis=-1)
+        real = real.reshape(2, self.degree + 1, values.shape[1], len(self.branches))
+        return real[0] + 1j * real[1]
+
+    def _detected(self, detectors) -> np.ndarray:
+        """Per-branch harmonics of (acceptance, Bob's click in each of
+        BOB_BINS) for a detector set: shape (degree + 1, 4, branches)."""
+        cfg = self.config
+        detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
+        cached = self._harmonics.get(detectors)
         if cached is None:
-            circ = Circuit(self.registry)
-            circ.add_michelson(EPR_BOB, phi_b)
-            cached = self._analyzed[phi_b] = apply(circ, self.prepared)
+            ge, ingaas, herald, bob = detectors
+            accept, bob_clicks = teleport_clicks(
+                self.registry, self._occupations, ge, ingaas, bob,
+                herald if cfg.heralded else None,
+            )
+            cached = self._harmonics[detectors] = self._per_branch(
+                np.column_stack([accept, bob_clicks])
+            )
         return cached
+
+    def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
+        w = np.array([weights.get(k, 0.0) for k in self.branches])
+        if abs(sum(weights.values()) - 1.0) > 1e-9 or abs(w.sum() - 1.0) > 1e-9:
+            raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
+        return w
+
+    def _cached_weights(self, blocked: Optional[str] = None) -> np.ndarray:
+        """The config's branch weights, or with a source blocked: blocking
+        zeroes the chosen source's pair mean, and releases forced
+        single-pair mode since a blocked source cannot emit."""
+        if blocked is not None and blocked not in BLOCK_CHOICES:
+            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}")
+        cached = self._weights.get(blocked)
+        if cached is None:
+            cfg = self.config
+            if blocked is not None:
+                cfg = replace(
+                    cfg,
+                    ideal_single_pairs=False,
+                    pair_mean_alice=0.0 if blocked in ("alice", "both") else cfg.pair_mean_alice,
+                    pair_mean_epr=0.0 if blocked in ("epr", "both") else cfg.pair_mean_epr,
+                )
+            cached = self._weights[blocked] = self._weight_vector(branch_weights(cfg))
+        return cached
+
+    def _probabilities(self, phases, weights: np.ndarray, detectors=None) -> np.ndarray:
+        """(acceptance, Bob's click in each of BOB_BINS) at each phase, shape
+        (len(phases), 4), for branch weights dotted into the harmonics."""
+        return _synthesize(self._detected(detectors) @ weights, phases)
 
     def outcome(
         self,
@@ -413,71 +584,26 @@ class TeleportEngine:
     ) -> TeleportOutcome:
         """Outcome of the branch mixture at one analyzer phase: the weights,
         which must put all their mass on the engine's branches, dotted into
-        the per-branch detection pass."""
-        cfg = self.config
-        if weights is None:
-            weights = branch_weights(cfg)
-        w = np.array([weights.get(k, 0.0) for k in self.branches])
-        if abs(sum(weights.values()) - 1.0) > 1e-9 or abs(w.sum() - 1.0) > 1e-9:
-            raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
-        detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
-        key = (phi_b, detectors)
-        per_branch = self._detected.get(key)
-        if per_branch is None:
-            ge, ingaas, herald, bob = detectors
-            per_branch = self._detected[key] = teleport_outcome_distribution(
-                self._through_analyzer(phi_b), ge, ingaas, bob, herald if cfg.heralded else None
-            )
-        return TeleportOutcome(w @ per_branch.accept, w @ per_branch.bob)
-
-    def _received(self, offsets: np.ndarray, detectors=None) -> np.ndarray:
-        """Central-bin receiver probability at phase_bob + each offset."""
-        phi0 = self.config.phase_bob
-        return np.array([self.outcome(phi0 + o, detectors=detectors).bob[1] for o in offsets])
+        the per-branch harmonics."""
+        w = self._cached_weights() if weights is None else self._weight_vector(weights)
+        values = self._probabilities([phi_b], w, detectors)[0]
+        return TeleportOutcome(values[0], values[1:])
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
-        """Central-bin receiver probability at each phase, from 2D+1 samples.
-
-        The samples sit at equal spacing from phase_bob, so the acceptance
-        and blocking runs at phase_bob reuse the first.  Each phase is the
-        degree-D trigonometric interpolant of the samples (a Dirichlet-kernel
-        sum), which is exact.  Rounding-level negatives at fringe zeros are
-        clamped to 0; anything more negative raises.
-        """
-        n = 2 * self.degree + 1
-        offsets = 2.0 * math.pi * np.arange(n) / n
-        samples = self._received(offsets)
-        x = np.asarray(phases, dtype=float) - self.config.phase_bob
-        harmonics = np.arange(1, self.degree + 1)
-        angles = np.subtract.outer(x, offsets)[..., None] * harmonics
-        kernel = (1.0 + 2.0 * np.cos(angles).sum(axis=-1)) / n
-        return _clamp_rounding(kernel @ samples, samples)
+        """Central-bin receiver probability at each phase, synthesized from
+        the harmonics; rounding-level negatives at fringe zeros are clamped
+        to 0, and anything more negative raises."""
+        return self._probabilities(phases, self._cached_weights())[:, 2]
 
     def mean(self, detectors=None) -> float:
-        """Phase average of the central-bin receiver probability.
-
-        D+1 equally spaced phases average every harmonic up to D to zero,
-        so the mean is exact.
-        """
-        n = self.degree + 1
-        offsets = 2.0 * math.pi * np.arange(n) / n
-        return float(np.mean(self._received(offsets, detectors)))
+        """Phase average of the central-bin receiver probability: harmonic 0."""
+        return float(self._detected(detectors)[0, 2].real @ self._cached_weights())
 
     def blocking(self, blocked: str, detectors=None) -> float:
-        """Central-bin receiver probability at phase_bob with sources blocked.
-
-        Blocking zeroes the chosen source's pair mean, which reweights the
-        branches; forced single-pair mode is released since a blocked source
-        cannot emit.
-        """
-        if blocked not in BLOCK_CHOICES:
-            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}")
-        cfg = replace(self.config, ideal_single_pairs=False)
-        if blocked in ("alice", "both"):
-            cfg = replace(cfg, pair_mean_alice=0.0)
-        if blocked in ("epr", "both"):
-            cfg = replace(cfg, pair_mean_epr=0.0)
-        return self.outcome(cfg.phase_bob, branch_weights(cfg), detectors).bob[1]
+        """Central-bin receiver probability at phase_bob with sources blocked
+        (see _cached_weights)."""
+        w = self._cached_weights(blocked)
+        return self._probabilities([self.config.phase_bob], w, detectors)[0, 2]
 
     def background(self, detectors=None) -> float:
         """Phase-independent background estimated from blocking runs.
@@ -585,7 +711,7 @@ class _MandelEngine:
             for m in range(d + 1):
                 if m != k:
                     basis[:, k] *= (s - nodes[m]) / (nodes[k] - nodes[m])
-        return _clamp_rounding(basis @ samples, samples)
+        return _clamp_rounding(basis @ samples, np.abs(samples).max(initial=0.0))
 
 
 def run_mandel_scan(

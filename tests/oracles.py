@@ -23,6 +23,12 @@ the stability simulation with one random draw and one controller step per
 Python loop iteration: the reference for qrelay.stability.simulate's array
 code, which must match it byte for byte.
 
+teleport_per_phase builds the receiver analyzer at one phase, runs a
+teleport engine's prepared mixture through it and detects the result: the
+reference for the phase harmonics qrelay.scenarios.TeleportEngine forms
+from one analyzer pass.  blocking_weights and teleport_mean_per_phase give
+the blocking runs and the phase average the same way.
+
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the column-wise writer in qrelay.cli.
 """
@@ -31,15 +37,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from qrelay import scenarios
-from qrelay.detection import DetectorChannel
+from qrelay.detection import DetectorChannel, TeleportOutcome, teleport_outcome_distribution
 from qrelay.errors import ConfigError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
+from qrelay.optics import Circuit, apply
 from qrelay.stability import StabilityTrace
 
 OccupationVector = Tuple[int, ...]
@@ -394,3 +401,40 @@ def format_value(value) -> str:
 def csv_text(header: Sequence[str], rows) -> str:
     lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights=None,
+                       detectors=None) -> TeleportOutcome:
+    """TeleportEngine.outcome with the analyzer built at phi_b: the engine's
+    prepared mixture through it, one detection pass, the weights dotted in.
+    The reference for the engine's phase harmonics."""
+    cfg = engine.config
+    circ = Circuit(engine.registry)
+    circ.add_michelson(scenarios.EPR_BOB, phi_b)
+    ge, ingaas, herald, bob = scenarios._detectors(cfg) if detectors is None else detectors
+    per_branch = teleport_outcome_distribution(
+        apply(circ, engine.prepared), ge, ingaas, bob, herald if cfg.heralded else None
+    )
+    weights = scenarios.branch_weights(cfg) if weights is None else weights
+    w = np.array([weights.get(k, 0.0) for k in engine.branches])
+    return TeleportOutcome(w @ per_branch.accept, w @ per_branch.bob)
+
+
+def blocking_weights(config: "scenarios.ExperimentConfig", blocked: str):
+    """Branch weights with the blocked sources' pair means at zero and forced
+    single pairs released."""
+    cfg = replace(config, ideal_single_pairs=False)
+    if blocked in ("alice", "both"):
+        cfg = replace(cfg, pair_mean_alice=0.0)
+    if blocked in ("epr", "both"):
+        cfg = replace(cfg, pair_mean_epr=0.0)
+    return scenarios.branch_weights(cfg)
+
+
+def teleport_mean_per_phase(engine: "scenarios.TeleportEngine", detectors=None) -> float:
+    """Central-bin receiver probability averaged over 2D+1 equally spaced
+    analyzer phases, which is exact for a degree-D fringe."""
+    n = 2 * engine.degree + 1
+    phases = 2.0 * math.pi * np.arange(n) / n
+    return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob[1]
+                          for p in phases]))

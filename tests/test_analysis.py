@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +94,29 @@ def test_fringe_fit_constrains_unphysical_visibility():
     assert 0.9 <= fit.visibility <= 1.0
     # the raw linear estimate is preserved for diagnostics
     assert fit.unconstrained_visibility > 1.0
+
+
+@pytest.mark.parametrize("c2", [0.0, -0.0, 1e-300, -1e-300])
+def test_fringe_at_pi_reports_minus_pi(monkeypatch, c2):
+    # atan2 reads a fringe at pi as +pi or -pi by the sign of the sine
+    # coefficient; phase0 lies in [-pi, pi) whatever that sign
+    x = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+    y = 80.0 * (1.0 - 0.5 * np.cos(x))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: (np.array([80.0, -40.0, c2]),) * 4)
+    assert fit_fringe(x, y).phase0 == -math.pi
+
+
+@pytest.mark.parametrize("ph", [math.pi, -math.pi])
+def test_constrained_fringe_at_pi_reports_minus_pi(monkeypatch, ph):
+    import scipy.optimize
+
+    x = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+    y = np.maximum(10.0 * (1.0 - 1.5 * np.cos(x)), 0.0)
+    solution = SimpleNamespace(success=True, x=np.array([10.0, 6.0, ph]))
+    monkeypatch.setattr(scipy.optimize, "least_squares", lambda *a, **k: solution)
+    fit = fit_fringe(x, y)
+    assert fit.constrained
+    assert fit.phase0 == -math.pi
 
 
 def test_fringe_fit_rejects_too_few_points():

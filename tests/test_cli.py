@@ -273,17 +273,17 @@ def test_one_engine_per_command(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, target, passes",
     [
-        (["teleport", "--points", "8"], "teleport_outcome_distribution", 5),
-        (["teleport", "--points", "8", "--heralded"], "teleport_outcome_distribution", 5),
-        (["noise"], "teleport_outcome_distribution", 1),
+        (["teleport", "--points", "8"], "teleport_clicks", 1),
+        (["teleport", "--points", "8", "--heralded"], "teleport_clicks", 1),
+        (["noise"], "teleport_clicks", 1),
         (["mandel", "--points", "9"], "coincidence_probability", 3),
     ],
     ids=["teleport", "heralded", "noise", "mandel"],
 )
 def test_detection_passes_per_command(monkeypatch, capsys, argv, target, passes):
-    # the default config has degree D = 2: the fringe takes 2D+1 analyzer
-    # phases, the first of which also serves the acceptance and every
-    # blocking run, and the dip takes D+1 nodes
+    # one detection pass gives the fringe's phase harmonics, which also
+    # serve the acceptance and every blocking run; the default config has
+    # degree D = 2, and the dip takes D+1 nodes
     real = getattr(scenarios, target)
     calls = []
 

@@ -4,9 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qrelay import scenarios
+from oracles import teleport_per_phase
+from qrelay import cli, scenarios
 from qrelay.analysis import fit_dip, fit_fringe
 from qrelay.errors import ConfigError, HarmonicSynthesisError, UnnormalizedStateError
+from qrelay.fock import ModeKey
 from qrelay.scenarios import (
     ExperimentConfig,
     TeleportEngine,
@@ -259,15 +261,14 @@ def test_harmonic_scan_matches_per_phase_outcome(heralded):
     phis = phase_grid(13, 1.7, start=0.25)
     engine = TeleportEngine(cfg)
     scan = run_teleport_scan(engine, phis)
-    direct = np.array([engine.outcome(p).bob[1] for p in phis])
+    direct = np.array([teleport_per_phase(engine, p).bob[1] for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
-    # the acceptance and blocking runs reuse the sample at phase_bob, the
-    # first of the 2D+1
+    # the scan, the acceptance and every blocking run share one detection pass
     assert engine.degree == 2
-    assert len(engine._analyzed) == 5 + len(phis)
+    assert len(engine._harmonics) == 1
     engine.outcome(cfg.phase_bob)
     engine.background()
-    assert len(engine._analyzed) == 5 + len(phis)
+    assert len(engine._harmonics) == 1
 
 
 @pytest.mark.parametrize("symmetric_bsa", [False, True])
@@ -297,32 +298,155 @@ def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
         TeleportEngine(ExperimentConfig()).outcome(0.0, weights)
 
 
-def test_more_receiver_photons_raise_the_sample_count(monkeypatch):
+def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
     # three pairs put up to three photons at the receiver: degree 3, so
-    # 2D+1 = 7 analyzer passes give the scan and D+1 = 4 the mean
+    # harmonics 0 to 3 of every probability, still from one detection pass
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
     cfg = ExperimentConfig(pair_mean=0.1)
     engine = TeleportEngine(cfg)
     assert engine.degree == 3
     phis = phase_grid(6, 1.3, start=0.1)
     scan = run_teleport_scan(engine, phis)
-    assert sorted(engine._analyzed) == pytest.approx(2 * math.pi * np.arange(7) / 7)
-    direct = np.array([engine.outcome(p).bob[1] for p in phis])
+    direct = np.array([teleport_per_phase(engine, p).bob[1] for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     dense = engine.scan(phase_grid(16, 1.0)).mean()
     assert abs(engine.mean() - dense) <= 1e-12 * dense
-    # the mean shares its first phase, phase_bob, with the scan samples
-    assert len(engine._analyzed) == 7 + len(phis) + 3
+    (harmonics,) = engine._harmonics.values()
+    assert harmonics.shape == (4, 4, len(engine.branches))
 
 
 def test_harmonic_scan_clamps_only_rounding(monkeypatch):
     engine = TeleportEngine(build_ideal_config())
     phis = [0.0, 1.0]
-    monkeypatch.setattr(engine, "_received", lambda *a: np.array([-1e-18, 0.1, 0.1, 0.1, 0.1]))
+
+    def harmonics(offset):
+        # Bob's central bin at phase 0: 0.05 + 2 * (-0.025) - offset
+        h = np.zeros((engine.degree + 1, 4, len(engine.branches)))
+        h[0], h[1] = 0.05, -0.025 - offset / 2
+        return lambda detectors=None: h
+
+    monkeypatch.setattr(engine, "_detected", harmonics(1e-18))
     assert 0.0 <= engine.scan(phis)[0] < 1e-15
-    monkeypatch.setattr(engine, "_received", lambda *a: np.array([-1e-6, 0.1, 0.1, 0.1, 0.1]))
+    monkeypatch.setattr(engine, "_detected", harmonics(1e-6))
     with pytest.raises(HarmonicSynthesisError):
         engine.scan(phis)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_analyzer_applied_once_per_engine(monkeypatch, k):
+    # preparation and the analyzer at phase 0, whatever is read afterwards
+    real_apply = scenarios.apply
+    calls = []
+
+    def counting_apply(circuit, state):
+        calls.append(len(state))
+        return real_apply(circuit, state)
+
+    monkeypatch.setattr(scenarios, "apply", counting_apply)
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
+    cfg = ExperimentConfig(heralded=True, tail_tol=0.5)
+    engine = TeleportEngine(cfg)
+    engine.scan(phase_grid(24))
+    engine.outcome(1.3)
+    engine.background()
+    engine.mean(scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
+    assert len(calls) == 2
+
+
+def test_one_detection_pass_per_dark_scale(monkeypatch):
+    real_clicks = scenarios.teleport_clicks
+    real_ratio = scenarios._background_ratio
+    passes, scales = [], []
+
+    def counting_clicks(*args, **kwargs):
+        passes.append(args)
+        return real_clicks(*args, **kwargs)
+
+    def recording_ratio(scale, engine):
+        scales.append(scale)
+        return real_ratio(scale, engine)
+
+    monkeypatch.setattr(scenarios, "teleport_clicks", counting_clicks)
+    monkeypatch.setattr(scenarios, "_background_ratio", recording_ratio)
+    cfg = ExperimentConfig(pair_mean_alice=0.16, pair_mean_epr=0.04)
+    _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
+    assert not report.clamped
+    assert len(set(scales)) < len(scales)
+    assert len(passes) == len(set(scales))
+
+
+def test_weights_computed_once_per_engine(monkeypatch):
+    real = scenarios.branch_weights
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(scenarios, "branch_weights", counting)
+    engine = TeleportEngine(ExperimentConfig())
+    for _ in range(2):
+        engine.scan([0.0, 1.0])
+        engine.outcome(0.5)
+        engine.mean()
+        engine.background()
+        for blocked in scenarios.BLOCK_CHOICES:
+            engine.blocking(blocked)
+    # the config's weights and one set per blocking choice
+    assert len(calls) == 1 + len(scenarios.BLOCK_CHOICES)
+
+
+def test_delay_grouping_forms_the_harmonics():
+    occ = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
+    amps = np.array([0.6, 0.8j, 0.5])
+    groups, c = scenarios._delay_harmonics(occ, np.array([0, 1, 1]), amps, 1)
+    assert groups.tolist() == [[0, 1], [1, 0]]
+    np.testing.assert_allclose(c, [[0.25, 1.0], [0.0, 0.8j * 0.6]])
+
+
+@pytest.mark.parametrize(
+    "delays",
+    [[0, 2, 0], [-1, 0, 0], [1, 1, 0]],
+    ids=["beyond-degree", "negative", "repeated"],
+)
+def test_delay_grouping_rejects_inexact_rows(delays):
+    occ = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
+    with pytest.raises(HarmonicSynthesisError):
+        scenarios._delay_harmonics(occ, np.array(delays), np.ones(3, dtype=complex), 1)
+
+
+def test_engine_rejects_an_unnormalized_branch(monkeypatch):
+    # every branch must keep norm 1 at every analyzer phase: harmonic 0 of
+    # its norm is 1 and the others 0
+    real = scenarios._branch_mixture
+
+    def scaled(*args):
+        mixture = real(*args)
+        mixture.amplitudes[mixture.branches() == 4] *= 1.001
+        return mixture
+
+    monkeypatch.setattr(scenarios, "_branch_mixture", scaled)
+    with pytest.raises(UnnormalizedStateError, match="branch 4"):
+        TeleportEngine(ExperimentConfig())
+
+
+@pytest.mark.parametrize("fault", ["delayed-loss-port", "phase-off-the-delay"])
+def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, fault):
+    real = scenarios._analyzer
+
+    def faulty(registry, phi_b):
+        circ = real(registry, phi_b)
+        if fault == "delayed-loss-port":
+            circ.add_delay(f"{scenarios.EPR_BOB}-mich-loss", 2)
+        else:
+            circ.add_phase(ModeKey(scenarios.EPR_BOB, 1), 2.0 * phi_b)
+        return circ
+
+    monkeypatch.setattr(scenarios, "_analyzer", faulty)
+    with pytest.raises(HarmonicSynthesisError):
+        TeleportEngine(ExperimentConfig())
+    assert cli.main(["teleport", "--points", "8"]) == 3
+    assert "analyzer" in capsys.readouterr().err
 
 
 def test_seed_range():

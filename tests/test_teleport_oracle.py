@@ -1,0 +1,104 @@
+"""Property tests: the teleport engine's phase harmonics, from one analyzer
+pass, against the analyzer built at each phase in tests/oracles.py."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as hs  # noqa: E402
+from oracles import blocking_weights, teleport_mean_per_phase, teleport_per_phase  # noqa: E402
+from qrelay import scenarios  # noqa: E402
+from qrelay.detection import BOB_BINS  # noqa: E402
+from qrelay.scenarios import (  # noqa: E402
+    BLOCK_CHOICES,
+    ENCODERS,
+    ExperimentConfig,
+    TeleportEngine,
+    build_ideal_config,
+)
+from qrelay.sources import STATISTICS  # noqa: E402
+
+PROPERTY_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# relative agreement, with an absolute floor for values at fringe zeros
+RTOL = 1e-12
+ATOL = 1e-18
+
+PHASE = hs.floats(-2.0 * math.pi, 4.0 * math.pi)
+DARK = hs.one_of(hs.just(0.0), hs.floats(0.0, 0.01))
+
+
+@hs.composite
+def teleport_cases(draw):
+    """(pair truncation K, config, phases, dark scale) over the ideal setup
+    and configs mixing heralding, the symmetric Bell-state stage, both
+    encoders, both statistics, losses and dark counts."""
+    if draw(hs.booleans()):
+        cfg = build_ideal_config()
+    else:
+        cfg = ExperimentConfig(
+            symmetric_bsa=draw(hs.booleans()),
+            alice_encoder=draw(hs.sampled_from(ENCODERS)),
+            statistics=draw(hs.sampled_from(STATISTICS)),
+            pair_mean_alice=draw(hs.floats(0.0, 0.3)),
+            pair_mean_epr=draw(hs.floats(0.0, 0.3)),
+            phase_alice=draw(PHASE),
+            phase_pump=draw(PHASE),
+            delta_x_um=draw(hs.floats(0.0, 200.0)),
+            loss_alice_db=draw(hs.floats(0.0, 6.0)),
+            loss_bob_db=draw(hs.floats(0.0, 6.0)),
+            eta_bob=draw(hs.one_of(hs.just(1.0), hs.floats(0.01, 1.0))),
+            dark_ge=draw(DARK),
+            dark_ingaas_bsa=draw(DARK),
+            dark_herald=draw(DARK),
+            dark_bob=draw(DARK),
+            tail_tol=0.5,
+        )
+    cfg = replace(cfg, heralded=draw(hs.booleans()), phase_bob=draw(PHASE))
+    phases = draw(hs.lists(PHASE, min_size=1, max_size=4))
+    return draw(hs.sampled_from((2, 3))), cfg, phases, draw(hs.floats(0.0, 50.0))
+
+
+def assert_close(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert np.all(np.abs(got - expected) <= np.maximum(RTOL * np.abs(expected), ATOL))
+
+
+@PROPERTY_SETTINGS
+@given(teleport_cases())
+def test_harmonic_engine_matches_per_phase_analyzer(case):
+    k, cfg, phases, dark_scale = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "MAX_PAIRS_EACH", k)
+        engine = TeleportEngine(cfg)
+        cfg = engine.config
+        assert_close(engine.scan(phases),
+                     [teleport_per_phase(engine, p).bob[1] for p in phases])
+        for phi in phases:
+            got, expected = engine.outcome(phi), teleport_per_phase(engine, phi)
+            assert_close(got.accept, expected.accept)
+            assert_close(got.bob, expected.bob)
+            assert got.bob.shape == (len(BOB_BINS),)
+        assert_close(engine.mean(), teleport_mean_per_phase(engine))
+        blocked = {b: teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, b)).bob[1]
+                   for b in BLOCK_CHOICES}
+        for b, expected in blocked.items():
+            assert_close(engine.blocking(b), expected)
+        assert_close(engine.background(), blocked["alice"] + blocked["epr"] - blocked["both"])
+        # a calibration's detector set, as calibrate_dark_counts passes it
+        dets = scenarios._detectors(scenarios._with_dark_scale(cfg, dark_scale))
+        assert_close(engine.mean(dets), teleport_mean_per_phase(engine, dets))
+        assert_close(engine.blocking("epr", dets),
+                     teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, "epr"),
+                                        dets).bob[1])
