@@ -7,10 +7,14 @@ linear estimate leaves the physical range [0, 1].  Dips are fit as an
 inverted Gaussian parametrized directly by its full width at half maximum.
 Count uncertainties are taken as sqrt(max(count, 1)).
 
-The two nonlinear fits, the dip and the constrained fringe refit, run
-scipy.optimize.least_squares and import it where they call it: scipy
-costs a cold start several times numpy's import, and an in-range fringe
-never needs it.
+The dip fit is a bounded Levenberg-Marquardt iteration in numpy on the
+model's analytic Jacobian.  It stops once a step is predicted to lower the
+weighted cost by at most 1e-12 of it, or moves the parameters by at most
+1e-12 of their norm, and raises FitConvergenceError on a non-finite cost
+or after 5000 trial steps.  Only the constrained fringe refit runs
+scipy.optimize.least_squares, imported where it is called: scipy costs a
+cold start several times numpy's import, and an in-range fringe never
+needs it.
 """
 
 from __future__ import annotations
@@ -150,6 +154,94 @@ class DipFit:
     fwhm_sigma: float
 
 
+_DIP_FTOL = 1e-12
+_DIP_XTOL = 1e-12
+_DIP_MAX_TRIALS = 5000
+_LN2X4 = 4.0 * math.log(2.0)
+
+
+def _dip_residuals(x, y, w, p):
+    """Weighted residuals of the dip model at p, and its Gaussian factor."""
+    a, d, c, fw = p.tolist()
+    # fw * fw, not fw**2: a float power raises OverflowError where numpy's is inf
+    gauss = np.exp(-_LN2X4 * (x - c) ** 2 / (fw * fw))
+    return (y - a * (1.0 - d * gauss)) * w, gauss
+
+
+def _dip_jacobian(x, w, p, gauss):
+    """d(residuals)/d(a, d, c, fw) at p, given the Gaussian factor there."""
+    a, d, c, fw = p.tolist()
+    u = (x - c) / fw
+    slope = a * d * gauss * (2.0 * _LN2X4 / fw)
+    return (np.array([d * gauss - 1.0, a * gauss, slope * u, slope * u * u]) * w).T
+
+
+def _fit_dip_box(x, y, w, p, lo, hi):
+    """Least-squares dip parameters inside the box [lo, hi], from p.
+
+    A bounded Levenberg-Marquardt iteration (More, LNM 630, 1978): each
+    trial solves the damped normal equations (J'J + lam D) s = -J'r,
+    D = diag(J'J) (Marquardt's scaling), over the free parameters and
+    projects p + s onto the box; a parameter on a bound that the gradient
+    pushes outward is not free.  A trial is accepted only if it lowers the
+    cost, and lam falls by 5 after an accepted trial and grows by 4 after a
+    rejected one.  The fit stops once a trial's projected step is predicted
+    to lower the cost, by at most _DIP_FTOL of it, or has norm at most
+    _DIP_XTOL (_DIP_XTOL + |p|); a non-finite cost or _DIP_MAX_TRIALS
+    trials raise FitConvergenceError.  Growing lam shrinks the step, but
+    lam has no ceiling that stops the fit.
+    """
+    r, gauss = _dip_residuals(x, y, w, p)
+    cost = 0.5 * (r @ r)
+    lam = 1.0
+    moved = True
+    for _ in range(_DIP_MAX_TRIALS):
+        if moved:
+            jac = _dip_jacobian(x, w, p, gauss)
+            grad = jac.T @ r
+            jtj = jac.T @ jac
+            free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
+            if not free.any():
+                return p
+            # each parameter in units of its column's norm, where D is the identity
+            norms = np.sqrt(jtj.diagonal())
+            norms[norms == 0.0] = 1.0
+            scaled = jtj / np.multiply.outer(norms, norms)
+            rhs = -grad / norms
+            if not free.all():
+                scaled, rhs, norms = scaled[np.ix_(free, free)], rhs[free], norms[free]
+            moved = False
+        damped = scaled.copy()
+        damped.flat[:: norms.size + 1] += lam
+        try:
+            z = np.linalg.solve(damped, rhs)
+        except np.linalg.LinAlgError:
+            lam *= 4.0
+            continue
+        step = np.zeros(p.size)
+        step[free] = z / norms
+        trial = np.minimum(np.maximum(p + step, lo), hi)
+        step = trial - p
+        predicted = -(grad @ step) - 0.5 * (step @ jtj @ step)
+        r_trial, gauss_trial = _dip_residuals(x, y, w, trial)
+        cost_trial = 0.5 * (r_trial @ r_trial)
+        if not math.isfinite(cost_trial):
+            raise FitConvergenceError("dip fit cost is not finite")
+        converged = (
+            0.0 <= predicted <= _DIP_FTOL * cost
+            or math.sqrt(step @ step) <= _DIP_XTOL * (_DIP_XTOL + math.sqrt(trial @ trial))
+        )
+        if cost_trial < cost:
+            p, r, gauss, cost = trial, r_trial, gauss_trial, cost_trial
+            lam /= 5.0
+            moved = True
+        else:
+            lam *= 4.0
+        if converged:
+            return p
+    raise FitConvergenceError(f"dip fit did not converge in {_DIP_MAX_TRIALS} trials")
+
+
 def fit_dip(positions, counts) -> DipFit:
     """Fit counts = A (1 - D exp(-4 ln2 (x - x0)^2 / w^2)); w is the FWHM."""
     x = np.asarray(positions, dtype=float)
@@ -168,40 +260,21 @@ def fit_dip(positions, counts) -> DipFit:
     span = float(x.max() - x.min())
     w0 = max(span / 8.0, 1e-6)
 
-    ln2x4 = 4.0 * math.log(2.0)
-
-    def model(p):
-        a, d, c, fw = p
-        return a * (1.0 - d * np.exp(-ln2x4 * (x - c) ** 2 / fw**2))
-
-    def residuals(p):
-        return (y - model(p)) * w
-
     p0 = np.array([a0, d0, x0, w0])
-    # spans near the float range overflow the model before the fit starts
+    lo = np.array([1e-12, 0.0, x.min() - span, 1e-9])
+    hi = np.array([np.inf, 1.0, x.max() + span, 10 * span + 1.0])
+    # spans near the float range overflow the model, before the fit starts
+    # or at a trial, whose non-finite cost the fit then reports
     with np.errstate(over="ignore", invalid="ignore"):
-        start_finite = np.all(np.isfinite(residuals(p0)))
-    if not start_finite:
-        raise FitConvergenceError("dip fit residuals are not finite at the starting point")
-    from scipy.optimize import least_squares
+        start_finite = np.all(np.isfinite(_dip_residuals(x, y, w, p0)[0]))
+        if not start_finite:
+            raise FitConvergenceError("dip fit residuals are not finite at the starting point")
+        p = _fit_dip_box(x, y, w, p0, lo, hi)
+        jac = _dip_jacobian(x, w, p, _dip_residuals(x, y, w, p)[1])
+    a, d, c, fw = p
 
-    sol = least_squares(
-        residuals,
-        p0,
-        bounds=([1e-12, 0.0, x.min() - span, 1e-9], [np.inf, 1.0, x.max() + span, 10 * span + 1.0]),
-        max_nfev=5000,
-        # the 1e-8 defaults leave fitted values moving at 1e-8 under rounding noise
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-    )
-    if not sol.success:
-        raise FitConvergenceError(f"dip fit failed: {sol.message}")
-    a, d, c, fw = sol.x
-
-    jtj = sol.jac.T @ sol.jac
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((4, 4), np.nan)
     sd = np.sqrt(np.maximum(np.diag(cov), 0.0))

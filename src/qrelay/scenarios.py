@@ -271,22 +271,26 @@ def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[n
 
 
 def _detectors(
-    config: ExperimentConfig,
+    config: ExperimentConfig, darks: Optional[Dict[str, float]] = None
 ) -> Tuple[DetectorChannel, DetectorChannel, DetectorChannel, DetectorChannel]:
+    """The four detector channels of a config; `darks`, keyed by the config's
+    dark-probability field names, replaces its dark counts."""
+    if darks is None:
+        darks = {k: getattr(config, k) for k in _REFERENCE_DARKS}
     ge = DetectorChannel(
-        DetectorModel("bsa-ge", config.eta_ge, config.dark_ge), ALICE_QUBIT
+        DetectorModel("bsa-ge", config.eta_ge, darks["dark_ge"]), ALICE_QUBIT
     )
     follows = None if config.symmetric_bsa else "bsa-ge"
     ingaas = DetectorChannel(
-        DetectorModel("bsa-ingaas", config.eta_ingaas_bsa, config.dark_ingaas_bsa),
+        DetectorModel("bsa-ingaas", config.eta_ingaas_bsa, darks["dark_ingaas_bsa"]),
         EPR_QUBIT,
         follows=follows,
     )
     herald = DetectorChannel(
-        DetectorModel("herald", config.eta_herald, config.dark_herald), ALICE_HERALD
+        DetectorModel("herald", config.eta_herald, darks["dark_herald"]), ALICE_HERALD
     )
     bob = DetectorChannel(
-        DetectorModel("bob", config.eta_bob, config.dark_bob), EPR_BOB
+        DetectorModel("bob", config.eta_bob, darks["dark_bob"]), EPR_BOB
     )
     return ge, ingaas, herald, bob
 
@@ -748,16 +752,20 @@ _REFERENCE_DARKS = {
 _DARK_CAP = 0.9
 
 
-def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
+def _scaled_darks(config: ExperimentConfig, scale: float) -> Dict[str, float]:
     base = {k: getattr(config, k) for k in _REFERENCE_DARKS}
     if all(v == 0.0 for v in base.values()):
         base = dict(_REFERENCE_DARKS)
-    return replace(config, **{k: min(v * scale, _DARK_CAP) for k, v in base.items()})
+    return {k: min(v * scale, _DARK_CAP) for k, v in base.items()}
+
+
+def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
+    return replace(config, **_scaled_darks(config, scale))
 
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     """Background over signal with every dark probability scaled by `scale`."""
-    dets = _detectors(_with_dark_scale(engine.config, scale))
+    dets = _detectors(engine.config, _scaled_darks(engine.config, scale))
     background = engine.background(dets)
     signal = engine.mean(dets) - background
     if signal <= 0.0:

@@ -31,6 +31,13 @@ the blocking runs and the phase average the same way.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the column-wise writer in qrelay.cli.
+
+fit_dip_scipy is the dip fit as scipy.optimize.least_squares runs it
+(trf, with fit_dip's start point, weights, bounds and 1e-12 tolerances):
+the reference for the bounded Levenberg-Marquardt iteration in
+qrelay.analysis.fit_dip.  Its sigmas come from inv(J'J) at the solution,
+J by central differences of its own residuals; scipy's forward-difference
+Jacobian is off by up to about 1e-5 relative on shallow exact dips.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from qrelay import scenarios
+from qrelay.analysis import DipFit
 from qrelay.detection import DetectorChannel, TeleportOutcome, teleport_outcome_distribution
-from qrelay.errors import ConfigError, UnnormalizedStateError
+from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply
 from qrelay.stability import StabilityTrace
@@ -438,3 +446,46 @@ def teleport_mean_per_phase(engine: "scenarios.TeleportEngine", detectors=None) 
     phases = 2.0 * math.pi * np.arange(n) / n
     return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob[1]
                           for p in phases]))
+
+
+def fit_dip_scipy(positions, counts) -> DipFit:
+    """The dip fit of qrelay.analysis.fit_dip, run by least_squares' trf."""
+    from scipy.optimize import least_squares
+
+    x = np.asarray(positions, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    w = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    a0 = max(float(np.median(np.sort(y)[-max(3, x.size // 4):])), 1e-9)
+    i_min = int(np.argmin(y))
+    d0 = min(0.95, max(0.05, 1.0 - float(y[i_min]) / a0))
+    span = float(x.max() - x.min())
+    p0 = np.array([a0, d0, float(x[i_min]), max(span / 8.0, 1e-6)])
+    ln2x4 = 4.0 * math.log(2.0)
+
+    def residuals(p):
+        a, d, c, fw = p
+        return (y - a * (1.0 - d * np.exp(-ln2x4 * (x - c) ** 2 / fw**2))) * w
+
+    sol = least_squares(
+        residuals,
+        p0,
+        bounds=([1e-12, 0.0, x.min() - span, 1e-9], [np.inf, 1.0, x.max() + span, 10 * span + 1.0]),
+        max_nfev=5000,
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
+    )
+    if not sol.success:
+        raise FitConvergenceError(f"dip fit failed: {sol.message}")
+    a, d, c, fw = sol.x
+    jac = np.empty((x.size, 4))
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = 1e-5 * (abs(fw) if i >= 2 else max(abs(sol.x[i]), 1.0))
+        jac[:, i] = (residuals(sol.x + step) - residuals(sol.x - step)) / (2.0 * step[i])
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        cov = np.full((4, 4), np.nan)
+    sd = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return DipFit(a, d, sd[1], c, sd[2], abs(fw), sd[3])

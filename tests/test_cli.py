@@ -419,11 +419,13 @@ def test_config_may_not_name_n_max(tmp_path, capsys, line):
     assert line.split()[0] in err
 
 
-# prints, as JSON, the scipy modules loaded after `import qrelay.cli` and
-# after each command named in argv[1] (a JSON list of argv lists) has run
+# prints, as JSON, the scipy modules loaded after `import qrelay.cli`, after
+# each command named in argv[1] (a JSON list of argv lists) has run, and
+# after a dark-count calibration whose target needs a root search
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import qrelay.cli as cli
+from qrelay.scenarios import ExperimentConfig, calibrate_dark_counts
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -433,6 +435,9 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     seen.append((" ".join(argv), code, scipy_modules()))
+cfg = ExperimentConfig(pair_mean_alice=0.16, pair_mean_epr=0.04)
+_, report = calibrate_dark_counts(cfg, target_ratio=3.0)
+seen.append(("calibrate", int(report.clamped), scipy_modules()))
 print(json.dumps(seen))
 """
 
@@ -456,12 +461,23 @@ def test_scipy_loads_only_where_a_solver_runs():
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert [name for name, _, _ in seen] == ["import"] + [" ".join(a) for a in commands]
+    assert [name for name, _, _ in seen] == ["import"] + [" ".join(a) for a in commands] + ["calibrate"]
+    # every command exits 0, and the calibration searched rather than clamped
     assert all(code == 0 for _, code, _ in seen)
     for name, _, modules in seen[:-1]:
         assert modules == [], name
-    # the dip fit is where scipy is needed
+    # the calibration's root search is where scipy is needed
     assert "scipy.optimize" in seen[-1][2]
+
+
+@pytest.mark.parametrize("line", ["pair_mean_alice = 0.0", "pair_mean_epr = 0.0"])
+def test_flat_dip_scan_exits_0(tmp_path, capsys, line):
+    # with one source dark the scan is flat, and the dip fit still ends
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, ["mandel", "--config", str(cfg)])
+    assert code == 0, err
+    assert json.loads(out)["scenario"] == "mandel"
 
 
 def test_speed_of_light_literal_is_scipys():

@@ -7,8 +7,8 @@ base of an attribute chain, or when `__all__` lists it.  Imports from
 `__future__` bind no name.
 
 scipy costs a cold CLI call several times numpy's import time, and only
-the dip fit, the constrained fringe refit and the dark-count calibration
-use it, so those functions import it where they call it.  An import runs
+the constrained fringe refit and the dark-count calibration use it, so
+those functions import it where they call it.  An import runs
 at module level unless a function body holds it; one under `if`, `try`
 or a class body still runs on import.
 """
