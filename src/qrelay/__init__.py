@@ -5,8 +5,9 @@ amplitudes; a mixture of pair-number branches is one state whose rows are
 tagged by their photons in the BRANCH_RECORD mode, each branch normalized),
 optics (passive circuits composed into one transfer matrix), sources
 (downconversion pair sources, n-pair states in closed form), detection
-(threshold detectors, Bell-state pattern filters, timing; probabilities
-come out per branch, for the caller to weight),
+(threshold detectors, Bell-state pattern filters, timing; click
+probabilities come out per row, for the caller to sum per branch and
+weight),
 scenarios (full measurement campaigns), stability (path-length drift and the
 rep-rate-tracking controller), analysis (fringe and dip fits, fidelity
 bookkeeping), cli.

@@ -12,17 +12,13 @@ too accepts both.  Acceptance of a projection onto the antisymmetric Bell
 state requires exactly two clicks, on different detectors, in adjacent
 time bins inside the clock window.
 
-A state already is a (terms x modes) occupation matrix plus amplitudes.
-The matrix times the registry's mode-to-gate indicator gives the photons
-in every detector gate, and with |amplitude|^2 per term the click
-probabilities of all terms follow from array operations.  The state may be
-a mixture of pair-number branches, its rows tagged by their photons in
-fock.BRANCH_RECORD; each branch must be normalized on its own, and every
-probability comes back per branch, one row per branch index, for the
-caller to dot with the branch weights.  A state without a record column
-is one branch.  teleport_clicks returns the per-row click probabilities
-themselves, for a caller that weighs the rows by something other than
-|amplitude|^2, such as the teleport engine's phase harmonics.
+Detection answers per row.  A state's (terms x modes) occupation matrix
+times the registry's mode-to-gate indicator gives the photons in every
+detector gate, and from those teleport_clicks and coincidence_clicks give
+each row's click probabilities with array operations.  They take no
+amplitudes: the caller weighs the rows, by |amplitude|^2 summed per
+pair-number branch and per overlap component for the bunching dip, or by
+the teleport engine's phase harmonics, and dots the branch weights in last.
 """
 
 from __future__ import annotations
@@ -33,8 +29,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, UnnormalizedStateError
-from .fock import NORM_ATOL, FockState, ModeRegistry
+from .errors import ConfigError
+from .fock import ModeRegistry
 
 # speed of light in vacuum, m/s; exact in the SI
 _SPEED_OF_LIGHT = 299_792_458.0
@@ -43,7 +39,7 @@ _SPEED_OF_LIGHT = 299_792_458.0
 CLOCK_WINDOW = (0, 1, 2)
 # the herald gate opens in the bin the prepared photon is emitted in
 HERALD_BIN = 0
-# receiver bins reported by teleport_outcome_distribution
+# receiver bins whose clicks teleport_clicks reports
 BOB_BINS = (0, 1, 2)
 
 
@@ -91,21 +87,6 @@ def _gate_counts(registry: ModeRegistry, occupations: np.ndarray,
     return counts.astype(np.intp).reshape(len(occupations), len(spatials), registry.max_bins)
 
 
-def _branch_probs(state: FockState) -> np.ndarray:
-    """Term probabilities per branch, shape (branches, terms): each term's
-    |amplitude|^2 in its branch's row and 0 in the others; every branch must
-    be normalized."""
-    amps = state.amplitudes
-    branch = state.branches()
-    probs = np.zeros((int(branch.max(initial=0)) + 1, len(amps)))
-    probs[branch, np.arange(len(amps))] = amps.real**2 + amps.imag**2
-    norms = probs.sum(axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
-    if len(bad):
-        raise UnnormalizedStateError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
-    return probs
-
-
 def _alone(pc: np.ndarray) -> np.ndarray:
     """P(gate t clicks and no other gate of the detector does), per term and bin.
 
@@ -122,8 +103,8 @@ def _alone(pc: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """Joint acceptance probabilities for one scan point, with a leading
-    branch axis as detection returns them, or without it once weighted."""
+    """Joint acceptance probabilities for one scan point; a leading axis,
+    where there is one, runs over pair-number branches."""
 
     accept: np.ndarray    # P(Bell acceptance and herald)
     bob: np.ndarray       # [..., i]: P(acceptance and herald and Bob click in BOB_BINS[i])
@@ -190,33 +171,18 @@ def teleport_clicks(
     return p_accept, p_accept[:, None] * pc_bob
 
 
-def teleport_outcome_distribution(
-    state: FockState,
-    ge: DetectorChannel,
-    ingaas: DetectorChannel,
-    bob: DetectorChannel,
-    herald: Optional[DetectorChannel] = None,
-) -> TeleportOutcome:
-    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
-    branch: accept of shape (branches,), bob of shape (branches, len(BOB_BINS)),
-    the branch's term probabilities dotted into teleport_clicks."""
-    probs = _branch_probs(state)
-    accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob, herald)
-    return TeleportOutcome(probs @ accept, probs @ bob_clicks)
-
-
-def coincidence_probability(
-    state: FockState, det_a: DetectorChannel, det_b: DetectorChannel
+def coincidence_clicks(
+    registry: ModeRegistry, occupations: np.ndarray,
+    det_a: DetectorChannel, det_b: DetectorChannel,
 ) -> np.ndarray:
-    """Same-bin two-detector coincidence probability per branch and bin,
-    shape (branches, max_bins).
+    """Per occupation row: P(det_a and det_b both click in bin t), shape
+    (terms, max_bins).
 
     Marginal per gate; extra clicks elsewhere are not vetoed, as in a plain
     coincidence counter.
     """
-    probs = _branch_probs(state)
-    counts = _gate_counts(state.registry, state.occupations, (det_a.spatial, det_b.spatial))
-    return probs @ (det_a.model.click_probs(counts[:, 0]) * det_b.model.click_probs(counts[:, 1]))
+    counts = _gate_counts(registry, occupations, (det_a.spatial, det_b.spatial))
+    return det_a.model.click_probs(counts[:, 0]) * det_b.model.click_probs(counts[:, 1])
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ class TailMassError(QRelayError):
 
 
 class HarmonicSynthesisError(QRelayError):
-    """A probability synthesized from its phase harmonics or polynomial
-    samples fell below zero by more than rounding, or the receiver analyzer
-    breaks a condition under which its phase harmonics are exact."""
+    """A probability synthesized from its phase harmonics fell below zero
+    by more than rounding, or the receiver analyzer breaks a condition under
+    which its phase harmonics are exact."""
 
 
 class LabelMixingError(QRelayError):

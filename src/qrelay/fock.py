@@ -11,7 +11,8 @@ with array operations.
 A mixture of pair-number branches is one state whose rows carry their
 branch index as photons in the unobserved BRANCH_RECORD mode, so branches
 never merge in a circuit; each branch is a normalized ket of its own, and
-a state with no record column is one branch.  Detection answers per branch.
+a state with no record column is one branch.  Detection answers per row,
+and its callers sum the rows per branch.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ source-blocking runs that isolate the phase-independent background.
 
 Every run first enumerates the joint pair-number branches of the two
 sources, builds them exactly in the truncated Fock space as one branch
-mixture, and pushes it through the optical circuit; detector response is
-applied analytically at the end, branch by branch, and the branch weights
-come in last, as a dot product.  Neither scan builds a state per point:
-the fringe is a trigonometric polynomial in the analyzer phase whose
-harmonics come from one analyzer pass and one detection pass, and the dip
-a polynomial in the squared overlap xi^2, fixed by D+1 state builds.
+mixture, and pushes it through the optical circuit once; detector
+response is applied analytically at the end, row by row, the rows are
+summed per branch, and the branch weights come in last, as a dot product.
+Neither scan builds a state per point: the fringe is a trigonometric
+polynomial in the analyzer phase whose harmonics come from one analyzer
+pass and one detection pass, and the dip a polynomial in the squared
+overlap xi^2 whose coefficients come from one build at xi^2 = 1/2, one
+circuit pass and one detection pass.
 Counts are either probability times pulses (analytic mode) or Poisson
 draws around that expectation (montecarlo mode) with a counter-based
 generator keyed by (seed, scan point), so reruns are reproducible bit for
@@ -33,7 +35,7 @@ from .detection import (
     DetectorChannel,
     DetectorModel,
     TeleportOutcome,
-    coincidence_probability,
+    coincidence_clicks,
     teleport_clicks,
 )
 from .errors import (
@@ -69,8 +71,9 @@ BLOCK_CHOICES = ("none", "alice", "epr", "both")
 MAX_PAIRS_EACH = 2
 
 # largest point count a scan accepts: at the default pair truncation a dip
-# point costs about 400 bytes (a fringe point 200) across the interpolation,
-# the fit and the CSV row, so the cap keeps a scan under about 0.5 GB
+# point costs about 400 bytes (a fringe point 200) across the basis
+# evaluation, the fit and the CSV row, so the cap keeps a scan under about
+# 0.5 GB
 MAX_POINTS = 10**6
 
 
@@ -230,7 +233,6 @@ def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
 class ScanResult:
     """One scanned observable; analytic counts are exactly prob * pulses."""
 
-    control_name: str
     control: np.ndarray
     probability: np.ndarray
     counts: np.ndarray
@@ -319,8 +321,8 @@ def _branch_mixture(reg: ModeRegistry, branches: Sequence[Tuple[int, int]], xi: 
 
     Branch b, the b-th entry of `branches`, starts as the vacuum with b
     photons in the BRANCH_RECORD mode, so rows of different branches never
-    merge, one pass through a circuit carries every branch, and detection
-    answers per branch.
+    merge, one pass through a circuit carries every branch, and each
+    output row's record names its branch.
     """
     occupations, amps = [], []
     for b, (na, nc) in enumerate(branches):
@@ -348,18 +350,6 @@ _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
 # unobserved mode whose photon number is a row's summed time-bin index
 # before the receiver analyzer
 DELAY_RECORD = ModeKey("delay-record", 0)
-
-
-def _clamp_rounding(values: np.ndarray, bound) -> np.ndarray:
-    """Probabilities synthesized exactly, with rounding-level negatives at
-    zeros clamped to 0; anything more negative raises.  `bound`, a bound on
-    |values| that broadcasts against them, scales the rounding floor."""
-    floor = -_SYNTHESIS_RTOL * np.asarray(bound)
-    if np.any(values < floor):
-        raise HarmonicSynthesisError(
-            f"a synthesized probability is {np.max(floor - values):.3e} below its rounding floor"
-        )
-    return np.maximum(values, 0.0)
 
 
 def _analyzer(registry: ModeRegistry, phi_b: float) -> Circuit:
@@ -417,12 +407,20 @@ def _delay_harmonics(occupations: np.ndarray, delays: np.ndarray, amplitudes: np
 def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     """Re(H_0 + 2 sum_{m>=1} H_m e^{i m phi}) at each phase, from harmonics
     H_m in the rows of a (D+1, columns) array: shape (len(phases), columns).
-    |H_0| + 2 sum |H_m| bounds the magnitude, and sets the rounding floor."""
+    |H_0| + 2 sum |H_m| bounds the magnitude and scales the rounding floor:
+    rounding-level negatives at zeros are clamped to 0, and anything more
+    negative raises HarmonicSynthesisError."""
     factors = np.full(len(harmonics), 2.0)
     factors[0] = 1.0
     m = np.arange(len(harmonics))
     rotations = factors * np.exp(1j * np.multiply.outer(np.asarray(phases, dtype=float), m))
-    return _clamp_rounding((rotations @ harmonics).real, factors @ np.abs(harmonics))
+    values = (rotations @ harmonics).real
+    floor = -_SYNTHESIS_RTOL * (factors @ np.abs(harmonics))
+    if np.any(values < floor):
+        raise HarmonicSynthesisError(
+            f"a synthesized probability is {np.max(floor - values):.3e} below its rounding floor"
+        )
+    return np.maximum(values, 0.0)
 
 
 def _analyzed_harmonics(prepared: FockState, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -452,9 +450,9 @@ class TeleportEngine:
     engine holds every branch of the pair truncation, in one branch
     mixture, and blocking runs, dark-count scans and forced single-pair mode
     only reweight them (branches they leave out get weight 0).  Detection
-    answers per branch, once per detector set and cached, and an outcome is
-    the branch weights dotted into it; the default and blocking weights are
-    computed once per engine.
+    runs once per detector set, its per-row answers are summed per branch
+    and cached, and an outcome is the branch weights dotted into them; the
+    default and blocking weights are computed once per engine.
 
     The analyzer is the only element that depends on phi_b, and it is
     applied once, at phi_b = 0.  A photon that takes its delay arm moves one
@@ -580,17 +578,10 @@ class TeleportEngine:
         (len(phases), 4), for branch weights dotted into the harmonics."""
         return _synthesize(self._detected(detectors) @ weights, phases)
 
-    def outcome(
-        self,
-        phi_b: float,
-        weights: Optional[Dict[Tuple[int, int], float]] = None,
-        detectors=None,
-    ) -> TeleportOutcome:
-        """Outcome of the branch mixture at one analyzer phase: the weights,
-        which must put all their mass on the engine's branches, dotted into
-        the per-branch harmonics."""
-        w = self._cached_weights() if weights is None else self._weight_vector(weights)
-        values = self._probabilities([phi_b], w, detectors)[0]
+    def outcome(self, phi_b: float, detectors=None) -> TeleportOutcome:
+        """Outcome of the branch mixture at one analyzer phase: the config's
+        branch weights dotted into the per-branch harmonics."""
+        values = self._probabilities([phi_b], self._cached_weights(), detectors)[0]
         return TeleportOutcome(values[0], values[1:])
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
@@ -628,7 +619,7 @@ def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanRe
     xs = np.asarray(list(phases), dtype=float)
     probs = engine.scan(xs)
     counts, pulses = _counts(engine.config, probs, stream=2)
-    return ScanResult("phi_b_rad", xs, probs, counts, pulses)
+    return ScanResult(xs, probs, counts, pulses)
 
 
 def _check_labels_separate(circuit: Circuit) -> None:
@@ -643,6 +634,19 @@ def _check_labels_separate(circuit: Circuit) -> None:
         raise LabelMixingError(
             f"the dip circuit couples {reg.key_at(int(j))} to {reg.key_at(int(k))}"
         )
+
+
+def _dip_circuit(config: ExperimentConfig) -> Tuple[Circuit, Tuple[int, ...]]:
+    """The bunching-dip circuit on a fresh relay registry, and the bins the
+    relay source emits into: the first only in symmetric mode."""
+    circ = Circuit(_relay_registry())
+    circ.add_michelson(ALICE_QUBIT, config.mandel_phase, internals=(0, 1))
+    if config.mandel_mode == "symmetric":
+        circ.add_michelson(EPR_QUBIT, config.mandel_phase, internals=(0, 1))
+    circ.add_channel_loss(ALICE_QUBIT, loss_from_db(config.loss_alice_db))
+    circ.add_channel_loss(EPR_QUBIT, loss_from_db(config.loss_epr_db))
+    _add_bell_mixer(circ)
+    return circ, ((0,) if config.mandel_mode == "symmetric" else (0, 1))
 
 
 class _MandelEngine:
@@ -663,59 +667,79 @@ class _MandelEngine:
     when
     - the circuit's transfer matrix has no entry between two internal labels
       (checked when the engine is built: LabelMixingError otherwise), so
-      every output term keeps the n - j label-1 photons it started with and
+      every output row keeps the n - j label-1 photons it started with and
       components with different j never interfere, and
     - detection reads only photon numbers summed over labels, as every
       detector model here does.
     A bin's probability is then sum_b w_b sum_j C(n_b, j) s^j (1 - s)^(n_b - j)
-    P_bj, and D+1 state builds at the Chebyshev-Lobatto nodes
-    s_k = (1 - cos(k pi / D)) / 2 fix it at every mismatch.  s = 1 is a
-    node, so the ideal Hong-Ou-Mandel null is reproduced exactly.
+    P_bj.  The mixture is built once, at s = 1/2: one circuit pass and one
+    detection pass, with |amplitude|^2 times clicks summed per (b, j), j
+    being n_b minus a row's label-1 photons, give P[b, j] =
+    C(n_b, j) 2^-n_b P_bj, and the probability at s is
+        sum_b w_b sum_j (2s)^j (2 - 2s)^(n_b - j) P[b, j].
+    Every term is >= 0, and at s = 1 only j = n_b is left, so the ideal
+    Hong-Ou-Mandel null is exactly 0.  A row with j outside [0, n_b]
+    raises LabelMixingError, and a branch whose |amplitude|^2 does not sum
+    to 1 UnnormalizedStateError.
     """
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config.materialized()
-        cfg = self.config
-        self.registry = _relay_registry()
-        circ = Circuit(self.registry)
-        circ.add_michelson(ALICE_QUBIT, cfg.mandel_phase, internals=(0, 1))
-        if cfg.mandel_mode == "symmetric":
-            circ.add_michelson(EPR_QUBIT, cfg.mandel_phase, internals=(0, 1))
-        circ.add_channel_loss(ALICE_QUBIT, loss_from_db(cfg.loss_alice_db))
-        circ.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
-        _add_bell_mixer(circ)
+        cfg = config.materialized()
+        circ, relay_bins = _dip_circuit(cfg)
         _check_labels_separate(circ)
-        self.circuit = circ
+        reg = circ.registry
         held = {k: w for k, w in branch_weights(cfg).items() if w > 0}
-        self.branches, self.weights = list(held), np.array(list(held.values()))
-        self.degree = max((na for na, _ in self.branches), default=0)
-        # the symmetric mode's relay emits into the first bin only
-        self.relay_bins = (0,) if cfg.mandel_mode == "symmetric" else (0, 1)
-        self.ge, self.ingaas, _, _ = _detectors(cfg)
+        branches = list(held)
+        pairs = np.array([na for na, _ in branches])
+        self.degree = int(pairs.max(initial=0))
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
+        mixture = _branch_mixture(reg, branches, math.sqrt(0.5), relay_bins, cfg.phase_pump)
+        out = apply(circ, mixture)
 
-    def coincidences(self, xi: float) -> np.ndarray:
-        """(short, long) coincidences at overlap xi: the branch weights dotted
-        into one detection pass of the positive-weight branches' mixture."""
-        mixture = _branch_mixture(self.registry, self.branches, xi, self.relay_bins,
-                                  self.config.phase_pump)
-        per_branch = coincidence_probability(apply(self.circuit, mixture), self.ge, self.ingaas)
-        return self.weights @ per_branch[:, :2]
+        occupations, amps = out.occupations, out.amplitudes
+        probs = amps.real**2 + amps.imag**2
+        branch = out.branches()
+        norms = np.bincount(branch, probs, minlength=len(branches))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+        if len(bad):
+            raise UnnormalizedStateError(
+                f"branch {branches[bad[0]]} has norm^2 = {norms[bad[0]]}, expected 1"
+            )
+        label_1 = np.array([reg.key_at(i).internal == 1 for i in range(occupations.shape[1])])
+        n = pairs[branch]
+        j = n - occupations[:, label_1].sum(axis=1, dtype=np.intp)
+        # j <= n_b holds by construction; photons moved into label 1 push j below 0
+        outside = np.flatnonzero(j < 0)
+        if len(outside):
+            r = outside[0]
+            raise LabelMixingError(
+                f"a row of branch {branches[branch[r]]} has {n[r] - j[r]} label-1 photons, "
+                f"more than its {n[r]} Alice pairs"
+            )
+        # coefficient [n, j], shape (D+1, D+1, 2), is the sum of w_b P[b, j]
+        # over the branches with n_b = n: rows sorted by (n, j) and one
+        # matmul per group, whose blocked sums round about as a detection
+        # pass per point does (np.add.at's running sum, 5x worse at K = 4)
+        size = self.degree + 1
+        group = n * size + j
+        order = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(size * size + 1))
+        weighted = (np.array(list(held.values()))[branch] * probs)[order]
+        ge, ingaas, _, _ = _detectors(cfg)
+        clicks = coincidence_clicks(reg, occupations, ge, ingaas)[order, :2]
+        self._coefficients = np.stack(
+            [weighted[a:b] @ clicks[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        ).reshape(size, size, 2)
 
     def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
         """(short, long) coincidences at each mismatch, one row per point:
-        the degree-D Lagrange interpolant in s of the D+1 node samples."""
-        d = self.degree
-        nodes = (1.0 - np.cos(math.pi * np.arange(d + 1) / max(d, 1))) / 2.0
-        samples = np.array([self.coincidences(math.sqrt(s)) for s in nodes])
-        s = np.array([self.overlap.xi(x) ** 2 for x in mismatches_um])
-        # the product form gives exactly 1 and 0 at the nodes
-        basis = np.ones((len(s), d + 1))
-        for k in range(d + 1):
-            for m in range(d + 1):
-                if m != k:
-                    basis[:, k] *= (s - nodes[m]) / (nodes[k] - nodes[m])
-        return _clamp_rounding(basis @ samples, np.abs(samples).max(initial=0.0))
+        the Bernstein-form sum in s = xi^2, one basis evaluation per point."""
+        s = np.array([self.overlap.xi(x) ** 2 for x in mismatches_um])[:, None, None]
+        k = np.arange(self.degree + 1)
+        # basis[point, n, j] = (2s)^j (2 - 2s)^(n - j); for j > n, where the
+        # coefficients are 0, the exponent is clipped to 0
+        basis = (2.0 * s) ** k * (2.0 - 2.0 * s) ** np.maximum(k[:, None] - k, 0)
+        return basis.reshape(len(s), -1) @ self._coefficients.reshape(-1, 2)
 
 
 def run_mandel_scan(
@@ -729,8 +753,8 @@ def run_mandel_scan(
     c_short, pulses = _counts(config, p_short, stream=0)
     c_long, _ = _counts(config, p_long, stream=1)
     return (
-        ScanResult("delta_x_um", xs, p_short, c_short, pulses),
-        ScanResult("delta_x_um", xs, p_long, c_long, pulses),
+        ScanResult(xs, p_short, c_short, pulses),
+        ScanResult(xs, p_long, c_long, pulses),
     )
 
 

@@ -76,7 +76,9 @@ class OverlapModel:
 
     def xi(self, delta_x_um: float) -> float:
         ell = self.fwhm_um / math.sqrt(2.0 * math.log(2.0))
-        return math.exp(-((delta_x_um / ell) ** 2))
+        # a float product overflows to inf silently, and exp(-inf) is 0
+        u = float(delta_x_um) / ell
+        return math.exp(-u * u)
 
 
 def _emit(state: FockState, modes: Sequence[ModeKey], counts, coeffs) -> FockState:

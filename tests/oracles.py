@@ -3,12 +3,15 @@
 click_distribution enumerates every click pattern of a detector layout,
 term by term and gate by gate, for a weighted ensemble of separate states;
 the Bell-state and herald filters then pick the accepted patterns out of
-it.  The fast array paths in qrelay.detection, which answer per branch of
-one record-tagged mixture, are checked against it branch by branch and
-with the branch weights dotted in.  occupation_distribution lists a state's
-outcome probabilities term by term, and general_transform re-expands a
-linear-optical substitution on any number of modes; folded over a circuit's
-elements one at a time, it is the reference for qrelay.optics.apply.
+it.  teleport_outcome_distribution and coincidence_probability answer per
+branch of one record-tagged mixture: each branch's |amplitude|^2 dotted
+into the per-row click probabilities of qrelay.detection, after a check
+that every branch is normalized.  They are checked against the enumeration
+branch by branch and with the branch weights dotted in.
+occupation_distribution lists a state's outcome probabilities term by
+term, and general_transform re-expands a linear-optical substitution on
+any number of modes; folded over a circuit's elements one at a time, it is
+the reference for qrelay.optics.apply.
 
 The oracles work on a state's terms as a dict from occupation bytes to
 amplitude (`terms`, `from_terms`).  `create` applies one creation operator
@@ -17,11 +20,11 @@ two-photon emission operator with it: the references for the closed-form
 sources in qrelay.sources.
 
 mandel_per_point builds, pushes through the circuit and detects the dip
-branch mixture at every mismatch point: the reference for the polynomial
-interpolation in qrelay.scenarios.run_mandel_scan.  simulate_per_step is
-the stability simulation with one random draw and one controller step per
-Python loop iteration: the reference for qrelay.stability.simulate's array
-code, which must match it byte for byte.
+branch mixture at every mismatch point: the reference for the Bernstein
+form in xi^2 that qrelay.scenarios.run_mandel_scan evaluates from one
+build.  simulate_per_step is the stability simulation with one random draw
+and one controller step per Python loop iteration: the reference for
+qrelay.stability.simulate's array code, which must match it byte for byte.
 
 teleport_per_phase builds the receiver analyzer at one phase, runs a
 teleport engine's prepared mixture through it and detects the result: the
@@ -51,10 +54,16 @@ import numpy as np
 
 from qrelay import scenarios
 from qrelay.analysis import DipFit
-from qrelay.detection import DetectorChannel, TeleportOutcome, teleport_outcome_distribution
+from qrelay.detection import (
+    DetectorChannel,
+    TeleportOutcome,
+    coincidence_clicks,
+    teleport_clicks,
+)
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply
+from qrelay.sources import OverlapModel
 from qrelay.stability import StabilityTrace
 
 OccupationVector = Tuple[int, ...]
@@ -343,10 +352,58 @@ def herald_filter(
     return (label, time_bin) in pattern
 
 
+def _branch_probs(state: FockState) -> np.ndarray:
+    """Term probabilities per branch, shape (branches, terms): each term's
+    |amplitude|^2 in its branch's row and 0 in the others; every branch must
+    be normalized."""
+    amps = state.amplitudes
+    branch = state.branches()
+    probs = np.zeros((int(branch.max(initial=0)) + 1, len(amps)))
+    probs[branch, np.arange(len(amps))] = amps.real**2 + amps.imag**2
+    norms = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+    if len(bad):
+        raise UnnormalizedStateError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
+    return probs
+
+
+def teleport_outcome_distribution(state: FockState, ge: DetectorChannel,
+                                  ingaas: DetectorChannel, bob: DetectorChannel,
+                                  herald=None) -> TeleportOutcome:
+    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
+    branch: accept of shape (branches,), bob of shape (branches, 3), the
+    branch's term probabilities dotted into teleport_clicks."""
+    probs = _branch_probs(state)
+    accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob, herald)
+    return TeleportOutcome(probs @ accept, probs @ bob_clicks)
+
+
+def coincidence_probability(state: FockState, det_a: DetectorChannel,
+                            det_b: DetectorChannel) -> np.ndarray:
+    """Same-bin two-detector coincidence probability per branch and bin,
+    shape (branches, max_bins): the branch's term probabilities dotted into
+    coincidence_clicks."""
+    return _branch_probs(state) @ coincidence_clicks(state.registry, state.occupations,
+                                                     det_a, det_b)
+
+
 def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.ndarray:
-    """(short, long) dip coincidences, one branch-mixture build per point."""
-    engine = scenarios._MandelEngine(config)
-    return np.array([engine.coincidences(engine.overlap.xi(x)) for x in mismatches_um])
+    """(short, long) dip coincidences: at every point the positive-weight
+    branches' mixture built at that overlap, one circuit pass, one
+    detection pass, and the branch weights dotted in."""
+    cfg = config.materialized()
+    circ, relay_bins = scenarios._dip_circuit(cfg)
+    held = {k: w for k, w in scenarios.branch_weights(cfg).items() if w > 0}
+    weights = np.array(list(held.values()))
+    ge, ingaas, _, _ = scenarios._detectors(cfg)
+    overlap = OverlapModel(cfg.dip_fwhm_um)
+    rows = []
+    for x in mismatches_um:
+        mixture = scenarios._branch_mixture(circ.registry, list(held), overlap.xi(x),
+                                            relay_bins, cfg.phase_pump)
+        per_branch = coincidence_probability(apply(circ, mixture), ge, ingaas)
+        rows.append(weights @ per_branch[:, :2])
+    return np.array(rows)
 
 
 def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0,

@@ -276,14 +276,14 @@ def test_one_engine_per_command(monkeypatch, capsys):
         (["teleport", "--points", "8"], "teleport_clicks", 1),
         (["teleport", "--points", "8", "--heralded"], "teleport_clicks", 1),
         (["noise"], "teleport_clicks", 1),
-        (["mandel", "--points", "9"], "coincidence_probability", 3),
+        (["mandel", "--points", "9"], "coincidence_clicks", 1),
     ],
     ids=["teleport", "heralded", "noise", "mandel"],
 )
 def test_detection_passes_per_command(monkeypatch, capsys, argv, target, passes):
     # one detection pass gives the fringe's phase harmonics, which also
-    # serve the acceptance and every blocking run; the default config has
-    # degree D = 2, and the dip takes D+1 nodes
+    # serve the acceptance and every blocking run, and one gives the dip's
+    # coefficients at every mismatch
     real = getattr(scenarios, target)
     calls = []
 
@@ -355,6 +355,17 @@ def test_mandel_span_beyond_the_fit_range_exits_3(capsys):
     assert code == 3
     assert "Traceback" not in err
     assert "not finite" in err
+    assert out == ""
+
+
+def test_mandel_span_overflowing_the_overlap_exits_3_without_warning(capsys):
+    # (delta_x / ell)^2 overflows; the overlap is then 0 without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["mandel", "--points", "5", "--span-um", "1e300"])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err
     assert out == ""
 
 

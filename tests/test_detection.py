@@ -7,18 +7,18 @@ from oracles import (
     DetectionLayout,
     apply_creation,
     click_distribution,
+    coincidence_probability,
     from_terms,
     herald_filter,
     normalized,
     psi_minus_filter,
+    teleport_outcome_distribution,
     terms,
 )
 from qrelay.detection import (
     DetectorChannel,
     DetectorModel,
     TimingBudget,
-    coincidence_probability,
-    teleport_outcome_distribution,
     validate_timing,
 )
 from qrelay.errors import ConfigError, UnnormalizedStateError

@@ -12,18 +12,15 @@ from hypothesis import strategies as hs  # noqa: E402
 from oracles import (  # noqa: E402
     DetectionLayout,
     click_distribution,
+    coincidence_probability,
     from_terms,
     herald_filter,
     norm_sq,
     normalized,
     psi_minus_filter,
-)
-from qrelay.detection import (  # noqa: E402
-    DetectorChannel,
-    DetectorModel,
-    coincidence_probability,
     teleport_outcome_distribution,
 )
+from qrelay.detection import DetectorChannel, DetectorModel  # noqa: E402
 from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry, vacuum  # noqa: E402
 
 # derandomized and without the example database, so every run draws the

@@ -277,9 +277,10 @@ def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
     # clicks" veto spans the three clock-window gates of each detector
     d_ge, d_in = 0.1, 0.2
     cfg = ExperimentConfig(
-        dark_ge=d_ge, dark_ingaas_bsa=d_in, symmetric_bsa=symmetric_bsa
+        dark_ge=d_ge, dark_ingaas_bsa=d_in, symmetric_bsa=symmetric_bsa,
+        pair_mean_alice=0.0, pair_mean_epr=0.0,
     )
-    accept = TeleportEngine(cfg).outcome(cfg.phase_bob, {(0, 0): 1.0}).accept
+    accept = TeleportEngine(cfg).outcome(cfg.phase_bob).accept
     if symmetric_bsa:
         expected = 4 * d_ge * (1 - d_ge) ** 2 * d_in * (1 - d_in) ** 2
     else:
@@ -293,9 +294,10 @@ def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
     ids=["all-off-engine", "some-off-engine", "short"],
 )
 def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
-    # at K = 2 the engine holds no (3, 0) branch
+    # every outcome's weights pass this check; at K = 2 the engine holds no
+    # (3, 0) branch
     with pytest.raises(UnnormalizedStateError):
-        TeleportEngine(ExperimentConfig()).outcome(0.0, weights)
+        TeleportEngine(ExperimentConfig())._weight_vector(weights)
 
 
 def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):

@@ -1,5 +1,6 @@
-"""Property tests: the dip scan's polynomial interpolation in xi^2 against
-the per-point branch-mixture builds in tests/oracles.py."""
+"""Property tests: the dip scan's Bernstein form in xi^2, from one branch-
+mixture build, against the per-point builds in tests/oracles.py; and the
+guards of the conditions under which that form is exact."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from oracles import mandel_per_point  # noqa: E402
 from qrelay import cli, scenarios  # noqa: E402
-from qrelay.errors import LabelMixingError  # noqa: E402
+from qrelay.errors import LabelMixingError, UnnormalizedStateError  # noqa: E402
 from qrelay.fock import ModeKey  # noqa: E402
 from qrelay.scenarios import (  # noqa: E402
     MANDEL_MODES,
@@ -74,35 +75,60 @@ def test_dip_scan_matches_per_point_builds(case):
 
 @pytest.mark.parametrize("points", [5, 41])
 @pytest.mark.parametrize(
-    "k, overrides, builds",
-    [
-        (2, {}, 3),
-        (4, {}, 5),
-        (3, {"ideal_single_pairs": True}, 2),
-        (2, {"pair_mean_alice": 0.0}, 1),
-    ],
+    "k, overrides",
+    [(2, {}), (4, {}), (3, {"ideal_single_pairs": True}), (2, {"pair_mean_alice": 0.0})],
     ids=["K2", "K4", "single-pairs", "alice-dark"],
 )
-def test_dip_scan_builds_d_plus_one_states(monkeypatch, points, k, overrides, builds):
-    # one circuit pass and one detection pass, reading both bins, per node
+def test_dip_scan_makes_one_circuit_pass(monkeypatch, points, k, overrides):
+    # one circuit pass and one detection pass, reading both bins, whatever
+    # the degree and the point count
     real_apply = scenarios.apply
-    real_detect = scenarios.coincidence_probability
+    real_detect = scenarios.coincidence_clicks
     calls, detections = [], []
 
     def counting_apply(circuit, state):
         calls.append(len(state))
         return real_apply(circuit, state)
 
-    def counting_detect(state, det_a, det_b):
-        detections.append(len(state))
-        return real_detect(state, det_a, det_b)
+    def counting_detect(registry, occupations, det_a, det_b):
+        detections.append(len(occupations))
+        return real_detect(registry, occupations, det_a, det_b)
 
     monkeypatch.setattr(scenarios, "apply", counting_apply)
-    monkeypatch.setattr(scenarios, "coincidence_probability", counting_detect)
+    monkeypatch.setattr(scenarios, "coincidence_clicks", counting_detect)
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     run_mandel_scan(ExperimentConfig(tail_tol=0.5, **overrides), mismatch_grid(points))
-    assert len(calls) == builds
-    assert len(detections) == builds
+    assert len(calls) == 1
+    assert len(detections) == 1
+
+
+def test_unnormalized_dip_branch_raises(monkeypatch):
+    real_mixture = scenarios._branch_mixture
+
+    def short_mixture(*args):
+        st = real_mixture(*args)
+        st.amplitudes[-1] *= 0.5
+        return st
+
+    monkeypatch.setattr(scenarios, "_branch_mixture", short_mixture)
+    with pytest.raises(UnnormalizedStateError, match="norm"):
+        run_mandel_scan(ExperimentConfig(), mismatch_grid(5))
+
+
+def test_row_outside_its_branch_components_raises(monkeypatch):
+    # a label-mixing circuit that slips past the transfer-matrix check puts
+    # label-0 photons into label 1, more than the branch's Alice pairs
+    real_mixer = scenarios._add_bell_mixer
+
+    def mixing_mixer(circ):
+        real_mixer(circ)
+        circ.add_beamsplitter(ModeKey(scenarios.EPR_QUBIT, 0, 0),
+                              ModeKey(scenarios.EPR_QUBIT, 0, 1))
+
+    monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
+    monkeypatch.setattr(scenarios, "_check_labels_separate", lambda circuit: None)
+    with pytest.raises(LabelMixingError, match="label-1 photons"):
+        run_mandel_scan(ExperimentConfig(), mismatch_grid(5))
 
 
 def test_label_mixing_circuit_raises(monkeypatch, capsys):
