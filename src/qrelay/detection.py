@@ -10,7 +10,8 @@ armed only for the bin right after the free-running detector fired; that
 asymmetry halves the accepted time orderings, and a partner that runs free
 too accepts both.  Acceptance of a projection onto the antisymmetric Bell
 state requires exactly two clicks, on different detectors, in adjacent
-time bins inside the clock window.
+time bins inside the clock window; bell_patterns declares those events
+once, as (gates that must click, gates that must stay dark) pairs.
 
 Detection answers per row.  A state's (terms x modes) occupation matrix
 times the registry's mode-to-gate indicator gives the photons in every
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RegistryMismatchError
 from .fock import ModeRegistry
 
 # speed of light in vacuum, m/s; exact in the SI
@@ -41,6 +42,8 @@ CLOCK_WINDOW = (0, 1, 2)
 HERALD_BIN = 0
 # receiver bins whose clicks teleport_clicks reports
 BOB_BINS = (0, 1, 2)
+# channel index of a gate (channel, bin): teleport_clicks' channel order
+_GE, _INGAAS, _BOB, _HERALD = range(4)
 
 
 @dataclass(frozen=True)
@@ -87,20 +90,6 @@ def _gate_counts(registry: ModeRegistry, occupations: np.ndarray,
     return counts.astype(np.intp).reshape(len(occupations), len(spatials), registry.max_bins)
 
 
-def _alone(pc: np.ndarray) -> np.ndarray:
-    """P(gate t clicks and no other gate of the detector does), per term and bin.
-
-    Leave-one-out products of the miss probabilities, so a gate that is
-    certain to click (pc = 1) needs no division by 1 - pc.
-    """
-    miss = 1.0 - pc
-    before = np.ones_like(miss)
-    before[:, 1:] = np.cumprod(miss[:, :-1], axis=1)
-    after = np.ones_like(miss)
-    after[:, :-1] = np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
-    return pc * before * after
-
-
 @dataclass(frozen=True)
 class TeleportOutcome:
     """Joint acceptance probabilities for one scan point; a leading axis,
@@ -123,6 +112,24 @@ def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
     return False
 
 
+def bell_patterns(ge: DetectorChannel, ingaas: DetectorChannel, n_bins: int,
+                  heralded: bool) -> List[Tuple[tuple, tuple]]:
+    """The accepted Bell-state events as (gates that must click, gates that
+    must stay dark); a gate is (channel, bin) over (ge, ingaas, bob, herald).
+
+    A free-running detector clicks at bin t and the other one at t + 1,
+    both in CLOCK_WINDOW; every other gate of a free-running detector stays
+    dark.  ge runs free, and a partner that ge arms opens only the gate
+    after ge's click.  A heralded run adds the herald gate to every click set.
+    """
+    free = (_GE, _INGAAS) if _partner_runs_free(ge, ingaas) else (_GE,)
+    clicks = [((first, t), (_INGAAS if first == _GE else _GE, t + 1))
+              for t in CLOCK_WINDOW if t + 1 in CLOCK_WINDOW for first in free]
+    vetoed = [(ch, s) for ch in free for s in range(n_bins)]
+    herald = ((_HERALD, HERALD_BIN),) if heralded else ()
+    return [(click + herald, tuple(g for g in vetoed if g not in click)) for click in clicks]
+
+
 def teleport_clicks(
     registry: ModeRegistry,
     occupations: np.ndarray,
@@ -135,40 +142,29 @@ def teleport_clicks(
     (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
     (terms, len(BOB_BINS)).
 
-    Sums over the accepted patterns only, with array operations.  ge runs
-    free.  Accepted patterns with ge alone at bin t and its partner at t+1
-    always count; the reversed ordering counts only when the partner runs
-    free too (ingaas.follows is None) rather than being armed by ge
-    (ingaas.follows == ge's label).  tests/oracles.py holds the full
-    click-pattern enumeration this agrees with.
+    The acceptance is the sum over bell_patterns of each pattern's click
+    probabilities times its miss probabilities, and Bob's click a marginal
+    factor on top.  tests/oracles.py holds the full click-pattern
+    enumeration this agrees with.  Raises RegistryMismatchError when the
+    registry's bins do not cover CLOCK_WINDOW and BOB_BINS.
     """
-    symmetric = _partner_runs_free(ge, ingaas)
-    spatials = (ge.spatial, ingaas.spatial, bob.spatial)
-    if herald is not None:
-        spatials += (herald.spatial,)
-    n_bins = registry.max_bins
-    counts = _gate_counts(registry, occupations, spatials)
-    pc_ge = ge.model.click_probs(counts[:, 0])
-    pc_in = ingaas.model.click_probs(counts[:, 1])
-    alone_ge = _alone(pc_ge)
-    alone_in = _alone(pc_in) if symmetric else None
-    p_accept = np.zeros(len(counts))
-    for t in CLOCK_WINDOW:
-        if t + 1 >= n_bins or (t + 1) not in CLOCK_WINDOW:
-            continue
-        if symmetric:
-            # both detectors free-running: exactly one click on each,
-            # either time ordering
-            p_accept += alone_ge[:, t] * alone_in[:, t + 1]
-            p_accept += alone_in[:, t] * alone_ge[:, t + 1]
-        else:
-            # free-running detector fires at t alone; its partner is
-            # armed only at t+1, so no other partner gates exist
-            p_accept += alone_ge[:, t] * pc_in[:, t + 1]
-    if herald is not None:
-        p_accept *= herald.model.click_probs(counts[:, 3, HERALD_BIN])
-    pc_bob = bob.model.click_probs(counts[:, 2, list(BOB_BINS)])
-    return p_accept, p_accept[:, None] * pc_bob
+    patterns = bell_patterns(ge, ingaas, registry.max_bins, herald is not None)
+    if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
+        raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
+                                    f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
+    channels = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
+    counts = _gate_counts(registry, occupations, [ch.spatial for ch in channels])
+    top = int(counts.max(initial=0)) + 1
+    pc = np.array([[ch.model.click_prob(n) for n in range(top)] for ch in channels])
+    # pc[channel, photons] and clicks[channel, bin, term] are P(click); table[0] P(miss)
+    gates = np.ascontiguousarray(counts.transpose(1, 2, 0))
+    clicks = pc.ravel()[gates + top * np.arange(len(channels))[:, None, None]]
+    table = np.stack([1.0 - clicks, clicks])
+    # [pattern, slot]: each pattern's dark gates, then its click gates
+    kind, channel, t = np.array([[(0, *g) for g in dark] + [(1, *g) for g in click]
+                                 for click, dark in patterns]).transpose(2, 0, 1)
+    p_accept = table[kind, channel, t].prod(axis=1).sum(axis=0)
+    return p_accept, p_accept[:, None] * clicks[_BOB, list(BOB_BINS)].T
 
 
 def coincidence_clicks(

@@ -343,6 +343,40 @@ def _add_bell_mixer(circ: Circuit) -> None:
             circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
 
 
+def _group_slices(group: np.ndarray, count: int) -> Tuple[np.ndarray, List[slice]]:
+    """A stable order that sorts rows by their group in [0, count), and the
+    slice of that order each group occupies."""
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(count + 1))
+    return order, [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _teleport_circuit(config: ExperimentConfig) -> Circuit:
+    """The teleport preparation on a fresh relay registry: Alice's encoder,
+    the four channel losses and the Bell-state mixer."""
+    circ = Circuit(_relay_registry())
+    encode = circ.add_michelson if config.alice_encoder == "michelson" else circ.add_bin_encoder
+    encode(ALICE_QUBIT, config.phase_alice, internals=(0, 1))
+    for spatial, loss_db in ((ALICE_QUBIT, config.loss_alice_db), (EPR_QUBIT, config.loss_epr_db),
+                             (ALICE_HERALD, config.loss_herald_db), (EPR_BOB, config.loss_bob_db)):
+        circ.add_channel_loss(spatial, loss_from_db(loss_db))
+    _add_bell_mixer(circ)
+    return circ
+
+
+def _dip_circuit(config: ExperimentConfig) -> Tuple[Circuit, Tuple[int, ...]]:
+    """The bunching-dip circuit on a fresh relay registry, and the bins the
+    relay source emits into: the first only in symmetric mode."""
+    circ = Circuit(_relay_registry())
+    circ.add_michelson(ALICE_QUBIT, config.mandel_phase, internals=(0, 1))
+    if config.mandel_mode == "symmetric":
+        circ.add_michelson(EPR_QUBIT, config.mandel_phase, internals=(0, 1))
+    circ.add_channel_loss(ALICE_QUBIT, loss_from_db(config.loss_alice_db))
+    circ.add_channel_loss(EPR_QUBIT, loss_from_db(config.loss_epr_db))
+    _add_bell_mixer(circ)
+    return circ, ((0,) if config.mandel_mode == "symmetric" else (0, 1))
+
+
 # largest synthesis rounding error accepted, relative to a bound on the
 # synthesized magnitude; a more negative synthesized probability is an error
 _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
@@ -443,7 +477,7 @@ def _analyzed_harmonics(prepared: FockState, degree: int) -> Tuple[np.ndarray, n
 
 
 class TeleportEngine:
-    """Branch states through preparation, losses, the Bell-state mixer and
+    """Branch states through the teleport circuit (_teleport_circuit) and
     the receiver analyzer, each applied once.
 
     Branch states do not depend on the pair means or the detectors, so the
@@ -481,38 +515,22 @@ class TeleportEngine:
     """
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config.materialized()
-        cfg = self.config
-        reg = _relay_registry()
-        self.registry = reg
-
-        pre = Circuit(reg)
-        if cfg.alice_encoder == "michelson":
-            pre.add_michelson(ALICE_QUBIT, cfg.phase_alice, internals=(0, 1))
-        else:
-            pre.add_bin_encoder(ALICE_QUBIT, cfg.phase_alice, internals=(0, 1))
-        pre.add_channel_loss(ALICE_QUBIT, loss_from_db(cfg.loss_alice_db))
-        pre.add_channel_loss(EPR_QUBIT, loss_from_db(cfg.loss_epr_db))
-        pre.add_channel_loss(ALICE_HERALD, loss_from_db(cfg.loss_herald_db))
-        pre.add_channel_loss(EPR_BOB, loss_from_db(cfg.loss_bob_db))
-        _add_bell_mixer(pre)
-
+        cfg = self.config = config.materialized()
+        pre = _teleport_circuit(cfg)
+        reg = self.registry = pre.registry
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
         self.branches = pair_branches()
-        mixture = _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump)
-        self.prepared = apply(pre, mixture)
-        bob = reg.indices_for(EPR_BOB)
-        self.degree = int(self.prepared.occupations[:, bob].sum(axis=1).max(initial=0))
+        prepared = apply(pre, _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump))
+        at_bob = prepared.occupations[:, reg.indices_for(EPR_BOB)]
+        self.degree = int(at_bob.sum(axis=1).max(initial=0))
 
-        occupations, harmonics = _analyzed_harmonics(self.prepared, self.degree)
+        occupations, harmonics = _analyzed_harmonics(prepared, self.degree)
         # groups sorted by branch, each branch's slice of them, and the real
         # and imaginary parts of their harmonics stacked
-        branch = occupations[:, reg.index(BRANCH_RECORD)]
-        order = np.argsort(branch, kind="stable")
+        order, self._slices = _group_slices(occupations[:, reg.index(BRANCH_RECORD)],
+                                            len(self.branches))
         self._occupations = occupations[order]
         self._parts = np.concatenate([harmonics.real[:, order], harmonics.imag[:, order]])
-        bounds = np.searchsorted(branch[order], np.arange(len(self.branches) + 1))
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         norms = self._per_branch(np.ones((len(occupations), 1)))[:, 0]
         off = np.abs(norms - (np.arange(self.degree + 1) == 0)[:, None])
         if np.any(off > NORM_ATOL):
@@ -636,19 +654,6 @@ def _check_labels_separate(circuit: Circuit) -> None:
         )
 
 
-def _dip_circuit(config: ExperimentConfig) -> Tuple[Circuit, Tuple[int, ...]]:
-    """The bunching-dip circuit on a fresh relay registry, and the bins the
-    relay source emits into: the first only in symmetric mode."""
-    circ = Circuit(_relay_registry())
-    circ.add_michelson(ALICE_QUBIT, config.mandel_phase, internals=(0, 1))
-    if config.mandel_mode == "symmetric":
-        circ.add_michelson(EPR_QUBIT, config.mandel_phase, internals=(0, 1))
-    circ.add_channel_loss(ALICE_QUBIT, loss_from_db(config.loss_alice_db))
-    circ.add_channel_loss(EPR_QUBIT, loss_from_db(config.loss_epr_db))
-    _add_bell_mixer(circ)
-    return circ, ((0,) if config.mandel_mode == "symmetric" else (0, 1))
-
-
 class _MandelEngine:
     """Two sources onto the Bell-state mixer for the bunching-dip scan.
 
@@ -721,15 +726,12 @@ class _MandelEngine:
         # matmul per group, whose blocked sums round about as a detection
         # pass per point does (np.add.at's running sum, 5x worse at K = 4)
         size = self.degree + 1
-        group = n * size + j
-        order = np.argsort(group, kind="stable")
-        bounds = np.searchsorted(group[order], np.arange(size * size + 1))
+        order, slices = _group_slices(n * size + j, size * size)
         weighted = (np.array(list(held.values()))[branch] * probs)[order]
         ge, ingaas, _, _ = _detectors(cfg)
         clicks = coincidence_clicks(reg, occupations, ge, ingaas)[order, :2]
-        self._coefficients = np.stack(
-            [weighted[a:b] @ clicks[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        ).reshape(size, size, 2)
+        sums = [weighted[s] @ clicks[s] for s in slices]
+        self._coefficients = np.stack(sums).reshape(size, size, 2)
 
     def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
         """(short, long) coincidences at each mismatch, one row per point:
@@ -794,7 +796,7 @@ def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     signal = engine.mean(dets) - background
     if signal <= 0.0:
         return 1e9
-    return background / signal
+    return float(background / signal)
 
 
 def calibrate_dark_counts(

@@ -26,10 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from .detection import _SPEED_OF_LIGHT
 from .errors import ConfigError
-
-# speed of light in vacuum, m/s; exact in the SI
-_SPEED_OF_LIGHT = 299_792_458.0
 
 DRIFT_KINDS = ("sinusoid", "random-walk")
 

@@ -26,8 +26,9 @@ build.  simulate_per_step is the stability simulation with one random draw
 and one controller step per Python loop iteration: the reference for
 qrelay.stability.simulate's array code, which must match it byte for byte.
 
-teleport_per_phase builds the receiver analyzer at one phase, runs a
-teleport engine's prepared mixture through it and detects the result: the
+teleport_per_phase rebuilds a teleport engine's prepared mixture from
+qrelay.scenarios._teleport_circuit and _branch_mixture, runs it through
+the receiver analyzer built at one phase and detects the result: the
 reference for the phase harmonics qrelay.scenarios.TeleportEngine forms
 from one analyzer pass.  blocking_weights and teleport_mean_per_phase give
 the blocking runs and the phase average the same way.
@@ -471,14 +472,18 @@ def csv_text(header: Sequence[str], rows) -> str:
 def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights=None,
                        detectors=None) -> TeleportOutcome:
     """TeleportEngine.outcome with the analyzer built at phi_b: the engine's
-    prepared mixture through it, one detection pass, the weights dotted in.
-    The reference for the engine's phase harmonics."""
+    branches prepared by the teleport circuit, the analyzer, one detection
+    pass, the weights dotted in.  The reference for the engine's phase
+    harmonics."""
     cfg = engine.config
-    circ = Circuit(engine.registry)
+    pre = scenarios._teleport_circuit(cfg)
+    xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
+    mixture = scenarios._branch_mixture(pre.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
+    circ = Circuit(pre.registry)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
     ge, ingaas, herald, bob = scenarios._detectors(cfg) if detectors is None else detectors
     per_branch = teleport_outcome_distribution(
-        apply(circ, engine.prepared), ge, ingaas, bob, herald if cfg.heralded else None
+        apply(circ, apply(pre, mixture)), ge, ingaas, bob, herald if cfg.heralded else None
     )
     weights = scenarios.branch_weights(cfg) if weights is None else weights
     w = np.array([weights.get(k, 0.0) for k in engine.branches])

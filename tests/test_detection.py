@@ -15,13 +15,16 @@ from oracles import (
     teleport_outcome_distribution,
     terms,
 )
+from qrelay import scenarios
 from qrelay.detection import (
     DetectorChannel,
     DetectorModel,
     TimingBudget,
+    bell_patterns,
+    teleport_clicks,
     validate_timing,
 )
-from qrelay.errors import ConfigError, UnnormalizedStateError
+from qrelay.errors import ConfigError, RegistryMismatchError, UnnormalizedStateError
 from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum
 from qrelay.optics import Circuit, apply
 
@@ -226,6 +229,49 @@ def test_bsa_partner_must_follow_the_free_running_detector():
     ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
     with pytest.raises(ConfigError):
         teleport_outcome_distribution(vacuum(reg), armed_ge, ingaas, bob)
+
+
+def test_teleport_clicks_needs_the_clock_window_and_bob_bins():
+    reg = _registry("a", "c", "b")
+    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
+    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="bsa-ge")
+    bob = DetectorChannel(DetectorModel("bob"), "b")
+    with pytest.raises(RegistryMismatchError):
+        teleport_clicks(reg, vacuum(reg).occupations, ge, ingaas, bob)
+
+
+def _pattern_set(patterns):
+    return {(frozenset(click), frozenset(dark)) for click, dark in patterns}
+
+
+def test_bell_patterns_of_the_relay():
+    # gates are (channel, bin) over (ge, ingaas, bob, herald) = (0, 1, 2, 3)
+    n_bins = scenarios._relay_registry().max_bins
+    assert n_bins == 3
+    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
+    gated = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="bsa-ge")
+    free = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
+    # an armed partner: ge alone at t, the partner at t + 1, no partner veto
+    assert _pattern_set(bell_patterns(ge, gated, n_bins, False)) == {
+        (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (0, 2)})),
+        (frozenset({(0, 1), (1, 2)}), frozenset({(0, 0), (0, 2)})),
+    }
+    # a free partner: both orderings, each detector alone on its gate
+    assert _pattern_set(bell_patterns(ge, free, n_bins, False)) == {
+        (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (0, 2), (1, 0), (1, 2)})),
+        (frozenset({(1, 0), (0, 1)}), frozenset({(0, 0), (0, 2), (1, 1), (1, 2)})),
+        (frozenset({(0, 1), (1, 2)}), frozenset({(0, 0), (0, 2), (1, 0), (1, 1)})),
+        (frozenset({(1, 1), (0, 2)}), frozenset({(0, 0), (0, 1), (1, 0), (1, 2)})),
+    }
+    # a heralded run adds the herald gate to every click set
+    for partner in (gated, free):
+        plain = bell_patterns(ge, partner, n_bins, False)
+        heralded = bell_patterns(ge, partner, n_bins, True)
+        assert _pattern_set(heralded) == {
+            (frozenset(click) | {(3, 0)}, frozenset(dark)) for click, dark in plain
+        }
+        for click, dark in plain + heralded:
+            assert not set(click) & set(dark)
 
 
 def test_symmetric_states_never_accepted():

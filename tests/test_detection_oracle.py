@@ -85,8 +85,8 @@ def detector(draw, label, spatial):
     return DetectorChannel(DetectorModel(label, draw(EFFICIENCY), draw(DARK)), spatial)
 
 
-def _teleport_registry():
-    reg = ModeRegistry(max_bins=3)
+def _teleport_registry(max_bins=3):
+    reg = ModeRegistry(max_bins=max_bins)
     reg.add_channel("a", (0, 1))
     for s in ("c", "h", "b"):
         reg.add_channel(s)
@@ -108,9 +108,10 @@ def _oracle_outcome(ensemble, ge, ingaas, bob, herald):
 
 
 @PROPERTY_SETTINGS
-@given(hs.data(), hs.booleans(), hs.booleans())
-def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded):
-    reg = _teleport_registry()
+@given(hs.data(), hs.booleans(), hs.booleans(), hs.sampled_from([3, 4]))
+def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded, max_bins):
+    # a fourth bin lies outside the clock window, where a click still vetoes
+    reg = _teleport_registry(max_bins)
     mixture, states = data.draw(record_mixtures(reg))
     ge = data.draw(detector("bsa-ge", "a"))
     drawn = data.draw(detector("bsa-ingaas", "c"))

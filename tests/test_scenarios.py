@@ -195,6 +195,7 @@ def test_blocking_behaviour():
 def test_calibration_clamps_when_multipair_background_dominates():
     cal, report = calibrate_dark_counts(ExperimentConfig())
     assert report.clamped
+    assert type(report.achieved_ratio) is float
     assert report.achieved_ratio >= report.target_ratio
     assert cal.dark_ge == 0.0 and cal.dark_bob == 0.0
     assert cal.detectors_calibrated
@@ -204,6 +205,7 @@ def test_calibration_reaches_feasible_target():
     cfg = ExperimentConfig(pair_mean_epr=0.005)
     cal, report = calibrate_dark_counts(cfg)
     assert not report.clamped
+    assert type(report.achieved_ratio) is float
     assert abs(report.achieved_ratio - 1.0) < 1e-4
     assert cal.dark_bob > 0.0
     # the calibrated configuration reproduces the target ratio end to end
