@@ -2,19 +2,16 @@
 
 Fringes are fit by weighted linear least squares in the basis
 (1, cos x, sin x), which is exact and has closed-form covariance; a
-constrained refit through a sigmoid reparametrization runs only when the
-linear estimate leaves the physical range [0, 1].  Dips are fit as an
-inverted Gaussian parametrized directly by its full width at half maximum.
-Count uncertainties are taken as sqrt(max(count, 1)).
+constrained refit with the visibility held in [0, 1] runs only when the
+linear estimate leaves that range.  Dips are fit as an inverted Gaussian
+parametrized directly by its full width at half maximum.  Count
+uncertainties are taken as sqrt(max(count, 1)).
 
-The dip fit is a bounded Levenberg-Marquardt iteration in numpy on the
-model's analytic Jacobian.  It stops once a step is predicted to lower the
-weighted cost by at most 1e-12 of it, or moves the parameters by at most
-1e-12 of their norm, and raises FitConvergenceError on a non-finite cost
-or after 5000 trial steps.  Only the constrained fringe refit runs
-scipy.optimize.least_squares, imported where it is called: scipy costs a
-cold start several times numpy's import, and an in-range fringe never
-needs it.
+The dip fit and the constrained fringe refit are one bounded
+Levenberg-Marquardt iteration in numpy on each model's analytic Jacobian.
+It stops once a step is predicted to lower the weighted cost by at most
+1e-12 of it, or moves the parameters by at most 1e-12 of their norm, and
+raises FitConvergenceError on a non-finite cost or after 5000 trial steps.
 """
 
 from __future__ import annotations
@@ -122,25 +119,19 @@ def fit_fringe(phases, counts) -> FringeFit:
     if 0.0 <= visibility <= 1.0:
         return FringeFit(visibility, sigma, phase0, c0, False, visibility)
 
-    # out of range: refit with V = sigmoid(u) so the estimate stays physical
-    from scipy.optimize import least_squares
-
+    # V = r / c0 >= 0, so out of range is above 1: refit from the bound V = 1
     def residuals(p):
-        off, u, ph = p
-        v = 1.0 / (1.0 + math.exp(-u))
-        return (y - off * (1.0 + v * np.cos(x - ph))) * w
+        off, v, ph = p.tolist()
+        cos = np.cos(x - ph)
+        return (y - off * (1.0 + v * cos)) * w, cos
 
-    u0 = 6.0 if visibility > 1.0 else -6.0
-    sol = least_squares(residuals, [c0, u0, phase0], method="lm", max_nfev=2000)
-    if not sol.success:
-        raise FitConvergenceError(f"constrained fringe fit failed: {sol.message}")
-    off, u, ph = sol.x
-    if off <= 0:
-        raise FitConvergenceError(f"non-positive fringe offset {off:.3g}")
-    v = 1.0 / (1.0 + math.exp(-u))
-    return FringeFit(
-        v, sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility
-    )
+    def jacobian(p, cos):
+        off, v, ph = p.tolist()
+        return (np.array([-(1.0 + v * cos), -off * cos, -off * v * np.sin(x - ph)]) * w).T
+
+    box = np.array([[1e-12, 0.0, -np.inf], [np.inf, 1.0, np.inf]])
+    off, v, ph = _fit_box(residuals, jacobian, np.array([c0, 1.0, phase0]), *box).tolist()
+    return FringeFit(v, sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility)
 
 
 @dataclass(frozen=True)
@@ -154,9 +145,9 @@ class DipFit:
     fwhm_sigma: float
 
 
-_DIP_FTOL = 1e-12
-_DIP_XTOL = 1e-12
-_DIP_MAX_TRIALS = 5000
+_FTOL = 1e-12
+_XTOL = 1e-12
+_MAX_TRIALS = 5000
 _LN2X4 = 4.0 * math.log(2.0)
 
 
@@ -176,28 +167,29 @@ def _dip_jacobian(x, w, p, gauss):
     return (np.array([d * gauss - 1.0, a * gauss, slope * u, slope * u * u]) * w).T
 
 
-def _fit_dip_box(x, y, w, p, lo, hi):
-    """Least-squares dip parameters inside the box [lo, hi], from p.
+def _fit_box(residuals, jacobian, p, lo, hi):
+    """Least-squares parameters inside the box [lo, hi], from p.
 
-    A bounded Levenberg-Marquardt iteration (More, LNM 630, 1978): each
-    trial solves the damped normal equations (J'J + lam D) s = -J'r,
-    D = diag(J'J) (Marquardt's scaling), over the free parameters and
-    projects p + s onto the box; a parameter on a bound that the gradient
-    pushes outward is not free.  A trial is accepted only if it lowers the
-    cost, and lam falls by 5 after an accepted trial and grows by 4 after a
-    rejected one.  The fit stops once a trial's projected step is predicted
-    to lower the cost, by at most _DIP_FTOL of it, or has norm at most
-    _DIP_XTOL (_DIP_XTOL + |p|); a non-finite cost or _DIP_MAX_TRIALS
-    trials raise FitConvergenceError.  Growing lam shrinks the step, but
-    lam has no ceiling that stops the fit.
+    residuals(p) gives the weighted residuals r and a by-product that
+    jacobian(p, by-product) reuses for dr/dp.  A bounded Levenberg-Marquardt
+    iteration (More, LNM 630, 1978): each trial solves the damped normal
+    equations (J'J + lam D) s = -J'r, D = diag(J'J) (Marquardt's scaling),
+    over the free parameters and projects p + s onto the box; a parameter
+    on a bound that the gradient pushes outward is not free.  A trial is
+    accepted only if it lowers the cost, and lam falls by 5 after an
+    accepted trial and grows by 4 after a rejected one.  The fit stops once
+    a trial's projected step is predicted to lower the cost by at most
+    _FTOL of it, or has norm at most _XTOL (_XTOL + |p|); a non-finite cost
+    or _MAX_TRIALS trials raise FitConvergenceError.  Growing lam shrinks
+    the step, but lam has no ceiling that stops the fit.
     """
-    r, gauss = _dip_residuals(x, y, w, p)
+    r, aux = residuals(p)
     cost = 0.5 * (r @ r)
     lam = 1.0
     moved = True
-    for _ in range(_DIP_MAX_TRIALS):
+    for _ in range(_MAX_TRIALS):
         if moved:
-            jac = _dip_jacobian(x, w, p, gauss)
+            jac = jacobian(p, aux)
             grad = jac.T @ r
             jtj = jac.T @ jac
             free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
@@ -223,23 +215,23 @@ def _fit_dip_box(x, y, w, p, lo, hi):
         trial = np.minimum(np.maximum(p + step, lo), hi)
         step = trial - p
         predicted = -(grad @ step) - 0.5 * (step @ jtj @ step)
-        r_trial, gauss_trial = _dip_residuals(x, y, w, trial)
+        r_trial, aux_trial = residuals(trial)
         cost_trial = 0.5 * (r_trial @ r_trial)
         if not math.isfinite(cost_trial):
-            raise FitConvergenceError("dip fit cost is not finite")
+            raise FitConvergenceError("fit cost is not finite")
         converged = (
-            0.0 <= predicted <= _DIP_FTOL * cost
-            or math.sqrt(step @ step) <= _DIP_XTOL * (_DIP_XTOL + math.sqrt(trial @ trial))
+            0.0 <= predicted <= _FTOL * cost
+            or math.sqrt(step @ step) <= _XTOL * (_XTOL + math.sqrt(trial @ trial))
         )
         if cost_trial < cost:
-            p, r, gauss, cost = trial, r_trial, gauss_trial, cost_trial
+            p, r, aux, cost = trial, r_trial, aux_trial, cost_trial
             lam /= 5.0
             moved = True
         else:
             lam *= 4.0
         if converged:
             return p
-    raise FitConvergenceError(f"dip fit did not converge in {_DIP_MAX_TRIALS} trials")
+    raise FitConvergenceError(f"fit did not converge in {_MAX_TRIALS} trials")
 
 
 def fit_dip(positions, counts) -> DipFit:
@@ -252,8 +244,7 @@ def fit_dip(positions, counts) -> DipFit:
         raise InsufficientPointsError(f"need >= 5 points for a dip fit, got {x.size}")
     w = 1.0 / _sigmas(y)
 
-    a0 = float(np.median(np.sort(y)[-max(3, x.size // 4):]))
-    a0 = max(a0, 1e-9)
+    a0 = max(float(np.median(np.sort(y)[-max(3, x.size // 4):])), 1e-9)
     i_min = int(np.argmin(y))
     x0 = float(x[i_min])
     d0 = min(0.95, max(0.05, 1.0 - float(y[i_min]) / a0))
@@ -269,7 +260,8 @@ def fit_dip(positions, counts) -> DipFit:
         start_finite = np.all(np.isfinite(_dip_residuals(x, y, w, p0)[0]))
         if not start_finite:
             raise FitConvergenceError("dip fit residuals are not finite at the starting point")
-        p = _fit_dip_box(x, y, w, p0, lo, hi)
+        p = _fit_box(lambda p: _dip_residuals(x, y, w, p),
+                     lambda p, gauss: _dip_jacobian(x, w, p, gauss), p0, lo, hi)
         jac = _dip_jacobian(x, w, p, _dip_residuals(x, y, w, p)[1])
     a, d, c, fw = p
 

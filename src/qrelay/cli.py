@@ -18,6 +18,7 @@ malformed values, bad flag combinations), 3 for numeric failures
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -47,6 +48,7 @@ from .scenarios import (
 from .stability import DRIFT_KINDS, Controller, DriftModel, simulate
 
 
+@functools.lru_cache(maxsize=None)
 def _field_types() -> Dict[str, type]:
     hints = get_type_hints(ExperimentConfig)
     out = {}
@@ -352,6 +354,8 @@ def _cmd_limits(_args) -> int:
     return 0
 
 
+# built once per process: each parse_args call fills a fresh namespace
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrelay",

@@ -151,12 +151,6 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
 
-    def alice_mean(self) -> float:
-        return self.pair_mean if self.pair_mean is not None else self.pair_mean_alice
-
-    def epr_mean(self) -> float:
-        return self.pair_mean if self.pair_mean is not None else self.pair_mean_epr
-
     def materialized(self) -> "ExperimentConfig":
         """Fold the common pair_mean override into the per-source fields."""
         if self.pair_mean is None:
@@ -218,11 +212,9 @@ def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
     cfg = config.materialized()
     if cfg.ideal_single_pairs:
         return {(1, 1): 1.0}
-    pa = pair_count_distribution(
-        SpdcSource(cfg.alice_mean(), cfg.statistics), MAX_PAIRS_EACH, cfg.tail_tol
-    )
-    pc = pair_count_distribution(
-        SpdcSource(cfg.epr_mean(), cfg.statistics), MAX_PAIRS_EACH, cfg.tail_tol
+    pa, pc = (
+        pair_count_distribution(SpdcSource(mean, cfg.statistics), MAX_PAIRS_EACH, cfg.tail_tol)
+        for mean in (cfg.pair_mean_alice, cfg.pair_mean_epr)
     )
     raw = {(na, nc): float(pa[na] * pc[nc]) for na, nc in pair_branches()}
     total = sum(raw.values())
@@ -799,6 +791,30 @@ def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     return float(background / signal)
 
 
+def _regula_falsi(f, a, fa, b, fb, rtol=1e-6, xtol=2e-12):
+    """(s, f(s)) for the evaluated s of least |f| once the bracket [a, b] on
+    which f changes sign (fa = f(a), fb = f(b)) is narrower than brentq's
+    xtol + rtol |b|.  Anderson-Bjorck regula falsi (BIT 13, 253 (1973)): a
+    secant point with the sign of the newest end b scales the far end's
+    value by 1 - f(new)/f(b), or by 1/2 if that is not positive; a step
+    under half the tolerance is lengthened to it, as in Brent's method."""
+    best = (abs(fb), b, fb)
+    for _ in range(100):
+        tol = xtol + rtol * abs(b)
+        if fb == 0.0 or abs(b - a) < tol:
+            return best[1:]
+        c = b - fb * (b - a) / (fb - fa)
+        c = c if abs(c - b) >= 0.5 * tol else b + math.copysign(0.5 * tol, a - b)
+        fc = f(c)
+        best = min(best, (abs(fc), c, fc))
+        if (fc > 0.0) != (fb > 0.0):
+            a, fa = b, fb
+        else:
+            fa *= 1.0 - fc / fb if fc / fb < 1.0 else 0.5
+        b, fb = c, fc
+    raise FitConvergenceError("dark-count calibration root search did not converge")
+
+
 def calibrate_dark_counts(
     config: ExperimentConfig, target_ratio: float = 1.0
 ) -> Tuple[ExperimentConfig, CalibrationReport]:
@@ -808,8 +824,8 @@ def calibrate_dark_counts(
     by calibration, so when it already exceeds the target the dark counts
     clamp to zero and the report says so.  Branch states are independent
     of detector parameters, which keeps the search to one engine build.
-    The root search is scipy.optimize.brentq, imported only once a search
-    is needed, so the rest of this module runs without scipy.
+    The scale is bracketed by growing it fourfold from 1 until the ratio
+    reaches the target, then found by _regula_falsi to 1e-6 relative.
     """
     if target_ratio <= 0:
         raise ConfigError("target_ratio must be > 0")
@@ -823,25 +839,12 @@ def calibrate_dark_counts(
         calibrated = replace(_with_dark_scale(cfg, 0.0), detectors_calibrated=True)
         return calibrated, CalibrationReport(target_ratio, r0, 0.0, True)
 
-    hi = 1.0
-    while _background_ratio(hi, engine) < target_ratio:
-        hi *= 4.0
-        if hi > 1e7:
-            raise FitConvergenceError(
-                "dark-count calibration cannot reach the target background ratio"
-            )
-    from scipy.optimize import brentq
-
-    # the engine travels in args, not in a closure: brentq's function wrapper
-    # sits in a reference cycle, which would keep a captured engine and its
-    # caches alive until the next full garbage collection
-    scale = brentq(
-        lambda s, eng: _background_ratio(s, eng) - target_ratio,
-        0.0,
-        hi,
-        args=(engine,),
-        rtol=1e-6,
-    )
+    lo, r_lo, hi, r_hi = 0.0, r0, 1.0, _background_ratio(1.0, engine)
+    while r_hi < target_ratio:
+        if 4.0 * hi > 1e7:
+            raise FitConvergenceError("dark-count calibration cannot reach the target ratio")
+        lo, r_lo, hi, r_hi = hi, r_hi, 4.0 * hi, _background_ratio(4.0 * hi, engine)
+    scale, miss = _regula_falsi(lambda s: _background_ratio(s, engine) - target_ratio,
+                                lo, r_lo - target_ratio, hi, r_hi - target_ratio)
     calibrated = replace(_with_dark_scale(cfg, scale), detectors_calibrated=True)
-    achieved = _background_ratio(scale, engine)
-    return calibrated, CalibrationReport(target_ratio, achieved, float(scale), False)
+    return calibrated, CalibrationReport(target_ratio, target_ratio + miss, scale, False)

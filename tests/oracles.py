@@ -36,6 +36,12 @@ the blocking runs and the phase average the same way.
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the column-wise writer in qrelay.cli.
 
+fit_fringe_scipy is the fringe fit whose out-of-range refit runs
+scipy.optimize.least_squares (lm) through V = 1 / (1 + exp(-u)): the
+reference for the constrained refit in qrelay.analysis.fit_fringe, which
+holds V in [0, 1] by the box of the package's own Levenberg-Marquardt
+iteration instead.
+
 fit_dip_scipy is the dip fit as scipy.optimize.least_squares runs it
 (trf, with fit_dip's start point, weights, bounds and 1e-12 tolerances):
 the reference for the bounded Levenberg-Marquardt iteration in
@@ -54,7 +60,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from qrelay import scenarios
-from qrelay.analysis import DipFit
+from qrelay.analysis import DipFit, FringeFit, _phase, fit_fringe
 from qrelay.detection import (
     DetectorChannel,
     TeleportOutcome,
@@ -508,6 +514,40 @@ def teleport_mean_per_phase(engine: "scenarios.TeleportEngine", detectors=None) 
     phases = 2.0 * math.pi * np.arange(n) / n
     return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob[1]
                           for p in phases]))
+
+
+def fit_fringe_scipy(phases, counts) -> FringeFit:
+    """qrelay.analysis.fit_fringe, its constrained refit through a sigmoid
+    run by least_squares' lm."""
+    from scipy.optimize import least_squares
+
+    fit = fit_fringe(phases, counts)
+    if not fit.constrained:
+        return fit
+    x = np.asarray(phases, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    w = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    basis = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    (c0, c1, c2), *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
+    visibility, phase0 = fit.unconstrained_visibility, _phase(c2, c1)
+
+    # out of range: refit with V = sigmoid(u) so the estimate stays physical
+    def residuals(p):
+        off, u, ph = p
+        v = 1.0 / (1.0 + math.exp(-u))
+        return (y - off * (1.0 + v * np.cos(x - ph))) * w
+
+    u0 = 6.0 if visibility > 1.0 else -6.0
+    sol = least_squares(residuals, [c0, u0, phase0], method="lm", max_nfev=2000)
+    if not sol.success:
+        raise FitConvergenceError(f"constrained fringe fit failed: {sol.message}")
+    off, u, ph = sol.x
+    if off <= 0:
+        raise FitConvergenceError(f"non-positive fringe offset {off:.3g}")
+    v = 1.0 / (1.0 + math.exp(-u))
+    return FringeFit(
+        v, fit.visibility_sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility
+    )
 
 
 def fit_dip_scipy(positions, counts) -> DipFit:

@@ -1,6 +1,7 @@
 """Property tests: the dip fit's bounded Levenberg-Marquardt iteration
 against scipy's trf fit of the same model in tests/oracles.py, and its
-analytic Jacobian against central differences."""
+analytic Jacobian against central differences; the constrained fringe
+refit, the same iteration, against the sigmoid refit scipy's lm ran."""
 
 import math
 
@@ -11,9 +12,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
-from oracles import fit_dip_scipy  # noqa: E402
-from qrelay.analysis import _dip_jacobian, _dip_residuals, fit_dip  # noqa: E402
-from qrelay.scenarios import MANDEL_MODES, ExperimentConfig, mismatch_grid, run_mandel_scan  # noqa: E402
+from oracles import fit_dip_scipy, fit_fringe_scipy  # noqa: E402
+from qrelay.analysis import _dip_jacobian, _dip_residuals, fit_dip, fit_fringe  # noqa: E402
+from qrelay.scenarios import (  # noqa: E402
+    MANDEL_MODES,
+    ExperimentConfig,
+    mismatch_grid,
+    phase_grid,
+    run_mandel_scan,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -159,3 +166,49 @@ def test_dip_fit_holds_the_depth_on_its_bound():
     assert _cost(fit, xs, counts) <= _cost(oracle, xs, counts)
     assert abs(fit.fwhm / oracle.fwhm - 1.0) <= RTOL
     assert abs(fit.amplitude / oracle.amplitude - 1.0) <= RTOL
+
+
+# constrained fringes: relative cost excess, visibility and relative offset agreement
+FRINGE_COST_RTOL = 1e-9
+FRINGE_V_ATOL = 1e-8
+FRINGE_OFFSET_RTOL = 1e-5
+
+
+@hs.composite
+def constrained_fringes(draw):
+    """(phases, counts): Poisson fringes of 6-29 points over 1-2 periods,
+    visibility 0.9-1 and mean counts 10-1e5, whose linear fit leaves
+    [0, 1]; the noise is redrawn until it does."""
+    xs = phase_grid(draw(hs.integers(6, 29)), draw(hs.floats(1.0, 2.0)),
+                    draw(hs.floats(-math.pi, math.pi)))
+    mean = 10.0 ** draw(hs.floats(1.0, 5.0)) * (
+        1.0 + draw(hs.floats(0.9, 1.0)) * np.cos(xs - draw(hs.floats(-math.pi, math.pi)))
+    )
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    for _ in range(100):
+        counts = rng.poisson(mean).astype(float)
+        if fit_fringe(xs, counts).constrained:
+            return xs, counts
+    assume(False)
+
+
+def _fringe_cost(fit, xs, counts):
+    model = fit.offset * (1.0 + fit.visibility * np.cos(xs - fit.phase0))
+    r = (counts - model) * _weights(counts)
+    return 0.5 * (r @ r)
+
+
+@settings(PROPERTY_SETTINGS, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(constrained_fringes())
+def test_constrained_fringe_fit_matches_the_sigmoid_oracle(case):
+    xs, counts = case
+    fit, oracle = fit_fringe(xs, counts), fit_fringe_scipy(xs, counts)
+    assert fit.constrained and 0.0 <= fit.visibility <= 1.0
+    cost, oracle_cost = _fringe_cost(fit, xs, counts), _fringe_cost(oracle, xs, counts)
+    assert cost <= oracle_cost * (1.0 + FRINGE_COST_RTOL)
+    assert abs(fit.offset / oracle.offset - 1.0) <= FRINGE_OFFSET_RTOL
+    if abs(fit.visibility - oracle.visibility) > FRINGE_V_ATOL:
+        # the sigmoid reaches V = 1 only as u -> inf, and lm stops once a step
+        # lowers its cost by at most 1e-8 of it, so it can halt short of a
+        # minimum on the bound; the box fit then sits on it at a lower cost
+        assert fit.visibility == 1.0 and cost < oracle_cost

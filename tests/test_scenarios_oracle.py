@@ -1,8 +1,10 @@
 """Property tests: the dip scan's Bernstein form in xi^2, from one branch-
-mixture build, against the per-point builds in tests/oracles.py; and the
-guards of the conditions under which that form is exact."""
+mixture build, against the per-point builds in tests/oracles.py; the
+guards of the conditions under which that form is exact; and the dark-count
+calibration's root search against scipy's brentq on the same bracket."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from qrelay.fock import ModeKey  # noqa: E402
 from qrelay.scenarios import (  # noqa: E402
     MANDEL_MODES,
     ExperimentConfig,
+    TeleportEngine,
+    calibrate_dark_counts,
     mismatch_grid,
     run_mandel_scan,
 )
@@ -144,3 +148,48 @@ def test_label_mixing_circuit_raises(monkeypatch, capsys):
         run_mandel_scan(ExperimentConfig(), mismatch_grid(5))
     assert cli.main(["mandel", "--points", "5"]) == 3
     assert "couples" in capsys.readouterr().err
+
+
+# brentq's rtol, which the calibration's search keeps
+CALIBRATION_RTOL = 1e-6
+
+
+@hs.composite
+def calibrations(draw):
+    """(config, target): relays whose background ratio at zero dark counts
+    lies below a target of 2.2-4, so the calibration searches."""
+    cfg = ExperimentConfig(
+        pair_mean_alice=draw(hs.floats(0.14, 0.19)),
+        pair_mean_epr=draw(hs.floats(0.03, 0.06)),
+        loss_bob_db=draw(hs.floats(1.0, 3.0)),
+        phase_alice=draw(hs.floats(0.0, 2.0 * math.pi)),
+        delta_x_um=draw(hs.floats(5.0, 60.0)),
+        eta_bob=draw(hs.floats(0.08, 0.15)),
+        heralded=draw(hs.booleans()),
+    )
+    return cfg, draw(hs.floats(2.2, 4.0))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(calibrations())
+def test_calibration_matches_brentq(case):
+    from scipy.optimize import brentq
+
+    cfg, target = case
+    with mock.patch.object(scenarios, "_background_ratio", wraps=scenarios._background_ratio) as ratio:
+        _, report = calibrate_dark_counts(cfg, target)
+    assert not report.clamped
+
+    # the search as brentq ran it: the fourfold bracket from [0, 1], the
+    # root, then the ratio there once more
+    engine = TeleportEngine(cfg)
+    hi, calls = 1.0, 2
+    while scenarios._background_ratio(hi, engine) < target:
+        hi, calls = 4.0 * hi, calls + 1
+    scale, result = brentq(
+        lambda s: scenarios._background_ratio(s, engine) - target,
+        0.0, hi, rtol=CALIBRATION_RTOL, full_output=True,
+    )
+    assert abs(report.dark_scale / scale - 1.0) <= CALIBRATION_RTOL
+    assert abs(report.achieved_ratio / target - 1.0) <= CALIBRATION_RTOL
+    assert ratio.call_count <= calls + result.function_calls + 1
