@@ -8,10 +8,11 @@ Dark counts are independent Bernoulli events OR'd into every open gate.
 The measurement station pairs a free-running detector with one that is
 armed only for the bin right after the free-running detector fired; that
 asymmetry halves the accepted time orderings, and a partner that runs free
-too accepts both.  Acceptance of a projection onto the antisymmetric Bell
-state requires exactly two clicks, on different detectors, in adjacent
-time bins inside the clock window; bell_patterns declares those events
-once, as (gates that must click, gates that must stay dark) pairs.
+too accepts both (free_partner, the config's symmetric_bsa).  Acceptance
+of a projection onto the antisymmetric Bell state requires exactly two
+clicks, on different detectors, in adjacent time bins inside the clock
+window; bell_patterns declares those events once, as (gates that must
+click, gates that must stay dark) pairs.
 
 Detection answers per row.  A state's (terms x modes) occupation matrix
 times the registry's mode-to-gate indicator gives the photons in every
@@ -47,8 +48,10 @@ _GE, _INGAAS, _BOB, _HERALD = range(4)
 
 
 @dataclass(frozen=True)
-class DetectorModel:
-    label: str
+class Detector:
+    """A threshold detector watching one spatial channel."""
+
+    spatial: str
     efficiency: float = 1.0
     dark_prob: float = 0.0
 
@@ -66,19 +69,6 @@ class DetectorModel:
         """click_prob of every entry of an integer photon-count array."""
         table = np.array([self.click_prob(n) for n in range(int(counts.max(initial=0)) + 1)])
         return table[counts]
-
-
-@dataclass(frozen=True)
-class DetectorChannel:
-    """One detector watching one spatial channel.
-
-    follows: label of the detector whose click at bin t arms this one at
-    bin t+1; None means free-running (all bins open).
-    """
-
-    model: DetectorModel
-    spatial: str
-    follows: Optional[str] = None
 
 
 def _gate_counts(registry: ModeRegistry, occupations: np.ndarray,
@@ -99,30 +89,17 @@ class TeleportOutcome:
     bob: np.ndarray       # [..., i]: P(acceptance and herald and Bob click in BOB_BINS[i])
 
 
-def _partner_runs_free(ge: DetectorChannel, ingaas: DetectorChannel) -> bool:
-    """True when the Bell-state partner is free-running, False when ge arms it."""
-    if ge.follows is not None:
-        raise ConfigError(f"{ge.model.label} must run free, not follow {ge.follows}")
-    if ingaas.follows is None:
-        return True
-    if ingaas.follows != ge.model.label:
-        raise ConfigError(
-            f"{ingaas.model.label} can only follow {ge.model.label}, not {ingaas.follows}"
-        )
-    return False
-
-
-def bell_patterns(ge: DetectorChannel, ingaas: DetectorChannel, n_bins: int,
-                  heralded: bool) -> List[Tuple[tuple, tuple]]:
+def bell_patterns(free_partner: bool, n_bins: int, heralded: bool) -> List[Tuple[tuple, tuple]]:
     """The accepted Bell-state events as (gates that must click, gates that
     must stay dark); a gate is (channel, bin) over (ge, ingaas, bob, herald).
 
     A free-running detector clicks at bin t and the other one at t + 1,
     both in CLOCK_WINDOW; every other gate of a free-running detector stays
-    dark.  ge runs free, and a partner that ge arms opens only the gate
-    after ge's click.  A heralded run adds the herald gate to every click set.
+    dark.  ge runs free, and so does its partner when `free_partner` is
+    set; otherwise ge arms the partner, which opens only the gate after
+    ge's click.  A heralded run adds the herald gate to every click set.
     """
-    free = (_GE, _INGAAS) if _partner_runs_free(ge, ingaas) else (_GE,)
+    free = (_GE, _INGAAS) if free_partner else (_GE,)
     clicks = [((first, t), (_INGAAS if first == _GE else _GE, t + 1))
               for t in CLOCK_WINDOW if t + 1 in CLOCK_WINDOW for first in free]
     vetoed = [(ch, s) for ch in free for s in range(n_bins)]
@@ -133,29 +110,33 @@ def bell_patterns(ge: DetectorChannel, ingaas: DetectorChannel, n_bins: int,
 def teleport_clicks(
     registry: ModeRegistry,
     occupations: np.ndarray,
-    ge: DetectorChannel,
-    ingaas: DetectorChannel,
-    bob: DetectorChannel,
-    herald: Optional[DetectorChannel] = None,
+    ge: Detector,
+    ingaas: Detector,
+    bob: Detector,
+    herald: Optional[Detector] = None,
+    *,
+    free_partner: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per occupation row: P(accepted Bell pattern [and herald]), shape
     (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
     (terms, len(BOB_BINS)).
 
-    The acceptance is the sum over bell_patterns of each pattern's click
-    probabilities times its miss probabilities, and Bob's click a marginal
-    factor on top.  tests/oracles.py holds the full click-pattern
-    enumeration this agrees with.  Raises RegistryMismatchError when the
-    registry's bins do not cover CLOCK_WINDOW and BOB_BINS.
+    `free_partner`, which has no default, is True when ingaas runs free
+    and False when ge arms it.  The acceptance is the sum over
+    bell_patterns of each pattern's click probabilities times its miss
+    probabilities, and Bob's click a marginal factor on top.
+    tests/oracles.py holds the full click-pattern enumeration this agrees
+    with.  Raises RegistryMismatchError when the registry's bins do not
+    cover CLOCK_WINDOW and BOB_BINS.
     """
-    patterns = bell_patterns(ge, ingaas, registry.max_bins, herald is not None)
+    patterns = bell_patterns(free_partner, registry.max_bins, herald is not None)
     if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
         raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
                                     f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
     channels = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
     counts = _gate_counts(registry, occupations, [ch.spatial for ch in channels])
     top = int(counts.max(initial=0)) + 1
-    pc = np.array([[ch.model.click_prob(n) for n in range(top)] for ch in channels])
+    pc = np.array([[ch.click_prob(n) for n in range(top)] for ch in channels])
     # pc[channel, photons] and clicks[channel, bin, term] are P(click); table[0] P(miss)
     gates = np.ascontiguousarray(counts.transpose(1, 2, 0))
     clicks = pc.ravel()[gates + top * np.arange(len(channels))[:, None, None]]
@@ -169,7 +150,7 @@ def teleport_clicks(
 
 def coincidence_clicks(
     registry: ModeRegistry, occupations: np.ndarray,
-    det_a: DetectorChannel, det_b: DetectorChannel,
+    det_a: Detector, det_b: Detector,
 ) -> np.ndarray:
     """Per occupation row: P(det_a and det_b both click in bin t), shape
     (terms, max_bins).
@@ -178,7 +159,7 @@ def coincidence_clicks(
     coincidence counter.
     """
     counts = _gate_counts(registry, occupations, (det_a.spatial, det_b.spatial))
-    return det_a.model.click_probs(counts[:, 0]) * det_b.model.click_probs(counts[:, 1])
+    return det_a.click_probs(counts[:, 0]) * det_b.click_probs(counts[:, 1])
 
 
 @dataclass(frozen=True)

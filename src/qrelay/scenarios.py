@@ -25,15 +25,14 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detection import (
     CLOCK_WINDOW,
-    DetectorChannel,
-    DetectorModel,
+    Detector,
     TeleportOutcome,
     coincidence_clicks,
     teleport_clicks,
@@ -75,6 +74,11 @@ MAX_PAIRS_EACH = 2
 # evaluation, the fit and the CSV row, so the cap keeps a scan under about
 # 0.5 GB
 MAX_POINTS = 10**6
+
+# largest |phase| in rad a config or a phase scan accepts: past 2**52
+# adjacent doubles are 1 rad apart or more, so a value no longer names a
+# phase, and every phase times a harmonic order stays finite
+MAX_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,9 @@ class ExperimentConfig:
         for name in ("dark_ge", "dark_ingaas_bsa", "dark_herald", "dark_bob"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
+        for name in ("phase_alice", "phase_bob", "phase_pump", "mandel_phase"):
+            if not abs(getattr(self, name)) <= MAX_PHASE:
+                raise ConfigError(f"|{name}| must be <= 2**52 rad, got {getattr(self, name)}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ConfigError("tail_tol must be in (0, 1)")
         if self.dip_fwhm_um <= 0:
@@ -238,6 +245,9 @@ def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np
         raise ConfigError(f"a phase scan needs 4 to {MAX_POINTS} points, got {points}")
     if not math.isfinite(periods) or periods == 0:
         raise ConfigError(f"the period count must be finite and nonzero, got {periods}")
+    end = start + periods * 2.0 * math.pi
+    if not max(abs(start), abs(end)) <= MAX_PHASE:
+        raise ConfigError(f"a phase scan from {start} to {end} rad passes 2**52 rad")
     return start + np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
 
 
@@ -264,29 +274,17 @@ def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[n
     return counts, config.trials
 
 
-def _detectors(
-    config: ExperimentConfig, darks: Optional[Dict[str, float]] = None
-) -> Tuple[DetectorChannel, DetectorChannel, DetectorChannel, DetectorChannel]:
-    """The four detector channels of a config; `darks`, keyed by the config's
-    dark-probability field names, replaces its dark counts."""
-    if darks is None:
-        darks = {k: getattr(config, k) for k in _REFERENCE_DARKS}
-    ge = DetectorChannel(
-        DetectorModel("bsa-ge", config.eta_ge, darks["dark_ge"]), ALICE_QUBIT
+def _detectors(config: ExperimentConfig, scale: Optional[float] = None) -> Tuple[Detector, ...]:
+    """The relay's four detectors in teleport_clicks' order: ge, ingaas,
+    bob, herald.  A `scale` rescales their dark probabilities as the
+    calibration does (_scaled_darks)."""
+    darks = vars(config) if scale is None else _scaled_darks(config, scale)
+    return (
+        Detector(ALICE_QUBIT, config.eta_ge, darks["dark_ge"]),
+        Detector(EPR_QUBIT, config.eta_ingaas_bsa, darks["dark_ingaas_bsa"]),
+        Detector(EPR_BOB, config.eta_bob, darks["dark_bob"]),
+        Detector(ALICE_HERALD, config.eta_herald, darks["dark_herald"]),
     )
-    follows = None if config.symmetric_bsa else "bsa-ge"
-    ingaas = DetectorChannel(
-        DetectorModel("bsa-ingaas", config.eta_ingaas_bsa, darks["dark_ingaas_bsa"]),
-        EPR_QUBIT,
-        follows=follows,
-    )
-    herald = DetectorChannel(
-        DetectorModel("herald", config.eta_herald, darks["dark_herald"]), ALICE_HERALD
-    )
-    bob = DetectorChannel(
-        DetectorModel("bob", config.eta_bob, darks["dark_bob"]), EPR_BOB
-    )
-    return ge, ingaas, herald, bob
 
 
 def _relay_registry() -> ModeRegistry:
@@ -548,10 +546,10 @@ class TeleportEngine:
         detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
         cached = self._harmonics.get(detectors)
         if cached is None:
-            ge, ingaas, herald, bob = detectors
+            ge, ingaas, bob, herald = detectors
             accept, bob_clicks = teleport_clicks(
                 self.registry, self._occupations, ge, ingaas, bob,
-                herald if cfg.heralded else None,
+                herald if cfg.heralded else None, free_partner=cfg.symmetric_bsa,
             )
             cached = self._harmonics[detectors] = self._per_branch(
                 np.column_stack([accept, bob_clicks])
@@ -760,13 +758,10 @@ class CalibrationReport:
     clamped: bool
 
 
-# scaling reference when the incoming config has all dark counts at zero
-_REFERENCE_DARKS = {
-    "dark_ge": 1e-5,
-    "dark_ingaas_bsa": 1e-4,
-    "dark_herald": 1e-4,
-    "dark_bob": 1e-4,
-}
+# scaling reference when the incoming config has all dark counts at zero:
+# the config's default dark probabilities
+_REFERENCE_DARKS = {f.name: f.default for f in fields(ExperimentConfig)
+                    if f.name.startswith("dark_")}
 _DARK_CAP = 0.9
 
 
@@ -783,7 +778,7 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     """Background over signal with every dark probability scaled by `scale`."""
-    dets = _detectors(engine.config, _scaled_darks(engine.config, scale))
+    dets = _detectors(engine.config, scale)
     background = engine.background(dets)
     signal = engine.mean(dets) - background
     if signal <= 0.0:

@@ -45,23 +45,29 @@ class SpdcSource:
 def pair_count_distribution(
     source: SpdcSource, n_cut: int, tail_tol: float = 1e-4
 ) -> np.ndarray:
-    """P(0..n_cut) pairs per gate; raises if the discarded tail exceeds tail_tol."""
+    """P(0..n_cut) pairs per gate; raises if the discarded tail exceeds tail_tol.
+
+    Nothing overflows on the way to the check: a thermal tail is checked
+    before mu**n is formed, and a poissonian mean whose mu**n would
+    overflow has exp(-mu) = 0, so every kept term is 0 and the tail is 1.
+    """
     mu = source.mean_pairs
     n = np.arange(n_cut + 1)
-    if source.statistics == "thermal":
-        probs = mu**n / (1.0 + mu) ** (n + 1)
+    thermal = source.statistics == "thermal"
+    if thermal:
         tail = (mu / (1.0 + mu)) ** (n_cut + 1)
     else:
-        probs = np.exp(-mu) * mu**n / np.asarray(
-            [math.factorial(int(k)) for k in n], dtype=float
-        )
+        scale = np.exp(-mu)
+        fact = np.asarray([math.factorial(int(k)) for k in n], dtype=float)
+        probs = scale * mu**n / fact if scale > 0.0 else np.zeros(n_cut + 1)
         tail = 1.0 - probs.sum()
-    if tail > tail_tol:
+    # written so that NaN fails too
+    if not tail <= tail_tol:
         raise TailMassError(
             f"discarded pair-number tail {tail:.3e} exceeds {tail_tol:.1e} "
             f"(mean_pairs={mu}, n_cut={n_cut}); raise n_cut or tail_tol"
         )
-    return probs
+    return mu**n / (1.0 + mu) ** (n + 1) if thermal else probs
 
 
 @dataclass(frozen=True)

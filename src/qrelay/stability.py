@@ -247,8 +247,8 @@ def simulate(
     sits at 1 - dip_visibility while the mismatch is held at zero and climbs
     toward one as drift pulls the analyzers apart.  The controller's motor
     takes gain * (rate shift) every update interval, rounded to its
-    resolution, and holds it in between; a command that overflows raises
-    ConfigError.
+    resolution, and holds it in between; a drift, rate shift or command
+    that overflows raises ConfigError.
     """
     # the step count and the time axis need both finite
     if not (0 < duration_s < math.inf and 0 < dt_s < math.inf):
@@ -269,13 +269,21 @@ def simulate(
     rng_jitter = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
 
     theta = _temperature_series(drift, times, rng_walk)
-    delta_f = drift.rate_coupling_hz_per_k() * theta
-    jitter = _jitter_series(drift, times, rng_jitter)
-    drift_um = (
-        drift.thermal_um_per_k * theta
-        + drift.rate_length_um_per_hz() * delta_f
-        + jitter
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_f = drift.rate_coupling_hz_per_k() * theta
+        jitter = _jitter_series(drift, times, rng_jitter)
+        drift_um = (
+            drift.thermal_um_per_k * theta
+            + drift.rate_length_um_per_hz() * delta_f
+            + jitter
+        )
+    # a rate shift that overflows makes the drift overflow too
+    if not np.isfinite(drift_um).all():
+        raise ConfigError(
+            "the drift is not finite; its size is set by amplitude_k (sinusoid) or "
+            "rep_wander_bound_hz_per_h (random walk), thermal_um_per_k and the "
+            "temperature-to-rate coupling"
+        )
 
     motor = np.zeros(n)
     if controller is not None:

@@ -3,7 +3,8 @@
 click_distribution enumerates every click pattern of a detector layout,
 term by term and gate by gate, for a weighted ensemble of separate states;
 the Bell-state and herald filters then pick the accepted patterns out of
-it.  teleport_outcome_distribution and coincidence_probability answer per
+it.  A layout's detectors are Labeled: the patterns are keyed by label,
+and any detector may follow (be armed by) any other.  teleport_outcome_distribution and coincidence_probability answer per
 branch of one record-tagged mixture: each branch's |amplitude|^2 dotted
 into the per-row click probabilities of qrelay.detection, after a check
 that every branch is normalized.  They are checked against the enumeration
@@ -55,14 +56,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from qrelay import scenarios
 from qrelay.analysis import DipFit, FringeFit, _phase, fit_fringe
 from qrelay.detection import (
-    DetectorChannel,
+    Detector,
     TeleportOutcome,
     coincidence_clicks,
     teleport_clicks,
@@ -245,17 +246,30 @@ def general_transform(terms, idxs, u, prune):
     return out
 
 
+@dataclass(frozen=True)
+class Labeled:
+    """A detector under a label for the click enumeration.
+
+    follows: label of the detector whose click at bin t arms this one at
+    bin t+1; None means free-running (all bins open).
+    """
+
+    label: str
+    detector: Detector
+    follows: Optional[str] = None
+
+
 @dataclass
 class DetectionLayout:
-    channels: List[DetectorChannel]
+    channels: List[Labeled]
 
     def __post_init__(self):
-        labels = [ch.model.label for ch in self.channels]
+        labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate detector labels: {labels}")
         for ch in self.channels:
             if ch.follows is not None and ch.follows not in labels:
-                raise ConfigError(f"{ch.model.label} follows unknown {ch.follows}")
+                raise ConfigError(f"{ch.label} follows unknown {ch.follows}")
 
 
 def _gate_counts(state: FockState, occ, spatial: str) -> List[int]:
@@ -309,23 +323,17 @@ def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[Clic
             free_gates = []
             counts = {}
             for ch in free + followers:
-                counts[ch.model.label] = _gate_counts(state, occ, ch.spatial)
+                counts[ch.label] = _gate_counts(state, occ, ch.detector.spatial)
             for ch in free:
                 for t in range(n_bins):
-                    free_gates.append(
-                        (ch.model.label, t, ch.model.click_prob(counts[ch.model.label][t]))
-                    )
+                    free_gates.append((ch.label, t, ch.detector.click_prob(counts[ch.label][t])))
             for free_clicks, p_free in _subset_probs(free_gates):
                 armed = []
                 for ch in followers:
                     for (label, t) in free_clicks:
                         if label == ch.follows and t + 1 < n_bins:
                             armed.append(
-                                (
-                                    ch.model.label,
-                                    t + 1,
-                                    ch.model.click_prob(counts[ch.model.label][t + 1]),
-                                )
+                                (ch.label, t + 1, ch.detector.click_prob(counts[ch.label][t + 1]))
                             )
                 for sub_clicks, p_sub in _subset_probs(armed):
                     pattern = free_clicks | sub_clicks
@@ -374,19 +382,19 @@ def _branch_probs(state: FockState) -> np.ndarray:
     return probs
 
 
-def teleport_outcome_distribution(state: FockState, ge: DetectorChannel,
-                                  ingaas: DetectorChannel, bob: DetectorChannel,
-                                  herald=None) -> TeleportOutcome:
+def teleport_outcome_distribution(state: FockState, ge: Detector, ingaas: Detector,
+                                  bob: Detector, herald=None, *,
+                                  free_partner: bool) -> TeleportOutcome:
     """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
     branch: accept of shape (branches,), bob of shape (branches, 3), the
     branch's term probabilities dotted into teleport_clicks."""
     probs = _branch_probs(state)
-    accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob, herald)
+    accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob,
+                                         herald, free_partner=free_partner)
     return TeleportOutcome(probs @ accept, probs @ bob_clicks)
 
 
-def coincidence_probability(state: FockState, det_a: DetectorChannel,
-                            det_b: DetectorChannel) -> np.ndarray:
+def coincidence_probability(state: FockState, det_a: Detector, det_b: Detector) -> np.ndarray:
     """Same-bin two-detector coincidence probability per branch and bin,
     shape (branches, max_bins): the branch's term probabilities dotted into
     coincidence_clicks."""
@@ -487,9 +495,10 @@ def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights
     mixture = scenarios._branch_mixture(pre.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
     circ = Circuit(pre.registry)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
-    ge, ingaas, herald, bob = scenarios._detectors(cfg) if detectors is None else detectors
+    ge, ingaas, bob, herald = scenarios._detectors(cfg) if detectors is None else detectors
     per_branch = teleport_outcome_distribution(
-        apply(circ, apply(pre, mixture)), ge, ingaas, bob, herald if cfg.heralded else None
+        apply(circ, apply(pre, mixture)), ge, ingaas, bob, herald if cfg.heralded else None,
+        free_partner=cfg.symmetric_bsa,
     )
     weights = scenarios.branch_weights(cfg) if weights is None else weights
     w = np.array([weights.get(k, 0.0) for k in engine.branches])

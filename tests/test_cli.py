@@ -81,11 +81,21 @@ def test_schema_violation_exits_2(tmp_path, capsys):
 
 
 def test_oversized_tail_exits_3(tmp_path, capsys):
+    # the two overflowing means make mu**n overflow: their tail must still
+    # come out as 1, not NaN, and nothing may warn on the way
     cfg = tmp_path / "hot.cfg"
-    cfg.write_text("pair_mean = 0.9\n")
-    code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
-    assert code == 3
-    assert "tail" in err
+    for text in ("pair_mean = 0.9\n", "statistics = thermal\npair_mean = 1e300\n",
+                 "statistics = poissonian\npair_mean = 1e200\n"):
+        cfg.write_text(text)
+        for command in ("teleport", "mandel", "noise"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+            assert code == 3, (text, command)
+            assert [str(w.message) for w in caught] == []
+            assert "tail" in err
+            assert "nan" not in err
+            assert out == ""
 
 
 def test_empty_config_runs_defaults(tmp_path, capsys):
@@ -342,13 +352,18 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["validate-timing", "--quantum-fiber-m", "inf"],
         ["teleport", "--points", "10000000000000"],
         ["mandel", "--points", "10000000000000"],
+        ["teleport", "--periods", "1e308"],
+        ["teleport", "--periods=-7.2e14"],
+        ["stability", "--no-controller", "--amplitude-k", "1e306"],
+        ["stability", "--amplitude-k", "1e308"],
     ],
     ids=[
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf", "period-inf",
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
-        "fiber-inf", "teleport-point-cap", "mandel-point-cap",
+        "fiber-inf", "teleport-point-cap", "mandel-point-cap", "periods-overflow",
+        "periods-past-2**52", "drift-overflow", "drift-overflow-controlled",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
@@ -386,8 +401,14 @@ def test_mandel_span_overflowing_the_overlap_exits_3_without_warning(capsys):
         ("mandel", "pair_mean = nan"),
         ("teleport", "dip_fwhm_um = nan"),
         ("teleport", "phase_bob = inf"),
+        # finite, but past 2**52 rad, where a double names no phase
+        ("teleport", "phase_alice = 1e308"),
+        ("teleport", "phase_bob = -1e308"),
+        ("mandel", "phase_pump = 1e308"),
+        ("mandel", "mandel_phase = 4503599627370497"),
     ],
-    ids=["teleport-pair-mean", "mandel-pair-mean", "dip-fwhm", "phase-bob"],
+    ids=["teleport-pair-mean", "mandel-pair-mean", "dip-fwhm", "phase-bob", "phase-alice-huge",
+         "phase-bob-huge", "phase-pump-huge", "mandel-phase-past-2**52"],
 )
 def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     DetectionLayout,
+    Labeled,
     apply_creation,
     click_distribution,
     coincidence_probability,
@@ -17,8 +18,7 @@ from oracles import (
 )
 from qrelay import scenarios
 from qrelay.detection import (
-    DetectorChannel,
-    DetectorModel,
+    Detector,
     TimingBudget,
     bell_patterns,
     teleport_clicks,
@@ -43,7 +43,7 @@ def _marginal(dist, gate):
 def test_unit_efficiency_always_clicks():
     reg = _registry("a")
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
-    layout = DetectionLayout([DetectorChannel(DetectorModel("d"), "a")])
+    layout = DetectionLayout([Labeled("d", Detector("a"))])
     dist = click_distribution([(1.0, st)], layout)
     assert dist == {frozenset({("d", 0)}): 1.0}
 
@@ -51,7 +51,7 @@ def test_unit_efficiency_always_clicks():
 def test_vacuum_dark_counts_factorize():
     d = 0.01
     reg = _registry("a", max_bins=4)
-    layout = DetectionLayout([DetectorChannel(DetectorModel("d", dark_prob=d), "a")])
+    layout = DetectionLayout([Labeled("d", Detector("a", dark_prob=d))])
     dist = click_distribution([(1.0, vacuum(reg))], layout)
     assert abs(dist[frozenset()] - (1 - d) ** 4) < 1e-12
     assert abs(sum(dist.values()) - 1.0) < 1e-9
@@ -60,8 +60,8 @@ def test_vacuum_dark_counts_factorize():
 def test_click_probability_inclusion_exclusion():
     reg = _registry("a")
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
-    det = DetectorModel("d", efficiency=0.1, dark_prob=1e-4)
-    layout = DetectionLayout([DetectorChannel(det, "a")])
+    det = Detector("a", efficiency=0.1, dark_prob=1e-4)
+    layout = DetectionLayout([Labeled("d", det)])
     dist = click_distribution([(1.0, st)], layout)
     expect = 1.0 - (1.0 - 0.1) * (1.0 - 1e-4)
     assert abs(_marginal(dist, ("d", 0)) - expect) < 1e-12
@@ -76,7 +76,7 @@ def test_thinning_matches_explicit_loss_element():
     two = normalized(apply_creation(
         apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("a", 0)
     ))
-    layout = DetectionLayout([DetectorChannel(DetectorModel("d", efficiency=eta), "a")])
+    layout = DetectionLayout([Labeled("d", Detector("a", efficiency=eta))])
     p_thin = _marginal(click_distribution([(1.0, two)], layout), ("d", 0))
 
     reg2 = _registry("a")
@@ -86,7 +86,7 @@ def test_thinning_matches_explicit_loss_element():
         apply_creation(vacuum(reg2), ModeKey("a", 0)), ModeKey("a", 0)
     ))
     lossy = apply(circ, two2)
-    ideal = DetectionLayout([DetectorChannel(DetectorModel("d"), "a")])
+    ideal = DetectionLayout([Labeled("d", Detector("a"))])
     p_loss = _marginal(click_distribution([(1.0, lossy)], ideal), ("d", 0))
     assert abs(p_thin - p_loss) < 1e-12
     assert abs(p_thin - (1.0 - (1.0 - eta) ** 2)) < 1e-12
@@ -96,8 +96,8 @@ def test_follower_gates_need_an_opener_click():
     reg = _registry("a", "b", max_bins=3)
     layout = DetectionLayout(
         [
-            DetectorChannel(DetectorModel("ge"), "a"),
-            DetectorChannel(DetectorModel("in", dark_prob=0.2), "b", follows="ge"),
+            Labeled("ge", Detector("a")),
+            Labeled("in", Detector("b", dark_prob=0.2), follows="ge"),
         ]
     )
     # opener never clicks on vacuum, so the follower's dark counts never fire
@@ -110,8 +110,8 @@ def test_follower_dark_fires_only_after_opener():
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
     layout = DetectionLayout(
         [
-            DetectorChannel(DetectorModel("ge"), "a"),
-            DetectorChannel(DetectorModel("in", dark_prob=0.25), "b", follows="ge"),
+            Labeled("ge", Detector("a")),
+            Labeled("in", Detector("b", dark_prob=0.25), follows="ge"),
         ]
     )
     dist = click_distribution([(1.0, st)], layout)
@@ -123,21 +123,21 @@ def test_layout_validation():
     with pytest.raises(ConfigError):
         DetectionLayout(
             [
-                DetectorChannel(DetectorModel("d"), "a"),
-                DetectorChannel(DetectorModel("d"), "b"),
+                Labeled("d", Detector("a")),
+                Labeled("d", Detector("b")),
             ]
         )
     with pytest.raises(ConfigError):
-        DetectionLayout([DetectorChannel(DetectorModel("d"), "a", follows="ghost")])
+        DetectionLayout([Labeled("d", Detector("a"), follows="ghost")])
     with pytest.raises(ConfigError):
-        DetectorModel("d", efficiency=1.5)
+        Detector("a", efficiency=1.5)
     with pytest.raises(ConfigError):
-        DetectorModel("d", dark_prob=1.0)
+        Detector("a", dark_prob=1.0)
 
 
 def test_ensemble_weights_must_sum_to_one():
     reg = _registry("a")
-    layout = DetectionLayout([DetectorChannel(DetectorModel("d"), "a")])
+    layout = DetectionLayout([Labeled("d", Detector("a"))])
     with pytest.raises(UnnormalizedStateError):
         click_distribution([(0.5, vacuum(reg))], layout)
 
@@ -191,12 +191,9 @@ def _bsa_circuit(reg):
 
 
 def _ideal_bsa_outcome(state, symmetric):
-    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    ingaas = DetectorChannel(
-        DetectorModel("bsa-ingaas"), "c", follows=None if symmetric else "bsa-ge"
-    )
-    bob = DetectorChannel(DetectorModel("bob", dark_prob=0.0), "dump")
-    return teleport_outcome_distribution(state, ge, ingaas, bob)
+    bob = Detector("dump", dark_prob=0.0)
+    return teleport_outcome_distribution(state, Detector("a"), Detector("c"), bob,
+                                         free_partner=symmetric)
 
 
 def test_antisymmetric_state_always_accepted():
@@ -207,37 +204,11 @@ def test_antisymmetric_state_always_accepted():
     assert abs(_ideal_bsa_outcome(psi, False).accept[0] - 0.5) < 1e-12
 
 
-def test_free_running_partner_accepts_both_orderings():
-    # the partner's own follows field, not a separate flag, picks the model
-    reg = _registry("a", "c", "dump", max_bins=4)
-    psi = apply(_bsa_circuit(reg), _bell_state(reg, -1.0))
-    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows=None)
-    bob = DetectorChannel(DetectorModel("bob"), "dump")
-    out = teleport_outcome_distribution(psi, ge, ingaas, bob)
-    assert abs(out.accept[0] - 1.0) < 1e-12
-
-
-def test_bsa_partner_must_follow_the_free_running_detector():
-    reg = _registry("a", "c", "dump")
-    bob = DetectorChannel(DetectorModel("bob"), "dump")
-    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    stray = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="herald")
-    with pytest.raises(ConfigError):
-        teleport_outcome_distribution(vacuum(reg), ge, stray, bob)
-    armed_ge = DetectorChannel(DetectorModel("bsa-ge"), "a", follows="bsa-ingaas")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
-    with pytest.raises(ConfigError):
-        teleport_outcome_distribution(vacuum(reg), armed_ge, ingaas, bob)
-
-
 def test_teleport_clicks_needs_the_clock_window_and_bob_bins():
     reg = _registry("a", "c", "b")
-    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="bsa-ge")
-    bob = DetectorChannel(DetectorModel("bob"), "b")
+    ge, ingaas, bob = Detector("a"), Detector("c"), Detector("b")
     with pytest.raises(RegistryMismatchError):
-        teleport_clicks(reg, vacuum(reg).occupations, ge, ingaas, bob)
+        teleport_clicks(reg, vacuum(reg).occupations, ge, ingaas, bob, free_partner=False)
 
 
 def _pattern_set(patterns):
@@ -248,25 +219,22 @@ def test_bell_patterns_of_the_relay():
     # gates are (channel, bin) over (ge, ingaas, bob, herald) = (0, 1, 2, 3)
     n_bins = scenarios._relay_registry().max_bins
     assert n_bins == 3
-    ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-    gated = DetectorChannel(DetectorModel("bsa-ingaas"), "c", follows="bsa-ge")
-    free = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
     # an armed partner: ge alone at t, the partner at t + 1, no partner veto
-    assert _pattern_set(bell_patterns(ge, gated, n_bins, False)) == {
+    assert _pattern_set(bell_patterns(False, n_bins, False)) == {
         (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (0, 2)})),
         (frozenset({(0, 1), (1, 2)}), frozenset({(0, 0), (0, 2)})),
     }
     # a free partner: both orderings, each detector alone on its gate
-    assert _pattern_set(bell_patterns(ge, free, n_bins, False)) == {
+    assert _pattern_set(bell_patterns(True, n_bins, False)) == {
         (frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (0, 2), (1, 0), (1, 2)})),
         (frozenset({(1, 0), (0, 1)}), frozenset({(0, 0), (0, 2), (1, 1), (1, 2)})),
         (frozenset({(0, 1), (1, 2)}), frozenset({(0, 0), (0, 2), (1, 0), (1, 1)})),
         (frozenset({(1, 1), (0, 2)}), frozenset({(0, 0), (0, 1), (1, 0), (1, 2)})),
     }
     # a heralded run adds the herald gate to every click set
-    for partner in (gated, free):
-        plain = bell_patterns(ge, partner, n_bins, False)
-        heralded = bell_patterns(ge, partner, n_bins, True)
+    for free_partner in (False, True):
+        plain = bell_patterns(free_partner, n_bins, False)
+        heralded = bell_patterns(free_partner, n_bins, True)
         assert _pattern_set(heralded) == {
             (frozenset(click) | {(3, 0)}, frozenset(dark)) for click, dark in plain
         }
@@ -302,10 +270,8 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
             joint[bytes(n2)] = joint.get(bytes(n2), 0.0) + amp * np.exp(1j * phi_a) / math.sqrt(2)
         joint = normalized(from_terms(reg, joint))
         out = apply(_bsa_circuit(reg), joint)
-        ge = DetectorChannel(DetectorModel("bsa-ge"), "a")
-        ingaas = DetectorChannel(DetectorModel("bsa-ingaas"), "c")
-        bobdet = DetectorChannel(DetectorModel("bob"), "bob")
-        res = teleport_outcome_distribution(out, ge, ingaas, bobdet)
+        res = teleport_outcome_distribution(out, Detector("a"), Detector("c"), Detector("bob"),
+                                            free_partner=True)
         assert abs(res.accept[0] - 0.25) < 1e-12
         # without an analyzing interferometer Bob's arrival bin carries no
         # phase information: the accepted weight splits evenly over his bins
@@ -319,22 +285,20 @@ def test_dark_only_acceptance_oracle():
     # P = sum_t P(ge fires exactly at t) * d, t in {0, 1}
     d = 0.01
     reg = _registry("a", "c", "dump", max_bins=4)
-    ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
-    ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
-    bob = DetectorChannel(DetectorModel("bob"), "dump")
-    out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, bob)
+    ge, ingaas = Detector("a", dark_prob=d), Detector("c", dark_prob=d)
+    out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, Detector("dump"),
+                                        free_partner=False)
     expect = 2.0 * d * (1 - d) ** 3 * d
     assert abs(out.accept[0] - expect) < 1e-15
 
 
 def test_dark_only_acceptance_is_monotone():
     reg = _registry("a", "c", "dump", max_bins=4)
-    bob = DetectorChannel(DetectorModel("bob"), "dump")
+    bob = Detector("dump")
     last = -1.0
     for d in (0.0, 1e-4, 1e-3, 1e-2, 0.05):
-        ge = DetectorChannel(DetectorModel("bsa-ge", dark_prob=d), "a")
-        ingaas = DetectorChannel(DetectorModel("bsa-ingaas", dark_prob=d), "c", follows="bsa-ge")
-        out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, bob)
+        ge, ingaas = Detector("a", dark_prob=d), Detector("c", dark_prob=d)
+        out = teleport_outcome_distribution(vacuum(reg), ge, ingaas, bob, free_partner=False)
         assert out.accept[0] >= last
         last = out.accept[0]
 
@@ -342,8 +306,8 @@ def test_dark_only_acceptance_is_monotone():
 def test_coincidence_probability_independent_gates():
     reg = _registry("a", "c")
     st = apply_creation(apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("c", 0))
-    da = DetectorChannel(DetectorModel("da", efficiency=0.5), "a")
-    db = DetectorChannel(DetectorModel("db", efficiency=0.25), "c")
+    da = Detector("a", efficiency=0.5)
+    db = Detector("c", efficiency=0.25)
     # one branch, two bins: both photons sit in bin 0
     assert np.allclose(coincidence_probability(st, da, db), [[0.125, 0.0]], rtol=0, atol=1e-12)
 
@@ -353,8 +317,8 @@ def test_each_branch_of_a_record_mixture_must_be_normalized():
     rec = reg.add(BRANCH_RECORD)
     occ = np.zeros((2, len(reg)), dtype=np.uint8)
     occ[1, rec] = 1
-    da = DetectorChannel(DetectorModel("da", dark_prob=0.5), "a")
-    db = DetectorChannel(DetectorModel("db", dark_prob=0.5), "c")
+    da = Detector("a", dark_prob=0.5)
+    db = Detector("c", dark_prob=0.5)
     # two vacuum branches: each is normalized on its own, though the rows
     # together carry norm^2 2
     per_branch = coincidence_probability(FockState(reg, occ, [1.0, 1.0]), da, db)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from oracles import (  # noqa: E402
     DetectionLayout,
+    Labeled,
     click_distribution,
     coincidence_probability,
     from_terms,
@@ -20,7 +21,7 @@ from oracles import (  # noqa: E402
     psi_minus_filter,
     teleport_outcome_distribution,
 )
-from qrelay.detection import DetectorChannel, DetectorModel  # noqa: E402
+from qrelay.detection import Detector  # noqa: E402
 from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry, vacuum  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
@@ -82,7 +83,7 @@ def branch_weights(draw, n):
 
 @hs.composite
 def detector(draw, label, spatial):
-    return DetectorChannel(DetectorModel(label, draw(EFFICIENCY), draw(DARK)), spatial)
+    return Labeled(label, Detector(spatial, draw(EFFICIENCY), draw(DARK)))
 
 
 def _teleport_registry(max_bins=3):
@@ -117,12 +118,13 @@ def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded, m
     drawn = data.draw(detector("bsa-ingaas", "c"))
     # a free-running partner accepts both time orderings, an armed one only
     # ge first
-    ingaas = DetectorChannel(
-        drawn.model, drawn.spatial, follows=None if symmetric else ge.model.label
-    )
+    ingaas = Labeled(drawn.label, drawn.detector, follows=None if symmetric else ge.label)
     bob = data.draw(detector("bob", "b"))
     herald = data.draw(detector("herald", "h")) if heralded else None
-    fast = teleport_outcome_distribution(mixture, ge, ingaas, bob, herald=herald)
+    fast = teleport_outcome_distribution(
+        mixture, ge.detector, ingaas.detector, bob.detector,
+        herald=herald.detector if heralded else None, free_partner=symmetric,
+    )
     assert fast.accept.shape == (len(states),)
     assert fast.bob.shape == (len(states), 3)
     for b, state in enumerate(states):
@@ -144,7 +146,7 @@ def test_coincidence_probability_matches_click_enumeration(data):
     mixture, states = data.draw(record_mixtures(reg))
     da = data.draw(detector("da", "a"))
     db = data.draw(detector("db", "c"))
-    fast = coincidence_probability(mixture, da, db)
+    fast = coincidence_probability(mixture, da.detector, db.detector)
     assert fast.shape == (len(states), reg.max_bins)
     for b, state in enumerate(states):
         dist = click_distribution([(1.0, state)], DetectionLayout([da, db]))

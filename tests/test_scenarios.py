@@ -46,6 +46,22 @@ def test_config_validation():
         ExperimentConfig(mode="exact")
 
 
+@pytest.mark.parametrize("name", ["phase_alice", "phase_bob", "phase_pump", "mandel_phase"])
+def test_config_phases_stop_at_2_52_rad(name):
+    for phase in (2.0**52, -(2.0**52)):
+        assert getattr(ExperimentConfig(**{name: phase}), name) == phase
+    for phase in (np.nextafter(2.0**52, math.inf), -1e308):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: float(phase)})
+
+
+def test_phase_scan_stops_at_2_52_rad():
+    assert phase_grid(4, -1.0, start=2.0**52)[0] == 2.0**52
+    for periods, start in ((1e308, 0.0), (7.2e14, 0.0), (-7.2e14, 0.0), (1.0, 2.0**52)):
+        with pytest.raises(ConfigError, match="2\\*\\*52"):
+            phase_grid(4, periods, start)
+
+
 def test_pair_mean_override():
     cfg = ExperimentConfig(pair_mean=0.13).materialized()
     assert cfg.pair_mean is None

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def test_tail_mass_guard():
         pair_count_distribution(src, 2)
     p = pair_count_distribution(src, 2, tail_tol=5e-3)
     assert p.sum() < 1.0
+
+
+@pytest.mark.parametrize("statistics, mean", [("poissonian", 1e200), ("thermal", 1e300)])
+def test_tail_check_holds_where_the_terms_overflow(statistics, mean):
+    # mu**n overflows: the check must neither pass on a NaN tail nor warn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TailMassError, match=r"tail 1\.000e\+00 exceeds"):
+            pair_count_distribution(SpdcSource(mean, statistics), 2, tail_tol=5e-3)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_source_validation():

@@ -188,6 +188,13 @@ def test_non_finite_motor_command_raises():
         Controller(update_interval_s=math.inf)
 
 
+def test_overflowing_drift_raises_naming_its_size():
+    # the rate shift kappa * theta overflows before any controller runs
+    for controller in (None, Controller()):
+        with pytest.raises(ConfigError, match="amplitude_k"):
+            simulate(DriftModel(amplitude_k=1e306), controller, 3600.0, 60.0)
+
+
 def test_update_interval_beyond_the_run_holds_the_first_command():
     tr = simulate(DriftModel(), Controller(update_interval_s=1e300), 3600.0, 60.0)
     assert len(tr.motor_um) == 61
