@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -354,6 +355,11 @@ def _cmd_limits(_args) -> int:
     return 0
 
 
+# a value argparse takes for a negative number rather than an option: its
+# own pattern has no exponent, so "--periods -1e1" would read "-1e1" as a flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 # built once per process: each parse_args call fills a fresh namespace
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -412,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lim = sub.add_parser("limits", help="classical and cloning benchmarks")
     p_lim.set_defaults(func=_cmd_limits)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

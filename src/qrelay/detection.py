@@ -16,18 +16,29 @@ click, gates that must stay dark) pairs.
 
 Detection answers per row.  A state's (terms x modes) occupation matrix
 times the registry's mode-to-gate indicator gives the photons in every
-detector gate, and from those teleport_clicks and coincidence_clicks give
-each row's click probabilities with array operations.  They take no
+detector gate, and from those teleport_tables and coincidence_clicks give
+each row's probabilities with array operations.  They take no
 amplitudes: the caller weighs the rows, by |amplitude|^2 summed per
 pair-number branch and per overlap component for the bunching dip, or by
 the teleport engine's phase harmonics, and dots the branch weights in last.
+
+The teleport detection keeps the dark counts out of the rows.  A gate
+that must click does so by a dark count (factor d) or, without one, by
+a photon (factor (1 - d) u), so every accepted event is a sum of
+dark-count monomials prod d^a (1 - d)^b times dark-independent photon
+factors; teleport_tables sums the photon factors per monomial, and
+teleport_weights gives the monomials' values for a set of dark
+probabilities.  Every term is >= 0, a click without photons is exactly d,
+and rescaling the dark counts reweights the tables without a new pass.
+teleport_clicks dots the two together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +118,112 @@ def bell_patterns(free_partner: bool, n_bins: int, heralded: bool) -> List[Tuple
     return [(click + herald, tuple(g for g in vetoed if g not in click)) for click in clicks]
 
 
+@functools.lru_cache(maxsize=None)
+def _grouped_terms(free_partner: bool, n_bins: int, heralded: bool,
+                   n_channels: int) -> Tuple[np.ndarray, ...]:
+    """bell_patterns expanded over each pattern's dark-clicked gates and
+    grouped by dark monomial: (exponents, dark, click, member).
+
+    Rows of teleport_tables' factor array hold gate (c, t)'s miss at
+    c * n_bins + t, its photon click n_channels * n_bins further on, and
+    ones last.  dark[p] lists the miss rows of pattern p's gates that must
+    stay dark, padded with the ones row, and click[p] the photon-click rows
+    of its click gates.  Term s of pattern p takes click gate j by dark
+    count where bit j of s is set, and by photon otherwise; member[m, k],
+    k = p * 2^len(click[p]) + s, is 1 where that term has monomial m,
+    prod_c d_c^a (1 - d_c)^b with exponents[m, c] = (a, b).
+    """
+    n_gates = n_channels * n_bins
+    patterns = bell_patterns(free_partner, n_bins, heralded)
+    width = max(len(dark) for _, dark in patterns)
+    dark = [[c * n_bins + t for c, t in gates] + [2 * n_gates] * (width - len(gates))
+            for _, gates in patterns]
+    click = [[n_gates + c * n_bins + t for c, t in gates] for gates, _ in patterns]
+    monomials: Dict[tuple, int] = {}
+    owner = []
+    for click_gates, dark_gates in patterns:
+        for s in range(2 ** len(click_gates)):
+            exponents = [[0, 0] for _ in range(n_channels)]
+            for c, _ in dark_gates:
+                exponents[c][1] += 1
+            for j, (c, _) in enumerate(click_gates):
+                exponents[c][0 if s >> j & 1 else 1] += 1
+            owner.append(monomials.setdefault(tuple(map(tuple, exponents)), len(monomials)))
+    member = (np.array(owner) == np.arange(len(monomials))[:, None]).astype(float)
+    arrays = np.array(list(monomials), dtype=np.intp), np.array(dark), np.array(click), member
+    # cached, so every caller shares them
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def teleport_tables(
+    registry: ModeRegistry,
+    occupations: np.ndarray,
+    channels: Sequence[Tuple[str, float]],
+    *,
+    free_partner: bool,
+    heralded: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The detection probabilities of teleport_clicks without the dark
+    counts: (exponents, tables), one table per dark-count monomial.
+
+    `channels` holds (spatial, efficiency) of ge, ingaas, bob and, when
+    `heralded`, the herald.  A gate with n photons misses them with
+    probability m = (1 - eta)^n and clicks on them with u = 1 - m, exactly
+    0 for n = 0.  A gate of bell_patterns that must stay dark contributes
+    (1 - d) m; one that must click contributes d (a dark click) or
+    (1 - d) u (a photon click).  Expanding every pattern over its choices
+    of dark-clicked gates and grouping the terms by their dark factors
+    gives monomials prod_c d_c^a (1 - d_c)^b over the channels, at most 2^3
+    of them, with exponents[m, c] = (a, b), shape (monomials, channels, 2).
+    tables[m], shape (rows, 1 + len(BOB_BINS)), holds per occupation row
+    the photon factor of monomial m's terms, summed, then that times Bob's
+    photon click u in each of BOB_BINS.  Bob's click is one more click gate,
+    d_bob or (1 - d_bob) u, which teleport_weights applies, so bob's
+    exponents are 0.  Every entry is >= 0.  Raises RegistryMismatchError
+    when the registry's bins do not cover CLOCK_WINDOW and BOB_BINS.
+    """
+    if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
+        raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
+                                    f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
+    n_bins = registry.max_bins
+    exponents, dark, click, member = _grouped_terms(free_partner, n_bins, heralded,
+                                                    len(channels))
+    counts = _gate_counts(registry, occupations, [spatial for spatial, _ in channels])
+    top = int(counts.max(initial=0)) + 1
+    miss = np.array([[(1.0 - eta) ** n for n in range(top)] for _, eta in channels])
+    gates = np.ascontiguousarray(counts.transpose(1, 2, 0))
+    m = miss.ravel()[gates + top * np.arange(len(channels))[:, None, None]]
+    m = m.reshape(-1, len(occupations))
+    # rows: every gate's miss, then its photon click, then ones
+    factors = np.concatenate([m, 1.0 - m, np.ones((1, len(occupations)))])
+    # per pattern, the misses of its dark gates, then for each click gate
+    # every term so far taken with the gate's photon click and without
+    terms = factors[dark].prod(axis=1)[:, None]
+    for j in range(click.shape[1]):
+        terms = np.concatenate([terms * factors[click[:, j]][:, None], terms], axis=1)
+    accept = member @ terms.reshape(-1, len(occupations))
+    u_bob = factors[[len(m) + _BOB * n_bins + t for t in BOB_BINS]].T
+    tables = np.concatenate([accept[:, :, None], accept[:, :, None] * u_bob], axis=2)
+    return exponents, tables
+
+
+def teleport_weights(exponents: np.ndarray, darks: Sequence[float]) -> np.ndarray:
+    """Weights W, shape (monomials, 1 + len(BOB_BINS), 1 + len(BOB_BINS)),
+    that turn teleport_tables' tables into probabilities, sum_m tables[m]
+    @ W[m], for dark probabilities `darks` in the tables' channel order.
+    W[m] is monomial m's value times Bob's click: column 0 keeps the
+    acceptance, and column 1 + i adds d_bob times it to (1 - d_bob) times
+    the photon column 1 + i.  Every entry is >= 0."""
+    d = np.array(darks, dtype=float)
+    monomials = np.prod(d ** exponents[..., 0] * (1.0 - d) ** exponents[..., 1], axis=1)
+    bob = np.eye(1 + len(BOB_BINS)) * (1.0 - d[_BOB])
+    bob[0] = d[_BOB]
+    bob[0, 0] = 1.0
+    return np.multiply.outer(monomials, bob)
+
+
 def teleport_clicks(
     registry: ModeRegistry,
     occupations: np.ndarray,
@@ -122,30 +239,21 @@ def teleport_clicks(
     (terms, len(BOB_BINS)).
 
     `free_partner`, which has no default, is True when ingaas runs free
-    and False when ge arms it.  The acceptance is the sum over
-    bell_patterns of each pattern's click probabilities times its miss
-    probabilities, and Bob's click a marginal factor on top.
-    tests/oracles.py holds the full click-pattern enumeration this agrees
-    with.  Raises RegistryMismatchError when the registry's bins do not
-    cover CLOCK_WINDOW and BOB_BINS.
+    and False when ge arms it.  The detectors' dark-count weights
+    (teleport_weights) are dotted into the photon tables of their
+    efficiencies (teleport_tables); tests/oracles.py holds the full
+    click-pattern enumeration this agrees with.  Raises
+    RegistryMismatchError when the registry's bins do not cover
+    CLOCK_WINDOW and BOB_BINS.
     """
-    patterns = bell_patterns(free_partner, registry.max_bins, herald is not None)
-    if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
-        raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
-                                    f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
     channels = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
-    counts = _gate_counts(registry, occupations, [ch.spatial for ch in channels])
-    top = int(counts.max(initial=0)) + 1
-    pc = np.array([[ch.click_prob(n) for n in range(top)] for ch in channels])
-    # pc[channel, photons] and clicks[channel, bin, term] are P(click); table[0] P(miss)
-    gates = np.ascontiguousarray(counts.transpose(1, 2, 0))
-    clicks = pc.ravel()[gates + top * np.arange(len(channels))[:, None, None]]
-    table = np.stack([1.0 - clicks, clicks])
-    # [pattern, slot]: each pattern's dark gates, then its click gates
-    kind, channel, t = np.array([[(0, *g) for g in dark] + [(1, *g) for g in click]
-                                 for click, dark in patterns]).transpose(2, 0, 1)
-    p_accept = table[kind, channel, t].prod(axis=1).sum(axis=0)
-    return p_accept, p_accept[:, None] * clicks[_BOB, list(BOB_BINS)].T
+    exponents, tables = teleport_tables(
+        registry, occupations, [(ch.spatial, ch.efficiency) for ch in channels],
+        free_partner=free_partner, heralded=herald is not None,
+    )
+    weights = teleport_weights(exponents, [ch.dark_prob for ch in channels])
+    probs = np.einsum("mrj,mjk->rk", tables, weights)
+    return probs[:, 0], probs[:, 1:]
 
 
 def coincidence_clicks(

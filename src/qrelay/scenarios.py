@@ -35,7 +35,8 @@ from .detection import (
     Detector,
     TeleportOutcome,
     coincidence_clicks,
-    teleport_clicks,
+    teleport_tables,
+    teleport_weights,
 )
 from .errors import (
     ConfigError,
@@ -474,8 +475,12 @@ class TeleportEngine:
     engine holds every branch of the pair truncation, in one branch
     mixture, and blocking runs, dark-count scans and forced single-pair mode
     only reweight them (branches they leave out get weight 0).  Detection
-    runs once per detector set, its per-row answers are summed per branch
-    and cached, and an outcome is the branch weights dotted into them; the
+    runs once per set of detector efficiencies: its photon tables, one per
+    dark-count monomial (teleport_tables), are summed per branch and
+    cached, keyed by the channels and efficiencies.  An outcome contracts
+    the monomials' weights for the detectors' dark probabilities
+    (teleport_weights) and the branch weights into them, so a detector set
+    with other dark counts costs a few small products and no pass; the
     default and blocking weights are computed once per engine.
 
     The analyzer is the only element that depends on phi_b, and it is
@@ -489,8 +494,9 @@ class TeleportEngine:
     A_0..A_D, D (`degree`) being the most photons at the analyzer input,
     and its probability is a degree-D trigonometric polynomial in phi_b
     with harmonics c_m = sum_k A_{k+m} conj(A_k) (`_delay_harmonics`).  One
-    detection pass per detector set, and a matmul with the c_m per branch,
-    give the per-branch harmonics H_m of every detection probability; the
+    detection pass, and a matmul with the c_m per branch, give the
+    per-branch harmonics of every photon table, and the dark-count weights
+    the harmonics H_m of every detection probability; the
     probability at phi_b is Re(H_0 + 2 sum_{m>=1} H_m e^{i m phi_b}) and
     its phase average is H_0.  This is exact when
     - phi_b enters the analyzer's transfer matrix only as a factor
@@ -529,7 +535,9 @@ class TeleportEngine:
                 f"branch {b} has norm^2 harmonics {norms[:, b]}, expected 1, 0, ..."
             )
         self._weights: Dict[Optional[str], np.ndarray] = {}
-        self._harmonics: Dict[tuple, np.ndarray] = {}
+        # per (spatial, efficiency) of the detection channels: the dark
+        # monomials' exponents and the per-branch harmonics of their tables
+        self._harmonics: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _per_branch(self, values: np.ndarray) -> np.ndarray:
         """Per-branch harmonics of per-group values (groups, columns): shape
@@ -541,20 +549,27 @@ class TeleportEngine:
 
     def _detected(self, detectors) -> np.ndarray:
         """Per-branch harmonics of (acceptance, Bob's click in each of
-        BOB_BINS) for a detector set: shape (degree + 1, 4, branches)."""
+        BOB_BINS) for a detector set: shape (degree + 1, 4, branches), the
+        dark-count weights of its dark probabilities contracted into the
+        harmonics of the photon tables of its efficiencies."""
         cfg = self.config
         detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
-        cached = self._harmonics.get(detectors)
+        channels = detectors if cfg.heralded else detectors[:3]
+        key = tuple((det.spatial, det.efficiency) for det in channels)
+        cached = self._harmonics.get(key)
         if cached is None:
-            ge, ingaas, bob, herald = detectors
-            accept, bob_clicks = teleport_clicks(
-                self.registry, self._occupations, ge, ingaas, bob,
-                herald if cfg.heralded else None, free_partner=cfg.symmetric_bsa,
+            exponents, tables = teleport_tables(
+                self.registry, self._occupations, key,
+                free_partner=cfg.symmetric_bsa, heralded=cfg.heralded,
             )
-            cached = self._harmonics[detectors] = self._per_branch(
-                np.column_stack([accept, bob_clicks])
-            )
-        return cached
+            # held as (degree + 1, branches, monomials * columns), so that one
+            # matmul contracts the weights in
+            per_row = tables.transpose(1, 0, 2).reshape(len(self._occupations), -1)
+            harmonics = np.ascontiguousarray(self._per_branch(per_row).transpose(0, 2, 1))
+            cached = self._harmonics[key] = (exponents, harmonics)
+        exponents, harmonics = cached
+        weights = teleport_weights(exponents, [det.dark_prob for det in channels])
+        return (harmonics @ weights.reshape(-1, weights.shape[2])).transpose(0, 2, 1)
 
     def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
         w = np.array([weights.get(k, 0.0) for k in self.branches])
@@ -608,17 +623,23 @@ class TeleportEngine:
         w = self._cached_weights(blocked)
         return self._probabilities([self.config.phase_bob], w, detectors)[0, 2]
 
+    def _central_harmonics(self, blocked: Sequence[Optional[str]], detectors=None) -> np.ndarray:
+        """Harmonics of the central-bin receiver probability under each
+        weighting of `blocked` (see _cached_weights; None is the config's),
+        shape (degree + 1, len(blocked)), from one contraction."""
+        weights = np.column_stack([self._cached_weights(b) for b in blocked])
+        return self._detected(detectors)[:, 2] @ weights
+
     def background(self, detectors=None) -> float:
         """Phase-independent background estimated from blocking runs.
 
         Single-source backgrounds add; the both-blocked (dark only) term is
-        counted in each single-blocking run, so it is subtracted once.
+        counted in each single-blocking run, so it is subtracted once.  The
+        three runs are synthesized at phase_bob together.
         """
-        return (
-            self.blocking("alice", detectors)
-            + self.blocking("epr", detectors)
-            - self.blocking("both", detectors)
-        )
+        harmonics = self._central_harmonics(("alice", "epr", "both"), detectors)
+        alice, epr, both = _synthesize(harmonics, [self.config.phase_bob])[0]
+        return alice + epr - both
 
 
 def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
@@ -777,10 +798,16 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
 
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
-    """Background over signal with every dark probability scaled by `scale`."""
+    """Background over signal with every dark probability scaled by `scale`:
+    the central bin's harmonics under the three blockings of
+    TeleportEngine.background and the config's weights in one contraction,
+    the blockings synthesized at phase_bob and the mean read from
+    harmonic 0."""
     dets = _detectors(engine.config, scale)
-    background = engine.background(dets)
-    signal = engine.mean(dets) - background
+    central = engine._central_harmonics(("alice", "epr", "both", None), dets)
+    alice, epr, both = _synthesize(central[:, :3], [engine.config.phase_bob])[0]
+    background = alice + epr - both
+    signal = central[0, 3].real - background
     if signal <= 0.0:
         return 1e9
     return float(background / signal)
@@ -818,7 +845,9 @@ def calibrate_dark_counts(
     The multi-pair background is set by the sources and cannot be removed
     by calibration, so when it already exceeds the target the dark counts
     clamp to zero and the report says so.  Branch states are independent
-    of detector parameters, which keeps the search to one engine build.
+    of detector parameters, and the engine's photon tables of the dark
+    probabilities, so the whole search costs one engine build and one
+    detection pass, and each trial scale reweights them (_background_ratio).
     The scale is bracketed by growing it fourfold from 1 until the ratio
     reaches the target, then found by _regula_falsi to 1e-6 relative.
     """

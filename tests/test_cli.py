@@ -293,9 +293,9 @@ def test_one_engine_per_command(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, target, passes",
     [
-        (["teleport", "--points", "8"], "teleport_clicks", 1),
-        (["teleport", "--points", "8", "--heralded"], "teleport_clicks", 1),
-        (["noise"], "teleport_clicks", 1),
+        (["teleport", "--points", "8"], "teleport_tables", 1),
+        (["teleport", "--points", "8", "--heralded"], "teleport_tables", 1),
+        (["noise"], "teleport_tables", 1),
         (["mandel", "--points", "9"], "coincidence_clicks", 1),
     ],
     ids=["teleport", "heralded", "noise", "mandel"],
@@ -371,6 +371,20 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
     assert code == 2
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_negative_period_count_with_an_exponent_is_a_value(capsys):
+    # argparse's own negative-number pattern has no exponent
+    code, out, err = run_cli(capsys, ["teleport", "--points", "8", "--periods", "-1e1"])
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, ["teleport", "--points", "8", "--periods=-1e1"])
+
+
+def test_negative_span_with_an_exponent_reaches_the_span_check(capsys):
+    code, out, err = run_cli(capsys, ["mandel", "--span-um", "-1e1"])
+    assert code == 2
+    assert "mismatch span must be finite and > 0" in err
     assert out == ""
 
 

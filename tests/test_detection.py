@@ -18,6 +18,7 @@ from oracles import (
 )
 from qrelay import scenarios
 from qrelay.detection import (
+    BOB_BINS,
     Detector,
     TimingBudget,
     bell_patterns,
@@ -209,6 +210,44 @@ def test_teleport_clicks_needs_the_clock_window_and_bob_bins():
     ge, ingaas, bob = Detector("a"), Detector("c"), Detector("b")
     with pytest.raises(RegistryMismatchError):
         teleport_clicks(reg, vacuum(reg).occupations, ge, ingaas, bob, free_partner=False)
+
+
+@pytest.mark.parametrize("heralded", [False, True])
+@pytest.mark.parametrize("free_partner", [False, True])
+@pytest.mark.parametrize("dark", [1e-12, 1e-5, 0.3])
+def test_teleport_clicks_match_40_digit_products(dark, free_partner, heralded):
+    # a dark-only click is d itself, not 1 - (1 - d), whose rounding is
+    # 8.9e-5 of d at d = 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    reg = _registry("a", "c", "b", "h", max_bins=3)
+    etas = {"a": 0.1, "c": 0.2, "b": 0.3, "h": 0.4}
+    ge, ingaas, bob, herald = (Detector(s, etas[s], dark) for s in ("a", "c", "b", "h"))
+    # the vacuum, and one photon in each detector's gate of one bin
+    photons = [None, ModeKey("a", 0), ModeKey("c", 1), ModeKey("b", 1), ModeKey("h", 0)]
+    occupations = np.zeros((len(photons), len(reg)), dtype=np.uint8)
+    for row, key in enumerate(photons[1:], start=1):
+        occupations[row, reg.index(key)] = 1
+    accept, bob_clicks = teleport_clicks(reg, occupations, ge, ingaas, bob,
+                                         herald if heralded else None, free_partner=free_partner)
+    spatials = ("a", "c", "b", "h")
+    with mpmath.workdps(40):
+        d = mpmath.mpf(dark)
+
+        def miss(key, channel, t):
+            eta = mpmath.mpf(etas[spatials[channel]])
+            n = int(key == ModeKey(spatials[channel], t))
+            return (1 - d) * (1 - eta) ** n
+
+        for row, key in enumerate(photons):
+            expected = mpmath.fsum(
+                mpmath.fprod([miss(key, *g) for g in dark_gates]
+                             + [1 - miss(key, *g) for g in click])
+                for click, dark_gates in bell_patterns(free_partner, 3, heralded)
+            )
+            assert abs(accept[row] - expected) <= 1e-14 * expected
+            for i, t in enumerate(BOB_BINS):
+                with_bob = expected * (1 - miss(key, 2, t))
+                assert abs(bob_clicks[row, i] - with_bob) <= 1e-14 * with_bob
 
 
 def _pattern_set(patterns):

@@ -331,8 +331,8 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     dense = engine.scan(phase_grid(16, 1.0)).mean()
     assert abs(engine.mean() - dense) <= 1e-12 * dense
-    (harmonics,) = engine._harmonics.values()
-    assert harmonics.shape == (4, 4, len(engine.branches))
+    assert len(engine._harmonics) == 1
+    assert engine._detected(None).shape == (4, 4, len(engine.branches))
 
 
 def test_harmonic_scan_clamps_only_rounding(monkeypatch):
@@ -373,27 +373,33 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     assert len(calls) == 2
 
 
-def test_one_detection_pass_per_dark_scale(monkeypatch):
-    real_clicks = scenarios.teleport_clicks
+def test_one_detection_pass_per_calibration(monkeypatch):
+    # dark counts only reweight the engine's photon tables, so a whole
+    # search, and a clamp, run one detection pass
+    real_tables = scenarios.teleport_tables
     real_ratio = scenarios._background_ratio
     passes, scales = [], []
 
-    def counting_clicks(*args, **kwargs):
+    def counting_tables(*args, **kwargs):
         passes.append(args)
-        return real_clicks(*args, **kwargs)
+        return real_tables(*args, **kwargs)
 
     def recording_ratio(scale, engine):
         scales.append(scale)
         return real_ratio(scale, engine)
 
-    monkeypatch.setattr(scenarios, "teleport_clicks", counting_clicks)
+    monkeypatch.setattr(scenarios, "teleport_tables", counting_tables)
     monkeypatch.setattr(scenarios, "_background_ratio", recording_ratio)
     cfg = ExperimentConfig(pair_mean_alice=0.16, pair_mean_epr=0.04)
     _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
     assert not report.clamped
     # the root search starts from the expansion's last two scales and takes
     # its answer from an evaluated point, so no scale is evaluated twice
-    assert len(set(scales)) == len(scales) == len(passes)
+    assert len(set(scales)) == len(scales) > 2
+    assert len(passes) == 1
+    _, report = calibrate_dark_counts(cfg, target_ratio=0.1)
+    assert report.clamped
+    assert len(passes) == 2
 
 
 def test_weights_computed_once_per_engine(monkeypatch):

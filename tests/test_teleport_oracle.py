@@ -102,3 +102,21 @@ def test_harmonic_engine_matches_per_phase_analyzer(case):
         assert_close(engine.blocking("epr", dets),
                      teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, "epr"),
                                         dets).bob[1])
+
+
+@PROPERTY_SETTINGS
+@given(teleport_cases())
+def test_dark_rescale_reweights_like_a_fresh_engine(case):
+    # a rescaled detector set reweights the engine's photon tables; an
+    # engine built on the rescaled config detects its own
+    k, cfg, _, dark_scale = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "MAX_PAIRS_EACH", k)
+        engine = TeleportEngine(cfg)
+        engine.mean()
+        dets = scenarios._detectors(engine.config, dark_scale)
+        fresh = TeleportEngine(scenarios._with_dark_scale(engine.config, dark_scale))
+        assert_close(engine.mean(dets), fresh.mean())
+        for b in BLOCK_CHOICES:
+            assert_close(engine.blocking(b, dets), fresh.blocking(b))
+        assert len(engine._harmonics) == 1
