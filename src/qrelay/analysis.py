@@ -109,7 +109,11 @@ def fit_fringe(phases, counts) -> FringeFit:
     visibility = r / c0
     phase0 = _phase(c2, c1)
 
-    cov = np.linalg.inv((basis * w[:, None]).T @ (basis * w[:, None]))
+    try:
+        cov = np.linalg.inv((basis * w[:, None]).T @ (basis * w[:, None]))
+    except np.linalg.LinAlgError:
+        # distinct phases closer than rounding tells apart
+        raise InsufficientPointsError("the phases are too close together to fit a fringe")
     if r == 0.0:
         grad = np.array([0.0, 1.0 / c0, 1.0 / c0])
     else:

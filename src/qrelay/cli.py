@@ -7,8 +7,10 @@ arithmetic), and limits (the classical and cloning benchmark table).
 
 Scan commands read a flat key=value configuration file whose keys are
 exactly the ExperimentConfig field names, print a JSON summary with the
-resolved configuration embedded, and optionally write a CSV table.  All
-output is deterministic for a given seed, byte for byte.
+resolved configuration embedded, and optionally write a CSV table.  A
+value that is not a finite number, such as the sigma of a singular fit,
+prints as null.  All output is deterministic for a given seed, byte for
+byte.
 
 Exit codes: 0 on success, 2 for configuration problems (unknown keys,
 malformed values, bad flag combinations), 3 for numeric failures
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -154,8 +157,19 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
+def _finite(value):
+    """`value` with every non-finite float in it, at any depth of dicts,
+    made None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit_json(document: Dict[str, object]) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True))
+    # JSON has no NaN or infinity: a sigma that a singular fit cannot give is null
+    print(json.dumps(_finite(document), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _common_overrides(args) -> Dict[str, object]:

@@ -15,22 +15,24 @@ window; bell_patterns declares those events once, as (gates that must
 click, gates that must stay dark) pairs.
 
 Detection answers per row.  A state's (terms x modes) occupation matrix
-times the registry's mode-to-gate indicator gives the photons in every
-detector gate, and from those teleport_tables and coincidence_clicks give
-each row's probabilities with array operations.  They take no
-amplitudes: the caller weighs the rows, by |amplitude|^2 summed per
-pair-number branch and per overlap component for the bunching dip, or by
-the teleport engine's phase harmonics, and dots the branch weights in last.
+times the registry's mode-to-gate indicator gives the photons n in every
+detector gate, _misses each gate's miss probability (1 - eta)^n, and from
+those teleport_tables and coincidence_clicks give each row's
+probabilities with array operations.  They take no amplitudes: the caller
+weighs the rows, by |amplitude|^2 summed per pair-number branch and per
+overlap component for the bunching dip, or by the teleport engine's phase
+harmonics, and dots the branch weights in last.  A gate clicks with
+probability d + (1 - d)(1 - m), for dark probability d and miss m, so a
+click without photons is exactly d.
 
 The teleport detection keeps the dark counts out of the rows.  A gate
 that must click does so by a dark count (factor d) or, without one, by
 a photon (factor (1 - d) u), so every accepted event is a sum of
 dark-count monomials prod d^a (1 - d)^b times dark-independent photon
 factors; teleport_tables sums the photon factors per monomial, and
-teleport_weights gives the monomials' values for a set of dark
-probabilities.  Every term is >= 0, a click without photons is exactly d,
-and rescaling the dark counts reweights the tables without a new pass.
-teleport_clicks dots the two together.
+teleport_weights gives the monomials' values for the detectors' dark
+probabilities.  Every term is >= 0, and rescaling the dark counts
+reweights the tables without a new pass.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +54,9 @@ _SPEED_OF_LIGHT = 299_792_458.0
 CLOCK_WINDOW = (0, 1, 2)
 # the herald gate opens in the bin the prepared photon is emitted in
 HERALD_BIN = 0
-# receiver bins whose clicks teleport_clicks reports
+# receiver bins whose clicks teleport_tables reports
 BOB_BINS = (0, 1, 2)
-# channel index of a gate (channel, bin): teleport_clicks' channel order
+# channel index of a gate (channel, bin): teleport_tables' detector order
 _GE, _INGAAS, _BOB, _HERALD = range(4)
 
 
@@ -72,23 +74,18 @@ class Detector:
         if not 0.0 <= self.dark_prob < 1.0:
             raise ConfigError(f"dark_prob must be in [0, 1), got {self.dark_prob}")
 
-    def click_prob(self, n_photons: int) -> float:
-        miss = (1.0 - self.efficiency) ** n_photons
-        return 1.0 - (1.0 - self.dark_prob) * miss
 
-    def click_probs(self, counts: np.ndarray) -> np.ndarray:
-        """click_prob of every entry of an integer photon-count array."""
-        table = np.array([self.click_prob(n) for n in range(int(counts.max(initial=0)) + 1)])
-        return table[counts]
-
-
-def _gate_counts(registry: ModeRegistry, occupations: np.ndarray,
-                 spatials: Sequence[str]) -> np.ndarray:
-    """Integer photon counts per (term, channel, bin) gate, shape
-    (terms, len(spatials), max_bins)."""
+def _misses(registry: ModeRegistry, occupations: np.ndarray,
+            detectors: Sequence[Detector]) -> np.ndarray:
+    """Per gate and row, the probability (1 - eta)^n that the detector
+    misses the gate's n photons: shape (len(detectors), max_bins, rows)."""
+    spatials = [det.spatial for det in detectors]
     # modes registered after the state was built hold no photons
     counts = occupations @ registry.bin_indicator(spatials)[: occupations.shape[1]]
-    return counts.astype(np.intp).reshape(len(occupations), len(spatials), registry.max_bins)
+    counts = counts.astype(np.intp).T.reshape(len(detectors), registry.max_bins, len(occupations))
+    top = int(counts.max(initial=0)) + 1
+    miss = np.array([[(1.0 - det.efficiency) ** n for n in range(top)] for det in detectors])
+    return miss[np.arange(len(detectors))[:, None, None], counts]
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ def bell_patterns(free_partner: bool, n_bins: int, heralded: bool) -> List[Tuple
 
 
 @functools.lru_cache(maxsize=None)
-def _grouped_terms(free_partner: bool, n_bins: int, heralded: bool,
-                   n_channels: int) -> Tuple[np.ndarray, ...]:
+def _grouped_terms(free_partner: bool, n_bins: int, n_channels: int) -> Tuple[np.ndarray, ...]:
     """bell_patterns expanded over each pattern's dark-clicked gates and
     grouped by dark monomial: (exponents, dark, click, member).
 
@@ -134,7 +130,8 @@ def _grouped_terms(free_partner: bool, n_bins: int, heralded: bool,
     prod_c d_c^a (1 - d_c)^b with exponents[m, c] = (a, b).
     """
     n_gates = n_channels * n_bins
-    patterns = bell_patterns(free_partner, n_bins, heralded)
+    # the herald is the fourth channel, there only in a heralded run
+    patterns = bell_patterns(free_partner, n_bins, n_channels > _HERALD)
     width = max(len(dark) for _, dark in patterns)
     dark = [[c * n_bins + t for c, t in gates] + [2 * n_gates] * (width - len(gates))
             for _, gates in patterns]
@@ -160,42 +157,39 @@ def _grouped_terms(free_partner: bool, n_bins: int, heralded: bool,
 def teleport_tables(
     registry: ModeRegistry,
     occupations: np.ndarray,
-    channels: Sequence[Tuple[str, float]],
+    detectors: Sequence[Detector],
     *,
     free_partner: bool,
-    heralded: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The detection probabilities of teleport_clicks without the dark
-    counts: (exponents, tables), one table per dark-count monomial.
+    """The teleport detection probabilities without the dark counts:
+    (exponents, tables), one table per dark-count monomial.
 
-    `channels` holds (spatial, efficiency) of ge, ingaas, bob and, when
-    `heralded`, the herald.  A gate with n photons misses them with
-    probability m = (1 - eta)^n and clicks on them with u = 1 - m, exactly
-    0 for n = 0.  A gate of bell_patterns that must stay dark contributes
-    (1 - d) m; one that must click contributes d (a dark click) or
-    (1 - d) u (a photon click).  Expanding every pattern over its choices
-    of dark-clicked gates and grouping the terms by their dark factors
-    gives monomials prod_c d_c^a (1 - d_c)^b over the channels, at most 2^3
-    of them, with exponents[m, c] = (a, b), shape (monomials, channels, 2).
-    tables[m], shape (rows, 1 + len(BOB_BINS)), holds per occupation row
-    the photon factor of monomial m's terms, summed, then that times Bob's
-    photon click u in each of BOB_BINS.  Bob's click is one more click gate,
+    `detectors` are ge, ingaas, bob and, for a heralded run, the herald;
+    their dark probabilities are not read.  `free_partner`, which has no
+    default, is True when ingaas runs free and False when ge arms it.  A
+    gate with n photons misses them with probability m = (1 - eta)^n and
+    clicks on them with u = 1 - m, exactly 0 for n = 0.  A gate of
+    bell_patterns that must stay dark contributes (1 - d) m; one that must
+    click contributes d (a dark click) or (1 - d) u (a photon click).
+    Expanding every pattern over its choices of dark-clicked gates and
+    grouping the terms by their dark factors gives monomials
+    prod_c d_c^a (1 - d_c)^b over the detectors, at most 2^3 of them, with
+    exponents[m, c] = (a, b), shape (monomials, detectors, 2).  tables[m],
+    shape (rows, 1 + len(BOB_BINS)), holds per occupation row the photon
+    factor of monomial m's terms, summed, then that times Bob's photon
+    click u in each of BOB_BINS.  Bob's click is one more click gate,
     d_bob or (1 - d_bob) u, which teleport_weights applies, so bob's
-    exponents are 0.  Every entry is >= 0.  Raises RegistryMismatchError
-    when the registry's bins do not cover CLOCK_WINDOW and BOB_BINS.
+    exponents are 0.  Every entry is >= 0; tests/oracles.py holds the full
+    click-pattern enumeration the tables, weighted, agree with.  Raises
+    RegistryMismatchError when the registry's bins do not cover
+    CLOCK_WINDOW and BOB_BINS.
     """
     if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
         raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
                                     f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
     n_bins = registry.max_bins
-    exponents, dark, click, member = _grouped_terms(free_partner, n_bins, heralded,
-                                                    len(channels))
-    counts = _gate_counts(registry, occupations, [spatial for spatial, _ in channels])
-    top = int(counts.max(initial=0)) + 1
-    miss = np.array([[(1.0 - eta) ** n for n in range(top)] for _, eta in channels])
-    gates = np.ascontiguousarray(counts.transpose(1, 2, 0))
-    m = miss.ravel()[gates + top * np.arange(len(channels))[:, None, None]]
-    m = m.reshape(-1, len(occupations))
+    exponents, dark, click, member = _grouped_terms(free_partner, n_bins, len(detectors))
+    m = _misses(registry, occupations, detectors).reshape(-1, len(occupations))
     # rows: every gate's miss, then its photon click, then ones
     factors = np.concatenate([m, 1.0 - m, np.ones((1, len(occupations)))])
     # per pattern, the misses of its dark gates, then for each click gate
@@ -209,51 +203,20 @@ def teleport_tables(
     return exponents, tables
 
 
-def teleport_weights(exponents: np.ndarray, darks: Sequence[float]) -> np.ndarray:
+def teleport_weights(exponents: np.ndarray, detectors: Sequence[Detector]) -> np.ndarray:
     """Weights W, shape (monomials, 1 + len(BOB_BINS), 1 + len(BOB_BINS)),
     that turn teleport_tables' tables into probabilities, sum_m tables[m]
-    @ W[m], for dark probabilities `darks` in the tables' channel order.
-    W[m] is monomial m's value times Bob's click: column 0 keeps the
-    acceptance, and column 1 + i adds d_bob times it to (1 - d_bob) times
-    the photon column 1 + i.  Every entry is >= 0."""
-    d = np.array(darks, dtype=float)
+    @ W[m], for the dark probabilities of `detectors`, in the tables'
+    order; their efficiencies are not read.  W[m] is monomial m's value
+    times Bob's click: column 0 keeps the acceptance, and column 1 + i
+    adds d_bob times it to (1 - d_bob) times the photon column 1 + i.
+    Every entry is >= 0."""
+    d = np.array([det.dark_prob for det in detectors])
     monomials = np.prod(d ** exponents[..., 0] * (1.0 - d) ** exponents[..., 1], axis=1)
     bob = np.eye(1 + len(BOB_BINS)) * (1.0 - d[_BOB])
     bob[0] = d[_BOB]
     bob[0, 0] = 1.0
     return np.multiply.outer(monomials, bob)
-
-
-def teleport_clicks(
-    registry: ModeRegistry,
-    occupations: np.ndarray,
-    ge: Detector,
-    ingaas: Detector,
-    bob: Detector,
-    herald: Optional[Detector] = None,
-    *,
-    free_partner: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per occupation row: P(accepted Bell pattern [and herald]), shape
-    (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
-    (terms, len(BOB_BINS)).
-
-    `free_partner`, which has no default, is True when ingaas runs free
-    and False when ge arms it.  The detectors' dark-count weights
-    (teleport_weights) are dotted into the photon tables of their
-    efficiencies (teleport_tables); tests/oracles.py holds the full
-    click-pattern enumeration this agrees with.  Raises
-    RegistryMismatchError when the registry's bins do not cover
-    CLOCK_WINDOW and BOB_BINS.
-    """
-    channels = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
-    exponents, tables = teleport_tables(
-        registry, occupations, [(ch.spatial, ch.efficiency) for ch in channels],
-        free_partner=free_partner, heralded=herald is not None,
-    )
-    weights = teleport_weights(exponents, [ch.dark_prob for ch in channels])
-    probs = np.einsum("mrj,mjk->rk", tables, weights)
-    return probs[:, 0], probs[:, 1:]
 
 
 def coincidence_clicks(
@@ -266,8 +229,9 @@ def coincidence_clicks(
     Marginal per gate; extra clicks elsewhere are not vetoed, as in a plain
     coincidence counter.
     """
-    counts = _gate_counts(registry, occupations, (det_a.spatial, det_b.spatial))
-    return det_a.click_probs(counts[:, 0]) * det_b.click_probs(counts[:, 1])
+    d = np.array([det_a.dark_prob, det_b.dark_prob])[:, None, None]
+    clicks = d + (1.0 - d) * (1.0 - _misses(registry, occupations, (det_a, det_b)))
+    return (clicks[0] * clicks[1]).T
 
 
 @dataclass(frozen=True)

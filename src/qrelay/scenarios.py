@@ -275,17 +275,16 @@ def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[n
     return counts, config.trials
 
 
-def _detectors(config: ExperimentConfig, scale: Optional[float] = None) -> Tuple[Detector, ...]:
-    """The relay's four detectors in teleport_clicks' order: ge, ingaas,
-    bob, herald.  A `scale` rescales their dark probabilities as the
-    calibration does (_scaled_darks)."""
-    darks = vars(config) if scale is None else _scaled_darks(config, scale)
-    return (
-        Detector(ALICE_QUBIT, config.eta_ge, darks["dark_ge"]),
-        Detector(EPR_QUBIT, config.eta_ingaas_bsa, darks["dark_ingaas_bsa"]),
-        Detector(EPR_BOB, config.eta_bob, darks["dark_bob"]),
-        Detector(ALICE_HERALD, config.eta_herald, darks["dark_herald"]),
+def _detectors(config: ExperimentConfig) -> Tuple[Detector, ...]:
+    """The relay's detectors in teleport_tables' order: ge, ingaas, bob
+    and, when the run is heralded, the herald."""
+    detectors = (
+        Detector(ALICE_QUBIT, config.eta_ge, config.dark_ge),
+        Detector(EPR_QUBIT, config.eta_ingaas_bsa, config.dark_ingaas_bsa),
+        Detector(EPR_BOB, config.eta_bob, config.dark_bob),
+        Detector(ALICE_HERALD, config.eta_herald, config.dark_herald),
     )
+    return detectors if config.heralded else detectors[:3]
 
 
 def _relay_registry() -> ModeRegistry:
@@ -475,12 +474,12 @@ class TeleportEngine:
     engine holds every branch of the pair truncation, in one branch
     mixture, and blocking runs, dark-count scans and forced single-pair mode
     only reweight them (branches they leave out get weight 0).  Detection
-    runs once per set of detector efficiencies: its photon tables, one per
-    dark-count monomial (teleport_tables), are summed per branch and
-    cached, keyed by the channels and efficiencies.  An outcome contracts
-    the monomials' weights for the detectors' dark probabilities
-    (teleport_weights) and the branch weights into them, so a detector set
-    with other dark counts costs a few small products and no pass; the
+    runs once, when the engine is built, for the config's detectors
+    (_detectors): its photon tables, one per dark-count monomial
+    (teleport_tables), are summed per branch.  An outcome contracts the
+    monomials' weights for the detectors' dark probabilities
+    (teleport_weights) and the branch weights into them, so rescaled dark
+    counts (_central_harmonics) cost a few small products and no pass; the
     default and blocking weights are computed once per engine.
 
     The analyzer is the only element that depends on phi_b, and it is
@@ -535,9 +534,14 @@ class TeleportEngine:
                 f"branch {b} has norm^2 harmonics {norms[:, b]}, expected 1, 0, ..."
             )
         self._weights: Dict[Optional[str], np.ndarray] = {}
-        # per (spatial, efficiency) of the detection channels: the dark
-        # monomials' exponents and the per-branch harmonics of their tables
-        self._harmonics: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self.detectors = _detectors(cfg)
+        # the dark monomials' exponents and the per-branch harmonics of their
+        # photon tables, held as (degree + 1, branches, monomials * columns)
+        # so that one matmul contracts the weights in
+        self._exponents, tables = teleport_tables(reg, self._occupations, self.detectors,
+                                                  free_partner=cfg.symmetric_bsa)
+        per_row = tables.transpose(1, 0, 2).reshape(len(self._occupations), -1)
+        self._tables = np.ascontiguousarray(self._per_branch(per_row).transpose(0, 2, 1))
 
     def _per_branch(self, values: np.ndarray) -> np.ndarray:
         """Per-branch harmonics of per-group values (groups, columns): shape
@@ -547,29 +551,13 @@ class TeleportEngine:
         real = real.reshape(2, self.degree + 1, values.shape[1], len(self.branches))
         return real[0] + 1j * real[1]
 
-    def _detected(self, detectors) -> np.ndarray:
+    def _detected(self, detectors=None) -> np.ndarray:
         """Per-branch harmonics of (acceptance, Bob's click in each of
-        BOB_BINS) for a detector set: shape (degree + 1, 4, branches), the
-        dark-count weights of its dark probabilities contracted into the
-        harmonics of the photon tables of its efficiencies."""
-        cfg = self.config
-        detectors = tuple(detectors) if detectors is not None else _detectors(cfg)
-        channels = detectors if cfg.heralded else detectors[:3]
-        key = tuple((det.spatial, det.efficiency) for det in channels)
-        cached = self._harmonics.get(key)
-        if cached is None:
-            exponents, tables = teleport_tables(
-                self.registry, self._occupations, key,
-                free_partner=cfg.symmetric_bsa, heralded=cfg.heralded,
-            )
-            # held as (degree + 1, branches, monomials * columns), so that one
-            # matmul contracts the weights in
-            per_row = tables.transpose(1, 0, 2).reshape(len(self._occupations), -1)
-            harmonics = np.ascontiguousarray(self._per_branch(per_row).transpose(0, 2, 1))
-            cached = self._harmonics[key] = (exponents, harmonics)
-        exponents, harmonics = cached
-        weights = teleport_weights(exponents, [det.dark_prob for det in channels])
-        return (harmonics @ weights.reshape(-1, weights.shape[2])).transpose(0, 2, 1)
+        BOB_BINS): shape (degree + 1, 4, branches), the dark-count weights
+        of the detectors' dark probabilities, the engine's by default,
+        contracted into the harmonics of the photon tables."""
+        weights = teleport_weights(self._exponents, detectors or self.detectors)
+        return (self._tables @ weights.reshape(-1, weights.shape[2])).transpose(0, 2, 1)
 
     def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
         w = np.array([weights.get(k, 0.0) for k in self.branches])
@@ -596,15 +584,15 @@ class TeleportEngine:
             cached = self._weights[blocked] = self._weight_vector(branch_weights(cfg))
         return cached
 
-    def _probabilities(self, phases, weights: np.ndarray, detectors=None) -> np.ndarray:
+    def _probabilities(self, phases, weights: np.ndarray) -> np.ndarray:
         """(acceptance, Bob's click in each of BOB_BINS) at each phase, shape
         (len(phases), 4), for branch weights dotted into the harmonics."""
-        return _synthesize(self._detected(detectors) @ weights, phases)
+        return _synthesize(self._detected() @ weights, phases)
 
-    def outcome(self, phi_b: float, detectors=None) -> TeleportOutcome:
+    def outcome(self, phi_b: float) -> TeleportOutcome:
         """Outcome of the branch mixture at one analyzer phase: the config's
         branch weights dotted into the per-branch harmonics."""
-        values = self._probabilities([phi_b], self._cached_weights(), detectors)[0]
+        values = self._probabilities([phi_b], self._cached_weights())[0]
         return TeleportOutcome(values[0], values[1:])
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
@@ -613,31 +601,33 @@ class TeleportEngine:
         to 0, and anything more negative raises."""
         return self._probabilities(phases, self._cached_weights())[:, 2]
 
-    def mean(self, detectors=None) -> float:
+    def mean(self) -> float:
         """Phase average of the central-bin receiver probability: harmonic 0."""
-        return float(self._detected(detectors)[0, 2].real @ self._cached_weights())
+        return float(self._detected()[0, 2].real @ self._cached_weights())
 
-    def blocking(self, blocked: str, detectors=None) -> float:
+    def blocking(self, blocked: str) -> float:
         """Central-bin receiver probability at phase_bob with sources blocked
         (see _cached_weights)."""
         w = self._cached_weights(blocked)
-        return self._probabilities([self.config.phase_bob], w, detectors)[0, 2]
+        return self._probabilities([self.config.phase_bob], w)[0, 2]
 
     def _central_harmonics(self, blocked: Sequence[Optional[str]], detectors=None) -> np.ndarray:
         """Harmonics of the central-bin receiver probability under each
         weighting of `blocked` (see _cached_weights; None is the config's),
-        shape (degree + 1, len(blocked)), from one contraction."""
+        shape (degree + 1, len(blocked)), from one contraction.  Other
+        `detectors` than the engine's reweight its photon tables with their
+        dark probabilities; their efficiencies are not read."""
         weights = np.column_stack([self._cached_weights(b) for b in blocked])
         return self._detected(detectors)[:, 2] @ weights
 
-    def background(self, detectors=None) -> float:
+    def background(self) -> float:
         """Phase-independent background estimated from blocking runs.
 
         Single-source backgrounds add; the both-blocked (dark only) term is
         counted in each single-blocking run, so it is subtracted once.  The
         three runs are synthesized at phase_bob together.
         """
-        harmonics = self._central_harmonics(("alice", "epr", "both"), detectors)
+        harmonics = self._central_harmonics(("alice", "epr", "both"))
         alice, epr, both = _synthesize(harmonics, [self.config.phase_bob])[0]
         return alice + epr - both
 
@@ -739,7 +729,7 @@ class _MandelEngine:
         size = self.degree + 1
         order, slices = _group_slices(n * size + j, size * size)
         weighted = (np.array(list(held.values()))[branch] * probs)[order]
-        ge, ingaas, _, _ = _detectors(cfg)
+        ge, ingaas = _detectors(cfg)[:2]
         clicks = coincidence_clicks(reg, occupations, ge, ingaas)[order, :2]
         sums = [weighted[s] @ clicks[s] for s in slices]
         self._coefficients = np.stack(sums).reshape(size, size, 2)
@@ -786,15 +776,11 @@ _REFERENCE_DARKS = {f.name: f.default for f in fields(ExperimentConfig)
 _DARK_CAP = 0.9
 
 
-def _scaled_darks(config: ExperimentConfig, scale: float) -> Dict[str, float]:
+def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
     base = {k: getattr(config, k) for k in _REFERENCE_DARKS}
     if all(v == 0.0 for v in base.values()):
         base = dict(_REFERENCE_DARKS)
-    return {k: min(v * scale, _DARK_CAP) for k, v in base.items()}
-
-
-def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
-    return replace(config, **_scaled_darks(config, scale))
+    return replace(config, **{k: min(v * scale, _DARK_CAP) for k, v in base.items()})
 
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
@@ -803,7 +789,7 @@ def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     TeleportEngine.background and the config's weights in one contraction,
     the blockings synthesized at phase_bob and the mean read from
     harmonic 0."""
-    dets = _detectors(engine.config, scale)
+    dets = _detectors(_with_dark_scale(engine.config, scale))
     central = engine._central_harmonics(("alice", "epr", "both", None), dets)
     alice, epr, both = _synthesize(central[:, :3], [engine.config.phase_bob])[0]
     background = alice + epr - both

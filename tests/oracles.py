@@ -4,9 +4,12 @@ click_distribution enumerates every click pattern of a detector layout,
 term by term and gate by gate, for a weighted ensemble of separate states;
 the Bell-state and herald filters then pick the accepted patterns out of
 it.  A layout's detectors are Labeled: the patterns are keyed by label,
-and any detector may follow (be armed by) any other.  teleport_outcome_distribution and coincidence_probability answer per
+and any detector may follow (be armed by) any other.  teleport_clicks
+dots the dark-count weights of qrelay.detection.teleport_weights into the
+photon tables of teleport_tables, per occupation row.
+teleport_outcome_distribution and coincidence_probability answer per
 branch of one record-tagged mixture: each branch's |amplitude|^2 dotted
-into the per-row click probabilities of qrelay.detection, after a check
+into teleport_clicks or qrelay.detection.coincidence_clicks, after a check
 that every branch is normalized.  They are checked against the enumeration
 branch by branch and with the branch weights dotted in.
 occupation_distribution lists a state's outcome probabilities term by
@@ -66,7 +69,8 @@ from qrelay.detection import (
     Detector,
     TeleportOutcome,
     coincidence_clicks,
-    teleport_clicks,
+    teleport_tables,
+    teleport_weights,
 )
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
@@ -272,6 +276,11 @@ class DetectionLayout:
                 raise ConfigError(f"{ch.label} follows unknown {ch.follows}")
 
 
+def _click_prob(detector: Detector, n_photons: int) -> float:
+    """P(click) of one gate holding n photons: 1 - (1 - d)(1 - eta)^n."""
+    return 1.0 - (1.0 - detector.dark_prob) * (1.0 - detector.efficiency) ** n_photons
+
+
 def _gate_counts(state: FockState, occ, spatial: str) -> List[int]:
     """Photons per time bin on one channel, summed over internal labels."""
     reg = state.registry
@@ -326,14 +335,14 @@ def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[Clic
                 counts[ch.label] = _gate_counts(state, occ, ch.detector.spatial)
             for ch in free:
                 for t in range(n_bins):
-                    free_gates.append((ch.label, t, ch.detector.click_prob(counts[ch.label][t])))
+                    free_gates.append((ch.label, t, _click_prob(ch.detector, counts[ch.label][t])))
             for free_clicks, p_free in _subset_probs(free_gates):
                 armed = []
                 for ch in followers:
                     for (label, t) in free_clicks:
                         if label == ch.follows and t + 1 < n_bins:
                             armed.append(
-                                (ch.label, t + 1, ch.detector.click_prob(counts[ch.label][t + 1]))
+                                (ch.label, t + 1, _click_prob(ch.detector, counts[ch.label][t + 1]))
                             )
                 for sub_clicks, p_sub in _subset_probs(armed):
                     pattern = free_clicks | sub_clicks
@@ -382,6 +391,20 @@ def _branch_probs(state: FockState) -> np.ndarray:
     return probs
 
 
+def teleport_clicks(registry: ModeRegistry, occupations: np.ndarray, ge: Detector,
+                    ingaas: Detector, bob: Detector, herald: Optional[Detector] = None, *,
+                    free_partner: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Per occupation row: P(accepted Bell pattern [and herald]), shape
+    (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
+    (terms, len(BOB_BINS)); the detectors' dark-count weights dotted into
+    the photon tables of their efficiencies."""
+    detectors = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
+    exponents, tables = teleport_tables(registry, occupations, detectors,
+                                        free_partner=free_partner)
+    probs = np.einsum("mrj,mjk->rk", tables, teleport_weights(exponents, detectors))
+    return probs[:, 0], probs[:, 1:]
+
+
 def teleport_outcome_distribution(state: FockState, ge: Detector, ingaas: Detector,
                                   bob: Detector, herald=None, *,
                                   free_partner: bool) -> TeleportOutcome:
@@ -410,7 +433,7 @@ def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.
     circ, relay_bins = scenarios._dip_circuit(cfg)
     held = {k: w for k, w in scenarios.branch_weights(cfg).items() if w > 0}
     weights = np.array(list(held.values()))
-    ge, ingaas, _, _ = scenarios._detectors(cfg)
+    ge, ingaas = scenarios._detectors(cfg)[:2]
     overlap = OverlapModel(cfg.dip_fwhm_um)
     rows = []
     for x in mismatches_um:
@@ -495,11 +518,9 @@ def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights
     mixture = scenarios._branch_mixture(pre.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
     circ = Circuit(pre.registry)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
-    ge, ingaas, bob, herald = scenarios._detectors(cfg) if detectors is None else detectors
-    per_branch = teleport_outcome_distribution(
-        apply(circ, apply(pre, mixture)), ge, ingaas, bob, herald if cfg.heralded else None,
-        free_partner=cfg.symmetric_bsa,
-    )
+    detectors = scenarios._detectors(cfg) if detectors is None else detectors
+    per_branch = teleport_outcome_distribution(apply(circ, apply(pre, mixture)), *detectors,
+                                               free_partner=cfg.symmetric_bsa)
     weights = scenarios.branch_weights(cfg) if weights is None else weights
     w = np.array([weights.get(k, 0.0) for k in engine.branches])
     return TeleportOutcome(w @ per_branch.accept, w @ per_branch.bob)

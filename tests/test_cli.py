@@ -237,6 +237,33 @@ def test_zero_count_fringe_exits_3(capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("points, periods", [("5", "1e-9"), ("4", "1e-300")])
+def test_fringe_on_phases_rounding_cannot_tell_apart_exits_3(capsys, points, periods):
+    # the phases are distinct, but the fit's normal matrix is singular
+    code, out, err = run_cli(capsys, ["teleport", "--points", points, "--periods", periods])
+    assert code == 3
+    assert "too close together" in err
+    assert out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("line", ["pair_mean = 0", "pair_mean = 1e-300"])
+def test_singular_dip_fit_prints_null_sigmas(tmp_path, capsys, line):
+    # no pairs, no dip: the fit's covariance is singular and its sigmas
+    # are not numbers, which JSON cannot hold
+    path = tmp_path / "flat.conf"
+    path.write_text(line + "\n")
+    code, out, _ = run_cli(capsys, ["mandel", "--config", str(path)])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["visibility_sigma"] is None
+    assert doc["fwhm_sigma_um"] is None
+    assert doc["visibility"] == 0.0
+
+
 def test_stability_trace_and_summary(tmp_path, capsys):
     out_csv = tmp_path / "trace.csv"
     code, out, _ = run_cli(

@@ -13,6 +13,7 @@ from oracles import (
     herald_filter,
     normalized,
     psi_minus_filter,
+    teleport_clicks,
     teleport_outcome_distribution,
     terms,
 )
@@ -22,7 +23,7 @@ from qrelay.detection import (
     Detector,
     TimingBudget,
     bell_patterns,
-    teleport_clicks,
+    coincidence_clicks,
     validate_timing,
 )
 from qrelay.errors import ConfigError, RegistryMismatchError, UnnormalizedStateError
@@ -248,6 +249,34 @@ def test_teleport_clicks_match_40_digit_products(dark, free_partner, heralded):
             for i, t in enumerate(BOB_BINS):
                 with_bob = expected * (1 - miss(key, 2, t))
                 assert abs(bob_clicks[row, i] - with_bob) <= 1e-14 * with_bob
+
+
+@pytest.mark.parametrize("dark", [1e-12, 1e-5, 0.3])
+def test_coincidence_clicks_match_40_digit_products(dark):
+    # a dark-only click is d itself, not 1 - (1 - d), whose rounding is
+    # 8.9e-5 of d at d = 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    reg = _registry("a", "c", max_bins=3)
+    etas = {"a": 0.1, "c": 0.2}
+    det_a, det_c = (Detector(s, etas[s], dark) for s in ("a", "c"))
+    # the vacuum, and one photon in each detector's gate of one bin
+    photons = [None, ModeKey("a", 0), ModeKey("c", 1)]
+    occupations = np.zeros((len(photons), len(reg)), dtype=np.uint8)
+    for row, key in enumerate(photons[1:], start=1):
+        occupations[row, reg.index(key)] = 1
+    clicks = coincidence_clicks(reg, occupations, det_a, det_c)
+    assert clicks.shape == (len(photons), 3)
+    with mpmath.workdps(40):
+        d = mpmath.mpf(dark)
+
+        def click(key, spatial, t):
+            eta = mpmath.mpf(etas[spatial])
+            return 1 - (1 - d) * (1 - eta) ** int(key == ModeKey(spatial, t))
+
+        for row, key in enumerate(photons):
+            for t in range(3):
+                expected = click(key, "a", t) * click(key, "c", t)
+                assert abs(clicks[row, t] - expected) <= 1e-14 * expected
 
 
 def _pattern_set(patterns):

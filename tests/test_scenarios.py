@@ -273,8 +273,22 @@ def test_mismatch_span_must_be_finite_and_positive():
             mismatch_grid(21, span)
 
 
+def _count_detection_passes(monkeypatch):
+    """The args of every teleport_tables call the scenarios make from now on."""
+    real_tables = scenarios.teleport_tables
+    passes = []
+
+    def counting_tables(*args, **kwargs):
+        passes.append(args)
+        return real_tables(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "teleport_tables", counting_tables)
+    return passes
+
+
 @pytest.mark.parametrize("heralded", [False, True])
-def test_harmonic_scan_matches_per_phase_outcome(heralded):
+def test_harmonic_scan_matches_per_phase_outcome(monkeypatch, heralded):
+    passes = _count_detection_passes(monkeypatch)
     cfg = ExperimentConfig(heralded=heralded, phase_bob=0.4)
     phis = phase_grid(13, 1.7, start=0.25)
     engine = TeleportEngine(cfg)
@@ -283,10 +297,33 @@ def test_harmonic_scan_matches_per_phase_outcome(heralded):
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     # the scan, the acceptance and every blocking run share one detection pass
     assert engine.degree == 2
-    assert len(engine._harmonics) == 1
+    assert len(passes) == 1
     engine.outcome(cfg.phase_bob)
     engine.background()
-    assert len(engine._harmonics) == 1
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("heralded", [False, True])
+def test_one_detection_pass_per_engine(monkeypatch, heralded):
+    # the photon tables are built with the engine, for the config's
+    # detectors (the herald only in a heralded run), and every read and a
+    # whole calibration search reuse them
+    passes = _count_detection_passes(monkeypatch)
+    cfg = ExperimentConfig(heralded=heralded, pair_mean_alice=0.16, pair_mean_epr=0.04)
+    engine = TeleportEngine(cfg)
+    assert len(passes) == 1
+    assert [det.spatial for det in passes[0][2]] == [det.spatial for det in engine.detectors]
+    assert len(engine.detectors) == (4 if heralded else 3)
+    engine.scan(phase_grid(24))
+    engine.outcome(1.3)
+    engine.mean()
+    for blocked in scenarios.BLOCK_CHOICES:
+        engine.blocking(blocked)
+    engine.background()
+    assert len(passes) == 1
+    _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
+    assert not report.clamped
+    assert len(passes) == 2
 
 
 @pytest.mark.parametrize("symmetric_bsa", [False, True])
@@ -322,6 +359,7 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
     # three pairs put up to three photons at the receiver: degree 3, so
     # harmonics 0 to 3 of every probability, still from one detection pass
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
+    passes = _count_detection_passes(monkeypatch)
     cfg = ExperimentConfig(pair_mean=0.1)
     engine = TeleportEngine(cfg)
     assert engine.degree == 3
@@ -331,8 +369,8 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     dense = engine.scan(phase_grid(16, 1.0)).mean()
     assert abs(engine.mean() - dense) <= 1e-12 * dense
-    assert len(engine._harmonics) == 1
-    assert engine._detected(None).shape == (4, 4, len(engine.branches))
+    assert len(passes) == 1
+    assert engine._detected().shape == (4, 4, len(engine.branches))
 
 
 def test_harmonic_scan_clamps_only_rounding(monkeypatch):
@@ -369,26 +407,21 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     engine.scan(phase_grid(24))
     engine.outcome(1.3)
     engine.background()
-    engine.mean(scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
+    engine._central_harmonics((None,), scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
     assert len(calls) == 2
 
 
 def test_one_detection_pass_per_calibration(monkeypatch):
     # dark counts only reweight the engine's photon tables, so a whole
     # search, and a clamp, run one detection pass
-    real_tables = scenarios.teleport_tables
+    passes = _count_detection_passes(monkeypatch)
     real_ratio = scenarios._background_ratio
-    passes, scales = [], []
-
-    def counting_tables(*args, **kwargs):
-        passes.append(args)
-        return real_tables(*args, **kwargs)
+    scales = []
 
     def recording_ratio(scale, engine):
         scales.append(scale)
         return real_ratio(scale, engine)
 
-    monkeypatch.setattr(scenarios, "teleport_tables", counting_tables)
     monkeypatch.setattr(scenarios, "_background_ratio", recording_ratio)
     cfg = ExperimentConfig(pair_mean_alice=0.16, pair_mean_epr=0.04)
     _, report = calibrate_dark_counts(cfg, target_ratio=3.0)

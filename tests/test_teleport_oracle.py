@@ -70,6 +70,15 @@ def teleport_cases(draw):
     return draw(hs.sampled_from((2, 3))), cfg, phases, draw(hs.floats(0.0, 50.0))
 
 
+def _rescaled_mean_and_blockings(engine, detectors, blocked):
+    """The central bin's phase average under the config's weights, then its
+    value at phase_bob under each of `blocked`, for `detectors`' dark
+    counts: TeleportEngine.mean and blocking through _central_harmonics."""
+    central = engine._central_harmonics((None,) + tuple(blocked), detectors)
+    at_phase = scenarios._synthesize(central[:, 1:], [engine.config.phase_bob])[0]
+    return (central[0, 0].real, *at_phase)
+
+
 def assert_close(got, expected):
     got, expected = np.asarray(got), np.asarray(expected)
     assert np.all(np.abs(got - expected) <= np.maximum(RTOL * np.abs(expected), ATOL))
@@ -96,12 +105,12 @@ def test_harmonic_engine_matches_per_phase_analyzer(case):
         for b, expected in blocked.items():
             assert_close(engine.blocking(b), expected)
         assert_close(engine.background(), blocked["alice"] + blocked["epr"] - blocked["both"])
-        # a calibration's detector set, as calibrate_dark_counts passes it
+        # a calibration's detector set, as _background_ratio passes it
         dets = scenarios._detectors(scenarios._with_dark_scale(cfg, dark_scale))
-        assert_close(engine.mean(dets), teleport_mean_per_phase(engine, dets))
-        assert_close(engine.blocking("epr", dets),
-                     teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, "epr"),
-                                        dets).bob[1])
+        mean, epr = _rescaled_mean_and_blockings(engine, dets, ("epr",))
+        assert_close(mean, teleport_mean_per_phase(engine, dets))
+        assert_close(epr, teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, "epr"),
+                                             dets).bob[1])
 
 
 @PROPERTY_SETTINGS
@@ -112,11 +121,14 @@ def test_dark_rescale_reweights_like_a_fresh_engine(case):
     k, cfg, _, dark_scale = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "MAX_PAIRS_EACH", k)
+        real_tables, passes = scenarios.teleport_tables, []
+        mp.setattr(scenarios, "teleport_tables",
+                   lambda *args, **kwargs: passes.append(args) or real_tables(*args, **kwargs))
         engine = TeleportEngine(cfg)
-        engine.mean()
-        dets = scenarios._detectors(engine.config, dark_scale)
-        fresh = TeleportEngine(scenarios._with_dark_scale(engine.config, dark_scale))
-        assert_close(engine.mean(dets), fresh.mean())
-        for b in BLOCK_CHOICES:
-            assert_close(engine.blocking(b, dets), fresh.blocking(b))
-        assert len(engine._harmonics) == 1
+        rescaled = scenarios._with_dark_scale(engine.config, dark_scale)
+        got = _rescaled_mean_and_blockings(engine, scenarios._detectors(rescaled), BLOCK_CHOICES)
+        assert len(passes) == 1
+        fresh = TeleportEngine(rescaled)
+        assert_close(got[0], fresh.mean())
+        for b, value in zip(BLOCK_CHOICES, got[1:]):
+            assert_close(value, fresh.blocking(b))
