@@ -9,9 +9,9 @@ uncertainties are taken as sqrt(max(count, 1)).
 
 The dip fit and the constrained fringe refit are one bounded
 Levenberg-Marquardt iteration in numpy on each model's analytic Jacobian.
-It stops once a step is predicted to lower the weighted cost by at most
-1e-12 of it, or moves the parameters by at most 1e-12 of their norm, and
-raises FitConvergenceError on a non-finite cost or after 5000 trial steps.
+It stops once a step would lower the weighted cost by at most 1e-12 of it,
+move the parameters by at most 1e-12 of their norm, or fails at the data's
+rounding floor; a non-finite cost or 5000 trials raise FitConvergenceError.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitConvergenceError, InsufficientPointsError
+
+_EPS = np.finfo(float).eps
 
 # fringe visibility thresholds; boundaries count as the upper class
 CLASSICAL_VISIBILITY_LIMIT = 1.0 / 3.0
@@ -101,6 +103,10 @@ def fit_fringe(phases, counts) -> FringeFit:
         )
     w = 1.0 / _sigmas(y)
     basis = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    # each basis row has norm sqrt(2): this is the weighted design's condition
+    # number with its rows equilibrated, set by the phases, not the counts
+    if not np.linalg.cond(basis) <= 1.0 / math.sqrt(_EPS):
+        raise InsufficientPointsError("the phases are too close together to fit a fringe")
     coef, *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
     c0, c1, c2 = coef
     if c0 <= 0:
@@ -109,11 +115,7 @@ def fit_fringe(phases, counts) -> FringeFit:
     visibility = r / c0
     phase0 = _phase(c2, c1)
 
-    try:
-        cov = np.linalg.inv((basis * w[:, None]).T @ (basis * w[:, None]))
-    except np.linalg.LinAlgError:
-        # distinct phases closer than rounding tells apart
-        raise InsufficientPointsError("the phases are too close together to fit a fringe")
+    cov = np.linalg.inv((basis * w[:, None]).T @ (basis * w[:, None]))
     if r == 0.0:
         grad = np.array([0.0, 1.0 / c0, 1.0 / c0])
     else:
@@ -134,7 +136,7 @@ def fit_fringe(phases, counts) -> FringeFit:
         return (np.array([-(1.0 + v * cos), -off * cos, -off * v * np.sin(x - ph)]) * w).T
 
     box = np.array([[1e-12, 0.0, -np.inf], [np.inf, 1.0, np.inf]])
-    off, v, ph = _fit_box(residuals, jacobian, np.array([c0, 1.0, phase0]), *box).tolist()
+    off, v, ph = _fit_box(residuals, jacobian, np.array([c0, 1.0, phase0]), *box, y * w).tolist()
     return FringeFit(v, sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility)
 
 
@@ -171,7 +173,7 @@ def _dip_jacobian(x, w, p, gauss):
     return (np.array([d * gauss - 1.0, a * gauss, slope * u, slope * u * u]) * w).T
 
 
-def _fit_box(residuals, jacobian, p, lo, hi):
+def _fit_box(residuals, jacobian, p, lo, hi, data):
     """Least-squares parameters inside the box [lo, hi], from p.
 
     residuals(p) gives the weighted residuals r and a by-product that
@@ -183,12 +185,16 @@ def _fit_box(residuals, jacobian, p, lo, hi):
     accepted only if it lowers the cost, and lam falls by 5 after an
     accepted trial and grows by 4 after a rejected one.  The fit stops once
     a trial's projected step is predicted to lower the cost by at most
-    _FTOL of it, or has norm at most _XTOL (_XTOL + |p|); a non-finite cost
-    or _MAX_TRIALS trials raise FitConvergenceError.  Growing lam shrinks
-    the step, but lam has no ceiling that stops the fit.
+    _FTOL of it, or has norm at most _XTOL (_XTOL + |p|), or fails to lower
+    a cost at most the rounding floor of the weighted counts `data`: eps times
+    the zero model's cost, residuals within sqrt(eps) of the data, all that
+    normal equations, which square the residuals, resolve.  A non-finite
+    cost or _MAX_TRIALS trials raise FitConvergenceError.  Growing lam
+    shrinks the step, but lam has no ceiling that stops the fit.
     """
     r, aux = residuals(p)
     cost = 0.5 * (r @ r)
+    floor = 0.5 * _EPS * (data @ data)
     lam = 1.0
     moved = True
     for _ in range(_MAX_TRIALS):
@@ -226,6 +232,7 @@ def _fit_box(residuals, jacobian, p, lo, hi):
         converged = (
             0.0 <= predicted <= _FTOL * cost
             or math.sqrt(step @ step) <= _XTOL * (_XTOL + math.sqrt(trial @ trial))
+            or (cost_trial >= cost and cost <= floor)
         )
         if cost_trial < cost:
             p, r, aux, cost = trial, r_trial, aux_trial, cost_trial
@@ -265,7 +272,7 @@ def fit_dip(positions, counts) -> DipFit:
         if not start_finite:
             raise FitConvergenceError("dip fit residuals are not finite at the starting point")
         p = _fit_box(lambda p: _dip_residuals(x, y, w, p),
-                     lambda p, gauss: _dip_jacobian(x, w, p, gauss), p0, lo, hi)
+                     lambda p, gauss: _dip_jacobian(x, w, p, gauss), p0, lo, hi, y * w)
         jac = _dip_jacobian(x, w, p, _dip_residuals(x, y, w, p)[1])
     a, d, c, fw = p
 

@@ -80,8 +80,7 @@ def _misses(registry: ModeRegistry, occupations: np.ndarray,
     """Per gate and row, the probability (1 - eta)^n that the detector
     misses the gate's n photons: shape (len(detectors), max_bins, rows)."""
     spatials = [det.spatial for det in detectors]
-    # modes registered after the state was built hold no photons
-    counts = occupations @ registry.bin_indicator(spatials)[: occupations.shape[1]]
+    counts = occupations @ registry.bin_indicator(spatials)
     counts = counts.astype(np.intp).T.reshape(len(detectors), registry.max_bins, len(occupations))
     top = int(counts.max(initial=0)) + 1
     miss = np.array([[(1.0 - det.efficiency) ** n for n in range(top)] for det in detectors])

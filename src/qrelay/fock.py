@@ -11,8 +11,8 @@ with array operations.
 A mixture of pair-number branches is one state whose rows carry their
 branch index as photons in the unobserved BRANCH_RECORD mode, so branches
 never merge in a circuit; each branch is a normalized ket of its own, and
-a state with no record column is one branch.  Detection answers per row,
-and its callers sum the rows per branch.
+a state on a registry without the record mode is one branch.  Detection
+answers per row, and its callers sum the rows per branch.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class FockState:
 
     `occupations` is a (terms, modes) uint8 matrix, so at most 255 photons
     per mode, with one column per registered mode, in registry order, and
-    distinct rows.  A mode registered after the state was built has no
-    column yet and holds no photon.  `prune` returns self to allow chaining.
+    distinct rows, so every mode is registered before a state is built.
+    `prune` returns self to allow chaining.
     """
 
     __slots__ = ("registry", "occupations", "amplitudes")
@@ -140,9 +140,8 @@ class FockState:
 
     def branches(self) -> np.ndarray:
         """Each row's branch index: its photons in the BRANCH_RECORD mode, 0
-        when the state has no column for that mode."""
-        cols = [i for i in self.registry.indices_for(BRANCH_RECORD.spatial)
-                if i < self.occupations.shape[1]]
+        when the registry has no such mode."""
+        cols = self.registry.indices_for(BRANCH_RECORD.spatial)
         return self.occupations[:, cols].sum(axis=1, dtype=np.intp)
 
 

@@ -195,7 +195,8 @@ class Circuit:
 
 
 def apply(circuit: Circuit, state: FockState) -> FockState:
-    """Run a state through the circuit at the registry's full width.
+    """Run a state, one column per registered mode, through the circuit;
+    DimensionMismatchError for any other width.
 
     The n photons of each mode j whose row of T moves become the expansion
     of (sum_k T[j, k] a^dag_k)^n, mode after mode for all terms at once;
@@ -206,9 +207,10 @@ def apply(circuit: Circuit, state: FockState) -> FockState:
     """
     reg = circuit.registry
     size = len(reg)
+    occ = state.occupations
+    if occ.shape[1] != size:
+        raise DimensionMismatchError(f"a state of {occ.shape[1]} modes on a registry of {size}")
     _, _, _, moves, lost, _ = circuit._compose()
-    occ = np.zeros((len(state), size), dtype=np.uint8)
-    occ[:, : state.occupations.shape[1]] = state.occupations
     occupied = occ.any(axis=0)
     overflow = np.flatnonzero(occupied & lost)
     if len(overflow):

@@ -12,7 +12,7 @@ mixture, and pushes it through the optical circuit once; detector
 response is applied analytically at the end, row by row, the rows are
 summed per branch, and the branch weights come in last, as a dot product.
 Neither scan builds a state per point: the fringe is a trigonometric
-polynomial in the analyzer phase whose harmonics come from one analyzer
+polynomial in the analyzer phase whose harmonics come from one circuit
 pass and one detection pass, and the dip a polynomial in the squared
 overlap xi^2 whose coefficients come from one build at xi^2 = 1/2, one
 circuit pass and one detection pass.
@@ -371,8 +371,8 @@ def _dip_circuit(config: ExperimentConfig) -> Tuple[Circuit, Tuple[int, ...]]:
 # synthesized magnitude; a more negative synthesized probability is an error
 _SYNTHESIS_RTOL = 64 * np.finfo(float).eps
 
-# unobserved mode whose photon number is a row's summed time-bin index
-# before the receiver analyzer
+# unobserved mode whose photon number is a mixture row's summed time-bin
+# index on Bob's side of the teleport circuit
 DELAY_RECORD = ModeKey("delay-record", 0)
 
 
@@ -447,28 +447,9 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _analyzed_harmonics(prepared: FockState, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The prepared mixture through the receiver analyzer, applied once at
-    phi_b = 0: (distinct output occupations, their phase harmonics), as
-    _delay_harmonics returns them; see TeleportEngine."""
-    reg = prepared.registry
-    analyzer = _analyzer(reg, 0.0)
-    record = reg.add(DELAY_RECORD)
-    bins = np.array([reg.key_at(i).time_bin for i in range(len(reg))])
-    _check_phase_rides_the_delay(analyzer, bins)
-    tagged = np.zeros((len(prepared), len(reg)), dtype=np.uint8)
-    tagged[:, : prepared.occupations.shape[1]] = prepared.occupations
-    tagged[:, record] = tagged @ bins
-    analyzed = apply(analyzer, FockState(reg, tagged, prepared.amplitudes))
-    occupations = analyzed.occupations
-    delays = occupations @ bins - occupations[:, record]
-    occupations[:, record] = 0
-    return _delay_harmonics(occupations, delays, analyzed.amplitudes, degree)
-
-
 class TeleportEngine:
-    """Branch states through the teleport circuit (_teleport_circuit) and
-    the receiver analyzer, each applied once.
+    """Branch states through the teleport circuit (_teleport_circuit) with
+    the receiver analyzer appended, in one pass.
 
     Branch states do not depend on the pair means or the detectors, so the
     engine holds every branch of the pair truncation, in one branch
@@ -482,74 +463,86 @@ class TeleportEngine:
     counts (_central_harmonics) cost a few small products and no pass; the
     default and blocking weights are computed once per engine.
 
-    The analyzer is the only element that depends on phi_b, and it is
-    applied once, at phi_b = 0.  A photon that takes its delay arm moves one
-    bin later and picks up e^{i phi_b}, so an output row reached with k
-    delayed photons has amplitude A_k e^{i k phi_b}, where k is the row's
-    summed time-bin index after the analyzer minus the sum before it.  The
-    prepared rows carry the latter as photons in the unobserved
-    DELAY_RECORD mode, so rows with different k never merge.  Grouped by
-    occupation without the record, each output occupation has amplitudes
-    A_0..A_D, D (`degree`) being the most photons at the analyzer input,
-    and its probability is a degree-D trigonometric polynomial in phi_b
-    with harmonics c_m = sum_k A_{k+m} conj(A_k) (`_delay_harmonics`).  One
-    detection pass, and a matmul with the c_m per branch, give the
-    per-branch harmonics of every photon table, and the dark-count weights
-    the harmonics H_m of every detection probability; the
-    probability at phi_b is Re(H_0 + 2 sum_{m>=1} H_m e^{i m phi_b}) and
-    its phase average is H_0.  This is exact when
+    The analyzer, the only element that depends on phi_b, joins the circuit
+    (transfer matrix T) at phi_b = 0.  A photon that takes its delay arm
+    moves one bin later and picks up e^{i phi_b}, so an output row reached
+    with k delayed photons has amplitude A_k e^{i k phi_b}: k is its summed
+    time-bin index on Bob's side of T, the modes an element chain links to
+    EPR_BOB, minus its mixture row's, which the row carries in the
+    unobserved DELAY_RECORD mode so that rows of different k never merge.
+    Grouped by occupation without the record, an output occupation has
+    amplitudes A_0..A_D, D (`degree`) being the most photons Bob's channel
+    holds at emission, and a probability that is a degree-D trigonometric
+    polynomial in phi_b with harmonics c_m = sum_k A_{k+m} conj(A_k)
+    (`_delay_harmonics`).  A matmul with the c_m per branch gives the
+    per-branch harmonics of the photon tables, and the dark-count weights
+    the harmonics H_m of every detection probability: Re(H_0 + 2 sum_{m>=1}
+    H_m e^{i m phi_b}) at phi_b, H_0 on average.  This is exact when
+    - no entry of T joins Bob's side to another mode, so that Alice's
+      encoder delays stay out of k,
     - phi_b enters the analyzer's transfer matrix only as a factor
       e^{i phi_b} per bin that an entry moves a photon later, so that a row's
       phase is e^{i k phi_b} whichever paths reach it, and
     - every delay count k lies in [0, D], which holds when each photon is
       delayed by at most one bin, and is unique within its output
       occupation.
-    Both are checked when the engine is built, and HarmonicSynthesisError
-    raised otherwise; each branch must also come out normalized at every
-    phase (norm harmonic 0 equal to 1, the others 0).
+    HarmonicSynthesisError is raised otherwise, and UnnormalizedStateError
+    unless each branch has norm harmonics 1, 0, ..., 0.
     """
 
     def __init__(self, config: ExperimentConfig):
         cfg = self.config = config.materialized()
-        pre = _teleport_circuit(cfg)
-        reg = self.registry = pre.registry
+        circ = _teleport_circuit(cfg)
+        reg = circ.registry
+        analyzer = _analyzer(reg, 0.0)
+        circ.elements += analyzer.elements
+        record = reg.add(DELAY_RECORD)
+        bins = np.array([reg.key_at(i).time_bin for i in range(len(reg))])
+        _check_phase_rides_the_delay(analyzer, bins)
+        # Bob's side from the element chains, since an entry of T can underflow
+        side = set(reg.indices_for(EPR_BOB))
+        for idxs, _ in circ.elements:
+            if side.intersection(idxs):
+                side.update(idxs)
+        bob = np.isin(np.arange(len(reg)), list(side))
+        if np.any((circ.transfer() != 0) & (bob[:, None] != bob)):
+            raise HarmonicSynthesisError("the analyzer's circuit couples Bob's side to other modes")
+
         xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
         self.branches = pair_branches()
-        prepared = apply(pre, _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump))
-        at_bob = prepared.occupations[:, reg.indices_for(EPR_BOB)]
-        self.degree = int(at_bob.sum(axis=1).max(initial=0))
+        mixture = _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump)
+        self.degree = int(mixture.occupations[:, reg.indices_for(EPR_BOB)].sum(axis=1).max())
+        mixture.occupations[:, record] = mixture.occupations[:, bob] @ bins[bob]
+        out = apply(circ, mixture)
+        occupations = out.occupations
+        delays = occupations[:, bob] @ bins[bob] - occupations[:, record]
+        occupations[:, record] = 0
+        occupations, harmonics = _delay_harmonics(occupations, delays, out.amplitudes, self.degree)
 
-        occupations, harmonics = _analyzed_harmonics(prepared, self.degree)
-        # groups sorted by branch, each branch's slice of them, and the real
-        # and imaginary parts of their harmonics stacked
-        order, self._slices = _group_slices(occupations[:, reg.index(BRANCH_RECORD)],
-                                            len(self.branches))
-        self._occupations = occupations[order]
-        self._parts = np.concatenate([harmonics.real[:, order], harmonics.imag[:, order]])
-        norms = self._per_branch(np.ones((len(occupations), 1)))[:, 0]
+        # groups sorted by branch, and the real and imaginary parts of their
+        # harmonics stacked, for a real matmul per branch
+        order, slices = _group_slices(occupations[:, reg.index(BRANCH_RECORD)], len(self.branches))
+        occupations = occupations[order]
+        parts = np.concatenate([harmonics.real[:, order], harmonics.imag[:, order]])
+        self.detectors = _detectors(cfg)
+        self._exponents, tables = teleport_tables(reg, occupations, self.detectors,
+                                                  free_partner=cfg.symmetric_bsa)
+        # per group: a one for the norm, then every monomial's photon table
+        per_row = np.column_stack([np.ones(len(occupations)),
+                                   tables.transpose(1, 0, 2).reshape(len(occupations), -1)])
+        real = np.stack([parts[:, s] @ per_row[s] for s in slices], axis=-1)
+        real = real.reshape(2, self.degree + 1, per_row.shape[1], len(self.branches))
+        per_branch = real[0] + 1j * real[1]
+        norms = per_branch[:, 0]
         off = np.abs(norms - (np.arange(self.degree + 1) == 0)[:, None])
         if np.any(off > NORM_ATOL):
             b = int(np.argmax(off.max(axis=0)))
-            raise UnnormalizedStateError(
-                f"branch {b} has norm^2 harmonics {norms[:, b]}, expected 1, 0, ..."
-            )
+            raise UnnormalizedStateError(f"branch {b} has norm^2 harmonics {norms[:, b]}, "
+                                         "expected 1, 0, ...")
         self._weights: Dict[Optional[str], np.ndarray] = {}
-        self.detectors = _detectors(cfg)
-        # the dark monomials' exponents and the per-branch harmonics of their
-        # photon tables, held as (degree + 1, branches, monomials * columns)
-        # so that one matmul contracts the weights in
-        self._exponents, tables = teleport_tables(reg, self._occupations, self.detectors,
-                                                  free_partner=cfg.symmetric_bsa)
-        per_row = tables.transpose(1, 0, 2).reshape(len(self._occupations), -1)
-        self._tables = np.ascontiguousarray(self._per_branch(per_row).transpose(0, 2, 1))
-
-    def _per_branch(self, values: np.ndarray) -> np.ndarray:
-        """Per-branch harmonics of per-group values (groups, columns): shape
-        (degree + 1, columns, branches), complex; a real matmul per branch
-        over its slice of the groups."""
-        real = np.stack([self._parts[:, s] @ values[s] for s in self._slices], axis=-1)
-        real = real.reshape(2, self.degree + 1, values.shape[1], len(self.branches))
-        return real[0] + 1j * real[1]
+        # per-branch harmonics of the photon tables, (degree + 1, branches,
+        # monomials * columns), so that one matmul contracts the dark weights in
+        self._tables = np.ascontiguousarray(per_branch[:, 1:].transpose(0, 2, 1))
 
     def _detected(self, detectors=None) -> np.ndarray:
         """Per-branch harmonics of (acceptance, Bob's click in each of

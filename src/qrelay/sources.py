@@ -100,10 +100,9 @@ def _emit(state: FockState, modes: Sequence[ModeKey], counts, coeffs) -> FockSta
     used = counts.any(axis=0)
     idxs = [reg.index(m) for m, u in zip(modes, used) if u]
     for i in idxs:
-        if i < occ.shape[1] and occ[:, i].any():
+        if occ[:, i].any():
             raise OccupiedModeError(f"emission into occupied mode {reg.key_at(i)}")
-    out = np.zeros((len(occ), len(coeffs), len(reg)), dtype=np.uint8)
-    out[:, :, : occ.shape[1]] = occ[:, None, :]
+    out = np.repeat(occ[:, None, :], len(coeffs), axis=1)
     out[:, :, idxs] = counts[:, used]
     amps = state.amplitudes[:, None] * np.asarray(coeffs)
     return FockState(reg, out.reshape(-1, len(reg)), amps.ravel())

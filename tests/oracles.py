@@ -74,7 +74,7 @@ from qrelay.detection import (
 )
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
-from qrelay.optics import Circuit, apply
+from qrelay.optics import apply
 from qrelay.sources import OverlapModel
 from qrelay.stability import StabilityTrace
 
@@ -101,11 +101,10 @@ def normalized(state: FockState) -> FockState:
 
 
 def terms(state: FockState) -> Terms:
-    """A state's terms at the registry's width; absent columns are empty modes."""
-    width = len(state.registry)
+    """A state's terms, keyed by their occupations' bytes."""
     out: Terms = {}
     for occ, amp in zip(state.occupations, state.amplitudes):
-        key = bytes(occ) + bytes(width - len(occ))
+        key = bytes(occ)
         out[key] = out.get(key, 0.0) + complex(amp)
     return out
 
@@ -508,18 +507,17 @@ def csv_text(header: Sequence[str], rows) -> str:
 
 def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights=None,
                        detectors=None) -> TeleportOutcome:
-    """TeleportEngine.outcome with the analyzer built at phi_b: the engine's
-    branches prepared by the teleport circuit, the analyzer, one detection
-    pass, the weights dotted in.  The reference for the engine's phase
-    harmonics."""
+    """TeleportEngine.outcome with the analyzer built at phi_b: the teleport
+    circuit with the analyzer added before the engine's branches are built,
+    one apply, one detection pass, the weights dotted in.  The reference for
+    the engine's phase harmonics."""
     cfg = engine.config
-    pre = scenarios._teleport_circuit(cfg)
-    xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
-    mixture = scenarios._branch_mixture(pre.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
-    circ = Circuit(pre.registry)
+    circ = scenarios._teleport_circuit(cfg)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
+    xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
+    mixture = scenarios._branch_mixture(circ.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
     detectors = scenarios._detectors(cfg) if detectors is None else detectors
-    per_branch = teleport_outcome_distribution(apply(circ, apply(pre, mixture)), *detectors,
+    per_branch = teleport_outcome_distribution(apply(circ, mixture), *detectors,
                                                free_partner=cfg.symmetric_bsa)
     weights = scenarios.branch_weights(cfg) if weights is None else weights
     w = np.array([weights.get(k, 0.0) for k in engine.branches])

@@ -135,6 +135,21 @@ def test_dip_fit_recovers_exact_data():
     assert abs(fit.fwhm - fw) < 1e-5
 
 
+def test_undersampled_exact_dip_fit_ends_at_the_rounding_floor():
+    # 7 points 300 um apart under a 129 um dip: the exact counts fit to a
+    # vanishing cost along a valley of depths and widths, which the fit
+    # once crawled down for 5000 trials; below the data's rounding floor a
+    # trial that fails to lower the cost ends it
+    x = np.linspace(-901.0, 901.0, 7)
+    y = 3.75e5 * (1.0 - 0.409 * np.exp(-4 * math.log(2) * (x - 82.5) ** 2 / 128.9**2))
+    fit = fit_dip(x, y)
+    u = (x - fit.center) / fit.fwhm
+    model = fit.amplitude * (1.0 - fit.depth * np.exp(-4 * math.log(2) * u * u))
+    # weighted residuals within sqrt(eps) of the weighted counts
+    r = (y - model) / np.sqrt(y)
+    assert r @ r <= np.finfo(float).eps * y.sum()
+
+
 def test_dip_fit_under_poisson_noise():
     rng = np.random.default_rng(7)
     x = np.linspace(-300, 300, 61)

@@ -237,9 +237,10 @@ def test_zero_count_fringe_exits_3(capsys):
     assert "offset" in err
 
 
-@pytest.mark.parametrize("points, periods", [("5", "1e-9"), ("4", "1e-300")])
+@pytest.mark.parametrize("points, periods", [("5", "1e-9"), ("4", "1e-300"), ("5", "1e-7")])
 def test_fringe_on_phases_rounding_cannot_tell_apart_exits_3(capsys, points, periods):
-    # the phases are distinct, but the fit's normal matrix is singular
+    # the phases are distinct, but the fit's normal matrix is singular, or
+    # so badly conditioned (1.5e14 at 1e-7 periods) that its visibility is noise
     code, out, err = run_cli(capsys, ["teleport", "--points", points, "--periods", periods])
     assert code == 3
     assert "too close together" in err
@@ -562,6 +563,21 @@ def test_flat_dip_scan_exits_0(tmp_path, capsys, line):
     code, out, err = run_cli(capsys, ["mandel", "--config", str(cfg)])
     assert code == 0, err
     assert json.loads(out)["scenario"] == "mandel"
+
+
+def test_undersampled_exact_dip_fit_ends(tmp_path, capsys):
+    # two of eight points fall in the dip: the noise-free counts fit to a
+    # vanishing cost all along a valley of depths and widths, which the fit
+    # once crawled down for 5000 trials; it now stops there, with sigmas
+    # that say the depth is not pinned
+    cfg = tmp_path / "ideal.cfg"
+    cfg.write_text("ideal_single_pairs = true\n")
+    code, out, err = run_cli(capsys, ["mandel", "--config", str(cfg), "--points", "8",
+                                      "--span-um", "1200"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert 0.0 <= report["visibility"] <= 1.0
+    assert report["visibility_sigma"] > 1.0
 
 
 def test_speed_of_light_literal_is_scipys():

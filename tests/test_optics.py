@@ -13,7 +13,7 @@ from oracles import (
     occupation_distribution,
     terms,
 )
-from qrelay.errors import BinOverflowError, ConfigError
+from qrelay.errors import BinOverflowError, ConfigError, DimensionMismatchError
 from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry, vacuum
 from qrelay.optics import Circuit, apply, loss_from_db
 
@@ -223,3 +223,15 @@ def test_transfer_composes_in_order_and_follows_the_registry():
     assert circ.transfer()[2, 2] == 1.0
     st = apply_creation(vacuum(reg), ModeKey("c", 0))
     assert terms(apply(circ, st)) == {bytes([0, 0, 1]): 1.0}
+
+
+def test_apply_rejects_a_state_narrower_than_its_registry():
+    # a state has one column per registered mode: one built before a mode
+    # was registered is not padded
+    reg = _channel_registry("a", max_bins=1)
+    st = apply_creation(vacuum(reg), ModeKey("a", 0))
+    reg.add(ModeKey("b", 0))
+    circ = Circuit(reg)
+    circ.add_beamsplitter(ModeKey("a", 0), ModeKey("b", 0))
+    with pytest.raises(DimensionMismatchError):
+        apply(circ, st)

@@ -355,14 +355,15 @@ def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
         TeleportEngine(ExperimentConfig())._weight_vector(weights)
 
 
-def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
-    # three pairs put up to three photons at the receiver: degree 3, so
-    # harmonics 0 to 3 of every probability, still from one detection pass
-    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", 3)
+@pytest.mark.parametrize("k", [3, 4])
+def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch, k):
+    # k pairs put up to k photons at the receiver: degree k, so harmonics
+    # 0 to k of every probability, still from one detection pass
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     passes = _count_detection_passes(monkeypatch)
     cfg = ExperimentConfig(pair_mean=0.1)
     engine = TeleportEngine(cfg)
-    assert engine.degree == 3
+    assert engine.degree == k
     phis = phase_grid(6, 1.3, start=0.1)
     scan = run_teleport_scan(engine, phis)
     direct = np.array([teleport_per_phase(engine, p).bob[1] for p in phis])
@@ -370,7 +371,18 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch):
     dense = engine.scan(phase_grid(16, 1.0)).mean()
     assert abs(engine.mean() - dense) <= 1e-12 * dense
     assert len(passes) == 1
-    assert engine._detected().shape == (4, 4, len(engine.branches))
+    assert engine._detected().shape == (k + 1, 4, len(engine.branches))
+
+
+def test_emptied_receiver_channel_leaves_only_harmonic_0():
+    # a Bob loss whose transmittance underflows to 0 sends every receiver
+    # photon to the loss sink undelayed: the degree is still the photons Bob
+    # holds at emission, and every higher harmonic is exactly 0
+    engine = TeleportEngine(ExperimentConfig(loss_bob_db=4000.0))
+    assert engine.degree == 2
+    detected = engine._detected()
+    assert np.all(detected[1:] == 0.0)
+    assert np.all(detected[0, 0].real > 0.0)
 
 
 def test_harmonic_scan_clamps_only_rounding(monkeypatch):
@@ -392,7 +404,8 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_analyzer_applied_once_per_engine(monkeypatch, k):
-    # preparation and the analyzer at phase 0, whatever is read afterwards
+    # one pass through the teleport circuit with the analyzer at phase 0,
+    # whatever is read afterwards
     real_apply = scenarios.apply
     calls = []
 
@@ -408,7 +421,7 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     engine.outcome(1.3)
     engine.background()
     engine._central_harmonics((None,), scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_one_detection_pass_per_calibration(monkeypatch):
@@ -490,7 +503,7 @@ def test_engine_rejects_an_unnormalized_branch(monkeypatch):
         TeleportEngine(ExperimentConfig())
 
 
-@pytest.mark.parametrize("fault", ["delayed-loss-port", "phase-off-the-delay"])
+@pytest.mark.parametrize("fault", ["delayed-loss-port", "phase-off-the-delay", "bob-meets-alice"])
 def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, fault):
     real = scenarios._analyzer
 
@@ -498,8 +511,11 @@ def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, f
         circ = real(registry, phi_b)
         if fault == "delayed-loss-port":
             circ.add_delay(f"{scenarios.EPR_BOB}-mich-loss", 2)
-        else:
+        elif fault == "phase-off-the-delay":
             circ.add_phase(ModeKey(scenarios.EPR_BOB, 1), 2.0 * phi_b)
+        else:
+            # a phase-free coupling that leaves Bob's side of T open
+            circ.add_beamsplitter(ModeKey(scenarios.EPR_BOB, 0), ModeKey(scenarios.ALICE_QUBIT, 0))
         return circ
 
     monkeypatch.setattr(scenarios, "_analyzer", faulty)
