@@ -1,0 +1,148 @@
+"""Printed outputs against recorded reference values.
+
+Each case runs `qrelay.cli.main` in-process on a flat config and compares
+what it prints with tests/data/reference_outputs.json: the CSV text byte
+for byte, the JSON summary's numbers within 1e-12 relative (the dip
+centres, rounding noise around 0 um, within 1e-12 um), and a number
+inside a string the same way.  A few dark-count calibrations are checked
+too: the clamp exactly, the scale and the achieved ratio within 1e-12
+relative.  The test needs numpy alone, so it also shows that the
+numpy-only runtime prints the same bytes.
+
+A change that moves a printed number regenerates the file, from the
+repository root, with
+
+    PYTHONPATH=src python tests/test_reference_outputs.py
+
+and says why the numbers moved.
+"""
+
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from qrelay import cli
+from qrelay.scenarios import ExperimentConfig, calibrate_dark_counts
+
+DATA = Path(__file__).with_name("data") / "reference_outputs.json"
+
+RTOL = 1e-12
+# keys whose values are fitted positions around 0 um, compared absolutely
+ABSOLUTE = {"center_short_um": 1e-12, "center_long_um": 1e-12}
+
+# id: (argv, config file text)
+CLI_CASES = {
+    "teleport-default": (["teleport"], ""),
+    "teleport-heralded": (["teleport", "--heralded"], ""),
+    "teleport-mean-0.13-heralded": (["teleport"], "pair_mean = 0.13\nheralded = true\n"),
+    "teleport-symmetric-dark-bob": (["teleport"], "symmetric_bsa = true\ndark_bob = 3e-4\n"),
+    "teleport-poissonian": (["teleport"], "statistics = poissonian\n"),
+    "teleport-montecarlo-seed-5": (["teleport", "--mode", "montecarlo", "--seed", "5"], ""),
+    "noise-default": (["noise"], ""),
+    "noise-mean-0.13-heralded": (["noise"], "pair_mean = 0.13\nheralded = true\n"),
+    "noise-symmetric-dark-bob": (["noise"], "symmetric_bsa = true\ndark_bob = 3e-4\n"),
+    "mandel-default": (["mandel"], ""),
+    "mandel-entangled": (["mandel"], "mandel_mode = entangled\n"),
+}
+
+# id: (config fields, target ratio)
+CALIBRATION_CASES = {
+    "default-target-3": ({}, 3.0),
+    "heralded-target-2": ({"heralded": True}, 2.0),
+    "mean-0.13-heralded-target-1": ({"pair_mean": 0.13, "heralded": True}, 1.0),
+    "default-target-0.2-clamped": ({}, 0.2),
+}
+
+
+def run_case(argv, config_text, capsys=None):
+    """(JSON summary, CSV text) that `argv` prints and writes, run in the
+    current directory with `config_text` as its config file."""
+    Path("run.cfg").write_text(config_text)
+    code = cli.main(argv + ["--config", "run.cfg", "--out", "out.csv"])
+    out = capsys.readouterr().out if capsys else None
+    assert code == 0
+    return out, Path("out.csv").read_text()
+
+
+def run_calibration(fields, target):
+    _, report = calibrate_dark_counts(ExperimentConfig(**fields), target)
+    return {"dark_scale": report.dark_scale, "clamped": report.clamped,
+            "achieved_ratio": report.achieved_ratio}
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def assert_matches(got, expected, path="", atol=0.0):
+    """`got` equals `expected` in structure and type, its floats and the
+    numbers inside its strings within RTOL relative or `atol`."""
+    assert type(got) is type(expected), (path, got, expected)
+    if isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), path
+        for key in expected:
+            assert_matches(got[key], expected[key], f"{path}.{key}", ABSOLUTE.get(key, atol))
+    elif isinstance(expected, float):
+        assert math.isclose(got, expected, rel_tol=RTOL, abs_tol=atol), (path, got, expected)
+    elif isinstance(expected, str):
+        assert _NUMBER.split(got) == _NUMBER.split(expected), (path, got, expected)
+        for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(expected)):
+            assert math.isclose(float(a), float(b), rel_tol=RTOL, abs_tol=atol), (path, got, expected)
+    else:
+        assert got == expected, (path, got, expected)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(DATA.read_text())
+
+
+def test_reference_cases_are_recorded(reference):
+    assert sorted(reference["cli"]) == sorted(CLI_CASES)
+    assert sorted(reference["calibrations"]) == sorted(CALIBRATION_CASES)
+    assert any(entry["clamped"] for entry in reference["calibrations"].values())
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_matches_reference(tmp_path, monkeypatch, capsys, reference, case):
+    monkeypatch.chdir(tmp_path)
+    out, csv = run_case(*CLI_CASES[case], capsys)
+    expected = reference["cli"][case]
+    assert csv == expected["csv"]
+    assert_matches(json.loads(out), expected["json"])
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_calibration_matches_reference(reference, case):
+    assert_matches(run_calibration(*CALIBRATION_CASES[case]), reference["calibrations"][case])
+
+
+def _regenerate():
+    import contextlib
+    import io
+    import os
+    import tempfile
+
+    document = {"cli": {}, "calibrations": {}}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for case, (argv, text) in CLI_CASES.items():
+                printed = io.StringIO()
+                with contextlib.redirect_stdout(printed):
+                    _, csv = run_case(argv, text)
+                document["cli"][case] = {"json": json.loads(printed.getvalue()), "csv": csv}
+        finally:
+            os.chdir(home)
+    for case, (fields, target) in CALIBRATION_CASES.items():
+        document["calibrations"][case] = run_calibration(fields, target)
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
