@@ -264,7 +264,7 @@ def _cmd_teleport(args) -> int:
             "fidelity_raw": fidelity_from_visibility(fit.visibility),
             "classification_raw": classify_visibility(fit.visibility),
             "fringe": _fit_to_dict(fit),
-            "acceptance_probability": engine.outcome(cfg.phase_bob).accept,
+            "acceptance_probability": engine.acceptance(),
             "net": _teleport_net_section(fit, scan.pulses, engine),
             "pulses_per_point": scan.pulses,
             "csv": args.out,
@@ -277,7 +277,7 @@ def _cmd_teleport(args) -> int:
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
     engine = TeleportEngine(cfg)
-    probs = {mode: engine.blocking(mode) for mode in BLOCK_CHOICES}
+    probs = dict(zip(BLOCK_CHOICES, engine.blocking(BLOCK_CHOICES)))
     if args.out:
         _write_csv(
             args.out,

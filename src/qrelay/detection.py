@@ -25,9 +25,11 @@ harmonics, and dots the branch weights in last.  A gate clicks with
 probability d + (1 - d)(1 - m), for dark probability d and miss m, so a
 click without photons is exactly d.
 
-The teleport detection keeps the dark counts out of the rows.  A gate
-that must click does so by a dark count (factor d) or, without one, by
-a photon (factor (1 - d) u), so every accepted event is a sum of
+The teleport detection computes the two events the relay reports: the
+Bell-state acceptance, and the acceptance with Bob's click in BOB_BIN,
+where the fringe is read.  It keeps the dark counts out of the rows.  A
+gate that must click does so by a dark count (factor d) or, without one,
+by a photon (factor (1 - d) u), so every accepted event is a sum of
 dark-count monomials prod d^a (1 - d)^b times dark-independent photon
 factors; teleport_tables sums the photon factors per monomial, and
 teleport_weights gives the monomials' values for the detectors' dark
@@ -54,8 +56,9 @@ _SPEED_OF_LIGHT = 299_792_458.0
 CLOCK_WINDOW = (0, 1, 2)
 # the herald gate opens in the bin the prepared photon is emitted in
 HERALD_BIN = 0
-# receiver bins whose clicks teleport_tables reports
-BOB_BINS = (0, 1, 2)
+# the receiver bin whose clicks teleport_tables reports: the central one,
+# where the analyzer's short and long paths meet
+BOB_BIN = 1
 # channel index of a gate (channel, bin): teleport_tables' detector order
 _GE, _INGAAS, _BOB, _HERALD = range(4)
 
@@ -85,15 +88,6 @@ def _misses(registry: ModeRegistry, occupations: np.ndarray,
     top = int(counts.max(initial=0)) + 1
     miss = np.array([[(1.0 - det.efficiency) ** n for n in range(top)] for det in detectors])
     return miss[np.arange(len(detectors))[:, None, None], counts]
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """Joint acceptance probabilities for one scan point; a leading axis,
-    where there is one, runs over pair-number branches."""
-
-    accept: np.ndarray    # P(Bell acceptance and herald)
-    bob: np.ndarray       # [..., i]: P(acceptance and herald and Bob click in BOB_BINS[i])
 
 
 def bell_patterns(free_partner: bool, n_bins: int, heralded: bool) -> List[Tuple[tuple, tuple]]:
@@ -174,18 +168,18 @@ def teleport_tables(
     grouping the terms by their dark factors gives monomials
     prod_c d_c^a (1 - d_c)^b over the detectors, at most 2^3 of them, with
     exponents[m, c] = (a, b), shape (monomials, detectors, 2).  tables[m],
-    shape (rows, 1 + len(BOB_BINS)), holds per occupation row the photon
-    factor of monomial m's terms, summed, then that times Bob's photon
-    click u in each of BOB_BINS.  Bob's click is one more click gate,
+    shape (rows, 2), holds per occupation row the photon factor of
+    monomial m's terms, summed (the acceptance), then that times Bob's
+    photon click u in BOB_BIN.  Bob's click is one more click gate,
     d_bob or (1 - d_bob) u, which teleport_weights applies, so bob's
     exponents are 0.  Every entry is >= 0; tests/oracles.py holds the full
     click-pattern enumeration the tables, weighted, agree with.  Raises
     RegistryMismatchError when the registry's bins do not cover
-    CLOCK_WINDOW and BOB_BINS.
+    CLOCK_WINDOW and BOB_BIN.
     """
-    if registry.max_bins <= max(CLOCK_WINDOW + BOB_BINS):
+    if registry.max_bins <= max(CLOCK_WINDOW + (BOB_BIN,)):
         raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
-                                    f"{sorted(set(CLOCK_WINDOW + BOB_BINS))}")
+                                    f"{sorted(set(CLOCK_WINDOW + (BOB_BIN,)))}")
     n_bins = registry.max_bins
     exponents, dark, click, member = _grouped_terms(free_partner, n_bins, len(detectors))
     m = _misses(registry, occupations, detectors).reshape(-1, len(occupations))
@@ -197,24 +191,21 @@ def teleport_tables(
     for j in range(click.shape[1]):
         terms = np.concatenate([terms * factors[click[:, j]][:, None], terms], axis=1)
     accept = member @ terms.reshape(-1, len(occupations))
-    u_bob = factors[[len(m) + _BOB * n_bins + t for t in BOB_BINS]].T
-    tables = np.concatenate([accept[:, :, None], accept[:, :, None] * u_bob], axis=2)
-    return exponents, tables
+    u_bob = factors[len(m) + _BOB * n_bins + BOB_BIN]
+    return exponents, np.stack([accept, accept * u_bob], axis=2)
 
 
 def teleport_weights(exponents: np.ndarray, detectors: Sequence[Detector]) -> np.ndarray:
-    """Weights W, shape (monomials, 1 + len(BOB_BINS), 1 + len(BOB_BINS)),
-    that turn teleport_tables' tables into probabilities, sum_m tables[m]
-    @ W[m], for the dark probabilities of `detectors`, in the tables'
-    order; their efficiencies are not read.  W[m] is monomial m's value
-    times Bob's click: column 0 keeps the acceptance, and column 1 + i
-    adds d_bob times it to (1 - d_bob) times the photon column 1 + i.
-    Every entry is >= 0."""
+    """Weights W, shape (monomials, 2, 2), that turn teleport_tables'
+    tables into the probabilities of (acceptance, acceptance and Bob's
+    click in BOB_BIN), sum_m tables[m] @ W[m], for the dark probabilities
+    of `detectors`, in the tables' order; their efficiencies are not read.
+    W[m] is monomial m's value times Bob's click: column 0 keeps the
+    acceptance, and column 1 adds d_bob times it to (1 - d_bob) times the
+    photon column.  Every entry is >= 0."""
     d = np.array([det.dark_prob for det in detectors])
     monomials = np.prod(d ** exponents[..., 0] * (1.0 - d) ** exponents[..., 1], axis=1)
-    bob = np.eye(1 + len(BOB_BINS)) * (1.0 - d[_BOB])
-    bob[0] = d[_BOB]
-    bob[0, 0] = 1.0
+    bob = np.array([[1.0, d[_BOB]], [0.0, 1.0 - d[_BOB]]])
     return np.multiply.outer(monomials, bob)
 
 
@@ -271,7 +262,8 @@ def validate_timing(budget: TimingBudget) -> float:
     Positive slack means the trigger information reaches Bob's gate before
     his photon does.  The photon rides quantum fiber plus Bob's spool; the
     trigger waits for the delayed pump-side photon, the decision
-    electronics, and the classical fiber.
+    electronics, and the classical fiber.  Raises ConfigError when the
+    slack is not a finite number of ns.
     """
     per_m = budget.group_index / _SPEED_OF_LIGHT
     photon = (budget.quantum_fiber_m + budget.bob_spool_m) * per_m
@@ -280,4 +272,9 @@ def validate_timing(budget: TimingBudget) -> float:
         + budget.decision_latency_s
         + budget.classical_fiber_m * per_m
     )
-    return photon - classical
+    slack = photon - classical
+    # finite lengths can still overflow the sums and products, or the ns
+    # the CLI prints: inf - inf is NaN, and neither has a gate order
+    if not math.isfinite(slack * 1e9):
+        raise ConfigError(f"the timing budget overflows: a slack of {slack} s")
+    return slack

@@ -10,12 +10,16 @@ Every run first enumerates the joint pair-number branches of the two
 sources, builds them exactly in the truncated Fock space as one branch
 mixture, and pushes it through the optical circuit once; detector
 response is applied analytically at the end, row by row, the rows are
-summed per branch, and the branch weights come in last, as a dot product.
+summed per branch by a 0/1 indicator matmul, and the branch weights come
+in last, as a dot product.
 Neither scan builds a state per point: the fringe is a trigonometric
 polynomial in the analyzer phase whose harmonics come from one circuit
 pass and one detection pass, and the dip a polynomial in the squared
 overlap xi^2 whose coefficients come from one build at xi^2 = 1/2, one
-circuit pass and one detection pass.
+circuit pass and one detection pass.  The teleport engine detects only
+the acceptance and Bob's central-bin click, and reads out only what the
+runs print: the fringe scan, the acceptance, the blocking runs and the
+background they give.
 Counts are either probability times pulses (analytic mode) or Poisson
 draws around that expectation (montecarlo mode) with a counter-based
 generator keyed by (seed, scan point), so reruns are reproducible bit for
@@ -33,7 +37,6 @@ import numpy as np
 from .detection import (
     CLOCK_WINDOW,
     Detector,
-    TeleportOutcome,
     coincidence_clicks,
     teleport_tables,
     teleport_weights,
@@ -50,7 +53,6 @@ from .optics import Circuit, apply, loss_from_db
 from .sources import (
     STATISTICS,
     OverlapModel,
-    SpdcSource,
     emit_pairs_entangled,
     emit_pairs_single_bin,
     pair_count_distribution,
@@ -221,7 +223,7 @@ def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
     if cfg.ideal_single_pairs:
         return {(1, 1): 1.0}
     pa, pc = (
-        pair_count_distribution(SpdcSource(mean, cfg.statistics), MAX_PAIRS_EACH, cfg.tail_tol)
+        pair_count_distribution(mean, cfg.statistics, MAX_PAIRS_EACH, cfg.tail_tol)
         for mean in (cfg.pair_mean_alice, cfg.pair_mean_epr)
     )
     raw = {(na, nc): float(pa[na] * pc[nc]) for na, nc in pair_branches()}
@@ -333,14 +335,6 @@ def _add_bell_mixer(circ: Circuit) -> None:
             circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
 
 
-def _group_slices(group: np.ndarray, count: int) -> Tuple[np.ndarray, List[slice]]:
-    """A stable order that sorts rows by their group in [0, count), and the
-    slice of that order each group occupies."""
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(count + 1))
-    return order, [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _teleport_circuit(config: ExperimentConfig) -> Circuit:
     """The teleport preparation on a fresh relay registry: Alice's encoder,
     the four channel losses and the Bell-state mixer."""
@@ -447,6 +441,16 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _background(central: np.ndarray, phase_bob: float) -> float:
+    """Phase-independent background from the harmonics of Bob's click under
+    the alice, epr and both blockings, the first three columns of
+    `central`, synthesized at phase_bob: alice + epr - both.  Single-source
+    backgrounds add; the both-blocked (dark only) term is counted in each
+    single-blocking run, so it is subtracted once."""
+    alice, epr, both = _synthesize(central[:, :3], [phase_bob])[0]
+    return alice + epr - both
+
+
 class TeleportEngine:
     """Branch states through the teleport circuit (_teleport_circuit) with
     the receiver analyzer appended, in one pass.
@@ -456,12 +460,15 @@ class TeleportEngine:
     mixture, and blocking runs, dark-count scans and forced single-pair mode
     only reweight them (branches they leave out get weight 0).  Detection
     runs once, when the engine is built, for the config's detectors
-    (_detectors): its photon tables, one per dark-count monomial
-    (teleport_tables), are summed per branch.  An outcome contracts the
-    monomials' weights for the detectors' dark probabilities
-    (teleport_weights) and the branch weights into them, so rescaled dark
-    counts (_central_harmonics) cost a few small products and no pass; the
-    default and blocking weights are computed once per engine.
+    (_detectors), and for two events only: the Bell-state acceptance, and
+    that with Bob's click in the central bin (teleport_tables, one photon
+    table per dark-count monomial).  A 0/1 indicator matmul sums the tables'
+    harmonics per branch.  `harmonics` contracts the monomials' weights for
+    the detectors' dark probabilities (teleport_weights) and the branch
+    weights of any blockings into them, in one product, so rescaled dark
+    counts cost no pass; the branch weights are computed once per blocking.
+    Four read-outs synthesize from it: `scan` and `acceptance`, `blocking`
+    and `background`.
 
     The analyzer, the only element that depends on phi_b, joins the circuit
     (transfer matrix T) at phi_b = 0.  A photon that takes its delay arm
@@ -474,8 +481,8 @@ class TeleportEngine:
     amplitudes A_0..A_D, D (`degree`) being the most photons Bob's channel
     holds at emission, and a probability that is a degree-D trigonometric
     polynomial in phi_b with harmonics c_m = sum_k A_{k+m} conj(A_k)
-    (`_delay_harmonics`).  A matmul with the c_m per branch gives the
-    per-branch harmonics of the photon tables, and the dark-count weights
+    (`_delay_harmonics`).  The c_m summed per branch with the photon tables
+    give the per-branch harmonics of the tables, and the dark-count weights
     the harmonics H_m of every detection probability: Re(H_0 + 2 sum_{m>=1}
     H_m e^{i m phi_b}) at phi_b, H_0 on average.  This is exact when
     - no entry of T joins Bob's side to another mode, so that Alice's
@@ -519,21 +526,18 @@ class TeleportEngine:
         occupations[:, record] = 0
         occupations, harmonics = _delay_harmonics(occupations, delays, out.amplitudes, self.degree)
 
-        # groups sorted by branch, and the real and imaginary parts of their
-        # harmonics stacked, for a real matmul per branch
-        order, slices = _group_slices(occupations[:, reg.index(BRANCH_RECORD)], len(self.branches))
-        occupations = occupations[order]
-        parts = np.concatenate([harmonics.real[:, order], harmonics.imag[:, order]])
         self.detectors = _detectors(cfg)
         self._exponents, tables = teleport_tables(reg, occupations, self.detectors,
                                                   free_partner=cfg.symmetric_bsa)
         # per group: a one for the norm, then every monomial's photon table
         per_row = np.column_stack([np.ones(len(occupations)),
                                    tables.transpose(1, 0, 2).reshape(len(occupations), -1)])
-        real = np.stack([parts[:, s] @ per_row[s] for s in slices], axis=-1)
-        real = real.reshape(2, self.degree + 1, per_row.shape[1], len(self.branches))
-        per_branch = real[0] + 1j * real[1]
-        norms = per_branch[:, 0]
+        # the harmonics of each summed per branch, (degree + 1, branches,
+        # columns): a 0/1 indicator matmul, in BLAS's blocked sums
+        group = occupations[:, reg.index(BRANCH_RECORD)]
+        in_branch = group == np.arange(len(self.branches))[:, None]
+        per_branch = in_branch @ (harmonics[:, :, None] * per_row)
+        norms = per_branch[:, :, 0]
         off = np.abs(norms - (np.arange(self.degree + 1) == 0)[:, None])
         if np.any(off > NORM_ATOL):
             b = int(np.argmax(off.max(axis=0)))
@@ -541,16 +545,8 @@ class TeleportEngine:
                                          "expected 1, 0, ...")
         self._weights: Dict[Optional[str], np.ndarray] = {}
         # per-branch harmonics of the photon tables, (degree + 1, branches,
-        # monomials * columns), so that one matmul contracts the dark weights in
-        self._tables = np.ascontiguousarray(per_branch[:, 1:].transpose(0, 2, 1))
-
-    def _detected(self, detectors=None) -> np.ndarray:
-        """Per-branch harmonics of (acceptance, Bob's click in each of
-        BOB_BINS): shape (degree + 1, 4, branches), the dark-count weights
-        of the detectors' dark probabilities, the engine's by default,
-        contracted into the harmonics of the photon tables."""
-        weights = teleport_weights(self._exponents, detectors or self.detectors)
-        return (self._tables @ weights.reshape(-1, weights.shape[2])).transpose(0, 2, 1)
+        # monomials * 2), so that one matmul contracts the dark weights in
+        self._tables = per_branch[:, :, 1:]
 
     def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
         w = np.array([weights.get(k, 0.0) for k in self.branches])
@@ -577,52 +573,38 @@ class TeleportEngine:
             cached = self._weights[blocked] = self._weight_vector(branch_weights(cfg))
         return cached
 
-    def _probabilities(self, phases, weights: np.ndarray) -> np.ndarray:
-        """(acceptance, Bob's click in each of BOB_BINS) at each phase, shape
-        (len(phases), 4), for branch weights dotted into the harmonics."""
-        return _synthesize(self._detected() @ weights, phases)
-
-    def outcome(self, phi_b: float) -> TeleportOutcome:
-        """Outcome of the branch mixture at one analyzer phase: the config's
-        branch weights dotted into the per-branch harmonics."""
-        values = self._probabilities([phi_b], self._cached_weights())[0]
-        return TeleportOutcome(values[0], values[1:])
+    def harmonics(self, blocked: Sequence[Optional[str]] = (None,), detectors=None) -> np.ndarray:
+        """Harmonics H_m of (acceptance, acceptance and Bob's click in
+        BOB_BIN) under each weighting of `blocked` (see _cached_weights;
+        None is the config's), shape (degree + 1, 2, len(blocked)), from one
+        contraction.  Other `detectors` than the engine's reweight its
+        photon tables with their dark probabilities; their efficiencies are
+        not read."""
+        dark = teleport_weights(self._exponents, detectors or self.detectors)
+        weights = np.column_stack([self._cached_weights(b) for b in blocked])
+        return (self._tables @ dark.reshape(-1, 2)).transpose(0, 2, 1) @ weights
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
-        """Central-bin receiver probability at each phase, synthesized from
-        the harmonics; rounding-level negatives at fringe zeros are clamped
-        to 0, and anything more negative raises."""
-        return self._probabilities(phases, self._cached_weights())[:, 2]
+        """P(acceptance and Bob's click in BOB_BIN) at each analyzer phase,
+        synthesized from the harmonics; rounding-level negatives at fringe
+        zeros are clamped to 0, and anything more negative raises."""
+        return _synthesize(self.harmonics()[:, 1], phases)[:, 0]
 
-    def mean(self) -> float:
-        """Phase average of the central-bin receiver probability: harmonic 0."""
-        return float(self._detected()[0, 2].real @ self._cached_weights())
+    def acceptance(self) -> float:
+        """The Bell-state acceptance (and herald) at phase_bob.  Bob's
+        analyzer cannot signal to the relay, so its harmonics past 0 are
+        rounding."""
+        return _synthesize(self.harmonics()[:, 0], [self.config.phase_bob])[0, 0]
 
-    def blocking(self, blocked: str) -> float:
-        """Central-bin receiver probability at phase_bob with sources blocked
-        (see _cached_weights)."""
-        w = self._cached_weights(blocked)
-        return self._probabilities([self.config.phase_bob], w)[0, 2]
-
-    def _central_harmonics(self, blocked: Sequence[Optional[str]], detectors=None) -> np.ndarray:
-        """Harmonics of the central-bin receiver probability under each
-        weighting of `blocked` (see _cached_weights; None is the config's),
-        shape (degree + 1, len(blocked)), from one contraction.  Other
-        `detectors` than the engine's reweight its photon tables with their
-        dark probabilities; their efficiencies are not read."""
-        weights = np.column_stack([self._cached_weights(b) for b in blocked])
-        return self._detected(detectors)[:, 2] @ weights
+    def blocking(self, blocked: Sequence[str]) -> np.ndarray:
+        """P(acceptance and Bob's click in BOB_BIN) at phase_bob with the
+        sources of each entry of `blocked` blocked (see _cached_weights)."""
+        return _synthesize(self.harmonics(blocked)[:, 1], [self.config.phase_bob])[0]
 
     def background(self) -> float:
-        """Phase-independent background estimated from blocking runs.
-
-        Single-source backgrounds add; the both-blocked (dark only) term is
-        counted in each single-blocking run, so it is subtracted once.  The
-        three runs are synthesized at phase_bob together.
-        """
-        harmonics = self._central_harmonics(("alice", "epr", "both"))
-        alice, epr, both = _synthesize(harmonics, [self.config.phase_bob])[0]
-        return alice + epr - both
+        """Phase-independent background estimated from blocking runs
+        (_background)."""
+        return _background(self.harmonics(("alice", "epr", "both"))[:, 1], self.config.phase_bob)
 
 
 def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
@@ -716,16 +698,15 @@ class _MandelEngine:
                 f"more than its {n[r]} Alice pairs"
             )
         # coefficient [n, j], shape (D+1, D+1, 2), is the sum of w_b P[b, j]
-        # over the branches with n_b = n: rows sorted by (n, j) and one
-        # matmul per group, whose blocked sums round about as a detection
-        # pass per point does (np.add.at's running sum, 5x worse at K = 4)
+        # over the branches with n_b = n: a 0/1 indicator matmul over the
+        # (n, j) groups, whose blocked sums round about as a detection pass
+        # per point does (np.add.at's running sum, 5x worse at K = 4)
         size = self.degree + 1
-        order, slices = _group_slices(n * size + j, size * size)
-        weighted = (np.array(list(held.values()))[branch] * probs)[order]
         ge, ingaas = _detectors(cfg)[:2]
-        clicks = coincidence_clicks(reg, occupations, ge, ingaas)[order, :2]
-        sums = [weighted[s] @ clicks[s] for s in slices]
-        self._coefficients = np.stack(sums).reshape(size, size, 2)
+        clicks = coincidence_clicks(reg, occupations, ge, ingaas)[:, :2]
+        weighted = (np.array(list(held.values()))[branch] * probs)[:, None] * clicks
+        in_group = n * size + j == np.arange(size * size)[:, None]
+        self._coefficients = (in_group @ weighted).reshape(size, size, 2)
 
     def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
         """(short, long) coincidences at each mismatch, one row per point:
@@ -778,14 +759,12 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     """Background over signal with every dark probability scaled by `scale`:
-    the central bin's harmonics under the three blockings of
-    TeleportEngine.background and the config's weights in one contraction,
-    the blockings synthesized at phase_bob and the mean read from
-    harmonic 0."""
+    the harmonics of Bob's click under the three blockings of _background
+    and the config's weights from one contraction, the blockings
+    synthesized at phase_bob and the mean read from harmonic 0."""
     dets = _detectors(_with_dark_scale(engine.config, scale))
-    central = engine._central_harmonics(("alice", "epr", "both", None), dets)
-    alice, epr, both = _synthesize(central[:, :3], [engine.config.phase_bob])[0]
-    background = alice + epr - both
+    central = engine.harmonics(("alice", "epr", "both", None), dets)[:, 1]
+    background = _background(central, engine.config.phase_bob)
     signal = central[0, 3].real - background
     if signal <= 0.0:
         return 1e9

@@ -28,32 +28,19 @@ from .fock import PRUNE_TOL, FockState, ModeKey, multisets
 STATISTICS = ("thermal", "poissonian")
 
 
-@dataclass(frozen=True)
-class SpdcSource:
-    mean_pairs: float
-    statistics: str = "thermal"
-
-    def __post_init__(self):
-        if self.mean_pairs < 0:
-            raise ConfigError(f"mean_pairs must be >= 0, got {self.mean_pairs}")
-        if self.statistics not in STATISTICS:
-            raise ConfigError(
-                f"statistics must be one of {STATISTICS}, got {self.statistics!r}"
-            )
-
-
 def pair_count_distribution(
-    source: SpdcSource, n_cut: int, tail_tol: float = 1e-4
+    mu: float, statistics: str, n_cut: int, tail_tol: float = 1e-4
 ) -> np.ndarray:
-    """P(0..n_cut) pairs per gate; raises if the discarded tail exceeds tail_tol.
+    """P(0..n_cut) pairs per gate for mean pair number mu >= 0 and
+    `statistics` in STATISTICS, both as ExperimentConfig checks them;
+    raises if the discarded tail exceeds tail_tol.
 
     Nothing overflows on the way to the check: a thermal tail is checked
     before mu**n is formed, and a poissonian mean whose mu**n would
     overflow has exp(-mu) = 0, so every kept term is 0 and the tail is 1.
     """
-    mu = source.mean_pairs
     n = np.arange(n_cut + 1)
-    thermal = source.statistics == "thermal"
+    thermal = statistics == "thermal"
     if thermal:
         tail = (mu / (1.0 + mu)) ** (n_cut + 1)
     else:

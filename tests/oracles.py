@@ -6,7 +6,8 @@ the Bell-state and herald filters then pick the accepted patterns out of
 it.  A layout's detectors are Labeled: the patterns are keyed by label,
 and any detector may follow (be armed by) any other.  teleport_clicks
 dots the dark-count weights of qrelay.detection.teleport_weights into the
-photon tables of teleport_tables, per occupation row.
+photon tables of teleport_tables, per occupation row: the acceptance, and
+the acceptance with Bob's click in BOB_BIN, as a TeleportOutcome.
 teleport_outcome_distribution and coincidence_probability answer per
 branch of one record-tagged mixture: each branch's |amplitude|^2 dotted
 into teleport_clicks or qrelay.detection.coincidence_clicks, after a check
@@ -33,9 +34,11 @@ qrelay.stability.simulate's array code, which must match it byte for byte.
 teleport_per_phase rebuilds a teleport engine's prepared mixture from
 qrelay.scenarios._teleport_circuit and _branch_mixture, runs it through
 the receiver analyzer built at one phase and detects the result: the
-reference for the phase harmonics qrelay.scenarios.TeleportEngine forms
-from one analyzer pass.  blocking_weights and teleport_mean_per_phase give
-the blocking runs and the phase average the same way.
+acceptance and Bob's click in BOB_BIN at that phase, the reference for
+the phase harmonics qrelay.scenarios.TeleportEngine.harmonics forms from
+one analyzer pass and its scan, acceptance and blocking read-outs
+synthesize.  blocking_weights and teleport_mean_per_phase give the
+blocking runs and the phase average, harmonic 0, the same way.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the column-wise writer in qrelay.cli.
@@ -67,7 +70,6 @@ from qrelay import scenarios
 from qrelay.analysis import DipFit, FringeFit, _phase, fit_fringe
 from qrelay.detection import (
     Detector,
-    TeleportOutcome,
     coincidence_clicks,
     teleport_tables,
     teleport_weights,
@@ -390,26 +392,36 @@ def _branch_probs(state: FockState) -> np.ndarray:
     return probs
 
 
+@dataclass(frozen=True)
+class TeleportOutcome:
+    """P(accepted Bell pattern [and herald]) and P(that and Bob's click in
+    BOB_BIN); a leading axis, where there is one, runs over rows or
+    pair-number branches."""
+
+    accept: np.ndarray
+    bob: np.ndarray
+
+
 def teleport_clicks(registry: ModeRegistry, occupations: np.ndarray, ge: Detector,
                     ingaas: Detector, bob: Detector, herald: Optional[Detector] = None, *,
                     free_partner: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Per occupation row: P(accepted Bell pattern [and herald]), shape
-    (terms,), and P(that and Bob click in bin b) for b in BOB_BINS, shape
-    (terms, len(BOB_BINS)); the detectors' dark-count weights dotted into
-    the photon tables of their efficiencies."""
+    """Per occupation row: P(accepted Bell pattern [and herald]) and P(that
+    and Bob's click in BOB_BIN), each of shape (terms,); the detectors'
+    dark-count weights dotted into the photon tables of their
+    efficiencies."""
     detectors = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
     exponents, tables = teleport_tables(registry, occupations, detectors,
                                         free_partner=free_partner)
     probs = np.einsum("mrj,mjk->rk", tables, teleport_weights(exponents, detectors))
-    return probs[:, 0], probs[:, 1:]
+    return probs[:, 0], probs[:, 1]
 
 
 def teleport_outcome_distribution(state: FockState, ge: Detector, ingaas: Detector,
                                   bob: Detector, herald=None, *,
                                   free_partner: bool) -> TeleportOutcome:
-    """P(accepted Bell pattern [and herald] [and Bob click at bin b]) per
-    branch: accept of shape (branches,), bob of shape (branches, 3), the
-    branch's term probabilities dotted into teleport_clicks."""
+    """P(accepted Bell pattern [and herald] [and Bob's click in BOB_BIN])
+    per branch, each of shape (branches,): the branch's term probabilities
+    dotted into teleport_clicks."""
     probs = _branch_probs(state)
     accept, bob_clicks = teleport_clicks(state.registry, state.occupations, ge, ingaas, bob,
                                          herald, free_partner=free_partner)
@@ -507,10 +519,10 @@ def csv_text(header: Sequence[str], rows) -> str:
 
 def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights=None,
                        detectors=None) -> TeleportOutcome:
-    """TeleportEngine.outcome with the analyzer built at phi_b: the teleport
-    circuit with the analyzer added before the engine's branches are built,
-    one apply, one detection pass, the weights dotted in.  The reference for
-    the engine's phase harmonics."""
+    """The acceptance and Bob's click in BOB_BIN with the analyzer built at
+    phi_b: the teleport circuit with the analyzer added before the engine's
+    branches are built, one apply, one detection pass, the weights dotted
+    in.  The reference for the engine's phase harmonics."""
     cfg = engine.config
     circ = scenarios._teleport_circuit(cfg)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
@@ -540,7 +552,7 @@ def teleport_mean_per_phase(engine: "scenarios.TeleportEngine", detectors=None) 
     analyzer phases, which is exact for a degree-D fringe."""
     n = 2 * engine.degree + 1
     phases = 2.0 * math.pi * np.arange(n) / n
-    return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob[1]
+    return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob
                           for p in phases]))
 
 

@@ -113,7 +113,7 @@ def test_criterion_03_dip_width_and_shared_center():
 def test_criterion_04_ideal_teleportation():
     cfg = build_ideal_config()
     engine = TeleportEngine(cfg)
-    acceptance = engine.outcome(cfg.phase_bob).accept
+    acceptance = engine.acceptance()
     scan = run_teleport_scan(engine, phase_grid(16, 1.0))
     fit = fit_fringe(scan.control, scan.counts)
     ok = fit.visibility >= 0.999 and abs(acceptance - 0.25) <= 1e-6

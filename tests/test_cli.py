@@ -378,6 +378,10 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--gain", "1e308"],
         ["validate-timing", "--group-index", "inf"],
         ["validate-timing", "--quantum-fiber-m", "inf"],
+        ["validate-timing", "--quantum-fiber-m", "1e308", "--bob-spool-m", "1e308"],
+        ["validate-timing", "--group-index", "1e308", "--quantum-fiber-m", "1e10",
+         "--charlie-spool-m", "1e10"],
+        ["validate-timing", "--group-index", "1e300", "--quantum-fiber-m", "1e8"],
         ["teleport", "--points", "10000000000000"],
         ["mandel", "--points", "10000000000000"],
         ["teleport", "--periods", "1e308"],
@@ -390,7 +394,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf", "period-inf",
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
-        "fiber-inf", "teleport-point-cap", "mandel-point-cap", "periods-overflow",
+        "fiber-inf", "slack-overflow", "slack-nan", "slack-ns-overflow", "teleport-point-cap", "mandel-point-cap", "periods-overflow",
         "periods-past-2**52", "drift-overflow", "drift-overflow-controlled",
     ],
 )

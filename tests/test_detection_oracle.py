@@ -21,7 +21,7 @@ from oracles import (  # noqa: E402
     psi_minus_filter,
     teleport_outcome_distribution,
 )
-from qrelay.detection import Detector  # noqa: E402
+from qrelay.detection import BOB_BIN, Detector  # noqa: E402
 from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry, vacuum  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
@@ -101,11 +101,8 @@ def _oracle_outcome(ensemble, ge, ingaas, bob, herald):
         for pattern, p in click_distribution(ensemble, DetectionLayout(channels)).items()
         if psi_minus_filter(pattern) and herald_filter(pattern, enabled=herald is not None)
     }
-    bob_probs = {
-        b: sum(p for pattern, p in accepted.items() if ("bob", b) in pattern)
-        for b in (0, 1, 2)
-    }
-    return sum(accepted.values()), bob_probs
+    bob = sum(p for pattern, p in accepted.items() if ("bob", BOB_BIN) in pattern)
+    return sum(accepted.values()), bob
 
 
 @PROPERTY_SETTINGS
@@ -125,18 +122,16 @@ def test_teleport_outcome_matches_click_enumeration(data, symmetric, heralded, m
         mixture, ge.detector, ingaas.detector, bob.detector,
         herald=herald.detector if heralded else None, free_partner=symmetric,
     )
-    assert fast.accept.shape == (len(states),)
-    assert fast.bob.shape == (len(states), 3)
+    assert fast.accept.shape == fast.bob.shape == (len(states),)
     for b, state in enumerate(states):
-        accept, bob_probs = _oracle_outcome([(1.0, state)], ge, ingaas, bob, herald)
+        accept, bob_click = _oracle_outcome([(1.0, state)], ge, ingaas, bob, herald)
         assert abs(fast.accept[b] - accept) < 1e-12
-        for t in (0, 1, 2):
-            assert abs(fast.bob[b, t] - bob_probs[t]) < 1e-12
+        assert abs(fast.bob[b] - bob_click) < 1e-12
     # a weighted mixture's outcome is the weights dotted into the branches'
     w = data.draw(branch_weights(len(states)))
-    accept, bob_probs = _oracle_outcome(list(zip(w, states)), ge, ingaas, bob, herald)
+    accept, bob_click = _oracle_outcome(list(zip(w, states)), ge, ingaas, bob, herald)
     assert abs(w @ fast.accept - accept) < 1e-12
-    assert np.abs(w @ fast.bob - [bob_probs[t] for t in (0, 1, 2)]).max() < 1e-12
+    assert abs(w @ fast.bob - bob_click) < 1e-12
 
 
 @PROPERTY_SETTINGS

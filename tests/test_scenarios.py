@@ -33,6 +33,11 @@ IDEAL_DETECTORS = dict(
 )
 
 
+def _fringe_mean(engine):
+    """Phase average of Bob's click under the config's weights: harmonic 0."""
+    return engine.harmonics()[0, 1, 0].real
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(statistics="chaotic")
@@ -89,7 +94,7 @@ def test_branch_weights_thermal_identity():
 
 def test_ideal_acceptance_is_one_quarter():
     cfg = build_ideal_config()
-    assert abs(TeleportEngine(cfg).outcome(cfg.phase_bob).accept - 0.25) < 1e-12
+    assert abs(TeleportEngine(cfg).acceptance() - 0.25) < 1e-12
 
 
 def test_ideal_fringe_unit_visibility():
@@ -162,9 +167,9 @@ def test_analytic_counts_are_probability_times_pulses():
 
 def test_fringe_mean_independent_of_phases():
     base = ExperimentConfig(**IDEAL_DETECTORS)
-    m0 = TeleportEngine(base).mean()
-    m1 = TeleportEngine(replace(base, phase_alice=0.9)).mean()
-    m2 = TeleportEngine(replace(base, phase_pump=2.1)).mean()
+    m0 = _fringe_mean(TeleportEngine(base))
+    m1 = _fringe_mean(TeleportEngine(replace(base, phase_alice=0.9)))
+    m2 = _fringe_mean(TeleportEngine(replace(base, phase_pump=2.1)))
     assert abs(m1 - m0) < 1e-9 * m0
     assert abs(m2 - m0) < 1e-9 * m0
 
@@ -193,19 +198,19 @@ def test_blocking_behaviour():
     base = ExperimentConfig()
     engine = TeleportEngine(base)
     # placeholder dark counts keep every blocked configuration clicking
-    assert engine.blocking("epr") > 0.0
-    assert engine.blocking("both") > 0.0
+    assert np.all(engine.blocking(("epr", "both")) > 0.0)
     cal, _ = calibrate_dark_counts(base)
     calibrated = TeleportEngine(cal)
+    alice, epr, both = calibrated.blocking(("alice", "epr", "both"))
     if cal.dark_bob == 0.0:
         # with dark-free calibrated detectors the receiver cannot click
         # unless the relay source fired
-        assert calibrated.blocking("epr") == 0.0
-        assert calibrated.blocking("both") == 0.0
-    assert calibrated.blocking("alice") > 0.0
+        assert epr == 0.0
+        assert both == 0.0
+    assert alice > 0.0
     assert calibrated.background() > 0.0
     with pytest.raises(ConfigError):
-        engine.blocking("charlie")
+        engine.blocking(("charlie",))
 
 
 def test_calibration_clamps_when_multipair_background_dominates():
@@ -227,7 +232,7 @@ def test_calibration_reaches_feasible_target():
     # the calibrated configuration reproduces the target ratio end to end
     engine = TeleportEngine(cal)
     b = engine.background()
-    s = engine.mean() - b
+    s = _fringe_mean(engine) - b
     assert abs(b / s - 1.0) < 1e-4
 
 
@@ -293,12 +298,12 @@ def test_harmonic_scan_matches_per_phase_outcome(monkeypatch, heralded):
     phis = phase_grid(13, 1.7, start=0.25)
     engine = TeleportEngine(cfg)
     scan = run_teleport_scan(engine, phis)
-    direct = np.array([teleport_per_phase(engine, p).bob[1] for p in phis])
+    direct = np.array([teleport_per_phase(engine, p).bob for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     # the scan, the acceptance and every blocking run share one detection pass
     assert engine.degree == 2
     assert len(passes) == 1
-    engine.outcome(cfg.phase_bob)
+    engine.acceptance()
     engine.background()
     assert len(passes) == 1
 
@@ -315,10 +320,8 @@ def test_one_detection_pass_per_engine(monkeypatch, heralded):
     assert [det.spatial for det in passes[0][2]] == [det.spatial for det in engine.detectors]
     assert len(engine.detectors) == (4 if heralded else 3)
     engine.scan(phase_grid(24))
-    engine.outcome(1.3)
-    engine.mean()
-    for blocked in scenarios.BLOCK_CHOICES:
-        engine.blocking(blocked)
+    engine.acceptance()
+    engine.blocking(scenarios.BLOCK_CHOICES)
     engine.background()
     assert len(passes) == 1
     _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
@@ -335,12 +338,36 @@ def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
         dark_ge=d_ge, dark_ingaas_bsa=d_in, symmetric_bsa=symmetric_bsa,
         pair_mean_alice=0.0, pair_mean_epr=0.0,
     )
-    accept = TeleportEngine(cfg).outcome(cfg.phase_bob).accept
+    accept = TeleportEngine(cfg).acceptance()
     if symmetric_bsa:
         expected = 4 * d_ge * (1 - d_ge) ** 2 * d_in * (1 - d_in) ** 2
     else:
         expected = 2 * d_ge * (1 - d_ge) ** 2 * d_in
     assert abs(accept - expected) <= 1e-12 * expected
+
+
+NO_SIGNALLING_CONFIGS = {
+    "default": ExperimentConfig(),
+    "heralded": ExperimentConfig(heralded=True),
+    "symmetric-dark-bob": ExperimentConfig(symmetric_bsa=True, dark_bob=3e-4),
+    "mean-0.13-heralded": ExperimentConfig(pair_mean=0.13, heralded=True),
+    "mismatch-pump-lossless": ExperimentConfig(delta_x_um=60.0, phase_pump=0.7,
+                                               alice_encoder="lossless"),
+    "ideal": build_ideal_config(),
+}
+
+
+@pytest.mark.parametrize(
+    "k, name", [(2, name) for name in NO_SIGNALLING_CONFIGS] + [(3, "default")],
+)
+def test_receiver_phase_cannot_signal_to_the_acceptance(monkeypatch, k, name):
+    # no-signalling: Bob's analyzer phase leaves the Bell-state acceptance
+    # alone, so its harmonics past 0 are rounding and acceptance() may read
+    # it at phase_bob
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
+    accept = TeleportEngine(NO_SIGNALLING_CONFIGS[name]).harmonics()[:, 0, 0]
+    assert accept[0].real > 0.0
+    assert np.all(np.abs(accept[1:]) <= 1e-12 * accept[0].real)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +376,7 @@ def test_vacuum_acceptance_is_dark_counts_in_the_clock_window(symmetric_bsa):
     ids=["all-off-engine", "some-off-engine", "short"],
 )
 def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
-    # every outcome's weights pass this check; at K = 2 the engine holds no
+    # every read-out's weights pass this check; at K = 2 the engine holds no
     # (3, 0) branch
     with pytest.raises(UnnormalizedStateError):
         TeleportEngine(ExperimentConfig())._weight_vector(weights)
@@ -366,12 +393,13 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch, k):
     assert engine.degree == k
     phis = phase_grid(6, 1.3, start=0.1)
     scan = run_teleport_scan(engine, phis)
-    direct = np.array([teleport_per_phase(engine, p).bob[1] for p in phis])
+    direct = np.array([teleport_per_phase(engine, p).bob for p in phis])
     assert np.all(np.abs(scan.probability - direct) <= 1e-12 * direct)
     dense = engine.scan(phase_grid(16, 1.0)).mean()
-    assert abs(engine.mean() - dense) <= 1e-12 * dense
+    assert abs(_fringe_mean(engine) - dense) <= 1e-12 * dense
     assert len(passes) == 1
-    assert engine._detected().shape == (k + 1, 4, len(engine.branches))
+    blocked = scenarios.BLOCK_CHOICES
+    assert engine.harmonics(blocked).shape == (k + 1, 2, len(blocked))
 
 
 def test_emptied_receiver_channel_leaves_only_harmonic_0():
@@ -380,9 +408,9 @@ def test_emptied_receiver_channel_leaves_only_harmonic_0():
     # holds at emission, and every higher harmonic is exactly 0
     engine = TeleportEngine(ExperimentConfig(loss_bob_db=4000.0))
     assert engine.degree == 2
-    detected = engine._detected()
-    assert np.all(detected[1:] == 0.0)
-    assert np.all(detected[0, 0].real > 0.0)
+    harmonics = engine.harmonics(scenarios.BLOCK_CHOICES)
+    assert np.all(harmonics[1:] == 0.0)
+    assert np.all(harmonics[0, 0].real > 0.0)
 
 
 def test_harmonic_scan_clamps_only_rounding(monkeypatch):
@@ -390,14 +418,14 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
     phis = [0.0, 1.0]
 
     def harmonics(offset):
-        # Bob's central bin at phase 0: 0.05 + 2 * (-0.025) - offset
-        h = np.zeros((engine.degree + 1, 4, len(engine.branches)))
+        # Bob's click at phase 0: 0.05 + 2 * (-0.025) - offset
+        h = np.zeros((engine.degree + 1, 2, 1))
         h[0], h[1] = 0.05, -0.025 - offset / 2
-        return lambda detectors=None: h
+        return lambda blocked=(None,), detectors=None: h
 
-    monkeypatch.setattr(engine, "_detected", harmonics(1e-18))
+    monkeypatch.setattr(engine, "harmonics", harmonics(1e-18))
     assert 0.0 <= engine.scan(phis)[0] < 1e-15
-    monkeypatch.setattr(engine, "_detected", harmonics(1e-6))
+    monkeypatch.setattr(engine, "harmonics", harmonics(1e-6))
     with pytest.raises(HarmonicSynthesisError):
         engine.scan(phis)
 
@@ -418,24 +446,30 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     cfg = ExperimentConfig(heralded=True, tail_tol=0.5)
     engine = TeleportEngine(cfg)
     engine.scan(phase_grid(24))
-    engine.outcome(1.3)
+    engine.acceptance()
     engine.background()
-    engine._central_harmonics((None,), scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
+    engine.harmonics((None,), scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
     assert len(calls) == 1
 
 
 def test_one_detection_pass_per_calibration(monkeypatch):
     # dark counts only reweight the engine's photon tables, so a whole
-    # search, and a clamp, run one detection pass
+    # search, and a clamp, run one detection pass, and a trial scale one
+    # contraction of its dark-count weights
     passes = _count_detection_passes(monkeypatch)
-    real_ratio = scenarios._background_ratio
-    scales = []
+    real_ratio, real_weights = scenarios._background_ratio, scenarios.teleport_weights
+    scales, contractions = [], []
 
     def recording_ratio(scale, engine):
         scales.append(scale)
         return real_ratio(scale, engine)
 
+    def counting_weights(*args):
+        contractions.append(args)
+        return real_weights(*args)
+
     monkeypatch.setattr(scenarios, "_background_ratio", recording_ratio)
+    monkeypatch.setattr(scenarios, "teleport_weights", counting_weights)
     cfg = ExperimentConfig(pair_mean_alice=0.16, pair_mean_epr=0.04)
     _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
     assert not report.clamped
@@ -443,9 +477,11 @@ def test_one_detection_pass_per_calibration(monkeypatch):
     # its answer from an evaluated point, so no scale is evaluated twice
     assert len(set(scales)) == len(scales) > 2
     assert len(passes) == 1
+    assert len(contractions) == len(scales)
     _, report = calibrate_dark_counts(cfg, target_ratio=0.1)
     assert report.clamped
     assert len(passes) == 2
+    assert len(contractions) == len(scales)
 
 
 def test_weights_computed_once_per_engine(monkeypatch):
@@ -460,11 +496,9 @@ def test_weights_computed_once_per_engine(monkeypatch):
     engine = TeleportEngine(ExperimentConfig())
     for _ in range(2):
         engine.scan([0.0, 1.0])
-        engine.outcome(0.5)
-        engine.mean()
+        engine.acceptance()
         engine.background()
-        for blocked in scenarios.BLOCK_CHOICES:
-            engine.blocking(blocked)
+        engine.blocking(scenarios.BLOCK_CHOICES)
     # the config's weights and one set per blocking choice
     assert len(calls) == 1 + len(scenarios.BLOCK_CHOICES)
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from oracles import amplitude, occupation_distribution
-from qrelay.errors import ConfigError, TailMassError
+from qrelay.errors import TailMassError
 from qrelay.fock import ModeKey, ModeRegistry, vacuum
 from qrelay.sources import (
     OverlapModel,
-    SpdcSource,
     emit_pairs_entangled,
     emit_pairs_single_bin,
     pair_count_distribution,
@@ -24,8 +23,7 @@ def _pair_registry(internals=(0,)):
 
 
 def test_thermal_distribution_values():
-    src = SpdcSource(0.07, "thermal")
-    p = pair_count_distribution(src, 3)
+    p = pair_count_distribution(0.07, "thermal", 3)
     assert abs(p[0] - 0.9345794392523364) < 1e-12
     assert abs(p[1] - 0.06114071097912482) < 1e-12
     assert abs(p[2] - 0.003999859596765175) < 1e-12
@@ -34,17 +32,15 @@ def test_thermal_distribution_values():
 
 
 def test_poissonian_distribution_values():
-    src = SpdcSource(0.07, "poissonian")
-    p = pair_count_distribution(src, 3)
+    p = pair_count_distribution(0.07, "poissonian", 3)
     assert abs(p[1] / p[0] - 0.07) < 1e-12
     assert abs(p[2] / p[1] - 0.035) < 1e-12
 
 
 def test_tail_mass_guard():
-    src = SpdcSource(0.19, "thermal")
     with pytest.raises(TailMassError):
-        pair_count_distribution(src, 2)
-    p = pair_count_distribution(src, 2, tail_tol=5e-3)
+        pair_count_distribution(0.19, "thermal", 2)
+    p = pair_count_distribution(0.19, "thermal", 2, tail_tol=5e-3)
     assert p.sum() < 1.0
 
 
@@ -54,15 +50,8 @@ def test_tail_check_holds_where_the_terms_overflow(statistics, mean):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TailMassError, match=r"tail 1\.000e\+00 exceeds"):
-            pair_count_distribution(SpdcSource(mean, statistics), 2, tail_tol=5e-3)
+            pair_count_distribution(mean, statistics, 2, tail_tol=5e-3)
     assert [str(w.message) for w in caught] == []
-
-
-def test_source_validation():
-    with pytest.raises(ConfigError):
-        SpdcSource(-0.1)
-    with pytest.raises(ConfigError):
-        SpdcSource(0.1, "squeezed")
 
 
 def test_overlap_width():

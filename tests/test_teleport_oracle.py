@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from oracles import blocking_weights, teleport_mean_per_phase, teleport_per_phase  # noqa: E402
 from qrelay import scenarios  # noqa: E402
-from qrelay.detection import BOB_BINS  # noqa: E402
 from qrelay.scenarios import (  # noqa: E402
     BLOCK_CHOICES,
     ENCODERS,
@@ -71,10 +70,10 @@ def teleport_cases(draw):
 
 
 def _rescaled_mean_and_blockings(engine, detectors, blocked):
-    """The central bin's phase average under the config's weights, then its
-    value at phase_bob under each of `blocked`, for `detectors`' dark
-    counts: TeleportEngine.mean and blocking through _central_harmonics."""
-    central = engine._central_harmonics((None,) + tuple(blocked), detectors)
+    """Bob's click averaged over the phase under the config's weights, then
+    at phase_bob under each of `blocked`, for `detectors`' dark counts,
+    from one harmonics contraction as _background_ratio reads it."""
+    central = engine.harmonics((None,) + tuple(blocked), detectors)[:, 1]
     at_phase = scenarios._synthesize(central[:, 1:], [engine.config.phase_bob])[0]
     return (central[0, 0].real, *at_phase)
 
@@ -92,25 +91,23 @@ def test_harmonic_engine_matches_per_phase_analyzer(case):
         mp.setattr(scenarios, "MAX_PAIRS_EACH", k)
         engine = TeleportEngine(cfg)
         cfg = engine.config
-        assert_close(engine.scan(phases),
-                     [teleport_per_phase(engine, p).bob[1] for p in phases])
-        for phi in phases:
-            got, expected = engine.outcome(phi), teleport_per_phase(engine, phi)
-            assert_close(got.accept, expected.accept)
-            assert_close(got.bob, expected.bob)
-            assert got.bob.shape == (len(BOB_BINS),)
-        assert_close(engine.mean(), teleport_mean_per_phase(engine))
-        blocked = {b: teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, b)).bob[1]
+        assert_close(engine.scan(phases), [teleport_per_phase(engine, p).bob for p in phases])
+        # the acceptance at phase_bob, and, since Bob cannot signal to the
+        # relay, at any phase
+        accept = scenarios._synthesize(engine.harmonics()[:, 0], phases)[:, 0]
+        assert_close(accept, [teleport_per_phase(engine, p).accept for p in phases])
+        assert_close(engine.acceptance(), teleport_per_phase(engine, cfg.phase_bob).accept)
+        assert_close(engine.harmonics()[0, 1, 0].real, teleport_mean_per_phase(engine))
+        blocked = {b: teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, b)).bob
                    for b in BLOCK_CHOICES}
-        for b, expected in blocked.items():
-            assert_close(engine.blocking(b), expected)
+        assert_close(engine.blocking(BLOCK_CHOICES), list(blocked.values()))
         assert_close(engine.background(), blocked["alice"] + blocked["epr"] - blocked["both"])
         # a calibration's detector set, as _background_ratio passes it
         dets = scenarios._detectors(scenarios._with_dark_scale(cfg, dark_scale))
         mean, epr = _rescaled_mean_and_blockings(engine, dets, ("epr",))
         assert_close(mean, teleport_mean_per_phase(engine, dets))
         assert_close(epr, teleport_per_phase(engine, cfg.phase_bob, blocking_weights(cfg, "epr"),
-                                             dets).bob[1])
+                                             dets).bob)
 
 
 @PROPERTY_SETTINGS
@@ -129,6 +126,5 @@ def test_dark_rescale_reweights_like_a_fresh_engine(case):
         got = _rescaled_mean_and_blockings(engine, scenarios._detectors(rescaled), BLOCK_CHOICES)
         assert len(passes) == 1
         fresh = TeleportEngine(rescaled)
-        assert_close(got[0], fresh.mean())
-        for b, value in zip(BLOCK_CHOICES, got[1:]):
-            assert_close(value, fresh.blocking(b))
+        assert_close(got[0], fresh.harmonics()[0, 1, 0].real)
+        assert_close(got[1:], fresh.blocking(BLOCK_CHOICES))
