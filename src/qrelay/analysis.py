@@ -263,11 +263,11 @@ def fit_dip(positions, counts) -> DipFit:
     w0 = max(span / 8.0, 1e-6)
 
     p0 = np.array([a0, d0, x0, w0])
-    lo = np.array([1e-12, 0.0, x.min() - span, 1e-9])
-    hi = np.array([np.inf, 1.0, x.max() + span, 10 * span + 1.0])
-    # spans near the float range overflow the model, before the fit starts
-    # or at a trial, whose non-finite cost the fit then reports
+    # spans near the float range overflow the box or the model, before the
+    # fit starts or at a trial, whose non-finite cost the fit then reports
     with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.array([1e-12, 0.0, x.min() - span, 1e-9])
+        hi = np.array([np.inf, 1.0, x.max() + span, 10 * span + 1.0])
         start_finite = np.all(np.isfinite(_dip_residuals(x, y, w, p0)[0]))
         if not start_finite:
             raise FitConvergenceError("dip fit residuals are not finite at the starting point")

@@ -13,10 +13,6 @@ class BinOverflowError(QRelayError):
     """A bin delay would move an occupied mode past the last registered bin."""
 
 
-class OccupiedModeError(QRelayError):
-    """A closed-form emission targets a mode that already holds photons."""
-
-
 class UnnormalizedStateError(QRelayError):
     """A state's branch, or a set of branch weights, that must be normalized is not."""
 

@@ -4,9 +4,9 @@ A mode is identified by (spatial channel, time bin, internal label).  The
 internal label tags which member of an orthonormal wavepacket basis the
 photon occupies; it is used to model partial distinguishability and is
 invisible to detectors.  A state is a (terms x modes) occupation matrix
-plus one complex amplitude per term.  Sources write their states in closed
-form and optics re-expands them through a circuit's transfer matrix, both
-with array operations.
+plus one complex amplitude per term.  The scenarios write their states in
+closed form and optics re-expands them through a circuit's transfer
+matrix, both with array operations.
 
 A mixture of pair-number branches is one state whose rows carry their
 branch index as photons in the unobserved BRANCH_RECORD mode, so branches

@@ -7,19 +7,20 @@ relay pair, Bell-state acceptance, receiver analyzer phase scan), and
 source-blocking runs that isolate the phase-independent background.
 
 Every run first enumerates the joint pair-number branches of the two
-sources, builds them exactly in the truncated Fock space as one branch
-mixture, and pushes it through the optical circuit once; detector
-response is applied analytically at the end, row by row, the rows are
-summed per branch by a 0/1 indicator matmul, and the branch weights come
-in last, as a dot product.
+sources and splits each into components by how many of Alice's signal
+photons match the relay's mode (see sources): each component is written
+exactly in the truncated Fock space, all of them as one mixture, which
+goes through the optical circuit once.  Detector response is applied
+analytically at the end, row by row, _branch_sums adds the rows up per
+component, and the weights come in last, as a dot product: each
+component's branch weight times its overlap weight in xi^2.
 Neither scan builds a state per point: the fringe is a trigonometric
 polynomial in the analyzer phase whose harmonics come from one circuit
-pass and one detection pass, and the dip a polynomial in the squared
-overlap xi^2 whose coefficients come from one build at xi^2 = 1/2, one
-circuit pass and one detection pass.  The teleport engine detects only
-the acceptance and Bob's central-bin click, and reads out only what the
-runs print: the fringe scan, the acceptance, the blocking runs and the
-background they give.
+pass and one detection pass, and the dip a weighted sum of the
+components' coincidences, whose overlap weights are polynomials in xi^2.
+The teleport engine detects only the acceptance and Bob's central-bin
+click, and reads out only what the runs print: the fringe scan, the
+acceptance, the blocking runs and the background they give.
 Counts are either probability times pulses (analytic mode) or Poisson
 draws around that expectation (montecarlo mode) with a counter-based
 generator keyed by (seed, scan point), so reruns are reproducible bit for
@@ -48,15 +49,9 @@ from .errors import (
     LabelMixingError,
     UnnormalizedStateError,
 )
-from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry, vacuum
+from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
 from .optics import Circuit, apply, loss_from_db
-from .sources import (
-    STATISTICS,
-    OverlapModel,
-    emit_pairs_entangled,
-    emit_pairs_single_bin,
-    pair_count_distribution,
-)
+from .sources import STATISTICS, OverlapModel, entangled_pairs, pair_count_distribution
 
 ALICE_QUBIT = "alice-1310"
 ALICE_HERALD = "alice-1555"
@@ -73,8 +68,8 @@ BLOCK_CHOICES = ("none", "alice", "epr", "both")
 MAX_PAIRS_EACH = 2
 
 # largest point count a scan accepts: at the default pair truncation a dip
-# point costs about 400 bytes (a fringe point 200) across the basis
-# evaluation, the fit and the CSV row, so the cap keeps a scan under about
+# point costs about 400 bytes (a fringe point 200) across the overlap
+# weights, the fit and the CSV row, so the cap keeps a scan under about
 # 0.5 GB
 MAX_POINTS = 10**6
 
@@ -259,8 +254,10 @@ def mismatch_grid(
 ) -> np.ndarray:
     if not 5 <= points <= MAX_POINTS:
         raise ConfigError(f"a mismatch scan needs 5 to {MAX_POINTS} points, got {points}")
-    if not (math.isfinite(span_um) and span_um > 0):
-        raise ConfigError(f"the mismatch span must be finite and > 0, got {span_um}")
+    # linspace forms the width 2 span, and the scan's ends reach |center| + span
+    if not (span_um > 0 and np.isfinite([2.0 * span_um, abs(center_um) + span_um]).all()):
+        raise ConfigError(f"the mismatch span must be finite and > 0, and so must the scan's width "
+                          f"and ends, got {span_um} around {center_um}")
     return center_um + np.linspace(-span_um, span_um, points)
 
 
@@ -307,23 +304,46 @@ def _relay_registry() -> ModeRegistry:
     return reg
 
 
-def _branch_mixture(reg: ModeRegistry, branches: Sequence[Tuple[int, int]], xi: float,
-                    relay_bins: Sequence[int], phase_pump: float) -> FockState:
-    """The (alice pairs, relay pairs) branches as one mixture.
+def _components(branches: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+    """(alice pairs, matched photons, relay pairs) for every j in [0, n_a]
+    of each (n_a, n_c) branch: j of Alice's n_a signal photons in internal
+    label 0, the others in label 1."""
+    return [(na, j, nc) for na, nc in branches for j in range(na + 1)]
 
-    Branch b, the b-th entry of `branches`, starts as the vacuum with b
-    photons in the BRANCH_RECORD mode, so rows of different branches never
-    merge, one pass through a circuit carries every branch, and each
-    output row's record names its branch.
+
+def _overlap_weights(components: Sequence[Tuple[int, int, int]], s) -> np.ndarray:
+    """Each component's weight C(n_a, j) s^j (1 - s)^(n_a - j) at every
+    squared overlap in `s`, shape (len(s), len(components)): within a
+    branch they sum to 1 over j."""
+    na, j, _ = np.array(components).T
+    ways = np.array([math.comb(n, k) for n, k, _ in components], dtype=float)
+    s = np.asarray(s, dtype=float)[:, None]
+    return ways * s**j * (1.0 - s) ** (na - j)
+
+
+def _branch_mixture(reg: ModeRegistry, components: Sequence[Tuple[int, int, int]],
+                    relay_bins: Sequence[int], phase_pump: float) -> FockState:
+    """The (alice pairs, matched photons, relay pairs) components as one
+    mixture of unit-norm kets.
+
+    Component b, the b-th entry of `components`, holds b photons in the
+    BRANCH_RECORD mode, so rows of different components never merge, one
+    pass through a circuit carries every component, and each output row's
+    record names its component.  Alice's n_a pairs put j signal photons in
+    label 0 and n_a - j in label 1, and n_a herald photons, all in bin 0;
+    the relay's rows are entangled_pairs over relay_bins.
     """
+    alice = [reg.index(key) for key in (BRANCH_RECORD, ModeKey(ALICE_QUBIT, 0, 0),
+                                        ModeKey(ALICE_QUBIT, 0, 1), ModeKey(ALICE_HERALD, 0))]
+    relay = [reg.index(ModeKey(spatial, t)) for spatial in (EPR_QUBIT, EPR_BOB) for t in relay_bins]
     occupations, amps = [], []
-    for b, (na, nc) in enumerate(branches):
-        st = vacuum(reg)
-        st.occupations[0, reg.index(BRANCH_RECORD)] = b
-        st = emit_pairs_single_bin(st, ALICE_QUBIT, ALICE_HERALD, na, 0, xi)
-        st = emit_pairs_entangled(st, EPR_QUBIT, EPR_BOB, nc, relay_bins, phase_pump)
-        occupations.append(st.occupations)
-        amps.append(st.amplitudes)
+    for b, (na, j, nc) in enumerate(components):
+        pairs, amp = entangled_pairs(nc, len(relay_bins), phase_pump)
+        occ = np.zeros((len(amp), len(reg)), dtype=np.uint8)
+        occ[:, alice] = b, j, na - j, na
+        occ[:, relay] = np.hstack([pairs, pairs])
+        occupations.append(occ)
+        amps.append(amp)
     return FockState(reg, np.concatenate(occupations), np.concatenate(amps))
 
 
@@ -441,6 +461,36 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _check_labels_separate(circuit: Circuit) -> None:
+    """Raise LabelMixingError if the circuit's transfer matrix has an entry
+    between modes of different internal labels."""
+    reg = circuit.registry
+    t = circuit.transfer()
+    labels = np.array([reg.key_at(i).internal for i in range(len(reg))])
+    mixed = np.argwhere((t != 0) & (labels[:, None] != labels))
+    if len(mixed):
+        j, k = mixed[0]
+        raise LabelMixingError(f"the circuit couples {reg.key_at(int(j))} to {reg.key_at(int(k))}")
+
+
+def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
+                 per_row: np.ndarray) -> np.ndarray:
+    """(degree + 1, rows) harmonics times each column of (rows, columns)
+    per_row, summed per mixture branch (row r in branch group[r] < count) by
+    a 0/1 indicator matmul: shape (degree + 1, count, columns).  Raises
+    UnnormalizedStateError unless each branch's norm harmonics are 1, 0, ..."""
+    in_branch = group == np.arange(count)[:, None]
+    columns = np.column_stack([np.ones(len(group)), per_row])
+    sums = in_branch @ (harmonics[:, :, None] * columns)
+    norms = sums[:, :, 0]
+    off = np.abs(norms - (np.arange(len(harmonics)) == 0)[:, None])
+    if np.any(off > NORM_ATOL):
+        b = int(np.argmax(off.max(axis=0)))
+        raise UnnormalizedStateError(f"mixture branch {b} has norm^2 harmonics {norms[:, b]}, "
+                                     "expected 1, 0, ...")
+    return sums[:, :, 1:]
+
+
 def _background(central: np.ndarray, phase_bob: float) -> float:
     """Phase-independent background from the harmonics of Bob's click under
     the alice, epr and both blockings, the first three columns of
@@ -452,23 +502,25 @@ def _background(central: np.ndarray, phase_bob: float) -> float:
 
 
 class TeleportEngine:
-    """Branch states through the teleport circuit (_teleport_circuit) with
-    the receiver analyzer appended, in one pass.
+    """Branch components through the teleport circuit (_teleport_circuit)
+    with the receiver analyzer appended, in one pass.
 
-    Branch states do not depend on the pair means or the detectors, so the
-    engine holds every branch of the pair truncation, in one branch
-    mixture, and blocking runs, dark-count scans and forced single-pair mode
-    only reweight them (branches they leave out get weight 0).  Detection
+    A component's state depends on neither the pair means, the detectors
+    nor the overlap, so the engine holds, in one mixture, the components of
+    every branch of the pair truncation that weigh anything at the config's
+    overlap, and blocking runs, dark-count scans and forced single-pair mode
+    only reweight them: a component weighs its branch's pair weight times
+    its overlap weight (branches a weighting leaves out get 0).  Detection
     runs once, when the engine is built, for the config's detectors
     (_detectors), and for two events only: the Bell-state acceptance, and
     that with Bob's click in the central bin (teleport_tables, one photon
-    table per dark-count monomial).  A 0/1 indicator matmul sums the tables'
-    harmonics per branch.  `harmonics` contracts the monomials' weights for
-    the detectors' dark probabilities (teleport_weights) and the branch
+    table per dark-count monomial), whose harmonics _branch_sums sums per
+    component.  `harmonics` contracts the monomials' weights for the
+    detectors' dark probabilities (teleport_weights) and the component
     weights of any blockings into them, in one product, so rescaled dark
-    counts cost no pass; the branch weights are computed once per blocking.
-    Four read-outs synthesize from it: `scan` and `acceptance`, `blocking`
-    and `background`.
+    counts cost no pass; the weights are computed once per blocking.  Four
+    read-outs synthesize from it: `scan` and `acceptance`, `blocking` and
+    `background`.
 
     The analyzer, the only element that depends on phi_b, joins the circuit
     (transfer matrix T) at phi_b = 0.  A photon that takes its delay arm
@@ -492,9 +544,11 @@ class TeleportEngine:
       phase is e^{i k phi_b} whichever paths reach it, and
     - every delay count k lies in [0, D], which holds when each photon is
       delayed by at most one bin, and is unique within its output
-      occupation.
-    HarmonicSynthesisError is raised otherwise, and UnnormalizedStateError
-    unless each branch has norm harmonics 1, 0, ..., 0.
+      occupation,
+    and the overlap weights are exact when T keeps the internal labels
+    apart, so that components never interfere.  HarmonicSynthesisError or
+    LabelMixingError is raised otherwise, and UnnormalizedStateError unless
+    each component has norm harmonics 1, 0, ..., 0.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -515,9 +569,13 @@ class TeleportEngine:
         if np.any((circ.transfer() != 0) & (bob[:, None] != bob)):
             raise HarmonicSynthesisError("the analyzer's circuit couples Bob's side to other modes")
 
-        xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
-        self.branches = pair_branches()
-        mixture = _branch_mixture(reg, self.branches, xi, (0, 1), cfg.phase_pump)
+        _check_labels_separate(circ)
+        components = _components(pair_branches())
+        s = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um) ** 2
+        overlap = _overlap_weights(components, [s])[0]
+        self.branches = [c for c, w in zip(components, overlap) if w > 0]
+        self._overlap = overlap[overlap > 0]
+        mixture = _branch_mixture(reg, self.branches, (0, 1), cfg.phase_pump)
         self.degree = int(mixture.occupations[:, reg.indices_for(EPR_BOB)].sum(axis=1).max())
         mixture.occupations[:, record] = mixture.occupations[:, bob] @ bins[bob]
         out = apply(circ, mixture)
@@ -529,27 +587,16 @@ class TeleportEngine:
         self.detectors = _detectors(cfg)
         self._exponents, tables = teleport_tables(reg, occupations, self.detectors,
                                                   free_partner=cfg.symmetric_bsa)
-        # per group: a one for the norm, then every monomial's photon table
-        per_row = np.column_stack([np.ones(len(occupations)),
-                                   tables.transpose(1, 0, 2).reshape(len(occupations), -1)])
-        # the harmonics of each summed per branch, (degree + 1, branches,
-        # columns): a 0/1 indicator matmul, in BLAS's blocked sums
-        group = occupations[:, reg.index(BRANCH_RECORD)]
-        in_branch = group == np.arange(len(self.branches))[:, None]
-        per_branch = in_branch @ (harmonics[:, :, None] * per_row)
-        norms = per_branch[:, :, 0]
-        off = np.abs(norms - (np.arange(self.degree + 1) == 0)[:, None])
-        if np.any(off > NORM_ATOL):
-            b = int(np.argmax(off.max(axis=0)))
-            raise UnnormalizedStateError(f"branch {b} has norm^2 harmonics {norms[:, b]}, "
-                                         "expected 1, 0, ...")
         self._weights: Dict[Optional[str], np.ndarray] = {}
-        # per-branch harmonics of the photon tables, (degree + 1, branches,
+        # per-component harmonics of the photon tables, (degree + 1, components,
         # monomials * 2), so that one matmul contracts the dark weights in
-        self._tables = per_branch[:, :, 1:]
+        per_row = tables.transpose(1, 0, 2).reshape(len(occupations), -1)
+        self._tables = _branch_sums(occupations[:, reg.index(BRANCH_RECORD)], len(self.branches),
+                                    harmonics, per_row)
 
     def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
-        w = np.array([weights.get(k, 0.0) for k in self.branches])
+        """Each component's pair weight times its overlap weight."""
+        w = np.array([weights.get((na, nc), 0.0) for na, _, nc in self.branches]) * self._overlap
         if abs(sum(weights.values()) - 1.0) > 1e-9 or abs(w.sum() - 1.0) > 1e-9:
             raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
         return w
@@ -616,52 +663,27 @@ def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanRe
     return ScanResult(xs, probs, counts, pulses)
 
 
-def _check_labels_separate(circuit: Circuit) -> None:
-    """Raise LabelMixingError if the circuit's transfer matrix has an entry
-    between modes of different internal labels."""
-    reg = circuit.registry
-    t = circuit.transfer()
-    labels = np.array([reg.key_at(i).internal for i in range(len(reg))])
-    mixed = np.argwhere((t != 0) & (labels[:, None] != labels))
-    if len(mixed):
-        j, k = mixed[0]
-        raise LabelMixingError(
-            f"the dip circuit couples {reg.key_at(int(j))} to {reg.key_at(int(k))}"
-        )
-
-
 class _MandelEngine:
     """Two sources onto the Bell-state mixer for the bunching-dip scan.
 
     symmetric mode sends both sources through identical split-delay
     analyzers so first and second pulses overlap at the mixer; entangled
     mode keeps the relay source's two-bin emission and analyzes only the
-    prepared qubit.  The overlap parameter enters the qubit photon's
-    internal-mode split, so only coincidence rates near zero mismatch
-    change.
+    prepared qubit.  The overlap enters the split of Alice's signal photons
+    between the internal labels, so only coincidence rates near zero
+    mismatch change.
 
-    Each coincidence probability is a polynomial of degree D in s = xi^2,
-    where D (`degree`, at most MAX_PAIRS_EACH) is the largest Alice pair
-    number with nonzero branch weight.  Alice's n-pair branch puts amplitude
-    sqrt(C(n, j)) xi^j (1 - s)^((n - j)/2) on j label-0 and n - j label-1
-    signal photons, and the relay emits into label 0 only.  This is exact
-    when
-    - the circuit's transfer matrix has no entry between two internal labels
-      (checked when the engine is built: LabelMixingError otherwise), so
-      every output row keeps the n - j label-1 photons it started with and
-      components with different j never interfere, and
-    - detection reads only photon numbers summed over labels, as every
-      detector model here does.
-    A bin's probability is then sum_b w_b sum_j C(n_b, j) s^j (1 - s)^(n_b - j)
-    P_bj.  The mixture is built once, at s = 1/2: one circuit pass and one
-    detection pass, with |amplitude|^2 times clicks summed per (b, j), j
-    being n_b minus a row's label-1 photons, give P[b, j] =
-    C(n_b, j) 2^-n_b P_bj, and the probability at s is
-        sum_b w_b sum_j (2s)^j (2 - 2s)^(n_b - j) P[b, j].
-    Every term is >= 0, and at s = 1 only j = n_b is left, so the ideal
-    Hong-Ou-Mandel null is exactly 0.  A row with j outside [0, n_b]
-    raises LabelMixingError, and a branch whose |amplitude|^2 does not sum
-    to 1 UnnormalizedStateError.
+    The components of the branches with positive weight go through one
+    circuit pass and one detection pass, and _branch_sums gives each
+    component's coincidences P_c.  At squared overlap s a bin's probability
+    is sum_c w_c B_c(s) P_c, w_c being the component's pair weight and
+    B_c(s) its overlap weight.  This is exact when the circuit keeps the
+    internal labels apart (LabelMixingError otherwise), so that components
+    never interfere, and detection reads only photon numbers summed over
+    labels, as every detector model here does.  Every term is >= 0, and at
+    s = 1 only j = n_a is left, so the ideal Hong-Ou-Mandel null is exactly
+    0.  A component whose |amplitude|^2 does not sum to 1 raises
+    UnnormalizedStateError.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -670,53 +692,23 @@ class _MandelEngine:
         _check_labels_separate(circ)
         reg = circ.registry
         held = {k: w for k, w in branch_weights(cfg).items() if w > 0}
-        branches = list(held)
-        pairs = np.array([na for na, _ in branches])
-        self.degree = int(pairs.max(initial=0))
+        self._components = _components(held)
+        self._pair_weights = np.array([held[(na, nc)] for na, _, nc in self._components])
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
-        mixture = _branch_mixture(reg, branches, math.sqrt(0.5), relay_bins, cfg.phase_pump)
-        out = apply(circ, mixture)
-
-        occupations, amps = out.occupations, out.amplitudes
-        probs = amps.real**2 + amps.imag**2
-        branch = out.branches()
-        norms = np.bincount(branch, probs, minlength=len(branches))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
-        if len(bad):
-            raise UnnormalizedStateError(
-                f"branch {branches[bad[0]]} has norm^2 = {norms[bad[0]]}, expected 1"
-            )
-        label_1 = np.array([reg.key_at(i).internal == 1 for i in range(occupations.shape[1])])
-        n = pairs[branch]
-        j = n - occupations[:, label_1].sum(axis=1, dtype=np.intp)
-        # j <= n_b holds by construction; photons moved into label 1 push j below 0
-        outside = np.flatnonzero(j < 0)
-        if len(outside):
-            r = outside[0]
-            raise LabelMixingError(
-                f"a row of branch {branches[branch[r]]} has {n[r] - j[r]} label-1 photons, "
-                f"more than its {n[r]} Alice pairs"
-            )
-        # coefficient [n, j], shape (D+1, D+1, 2), is the sum of w_b P[b, j]
-        # over the branches with n_b = n: a 0/1 indicator matmul over the
-        # (n, j) groups, whose blocked sums round about as a detection pass
-        # per point does (np.add.at's running sum, 5x worse at K = 4)
-        size = self.degree + 1
+        out = apply(circ, _branch_mixture(reg, self._components, relay_bins, cfg.phase_pump))
+        amps = out.amplitudes
         ge, ingaas = _detectors(cfg)[:2]
-        clicks = coincidence_clicks(reg, occupations, ge, ingaas)[:, :2]
-        weighted = (np.array(list(held.values()))[branch] * probs)[:, None] * clicks
-        in_group = n * size + j == np.arange(size * size)[:, None]
-        self._coefficients = (in_group @ weighted).reshape(size, size, 2)
+        clicks = coincidence_clicks(reg, out.occupations, ge, ingaas)[:, :2]
+        # per component, (short, long) coincidences
+        self._coincidences = _branch_sums(out.branches(), len(self._components),
+                                          (amps.real**2 + amps.imag**2)[None], clicks)[0]
 
     def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
         """(short, long) coincidences at each mismatch, one row per point:
-        the Bernstein-form sum in s = xi^2, one basis evaluation per point."""
-        s = np.array([self.overlap.xi(x) ** 2 for x in mismatches_um])[:, None, None]
-        k = np.arange(self.degree + 1)
-        # basis[point, n, j] = (2s)^j (2 - 2s)^(n - j); for j > n, where the
-        # coefficients are 0, the exponent is clipped to 0
-        basis = (2.0 * s) ** k * (2.0 - 2.0 * s) ** np.maximum(k[:, None] - k, 0)
-        return basis.reshape(len(s), -1) @ self._coefficients.reshape(-1, 2)
+        the components' overlap weights at s = xi^2 times their pair
+        weights, dotted into their coincidences."""
+        s = [self.overlap.xi(x) ** 2 for x in mismatches_um]
+        return (_overlap_weights(self._components, s) * self._pair_weights) @ self._coincidences
 
 
 def run_mandel_scan(

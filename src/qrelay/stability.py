@@ -185,8 +185,12 @@ _JITTER_CHUNK = 4096
 
 def _temperature_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     if drift.kind == "sinusoid":
-        period_s = drift.period_h * 3600.0
-        return drift.amplitude_k * np.sin(2.0 * math.pi * times / period_s)
+        # a period near the float range's bottom overflows the phase
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = drift.amplitude_k * np.sin(2.0 * math.pi * times / (drift.period_h * 3600.0))
+        if not np.isfinite(theta).all():
+            raise ConfigError("the sinusoid's phase is not finite; raise period_h")
+        return theta
     # bounded random walk: per-step temperature increments are capped so the
     # implied rate wander never exceeds the hourly bound; one uniform draw per
     # step, summed in order (cumsum adds sequentially)

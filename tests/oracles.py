@@ -22,18 +22,22 @@ The oracles work on a state's terms as a dict from occupation bytes to
 amplitude (`terms`, `from_terms`).  `create` applies one creation operator
 (or a sum of them) term by term, and the emission oracles repeat the
 two-photon emission operator with it: the references for the closed-form
-sources in qrelay.sources.
+pair table in qrelay.sources.  overlap_mixture builds the branch mixture
+with them at overlap xi, each of Alice's pairs split coherently between
+the internal labels: the reference for the unit-norm components of
+qrelay.scenarios._branch_mixture and their overlap weights.
 
-mandel_per_point builds, pushes through the circuit and detects the dip
-branch mixture at every mismatch point: the reference for the Bernstein
-form in xi^2 that qrelay.scenarios.run_mandel_scan evaluates from one
-build.  simulate_per_step is the stability simulation with one random draw
-and one controller step per Python loop iteration: the reference for
+mandel_per_point builds the dip's mixture with overlap_mixture at every
+mismatch point, pushes it through the circuit and detects it: the
+reference for the overlap-weighted components that
+qrelay.scenarios.run_mandel_scan evaluates from one build.
+simulate_per_step is the stability simulation with one random draw and one
+controller step per Python loop iteration: the reference for
 qrelay.stability.simulate's array code, which must match it byte for byte.
 
-teleport_per_phase rebuilds a teleport engine's prepared mixture from
-qrelay.scenarios._teleport_circuit and _branch_mixture, runs it through
-the receiver analyzer built at one phase and detects the result: the
+teleport_per_phase builds the pair branches' mixture with overlap_mixture
+on qrelay.scenarios._teleport_circuit's registry, runs it through the
+receiver analyzer built at one phase and detects the result: the
 acceptance and Bob's click in BOB_BIN at that phase, the reference for
 the phase harmonics qrelay.scenarios.TeleportEngine.harmonics forms from
 one analyzer pass and its scan, acceptance and blocking read-outs
@@ -75,7 +79,7 @@ from qrelay.detection import (
     teleport_weights,
 )
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
-from qrelay.fock import NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
+from qrelay.fock import BRANCH_RECORD, NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 from qrelay.optics import apply
 from qrelay.sources import OverlapModel
 from qrelay.stability import StabilityTrace
@@ -179,6 +183,28 @@ def emit_pairs_entangled(state, signal_spatial, idler_spatial, n_pairs, bins=(0,
         for t, b in enumerate(bins)
     ]
     return emit(state, emission, n_pairs)
+
+
+def overlap_mixture(registry: ModeRegistry, branches: Sequence[Tuple[int, int]], xi: float,
+                    relay_bins: Sequence[int], phase_pump: float) -> FockState:
+    """The (alice pairs, relay pairs) branches at overlap xi as one mixture,
+    branch b tagged by b photons in BRANCH_RECORD: Alice's pairs from
+    emit_pairs_single_bin, one coherent state over the split of her signal
+    photons between the internal labels, then the relay's from
+    emit_pairs_entangled."""
+    record = registry.index(BRANCH_RECORD)
+    occupations, amplitudes = [], []
+    for b, (na, nc) in enumerate(branches):
+        start = np.zeros(len(registry), dtype=np.uint8)
+        start[record] = b
+        state = from_terms(registry, {bytes(start): 1.0 + 0.0j})
+        state = emit_pairs_single_bin(state, scenarios.ALICE_QUBIT, scenarios.ALICE_HERALD, na,
+                                      0, xi)
+        state = emit_pairs_entangled(state, scenarios.EPR_QUBIT, scenarios.EPR_BOB, nc,
+                                     relay_bins, phase_pump)
+        occupations.append(state.occupations)
+        amplitudes.append(state.amplitudes)
+    return FockState(registry, np.concatenate(occupations), np.concatenate(amplitudes))
 
 
 def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
@@ -438,8 +464,8 @@ def coincidence_probability(state: FockState, det_a: Detector, det_b: Detector) 
 
 def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.ndarray:
     """(short, long) dip coincidences: at every point the positive-weight
-    branches' mixture built at that overlap, one circuit pass, one
-    detection pass, and the branch weights dotted in."""
+    branches' mixture built at that overlap (overlap_mixture), one circuit
+    pass, one detection pass, and the branch weights dotted in."""
     cfg = config.materialized()
     circ, relay_bins = scenarios._dip_circuit(cfg)
     held = {k: w for k, w in scenarios.branch_weights(cfg).items() if w > 0}
@@ -448,8 +474,8 @@ def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.
     overlap = OverlapModel(cfg.dip_fwhm_um)
     rows = []
     for x in mismatches_um:
-        mixture = scenarios._branch_mixture(circ.registry, list(held), overlap.xi(x),
-                                            relay_bins, cfg.phase_pump)
+        mixture = overlap_mixture(circ.registry, list(held), overlap.xi(x), relay_bins,
+                                  cfg.phase_pump)
         per_branch = coincidence_probability(apply(circ, mixture), ge, ingaas)
         rows.append(weights @ per_branch[:, :2])
     return np.array(rows)
@@ -520,19 +546,21 @@ def csv_text(header: Sequence[str], rows) -> str:
 def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights=None,
                        detectors=None) -> TeleportOutcome:
     """The acceptance and Bob's click in BOB_BIN with the analyzer built at
-    phi_b: the teleport circuit with the analyzer added before the engine's
-    branches are built, one apply, one detection pass, the weights dotted
-    in.  The reference for the engine's phase harmonics."""
+    phi_b: the teleport circuit with the analyzer added before the pair
+    branches are built at the config's overlap (overlap_mixture), one
+    apply, one detection pass, the weights dotted in.  The reference for
+    the engine's phase harmonics and overlap weights."""
     cfg = engine.config
     circ = scenarios._teleport_circuit(cfg)
     circ.add_michelson(scenarios.EPR_BOB, phi_b)
     xi = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um)
-    mixture = scenarios._branch_mixture(circ.registry, engine.branches, xi, (0, 1), cfg.phase_pump)
+    branches = scenarios.pair_branches()
+    mixture = overlap_mixture(circ.registry, branches, xi, (0, 1), cfg.phase_pump)
     detectors = scenarios._detectors(cfg) if detectors is None else detectors
     per_branch = teleport_outcome_distribution(apply(circ, mixture), *detectors,
                                                free_partner=cfg.symmetric_bsa)
     weights = scenarios.branch_weights(cfg) if weights is None else weights
-    w = np.array([weights.get(k, 0.0) for k in engine.branches])
+    w = np.array([weights.get(k, 0.0) for k in branches])
     return TeleportOutcome(w @ per_branch.accept, w @ per_branch.bob)
 
 

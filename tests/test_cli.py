@@ -7,7 +7,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-import scipy.constants
 
 from qrelay import cli, detection, scenarios, stability
 from qrelay.scenarios import ExperimentConfig
@@ -440,6 +439,37 @@ def test_mandel_span_overflowing_the_overlap_exits_3_without_warning(capsys):
     assert out == ""
 
 
+def _run_recording_warnings(capsys, argv):
+    """(exit code, stdout, stderr, warning messages) of one command."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+def test_mandel_span_overflowing_the_scan_exits_2_without_warning(capsys):
+    # linspace would form the width 2 span, past the float range
+    code, out, err, caught = _run_recording_warnings(
+        capsys, ["mandel", "--points", "5", "--span-um", "9e307"])
+    assert (code, out, caught) == (2, "", [])
+    assert "mismatch span" in err
+
+
+def test_mandel_span_overflowing_the_fit_box_exits_3_without_warning(capsys):
+    # the scan is finite, but the dip fit's box reaches a span past its ends
+    code, out, err, caught = _run_recording_warnings(
+        capsys, ["mandel", "--points", "5", "--span-um", "8.9e307"])
+    assert (code, out, caught) == (3, "", [])
+    assert "not finite" in err
+
+
+def test_stability_period_overflowing_the_phase_exits_2_naming_it(capsys):
+    code, out, err, caught = _run_recording_warnings(
+        capsys, ["stability", "--period-h", "1e-310", "--duration-h", "1"])
+    assert (code, out, caught) == (2, "", [])
+    assert "period_h" in err
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -585,5 +615,6 @@ def test_undersampled_exact_dip_fit_ends(tmp_path, capsys):
 
 
 def test_speed_of_light_literal_is_scipys():
-    assert detection._SPEED_OF_LIGHT == scipy.constants.c
-    assert stability._SPEED_OF_LIGHT == scipy.constants.c
+    constants = pytest.importorskip("scipy.constants")
+    assert detection._SPEED_OF_LIGHT == constants.c
+    assert stability._SPEED_OF_LIGHT == constants.c

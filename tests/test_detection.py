@@ -9,6 +9,7 @@ from oracles import (
     apply_creation,
     click_distribution,
     coincidence_probability,
+    emit_pairs_entangled,
     from_terms,
     herald_filter,
     normalized,
@@ -320,8 +321,6 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
     # time-bin qubit meeting one half of a two-bin entangled pair on a 50/50
     # splitter: the antisymmetric pattern carries exactly 1/4 of the weight,
     # independent of the qubit and pump phases
-    from qrelay.sources import emit_pairs_entangled
-
     for phi_a, phi_p in ((0.0, 0.0), (0.7, 0.0), (1.3, 2.1)):
         reg = ModeRegistry(max_bins=4)
         for s in ("a", "c", "bob"):

@@ -7,7 +7,12 @@ import pytest
 from oracles import teleport_per_phase
 from qrelay import cli, scenarios
 from qrelay.analysis import fit_dip, fit_fringe
-from qrelay.errors import ConfigError, HarmonicSynthesisError, UnnormalizedStateError
+from qrelay.errors import (
+    ConfigError,
+    HarmonicSynthesisError,
+    LabelMixingError,
+    UnnormalizedStateError,
+)
 from qrelay.fock import ModeKey
 from qrelay.scenarios import (
     ExperimentConfig,
@@ -557,6 +562,23 @@ def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, f
         TeleportEngine(ExperimentConfig())
     assert cli.main(["teleport", "--points", "8"]) == 3
     assert "analyzer" in capsys.readouterr().err
+
+
+def test_label_mixing_teleport_circuit_raises(monkeypatch, capsys):
+    # the overlap weights hold only while the circuit keeps the internal
+    # labels apart
+    real_mixer = scenarios._add_bell_mixer
+
+    def mixing_mixer(circ):
+        real_mixer(circ)
+        circ.add_beamsplitter(ModeKey(scenarios.ALICE_QUBIT, 0, 0),
+                              ModeKey(scenarios.ALICE_QUBIT, 0, 1))
+
+    monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
+    with pytest.raises(LabelMixingError):
+        TeleportEngine(ExperimentConfig())
+    assert cli.main(["teleport", "--points", "8"]) == 3
+    assert "couples" in capsys.readouterr().err
 
 
 def test_seed_range():

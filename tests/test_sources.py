@@ -4,22 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import amplitude, occupation_distribution
+from oracles import amplitude
+from qrelay import scenarios
 from qrelay.errors import TailMassError
-from qrelay.fock import ModeKey, ModeRegistry, vacuum
-from qrelay.sources import (
-    OverlapModel,
-    emit_pairs_entangled,
-    emit_pairs_single_bin,
-    pair_count_distribution,
-)
-
-
-def _pair_registry(internals=(0,)):
-    reg = ModeRegistry(max_bins=2)
-    reg.add_channel("sig", internals=internals)
-    reg.add_channel("idl")
-    return reg
+from qrelay.fock import ModeKey
+from qrelay.sources import OverlapModel, entangled_pairs, pair_count_distribution
 
 
 def test_thermal_distribution_values():
@@ -63,56 +52,48 @@ def test_overlap_width():
 
 
 def test_single_bin_pair_emission():
-    reg = _pair_registry()
-    st = emit_pairs_single_bin(vacuum(reg), "sig", "idl", 1)
+    # Alice's one-pair component: one signal photon in label 0 and one
+    # herald photon, both in bin 0, with amplitude 1
+    reg = scenarios._relay_registry()
+    st = scenarios._branch_mixture(reg, [(1, 1, 0)], (0, 1), 0.0)
     occ = [0] * len(reg)
-    occ[reg.index(ModeKey("sig", 0, 0))] = 1
-    occ[reg.index(ModeKey("idl", 0, 0))] = 1
+    occ[reg.index(ModeKey(scenarios.ALICE_QUBIT, 0, 0))] = 1
+    occ[reg.index(ModeKey(scenarios.ALICE_HERALD, 0))] = 1
+    assert len(st) == 1
     assert abs(amplitude(st, occ) - 1.0) < 1e-12
 
 
 def test_single_bin_internal_split_is_binomial():
     xi = 0.8
-    reg = _pair_registry(internals=(0, 1))
-    st = emit_pairs_single_bin(vacuum(reg), "sig", "idl", 2, xi=xi)
-    i0 = reg.index(ModeKey("sig", 0, 0))
-    dist = {}
-    for occ, p in occupation_distribution(st).items():
-        dist[occ[i0]] = dist.get(occ[i0], 0.0) + p
+    dist = scenarios._overlap_weights([(2, j, 0) for j in range(3)], [xi**2])[0]
     assert abs(dist[2] - xi**4) < 1e-12
     assert abs(dist[1] - 2 * xi**2 * (1 - xi**2)) < 1e-12
     assert abs(dist[0] - (1 - xi**2) ** 2) < 1e-12
+    # every branch's weights sum to 1 over the matched photons
+    components = scenarios._components([(na, 1) for na in range(5)])
+    weights = scenarios._overlap_weights(components, [0.0, 0.3, 0.5, 1.0])
+    na = np.array([c[0] for c in components])
+    for n in range(5):
+        np.testing.assert_allclose(weights[:, na == n].sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_entangled_emission_single_pair():
     phase = 0.6
-    reg = _pair_registry()
-    st = emit_pairs_entangled(vacuum(reg), "sig", "idl", 1, phase=phase)
-
-    def amp(t):
-        occ = [0] * len(reg)
-        occ[reg.index(ModeKey("sig", t, 0))] = 1
-        occ[reg.index(ModeKey("idl", t, 0))] = 1
-        return amplitude(st, occ)
-
-    assert abs(amp(0) - 1 / math.sqrt(2)) < 1e-12
-    assert abs(amp(1) - np.exp(1j * phase) / math.sqrt(2)) < 1e-12
+    pairs, amps = entangled_pairs(1, 2, phase)
+    assert pairs.tolist() == [[1, 0], [0, 1]]
+    assert abs(amps[0] - 1 / math.sqrt(2)) < 1e-12
+    assert abs(amps[1] - np.exp(1j * phase) / math.sqrt(2)) < 1e-12
 
 
 def test_entangled_emission_two_pairs_is_flat():
     # (sum_t s_t i_t)^2 |0> has equal weight on its three occupation patterns
-    reg = _pair_registry()
-    st = emit_pairs_entangled(vacuum(reg), "sig", "idl", 2)
-    i_sig0 = reg.index(ModeKey("sig", 0, 0))
-    marg = {}
-    for occ, p in occupation_distribution(st).items():
-        marg[occ[i_sig0]] = marg.get(occ[i_sig0], 0.0) + p
-    for k in (0, 1, 2):
-        assert abs(marg[k] - 1.0 / 3.0) < 1e-12
+    pairs, amps = entangled_pairs(2, 2, 0.0)
+    assert sorted(pairs[:, 0].tolist()) == [0, 1, 2]
+    np.testing.assert_allclose(np.abs(amps) ** 2, 1.0 / 3.0, rtol=0, atol=1e-12)
 
 
 def test_zero_pairs_is_identity():
-    reg = _pair_registry()
-    st = vacuum(reg)
-    assert emit_pairs_single_bin(st, "sig", "idl", 0) is st
-    assert emit_pairs_entangled(st, "sig", "idl", 0) is st
+    for n_bins in (1, 2):
+        pairs, amps = entangled_pairs(0, n_bins, 0.9)
+        assert pairs.tolist() == [[0] * n_bins]
+        assert amps.tolist() == [1.0]
