@@ -51,6 +51,20 @@ CLI_CASES = {
     "noise-mismatch-60-pump-0.7": (["noise"], "delta_x_um = 60\nphase_pump = 0.7\n"),
     "mandel-default": (["mandel"], ""),
     "mandel-entangled": (["mandel"], "mandel_mode = entangled\n"),
+    # a nonzero setting of every device the circuits build
+    "teleport-heralded-losses-mismatch-40-alice-0.9": (
+        ["teleport", "--heralded"],
+        "loss_alice_db = 1.5\nloss_epr_db = 0.7\nloss_herald_db = 1.2\n"
+        "delta_x_um = 40\nphase_alice = 0.9\n"),
+    "teleport-lossless-encoder-loss-epr-0.5-symmetric": (
+        ["teleport"], "alice_encoder = lossless\nloss_epr_db = 0.5\nsymmetric_bsa = true\n"),
+    "noise-heralded-losses": (
+        ["noise"], "heralded = true\nloss_alice_db = 1.5\nloss_epr_db = 0.7\nloss_herald_db = 1.2\n"),
+    "mandel-25-losses-phase-0.4": (
+        ["mandel", "--points", "25"], "loss_alice_db = 1.0\nloss_epr_db = 2.0\nmandel_phase = 0.4\n"),
+    "mandel-entangled-25-losses-phase-0.4": (
+        ["mandel", "--points", "25"],
+        "mandel_mode = entangled\nloss_alice_db = 1.0\nloss_epr_db = 2.0\nmandel_phase = 0.4\n"),
 }
 
 # id: (config fields, target ratio)
@@ -61,6 +75,8 @@ CALIBRATION_CASES = {
     "default-target-0.2-clamped": ({}, 0.2),
     "mismatch-20-target-3": ({"delta_x_um": 20.0, "pair_mean_alice": 0.16, "pair_mean_epr": 0.04},
                              3.0),
+    "losses-target-3": ({"loss_alice_db": 1.0, "loss_epr_db": 0.5, "pair_mean_alice": 0.16,
+                         "pair_mean_epr": 0.04}, 3.0),
 }
 
 
