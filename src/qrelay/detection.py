@@ -31,15 +31,15 @@ where the fringe is read.  It keeps the dark counts out of the rows.  A
 gate that must click does so by a dark count (factor d) or, without one,
 by a photon (factor (1 - d) u), so every accepted event is a sum of
 dark-count monomials prod d^a (1 - d)^b times dark-independent photon
-factors; teleport_tables sums the photon factors per monomial, and
-teleport_weights gives the monomials' values for the detectors' dark
-probabilities.  Every term is >= 0, and rescaling the dark counts
-reweights the tables without a new pass.
+factors; teleport_tables expands the accepted patterns one by one and
+sums the photon factors per monomial, and teleport_weights gives the
+monomials' values for the detectors' dark probabilities.  Every term is
+>= 0, and rescaling the dark counts reweights the tables without a new
+pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -108,45 +108,6 @@ def bell_patterns(free_partner: bool, n_bins: int, heralded: bool) -> List[Tuple
     return [(click + herald, tuple(g for g in vetoed if g not in click)) for click in clicks]
 
 
-@functools.lru_cache(maxsize=None)
-def _grouped_terms(free_partner: bool, n_bins: int, n_channels: int) -> Tuple[np.ndarray, ...]:
-    """bell_patterns expanded over each pattern's dark-clicked gates and
-    grouped by dark monomial: (exponents, dark, click, member).
-
-    Rows of teleport_tables' factor array hold gate (c, t)'s miss at
-    c * n_bins + t, its photon click n_channels * n_bins further on, and
-    ones last.  dark[p] lists the miss rows of pattern p's gates that must
-    stay dark, padded with the ones row, and click[p] the photon-click rows
-    of its click gates.  Term s of pattern p takes click gate j by dark
-    count where bit j of s is set, and by photon otherwise; member[m, k],
-    k = p * 2^len(click[p]) + s, is 1 where that term has monomial m,
-    prod_c d_c^a (1 - d_c)^b with exponents[m, c] = (a, b).
-    """
-    n_gates = n_channels * n_bins
-    # the herald is the fourth channel, there only in a heralded run
-    patterns = bell_patterns(free_partner, n_bins, n_channels > _HERALD)
-    width = max(len(dark) for _, dark in patterns)
-    dark = [[c * n_bins + t for c, t in gates] + [2 * n_gates] * (width - len(gates))
-            for _, gates in patterns]
-    click = [[n_gates + c * n_bins + t for c, t in gates] for gates, _ in patterns]
-    monomials: Dict[tuple, int] = {}
-    owner = []
-    for click_gates, dark_gates in patterns:
-        for s in range(2 ** len(click_gates)):
-            exponents = [[0, 0] for _ in range(n_channels)]
-            for c, _ in dark_gates:
-                exponents[c][1] += 1
-            for j, (c, _) in enumerate(click_gates):
-                exponents[c][0 if s >> j & 1 else 1] += 1
-            owner.append(monomials.setdefault(tuple(map(tuple, exponents)), len(monomials)))
-    member = (np.array(owner) == np.arange(len(monomials))[:, None]).astype(float)
-    arrays = np.array(list(monomials), dtype=np.intp), np.array(dark), np.array(click), member
-    # cached, so every caller shares them
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
 def teleport_tables(
     registry: ModeRegistry,
     occupations: np.ndarray,
@@ -164,35 +125,39 @@ def teleport_tables(
     clicks on them with u = 1 - m, exactly 0 for n = 0.  A gate of
     bell_patterns that must stay dark contributes (1 - d) m; one that must
     click contributes d (a dark click) or (1 - d) u (a photon click).
-    Expanding every pattern over its choices of dark-clicked gates and
-    grouping the terms by their dark factors gives monomials
-    prod_c d_c^a (1 - d_c)^b over the detectors, at most 2^3 of them, with
-    exponents[m, c] = (a, b), shape (monomials, detectors, 2).  tables[m],
-    shape (rows, 2), holds per occupation row the photon factor of
-    monomial m's terms, summed (the acceptance), then that times Bob's
-    photon click u in BOB_BIN.  Bob's click is one more click gate,
-    d_bob or (1 - d_bob) u, which teleport_weights applies, so bob's
-    exponents are 0.  Every entry is >= 0; tests/oracles.py holds the full
-    click-pattern enumeration the tables, weighted, agree with.  Raises
-    RegistryMismatchError when the registry's bins do not cover
-    CLOCK_WINDOW and BOB_BIN.
+    Each pattern's terms, its dark gates' misses doubled over its click
+    gates (term s takes click gate j by dark count where bit j of s is
+    set), go into the table of their monomial prod_c d_c^a (1 - d_c)^b,
+    exponents[m, c] = (a, b), shape (monomials, detectors, 2): at most 2^3
+    monomials, in the order they first appear.  tables[m], shape
+    (rows, 2), holds per occupation row the photon factor of monomial m's
+    terms, summed (the acceptance), then that times Bob's photon click u in
+    BOB_BIN.  Bob's click is one more click gate, d_bob or (1 - d_bob) u,
+    which teleport_weights applies, so bob's exponents are 0.  Every entry
+    is >= 0; tests/oracles.py holds the full click-pattern enumeration the
+    tables, weighted, agree with.  Raises RegistryMismatchError when the
+    registry's bins do not cover CLOCK_WINDOW and BOB_BIN.
     """
     if registry.max_bins <= max(CLOCK_WINDOW + (BOB_BIN,)):
         raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
                                     f"{sorted(set(CLOCK_WINDOW + (BOB_BIN,)))}")
-    n_bins = registry.max_bins
-    exponents, dark, click, member = _grouped_terms(free_partner, n_bins, len(detectors))
-    m = _misses(registry, occupations, detectors).reshape(-1, len(occupations))
-    # rows: every gate's miss, then its photon click, then ones
-    factors = np.concatenate([m, 1.0 - m, np.ones((1, len(occupations)))])
-    # per pattern, the misses of its dark gates, then for each click gate
-    # every term so far taken with the gate's photon click and without
-    terms = factors[dark].prod(axis=1)[:, None]
-    for j in range(click.shape[1]):
-        terms = np.concatenate([terms * factors[click[:, j]][:, None], terms], axis=1)
-    accept = member @ terms.reshape(-1, len(occupations))
-    u_bob = factors[len(m) + _BOB * n_bins + BOB_BIN]
-    return exponents, np.stack([accept, accept * u_bob], axis=2)
+    miss = _misses(registry, occupations, detectors)
+    # the herald is the fourth detector, there only in a heralded run
+    patterns = bell_patterns(free_partner, registry.max_bins, len(detectors) > _HERALD)
+    accept: Dict[tuple, np.ndarray] = {}
+    for click, dark in patterns:
+        # per term, its dark factors, 2c for d_c and 2c + 1 for 1 - d_c,
+        # and its photon factor
+        terms = [([2 * c + 1 for c, _ in dark], np.prod([miss[gate] for gate in dark], axis=0))]
+        for c, t in click:
+            terms = ([(e + [2 * c + 1], f * (1.0 - miss[c, t])) for e, f in terms]
+                     + [(e + [2 * c], f) for e, f in terms])
+        for e, f in terms:
+            key = tuple(map(e.count, range(2 * len(detectors))))
+            accept[key] = accept[key] + f if key in accept else f
+    exponents = np.array(list(accept), dtype=np.intp).reshape(len(accept), len(detectors), 2)
+    tables = np.array(list(accept.values()))
+    return exponents, np.stack([tables, tables * (1.0 - miss[_BOB, BOB_BIN])], axis=2)
 
 
 def teleport_weights(exponents: np.ndarray, detectors: Sequence[Detector]) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ModeRegistry:
         self.max_bins = max_bins
         self._keys: List[ModeKey] = []
         self._index: Dict[ModeKey, int] = {}
-        self._indicators: Dict[Tuple[str, ...], np.ndarray] = {}
 
     def add(self, key: ModeKey) -> int:
         if key in self._index:
@@ -68,7 +67,6 @@ class ModeRegistry:
         idx = len(self._keys)
         self._keys.append(key)
         self._index[key] = idx
-        self._indicators.clear()
         return idx
 
     def add_channel(self, spatial: str, internals: Sequence[int] = (0,)) -> List[int]:
@@ -99,19 +97,14 @@ class ModeRegistry:
 
         Column c * max_bins + t marks the modes of channel spatials[c] in bin
         t, so an occupation matrix times it gives photons per detector gate,
-        summed over internal labels.  Cached until the next mode is added.
+        summed over internal labels.
         """
-        key = tuple(spatials)
-        cached = self._indicators.get(key)
-        if cached is None:
-            cached = np.zeros((len(self._keys), len(key) * self.max_bins))
-            for idx, mode in enumerate(self._keys):
-                for c, spatial in enumerate(key):
-                    if mode.spatial == spatial:
-                        cached[idx, c * self.max_bins + mode.time_bin] = 1.0
-            cached.flags.writeable = False
-            self._indicators[key] = cached
-        return cached
+        indicator = np.zeros((len(self._keys), len(spatials) * self.max_bins))
+        for idx, mode in enumerate(self._keys):
+            for c, spatial in enumerate(spatials):
+                if mode.spatial == spatial:
+                    indicator[idx, c * self.max_bins + mode.time_bin] = 1.0
+        return indicator
 
 
 class FockState:

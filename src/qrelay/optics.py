@@ -1,12 +1,12 @@
-"""Passive linear-optical circuits on registered modes.
+"""Passive linear-optical circuits on registered modes, one element per device.
 
-Every element is a small matrix on a few listed modes: a beamsplitter is a
-2x2 unitary on a mode pair, a phase shift a 1x1 phase, a loss a beamsplitter
-against a registered sink mode, and a bin delay a shift of time bins within
-one spatial channel.  An unbalanced Michelson interferometer is built from
-two passes through a 50/50 coupler with a one-bin delay and a phase in
-between, which keeps it exactly unitary including its non-detected output
-port.
+Every element is a small matrix on a few listed modes.  A device is one
+element over all the modes it acts on: an unbalanced Michelson (two passes
+through a 50/50 coupler with a one-bin delay and a phase in between, exactly
+unitary including its non-detected output port), a channel's fiber loss,
+the lossless bin encoder.  The primitives, a beamsplitter on a mode pair, a
+phase on one mode, a loss against one sink mode and a bin delay within one
+channel, are elements too, and the reference each device is tested against.
 
 The elements compose into one transfer matrix T over the registry, and a
 state goes through the whole circuit at once by substituting creation
@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BinOverflowError, ConfigError, DimensionMismatchError
+from .errors import BinOverflowError, ConfigError, DimensionMismatchError, RegistryMismatchError
 from .fock import NORM_ATOL, FockState, ModeKey, ModeRegistry, multisets
 
 # (mode indices, matrix): matrix[j, k] is the coefficient of listed mode k in
@@ -66,8 +66,8 @@ class Circuit:
     def add_unitary(self, modes: Sequence[ModeKey], matrix) -> None:
         """Substitute a_j -> sum_k matrix[j, k] a_k on the listed modes.
 
-        The matrix must be unitary: `apply` reads a row of T that lost norm
-        as a delay overflow.
+        The matrix must be unitary but for a delay's zero rows: `apply`
+        reads a row of T that lost norm as a delay overflow.
         """
         m = np.array(matrix, dtype=complex)
         if m.shape != (len(modes), len(modes)):
@@ -93,14 +93,28 @@ class Circuit:
         r = math.sqrt(1.0 - transmittance)
         self.add_unitary((mode, sink), [[t, r], [-r, t]])
 
+    def _channel(self, spatial: str) -> Tuple[List[int], List[ModeKey]]:
+        """(labels, modes): the internal labels of a channel's registered
+        modes, and its modes of those labels in every bin, bin by bin;
+        RegistryMismatchError if the channel has no registered mode."""
+        reg = self.registry
+        labels = sorted({reg.key_at(i).internal for i in reg.indices_for(spatial)})
+        if not labels:
+            raise RegistryMismatchError(f"channel {spatial!r} has no registered mode")
+        return labels, [ModeKey(spatial, t, i) for t in range(reg.max_bins) for i in labels]
+
     def add_channel_loss(self, spatial: str, transmittance: float, sink_spatial: Optional[str] = None):
-        """Same transmittance on every (bin, internal) mode of a channel."""
+        """Same transmittance on every mode of a channel, each against its
+        own mode of the sink channel."""
+        labels, modes = self._channel(spatial)
         if transmittance == 1.0:
             return
         sink_spatial = sink_spatial or f"{spatial}-loss"
-        for idx in self.registry.indices_for(spatial):
-            mode = self.registry.key_at(idx)
-            self.add_loss(mode, transmittance, sink_spatial)
+        self.registry.add_channel(sink_spatial, labels)
+        sinks = [ModeKey(sink_spatial, m.time_bin, m.internal) for m in modes]
+        t = math.sqrt(transmittance)
+        r = math.sqrt(1.0 - transmittance)
+        self.add_unitary(modes + sinks, np.kron([[t, r], [-r, t]], np.eye(len(modes))))
 
     def add_delay(self, spatial: str, shift: int = 1) -> None:
         """Shift every time bin of one spatial channel by `shift` bins.
@@ -119,46 +133,44 @@ class Circuit:
                 m[p, q] = 1.0
         self.elements.append((tuple(idxs), m))
 
-    def add_michelson(self, spatial: str, phase: float, internals: Sequence[int] = (0,),
-                      loss_spatial: Optional[str] = None) -> str:
+    def add_michelson(self, spatial: str, phase: float, loss_spatial: Optional[str] = None) -> str:
         """Unbalanced Michelson on a channel: bin t -> {t, t+1} plus a loss port.
+
+        One element over the channel's modes and its port's, coupler @ delay
+        @ coupler: the 50/50 coupler joins each mode to its port mode, and
+        the delay shifts the port one bin and multiplies it by e^{i (phase +
+        pi)}; the primitives that build it pair by pair are its reference.
 
         Output port map (single photon in bin t):
             a(s,t) -> 1/2 a(s,t) + 1/2 e^{i phase} a(s,t+1) + loss-port terms
         so P(bin t) = P(bin t+1) = 1/4 and P(lost) = 1/2.  Occupied modes in
-        the last registered bin of the loss channel would overflow; callers
-        must leave one bin of headroom.
+        the last bin have zero rows and would overflow; callers must leave
+        one bin of headroom.
         """
         ls = loss_spatial or f"{spatial}-mich-loss"
-        reg = self.registry
-        reg.add_channel(ls, internals=internals)
-        pairs = [
-            (ModeKey(spatial, t, i), ModeKey(ls, t, i))
-            for t in range(reg.max_bins)
-            for i in internals
-        ]
-        for a, b in pairs:
-            self.add_beamsplitter(a, b)
-        self.add_delay(ls, 1)
+        labels, arm = self._channel(spatial)
+        self.registry.add_channel(ls, labels)
+        port = [ModeKey(ls, m.time_bin, m.internal) for m in arm]
+        n = len(arm)
+        coupler = np.kron(beamsplitter_matrix(), np.eye(n))
+        delay = np.eye(2 * n, dtype=complex)
         # the +pi makes the output-port relative amplitude exactly e^{i phase}
-        for t in range(reg.max_bins):
-            for i in internals:
-                self.add_phase(ModeKey(ls, t, i), phase + math.pi)
-        for a, b in pairs:
-            self.add_beamsplitter(a, b)
+        delay[n:, n:] = np.exp(1j * (phase + math.pi)) * np.eye(n, k=len(labels))
+        self.add_unitary(arm + port, coupler @ delay @ coupler)
         return ls
 
-    def add_bin_encoder(self, spatial: str, phase: float, internals: Sequence[int] = (0,)):
-        """Lossless two-bin superposition: a(s,0) -> (a(s,0) + e^{i phase} a(s,1))/sqrt(2).
+    def add_bin_encoder(self, spatial: str, phase: float):
+        """Lossless two-bin superposition on every label of a channel:
+        a(s,0) -> (a(s,0) + e^{i phase} a(s,1))/sqrt(2).
 
         This is the idealized, unit-efficiency stand-in for a Michelson qubit
         encoder; used by the perfect-components scenario.
         """
-        u = np.array(
-            [[1.0, np.exp(1j * phase)], [1.0, -np.exp(1j * phase)]], dtype=complex
-        ) / math.sqrt(2.0)
-        for i in internals:
-            self.add_unitary((ModeKey(spatial, 0, i), ModeKey(spatial, 1, i)), u)
+        labels, _ = self._channel(spatial)
+        e = np.exp(1j * phase)
+        u = np.array([[1.0, e], [1.0, -e]]) / math.sqrt(2.0)
+        modes = [ModeKey(spatial, t, i) for t in (0, 1) for i in labels]
+        self.add_unitary(modes, np.kron(u, np.eye(len(labels))))
 
     def _compose(self) -> tuple:
         size = len(self.registry)

@@ -50,7 +50,7 @@ from .errors import (
     UnnormalizedStateError,
 )
 from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
-from .optics import Circuit, apply, loss_from_db
+from .optics import Circuit, apply, beamsplitter_matrix, loss_from_db
 from .sources import STATISTICS, OverlapModel, entangled_pairs, pair_count_distribution
 
 ALICE_QUBIT = "alice-1310"
@@ -348,11 +348,12 @@ def _branch_mixture(reg: ModeRegistry, components: Sequence[Tuple[int, int, int]
 
 
 def _add_bell_mixer(circ: Circuit) -> None:
-    """50/50 beamsplitters between the two qubit channels, bin by bin and
-    label by label: the Bell-state measurement's mixer."""
-    for t in range(circ.registry.max_bins):
-        for i in (0, 1):
-            circ.add_beamsplitter(ModeKey(ALICE_QUBIT, t, i), ModeKey(EPR_QUBIT, t, i))
+    """The Bell-state measurement's mixer: one 50/50 coupler between each
+    mode of Alice's qubit channel and the relay qubit's mode of the same bin
+    and label."""
+    alice = [circ.registry.key_at(i) for i in circ.registry.indices_for(ALICE_QUBIT)]
+    relay = [ModeKey(EPR_QUBIT, mode.time_bin, mode.internal) for mode in alice]
+    circ.add_unitary(alice + relay, np.kron(beamsplitter_matrix(), np.eye(len(alice))))
 
 
 def _teleport_circuit(config: ExperimentConfig) -> Circuit:
@@ -360,7 +361,7 @@ def _teleport_circuit(config: ExperimentConfig) -> Circuit:
     the four channel losses and the Bell-state mixer."""
     circ = Circuit(_relay_registry())
     encode = circ.add_michelson if config.alice_encoder == "michelson" else circ.add_bin_encoder
-    encode(ALICE_QUBIT, config.phase_alice, internals=(0, 1))
+    encode(ALICE_QUBIT, config.phase_alice)
     for spatial, loss_db in ((ALICE_QUBIT, config.loss_alice_db), (EPR_QUBIT, config.loss_epr_db),
                              (ALICE_HERALD, config.loss_herald_db), (EPR_BOB, config.loss_bob_db)):
         circ.add_channel_loss(spatial, loss_from_db(loss_db))
@@ -372,9 +373,9 @@ def _dip_circuit(config: ExperimentConfig) -> Tuple[Circuit, Tuple[int, ...]]:
     """The bunching-dip circuit on a fresh relay registry, and the bins the
     relay source emits into: the first only in symmetric mode."""
     circ = Circuit(_relay_registry())
-    circ.add_michelson(ALICE_QUBIT, config.mandel_phase, internals=(0, 1))
+    circ.add_michelson(ALICE_QUBIT, config.mandel_phase)
     if config.mandel_mode == "symmetric":
-        circ.add_michelson(EPR_QUBIT, config.mandel_phase, internals=(0, 1))
+        circ.add_michelson(EPR_QUBIT, config.mandel_phase)
     circ.add_channel_loss(ALICE_QUBIT, loss_from_db(config.loss_alice_db))
     circ.add_channel_loss(EPR_QUBIT, loss_from_db(config.loss_epr_db))
     _add_bell_mixer(circ)

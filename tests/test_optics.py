@@ -13,7 +13,12 @@ from oracles import (
     occupation_distribution,
     terms,
 )
-from qrelay.errors import BinOverflowError, ConfigError, DimensionMismatchError
+from qrelay.errors import (
+    BinOverflowError,
+    ConfigError,
+    DimensionMismatchError,
+    RegistryMismatchError,
+)
 from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry, vacuum
 from qrelay.optics import Circuit, apply, loss_from_db
 
@@ -134,6 +139,19 @@ def test_channel_loss_skips_unity_transmittance():
     circ = Circuit(reg)
     circ.add_channel_loss("s", 1.0)
     assert circ.elements == []
+
+
+def test_device_on_a_channel_without_modes_raises():
+    # the devices read a channel's labels from its registered modes, so a
+    # misspelt channel is an error, not a device that does nothing
+    reg = _channel_registry("s")
+    circ = Circuit(reg)
+    for add in (lambda: circ.add_channel_loss("typo", 0.5), lambda: circ.add_channel_loss("typo", 1.0),
+                lambda: circ.add_michelson("typo", 0.3), lambda: circ.add_bin_encoder("typo", 0.3)):
+        with pytest.raises(RegistryMismatchError, match="typo"):
+            add()
+    assert circ.elements == []
+    assert len(reg) == 4
 
 
 def test_bin_delay_overflow():

@@ -1,6 +1,8 @@
-"""Property test: qrelay.optics.apply, one pass through the composed transfer
+"""Property tests: qrelay.optics.apply, one pass through the composed transfer
 matrix, against a fold of the brute-force general_transform in
-tests/oracles.py over the circuit's elements, one element at a time."""
+tests/oracles.py over the circuit's elements, one element at a time; and
+each device's single element against the product of the primitives it is
+made of."""
 
 import math
 
@@ -13,7 +15,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from oracles import from_terms, general_transform, normalized, terms  # noqa: E402
 from qrelay.errors import BinOverflowError  # noqa: E402
-from qrelay.fock import ModeRegistry  # noqa: E402
+from qrelay import scenarios  # noqa: E402
+from qrelay.fock import ModeKey, ModeRegistry  # noqa: E402
 from qrelay.optics import Circuit, apply  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
@@ -55,9 +58,9 @@ def circuits(draw):
             mode = draw(hs.sampled_from([m for m in modes if m.spatial in INTERNALS]))
             circ.add_loss(mode, draw(TRANSMITTANCE), "sink")
         elif kind == "encoder":
-            circ.add_bin_encoder(spatial, draw(PHASE), INTERNALS[spatial])
+            circ.add_bin_encoder(spatial, draw(PHASE))
         elif kind == "michelson":
-            circ.add_michelson(spatial, draw(PHASE), INTERNALS[spatial])
+            circ.add_michelson(spatial, draw(PHASE))
         else:
             channels = sorted({m.spatial for m in modes})
             circ.add_delay(draw(hs.sampled_from(channels)), draw(hs.sampled_from((-1, 1, 2))))
@@ -104,3 +107,86 @@ def test_apply_matches_element_by_element_oracle(data):
     # a row of the transfer matrix may lose up to NORM_ATOL (1e-9) of its
     # norm before apply raises; four photons lose at most four times that
     assert lost < 1e-8
+
+
+# a device's element against its primitives' product, composed by transfer()
+DEVICE_ATOL = 1e-15
+
+
+def _device_and_primitives(max_bins, labels, build_device, build_primitives):
+    """(device circuit, primitives circuit), each on its own registry with
+    channel "s" over `labels`; both must register the same modes."""
+    circuits = []
+    for build in (build_device, build_primitives):
+        reg = ModeRegistry(max_bins)
+        reg.add_channel("s", labels)
+        circ = Circuit(reg)
+        build(circ)
+        circuits.append(circ)
+    device, primitives = circuits
+    keys = [[c.registry.key_at(i) for i in range(len(c.registry))] for c in circuits]
+    assert keys[0] == keys[1]
+    assert len(device.elements) == 1
+    return device, primitives
+
+
+def _assert_same_transfer(device, primitives):
+    assert np.abs(device.transfer() - primitives.transfer()).max() <= DEVICE_ATOL
+
+
+LABELS = hs.sampled_from([(0,), (0, 1)])
+
+
+@PROPERTY_SETTINGS
+@given(bins=hs.integers(2, 4), labels=LABELS, phase=hs.floats(-100.0, 100.0))
+def test_michelson_is_its_couplers_delay_and_phases(bins, labels, phase):
+    def primitives(circ):
+        reg = circ.registry
+        reg.add_channel("p", labels)
+        pairs = [(ModeKey("s", t, i), ModeKey("p", t, i)) for t in range(bins) for i in labels]
+        for a, b in pairs:
+            circ.add_beamsplitter(a, b)
+        circ.add_delay("p", 1)
+        for t in range(bins):
+            for i in labels:
+                circ.add_phase(ModeKey("p", t, i), phase + math.pi)
+        for a, b in pairs:
+            circ.add_beamsplitter(a, b)
+
+    _assert_same_transfer(*_device_and_primitives(
+        bins, labels, lambda circ: circ.add_michelson("s", phase, loss_spatial="p"), primitives))
+
+
+@PROPERTY_SETTINGS
+@given(bins=hs.integers(1, 4), labels=LABELS, t=TRANSMITTANCE.filter(lambda t: t < 1.0))
+def test_channel_loss_is_a_loss_per_mode(bins, labels, t):
+    def primitives(circ):
+        for mode in [circ.registry.key_at(i) for i in circ.registry.indices_for("s")]:
+            circ.add_loss(mode, t, "sink")
+
+    _assert_same_transfer(*_device_and_primitives(
+        bins, labels, lambda circ: circ.add_channel_loss("s", t, "sink"), primitives))
+
+
+@PROPERTY_SETTINGS
+@given(bins=hs.integers(2, 4), labels=LABELS, phase=PHASE)
+def test_bin_encoder_is_one_two_bin_unitary_per_label(bins, labels, phase):
+    u = np.array([[1.0, np.exp(1j * phase)], [1.0, -np.exp(1j * phase)]]) / math.sqrt(2.0)
+
+    def primitives(circ):
+        for i in labels:
+            circ.add_unitary((ModeKey("s", 0, i), ModeKey("s", 1, i)), u)
+
+    _assert_same_transfer(*_device_and_primitives(
+        bins, labels, lambda circ: circ.add_bin_encoder("s", phase), primitives))
+
+
+def test_bell_mixer_is_a_beamsplitter_per_bin_and_label():
+    device, primitives = Circuit(scenarios._relay_registry()), Circuit(scenarios._relay_registry())
+    scenarios._add_bell_mixer(device)
+    for t in range(primitives.registry.max_bins):
+        for i in (0, 1):
+            primitives.add_beamsplitter(ModeKey(scenarios.ALICE_QUBIT, t, i),
+                                        ModeKey(scenarios.EPR_QUBIT, t, i))
+    assert len(device.elements) == 1
+    _assert_same_transfer(device, primitives)

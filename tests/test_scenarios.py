@@ -564,6 +564,23 @@ def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, f
     assert "analyzer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss_db", [0.0, 1.3])
+def test_circuits_hold_one_element_per_device(loss_db):
+    losses = {name: loss_db for name in ("loss_alice_db", "loss_epr_db", "loss_herald_db",
+                                         "loss_bob_db")}
+    # the encoder, one loss per lossy channel, the mixer; the analyzer is one more
+    for encoder in scenarios.ENCODERS:
+        circ = scenarios._teleport_circuit(ExperimentConfig(alice_encoder=encoder, **losses))
+        assert len(circ.elements) == (6 if loss_db else 2)
+        assert len(scenarios._analyzer(circ.registry, 0.0).elements) == 1
+    # only Bob's channel is lossy by default
+    assert len(scenarios._teleport_circuit(ExperimentConfig()).elements) == 3
+    # one or two analyzers, the two qubit channels' losses, the mixer
+    for mode, analyzers in (("symmetric", 2), ("entangled", 1)):
+        circ, _ = scenarios._dip_circuit(ExperimentConfig(mandel_mode=mode, **losses))
+        assert len(circ.elements) == analyzers + (2 if loss_db else 0) + 1
+
+
 def test_label_mixing_teleport_circuit_raises(monkeypatch, capsys):
     # the overlap weights hold only while the circuit keeps the internal
     # labels apart
