@@ -217,8 +217,13 @@ class TimingBudget:
             # written so that NaN fails too
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        if not 0 < self.group_index < math.inf:
-            raise ConfigError("group_index must be finite and > 0")
+        check_group_index(self.group_index)
+
+
+def check_group_index(group_index: float) -> None:
+    """ConfigError unless a fiber group index is finite and >= 1."""
+    if not 1.0 <= group_index < math.inf:
+        raise ConfigError(f"group_index must be finite and >= 1, got {group_index}")
 
 
 def validate_timing(budget: TimingBudget) -> float:

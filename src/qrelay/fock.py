@@ -138,11 +138,6 @@ class FockState:
         return self.occupations[:, cols].sum(axis=1, dtype=np.intp)
 
 
-def vacuum(registry: ModeRegistry) -> FockState:
-    """The vacuum ket |0...0> with amplitude 1."""
-    return FockState(registry, np.zeros((1, len(registry)), dtype=np.uint8), [1.0])
-
-
 @functools.lru_cache(maxsize=None)
 def multisets(n: int, parts: int) -> np.ndarray:
     """Every way to put n identical quanta into `parts` slots, as a read-only

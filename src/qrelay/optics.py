@@ -4,9 +4,7 @@ Every element is a small matrix on a few listed modes.  A device is one
 element over all the modes it acts on: an unbalanced Michelson (two passes
 through a 50/50 coupler with a one-bin delay and a phase in between, exactly
 unitary including its non-detected output port), a channel's fiber loss,
-the lossless bin encoder.  The primitives, a beamsplitter on a mode pair, a
-phase on one mode, a loss against one sink mode and a bin delay within one
-channel, are elements too, and the reference each device is tested against.
+the lossless bin encoder.
 
 The elements compose into one transfer matrix T over the registry, and a
 state goes through the whole circuit at once by substituting creation
@@ -79,20 +77,6 @@ class Circuit:
             raise DimensionMismatchError("duplicate modes in transform list")
         self.elements.append((idxs, m))
 
-    def add_beamsplitter(self, mode_a, mode_b, transmittance=0.5, phase=0.0):
-        self.add_unitary((mode_a, mode_b), beamsplitter_matrix(transmittance, phase))
-
-    def add_phase(self, mode: ModeKey, phase: float):
-        self.add_unitary((mode,), [[np.exp(1j * phase)]])
-
-    def add_loss(self, mode: ModeKey, transmittance: float, sink_spatial: str):
-        """Partial transmission of one mode; the lost part goes to a sink mode."""
-        sink = ModeKey(sink_spatial, mode.time_bin, mode.internal)
-        self.registry.add(sink)
-        t = math.sqrt(transmittance)
-        r = math.sqrt(1.0 - transmittance)
-        self.add_unitary((mode, sink), [[t, r], [-r, t]])
-
     def _channel(self, spatial: str) -> Tuple[List[int], List[ModeKey]]:
         """(labels, modes): the internal labels of a channel's registered
         modes, and its modes of those labels in every bin, bin by bin;
@@ -116,30 +100,13 @@ class Circuit:
         r = math.sqrt(1.0 - transmittance)
         self.add_unitary(modes + sinks, np.kron([[t, r], [-r, t]], np.eye(len(modes))))
 
-    def add_delay(self, spatial: str, shift: int = 1) -> None:
-        """Shift every time bin of one spatial channel by `shift` bins.
-
-        A mode pushed past the last registered bin gets a zero row, so a state
-        that occupies it makes `apply` raise BinOverflowError.
-        """
-        reg = self.registry
-        idxs = reg.indices_for(spatial)
-        pos = {reg.key_at(i): p for p, i in enumerate(idxs)}
-        m = np.zeros((len(idxs), len(idxs)), dtype=complex)
-        for p, i in enumerate(idxs):
-            key = reg.key_at(i)
-            q = pos.get(ModeKey(spatial, key.time_bin + shift, key.internal))
-            if q is not None:
-                m[p, q] = 1.0
-        self.elements.append((tuple(idxs), m))
-
     def add_michelson(self, spatial: str, phase: float, loss_spatial: Optional[str] = None) -> str:
         """Unbalanced Michelson on a channel: bin t -> {t, t+1} plus a loss port.
 
         One element over the channel's modes and its port's, coupler @ delay
         @ coupler: the 50/50 coupler joins each mode to its port mode, and
         the delay shifts the port one bin and multiplies it by e^{i (phase +
-        pi)}; the primitives that build it pair by pair are its reference.
+        pi)}.
 
         Output port map (single photon in bin t):
             a(s,t) -> 1/2 a(s,t) + 1/2 e^{i phase} a(s,t+1) + loss-port terms

@@ -16,8 +16,8 @@ component, and the weights come in last, as a dot product: each
 component's branch weight times its overlap weight in xi^2.
 Neither scan builds a state per point: the fringe is a trigonometric
 polynomial in the analyzer phase whose harmonics come from one circuit
-pass and one detection pass, and the dip a weighted sum of the
-components' coincidences, whose overlap weights are polynomials in xi^2.
+pass and one detection pass, and the dip a polynomial in s = xi^2 and
+1 - s whose coefficients sum the components' weighted coincidences.
 The teleport engine detects only the acceptance and Bob's central-bin
 click, and reads out only what the runs print: the fringe scan, the
 acceptance, the blocking runs and the background they give.
@@ -68,9 +68,9 @@ BLOCK_CHOICES = ("none", "alice", "epr", "both")
 MAX_PAIRS_EACH = 2
 
 # largest point count a scan accepts: at the default pair truncation a dip
-# point costs about 400 bytes (a fringe point 200) across the overlap
-# weights, the fit and the CSV row, so the cap keeps a scan under about
-# 0.5 GB
+# point peaks at about 200 bytes (a fringe point 130) across the scan's
+# arrays, the fit and the CSV row, as tracemalloc counts them, so the cap
+# keeps a scan under about 0.2 GB
 MAX_POINTS = 10**6
 
 # largest |phase| in rad a config or a phase scan accepts: past 2**52
@@ -311,14 +311,10 @@ def _components(branches: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int
     return [(na, j, nc) for na, nc in branches for j in range(na + 1)]
 
 
-def _overlap_weights(components: Sequence[Tuple[int, int, int]], s) -> np.ndarray:
-    """Each component's weight C(n_a, j) s^j (1 - s)^(n_a - j) at every
-    squared overlap in `s`, shape (len(s), len(components)): within a
-    branch they sum to 1 over j."""
-    na, j, _ = np.array(components).T
-    ways = np.array([math.comb(n, k) for n, k, _ in components], dtype=float)
-    s = np.asarray(s, dtype=float)[:, None]
-    return ways * s**j * (1.0 - s) ** (na - j)
+def _overlap_weights(components: Sequence[Tuple[int, int, int]], s: float) -> np.ndarray:
+    """Each component's weight C(n_a, j) s^j (1 - s)^(n_a - j) at squared
+    overlap s: within a branch they sum to 1 over j."""
+    return np.array([math.comb(na, j) * s**j * (1.0 - s) ** (na - j) for na, j, _ in components])
 
 
 def _branch_mixture(reg: ModeRegistry, components: Sequence[Tuple[int, int, int]],
@@ -573,7 +569,7 @@ class TeleportEngine:
         _check_labels_separate(circ)
         components = _components(pair_branches())
         s = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um) ** 2
-        overlap = _overlap_weights(components, [s])[0]
+        overlap = _overlap_weights(components, s)
         self.branches = [c for c, w in zip(components, overlap) if w > 0]
         self._overlap = overlap[overlap > 0]
         mixture = _branch_mixture(reg, self.branches, (0, 1), cfg.phase_pump)
@@ -664,6 +660,10 @@ def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanRe
     return ScanResult(xs, probs, counts, pulses)
 
 
+# points per chunk of a dip scan, whose temporaries then stay in cache
+_SCAN_CHUNK = 16384
+
+
 class _MandelEngine:
     """Two sources onto the Bell-state mixer for the bunching-dip scan.
 
@@ -678,13 +678,15 @@ class _MandelEngine:
     circuit pass and one detection pass, and _branch_sums gives each
     component's coincidences P_c.  At squared overlap s a bin's probability
     is sum_c w_c B_c(s) P_c, w_c being the component's pair weight and
-    B_c(s) its overlap weight.  This is exact when the circuit keeps the
-    internal labels apart (LabelMixingError otherwise), so that components
-    never interfere, and detection reads only photon numbers summed over
-    labels, as every detector model here does.  Every term is >= 0, and at
-    s = 1 only j = n_a is left, so the ideal Hong-Ou-Mandel null is exactly
-    0.  A component whose |amplitude|^2 does not sum to 1 raises
-    UnnormalizedStateError.
+    B_c(s) = C(n_a, j) s^j t^(n_a - j), t = 1 - s, its overlap weight, so
+    the engine holds per bin the coefficients c_kj >= 0 of t^k s^j, each
+    the sum of C(n_a, j) w_c P_c over the components with n_a - j = k.
+    This is exact when the circuit keeps the internal labels apart
+    (LabelMixingError otherwise), so that components never interfere, and
+    detection reads only photon numbers summed over labels, as every
+    detector model here does.  At s = 1, where t is exactly 0, only j = n_a
+    is left, so the ideal Hong-Ou-Mandel null is exactly 0.  A component
+    whose |amplitude|^2 does not sum to 1 raises UnnormalizedStateError.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -693,23 +695,42 @@ class _MandelEngine:
         _check_labels_separate(circ)
         reg = circ.registry
         held = {k: w for k, w in branch_weights(cfg).items() if w > 0}
-        self._components = _components(held)
-        self._pair_weights = np.array([held[(na, nc)] for na, _, nc in self._components])
+        components = _components(held)
         self.overlap = OverlapModel(cfg.dip_fwhm_um)
-        out = apply(circ, _branch_mixture(reg, self._components, relay_bins, cfg.phase_pump))
+        out = apply(circ, _branch_mixture(reg, components, relay_bins, cfg.phase_pump))
         amps = out.amplitudes
         ge, ingaas = _detectors(cfg)[:2]
         clicks = coincidence_clicks(reg, out.occupations, ge, ingaas)[:, :2]
         # per component, (short, long) coincidences
-        self._coincidences = _branch_sums(out.branches(), len(self._components),
-                                          (amps.real**2 + amps.imag**2)[None], clicks)[0]
+        coincidences = _branch_sums(out.branches(), len(components),
+                                    (amps.real**2 + amps.imag**2)[None], clicks)[0]
+        # c_kj for the (short, long) bins
+        c = self._coefficients = np.zeros((MAX_PAIRS_EACH + 1,) * 2 + (2, 1))
+        for (na, j, nc), p in zip(components, coincidences):
+            c[na - j, j, :, 0] += math.comb(na, j) * held[(na, nc)] * p
 
-    def scan(self, mismatches_um: np.ndarray) -> np.ndarray:
-        """(short, long) coincidences at each mismatch, one row per point:
-        the components' overlap weights at s = xi^2 times their pair
-        weights, dotted into their coincidences."""
-        s = [self.overlap.xi(x) ** 2 for x in mismatches_um]
-        return (_overlap_weights(self._components, s) * self._pair_weights) @ self._coincidences
+    def scan(self, mismatches_um) -> np.ndarray:
+        """(short, long) coincidences, one row per bin and one column per
+        mismatch: sum_kj c_kj t^k s^j at s = xi^2 by Horner's rule in t over
+        Horner's rule in s, in place, _SCAN_CHUNK points at a time."""
+        x = np.asarray(mismatches_um, dtype=float)
+        c = self._coefficients
+        k_max = len(c) - 1
+        out = np.empty((2, len(x)))
+        for start in range(0, len(x), _SCAN_CHUNK):
+            s = self.overlap.xi(x[start:start + _SCAN_CHUNK]) ** 2
+            t = 1.0 - s
+            total = out[:, start:start + _SCAN_CHUNK]
+            total[:] = c[k_max, 0]
+            for k in range(k_max - 1, -1, -1):
+                poly = c[k, k_max - k] * s
+                for j in range(k_max - k - 1, 0, -1):
+                    poly += c[k, j]
+                    poly *= s
+                poly += c[k, 0]
+                total *= t
+                total += poly
+        return out
 
 
 def run_mandel_scan(
@@ -718,14 +739,11 @@ def run_mandel_scan(
     """Same-bin coincidences versus path mismatch for the first (short-short)
     and second (long-long) arrival bins; returns (short, long) scans."""
     xs = np.asarray(list(mismatches_um), dtype=float)
-    probs = _MandelEngine(config).scan(xs)
-    p_short, p_long = probs[:, 0], probs[:, 1]
-    c_short, pulses = _counts(config, p_short, stream=0)
-    c_long, _ = _counts(config, p_long, stream=1)
-    return (
-        ScanResult(xs, p_short, c_short, pulses),
-        ScanResult(xs, p_long, c_long, pulses),
-    )
+    scans = []
+    for stream, probs in enumerate(_MandelEngine(config).scan(xs)):
+        counts, pulses = _counts(config, probs, stream)
+        scans.append(ScanResult(xs, probs, counts, pulses))
+    return tuple(scans)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Photon-pair emission statistics and the relay's pair table.
 
 A source is characterized by its mean pair number per gate and its photon
-number statistics (thermal for a single filtered down-conversion mode,
-poissonian for the many-mode limit).  The n-pair state of the relay's
-time-bin entangled source is the n-th power of its two-photon emission
-operator on empty modes, normalized; entangled_pairs writes it in closed
-form, as a table of pairs per bin and amplitudes.
+number statistics: thermal for a single filtered down-conversion mode, or
+poissonian, the same n-pair states at Poisson weights, whose dip of 1/2 is
+that of phase-randomized weak coherent sources (a many-mode down-converter
+has no dip at all).  The n-pair state of the relay's time-bin entangled
+source is the n-th power of its two-photon emission operator on empty
+modes, normalized; entangled_pairs writes it in closed form, as a table of
+pairs per bin and amplitudes.
 
 Spectral or temporal mismatch between independently generated photons is
 modeled with a single overlap amplitude xi: the mismatched photon is created
@@ -68,11 +70,13 @@ class OverlapModel:
 
     fwhm_um: float = 144.0
 
-    def xi(self, delta_x_um: float) -> float:
+    def xi(self, delta_x_um):
+        """The overlap amplitude at each mismatch, in the shape given."""
         ell = self.fwhm_um / math.sqrt(2.0 * math.log(2.0))
-        # a float product overflows to inf silently, and exp(-inf) is 0
-        u = float(delta_x_um) / ell
-        return math.exp(-u * u)
+        # a mismatch far past the dip overflows the square: exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            u = np.asarray(delta_x_um, dtype=float) / ell
+            return np.exp(-(u * u))
 
 
 def entangled_pairs(n_pairs: int, n_bins: int, phase: float) -> Tuple[np.ndarray, np.ndarray]:

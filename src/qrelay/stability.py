@@ -10,7 +10,8 @@ gain, can cancel the sum.  The model here makes that explicit: the
 default temperature-to-rate coupling is chosen so the quoted gain is
 exactly the right one for the simulated plant.
 
-simulate() produces the time series needed to reproduce both behaviours:
+simulate() produces the time series needed to reproduce both behaviours
+on the default relay's dip, the one `qrelay mandel` scans without a config:
 free-running drift walking off the dip within hours and the stabilized
 trace pinned at the dip floor for a day.  It is array code that takes the
 same random streams, in the same order, as one draw and one controller
@@ -20,14 +21,16 @@ clipped jitter recurrence still steps through time, on plain floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .detection import _SPEED_OF_LIGHT
+from .detection import _SPEED_OF_LIGHT, check_group_index
 from .errors import ConfigError
+from .scenarios import ExperimentConfig, _MandelEngine
 
 DRIFT_KINDS = ("sinusoid", "random-walk")
 
@@ -43,8 +46,7 @@ def pulse_spacing(rep_rate_hz: float, group_index: float = 1.468) -> float:
     """In-fiber distance between successive pulses, in meters."""
     if not rep_rate_hz > 0:
         raise ConfigError("rep_rate_hz must be > 0")
-    if not group_index >= 1.0:
-        raise ConfigError("group_index must be >= 1")
+    check_group_index(group_index)
     return _SPEED_OF_LIGHT / (group_index * rep_rate_hz)
 
 
@@ -99,8 +101,8 @@ class DriftModel:
             raise ConfigError("jitter parameters must be >= 0")
         if not self.jitter_tau_s > 0:
             raise ConfigError("jitter_tau_s must be > 0")
-        if not self.rep_rate_hz > 0:
-            raise ConfigError("rep_rate_hz must be > 0")
+        # checks rep_rate_hz and group_index
+        self.spacing_m()
         if self.temp_to_rate_hz_per_k is not None and not self.temp_to_rate_hz_per_k >= 0:
             raise ConfigError("temp_to_rate_hz_per_k must be >= 0")
         # the walk bounds its temperature steps by the rate wander over this
@@ -178,6 +180,22 @@ class StabilityTrace:
     norm_coincidences: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _relay_dip() -> Tuple[_MandelEngine, float]:
+    """The default relay's dip engine and its short-bin level at s = 0."""
+    engine = _MandelEngine(ExperimentConfig())
+    return engine, engine.scan([math.inf])[0, 0]
+
+
+def _norm_coincidences(delta_x_um: np.ndarray) -> np.ndarray:
+    """The default relay's short-bin coincidences at each mismatch over
+    their level far from overlap: P(s) / P(0) at s = xi^2."""
+    engine, far = _relay_dip()
+    norm = engine.scan(delta_x_um)[0]
+    norm /= far
+    return norm
+
+
 # steps per chunk of the jitter recurrence, whose noise and decay arrays
 # then stay small next to the trace arrays
 _JITTER_CHUNK = 4096
@@ -217,6 +235,7 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     if drift.jitter_sigma_um == 0.0:
         return out
     bound = drift.jitter_bound_um
+    lo = -bound
     x = 0.0
     for start in range(1, len(times), _JITTER_CHUNK):
         stop = min(start + _JITTER_CHUNK, len(times))
@@ -229,8 +248,8 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
             # min(max(x, -bound), bound), signs of zero included
             if x > bound:
                 x = bound
-            elif x < -bound:
-                x = -bound
+            elif x < lo:
+                x = lo
             chunk.append(x)
         out[start:stop] = chunk
     return out
@@ -242,14 +261,13 @@ def simulate(
     duration_s: float = 24 * 3600.0,
     dt_s: float = 60.0,
     seed: int = 0,
-    dip_visibility: float = 1.0 / 3.0,
-    fwhm_um: float = 144.0,
 ) -> StabilityTrace:
     """Drift, optional stabilization, and the normalized coincidence level.
 
-    Coincidences are normalized to the far-from-overlap level, so the trace
-    sits at 1 - dip_visibility while the mismatch is held at zero and climbs
-    toward one as drift pulls the analyzers apart.  The controller's motor
+    Coincidences are the default relay's dip (_norm_coincidences),
+    normalized to the far-from-overlap level, so the trace sits at the
+    dip's floor while the mismatch is held at zero and climbs toward one as
+    drift pulls the analyzers apart.  The controller's motor
     takes gain * (rate shift) every update interval, rounded to its
     resolution, and holds it in between; a drift, rate shift or command
     that overflows raises ConfigError.
@@ -257,10 +275,6 @@ def simulate(
     # the step count and the time axis need both finite
     if not (0 < duration_s < math.inf and 0 < dt_s < math.inf):
         raise ConfigError("duration_s and dt_s must be finite and > 0")
-    if not 0.0 <= dip_visibility <= 1.0:
-        raise ConfigError("dip_visibility must be in [0, 1]")
-    if not fwhm_um > 0:
-        raise ConfigError("fwhm_um must be > 0")
     steps = duration_s / dt_s
     if not steps <= MAX_STEPS:
         raise ConfigError(f"duration_s / dt_s = {steps:.3g} steps, above the cap of {MAX_STEPS}")
@@ -303,12 +317,8 @@ def simulate(
         motor = np.repeat(target, steps_per_update)[:n]
 
     delta_x = drift_um - motor
-    ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
-    # a mismatch far past the dip overflows the square: exp(-inf) = 0 is right
-    with np.errstate(over="ignore"):
-        xi_sq = np.exp(-2.0 * (delta_x / ell) ** 2)
-    norm = 1.0 - dip_visibility * xi_sq
-    return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor, norm)
+    return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor,
+                          _norm_coincidences(delta_x))
 
 
 @dataclass(frozen=True)
@@ -326,26 +336,26 @@ class FeasibilityReport:
 def pid_alternative_analysis(
     drift: DriftModel,
     count_rate_per_s: float,
-    resolve_um: Optional[float] = None,
+    resolve_um: float = 10.0,
     sigmas: float = 3.0,
-    dip_visibility: float = 1.0 / 3.0,
-    fwhm_um: float = 144.0,
 ) -> FeasibilityReport:
     """Compare the integration time needed to see a mismatch step against
     how fast the drift moves by that step.
 
     A counting feedback loop must resolve the rate change produced by a
-    mismatch of resolve_um at the dip bottom before the drift has moved
-    that far; otherwise the error signal is stale and the loop hunts.
+    mismatch of resolve_um at the bottom of the default relay's dip
+    (_norm_coincidences) before the drift has moved that far; otherwise the
+    error signal is stale and the loop hunts.
     """
-    if not count_rate_per_s > 0:
-        raise ConfigError("count_rate_per_s must be > 0")
-    if resolve_um is None:
-        resolve_um = min(10.0, fwhm_um / 4.0)
-    ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
-    delta_n = dip_visibility * (1.0 - math.exp(-2.0 * (resolve_um / ell) ** 2))
-    floor = 1.0 - dip_visibility
-    integration = sigmas**2 * floor / (count_rate_per_s * delta_n**2)
+    if not 0 < count_rate_per_s < math.inf:
+        raise ConfigError("count_rate_per_s must be finite and > 0")
+    if not 0 < resolve_um < math.inf:
+        raise ConfigError("resolve_um must be finite and > 0")
+    if not 0 < sigmas < math.inf:
+        raise ConfigError("sigmas must be finite and > 0")
+    floor, level = _norm_coincidences(np.array([0.0, resolve_um])).tolist()
+    contrast = count_rate_per_s * (level - floor) ** 2
+    integration = math.inf if contrast == 0 else sigmas * sigmas * floor / contrast
 
     if drift.kind == "sinusoid":
         rate_k_per_s = (

@@ -16,7 +16,12 @@ branch by branch and with the branch weights dotted in.
 occupation_distribution lists a state's outcome probabilities term by
 term, and general_transform re-expands a linear-optical substitution on
 any number of modes; folded over a circuit's elements one at a time, it is
-the reference for qrelay.optics.apply.
+the reference for qrelay.optics.apply.  The circuit primitives, a
+beamsplitter on a mode pair (add_beamsplitter), a phase on one mode
+(add_phase), a loss against one sink mode (add_loss) and a bin delay
+within one channel (add_delay), append one element each to a
+qrelay.optics.Circuit: the reference each device is tested against, built
+pair by pair.  vacuum is the empty ket the state-level tests start from.
 
 The oracles work on a state's terms as a dict from occupation bytes to
 amplitude (`terms`, `from_terms`).  `create` applies one creation operator
@@ -33,7 +38,10 @@ reference for the overlap-weighted components that
 qrelay.scenarios.run_mandel_scan evaluates from one build.
 simulate_per_step is the stability simulation with one random draw and one
 controller step per Python loop iteration: the reference for
-qrelay.stability.simulate's array code, which must match it byte for byte.
+qrelay.stability.simulate's array code, which must match its drift fields
+byte for byte.  norm_coincidences_per_point is the trace's coincidence
+level from mandel_per_point on the default relay, normalized far from
+overlap.
 
 teleport_per_phase builds the pair branches' mixture with overlap_mixture
 on qrelay.scenarios._teleport_circuit's registry, runs it through the
@@ -80,9 +88,8 @@ from qrelay.detection import (
 )
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import BRANCH_RECORD, NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
-from qrelay.optics import apply
+from qrelay.optics import Circuit, apply, beamsplitter_matrix
 from qrelay.sources import OverlapModel
-from qrelay.stability import StabilityTrace
 
 OccupationVector = Tuple[int, ...]
 # (weight, state) pairs; the weights must sum to 1
@@ -93,6 +100,11 @@ EmissionTerm = Tuple[complex, Sequence[ModeKey]]
 
 # a click pattern maps (detector label, time bin) -> clicked; absent = no click
 ClickPattern = FrozenSet[Tuple[str, int]]
+
+
+def vacuum(registry: ModeRegistry) -> FockState:
+    """The vacuum ket |0...0> with amplitude 1."""
+    return FockState(registry, np.zeros((1, len(registry)), dtype=np.uint8), [1.0])
 
 
 def norm_sq(state: FockState) -> float:
@@ -213,6 +225,41 @@ def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
     if abs(total - 1.0) > NORM_ATOL:
         raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
     return {tuple(k): abs(v) ** 2 for k, v in terms(state).items()}
+
+
+def add_beamsplitter(circ: Circuit, mode_a, mode_b, transmittance=0.5, phase=0.0):
+    circ.add_unitary((mode_a, mode_b), beamsplitter_matrix(transmittance, phase))
+
+
+def add_phase(circ: Circuit, mode: ModeKey, phase: float):
+    circ.add_unitary((mode,), [[np.exp(1j * phase)]])
+
+
+def add_loss(circ: Circuit, mode: ModeKey, transmittance: float, sink_spatial: str):
+    """Partial transmission of one mode; the lost part goes to a sink mode."""
+    sink = ModeKey(sink_spatial, mode.time_bin, mode.internal)
+    circ.registry.add(sink)
+    t = math.sqrt(transmittance)
+    r = math.sqrt(1.0 - transmittance)
+    circ.add_unitary((mode, sink), [[t, r], [-r, t]])
+
+
+def add_delay(circ: Circuit, spatial: str, shift: int = 1) -> None:
+    """Shift every time bin of one spatial channel by `shift` bins.
+
+    A mode pushed past the last registered bin gets a zero row, so a state
+    that occupies it makes `apply` raise BinOverflowError.
+    """
+    reg = circ.registry
+    idxs = reg.indices_for(spatial)
+    pos = {reg.key_at(i): p for p, i in enumerate(idxs)}
+    m = np.zeros((len(idxs), len(idxs)), dtype=complex)
+    for p, i in enumerate(idxs):
+        key = reg.key_at(i)
+        q = pos.get(ModeKey(spatial, key.time_bin + shift, key.internal))
+        if q is not None:
+            m[p, q] = 1.0
+    circ.elements.append((tuple(idxs), m))
 
 
 def general_transform(terms, idxs, u, prune):
@@ -481,9 +528,17 @@ def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.
     return np.array(rows)
 
 
-def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0,
-                      dip_visibility=1.0 / 3.0, fwhm_um=144.0) -> StabilityTrace:
-    """qrelay.stability.simulate on valid input, one step per loop iteration."""
+def norm_coincidences_per_point(delta_x_um) -> np.ndarray:
+    """The stability trace's coincidence level at each mismatch: the default
+    relay's short-bin coincidences from mandel_per_point over their value
+    far from overlap, where xi = 0."""
+    short = mandel_per_point(scenarios.ExperimentConfig(), [*delta_x_um, math.inf])[:, 0]
+    return short[:-1] / short[-1]
+
+
+def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0):
+    """qrelay.stability.simulate on valid input, one step per loop iteration:
+    (time_s, delta_x_um, rep_rate_hz, motor_um), the trace's drift fields."""
     n = int(round(duration_s / dt_s)) + 1
     times = np.arange(n) * dt_s
     rng_walk = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -526,10 +581,7 @@ def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0,
                     )
             motor[i] = held
 
-    delta_x = drift_um - motor
-    ell = fwhm_um / math.sqrt(2.0 * math.log(2.0))
-    norm = 1.0 - dip_visibility * np.exp(-2.0 * (delta_x / ell) ** 2)
-    return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor, norm)
+    return times, drift_um - motor, drift.rep_rate_hz + delta_f, motor
 
 
 def format_value(value) -> str:

@@ -387,6 +387,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["teleport", "--periods=-7.2e14"],
         ["stability", "--no-controller", "--amplitude-k", "1e306"],
         ["stability", "--amplitude-k", "1e308"],
+        ["validate-timing", "--group-index", "0.5"],
     ],
     ids=[
         "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
@@ -395,6 +396,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
         "fiber-inf", "slack-overflow", "slack-nan", "slack-ns-overflow", "teleport-point-cap", "mandel-point-cap", "periods-overflow",
         "periods-past-2**52", "drift-overflow", "drift-overflow-controlled",
+        "group-index-below-1",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     DetectionLayout,
     Labeled,
+    add_beamsplitter,
     apply_creation,
     click_distribution,
     coincidence_probability,
@@ -17,6 +18,7 @@ from oracles import (
     teleport_clicks,
     teleport_outcome_distribution,
     terms,
+    vacuum,
 )
 from qrelay import scenarios
 from qrelay.detection import (
@@ -28,7 +30,7 @@ from qrelay.detection import (
     validate_timing,
 )
 from qrelay.errors import ConfigError, RegistryMismatchError, UnnormalizedStateError
-from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum
+from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply
 
 
@@ -189,7 +191,7 @@ def _phi_plus(reg):
 def _bsa_circuit(reg):
     circ = Circuit(reg)
     for t in range(reg.max_bins):
-        circ.add_beamsplitter(ModeKey("a", t), ModeKey("c", t))
+        add_beamsplitter(circ, ModeKey("a", t), ModeKey("c", t))
     return circ
 
 

@@ -20,9 +20,10 @@ from oracles import (  # noqa: E402
     normalized,
     psi_minus_filter,
     teleport_outcome_distribution,
+    vacuum,
 )
 from qrelay.detection import BOB_BIN, Detector  # noqa: E402
-from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry, vacuum  # noqa: E402
+from qrelay.fock import BRANCH_RECORD, FockState, ModeRegistry  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
 # same examples

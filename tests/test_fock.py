@@ -11,9 +11,10 @@ from oracles import (
     normalized,
     occupation_distribution,
     terms,
+    vacuum,
 )
 from qrelay.errors import RegistryMismatchError, UnnormalizedStateError
-from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, multisets, vacuum
+from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, multisets
 from qrelay.optics import Circuit, apply
 
 

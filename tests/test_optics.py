@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    add_beamsplitter,
+    add_delay,
     amplitude,
     apply_creation,
     from_terms,
@@ -12,6 +14,7 @@ from oracles import (
     normalized,
     occupation_distribution,
     terms,
+    vacuum,
 )
 from qrelay.errors import (
     BinOverflowError,
@@ -19,7 +22,7 @@ from qrelay.errors import (
     DimensionMismatchError,
     RegistryMismatchError,
 )
-from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry, vacuum
+from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply, loss_from_db
 
 
@@ -49,7 +52,7 @@ def test_loss_from_db():
 def test_identity_beamsplitter():
     reg = _channel_registry("a", "b")
     circ = Circuit(reg)
-    circ.add_beamsplitter(ModeKey("a", 0), ModeKey("b", 0), transmittance=1.0)
+    add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0), transmittance=1.0)
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
     out = apply(circ, st)
     assert abs(amplitude(out, [1] + [0] * (len(reg) - 1)) - 1.0) < 1e-12
@@ -158,7 +161,7 @@ def test_bin_delay_overflow():
     reg = _channel_registry("s", max_bins=2)
     st = apply_creation(vacuum(reg), ModeKey("s", 1))
     circ = Circuit(reg)
-    circ.add_delay("s", 1)
+    add_delay(circ, "s", 1)
     with pytest.raises(BinOverflowError):
         apply(circ, st)
     # vacuum in the last bin shifts without complaint
@@ -169,7 +172,7 @@ def test_bin_delay_overflow():
 def test_delay_shifts_by_its_bin_count():
     reg = _channel_registry("s", max_bins=3)
     circ = Circuit(reg)
-    circ.add_delay("s", 2)
+    add_delay(circ, "s", 2)
     out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
     assert abs(_bin_probability(out, "s", 2) - 1.0) < 1e-12
 
@@ -220,7 +223,7 @@ def test_apply_prunes_cancelled_terms():
     # Hong-Ou-Mandel: |1,1> through a 50/50 splitter leaves no (1,1) term
     reg = _channel_registry("a", "b", max_bins=1)
     circ = Circuit(reg)
-    circ.add_beamsplitter(ModeKey("a", 0), ModeKey("b", 0))
+    add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0))
     st = apply_creation(apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("b", 0))
     assert bytes([1, 1]) not in terms(apply(circ, st))
 
@@ -250,6 +253,6 @@ def test_apply_rejects_a_state_narrower_than_its_registry():
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
     reg.add(ModeKey("b", 0))
     circ = Circuit(reg)
-    circ.add_beamsplitter(ModeKey("a", 0), ModeKey("b", 0))
+    add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0))
     with pytest.raises(DimensionMismatchError):
         apply(circ, st)

@@ -13,7 +13,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
-from oracles import from_terms, general_transform, normalized, terms  # noqa: E402
+from oracles import (  # noqa: E402
+    add_beamsplitter,
+    add_delay,
+    add_loss,
+    add_phase,
+    from_terms,
+    general_transform,
+    normalized,
+    terms,
+)
 from qrelay.errors import BinOverflowError  # noqa: E402
 from qrelay import scenarios  # noqa: E402
 from qrelay.fock import ModeKey, ModeRegistry  # noqa: E402
@@ -51,19 +60,19 @@ def circuits(draw):
         spatial = draw(hs.sampled_from(sorted(INTERNALS)))
         if kind == "beamsplitter":
             a, b = draw(hs.lists(hs.sampled_from(modes), min_size=2, max_size=2, unique=True))
-            circ.add_beamsplitter(a, b, draw(TRANSMITTANCE), draw(PHASE))
+            add_beamsplitter(circ, a, b, draw(TRANSMITTANCE), draw(PHASE))
         elif kind == "phase":
-            circ.add_phase(draw(hs.sampled_from(modes)), draw(PHASE))
+            add_phase(circ, draw(hs.sampled_from(modes)), draw(PHASE))
         elif kind == "loss":
             mode = draw(hs.sampled_from([m for m in modes if m.spatial in INTERNALS]))
-            circ.add_loss(mode, draw(TRANSMITTANCE), "sink")
+            add_loss(circ, mode, draw(TRANSMITTANCE), "sink")
         elif kind == "encoder":
             circ.add_bin_encoder(spatial, draw(PHASE))
         elif kind == "michelson":
             circ.add_michelson(spatial, draw(PHASE))
         else:
             channels = sorted({m.spatial for m in modes})
-            circ.add_delay(draw(hs.sampled_from(channels)), draw(hs.sampled_from((-1, 1, 2))))
+            add_delay(circ, draw(hs.sampled_from(channels)), draw(hs.sampled_from((-1, 1, 2))))
     return circ
 
 
@@ -145,13 +154,13 @@ def test_michelson_is_its_couplers_delay_and_phases(bins, labels, phase):
         reg.add_channel("p", labels)
         pairs = [(ModeKey("s", t, i), ModeKey("p", t, i)) for t in range(bins) for i in labels]
         for a, b in pairs:
-            circ.add_beamsplitter(a, b)
-        circ.add_delay("p", 1)
+            add_beamsplitter(circ, a, b)
+        add_delay(circ, "p", 1)
         for t in range(bins):
             for i in labels:
-                circ.add_phase(ModeKey("p", t, i), phase + math.pi)
+                add_phase(circ, ModeKey("p", t, i), phase + math.pi)
         for a, b in pairs:
-            circ.add_beamsplitter(a, b)
+            add_beamsplitter(circ, a, b)
 
     _assert_same_transfer(*_device_and_primitives(
         bins, labels, lambda circ: circ.add_michelson("s", phase, loss_spatial="p"), primitives))
@@ -162,7 +171,7 @@ def test_michelson_is_its_couplers_delay_and_phases(bins, labels, phase):
 def test_channel_loss_is_a_loss_per_mode(bins, labels, t):
     def primitives(circ):
         for mode in [circ.registry.key_at(i) for i in circ.registry.indices_for("s")]:
-            circ.add_loss(mode, t, "sink")
+            add_loss(circ, mode, t, "sink")
 
     _assert_same_transfer(*_device_and_primitives(
         bins, labels, lambda circ: circ.add_channel_loss("s", t, "sink"), primitives))
@@ -186,7 +195,7 @@ def test_bell_mixer_is_a_beamsplitter_per_bin_and_label():
     scenarios._add_bell_mixer(device)
     for t in range(primitives.registry.max_bins):
         for i in (0, 1):
-            primitives.add_beamsplitter(ModeKey(scenarios.ALICE_QUBIT, t, i),
-                                        ModeKey(scenarios.EPR_QUBIT, t, i))
+            add_beamsplitter(primitives, ModeKey(scenarios.ALICE_QUBIT, t, i),
+                             ModeKey(scenarios.EPR_QUBIT, t, i))
     assert len(device.elements) == 1
     _assert_same_transfer(device, primitives)

@@ -9,12 +9,13 @@ too: the clamp exactly, the scale and the achieved ratio within 1e-12
 relative.  The test needs numpy alone, so it also shows that the
 numpy-only runtime prints the same bytes.
 
-A change that moves a printed number regenerates the file, from the
-repository root, with
+A new case is recorded, from the repository root, with
 
     PYTHONPATH=src python tests/test_reference_outputs.py
 
-and says why the numbers moved.
+which adds the cases missing from the file and leaves every recorded entry
+as it is.  A change that moves a printed number deletes the entries it
+moves, records them again this way, and says why the numbers moved.
 """
 
 import json
@@ -34,7 +35,7 @@ RTOL = 1e-12
 # keys whose values are fitted positions around 0 um, compared absolutely
 ABSOLUTE = {"center_short_um": 1e-12, "center_long_um": 1e-12}
 
-# id: (argv, config file text)
+# id: (argv, config file text, or None for a command without --config)
 CLI_CASES = {
     "teleport-default": (["teleport"], ""),
     "teleport-heralded": (["teleport", "--heralded"], ""),
@@ -65,6 +66,12 @@ CLI_CASES = {
     "mandel-entangled-25-losses-phase-0.4": (
         ["mandel", "--points", "25"],
         "mandel_mode = entangled\nloss_alice_db = 1.0\nloss_epr_db = 2.0\nmandel_phase = 0.4\n"),
+    # the trace's coincidence level is the default relay's dip
+    "stability-sinusoid-controlled-4h": (
+        ["stability", "--duration-h", "4", "--dt-s", "120", "--seed", "3"], None),
+    "stability-random-walk-free-4h": (
+        ["stability", "--kind", "random-walk", "--no-controller", "--duration-h", "4",
+         "--dt-s", "120", "--seed", "3"], None),
 }
 
 # id: (config fields, target ratio)
@@ -82,9 +89,11 @@ CALIBRATION_CASES = {
 
 def run_case(argv, config_text, capsys=None):
     """(JSON summary, CSV text) that `argv` prints and writes, run in the
-    current directory with `config_text` as its config file."""
-    Path("run.cfg").write_text(config_text)
-    code = cli.main(argv + ["--config", "run.cfg", "--out", "out.csv"])
+    current directory with `config_text`, unless None, as its config file."""
+    if config_text is not None:
+        Path("run.cfg").write_text(config_text)
+        argv = argv + ["--config", "run.cfg"]
+    code = cli.main(argv + ["--out", "out.csv"])
     out = capsys.readouterr().out if capsys else None
     assert code == 0
     return out, Path("out.csv").read_text()
@@ -148,20 +157,25 @@ def _regenerate():
     import os
     import tempfile
 
-    document = {"cli": {}, "calibrations": {}}
+    document = json.loads(DATA.read_text()) if DATA.exists() else {}
+    cli_entries = document.setdefault("cli", {})
+    calibrations = document.setdefault("calibrations", {})
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
             for case, (argv, text) in CLI_CASES.items():
+                if case in cli_entries:
+                    continue
                 printed = io.StringIO()
                 with contextlib.redirect_stdout(printed):
                     _, csv = run_case(argv, text)
-                document["cli"][case] = {"json": json.loads(printed.getvalue()), "csv": csv}
+                cli_entries[case] = {"json": json.loads(printed.getvalue()), "csv": csv}
         finally:
             os.chdir(home)
     for case, (fields, target) in CALIBRATION_CASES.items():
-        document["calibrations"][case] = run_calibration(fields, target)
+        if case not in calibrations:
+            calibrations[case] = run_calibration(fields, target)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from oracles import teleport_per_phase
+from oracles import add_beamsplitter, add_delay, add_phase, teleport_per_phase
 from qrelay import cli, scenarios
 from qrelay.analysis import fit_dip, fit_fringe
 from qrelay.errors import (
@@ -549,12 +549,13 @@ def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, f
     def faulty(registry, phi_b):
         circ = real(registry, phi_b)
         if fault == "delayed-loss-port":
-            circ.add_delay(f"{scenarios.EPR_BOB}-mich-loss", 2)
+            add_delay(circ, f"{scenarios.EPR_BOB}-mich-loss", 2)
         elif fault == "phase-off-the-delay":
-            circ.add_phase(ModeKey(scenarios.EPR_BOB, 1), 2.0 * phi_b)
+            add_phase(circ, ModeKey(scenarios.EPR_BOB, 1), 2.0 * phi_b)
         else:
             # a phase-free coupling that leaves Bob's side of T open
-            circ.add_beamsplitter(ModeKey(scenarios.EPR_BOB, 0), ModeKey(scenarios.ALICE_QUBIT, 0))
+            add_beamsplitter(circ, ModeKey(scenarios.EPR_BOB, 0),
+                             ModeKey(scenarios.ALICE_QUBIT, 0))
         return circ
 
     monkeypatch.setattr(scenarios, "_analyzer", faulty)
@@ -588,8 +589,8 @@ def test_label_mixing_teleport_circuit_raises(monkeypatch, capsys):
 
     def mixing_mixer(circ):
         real_mixer(circ)
-        circ.add_beamsplitter(ModeKey(scenarios.ALICE_QUBIT, 0, 0),
-                              ModeKey(scenarios.ALICE_QUBIT, 0, 1))
+        add_beamsplitter(circ, ModeKey(scenarios.ALICE_QUBIT, 0, 0),
+                         ModeKey(scenarios.ALICE_QUBIT, 0, 1))
 
     monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
     with pytest.raises(LabelMixingError):

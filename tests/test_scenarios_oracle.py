@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
-from oracles import mandel_per_point  # noqa: E402
+from oracles import add_beamsplitter, mandel_per_point  # noqa: E402
 from qrelay import cli, scenarios  # noqa: E402
 from qrelay.errors import LabelMixingError, UnnormalizedStateError  # noqa: E402
 from qrelay.fock import ModeKey  # noqa: E402
@@ -125,8 +125,8 @@ def test_label_mixing_circuit_raises(monkeypatch, capsys):
 
     def mixing_mixer(circ):
         real_mixer(circ)
-        circ.add_beamsplitter(ModeKey(scenarios.ALICE_QUBIT, 0, 0),
-                              ModeKey(scenarios.ALICE_QUBIT, 0, 1))
+        add_beamsplitter(circ, ModeKey(scenarios.ALICE_QUBIT, 0, 0),
+                         ModeKey(scenarios.ALICE_QUBIT, 0, 1))
 
     monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
     with pytest.raises(LabelMixingError):

@@ -13,9 +13,9 @@ pytest.importorskip("hypothesis")
 import oracles  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
-from oracles import norm_sq, terms  # noqa: E402
+from oracles import norm_sq, terms, vacuum  # noqa: E402
 from qrelay import scenarios  # noqa: E402
-from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, vacuum  # noqa: E402
+from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry  # noqa: E402
 from qrelay.sources import entangled_pairs  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -61,7 +61,7 @@ def test_relay_after_single_bin_matches_oracle(na, nc, xi, phase, relay_bins):
     reg = scenarios._relay_registry()
     components = scenarios._components([(na, nc)])
     mixture = scenarios._branch_mixture(reg, components, relay_bins, phase)
-    weights = scenarios._overlap_weights(components, [xi * xi])[0]
+    weights = scenarios._overlap_weights(components, xi * xi)
     mixture.amplitudes *= np.sqrt(weights)[mixture.branches()]
     mixture.occupations[:, reg.index(BRANCH_RECORD)] = 0
     oracle = oracles.overlap_mixture(reg, [(na, nc)], xi, relay_bins, phase)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qrelay import stability
+from qrelay.analysis import fit_dip
 from qrelay.errors import ConfigError
+from qrelay.scenarios import ExperimentConfig, mismatch_grid, run_mandel_scan
 from qrelay.stability import (
     Controller,
     DriftModel,
@@ -22,11 +24,19 @@ def test_pulse_spacing_values():
     assert abs(pulse_spacing(75e6, 1.47) - 2.72) / 2.72 < 0.01
 
 
+@pytest.mark.parametrize("group_index", [0.5, 0.0, -1.0, math.inf, math.nan])
+def test_group_index_must_be_finite_and_at_least_one(group_index):
+    with pytest.raises(ConfigError, match="group_index"):
+        pulse_spacing(75e6, group_index)
+    with pytest.raises(ConfigError, match="group_index"):
+        DriftModel(group_index=group_index)
+
+
 def test_pulse_spacing_validation():
     with pytest.raises(ConfigError):
         pulse_spacing(0.0)
     with pytest.raises(ConfigError):
-        pulse_spacing(75e6, 0.5)
+        DriftModel(rep_rate_hz=0.0)
 
 
 def test_rep_rate_length_shift():
@@ -61,17 +71,27 @@ def test_drift_model_validation():
         Controller(update_interval_s=0.0)
 
 
+def _mandel_floor():
+    """One minus the dip depth `qrelay mandel` fits on the default relay."""
+    xs = mismatch_grid()
+    short, _ = run_mandel_scan(ExperimentConfig(), xs)
+    return 1.0 - fit_dip(xs, short.counts).depth
+
+
 def test_quiet_plant_sits_at_dip_floor():
+    # the floor is the default relay's own dip, not a fixed depth
     d = DriftModel(amplitude_k=0.0, jitter_sigma_um=0.0)
     tr = simulate(d, None, 3600.0, 60.0)
-    assert np.allclose(tr.norm_coincidences, 2.0 / 3.0, atol=1e-12)
+    floor = _mandel_floor()
+    assert abs(floor - 0.748679448179) < 1e-12
+    assert np.all(np.abs(tr.norm_coincidences - floor) <= 1e-12)
     assert np.all(tr.motor_um == 0.0)
     assert np.allclose(tr.rep_rate_hz, 75e6)
 
 
 def test_uncontrolled_drift_erases_bunching_within_six_hours():
     tr = simulate(DriftModel(), None, 6 * 3600.0, 60.0, seed=3)
-    assert abs(tr.norm_coincidences[0] - 2.0 / 3.0) < 1e-9
+    assert abs(tr.norm_coincidences[0] - _mandel_floor()) < 1e-9
     assert tr.norm_coincidences.max() >= 0.95
     # monotone temperature ramp on this quarter period: no dip revisits
     assert tr.norm_coincidences[-1] >= 0.95
@@ -126,6 +146,26 @@ def test_pid_alternative_feasibility():
     assert math.isinf(still.drift_time_s)
     with pytest.raises(ConfigError):
         pid_alternative_analysis(d, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"resolve_um": 0.0}, {"resolve_um": -5.0}, {"resolve_um": math.nan},
+     {"resolve_um": math.inf}, {"sigmas": 0.0}, {"sigmas": -1.0}, {"sigmas": math.nan},
+     {"sigmas": math.inf}, {"count_rate_per_s": math.inf}],
+    ids=["resolve-0", "resolve-negative", "resolve-nan", "resolve-inf", "sigmas-0",
+         "sigmas-negative", "sigmas-nan", "sigmas-inf", "count-rate-inf"],
+)
+def test_pid_alternative_rejects_bad_inputs(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        pid_alternative_analysis(DriftModel(), **{"count_rate_per_s": 0.13, **kwargs})
+
+
+def test_pid_alternative_unresolvable_step_takes_forever():
+    # a step so small that the coincidence level does not move
+    report = pid_alternative_analysis(DriftModel(), 1e6, resolve_um=1e-200)
+    assert math.isinf(report.integration_time_s)
+    assert not report.feasible
 
 
 def test_trace_shapes_consistent():

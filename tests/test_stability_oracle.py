@@ -1,16 +1,18 @@
 """Property test: qrelay.stability.simulate's array code against the
-per-step loops in tests/oracles.py, byte for byte."""
+per-step loops in tests/oracles.py, byte for byte, and its coincidence
+level against the default relay's dip built per point."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
-from oracles import simulate_per_step  # noqa: E402
+from oracles import norm_coincidences_per_point, simulate_per_step  # noqa: E402
 from qrelay.stability import DRIFT_KINDS, Controller, DriftModel, simulate  # noqa: E402
 
-FIELDS = ("time_s", "delta_x_um", "rep_rate_hz", "motor_um", "norm_coincidences")
+FIELDS = ("time_s", "delta_x_um", "rep_rate_hz", "motor_um")
 
 
 @hs.composite
@@ -47,5 +49,10 @@ def test_simulate_matches_per_step_loops(case):
     drift, controller, duration_s, dt_s, seed = case
     got = simulate(drift, controller, duration_s, dt_s, seed)
     want = simulate_per_step(drift, controller, duration_s, dt_s, seed)
-    for name in FIELDS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name, expected in zip(FIELDS, want):
+        assert getattr(got, name).tobytes() == expected.tobytes(), name
+    # the coincidence level at a few steps spread over the run
+    steps = np.unique(np.linspace(0, len(got.time_s) - 1, 5).astype(int))
+    np.testing.assert_allclose(got.norm_coincidences[steps],
+                               norm_coincidences_per_point(got.delta_x_um[steps]),
+                               rtol=1e-12, atol=0)
