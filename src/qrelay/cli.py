@@ -28,6 +28,8 @@ import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .analysis import (
     CLASSICAL_VISIBILITY_LIMIT,
     CLONING_VISIBILITY_LIMIT,
@@ -131,28 +133,39 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
     return ExperimentConfig(**values)
 
 
+# rows per block of _write_csv: only one block's cells are Python objects at
+# a time, so writing a long trace takes little memory beyond its arrays
+_CSV_BLOCK = 4096
+
+
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """One line per row: a float cell prints as .9g, any other cell as str.
 
-    A column's cell types are read once, so a row is one %-format call; a
-    column that mixes floats with other cells has its floats formatted first.
+    The columns (numpy arrays or sequences, all of one length) are written
+    _CSV_BLOCK rows at a time.  A block's cell types are read once per
+    column, so a row is one %-format call; a column that mixes floats with
+    other cells has its floats formatted first.
     """
-    formats = []
-    cells = []
-    for column in columns:
-        floats = [issubclass(kind, float) for kind in set(map(type, column))]
-        if all(floats):
-            formats.append("%.9g")
-        else:
-            formats.append("%s")
-            if any(floats):
-                column = ["%.9g" % v if isinstance(v, float) else v for v in column]
-        cells.append(column)
-    line = ",".join(formats) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            handle.writelines(map(line.__mod__, zip(*cells)))
+            for start in range(0, len(columns[0]), _CSV_BLOCK):
+                formats = []
+                cells = []
+                for column in columns:
+                    block = column[start:start + _CSV_BLOCK]
+                    if isinstance(block, np.ndarray):
+                        block = block.tolist()
+                    floats = [issubclass(kind, float) for kind in set(map(type, block))]
+                    if all(floats):
+                        formats.append("%.9g")
+                    else:
+                        formats.append("%s")
+                        if any(floats):
+                            block = ["%.9g" % v if isinstance(v, float) else v for v in block]
+                    cells.append(block)
+                line = ",".join(formats) + "\n"
+                handle.writelines(map(line.__mod__, zip(*cells)))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
@@ -201,7 +214,7 @@ def _cmd_mandel(args) -> int:
         _write_csv(
             args.out,
             ("delta_x_um", "coinc_short", "coinc_long"),
-            (xs.tolist(), short.counts.tolist(), long_.counts.tolist()),
+            (xs, short.counts, long_.counts),
         )
     _emit_json(
         {
@@ -254,7 +267,7 @@ def _cmd_teleport(args) -> int:
         _write_csv(
             args.out,
             ("phi_b_rad", "counts", "expected_prob"),
-            (scan.control.tolist(), scan.counts.tolist(), scan.probability.tolist()),
+            (scan.control, scan.counts, scan.probability),
         )
     _emit_json(
         {
@@ -315,13 +328,8 @@ def _cmd_stability(args) -> int:
         _write_csv(
             args.out,
             ("t", "delta_x_um", "rep_rate_hz", "motor_um", "norm_coincidences"),
-            (
-                trace.time_s.tolist(),
-                trace.delta_x_um.tolist(),
-                trace.rep_rate_hz.tolist(),
-                trace.motor_um.tolist(),
-                trace.norm_coincidences.tolist(),
-            ),
+            (trace.time_s, trace.delta_x_um, trace.rep_rate_hz, trace.motor_um,
+             trace.norm_coincidences),
         )
     floor = float(trace.norm_coincidences.min())
     peak = float(trace.norm_coincidences.max())

@@ -709,14 +709,17 @@ class _MandelEngine:
         for (na, j, nc), p in zip(components, coincidences):
             c[na - j, j, :, 0] += math.comb(na, j) * held[(na, nc)] * p
 
-    def scan(self, mismatches_um) -> np.ndarray:
-        """(short, long) coincidences, one row per bin and one column per
-        mismatch: sum_kj c_kj t^k s^j at s = xi^2 by Horner's rule in t over
-        Horner's rule in s, in place, _SCAN_CHUNK points at a time."""
+    def scan(self, mismatches_um, bins: int = 2) -> np.ndarray:
+        """Coincidences in the first `bins` arrival bins (short, then long),
+        one row per bin and one column per mismatch: sum_kj c_kj t^k s^j at
+        s = xi^2 by Horner's rule in t over Horner's rule in s, in place,
+        _SCAN_CHUNK points at a time.  A row does not depend on the bins
+        scanned with it, so bins=1 gives the short row alone at about half
+        the cost."""
         x = np.asarray(mismatches_um, dtype=float)
-        c = self._coefficients
+        c = self._coefficients[:, :, :bins]
         k_max = len(c) - 1
-        out = np.empty((2, len(x)))
+        out = np.empty((len(c[0, 0]), len(x)))
         for start in range(0, len(x), _SCAN_CHUNK):
             s = self.overlap.xi(x[start:start + _SCAN_CHUNK]) ** 2
             t = 1.0 - s

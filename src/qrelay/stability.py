@@ -15,14 +15,19 @@ on the default relay's dip, the one `qrelay mandel` scans without a config:
 free-running drift walking off the dip within hours and the stabilized
 trace pinned at the dip floor for a day.  It is array code that takes the
 same random streams, in the same order, as one draw and one controller
-step per time step, and gives the same traces byte for byte; only the
-clipped jitter recurrence still steps through time, on plain floats.
+step per time step, and gives the same traces byte for byte.  Per time step
+only the clipped jitter recurrence runs, x = clip(decay * x + z), as a
+Python loop on plain floats: each step rounds and clips the one before it,
+so no array expression gives its bits, and the loop does nothing else (the
+decays come from one table of the run's distinct step sizes, the draws
+from array calls).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -37,8 +42,10 @@ DRIFT_KINDS = ("sinusoid", "random-walk")
 # empirical feedforward gain, micrometers of delay per hertz of rate shift
 DEFAULT_GAIN_UM_PER_HZ = 0.07
 
-# largest step count simulate() accepts: each step costs about 80 bytes of
-# trace arrays, so the cap keeps a run under about 1 GB
+# largest step count simulate() accepts: tracemalloc counts a peak of 77
+# bytes per step for a 200k-step `qrelay stability` run, with or without
+# --out (whose writer holds one block of rows), so the cap keeps a run under
+# about 0.8 GB
 MAX_STEPS = 10**7
 
 
@@ -97,10 +104,15 @@ class DriftModel:
             raise ConfigError("thermal_um_per_k must be >= 0")
         if not self.rep_wander_bound_hz_per_h >= 0:
             raise ConfigError("rep_wander_bound_hz_per_h must be >= 0")
-        if not (self.jitter_sigma_um >= 0 and self.jitter_bound_um >= 0):
-            raise ConfigError("jitter parameters must be >= 0")
-        if not self.jitter_tau_s > 0:
-            raise ConfigError("jitter_tau_s must be > 0")
+        # an infinite bound only turns the clip off, but an infinite sigma
+        # pins the jitter at the bound from the first step (NaN where the
+        # decay rounds to 1)
+        if not 0 <= self.jitter_sigma_um < math.inf:
+            raise ConfigError("jitter_sigma_um must be finite and >= 0")
+        if not 0 < self.jitter_tau_s < math.inf:
+            raise ConfigError("jitter_tau_s must be finite and > 0")
+        if not self.jitter_bound_um >= 0:
+            raise ConfigError("jitter_bound_um must be >= 0")
         # checks rep_rate_hz and group_index
         self.spacing_m()
         if self.temp_to_rate_hz_per_k is not None and not self.temp_to_rate_hz_per_k >= 0:
@@ -184,66 +196,86 @@ class StabilityTrace:
 def _relay_dip() -> Tuple[_MandelEngine, float]:
     """The default relay's dip engine and its short-bin level at s = 0."""
     engine = _MandelEngine(ExperimentConfig())
-    return engine, engine.scan([math.inf])[0, 0]
+    return engine, engine.scan([math.inf], bins=1)[0, 0]
 
 
 def _norm_coincidences(delta_x_um: np.ndarray) -> np.ndarray:
     """The default relay's short-bin coincidences at each mismatch over
-    their level far from overlap: P(s) / P(0) at s = xi^2."""
+    their level far from overlap: P(s) / P(0) at s = xi^2; the long bin is
+    not scanned."""
     engine, far = _relay_dip()
-    norm = engine.scan(delta_x_um)[0]
+    norm = engine.scan(delta_x_um, bins=1)[0]
     norm /= far
     return norm
 
 
-# steps per chunk of the jitter recurrence, whose noise and decay arrays
+# steps per chunk of the jitter recurrence, whose noise and decay buffers
 # then stay small next to the trace arrays
 _JITTER_CHUNK = 4096
 
 
 def _temperature_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     if drift.kind == "sinusoid":
-        # a period near the float range's bottom overflows the phase
+        # a period near the float range's bottom overflows the phase; the
+        # operations of amplitude * sin(2 pi t / period), in place
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = drift.amplitude_k * np.sin(2.0 * math.pi * times / (drift.period_h * 3600.0))
+            theta = (2.0 * math.pi) * times
+            theta /= drift.period_h * 3600.0
+            np.sin(theta, out=theta)
+            theta *= drift.amplitude_k
         if not np.isfinite(theta).all():
             raise ConfigError("the sinusoid's phase is not finite; raise period_h")
         return theta
     # bounded random walk: per-step temperature increments are capped so the
     # implied rate wander never exceeds the hourly bound; one uniform draw per
     # step, summed in order (cumsum adds sequentially)
-    dt_h = np.diff(times) / 3600.0
+    max_step = np.diff(times)
     with np.errstate(over="ignore"):
-        max_step = drift.rep_wander_bound_hz_per_h * dt_h / drift.rate_coupling_hz_per_k()
-    # uniform() needs the width 2 * max_step finite
+        max_step /= 3600.0
+        max_step *= drift.rep_wander_bound_hz_per_h
+        max_step /= drift.rate_coupling_hz_per_k()
+    # a draw spans the width 2 * max_step, which must stay finite
     if not (max_step <= np.finfo(float).max / 2.0).all():
         raise ConfigError("the random walk's step bound overflows; raise temp_to_rate_hz_per_k")
     theta = np.empty(len(times))
     theta[0] = 0.0
-    theta[1:] = rng.uniform(-max_step, max_step)
+    # uniform(-m, m) is -m + 2m U on the stream random() reads U from
+    steps = theta[1:]
+    rng.random(out=steps)
+    steps *= 2.0 * max_step
+    steps -= max_step
     return np.cumsum(theta, out=theta)
 
 
 def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     """Clipped Ornstein-Uhlenbeck jitter, one normal draw per step.
 
-    The draws come in chunks of array calls, which take the same stream as
-    one call per step; decays use math.exp, whose last bit np.exp need not
-    match, and the clipped recurrence runs on plain floats.
+    The run's distinct step sizes form one table of math.exp decays (whose
+    last bit np.exp need not match) and noise scales; the draws come in
+    chunks of standard normals scaled as normal() scales them, which take
+    the same stream as one call per step.  Only the clipped recurrence runs
+    per step, on plain floats read from a chunk's array.array buffers.
     """
     out = np.zeros(len(times))
     if drift.jitter_sigma_um == 0.0:
         return out
+    dts = np.unique(np.diff(times))
+    decays = np.array([math.exp(-dt / drift.jitter_tau_s) for dt in dts.tolist()])
+    scales = drift.jitter_sigma_um * np.sqrt(1.0 - decays * decays)
     bound = drift.jitter_bound_um
     lo = -bound
     x = 0.0
     for start in range(1, len(times), _JITTER_CHUNK):
         stop = min(start + _JITTER_CHUNK, len(times))
-        dts, which = np.unique(np.diff(times[start - 1:stop]), return_inverse=True)
-        decays = np.array([math.exp(-dt / drift.jitter_tau_s) for dt in dts.tolist()])
-        noise = rng.normal(0.0, drift.jitter_sigma_um * np.sqrt(1.0 - decays * decays)[which])
+        which = np.searchsorted(dts, np.diff(times[start - 1:stop]))
+        # normal(0, scale) draws 0 + scale * z
+        noise = rng.standard_normal(stop - start)
+        noise *= scales[which]
+        noise += 0.0
+        # iterating an array.array makes each float as the loop takes it;
+        # chunk.append, not a bound append, is the interpreter's fast path
         chunk = []
-        for decay, z in zip(decays[which].tolist(), noise.tolist()):
+        for decay, z in zip(array("d", decays[which].tobytes()), array("d", noise.tobytes())):
             x = x * decay + z
             # min(max(x, -bound), bound), signs of zero included
             if x > bound:

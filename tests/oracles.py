@@ -53,7 +53,7 @@ synthesize.  blocking_weights and teleport_mean_per_phase give the
 blocking runs and the phase average, harmonic 0, the same way.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
-as str: the reference for the column-wise writer in qrelay.cli.
+as str: the reference for the block-by-block writer in qrelay.cli.
 
 fit_fringe_scipy is the fringe fit whose out-of-range refit runs
 scipy.optimize.least_squares (lm) through V = 1 / (1 + exp(-u)): the

@@ -6,7 +6,9 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import csv_text
 
 from qrelay import cli, detection, scenarios, stability
 from qrelay.scenarios import ExperimentConfig
@@ -277,6 +279,31 @@ def test_stability_trace_and_summary(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "t,delta_x_um,rep_rate_hz,motor_um,norm_coincidences"
     assert len(lines) == 62
+
+
+def test_stability_table_spans_writer_blocks(tmp_path, capsys):
+    # 8641 rows: two full blocks of the writer and a partial third
+    out_csv = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, ["stability", "--kind", "random-walk", "--duration-h", "12",
+                                  "--dt-s", "5", "--seed", "4", "--out", str(out_csv)])
+    assert code == 0
+    trace = stability.simulate(stability.DriftModel(kind="random-walk"), stability.Controller(),
+                               12 * 3600.0, 5.0, 4)
+    columns = (trace.time_s, trace.delta_x_um, trace.rep_rate_hz, trace.motor_um,
+               trace.norm_coincidences)
+    assert len(trace.time_s) > 2 * cli._CSV_BLOCK
+    header = ("t", "delta_x_um", "rep_rate_hz", "motor_um", "norm_coincidences")
+    assert out_csv.read_bytes() == csv_text(header, zip(*(c.tolist() for c in columns))).encode()
+
+
+def test_write_csv_reads_cell_types_per_block(tmp_path, monkeypatch):
+    # a mixed column whose blocks hold only floats, only strings, or both
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
+    columns = ([0.5, 1.0, "a", "b", 2.5, "c", -0.0], np.arange(7.0) / 3.0, list(range(7)))
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), ("x", "y", "z"), columns)
+    rows = zip(columns[0], columns[1].tolist(), columns[2])
+    assert path.read_bytes() == csv_text(("x", "y", "z"), rows).encode()
 
 
 def test_stability_uncontrolled_flag(capsys):

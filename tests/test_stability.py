@@ -69,6 +69,17 @@ def test_drift_model_validation():
         DriftModel(period_h=0.0)
     with pytest.raises(ConfigError):
         Controller(update_interval_s=0.0)
+    # the jitter's sigma and tau must be finite; an infinite bound only turns
+    # the clip off
+    for bad in ({"jitter_sigma_um": math.inf},
+                {"jitter_sigma_um": math.inf, "jitter_tau_s": 1e300},
+                {"jitter_sigma_um": math.nan},
+                {"jitter_tau_s": math.inf},
+                {"jitter_tau_s": math.nan},
+                {"jitter_bound_um": -1.0}):
+        with pytest.raises(ConfigError, match="jitter"):
+            DriftModel(**bad)
+    assert np.isfinite(simulate(DriftModel(jitter_bound_um=math.inf), None, 600.0, 60.0).delta_x_um).all()
 
 
 def _mandel_floor():

@@ -45,6 +45,17 @@ def drift_cases(draw):
 # more steps than one jitter chunk holds, both kinds, controlled
 @example((DriftModel(kind="random-walk"), Controller(), 9000 * 7.3, 7.3, 5))
 @example((DriftModel(jitter_sigma_um=8.0), Controller(update_interval_s=30.0), 9000 * 61.7, 61.7, 9))
+# the step-size table: 16 distinct steps of arange(n) * 0.3, and one at dt = 5
+@example((DriftModel(), Controller(), 20000 * 0.3, 0.3, 3))
+@example((DriftModel(), None, 9000 * 5.0, 5.0, 4))
+# clipping: a bound below sigma, and a bound of zero (clips to signed zeros)
+@example((DriftModel(jitter_sigma_um=6.0, jitter_bound_um=2.0), None, 9000 * 60.0, 60.0, 6))
+@example((DriftModel(jitter_bound_um=0.0), None, 5000 * 60.0, 60.0, 7))
+# decays of exactly 0 (tau far below dt) and exactly 1 with a zero scale
+@example((DriftModel(jitter_tau_s=1e-3), None, 5000 * 60.0, 60.0, 8))
+@example((DriftModel(jitter_tau_s=1e300), None, 5000 * 60.0, 60.0, 10))
+# a random walk over more than three chunks
+@example((DriftModel(kind="random-walk"), None, 13000 * 11.9, 11.9, 11))
 def test_simulate_matches_per_step_loops(case):
     drift, controller, duration_s, dt_s, seed = case
     got = simulate(drift, controller, duration_s, dt_s, seed)
