@@ -4,7 +4,7 @@ Layers, bottom up: fock (Fock states as an occupation matrix plus
 amplitudes; a mixture of pair-number branches is one state whose rows are
 tagged by their photons in the BRANCH_RECORD mode, each branch normalized),
 optics (passive circuits composed into one transfer matrix), sources
-(pair-number statistics, the relay's n-pair table, mode overlap), detection
+(thermal pair numbers, the relay's n-pair table, mode overlap), detection
 (threshold detectors, Bell-state pattern filters, timing; click
 probabilities come out per row, for the caller to sum per branch and
 weight),

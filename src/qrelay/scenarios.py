@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
 from .optics import Circuit, apply, beamsplitter_matrix, loss_from_db
-from .sources import STATISTICS, OverlapModel, entangled_pairs, pair_count_distribution
+from .sources import OverlapModel, entangled_pairs, pair_count_distribution
 
 ALICE_QUBIT = "alice-1310"
 ALICE_HERALD = "alice-1555"
@@ -83,7 +83,9 @@ MAX_PHASE = 2.0**52
 class ExperimentConfig:
     """Flat bag of physical and run parameters; field names are config keys.
 
-    pair_mean, when set, overrides both per-source means.  Detector
+    pair_mean, when set, overrides both per-source means: construction
+    folds it into pair_mean_alice and pair_mean_epr and clears it, so a
+    built config holds the means a run uses.  Detector
     efficiencies and dark probabilities default to placeholders; the dark
     probabilities can be rescaled against measured backgrounds with
     calibrate_dark_counts, which flips detectors_calibrated.
@@ -92,7 +94,6 @@ class ExperimentConfig:
     pair_mean_alice: float = 0.19
     pair_mean_epr: float = 0.07
     pair_mean: Optional[float] = None
-    statistics: str = "thermal"
     heralded: bool = False
     phase_pump: float = 0.0
     phase_alice: float = 0.0
@@ -127,8 +128,8 @@ class ExperimentConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name, choices in (("statistics", STATISTICS), ("mandel_mode", MANDEL_MODES),
-                              ("alice_encoder", ENCODERS), ("mode", RUN_MODES)):
+        for name, choices in (("mandel_mode", MANDEL_MODES), ("alice_encoder", ENCODERS),
+                              ("mode", RUN_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")
         for name in ("pair_mean_alice", "pair_mean_epr", "pair_mean", "loss_alice_db",
@@ -155,17 +156,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in [1, 10**18]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
-
-    def materialized(self) -> "ExperimentConfig":
-        """Fold the common pair_mean override into the per-source fields."""
-        if self.pair_mean is None:
-            return self
-        return replace(
-            self,
-            pair_mean=None,
-            pair_mean_alice=self.pair_mean,
-            pair_mean_epr=self.pair_mean,
-        )
+        if self.pair_mean is not None:
+            object.__setattr__(self, "pair_mean_alice", self.pair_mean)
+            object.__setattr__(self, "pair_mean_epr", self.pair_mean)
+            object.__setattr__(self, "pair_mean", None)
 
 
 def build_ideal_config() -> ExperimentConfig:
@@ -214,12 +208,11 @@ def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
     the total discards more (6.3e-3 of the probability at the defaults,
     above tail_tol) and nothing checks it yet.
     """
-    cfg = config.materialized()
-    if cfg.ideal_single_pairs:
+    if config.ideal_single_pairs:
         return {(1, 1): 1.0}
     pa, pc = (
-        pair_count_distribution(mean, cfg.statistics, MAX_PAIRS_EACH, cfg.tail_tol)
-        for mean in (cfg.pair_mean_alice, cfg.pair_mean_epr)
+        pair_count_distribution(mean, MAX_PAIRS_EACH, config.tail_tol)
+        for mean in (config.pair_mean_alice, config.pair_mean_epr)
     )
     raw = {(na, nc): float(pa[na] * pc[nc]) for na, nc in pair_branches()}
     total = sum(raw.values())
@@ -261,16 +254,23 @@ def mismatch_grid(
     return center_um + np.linspace(-span_um, span_um, points)
 
 
+def keyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based generator of `stream` under `seed`, both in
+    [0, 2**64): Philox keyed by the two words, so each stream is
+    independent of the order streams are drawn in.  ConfigError for a seed
+    out of range."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
+    # a uint64 key, because a plain list goes through float64 at seed >= 2**63
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[np.ndarray, int]:
     if config.mode == "analytic":
         return probs * float(config.pulses_per_point), config.pulses_per_point
     counts = np.empty(len(probs))
     for i, p in enumerate(probs):
-        # one counter-based generator per scan point, independent of order;
-        # a uint64 key, because a plain list goes through float64 at seed >= 2**63
-        key = np.array([config.seed, (stream << 32) + i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        counts[i] = gen.poisson(p * config.trials)
+        counts[i] = keyed_generator(config.seed, (stream << 32) + i).poisson(p * config.trials)
     return counts, config.trials
 
 
@@ -549,7 +549,7 @@ class TeleportEngine:
     """
 
     def __init__(self, config: ExperimentConfig):
-        cfg = self.config = config.materialized()
+        cfg = self.config = config
         circ = _teleport_circuit(cfg)
         reg = circ.registry
         analyzer = _analyzer(reg, 0.0)
@@ -690,16 +690,15 @@ class _MandelEngine:
     """
 
     def __init__(self, config: ExperimentConfig):
-        cfg = config.materialized()
-        circ, relay_bins = _dip_circuit(cfg)
+        circ, relay_bins = _dip_circuit(config)
         _check_labels_separate(circ)
         reg = circ.registry
-        held = {k: w for k, w in branch_weights(cfg).items() if w > 0}
+        held = {k: w for k, w in branch_weights(config).items() if w > 0}
         components = _components(held)
-        self.overlap = OverlapModel(cfg.dip_fwhm_um)
-        out = apply(circ, _branch_mixture(reg, components, relay_bins, cfg.phase_pump))
+        self.overlap = OverlapModel(config.dip_fwhm_um)
+        out = apply(circ, _branch_mixture(reg, components, relay_bins, config.phase_pump))
         amps = out.amplitudes
-        ge, ingaas = _detectors(cfg)[:2]
+        ge, ingaas = _detectors(config)[:2]
         clicks = coincidence_clicks(reg, out.occupations, ge, ingaas)[:, :2]
         # per component, (short, long) coincidences
         coincidences = _branch_sums(out.branches(), len(components),
@@ -825,9 +824,7 @@ def calibrate_dark_counts(
     """
     if target_ratio <= 0:
         raise ConfigError("target_ratio must be > 0")
-    cfg = config.materialized()
-    if cfg.ideal_single_pairs:
-        cfg = replace(cfg, ideal_single_pairs=False)
+    cfg = replace(config, ideal_single_pairs=False)
 
     engine = TeleportEngine(cfg)
     r0 = _background_ratio(0.0, engine)

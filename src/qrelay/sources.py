@@ -1,13 +1,13 @@
-"""Photon-pair emission statistics and the relay's pair table.
+"""Thermal photon-pair sources and the relay's pair table.
 
-A source is characterized by its mean pair number per gate and its photon
-number statistics: thermal for a single filtered down-conversion mode, or
-poissonian, the same n-pair states at Poisson weights, whose dip of 1/2 is
-that of phase-randomized weak coherent sources (a many-mode down-converter
-has no dip at all).  The n-pair state of the relay's time-bin entangled
-source is the n-th power of its two-photon emission operator on empty
-modes, normalized; entangled_pairs writes it in closed form, as a table of
-pairs per bin and amplitudes.
+A source is a single filtered down-conversion mode, a single-mode squeezer,
+so its pair number per gate is thermal and is set by its mean alone.  (A
+many-mode down-converter would have no dip at all, and Poisson weights on
+the same n-pair states give the dip of 1/2 of phase-randomized weak
+coherent sources; the relay models neither.)  The n-pair state of the
+relay's time-bin entangled source is the n-th power of its two-photon
+emission operator on empty modes, normalized; entangled_pairs writes it in
+closed form, as a table of pairs per bin and amplitudes.
 
 Spectral or temporal mismatch between independently generated photons is
 modeled with a single overlap amplitude xi: the mismatched photon is created
@@ -28,36 +28,24 @@ import numpy as np
 from .errors import TailMassError
 from .fock import multisets
 
-STATISTICS = ("thermal", "poissonian")
 
+def pair_count_distribution(mu: float, n_cut: int, tail_tol: float = 1e-4) -> np.ndarray:
+    """Thermal P(0..n_cut) pairs per gate for mean pair number mu >= 0, as
+    ExperimentConfig checks it; raises if the discarded tail exceeds
+    tail_tol.
 
-def pair_count_distribution(
-    mu: float, statistics: str, n_cut: int, tail_tol: float = 1e-4
-) -> np.ndarray:
-    """P(0..n_cut) pairs per gate for mean pair number mu >= 0 and
-    `statistics` in STATISTICS, both as ExperimentConfig checks them;
-    raises if the discarded tail exceeds tail_tol.
-
-    Nothing overflows on the way to the check: a thermal tail is checked
-    before mu**n is formed, and a poissonian mean whose mu**n would
-    overflow has exp(-mu) = 0, so every kept term is 0 and the tail is 1.
+    Nothing overflows on the way to the check: the tail is checked before
+    mu**n is formed.
     """
-    n = np.arange(n_cut + 1)
-    thermal = statistics == "thermal"
-    if thermal:
-        tail = (mu / (1.0 + mu)) ** (n_cut + 1)
-    else:
-        scale = np.exp(-mu)
-        fact = np.asarray([math.factorial(int(k)) for k in n], dtype=float)
-        probs = scale * mu**n / fact if scale > 0.0 else np.zeros(n_cut + 1)
-        tail = 1.0 - probs.sum()
+    tail = (mu / (1.0 + mu)) ** (n_cut + 1)
     # written so that NaN fails too
     if not tail <= tail_tol:
         raise TailMassError(
             f"discarded pair-number tail {tail:.3e} exceeds {tail_tol:.1e} "
             f"(mean_pairs={mu}, n_cut={n_cut}); raise n_cut or tail_tol"
         )
-    return mu**n / (1.0 + mu) ** (n + 1) if thermal else probs
+    n = np.arange(n_cut + 1)
+    return mu**n / (1.0 + mu) ** (n + 1)
 
 
 @dataclass(frozen=True)

@@ -35,17 +35,17 @@ import numpy as np
 
 from .detection import _SPEED_OF_LIGHT, check_group_index
 from .errors import ConfigError
-from .scenarios import ExperimentConfig, _MandelEngine
+from .scenarios import ExperimentConfig, _MandelEngine, keyed_generator
 
 DRIFT_KINDS = ("sinusoid", "random-walk")
 
 # empirical feedforward gain, micrometers of delay per hertz of rate shift
 DEFAULT_GAIN_UM_PER_HZ = 0.07
 
-# largest step count simulate() accepts: tracemalloc counts a peak of 77
-# bytes per step for a 200k-step `qrelay stability` run, with or without
-# --out (whose writer holds one block of rows), so the cap keeps a run under
-# about 0.8 GB
+# largest step count simulate() accepts: at 1M steps tracemalloc counts a
+# peak of 42 bytes per step in simulate() and 50 in a whole `qrelay
+# stability --out` run (whose writer holds one block of rows), next to the
+# 40 of the five returned arrays, so the cap keeps a run under about 0.5 GB
 MAX_STEPS = 10**7
 
 
@@ -100,10 +100,11 @@ class DriftModel:
             raise ConfigError("amplitude_k must be finite and >= 0")
         if not 0 < self.period_h < math.inf:
             raise ConfigError("period_h must be finite and > 0")
-        if not self.thermal_um_per_k >= 0:
-            raise ConfigError("thermal_um_per_k must be >= 0")
-        if not self.rep_wander_bound_hz_per_h >= 0:
-            raise ConfigError("rep_wander_bound_hz_per_h must be >= 0")
+        # an infinite coupling or wander bound overflows the drift
+        if not 0 <= self.thermal_um_per_k < math.inf:
+            raise ConfigError("thermal_um_per_k must be finite and >= 0")
+        if not 0 <= self.rep_wander_bound_hz_per_h < math.inf:
+            raise ConfigError("rep_wander_bound_hz_per_h must be finite and >= 0")
         # an infinite bound only turns the clip off, but an infinite sigma
         # pins the jitter at the bound from the first step (NaN where the
         # decay rounds to 1)
@@ -115,8 +116,8 @@ class DriftModel:
             raise ConfigError("jitter_bound_um must be >= 0")
         # checks rep_rate_hz and group_index
         self.spacing_m()
-        if self.temp_to_rate_hz_per_k is not None and not self.temp_to_rate_hz_per_k >= 0:
-            raise ConfigError("temp_to_rate_hz_per_k must be >= 0")
+        if self.temp_to_rate_hz_per_k is not None and not 0 <= self.temp_to_rate_hz_per_k < math.inf:
+            raise ConfigError("temp_to_rate_hz_per_k must be finite and >= 0")
         # the walk bounds its temperature steps by the rate wander over this
         if self.kind == "random-walk" and not self.rate_coupling_hz_per_k() > 0:
             raise ConfigError("the random walk needs a temperature-to-rate coupling > 0")
@@ -268,9 +269,11 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     for start in range(1, len(times), _JITTER_CHUNK):
         stop = min(start + _JITTER_CHUNK, len(times))
         which = np.searchsorted(dts, np.diff(times[start - 1:stop]))
-        # normal(0, scale) draws 0 + scale * z
+        # normal(0, scale) draws 0 + scale * z; a sigma near the float
+        # range's top overflows a draw, which the clip then bounds
         noise = rng.standard_normal(stop - start)
-        noise *= scales[which]
+        with np.errstate(over="ignore"):
+            noise *= scales[which]
         noise += 0.0
         # iterating an array.array makes each float as the loop takes it;
         # chunk.append, not a bound append, is the interpreter's fast path
@@ -310,23 +313,21 @@ def simulate(
     steps = duration_s / dt_s
     if not steps <= MAX_STEPS:
         raise ConfigError(f"duration_s / dt_s = {steps:.3g} steps, above the cap of {MAX_STEPS}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be in [0, 2**64)")
+    rng_walk, rng_jitter = keyed_generator(seed, 0), keyed_generator(seed, 1)
     n = int(round(steps)) + 1
     times = np.arange(n) * dt_s
-    # uint64 keys, because a plain list goes through float64 at seed >= 2**63
-    rng_walk = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    rng_jitter = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
 
-    theta = _temperature_series(drift, times, rng_walk)
+    # thermal * theta + rate_length * delta_f + jitter, built in theta's
+    # array once the jitter is drawn, and then the mismatch and the rate in
+    # the drift's and the shift's: at most five step arrays are alive at once
+    drift_um = _temperature_series(drift, times, rng_walk)
+    jitter = _jitter_series(drift, times, rng_jitter)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_f = drift.rate_coupling_hz_per_k() * theta
-        jitter = _jitter_series(drift, times, rng_jitter)
-        drift_um = (
-            drift.thermal_um_per_k * theta
-            + drift.rate_length_um_per_hz() * delta_f
-            + jitter
-        )
+        delta_f = drift.rate_coupling_hz_per_k() * drift_um
+        drift_um *= drift.thermal_um_per_k
+        drift_um += drift.rate_length_um_per_hz() * delta_f
+        drift_um += jitter
+    del jitter
     # a rate shift that overflows makes the drift overflow too
     if not np.isfinite(drift_um).all():
         raise ConfigError(
@@ -335,8 +336,9 @@ def simulate(
             "temperature-to-rate coupling"
         )
 
-    motor = np.zeros(n)
-    if controller is not None:
+    if controller is None:
+        motor = np.zeros(n)
+    else:
         steps_per_update = min(max(1, int(round(controller.update_interval_s / dt_s))), n)
         res = controller.motor_resolution_um
         with np.errstate(over="ignore"):
@@ -348,9 +350,11 @@ def simulate(
             raise ConfigError("the motor command is not finite; lower gain_um_per_hz")
         motor = np.repeat(target, steps_per_update)[:n]
 
-    delta_x = drift_um - motor
-    return StabilityTrace(times, delta_x, drift.rep_rate_hz + delta_f, motor,
-                          _norm_coincidences(delta_x))
+    delta_x = drift_um
+    delta_x -= motor
+    rep_rate_hz = delta_f
+    rep_rate_hz += drift.rep_rate_hz
+    return StabilityTrace(times, delta_x, rep_rate_hz, motor, _norm_coincidences(delta_x))
 
 
 @dataclass(frozen=True)

@@ -509,11 +509,10 @@ def coincidence_probability(state: FockState, det_a: Detector, det_b: Detector) 
                                                      det_a, det_b)
 
 
-def mandel_per_point(config: "scenarios.ExperimentConfig", mismatches_um) -> np.ndarray:
+def mandel_per_point(cfg: "scenarios.ExperimentConfig", mismatches_um) -> np.ndarray:
     """(short, long) dip coincidences: at every point the positive-weight
     branches' mixture built at that overlap (overlap_mixture), one circuit
     pass, one detection pass, and the branch weights dotted in."""
-    cfg = config.materialized()
     circ, relay_bins = scenarios._dip_circuit(cfg)
     held = {k: w for k, w in scenarios.branch_weights(cfg).items() if w > 0}
     weights = np.array(list(held.values()))

@@ -82,11 +82,10 @@ def test_schema_violation_exits_2(tmp_path, capsys):
 
 
 def test_oversized_tail_exits_3(tmp_path, capsys):
-    # the two overflowing means make mu**n overflow: their tail must still
-    # come out as 1, not NaN, and nothing may warn on the way
+    # the overflowing mean makes mu**n overflow: its tail must still come
+    # out as 1, not NaN, and nothing may warn on the way
     cfg = tmp_path / "hot.cfg"
-    for text in ("pair_mean = 0.9\n", "statistics = thermal\npair_mean = 1e300\n",
-                 "statistics = poissonian\npair_mean = 1e200\n"):
+    for text in ("pair_mean = 0.9\n", "pair_mean = 1e300\n"):
         cfg.write_text(text)
         for command in ("teleport", "mandel", "noise"):
             with warnings.catch_warnings(record=True) as caught:
@@ -107,6 +106,17 @@ def test_empty_config_runs_defaults(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["config"] == asdict(ExperimentConfig())
     assert doc["blocking_probabilities"]["both"] > 0.0
+
+
+def test_config_block_prints_the_means_the_run_uses(tmp_path, capsys):
+    cfg = tmp_path / "mean.cfg"
+    cfg.write_text("pair_mean = 0.13\n")
+    code, out, _ = run_cli(capsys, ["noise", "--config", str(cfg)])
+    assert code == 0
+    printed = json.loads(out)["config"]
+    assert printed["pair_mean"] is None
+    assert printed["pair_mean_alice"] == 0.13
+    assert printed["pair_mean_epr"] == 0.13
 
 
 def test_teleport_summary_fields(tmp_path, capsys):
@@ -553,12 +563,15 @@ def test_count_bound_is_inclusive():
 
 @pytest.mark.parametrize(
     "line",
-    ["n_max = 4", "max_bins = 3", "rep_rate_hz = 75e6", "bin_pitch_ns = 1.2"],
-    ids=["n_max", "max_bins", "rep_rate_hz", "bin_pitch_ns"],
+    ["n_max = 4", "max_bins = 3", "rep_rate_hz = 75e6", "bin_pitch_ns = 1.2",
+     "statistics = thermal", "statistics = poissonian"],
+    ids=["n_max", "max_bins", "rep_rate_hz", "bin_pitch_ns", "statistics-thermal",
+         "statistics-poissonian"],
 )
 def test_config_may_not_name_n_max(tmp_path, capsys, line):
     # the truncation follows from the pair limit and the time bins from the
-    # clock window; the pulse rate and bin pitch enter no simulated number
+    # clock window; the pulse rate and bin pitch enter no simulated number,
+    # and every source is thermal
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])

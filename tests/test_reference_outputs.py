@@ -41,7 +41,6 @@ CLI_CASES = {
     "teleport-heralded": (["teleport", "--heralded"], ""),
     "teleport-mean-0.13-heralded": (["teleport"], "pair_mean = 0.13\nheralded = true\n"),
     "teleport-symmetric-dark-bob": (["teleport"], "symmetric_bsa = true\ndark_bob = 3e-4\n"),
-    "teleport-poissonian": (["teleport"], "statistics = poissonian\n"),
     "teleport-montecarlo-seed-5": (["teleport", "--mode", "montecarlo", "--seed", "5"], ""),
     "teleport-mismatch-60-pump-0.7": (["teleport"], "delta_x_um = 60\nphase_pump = 0.7\n"),
     "teleport-mismatch-60-mean-0.13-heralded": (["teleport", "--heralded"],

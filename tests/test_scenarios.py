@@ -45,8 +45,6 @@ def _fringe_mean(engine):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExperimentConfig(statistics="chaotic")
-    with pytest.raises(ConfigError):
         ExperimentConfig(eta_bob=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(pair_mean=-0.1)
@@ -73,7 +71,7 @@ def test_phase_scan_stops_at_2_52_rad():
 
 
 def test_pair_mean_override():
-    cfg = ExperimentConfig(pair_mean=0.13).materialized()
+    cfg = ExperimentConfig(pair_mean=0.13)
     assert cfg.pair_mean is None
     assert cfg.pair_mean_alice == 0.13
     assert cfg.pair_mean_epr == 0.13
@@ -132,15 +130,6 @@ def test_thermal_dip_depth_one_third():
     assert abs(fl.center) < 1e-9
 
 
-def test_poissonian_dip_depth_one_half():
-    # poissonian pair numbers double-weight the single-source double pairs
-    # relative to thermal, pushing the dip to one half
-    cfg = ExperimentConfig(pair_mean=1e-3, statistics="poissonian", **IDEAL_DETECTORS)
-    xs = mismatch_grid(21, 300.0)
-    short, _ = run_mandel_scan(cfg, xs)
-    assert abs(fit_dip(xs, short.counts).depth - 0.5) < 1e-6
-
-
 def test_entangled_mode_dip_depth():
     # two-bin relay emission dilutes which-path erasure; at equal means the
     # depth lands exactly at 6/25
@@ -153,7 +142,7 @@ def test_entangled_mode_dip_depth():
 
 def test_dip_depth_independent_of_pair_mean():
     # within the two-pair truncation the background-to-signal ratio is set
-    # by the statistics alone, so thermal dips agree across pump powers
+    # by the thermal pair numbers alone, so dips agree across pump powers
     xs = mismatch_grid(9, 200.0)
     depths = []
     for mu in (1e-3, 0.05):

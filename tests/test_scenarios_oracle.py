@@ -26,7 +26,6 @@ from qrelay.scenarios import (  # noqa: E402
     mismatch_grid,
     run_mandel_scan,
 )
-from qrelay.sources import STATISTICS  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
     max_examples=40,
@@ -42,14 +41,15 @@ DARK = hs.one_of(hs.just(0.0), hs.floats(0.0, 0.01))
 
 @hs.composite
 def dip_cases(draw):
-    """(pair truncation K, config, mismatches) over both modes, both
-    statistics, forced single pairs, losses, efficiencies and dark counts."""
+    """(pair truncation K, config, mismatches) over both modes, per-source
+    means or the common pair_mean, forced single pairs, losses,
+    efficiencies and dark counts."""
     cfg = ExperimentConfig(
         mandel_mode=draw(hs.sampled_from(MANDEL_MODES)),
-        statistics=draw(hs.sampled_from(STATISTICS)),
         ideal_single_pairs=draw(hs.booleans()),
         pair_mean_alice=draw(hs.floats(0.0, 0.3)),
         pair_mean_epr=draw(hs.floats(0.0, 0.3)),
+        pair_mean=draw(hs.one_of(hs.none(), hs.floats(0.0, 0.3))),
         mandel_phase=draw(hs.floats(0.0, 2.0 * math.pi)),
         phase_pump=draw(hs.floats(0.0, 2.0 * math.pi)),
         loss_alice_db=draw(hs.floats(0.0, 6.0)),

@@ -12,7 +12,7 @@ from qrelay.sources import OverlapModel, entangled_pairs, pair_count_distributio
 
 
 def test_thermal_distribution_values():
-    p = pair_count_distribution(0.07, "thermal", 3)
+    p = pair_count_distribution(0.07, 3)
     assert abs(p[0] - 0.9345794392523364) < 1e-12
     assert abs(p[1] - 0.06114071097912482) < 1e-12
     assert abs(p[2] - 0.003999859596765175) < 1e-12
@@ -20,26 +20,19 @@ def test_thermal_distribution_values():
     assert abs(p[1] ** 2 - p[0] * p[2]) < 1e-15
 
 
-def test_poissonian_distribution_values():
-    p = pair_count_distribution(0.07, "poissonian", 3)
-    assert abs(p[1] / p[0] - 0.07) < 1e-12
-    assert abs(p[2] / p[1] - 0.035) < 1e-12
-
-
 def test_tail_mass_guard():
     with pytest.raises(TailMassError):
-        pair_count_distribution(0.19, "thermal", 2)
-    p = pair_count_distribution(0.19, "thermal", 2, tail_tol=5e-3)
+        pair_count_distribution(0.19, 2)
+    p = pair_count_distribution(0.19, 2, tail_tol=5e-3)
     assert p.sum() < 1.0
 
 
-@pytest.mark.parametrize("statistics, mean", [("poissonian", 1e200), ("thermal", 1e300)])
-def test_tail_check_holds_where_the_terms_overflow(statistics, mean):
+def test_tail_check_holds_where_the_terms_overflow():
     # mu**n overflows: the check must neither pass on a NaN tail nor warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TailMassError, match=r"tail 1\.000e\+00 exceeds"):
-            pair_count_distribution(mean, statistics, 2, tail_tol=5e-3)
+            pair_count_distribution(1e300, 2, tail_tol=5e-3)
     assert [str(w.message) for w in caught] == []
 
 

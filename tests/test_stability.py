@@ -8,6 +8,7 @@ from qrelay.analysis import fit_dip
 from qrelay.errors import ConfigError
 from qrelay.scenarios import ExperimentConfig, mismatch_grid, run_mandel_scan
 from qrelay.stability import (
+    DRIFT_KINDS,
     Controller,
     DriftModel,
     pid_alternative_analysis,
@@ -80,6 +81,12 @@ def test_drift_model_validation():
         with pytest.raises(ConfigError, match="jitter"):
             DriftModel(**bad)
     assert np.isfinite(simulate(DriftModel(jitter_bound_um=math.inf), None, 600.0, 60.0).delta_x_um).all()
+    # an infinite coupling or wander bound is refused by name, not blamed on
+    # another field when the drift it drives overflows
+    for name in ("thermal_um_per_k", "temp_to_rate_hz_per_k", "rep_wander_bound_hz_per_h"):
+        for kind in DRIFT_KINDS:
+            with pytest.raises(ConfigError, match=name):
+                DriftModel(kind=kind, **{name: math.inf})
 
 
 def _mandel_floor():

@@ -20,7 +20,6 @@ from qrelay.scenarios import (  # noqa: E402
     TeleportEngine,
     build_ideal_config,
 )
-from qrelay.sources import STATISTICS  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -42,16 +41,17 @@ DARK = hs.one_of(hs.just(0.0), hs.floats(0.0, 0.01))
 def teleport_cases(draw):
     """(pair truncation K, config, phases, dark scale) over the ideal setup
     and configs mixing heralding, the symmetric Bell-state stage, both
-    encoders, both statistics, losses and dark counts."""
+    encoders, per-source means or the common pair_mean, losses and dark
+    counts."""
     if draw(hs.booleans()):
         cfg = build_ideal_config()
     else:
         cfg = ExperimentConfig(
             symmetric_bsa=draw(hs.booleans()),
             alice_encoder=draw(hs.sampled_from(ENCODERS)),
-            statistics=draw(hs.sampled_from(STATISTICS)),
             pair_mean_alice=draw(hs.floats(0.0, 0.3)),
             pair_mean_epr=draw(hs.floats(0.0, 0.3)),
+            pair_mean=draw(hs.one_of(hs.none(), hs.floats(0.0, 0.3))),
             phase_alice=draw(PHASE),
             phase_pump=draw(PHASE),
             delta_x_um=draw(hs.floats(0.0, 200.0)),
