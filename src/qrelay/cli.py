@@ -333,6 +333,8 @@ def _cmd_stability(args) -> int:
         )
     floor = float(trace.norm_coincidences.min())
     peak = float(trace.norm_coincidences.max())
+    # max |delta_x| with no array of magnitudes; + 0.0 prints an all-zero trace as 0.0
+    max_mismatch = float(max(trace.delta_x_um.max(), -trace.delta_x_um.min()) + 0.0)
     _emit_json(
         {
             "scenario": "stability",
@@ -342,7 +344,7 @@ def _cmd_stability(args) -> int:
             "floor": floor,
             "peak": peak,
             "held_within_tenth": bool(peak <= floor + 0.1),
-            "max_mismatch_um": float(abs(trace.delta_x_um).max()),
+            "max_mismatch_um": max_mismatch,
             "csv": args.out,
         }
     )

@@ -123,8 +123,8 @@ class FockState:
         self.occupations = np.asarray(occupations, dtype=np.uint8)
         self.amplitudes = np.asarray(amplitudes, dtype=complex)
 
-    def prune(self, tol: float = PRUNE_TOL) -> "FockState":
-        keep = np.abs(self.amplitudes) >= tol
+    def prune(self) -> "FockState":
+        keep = np.abs(self.amplitudes) >= PRUNE_TOL
         self.occupations, self.amplitudes = self.occupations[keep], self.amplitudes[keep]
         return self
 

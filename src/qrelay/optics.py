@@ -58,7 +58,8 @@ class Circuit:
     registry: ModeRegistry
     elements: List[Element] = field(default_factory=list)
     # (registry size, element count, T, mask of rows of T that move, mask of
-    # rows that lost norm, row powers cached by (row, n))
+    # rows that lost norm): the labels check, the Bob-side check and `apply`
+    # each read T of one teleport circuit
     _composed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_unitary(self, modes: Sequence[ModeKey], matrix) -> None:
@@ -150,7 +151,7 @@ class Circuit:
             t.flags.writeable = False
             moves = (t != np.eye(size)).any(axis=1)
             lost = (t.real**2 + t.imag**2).sum(axis=1) < 1.0 - NORM_ATOL
-            cached = self._composed = (size, len(self.elements), t, moves, lost, {})
+            cached = self._composed = (size, len(self.elements), t, moves, lost)
         return cached
 
     def transfer(self) -> np.ndarray:
@@ -158,19 +159,17 @@ class Circuit:
         a_j -> sum_k T[j, k] a_k, the elements applied in order."""
         return self._compose()[2]
 
-    def _row_power(self, j: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(sum_k T[j, k] a^dag_k)^n as rows of (photons added per mode,
-        multinomial coefficient), one per multiset of n photons over the
-        nonzero entries of row j; cached with T."""
-        _, _, t, _, _, powers = self._compose()
-        if (j, n) not in powers:
-            nz = np.flatnonzero(t[j])
-            counts = multisets(n, len(nz))
-            created = np.zeros((len(counts), len(t)), dtype=np.uint8)
-            created[:, nz] = counts
-            weights = _FACTORIAL[n] / _FACTORIAL[counts].prod(axis=1)
-            powers[(j, n)] = (created, weights * (t[j, nz] ** counts).prod(axis=1))
-        return powers[(j, n)]
+
+def _row_power(t: np.ndarray, j: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(sum_k t[j, k] a^dag_k)^n as rows of (photons added per mode,
+    multinomial coefficient), one per multiset of n photons over the
+    nonzero entries of row j."""
+    nz = np.flatnonzero(t[j])
+    counts = multisets(n, len(nz))
+    created = np.zeros((len(counts), len(t)), dtype=np.uint8)
+    created[:, nz] = counts
+    weights = _FACTORIAL[n] / _FACTORIAL[counts].prod(axis=1)
+    return created, weights * (t[j, nz] ** counts).prod(axis=1)
 
 
 def apply(circuit: Circuit, state: FockState) -> FockState:
@@ -189,7 +188,7 @@ def apply(circuit: Circuit, state: FockState) -> FockState:
     occ = state.occupations
     if occ.shape[1] != size:
         raise DimensionMismatchError(f"a state of {occ.shape[1]} modes on a registry of {size}")
-    _, _, _, moves, lost, _ = circuit._compose()
+    _, _, t, moves, lost = circuit._compose()
     occupied = occ.any(axis=0)
     overflow = np.flatnonzero(occupied & lost)
     if len(overflow):
@@ -206,7 +205,7 @@ def apply(circuit: Circuit, state: FockState) -> FockState:
         parts = [(src[n_in == 0], out[n_in == 0], amps[n_in == 0])]
         for n in range(1, int(n_in.max()) + 1):
             rows = n_in == n
-            created, coeffs = circuit._row_power(j, n)
+            created, coeffs = _row_power(t, j, n)
             parts.append((
                 np.repeat(src[rows], len(coeffs)),
                 (out[rows, None, :] + created).reshape(-1, size),

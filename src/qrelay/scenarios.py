@@ -19,8 +19,10 @@ polynomial in the analyzer phase whose harmonics come from one circuit
 pass and one detection pass, and the dip a polynomial in s = xi^2 and
 1 - s whose coefficients sum the components' weighted coincidences.
 The teleport engine detects only the acceptance and Bob's central-bin
-click, and reads out only what the runs print: the fringe scan, the
-acceptance, the blocking runs and the background they give.
+click, weighs the four source blockings (the unblocked run among them) once,
+and contracts them with the detectors' dark counts in one product; what the
+runs print, the fringe scan, the acceptance, the blocking runs and the
+background they give, are slices of it.
 Counts are either probability times pulses (analytic mode) or Poisson
 draws around that expectation (montecarlo mode) with a counter-based
 generator keyed by (seed, scan point), so reruns are reproducible bit for
@@ -199,21 +201,26 @@ def pair_branches() -> List[Tuple[int, int]]:
     ]
 
 
-def branch_weights(config: ExperimentConfig) -> Dict[Tuple[int, int], float]:
-    """Joint (alice pairs, relay pairs) weights, truncated and renormalized.
+def branch_weights(config: ExperimentConfig, blocked: str = "none") -> Dict[Tuple[int, int], float]:
+    """Joint (alice pairs, relay pairs) weights, truncated and renormalized,
+    with the sources that `blocked` (one of BLOCK_CHOICES) names blocked.
 
-    Branches with more than MAX_PAIRS_EACH total pairs are dropped and the
-    rest rescaled to sum to one.  The per-source tail check bounds only what
+    A blocked source's pair mean is 0, so it emits no pair, and any
+    blocking but "none" releases forced single-pair mode, since a blocked
+    source cannot emit; "none" is the config's own weighting.  Branches
+    with more than MAX_PAIRS_EACH total pairs are dropped and the rest
+    rescaled to sum to one.  The per-source tail check bounds only what
     each source's own cut at MAX_PAIRS_EACH pairs discards; the joint cut on
     the total discards more (6.3e-3 of the probability at the defaults,
     above tail_tol) and nothing checks it yet.
     """
-    if config.ideal_single_pairs:
+    if blocked not in BLOCK_CHOICES:
+        raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}, got {blocked!r}")
+    if config.ideal_single_pairs and blocked == "none":
         return {(1, 1): 1.0}
-    pa, pc = (
-        pair_count_distribution(mean, MAX_PAIRS_EACH, config.tail_tol)
-        for mean in (config.pair_mean_alice, config.pair_mean_epr)
-    )
+    means = (0.0 if blocked in ("alice", "both") else config.pair_mean_alice,
+             0.0 if blocked in ("epr", "both") else config.pair_mean_epr)
+    pa, pc = (pair_count_distribution(mean, MAX_PAIRS_EACH, config.tail_tol) for mean in means)
     raw = {(na, nc): float(pa[na] * pc[nc]) for na, nc in pair_branches()}
     total = sum(raw.values())
     return {k: v / total for k, v in raw.items()}
@@ -242,16 +249,14 @@ def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np
     return start + np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
 
 
-def mismatch_grid(
-    points: int = 41, span_um: float = 300.0, center_um: float = 0.0
-) -> np.ndarray:
+def mismatch_grid(points: int = 41, span_um: float = 300.0) -> np.ndarray:
     if not 5 <= points <= MAX_POINTS:
         raise ConfigError(f"a mismatch scan needs 5 to {MAX_POINTS} points, got {points}")
-    # linspace forms the width 2 span, and the scan's ends reach |center| + span
-    if not (span_um > 0 and np.isfinite([2.0 * span_um, abs(center_um) + span_um]).all()):
-        raise ConfigError(f"the mismatch span must be finite and > 0, and so must the scan's width "
-                          f"and ends, got {span_um} around {center_um}")
-    return center_um + np.linspace(-span_um, span_um, points)
+    # linspace forms the width 2 span
+    if not (span_um > 0 and math.isfinite(2.0 * span_um)):
+        raise ConfigError(f"the mismatch span must be finite and > 0, and so must the scan's "
+                          f"width, got {span_um}")
+    return np.linspace(-span_um, span_um, points)
 
 
 def keyed_generator(seed: int, stream: int) -> np.random.Generator:
@@ -489,12 +494,12 @@ def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
 
 
 def _background(central: np.ndarray, phase_bob: float) -> float:
-    """Phase-independent background from the harmonics of Bob's click under
-    the alice, epr and both blockings, the first three columns of
-    `central`, synthesized at phase_bob: alice + epr - both.  Single-source
+    """Phase-independent background from the harmonics of Bob's click
+    under the four weightings, the columns of `central` in BLOCK_CHOICES
+    order: alice + epr - both, each synthesized at phase_bob.  Single-source
     backgrounds add; the both-blocked (dark only) term is counted in each
     single-blocking run, so it is subtracted once."""
-    alice, epr, both = _synthesize(central[:, :3], [phase_bob])[0]
+    alice, epr, both = _synthesize(central[:, 1:], [phase_bob])[0]
     return alice + epr - both
 
 
@@ -507,17 +512,18 @@ class TeleportEngine:
     every branch of the pair truncation that weigh anything at the config's
     overlap, and blocking runs, dark-count scans and forced single-pair mode
     only reweight them: a component weighs its branch's pair weight times
-    its overlap weight (branches a weighting leaves out get 0).  Detection
-    runs once, when the engine is built, for the config's detectors
-    (_detectors), and for two events only: the Bell-state acceptance, and
-    that with Bob's click in the central bin (teleport_tables, one photon
-    table per dark-count monomial), whose harmonics _branch_sums sums per
-    component.  `harmonics` contracts the monomials' weights for the
-    detectors' dark probabilities (teleport_weights) and the component
-    weights of any blockings into them, in one product, so rescaled dark
-    counts cost no pass; the weights are computed once per blocking.  Four
-    read-outs synthesize from it: `scan` and `acceptance`, `blocking` and
-    `background`.
+    its overlap weight (branches a weighting leaves out get 0).  The engine
+    weighs the four BLOCK_CHOICES once, when it is built (branch_weights;
+    "none" is the config's own weighting), into one (components, 4) matrix.
+    Detection runs once too, for the config's detectors (_detectors), and
+    for two events only: the Bell-state acceptance, and that with Bob's
+    click in the central bin (teleport_tables, one photon table per
+    dark-count monomial), whose harmonics _branch_sums sums per component.
+    `harmonics` contracts the monomials' weights for the detectors' dark
+    probabilities (teleport_weights) and the four weightings into them, in
+    one product, so rescaled dark counts cost no pass.  The engine keeps
+    that product for its own detectors, and its four read-outs, `scan` and
+    `acceptance`, `blocking` and `background`, slice it.
 
     The analyzer, the only element that depends on phi_b, joins the circuit
     (transfer matrix T) at phi_b = 0.  A photon that takes its delay arm
@@ -584,12 +590,14 @@ class TeleportEngine:
         self.detectors = _detectors(cfg)
         self._exponents, tables = teleport_tables(reg, occupations, self.detectors,
                                                   free_partner=cfg.symmetric_bsa)
-        self._weights: Dict[Optional[str], np.ndarray] = {}
         # per-component harmonics of the photon tables, (degree + 1, components,
         # monomials * 2), so that one matmul contracts the dark weights in
         per_row = tables.transpose(1, 0, 2).reshape(len(occupations), -1)
         self._tables = _branch_sums(occupations[:, reg.index(BRANCH_RECORD)], len(self.branches),
                                     harmonics, per_row)
+        self._weights = np.column_stack([self._weight_vector(branch_weights(cfg, b))
+                                         for b in BLOCK_CHOICES])
+        self._harmonics = self.harmonics()
 
     def _weight_vector(self, weights: Dict[Tuple[int, int], float]) -> np.ndarray:
         """Each component's pair weight times its overlap weight."""
@@ -598,57 +606,40 @@ class TeleportEngine:
             raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
         return w
 
-    def _cached_weights(self, blocked: Optional[str] = None) -> np.ndarray:
-        """The config's branch weights, or with a source blocked: blocking
-        zeroes the chosen source's pair mean, and releases forced
-        single-pair mode since a blocked source cannot emit."""
-        if blocked is not None and blocked not in BLOCK_CHOICES:
-            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}")
-        cached = self._weights.get(blocked)
-        if cached is None:
-            cfg = self.config
-            if blocked is not None:
-                cfg = replace(
-                    cfg,
-                    ideal_single_pairs=False,
-                    pair_mean_alice=0.0 if blocked in ("alice", "both") else cfg.pair_mean_alice,
-                    pair_mean_epr=0.0 if blocked in ("epr", "both") else cfg.pair_mean_epr,
-                )
-            cached = self._weights[blocked] = self._weight_vector(branch_weights(cfg))
-        return cached
-
-    def harmonics(self, blocked: Sequence[Optional[str]] = (None,), detectors=None) -> np.ndarray:
+    def harmonics(self, detectors=None) -> np.ndarray:
         """Harmonics H_m of (acceptance, acceptance and Bob's click in
-        BOB_BIN) under each weighting of `blocked` (see _cached_weights;
-        None is the config's), shape (degree + 1, 2, len(blocked)), from one
-        contraction.  Other `detectors` than the engine's reweight its
-        photon tables with their dark probabilities; their efficiencies are
-        not read."""
+        BOB_BIN) under each weighting of BLOCK_CHOICES, shape (degree + 1,
+        2, 4), from one contraction.  Other `detectors` than the engine's
+        reweight its photon tables with their dark probabilities; their
+        efficiencies are not read."""
         dark = teleport_weights(self._exponents, detectors or self.detectors)
-        weights = np.column_stack([self._cached_weights(b) for b in blocked])
-        return (self._tables @ dark.reshape(-1, 2)).transpose(0, 2, 1) @ weights
+        return (self._tables @ dark.reshape(-1, 2)).transpose(0, 2, 1) @ self._weights
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
         """P(acceptance and Bob's click in BOB_BIN) at each analyzer phase,
-        synthesized from the harmonics; rounding-level negatives at fringe
-        zeros are clamped to 0, and anything more negative raises."""
-        return _synthesize(self.harmonics()[:, 1], phases)[:, 0]
+        synthesized from the harmonics of the "none" weighting; rounding-level
+        negatives at fringe zeros are clamped to 0, and anything more
+        negative raises."""
+        return _synthesize(self._harmonics[:, 1, :1], phases)[:, 0]
 
     def acceptance(self) -> float:
         """The Bell-state acceptance (and herald) at phase_bob.  Bob's
         analyzer cannot signal to the relay, so its harmonics past 0 are
         rounding."""
-        return _synthesize(self.harmonics()[:, 0], [self.config.phase_bob])[0, 0]
+        return _synthesize(self._harmonics[:, 0, :1], [self.config.phase_bob])[0, 0]
 
     def blocking(self, blocked: Sequence[str]) -> np.ndarray:
-        """P(acceptance and Bob's click in BOB_BIN) at phase_bob with the
-        sources of each entry of `blocked` blocked (see _cached_weights)."""
-        return _synthesize(self.harmonics(blocked)[:, 1], [self.config.phase_bob])[0]
+        """P(acceptance and Bob's click in BOB_BIN) at phase_bob under the
+        weighting of each entry of `blocked` (see branch_weights)."""
+        if not set(blocked) <= set(BLOCK_CHOICES):
+            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}, got {blocked!r}")
+        columns = [BLOCK_CHOICES.index(b) for b in blocked]
+        return _synthesize(self._harmonics[:, 1, columns], [self.config.phase_bob])[0]
 
     def background(self) -> float:
         """Phase-independent background estimated from blocking runs
         (_background)."""
-        return _background(self.harmonics(("alice", "epr", "both"))[:, 1], self.config.phase_bob)
+        return _background(self._harmonics[:, 1], self.config.phase_bob)
 
 
 def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
@@ -772,13 +763,13 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     """Background over signal with every dark probability scaled by `scale`:
-    the harmonics of Bob's click under the three blockings of _background
-    and the config's weights from one contraction, the blockings
-    synthesized at phase_bob and the mean read from harmonic 0."""
+    the harmonics of Bob's click under the four weightings from one
+    contraction, the blockings synthesized at phase_bob (_background) and
+    the signal's mean read from harmonic 0 of "none"."""
     dets = _detectors(_with_dark_scale(engine.config, scale))
-    central = engine.harmonics(("alice", "epr", "both", None), dets)[:, 1]
+    central = engine.harmonics(dets)[:, 1]
     background = _background(central, engine.config.phase_bob)
-    signal = central[0, 3].real - background
+    signal = central[0, 0].real - background
     if signal <= 0.0:
         return 1e9
     return float(background / signal)

@@ -43,7 +43,7 @@ DRIFT_KINDS = ("sinusoid", "random-walk")
 DEFAULT_GAIN_UM_PER_HZ = 0.07
 
 # largest step count simulate() accepts: at 1M steps tracemalloc counts a
-# peak of 42 bytes per step in simulate() and 50 in a whole `qrelay
+# peak of 42 bytes per step in simulate() and 44 in a whole `qrelay
 # stability --out` run (whose writer holds one block of rows), next to the
 # 40 of the five returned arrays, so the cap keeps a run under about 0.5 GB
 MAX_STEPS = 10**7
@@ -118,6 +118,10 @@ class DriftModel:
         self.spacing_m()
         if self.temp_to_rate_hz_per_k is not None and not 0 <= self.temp_to_rate_hz_per_k < math.inf:
             raise ConfigError("temp_to_rate_hz_per_k must be finite and >= 0")
+        # a finite thermal_um_per_k can still overflow the derived coupling
+        if self.temp_to_rate_hz_per_k is None and not math.isfinite(self.rate_coupling_hz_per_k()):
+            raise ConfigError("the temperature-to-rate coupling derived from thermal_um_per_k "
+                              "overflows; lower it or set temp_to_rate_hz_per_k")
         # the walk bounds its temperature steps by the rate wander over this
         if self.kind == "random-walk" and not self.rate_coupling_hz_per_k() > 0:
             raise ConfigError("the random walk needs a temperature-to-rate coupling > 0")

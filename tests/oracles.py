@@ -617,7 +617,9 @@ def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights
 
 def blocking_weights(config: "scenarios.ExperimentConfig", blocked: str):
     """Branch weights with the blocked sources' pair means at zero and forced
-    single pairs released."""
+    single pairs released; "none" blocks nothing and keeps the config's."""
+    if blocked == "none":
+        return scenarios.branch_weights(config)
     cfg = replace(config, ideal_single_pairs=False)
     if blocked in ("alice", "both"):
         cfg = replace(cfg, pair_mean_alice=0.0)

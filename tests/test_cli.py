@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +117,17 @@ def test_config_block_prints_the_means_the_run_uses(tmp_path, capsys):
     assert printed["pair_mean"] is None
     assert printed["pair_mean_alice"] == 0.13
     assert printed["pair_mean_epr"] == 0.13
+
+
+def test_ideal_noise_prints_the_unblocked_run(tmp_path, capsys):
+    # "none" is the config's own weighting, forced single pairs included
+    cfg_file = tmp_path / "ideal.cfg"
+    cfg_file.write_text("ideal_single_pairs = true\n")
+    code, out, _ = run_cli(capsys, ["noise", "--config", str(cfg_file)])
+    assert code == 0
+    cfg = ExperimentConfig(ideal_single_pairs=True)
+    expected = scenarios.TeleportEngine(cfg).scan([cfg.phase_bob])[0]
+    assert abs(json.loads(out)["blocking_probabilities"]["none"] - expected) <= 1e-12 * expected
 
 
 def test_teleport_summary_fields(tmp_path, capsys):
@@ -325,6 +336,20 @@ def test_stability_uncontrolled_flag(capsys):
     doc = json.loads(out)
     assert not doc["controlled"]
     assert doc["peak"] >= 0.95
+
+
+def test_stability_prints_a_zero_mismatch_unsigned(monkeypatch, capsys):
+    # a trace held at -0.0 prints its largest |delta_x| as 0.0, as abs() would
+    real = cli.simulate
+
+    def held_at_zero(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return replace(trace, delta_x_um=-np.zeros_like(trace.delta_x_um))
+
+    monkeypatch.setattr(cli, "simulate", held_at_zero)
+    code, out, _ = run_cli(capsys, ["stability", "--duration-h", "1"])
+    assert code == 0
+    assert '"max_mismatch_um": 0.0,' in out
 
 
 def test_huge_gain_runs_without_overflow_warning(capsys):

@@ -364,6 +364,15 @@ def test_receiver_phase_cannot_signal_to_the_acceptance(monkeypatch, k, name):
     assert np.all(np.abs(accept[1:]) <= 1e-12 * accept[0].real)
 
 
+@pytest.mark.parametrize("name", NO_SIGNALLING_CONFIGS)
+def test_unblocked_run_is_the_config_own(name):
+    # "none" is the config's own weighting, forced single pairs included
+    engine = TeleportEngine(NO_SIGNALLING_CONFIGS[name])
+    phase_bob = engine.config.phase_bob
+    unblocked, scanned = engine.blocking(("none",))[0], engine.scan([phase_bob])[0]
+    assert abs(unblocked - scanned) <= 1e-12 * scanned
+
+
 @pytest.mark.parametrize(
     "weights",
     [{(3, 0): 1.0}, {(0, 0): 1.0, (3, 0): 0.5}, {(0, 0): 0.5}],
@@ -392,8 +401,7 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch, k):
     dense = engine.scan(phase_grid(16, 1.0)).mean()
     assert abs(_fringe_mean(engine) - dense) <= 1e-12 * dense
     assert len(passes) == 1
-    blocked = scenarios.BLOCK_CHOICES
-    assert engine.harmonics(blocked).shape == (k + 1, 2, len(blocked))
+    assert engine.harmonics().shape == (k + 1, 2, len(scenarios.BLOCK_CHOICES))
 
 
 def test_emptied_receiver_channel_leaves_only_harmonic_0():
@@ -402,7 +410,7 @@ def test_emptied_receiver_channel_leaves_only_harmonic_0():
     # holds at emission, and every higher harmonic is exactly 0
     engine = TeleportEngine(ExperimentConfig(loss_bob_db=4000.0))
     assert engine.degree == 2
-    harmonics = engine.harmonics(scenarios.BLOCK_CHOICES)
+    harmonics = engine.harmonics()
     assert np.all(harmonics[1:] == 0.0)
     assert np.all(harmonics[0, 0].real > 0.0)
 
@@ -412,14 +420,14 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
     phis = [0.0, 1.0]
 
     def harmonics(offset):
-        # Bob's click at phase 0: 0.05 + 2 * (-0.025) - offset
-        h = np.zeros((engine.degree + 1, 2, 1))
+        # Bob's click at phase 0 under every weighting: 0.05 + 2 * (-0.025) - offset
+        h = np.zeros((engine.degree + 1, 2, len(scenarios.BLOCK_CHOICES)))
         h[0], h[1] = 0.05, -0.025 - offset / 2
-        return lambda blocked=(None,), detectors=None: h
+        return h
 
-    monkeypatch.setattr(engine, "harmonics", harmonics(1e-18))
+    monkeypatch.setattr(engine, "_harmonics", harmonics(1e-18))
     assert 0.0 <= engine.scan(phis)[0] < 1e-15
-    monkeypatch.setattr(engine, "harmonics", harmonics(1e-6))
+    monkeypatch.setattr(engine, "_harmonics", harmonics(1e-6))
     with pytest.raises(HarmonicSynthesisError):
         engine.scan(phis)
 
@@ -442,14 +450,14 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     engine.scan(phase_grid(24))
     engine.acceptance()
     engine.background()
-    engine.harmonics((None,), scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
+    engine.harmonics(scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
     assert len(calls) == 1
 
 
 def test_one_detection_pass_per_calibration(monkeypatch):
     # dark counts only reweight the engine's photon tables, so a whole
-    # search, and a clamp, run one detection pass, and a trial scale one
-    # contraction of its dark-count weights
+    # search, and a clamp, run one detection pass, and the engine's build
+    # and each trial scale one contraction of dark-count weights
     passes = _count_detection_passes(monkeypatch)
     real_ratio, real_weights = scenarios._background_ratio, scenarios.teleport_weights
     scales, contractions = [], []
@@ -471,20 +479,20 @@ def test_one_detection_pass_per_calibration(monkeypatch):
     # its answer from an evaluated point, so no scale is evaluated twice
     assert len(set(scales)) == len(scales) > 2
     assert len(passes) == 1
-    assert len(contractions) == len(scales)
+    assert len(contractions) == len(scales) + 1
     _, report = calibrate_dark_counts(cfg, target_ratio=0.1)
     assert report.clamped
     assert len(passes) == 2
-    assert len(contractions) == len(scales)
+    assert len(contractions) == len(scales) + 2
 
 
 def test_weights_computed_once_per_engine(monkeypatch):
     real = scenarios.branch_weights
     calls = []
 
-    def counting(config):
-        calls.append(config)
-        return real(config)
+    def counting(config, blocked="none"):
+        calls.append(blocked)
+        return real(config, blocked)
 
     monkeypatch.setattr(scenarios, "branch_weights", counting)
     engine = TeleportEngine(ExperimentConfig())
@@ -493,8 +501,8 @@ def test_weights_computed_once_per_engine(monkeypatch):
         engine.acceptance()
         engine.background()
         engine.blocking(scenarios.BLOCK_CHOICES)
-    # the config's weights and one set per blocking choice
-    assert len(calls) == 1 + len(scenarios.BLOCK_CHOICES)
+    # one set per blocking choice, "none" being the config's own, at build
+    assert calls == list(scenarios.BLOCK_CHOICES)
 
 
 def test_delay_grouping_forms_the_harmonics():

@@ -61,8 +61,8 @@ def dip_cases(draw):
         dip_fwhm_um=draw(hs.floats(50.0, 300.0)),
         tail_tol=0.5,
     )
-    xs = mismatch_grid(draw(hs.integers(5, 9)), draw(hs.floats(20.0, 400.0)),
-                       draw(hs.floats(-50.0, 50.0)))
+    xs = mismatch_grid(draw(hs.integers(5, 9)), draw(hs.floats(20.0, 400.0))) + draw(
+        hs.floats(-50.0, 50.0))
     return draw(hs.sampled_from((2, 3, 4))), cfg, xs
 
 

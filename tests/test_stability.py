@@ -87,6 +87,10 @@ def test_drift_model_validation():
         for kind in DRIFT_KINDS:
             with pytest.raises(ConfigError, match=name):
                 DriftModel(kind=kind, **{name: math.inf})
+    # a finite thermal coefficient whose derived coupling overflows names both
+    for kind in DRIFT_KINDS:
+        with pytest.raises(ConfigError, match="thermal_um_per_k.*temp_to_rate_hz_per_k"):
+            DriftModel(kind=kind, thermal_um_per_k=1e307)
 
 
 def _mandel_floor():
