@@ -51,7 +51,7 @@ from .scenarios import (
     run_mandel_scan,
     run_teleport_scan,
 )
-from .stability import DRIFT_KINDS, Controller, DriftModel, simulate
+from .stability import DEFAULT_GAIN_UM_PER_HZ, DRIFT_KINDS, Controller, DriftModel, simulate
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,6 +352,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_validate_timing(args) -> int:
+    latency = {} if args.latency_ns is None else {"decision_latency_s": args.latency_ns * 1e-9}
     budget = TimingBudget(
         alice_spool_m=args.alice_spool_m,
         charlie_spool_m=args.charlie_spool_m,
@@ -359,7 +360,7 @@ def _cmd_validate_timing(args) -> int:
         classical_fiber_m=args.classical_fiber_m,
         bob_spool_m=args.bob_spool_m,
         group_index=args.group_index,
-        decision_latency_s=args.latency_ns * 1e-9,
+        **latency,
     )
     slack = validate_timing(budget)
     print(f"slack_ns {slack * 1e9:.9g}")
@@ -414,30 +415,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = sub.add_parser("noise", help="source-blocking background probabilities")
     p_noise.add_argument("--config")
-    p_noise.add_argument("--seed", type=int, default=None)
     p_noise.add_argument("--out")
     p_noise.set_defaults(func=_cmd_noise)
 
     p_stab = sub.add_parser("stability", help="drift and feedforward time series")
-    p_stab.add_argument("--kind", choices=DRIFT_KINDS, default="sinusoid")
-    p_stab.add_argument("--amplitude-k", type=float, default=1.0)
-    p_stab.add_argument("--period-h", type=float, default=48.0)
+    p_stab.add_argument("--kind", choices=DRIFT_KINDS, default=DriftModel.kind)
+    p_stab.add_argument("--amplitude-k", type=float, default=DriftModel.amplitude_k)
+    p_stab.add_argument("--period-h", type=float, default=DriftModel.period_h)
     p_stab.add_argument("--duration-h", type=float, default=24.0)
     p_stab.add_argument("--dt-s", type=float, default=60.0)
     p_stab.add_argument("--seed", type=int, default=0)
-    p_stab.add_argument("--gain", type=float, default=0.07)
+    p_stab.add_argument("--gain", type=float, default=DEFAULT_GAIN_UM_PER_HZ)
     p_stab.add_argument("--no-controller", action="store_true")
     p_stab.add_argument("--out")
     p_stab.set_defaults(func=_cmd_stability)
 
     p_time = sub.add_parser("validate-timing", help="receiver gate slack in ns")
-    p_time.add_argument("--alice-spool-m", type=float, default=177.0)
-    p_time.add_argument("--charlie-spool-m", type=float, default=179.72)
-    p_time.add_argument("--quantum-fiber-m", type=float, default=800.0)
-    p_time.add_argument("--classical-fiber-m", type=float, default=800.0)
-    p_time.add_argument("--bob-spool-m", type=float, default=250.0)
-    p_time.add_argument("--group-index", type=float, default=1.468)
-    p_time.add_argument("--latency-ns", type=float, default=220.0)
+    p_time.add_argument("--alice-spool-m", type=float, default=TimingBudget.alice_spool_m)
+    p_time.add_argument("--charlie-spool-m", type=float, default=TimingBudget.charlie_spool_m)
+    p_time.add_argument("--quantum-fiber-m", type=float, default=TimingBudget.quantum_fiber_m)
+    p_time.add_argument("--classical-fiber-m", type=float, default=TimingBudget.classical_fiber_m)
+    p_time.add_argument("--bob-spool-m", type=float, default=TimingBudget.bob_spool_m)
+    p_time.add_argument("--group-index", type=float, default=TimingBudget.group_index)
+    # unset, the budget keeps its own latency
+    p_time.add_argument("--latency-ns", type=float, default=None)
     p_time.set_defaults(func=_cmd_validate_timing)
 
     p_lim = sub.add_parser("limits", help="classical and cloning benchmarks")

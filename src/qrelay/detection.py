@@ -189,6 +189,17 @@ def coincidence_clicks(
     return (clicks[0] * clicks[1]).T
 
 
+# group index of the relay's fiber: a pulse covers one meter of it in
+# FIBER_GROUP_INDEX / c, which sets the timing budget and the pulse spacing
+FIBER_GROUP_INDEX = 1.468
+
+
+def check_group_index(group_index: float) -> None:
+    """ConfigError unless a fiber group index is finite and >= 1."""
+    if not 1.0 <= group_index < math.inf:
+        raise ConfigError(f"group_index must be finite and >= 1, got {group_index}")
+
+
 @dataclass(frozen=True)
 class TimingBudget:
     """Fiber lengths and electronics latency that set Bob's gate margin.
@@ -202,7 +213,7 @@ class TimingBudget:
     quantum_fiber_m: float = 800.0
     classical_fiber_m: float = 800.0
     bob_spool_m: float = 250.0
-    group_index: float = 1.468
+    group_index: float = FIBER_GROUP_INDEX
     decision_latency_s: float = 220e-9
 
     def __post_init__(self):
@@ -218,12 +229,6 @@ class TimingBudget:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
         check_group_index(self.group_index)
-
-
-def check_group_index(group_index: float) -> None:
-    """ConfigError unless a fiber group index is finite and >= 1."""
-    if not 1.0 <= group_index < math.inf:
-        raise ConfigError(f"group_index must be finite and >= 1, got {group_index}")
 
 
 def validate_timing(budget: TimingBudget) -> float:

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .detection import _SPEED_OF_LIGHT, check_group_index
+from .detection import _SPEED_OF_LIGHT, FIBER_GROUP_INDEX, check_group_index
 from .errors import ConfigError
 from .scenarios import ExperimentConfig, _MandelEngine, keyed_generator
 
@@ -49,24 +49,12 @@ DEFAULT_GAIN_UM_PER_HZ = 0.07
 MAX_STEPS = 10**7
 
 
-def pulse_spacing(rep_rate_hz: float, group_index: float = 1.468) -> float:
+def pulse_spacing(rep_rate_hz: float, group_index: float) -> float:
     """In-fiber distance between successive pulses, in meters."""
     if not rep_rate_hz > 0:
         raise ConfigError("rep_rate_hz must be > 0")
     check_group_index(group_index)
     return _SPEED_OF_LIGHT / (group_index * rep_rate_hz)
-
-
-def rep_rate_length_shift(
-    delta_f_hz: float,
-    rep_rate_hz: float = 75e6,
-    spacing_m: Optional[float] = None,
-) -> float:
-    """Arm-length correction (meters) that keeps one pulse spacing of
-    imbalance when the repetition rate moves by delta_f_hz."""
-    if spacing_m is None:
-        spacing_m = pulse_spacing(rep_rate_hz)
-    return spacing_m * delta_f_hz / rep_rate_hz
 
 
 @dataclass(frozen=True)
@@ -91,7 +79,7 @@ class DriftModel:
     jitter_tau_s: float = 600.0
     jitter_bound_um: float = 10.0
     rep_rate_hz: float = 75e6
-    group_index: float = 1.468
+    group_index: float = FIBER_GROUP_INDEX
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
@@ -145,28 +133,6 @@ class DriftModel:
                 "set temp_to_rate_hz_per_k explicitly"
             )
         return self.thermal_um_per_k / denom
-
-    def mismatch_um_per_k(self) -> float:
-        """Total arm-mismatch response to temperature, both channels."""
-        return (
-            self.thermal_um_per_k
-            + self.rate_length_um_per_hz() * self.rate_coupling_hz_per_k()
-        )
-
-    def ideal_gain_um_per_hz(self) -> float:
-        """Feedforward gain that exactly cancels the temperature drift.
-
-        A rate that does not follow temperature carries no information about
-        the drift, so a zero coupling (or one so weak that the gain
-        overflows) raises ConfigError.
-        """
-        kappa = self.rate_coupling_hz_per_k()
-        gain = self.mismatch_um_per_k() / kappa if kappa > 0 else math.inf
-        if not math.isfinite(gain):
-            raise ConfigError(
-                f"no finite feedforward gain: the temperature-to-rate coupling is {kappa} Hz/K"
-            )
-        return gain
 
 
 @dataclass(frozen=True)
@@ -296,9 +262,9 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
 
 def simulate(
     drift: DriftModel,
-    controller: Optional[Controller] = None,
-    duration_s: float = 24 * 3600.0,
-    dt_s: float = 60.0,
+    controller: Optional[Controller],
+    duration_s: float,
+    dt_s: float,
     seed: int = 0,
 ) -> StabilityTrace:
     """Drift, optional stabilization, and the normalized coincidence level.
@@ -359,57 +325,3 @@ def simulate(
     rep_rate_hz = delta_f
     rep_rate_hz += drift.rep_rate_hz
     return StabilityTrace(times, delta_x, rep_rate_hz, motor, _norm_coincidences(delta_x))
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Whether stabilizing on the coincidence rate itself could work."""
-
-    integration_time_s: float
-    drift_time_s: float
-    feasible: bool
-    resolve_um: float
-    count_rate_per_s: float
-    sigmas: float
-
-
-def pid_alternative_analysis(
-    drift: DriftModel,
-    count_rate_per_s: float,
-    resolve_um: float = 10.0,
-    sigmas: float = 3.0,
-) -> FeasibilityReport:
-    """Compare the integration time needed to see a mismatch step against
-    how fast the drift moves by that step.
-
-    A counting feedback loop must resolve the rate change produced by a
-    mismatch of resolve_um at the bottom of the default relay's dip
-    (_norm_coincidences) before the drift has moved that far; otherwise the
-    error signal is stale and the loop hunts.
-    """
-    if not 0 < count_rate_per_s < math.inf:
-        raise ConfigError("count_rate_per_s must be finite and > 0")
-    if not 0 < resolve_um < math.inf:
-        raise ConfigError("resolve_um must be finite and > 0")
-    if not 0 < sigmas < math.inf:
-        raise ConfigError("sigmas must be finite and > 0")
-    floor, level = _norm_coincidences(np.array([0.0, resolve_um])).tolist()
-    contrast = count_rate_per_s * (level - floor) ** 2
-    integration = math.inf if contrast == 0 else sigmas * sigmas * floor / contrast
-
-    if drift.kind == "sinusoid":
-        rate_k_per_s = (
-            drift.amplitude_k * 2.0 * math.pi / (drift.period_h * 3600.0)
-        )
-    else:
-        rate_k_per_s = (
-            drift.rep_wander_bound_hz_per_h
-            / drift.rate_coupling_hz_per_k()
-            / 3600.0
-        )
-    speed_um_per_s = drift.mismatch_um_per_k() * rate_k_per_s
-    drift_time = math.inf if speed_um_per_s == 0 else resolve_um / speed_um_per_s
-    return FeasibilityReport(
-        integration, drift_time, integration <= drift_time, resolve_um,
-        count_rate_per_s, sigmas,
-    )

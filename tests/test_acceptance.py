@@ -35,7 +35,6 @@ from qrelay.stability import (
     Controller,
     DriftModel,
     pulse_spacing,
-    rep_rate_length_shift,
     simulate,
 )
 
@@ -170,7 +169,7 @@ def test_criterion_07_fidelity_benchmarks():
 
 
 def test_criterion_08_spacing_arithmetic():
-    shift_um = rep_rate_length_shift(400.0) * 1e6
+    shift_um = DriftModel().rate_length_um_per_hz() * 400.0
     spacing = pulse_spacing(75e6, 1.47)
     ok = abs(shift_um - 15.0) / 15.0 <= 0.05 and abs(spacing - 2.72) / 2.72 <= 0.01
     assert _report(

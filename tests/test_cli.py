@@ -130,6 +130,14 @@ def test_ideal_noise_prints_the_unblocked_run(tmp_path, capsys):
     assert abs(json.loads(out)["blocking_probabilities"]["none"] - expected) <= 1e-12 * expected
 
 
+def test_noise_takes_no_seed(capsys):
+    # a noise run draws no counts, so a seed would change only the echo
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["noise", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_teleport_summary_fields(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pair_mean_epr = 0.07\n")

@@ -11,9 +11,7 @@ from qrelay.stability import (
     DRIFT_KINDS,
     Controller,
     DriftModel,
-    pid_alternative_analysis,
     pulse_spacing,
-    rep_rate_length_shift,
     simulate,
 )
 
@@ -23,6 +21,9 @@ def test_pulse_spacing_values():
     assert abs(pulse_spacing(75e6, 1.47) - 2.719205968253968) < 1e-12
     assert abs(pulse_spacing(75e6, 1.0) - 3.9972327733333333) < 1e-12
     assert abs(pulse_spacing(75e6, 1.47) - 2.72) / 2.72 < 0.01
+    # spacing * df / f, in micrometers, for a 400 Hz shift at the default
+    # fiber group index
+    assert abs(DriftModel().rate_length_um_per_hz() * 400.0 - 14.52218991220103) < 1e-9
 
 
 @pytest.mark.parametrize("group_index", [0.5, 0.0, -1.0, math.inf, math.nan])
@@ -35,27 +36,26 @@ def test_group_index_must_be_finite_and_at_least_one(group_index):
 
 def test_pulse_spacing_validation():
     with pytest.raises(ConfigError):
-        pulse_spacing(0.0)
+        pulse_spacing(0.0, 1.47)
     with pytest.raises(ConfigError):
         DriftModel(rep_rate_hz=0.0)
 
 
-def test_rep_rate_length_shift():
-    # spacing * df / f with the default fiber group index
-    shift = rep_rate_length_shift(400.0)
-    assert abs(shift - 1.452218991220103e-05) < 1e-15
-    assert abs(shift * 1e6 - 15.0) / 15.0 < 0.05
-    # linear in the frequency offset
-    assert abs(rep_rate_length_shift(-400.0) + shift) < 1e-18
-    assert rep_rate_length_shift(800.0) == pytest.approx(2 * shift, rel=1e-12)
-
-
 def test_default_gain_cancels_combined_drift():
+    # without jitter, an unrounded motor updated every step holds the
+    # mismatch at zero to rounding, while the free-running arm drifts by
+    # more than 10 um over two days
+    exact = Controller(motor_resolution_um=0.0, update_interval_s=60.0)
+    for kind in DRIFT_KINDS:
+        quiet = DriftModel(kind=kind, jitter_sigma_um=0.0)
+        held = simulate(quiet, exact, 48 * 3600.0, 60.0, seed=3)
+        free = simulate(quiet, None, 48 * 3600.0, 60.0, seed=3)
+        assert np.abs(held.delta_x_um).max() <= 1e-9, kind
+        assert np.abs(free.delta_x_um).max() > 10.0, kind
     d = DriftModel()
-    assert abs(d.ideal_gain_um_per_hz() - 0.07) < 1e-12
     # both drift channels contribute: pure thermal 100 um/K plus the
     # rate-tracking term
-    assert d.mismatch_um_per_k() > d.thermal_um_per_k
+    assert d.rate_length_um_per_hz() * d.rate_coupling_hz_per_k() > 0
     # the sinusoid's worst-case rate wander respects the hourly bound
     worst = (
         d.rate_coupling_hz_per_k() * d.amplitude_k * 2.0 * math.pi / d.period_h
@@ -153,43 +153,6 @@ def test_jitter_stays_clipped():
     assert np.abs(tr.delta_x_um).max() <= 10.0 + 1e-12
 
 
-def test_pid_alternative_feasibility():
-    d = DriftModel()
-    # the experiment's few-per-minute coincidence rate cannot feed a loop
-    weak = pid_alternative_analysis(d, 0.13)
-    assert not weak.feasible
-    assert weak.integration_time_s > weak.drift_time_s
-    # a bright source could
-    bright = pid_alternative_analysis(d, 1e6)
-    assert bright.feasible
-    # and a drift-free plant always can
-    still = pid_alternative_analysis(DriftModel(amplitude_k=0.0), 0.13)
-    assert still.feasible
-    assert math.isinf(still.drift_time_s)
-    with pytest.raises(ConfigError):
-        pid_alternative_analysis(d, 0.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"resolve_um": 0.0}, {"resolve_um": -5.0}, {"resolve_um": math.nan},
-     {"resolve_um": math.inf}, {"sigmas": 0.0}, {"sigmas": -1.0}, {"sigmas": math.nan},
-     {"sigmas": math.inf}, {"count_rate_per_s": math.inf}],
-    ids=["resolve-0", "resolve-negative", "resolve-nan", "resolve-inf", "sigmas-0",
-         "sigmas-negative", "sigmas-nan", "sigmas-inf", "count-rate-inf"],
-)
-def test_pid_alternative_rejects_bad_inputs(kwargs):
-    with pytest.raises(ConfigError, match=next(iter(kwargs))):
-        pid_alternative_analysis(DriftModel(), **{"count_rate_per_s": 0.13, **kwargs})
-
-
-def test_pid_alternative_unresolvable_step_takes_forever():
-    # a step so small that the coincidence level does not move
-    report = pid_alternative_analysis(DriftModel(), 1e6, resolve_um=1e-200)
-    assert math.isinf(report.integration_time_s)
-    assert not report.feasible
-
-
 def test_trace_shapes_consistent():
     tr = simulate(DriftModel(), Controller(), 3600.0, 30.0, seed=1)
     n = len(tr.time_s)
@@ -227,16 +190,6 @@ def test_random_walk_needs_a_positive_rate_coupling():
     # a coupling so weak that the walk's step bound overflows
     with pytest.raises(ConfigError):
         simulate(DriftModel(kind="random-walk", temp_to_rate_hz_per_k=1e-310), None, 600.0, 60.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"temp_to_rate_hz_per_k": 0.0}, {"thermal_um_per_k": 0.0}, {"temp_to_rate_hz_per_k": 1e-310}],
-    ids=["zero-coupling", "derived-zero-coupling", "gain-overflow"],
-)
-def test_ideal_gain_needs_a_rate_coupling(kwargs):
-    with pytest.raises(ConfigError, match="coupling"):
-        DriftModel(**kwargs).ideal_gain_um_per_hz()
 
 
 def test_non_finite_motor_command_raises():
