@@ -33,9 +33,9 @@ by a photon (factor (1 - d) u), so every accepted event is a sum of
 dark-count monomials prod d^a (1 - d)^b times dark-independent photon
 factors; teleport_tables expands the accepted patterns one by one and
 sums the photon factors per monomial, and teleport_weights gives the
-monomials' values for the detectors' dark probabilities.  Every term is
->= 0, and rescaling the dark counts reweights the tables without a new
-pass.
+monomials' values for a vector of dark probabilities, one per detector.
+Every term is >= 0, and rescaling the dark counts reweights the tables
+without a new pass or a new Detector.
 """
 
 from __future__ import annotations
@@ -160,15 +160,15 @@ def teleport_tables(
     return exponents, np.stack([tables, tables * (1.0 - miss[_BOB, BOB_BIN])], axis=2)
 
 
-def teleport_weights(exponents: np.ndarray, detectors: Sequence[Detector]) -> np.ndarray:
+def teleport_weights(exponents: np.ndarray, darks) -> np.ndarray:
     """Weights W, shape (monomials, 2, 2), that turn teleport_tables'
     tables into the probabilities of (acceptance, acceptance and Bob's
     click in BOB_BIN), sum_m tables[m] @ W[m], for the dark probabilities
-    of `detectors`, in the tables' order; their efficiencies are not read.
-    W[m] is monomial m's value times Bob's click: column 0 keeps the
-    acceptance, and column 1 adds d_bob times it to (1 - d_bob) times the
-    photon column.  Every entry is >= 0."""
-    d = np.array([det.dark_prob for det in detectors])
+    `darks`, one per detector in the tables' order, so that rescaled dark
+    counts need no Detector.  W[m] is monomial m's value times Bob's click:
+    column 0 keeps the acceptance, and column 1 adds d_bob times it to
+    (1 - d_bob) times the photon column.  Every entry is >= 0."""
+    d = np.asarray(darks, dtype=float)
     monomials = np.prod(d ** exponents[..., 0] * (1.0 - d) ** exponents[..., 1], axis=1)
     bob = np.array([[1.0, d[_BOB]], [0.0, 1.0 - d[_BOB]]])
     return np.multiply.outer(monomials, bob)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +29,8 @@ PRUNE_TOL = 1e-15
 NORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True, order=True)
-class ModeKey:
-    """Identity of one optical mode: (spatial, time_bin, internal)."""
+class ModeKey(NamedTuple):
+    """Identity of one optical mode, (spatial, time_bin, internal): a tuple, hashed in C."""
 
     spatial: str
     time_bin: int
@@ -44,7 +42,8 @@ BRANCH_RECORD = ModeKey("branch-record", 0)
 
 
 class ModeRegistry:
-    """Append-only mapping from ModeKey to a stable dense index."""
+    """Append-only mapping from ModeKey to a stable dense index; time_bins
+    lists each mode's bin, and each channel's indices are kept as it grows."""
 
     def __init__(self, max_bins: int):
         if max_bins < 1:
@@ -52,6 +51,8 @@ class ModeRegistry:
         self.max_bins = max_bins
         self._keys: List[ModeKey] = []
         self._index: Dict[ModeKey, int] = {}
+        self._channels: Dict[str, List[int]] = {}
+        self.time_bins: List[int] = []
 
     def add(self, key: ModeKey) -> int:
         if key in self._index:
@@ -67,6 +68,8 @@ class ModeRegistry:
         idx = len(self._keys)
         self._keys.append(key)
         self._index[key] = idx
+        self._channels.setdefault(key.spatial, []).append(idx)
+        self.time_bins.append(key.time_bin)
         return idx
 
     def add_channel(self, spatial: str, internals: Sequence[int] = (0,)) -> List[int]:
@@ -90,7 +93,7 @@ class ModeRegistry:
         return self._keys[idx]
 
     def indices_for(self, spatial: str) -> List[int]:
-        return [i for i, k in enumerate(self._keys) if k.spatial == spatial]
+        return list(self._channels.get(spatial, ()))
 
     def bin_indicator(self, spatials: Sequence[str]) -> np.ndarray:
         """0/1 matrix of shape (modes, len(spatials) * max_bins).
@@ -100,10 +103,9 @@ class ModeRegistry:
         summed over internal labels.
         """
         indicator = np.zeros((len(self._keys), len(spatials) * self.max_bins))
-        for idx, mode in enumerate(self._keys):
-            for c, spatial in enumerate(spatials):
-                if mode.spatial == spatial:
-                    indicator[idx, c * self.max_bins + mode.time_bin] = 1.0
+        for c, spatial in enumerate(spatials):
+            idxs = self.indices_for(spatial)
+            indicator[idxs, [c * self.max_bins + self.time_bins[i] for i in idxs]] = 1.0
         return indicator
 
 

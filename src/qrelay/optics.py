@@ -53,6 +53,25 @@ def beamsplitter_matrix(transmittance: float = 0.5, phase: float = 0.0) -> np.nd
     return np.array([[t, r * ph], [r, t * ph]], dtype=complex)
 
 
+def identity_blocks(matrix, n: int) -> np.ndarray:
+    """np.kron(matrix, np.eye(n)), written by one broadcast assignment."""
+    m = np.asarray(matrix, dtype=complex)
+    out = np.zeros((len(m), n, len(m), n), dtype=complex)
+    out[:, np.arange(n), :, np.arange(n)] = m
+    return out.reshape(len(m) * n, len(m) * n)
+
+
+def compose(elements: Sequence[Element], modes: Sequence[int]) -> np.ndarray:
+    """The transfer matrix of `elements` over the listed registry indices,
+    which hold every mode the elements touch."""
+    column = {mode: c for c, mode in enumerate(modes)}
+    t = np.eye(len(column), dtype=complex)
+    for idxs, m in elements:
+        cols = [column[i] for i in idxs]
+        t[:, cols] = t[:, cols] @ m
+    return t
+
+
 @dataclass
 class Circuit:
     registry: ModeRegistry
@@ -99,7 +118,7 @@ class Circuit:
         sinks = [ModeKey(sink_spatial, m.time_bin, m.internal) for m in modes]
         t = math.sqrt(transmittance)
         r = math.sqrt(1.0 - transmittance)
-        self.add_unitary(modes + sinks, np.kron([[t, r], [-r, t]], np.eye(len(modes))))
+        self.add_unitary(modes + sinks, identity_blocks([[t, r], [-r, t]], len(modes)))
 
     def add_michelson(self, spatial: str, phase: float, loss_spatial: Optional[str] = None) -> str:
         """Unbalanced Michelson on a channel: bin t -> {t, t+1} plus a loss port.
@@ -120,7 +139,7 @@ class Circuit:
         self.registry.add_channel(ls, labels)
         port = [ModeKey(ls, m.time_bin, m.internal) for m in arm]
         n = len(arm)
-        coupler = np.kron(beamsplitter_matrix(), np.eye(n))
+        coupler = identity_blocks(beamsplitter_matrix(), n)
         delay = np.eye(2 * n, dtype=complex)
         # the +pi makes the output-port relative amplitude exactly e^{i phase}
         delay[n:, n:] = np.exp(1j * (phase + math.pi)) * np.eye(n, k=len(labels))
@@ -138,16 +157,13 @@ class Circuit:
         e = np.exp(1j * phase)
         u = np.array([[1.0, e], [1.0, -e]]) / math.sqrt(2.0)
         modes = [ModeKey(spatial, t, i) for t in (0, 1) for i in labels]
-        self.add_unitary(modes, np.kron(u, np.eye(len(labels))))
+        self.add_unitary(modes, identity_blocks(u, len(labels)))
 
     def _compose(self) -> tuple:
         size = len(self.registry)
         cached = self._composed
         if cached is None or cached[:2] != (size, len(self.elements)):
-            t = np.eye(size, dtype=complex)
-            for idxs, m in self.elements:
-                cols = list(idxs)
-                t[:, cols] = t[:, cols] @ m
+            t = compose(self.elements, range(size))
             t.flags.writeable = False
             moves = (t != np.eye(size)).any(axis=1)
             lost = (t.real**2 + t.imag**2).sum(axis=1) < 1.0 - NORM_ATOL
@@ -160,29 +176,17 @@ class Circuit:
         return self._compose()[2]
 
 
-def _row_power(t: np.ndarray, j: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(sum_k t[j, k] a^dag_k)^n as rows of (photons added per mode,
-    multinomial coefficient), one per multiset of n photons over the
-    nonzero entries of row j."""
-    nz = np.flatnonzero(t[j])
-    counts = multisets(n, len(nz))
-    created = np.zeros((len(counts), len(t)), dtype=np.uint8)
-    created[:, nz] = counts
-    weights = _FACTORIAL[n] / _FACTORIAL[counts].prod(axis=1)
-    return created, weights * (t[j, nz] ** counts).prod(axis=1)
-
-
 def apply(circuit: Circuit, state: FockState) -> FockState:
     """Run a state, one column per registered mode, through the circuit;
     DimensionMismatchError for any other width.
 
     The n photons of each mode j whose row of T moves become the expansion
-    of (sum_k T[j, k] a^dag_k)^n, mode after mode for all terms at once;
+    of (sum_k T[j, k] a^dag_k)^n, mode after mode for all terms at once,
+    from one table of the expansions for every n, gathered per term;
     photons on identity rows stay.  With the bosonic factors sqrt(prod n!)
     divided out of the input and put back on the output, the expansions
     multiply as plain polynomials, and output rows with equal occupations
-    merge.
-    """
+    merge."""
     reg = circuit.registry
     size = len(reg)
     occ = state.occupations
@@ -201,17 +205,21 @@ def apply(circuit: Circuit, state: FockState) -> FockState:
     amps = state.amplitudes / _SQRT_FACTORIAL[occ].prod(axis=1)
     src = np.arange(len(occ))  # the input term of each output row
     for j in moved.tolist():
+        # (sum_k T[j, k] a^dag_k)^n, n = 0..max, as rows (photons added, coefficient)
+        nz = np.flatnonzero(t[j])
+        powers = [multisets(n, len(nz)) for n in range(int(occ[:, j].max()) + 1)]
+        counts = np.concatenate(powers)
+        created = np.zeros((len(counts), size), dtype=np.uint8)
+        created[:, nz] = counts
+        coeffs = (_FACTORIAL[counts.sum(axis=1)] / _FACTORIAL[counts].prod(axis=1)
+                  * (t[j, nz] ** counts).prod(axis=1))
+        sizes = np.array([len(c) for c in powers])
+        # each row repeats once per multiset of its n and picks their rows
         n_in = occ[src, j]
-        parts = [(src[n_in == 0], out[n_in == 0], amps[n_in == 0])]
-        for n in range(1, int(n_in.max()) + 1):
-            rows = n_in == n
-            created, coeffs = _row_power(t, j, n)
-            parts.append((
-                np.repeat(src[rows], len(coeffs)),
-                (out[rows, None, :] + created).reshape(-1, size),
-                (amps[rows, None] * coeffs).ravel(),
-            ))
-        src, out, amps = map(np.concatenate, zip(*parts))
+        reps = sizes[n_in]
+        rows = np.repeat(np.arange(len(src)), reps)
+        pick = np.arange(len(rows)) + (np.cumsum(sizes)[n_in] - np.cumsum(reps))[rows]
+        src, out, amps = src[rows], out[rows] + created[pick], amps[rows] * coeffs[pick]
     keys = out.view(np.dtype((np.void, size))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     amps = np.bincount(inverse, amps.real) + 1j * np.bincount(inverse, amps.imag)

@@ -32,7 +32,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +52,7 @@ from .errors import (
     UnnormalizedStateError,
 )
 from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
-from .optics import Circuit, apply, beamsplitter_matrix, loss_from_db
+from .optics import Circuit, apply, beamsplitter_matrix, compose, identity_blocks, loss_from_db
 from .sources import OverlapModel, entangled_pairs, pair_count_distribution
 
 ALICE_QUBIT = "alice-1310"
@@ -70,9 +70,9 @@ BLOCK_CHOICES = ("none", "alice", "epr", "both")
 MAX_PAIRS_EACH = 2
 
 # largest point count a scan accepts: at the default pair truncation a dip
-# point peaks at about 200 bytes (a fringe point 130) across the scan's
-# arrays, the fit and the CSV row, as tracemalloc counts them, so the cap
-# keeps a scan under about 0.2 GB
+# point peaks at about 190 bytes (a fringe point 115) across the scan's
+# arrays, the fit and the CSV row, as tracemalloc counts them at 200k
+# points, so the cap keeps a scan under about 0.2 GB
 MAX_POINTS = 10**6
 
 # largest |phase| in rad a config or a phase scan accepts: past 2**52
@@ -337,9 +337,11 @@ def _branch_mixture(reg: ModeRegistry, components: Sequence[Tuple[int, int, int]
     alice = [reg.index(key) for key in (BRANCH_RECORD, ModeKey(ALICE_QUBIT, 0, 0),
                                         ModeKey(ALICE_QUBIT, 0, 1), ModeKey(ALICE_HERALD, 0))]
     relay = [reg.index(ModeKey(spatial, t)) for spatial in (EPR_QUBIT, EPR_BOB) for t in relay_bins]
+    tables = {nc: entangled_pairs(nc, len(relay_bins), phase_pump)
+              for nc in {nc for _, _, nc in components}}
     occupations, amps = [], []
     for b, (na, j, nc) in enumerate(components):
-        pairs, amp = entangled_pairs(nc, len(relay_bins), phase_pump)
+        pairs, amp = tables[nc]
         occ = np.zeros((len(amp), len(reg)), dtype=np.uint8)
         occ[:, alice] = b, j, na - j, na
         occ[:, relay] = np.hstack([pairs, pairs])
@@ -354,7 +356,7 @@ def _add_bell_mixer(circ: Circuit) -> None:
     and label."""
     alice = [circ.registry.key_at(i) for i in circ.registry.indices_for(ALICE_QUBIT)]
     relay = [ModeKey(EPR_QUBIT, mode.time_bin, mode.internal) for mode in alice]
-    circ.add_unitary(alice + relay, np.kron(beamsplitter_matrix(), np.eye(len(alice))))
+    circ.add_unitary(alice + relay, identity_blocks(beamsplitter_matrix(), len(alice)))
 
 
 def _teleport_circuit(config: ExperimentConfig) -> Circuit:
@@ -403,11 +405,14 @@ def _check_phase_rides_the_delay(analyzer: Circuit, bins: np.ndarray) -> None:
     """Raise HarmonicSynthesisError unless phi_b enters the analyzer, built
     at phi_b = 0, only as a factor e^{i phi_b} per bin that an entry of its
     transfer matrix moves a photon later; `bins` holds each mode's time bin.
-    The matrices are compared at one probe phase away from multiples of pi/2."""
+    The matrices are compared at one probe phase away from multiples of pi/2,
+    over the modes either build's elements touch, the identity elsewhere."""
     probe = 1.0
-    shift = bins[None, :] - bins[:, None]
-    expected = analyzer.transfer() * np.exp(1j * probe * shift)
-    off = np.abs(_analyzer(analyzer.registry, probe).transfer() - expected).max(initial=0.0)
+    at_probe = _analyzer(analyzer.registry, probe).elements
+    modes = sorted({i for idxs, _ in analyzer.elements + at_probe for i in idxs})
+    shift = bins[modes][None, :] - bins[modes][:, None]
+    expected = compose(analyzer.elements, modes) * np.exp(1j * probe * shift)
+    off = np.abs(compose(at_probe, modes) - expected).max(initial=0.0)
     if off > _SYNTHESIS_RTOL:
         raise HarmonicSynthesisError(
             f"the analyzer phase enters other than through its delay arm ({off:.3e} off)"
@@ -561,7 +566,7 @@ class TeleportEngine:
         analyzer = _analyzer(reg, 0.0)
         circ.elements += analyzer.elements
         record = reg.add(DELAY_RECORD)
-        bins = np.array([reg.key_at(i).time_bin for i in range(len(reg))])
+        bins = np.array(reg.time_bins)
         _check_phase_rides_the_delay(analyzer, bins)
         # Bob's side from the element chains, since an entry of T can underflow
         side = set(reg.indices_for(EPR_BOB))
@@ -588,6 +593,7 @@ class TeleportEngine:
         occupations, harmonics = _delay_harmonics(occupations, delays, out.amplitudes, self.degree)
 
         self.detectors = _detectors(cfg)
+        self.darks = np.array([det.dark_prob for det in self.detectors])
         self._exponents, tables = teleport_tables(reg, occupations, self.detectors,
                                                   free_partner=cfg.symmetric_bsa)
         # per-component harmonics of the photon tables, (degree + 1, components,
@@ -606,13 +612,13 @@ class TeleportEngine:
             raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
         return w
 
-    def harmonics(self, detectors=None) -> np.ndarray:
+    def harmonics(self, darks=None) -> np.ndarray:
         """Harmonics H_m of (acceptance, acceptance and Bob's click in
         BOB_BIN) under each weighting of BLOCK_CHOICES, shape (degree + 1,
-        2, 4), from one contraction.  Other `detectors` than the engine's
-        reweight its photon tables with their dark probabilities; their
-        efficiencies are not read."""
-        dark = teleport_weights(self._exponents, detectors or self.detectors)
+        2, 4), from one contraction.  Dark probabilities other than the
+        engine's (`darks`, one per detector in the engine's order) reweight
+        its photon tables."""
+        dark = teleport_weights(self._exponents, self.darks if darks is None else darks)
         return (self._tables @ dark.reshape(-1, 2)).transpose(0, 2, 1) @ self._weights
 
     def scan(self, phases: Sequence[float]) -> np.ndarray:
@@ -645,7 +651,7 @@ class TeleportEngine:
 def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
     """Accepted-and-received coincidences in the central bin versus the
     receiver analyzer phase."""
-    xs = np.asarray(list(phases), dtype=float)
+    xs = np.array(phases, dtype=float)
     probs = engine.scan(xs)
     counts, pulses = _counts(engine.config, probs, stream=2)
     return ScanResult(xs, probs, counts, pulses)
@@ -731,7 +737,7 @@ def run_mandel_scan(
 ) -> Tuple[ScanResult, ScanResult]:
     """Same-bin coincidences versus path mismatch for the first (short-short)
     and second (long-long) arrival bins; returns (short, long) scans."""
-    xs = np.asarray(list(mismatches_um), dtype=float)
+    xs = np.array(mismatches_um, dtype=float)
     scans = []
     for stream, probs in enumerate(_MandelEngine(config).scan(xs)):
         counts, pulses = _counts(config, probs, stream)
@@ -747,27 +753,32 @@ class CalibrationReport:
     clamped: bool
 
 
-# scaling reference when the incoming config has all dark counts at zero:
-# the config's default dark probabilities
-_REFERENCE_DARKS = {f.name: f.default for f in fields(ExperimentConfig)
-                    if f.name.startswith("dark_")}
+# the dark-probability fields in _detectors' order, the herald's last; their
+# defaults are the scaling reference when a config's are all zero
+_DARK_FIELDS = ("dark_ge", "dark_ingaas_bsa", "dark_bob", "dark_herald")
+_REFERENCE_DARKS = np.array([getattr(ExperimentConfig, k) for k in _DARK_FIELDS])
 _DARK_CAP = 0.9
 
 
+def _scaled_darks(config: ExperimentConfig, scale: float) -> np.ndarray:
+    """The config's _DARK_FIELDS, or _REFERENCE_DARKS when those are all
+    zero, scaled by `scale` and capped at _DARK_CAP."""
+    base = np.array([getattr(config, k) for k in _DARK_FIELDS])
+    return np.minimum((base if base.any() else _REFERENCE_DARKS) * scale, _DARK_CAP)
+
+
 def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig:
-    base = {k: getattr(config, k) for k in _REFERENCE_DARKS}
-    if all(v == 0.0 for v in base.values()):
-        base = dict(_REFERENCE_DARKS)
-    return replace(config, **{k: min(v * scale, _DARK_CAP) for k, v in base.items()})
+    """The config with the dark probabilities of _scaled_darks, calibrated."""
+    return replace(config, detectors_calibrated=True,
+                   **dict(zip(_DARK_FIELDS, _scaled_darks(config, scale).tolist())))
 
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
-    """Background over signal with every dark probability scaled by `scale`:
-    the harmonics of Bob's click under the four weightings from one
-    contraction, the blockings synthesized at phase_bob (_background) and
-    the signal's mean read from harmonic 0 of "none"."""
-    dets = _detectors(_with_dark_scale(engine.config, scale))
-    central = engine.harmonics(dets)[:, 1]
+    """Background over signal with every dark probability scaled by `scale`
+    (_scaled_darks, one vector): the harmonics of Bob's click under the four
+    weightings from one contraction, the blockings synthesized at phase_bob
+    (_background) and the signal's mean read from harmonic 0 of "none"."""
+    central = engine.harmonics(_scaled_darks(engine.config, scale)[:len(engine.darks)])[:, 1]
     background = _background(central, engine.config.phase_bob)
     signal = central[0, 0].real - background
     if signal <= 0.0:
@@ -809,19 +820,18 @@ def calibrate_dark_counts(
     clamp to zero and the report says so.  Branch states are independent
     of detector parameters, and the engine's photon tables of the dark
     probabilities, so the whole search costs one engine build and one
-    detection pass, and each trial scale reweights them (_background_ratio).
-    The scale is bracketed by growing it fourfold from 1 until the ratio
-    reaches the target, then found by _regula_falsi to 1e-6 relative.
-    """
-    if target_ratio <= 0:
-        raise ConfigError("target_ratio must be > 0")
+    detection pass, and each trial scale contracts one dark vector into
+    them (_background_ratio).  The scale is bracketed by growing it
+    fourfold from 1 until the ratio reaches the target, then found by
+    _regula_falsi to 1e-6 relative; a target must be finite and > 0."""
+    if not 0 < target_ratio < math.inf:
+        raise ConfigError(f"target_ratio must be finite and > 0, got {target_ratio}")
     cfg = replace(config, ideal_single_pairs=False)
 
     engine = TeleportEngine(cfg)
     r0 = _background_ratio(0.0, engine)
     if r0 >= target_ratio:
-        calibrated = replace(_with_dark_scale(cfg, 0.0), detectors_calibrated=True)
-        return calibrated, CalibrationReport(target_ratio, r0, 0.0, True)
+        return _with_dark_scale(cfg, 0.0), CalibrationReport(target_ratio, r0, 0.0, True)
 
     lo, r_lo, hi, r_hi = 0.0, r0, 1.0, _background_ratio(1.0, engine)
     while r_hi < target_ratio:
@@ -830,5 +840,5 @@ def calibrate_dark_counts(
         lo, r_lo, hi, r_hi = hi, r_hi, 4.0 * hi, _background_ratio(4.0 * hi, engine)
     scale, miss = _regula_falsi(lambda s: _background_ratio(s, engine) - target_ratio,
                                 lo, r_lo - target_ratio, hi, r_hi - target_ratio)
-    calibrated = replace(_with_dark_scale(cfg, scale), detectors_calibrated=True)
-    return calibrated, CalibrationReport(target_ratio, target_ratio + miss, scale, False)
+    report = CalibrationReport(target_ratio, target_ratio + miss, scale, False)
+    return _with_dark_scale(cfg, scale), report

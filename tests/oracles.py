@@ -51,6 +51,11 @@ the phase harmonics qrelay.scenarios.TeleportEngine.harmonics forms from
 one analyzer pass and its scan, acceptance and blocking read-outs
 synthesize.  blocking_weights and teleport_mean_per_phase give the
 blocking runs and the phase average, harmonic 0, the same way.
+background_ratio_per_config is a dark-count calibration's trial ratio from
+a config rebuilt with the scaled dark probabilities, field by field
+(with_dark_scale_per_field), and its detectors: the reference for the one
+dark vector each trial scale of qrelay.scenarios.calibrate_dark_counts
+forms.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the block-by-block writer in qrelay.cli.
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -485,7 +490,8 @@ def teleport_clicks(registry: ModeRegistry, occupations: np.ndarray, ge: Detecto
     detectors = (ge, ingaas, bob) + ((herald,) if herald is not None else ())
     exponents, tables = teleport_tables(registry, occupations, detectors,
                                         free_partner=free_partner)
-    probs = np.einsum("mrj,mjk->rk", tables, teleport_weights(exponents, detectors))
+    darks = [det.dark_prob for det in detectors]
+    probs = np.einsum("mrj,mjk->rk", tables, teleport_weights(exponents, darks))
     return probs[:, 0], probs[:, 1]
 
 
@@ -635,6 +641,32 @@ def teleport_mean_per_phase(engine: "scenarios.TeleportEngine", detectors=None) 
     phases = 2.0 * math.pi * np.arange(n) / n
     return float(np.mean([teleport_per_phase(engine, p, detectors=detectors).bob
                           for p in phases]))
+
+
+def with_dark_scale_per_field(config: "scenarios.ExperimentConfig", scale: float):
+    """The config with each dark probability field scaled by `scale` and
+    capped at _DARK_CAP, one field at a time, from the fields' defaults when
+    the config's are all zero: the reference for the dark vector of
+    qrelay.scenarios._scaled_darks."""
+    darks = [f for f in fields(config) if f.name.startswith("dark_")]
+    base = {f.name: getattr(config, f.name) for f in darks}
+    if all(v == 0.0 for v in base.values()):
+        base = {f.name: f.default for f in darks}
+    return replace(config, **{k: min(v * scale, scenarios._DARK_CAP) for k, v in base.items()})
+
+
+def background_ratio_per_config(scale: float, engine: "scenarios.TeleportEngine") -> float:
+    """qrelay.scenarios._background_ratio by way of a rebuilt config: the
+    scaled config (with_dark_scale_per_field), its detectors
+    (qrelay.scenarios._detectors), and their dark probabilities contracted
+    into the engine's photon tables."""
+    detectors = scenarios._detectors(with_dark_scale_per_field(engine.config, scale))
+    central = engine.harmonics([det.dark_prob for det in detectors])[:, 1]
+    background = scenarios._background(central, engine.config.phase_bob)
+    signal = central[0, 0].real - background
+    if signal <= 0.0:
+        return 1e9
+    return float(background / signal)
 
 
 def fit_fringe_scipy(phases, counts) -> FringeFit:

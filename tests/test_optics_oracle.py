@@ -1,8 +1,8 @@
 """Property tests: qrelay.optics.apply, one pass through the composed transfer
 matrix, against a fold of the brute-force general_transform in
-tests/oracles.py over the circuit's elements, one element at a time; and
-each device's single element against the product of the primitives it is
-made of."""
+tests/oracles.py over the circuit's elements, one element at a time, on
+random circuits and on the relay's own; and each device's single element
+against the product of the primitives it is made of."""
 
 import math
 
@@ -25,7 +25,7 @@ from oracles import (  # noqa: E402
 )
 from qrelay.errors import BinOverflowError  # noqa: E402
 from qrelay import scenarios  # noqa: E402
-from qrelay.fock import ModeKey, ModeRegistry  # noqa: E402
+from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry  # noqa: E402
 from qrelay.optics import Circuit, apply  # noqa: E402
 
 # derandomized and without the example database, so every run draws the
@@ -199,3 +199,40 @@ def test_bell_mixer_is_a_beamsplitter_per_bin_and_label():
                              ModeKey(scenarios.EPR_QUBIT, t, i))
     assert len(device.elements) == 1
     _assert_same_transfer(device, primitives)
+
+
+# the relay's own circuits on their two-pair branch mixtures, against the
+# element-by-element fold; each case names the modes whose photons move
+RELAY_LOSSES = {"loss_alice_db": 1.0, "loss_epr_db": 0.5, "loss_herald_db": 0.7,
+                "loss_bob_db": 2.5}
+RELAY_CASES = {
+    "teleport-default": 6,
+    "teleport-heralded-four-losses": 7,
+    "dip-symmetric": 3,
+    "dip-entangled": 4,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELAY_CASES))
+def test_apply_matches_the_oracle_on_the_relay_circuits(case):
+    if case == "teleport-default":
+        circ, relay_bins = scenarios._teleport_circuit(scenarios.ExperimentConfig()), (0, 1)
+    elif case.startswith("teleport"):
+        cfg = scenarios.ExperimentConfig(heralded=True, **RELAY_LOSSES)
+        circ, relay_bins = scenarios._teleport_circuit(cfg), (0, 1)
+    else:
+        circ, relay_bins = scenarios._dip_circuit(scenarios.ExperimentConfig(
+            mandel_mode=case[len("dip-"):], mandel_phase=0.4, **RELAY_LOSSES))
+    two_pairs = [(na, nc) for na, nc in scenarios.pair_branches() if na + nc == 2]
+    state = scenarios._branch_mixture(circ.registry, scenarios._components(two_pairs),
+                                      relay_bins, 0.3)
+    moves = circ._compose()[3]
+    assert np.count_nonzero(state.occupations.any(axis=0) & moves) == RELAY_CASES[case]
+    fold = terms(state)
+    for idxs, m in circ.elements:
+        fold = general_transform(fold, list(idxs), m, 0.0)
+    # the fold keeps the exact zeros of cancelled terms, which apply prunes
+    fold = {k: v for k, v in fold.items() if abs(v) >= PRUNE_TOL}
+    out = terms(apply(circ, state))
+    assert set(out) == set(fold)
+    assert all(abs(out[k] - v) <= 1e-15 * abs(v) for k, v in fold.items())

@@ -4,7 +4,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from oracles import add_beamsplitter, add_delay, add_phase, teleport_per_phase
+from oracles import (
+    add_beamsplitter,
+    add_delay,
+    add_phase,
+    background_ratio_per_config,
+    teleport_per_phase,
+    with_dark_scale_per_field,
+)
 from qrelay import cli, scenarios
 from qrelay.analysis import fit_dip, fit_fringe
 from qrelay.errors import (
@@ -25,6 +32,7 @@ from qrelay.scenarios import (
     run_mandel_scan,
     run_teleport_scan,
 )
+from test_reference_outputs import CALIBRATION_CASES
 
 IDEAL_DETECTORS = dict(
     eta_ge=1.0,
@@ -228,6 +236,49 @@ def test_calibration_reaches_feasible_target():
     b = engine.background()
     s = _fringe_mean(engine) - b
     assert abs(b / s - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_calibration_rejects_a_target_that_is_not_finite(target):
+    # a NaN target would otherwise run the root search to its iteration cap,
+    # and an infinite one grow the bracket to its end
+    with pytest.raises(ConfigError, match="finite"):
+        calibrate_dark_counts(ExperimentConfig(), target)
+
+
+NO_DARKS = {"dark_ge": 0.0, "dark_ingaas_bsa": 0.0, "dark_herald": 0.0, "dark_bob": 0.0}
+# configs whose trial ratios the rebuilt-config oracle checks: the herald's
+# dark count in and out of the vector, the scaling reference of a dark-free
+# config, and one whose only nonzero dark count is the unused herald's
+TRIAL_CONFIGS = {
+    "heralded": {"heralded": True},
+    "symmetric-bsa": {"symmetric_bsa": True},
+    "mismatch-40": {"delta_x_um": 40.0},
+    "dark-free-heralded": dict(NO_DARKS, heralded=True),
+    "herald-dark-only": dict(NO_DARKS, dark_herald=1e-4),
+    "four-losses": {"loss_alice_db": 1.0, "loss_epr_db": 0.5, "loss_herald_db": 0.7,
+                    "loss_bob_db": 2.5},
+}
+# the last scale caps every dark probability, the least 1e-5, at 0.9
+TRIAL_SCALES = [0.0, 1e-3, 1.0, 4.0, 4.0**5, 1e6]
+
+
+@pytest.mark.parametrize("scale", TRIAL_SCALES)
+@pytest.mark.parametrize("name", sorted(TRIAL_CONFIGS))
+def test_trial_ratio_equals_the_rebuilt_config_path(name, scale):
+    engine = TeleportEngine(ExperimentConfig(**TRIAL_CONFIGS[name]))
+    assert scenarios._background_ratio(scale, engine) == background_ratio_per_config(scale, engine)
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_recorded_calibrations_equal_the_rebuilt_config_path(monkeypatch, case):
+    fields_, target = CALIBRATION_CASES[case]
+    cfg = ExperimentConfig(**fields_)
+    calibrated, report = calibrate_dark_counts(cfg, target)
+    monkeypatch.setattr(scenarios, "_background_ratio", background_ratio_per_config)
+    assert calibrate_dark_counts(cfg, target)[1] == report
+    expected = with_dark_scale_per_field(replace(cfg, ideal_single_pairs=False), report.dark_scale)
+    assert calibrated == replace(expected, detectors_calibrated=True)
 
 
 def test_montecarlo_reruns_byte_identical():
@@ -450,7 +501,7 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     engine.scan(phase_grid(24))
     engine.acceptance()
     engine.background()
-    engine.harmonics(scenarios._detectors(scenarios._with_dark_scale(cfg, 2.0)))
+    engine.harmonics(scenarios._scaled_darks(cfg, 2.0))
     assert len(calls) == 1
 
 

@@ -72,8 +72,9 @@ def teleport_cases(draw):
 def _rescaled_mean_and_blockings(engine, detectors, blocked):
     """Bob's click averaged over the phase under the config's weights, then
     at phase_bob under each of `blocked`, for `detectors`' dark counts,
-    from one harmonics contraction as _background_ratio reads it."""
-    central = engine.harmonics(detectors)[:, 1]
+    from one harmonics contraction of their dark vector as
+    _background_ratio reads it."""
+    central = engine.harmonics([det.dark_prob for det in detectors])[:, 1]
     columns = [BLOCK_CHOICES.index(b) for b in blocked]
     at_phase = scenarios._synthesize(central[:, columns], [engine.config.phase_bob])[0]
     return (central[0, 0].real, *at_phase)
