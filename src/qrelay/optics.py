@@ -6,9 +6,9 @@ through a 50/50 coupler with a one-bin delay and a phase in between, exactly
 unitary including its non-detected output port), a channel's fiber loss,
 the lossless bin encoder.
 
-The elements compose into one transfer matrix T over the registry, and a
-state goes through the whole circuit at once by substituting creation
-operators,
+The elements compose into one transfer matrix T over the registry
+(`Circuit.transfer`), and `apply(t, state)` runs a state through the whole
+circuit at once by substituting creation operators,
 
     a^dag_j  ->  sum_k T[j, k] a^dag_k,
 
@@ -76,10 +76,6 @@ def compose(elements: Sequence[Element], modes: Sequence[int]) -> np.ndarray:
 class Circuit:
     registry: ModeRegistry
     elements: List[Element] = field(default_factory=list)
-    # (registry size, element count, T, mask of rows of T that move, mask of
-    # rows that lost norm): the labels check, the Bob-side check and `apply`
-    # each read T of one teleport circuit
-    _composed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_unitary(self, modes: Sequence[ModeKey], matrix) -> None:
         """Substitute a_j -> sum_k matrix[j, k] a_k on the listed modes.
@@ -107,20 +103,19 @@ class Circuit:
             raise RegistryMismatchError(f"channel {spatial!r} has no registered mode")
         return labels, [ModeKey(spatial, t, i) for t in range(reg.max_bins) for i in labels]
 
-    def add_channel_loss(self, spatial: str, transmittance: float, sink_spatial: Optional[str] = None):
+    def add_channel_loss(self, spatial: str, transmittance: float):
         """Same transmittance on every mode of a channel, each against its
-        own mode of the sink channel."""
+        own mode of the channel's sink, `<spatial>-loss`."""
         labels, modes = self._channel(spatial)
         if transmittance == 1.0:
             return
-        sink_spatial = sink_spatial or f"{spatial}-loss"
-        self.registry.add_channel(sink_spatial, labels)
-        sinks = [ModeKey(sink_spatial, m.time_bin, m.internal) for m in modes]
+        self.registry.add_channel(f"{spatial}-loss", labels)
+        sinks = [ModeKey(f"{spatial}-loss", m.time_bin, m.internal) for m in modes]
         t = math.sqrt(transmittance)
         r = math.sqrt(1.0 - transmittance)
         self.add_unitary(modes + sinks, identity_blocks([[t, r], [-r, t]], len(modes)))
 
-    def add_michelson(self, spatial: str, phase: float, loss_spatial: Optional[str] = None) -> str:
+    def add_michelson(self, spatial: str, phase: float, loss_spatial: Optional[str] = None):
         """Unbalanced Michelson on a channel: bin t -> {t, t+1} plus a loss port.
 
         One element over the channel's modes and its port's, coupler @ delay
@@ -144,7 +139,6 @@ class Circuit:
         # the +pi makes the output-port relative amplitude exactly e^{i phase}
         delay[n:, n:] = np.exp(1j * (phase + math.pi)) * np.eye(n, k=len(labels))
         self.add_unitary(arm + port, coupler @ delay @ coupler)
-        return ls
 
     def add_bin_encoder(self, spatial: str, phase: float):
         """Lossless two-bin superposition on every label of a channel:
@@ -159,26 +153,16 @@ class Circuit:
         modes = [ModeKey(spatial, t, i) for t in (0, 1) for i in labels]
         self.add_unitary(modes, identity_blocks(u, len(labels)))
 
-    def _compose(self) -> tuple:
-        size = len(self.registry)
-        cached = self._composed
-        if cached is None or cached[:2] != (size, len(self.elements)):
-            t = compose(self.elements, range(size))
-            t.flags.writeable = False
-            moves = (t != np.eye(size)).any(axis=1)
-            lost = (t.real**2 + t.imag**2).sum(axis=1) < 1.0 - NORM_ATOL
-            cached = self._composed = (size, len(self.elements), t, moves, lost)
-        return cached
-
     def transfer(self) -> np.ndarray:
-        """The circuit's transfer matrix over every registered mode:
-        a_j -> sum_k T[j, k] a_k, the elements applied in order."""
-        return self._compose()[2]
+        """T over every registered mode, composed afresh on each call: a_j ->
+        sum_k T[j, k] a_k, the elements applied in order."""
+        return compose(self.elements, range(len(self.registry)))
 
 
-def apply(circuit: Circuit, state: FockState) -> FockState:
-    """Run a state, one column per registered mode, through the circuit;
-    DimensionMismatchError for any other width.
+def apply(t: np.ndarray, state: FockState) -> FockState:
+    """Run a state, one column per mode of its registry, through a transfer
+    matrix T over that registry (`Circuit.transfer`); DimensionMismatchError
+    for a state of any other width or a T of any other shape.
 
     The n photons of each mode j whose row of T moves become the expansion
     of (sum_k T[j, k] a^dag_k)^n, mode after mode for all terms at once,
@@ -187,12 +171,14 @@ def apply(circuit: Circuit, state: FockState) -> FockState:
     divided out of the input and put back on the output, the expansions
     multiply as plain polynomials, and output rows with equal occupations
     merge."""
-    reg = circuit.registry
+    reg = state.registry
     size = len(reg)
     occ = state.occupations
-    if occ.shape[1] != size:
-        raise DimensionMismatchError(f"a state of {occ.shape[1]} modes on a registry of {size}")
-    _, _, t, moves, lost = circuit._compose()
+    if occ.shape[1] != size or t.shape != (size, size):
+        raise DimensionMismatchError(f"a state of {occ.shape[1]} modes and a transfer matrix of "
+                                     f"shape {t.shape} on a registry of {size}")
+    moves = (t != np.eye(size)).any(axis=1)
+    lost = (t.real**2 + t.imag**2).sum(axis=1) < 1.0 - NORM_ATOL
     occupied = occ.any(axis=0)
     overflow = np.flatnonzero(occupied & lost)
     if len(overflow):

@@ -279,16 +279,17 @@ def _counts(config: ExperimentConfig, probs: np.ndarray, stream: int) -> Tuple[n
     return counts, config.trials
 
 
+# (channel, efficiency field, dark-probability field) of each of the relay's
+# detectors, in teleport_tables' order: ge, ingaas, bob, and the herald last
+_DETECTOR_FIELDS = ((ALICE_QUBIT, "eta_ge", "dark_ge"),
+                    (EPR_QUBIT, "eta_ingaas_bsa", "dark_ingaas_bsa"),
+                    (EPR_BOB, "eta_bob", "dark_bob"), (ALICE_HERALD, "eta_herald", "dark_herald"))
+
+
 def _detectors(config: ExperimentConfig) -> Tuple[Detector, ...]:
-    """The relay's detectors in teleport_tables' order: ge, ingaas, bob
-    and, when the run is heralded, the herald."""
-    detectors = (
-        Detector(ALICE_QUBIT, config.eta_ge, config.dark_ge),
-        Detector(EPR_QUBIT, config.eta_ingaas_bsa, config.dark_ingaas_bsa),
-        Detector(EPR_BOB, config.eta_bob, config.dark_bob),
-        Detector(ALICE_HERALD, config.eta_herald, config.dark_herald),
-    )
-    return detectors if config.heralded else detectors[:3]
+    """The detectors of _DETECTOR_FIELDS, the herald only when the run is heralded."""
+    return tuple(Detector(spatial, getattr(config, eta), getattr(config, dark))
+                 for spatial, eta, dark in _DETECTOR_FIELDS[:4 if config.heralded else 3])
 
 
 def _relay_registry() -> ModeRegistry:
@@ -468,16 +469,18 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _check_labels_separate(circuit: Circuit) -> None:
-    """Raise LabelMixingError if the circuit's transfer matrix has an entry
-    between modes of different internal labels."""
-    reg = circuit.registry
-    t = circuit.transfer()
-    labels = np.array([reg.key_at(i).internal for i in range(len(reg))])
-    mixed = np.argwhere((t != 0) & (labels[:, None] != labels))
-    if len(mixed):
-        j, k = mixed[0]
-        raise LabelMixingError(f"the circuit couples {reg.key_at(int(j))} to {reg.key_at(int(k))}")
+def _coupled_pair(registry: ModeRegistry, t: np.ndarray, groups: np.ndarray):
+    """The first modes (j, k) that an entry T[j, k] of `t` joins across
+    `groups`, one per registered mode, or None if T keeps them apart."""
+    pairs = np.argwhere((t != 0) & (groups[:, None] != groups))
+    return tuple(map(registry.key_at, pairs[0].tolist())) if len(pairs) else None
+
+
+def _check_labels_separate(registry: ModeRegistry, t: np.ndarray) -> None:
+    """Raise LabelMixingError if T joins modes of different internal labels."""
+    labels = np.array([registry.key_at(i).internal for i in range(len(registry))])
+    if pair := _coupled_pair(registry, t, labels):
+        raise LabelMixingError("the circuit couples {} to {}".format(*pair))
 
 
 def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
@@ -544,19 +547,21 @@ class TeleportEngine:
     (`_delay_harmonics`).  The c_m summed per branch with the photon tables
     give the per-branch harmonics of the tables, and the dark-count weights
     the harmonics H_m of every detection probability: Re(H_0 + 2 sum_{m>=1}
-    H_m e^{i m phi_b}) at phi_b, H_0 on average.  This is exact when
+    H_m e^{i m phi_b}) at phi_b, H_0 on average.  T is composed once, with
+    DELAY_RECORD registered, and both the checks and `apply` read it.  This
+    is exact when
     - no entry of T joins Bob's side to another mode, so that Alice's
       encoder delays stay out of k,
     - phi_b enters the analyzer's transfer matrix only as a factor
       e^{i phi_b} per bin that an entry moves a photon later, so that a row's
       phase is e^{i k phi_b} whichever paths reach it, and
     - every delay count k lies in [0, D], which holds when each photon is
-      delayed by at most one bin, and is unique within its output
-      occupation,
+      delayed by at most one bin, and is unique within its output occupation,
     and the overlap weights are exact when T keeps the internal labels
-    apart, so that components never interfere.  HarmonicSynthesisError or
-    LabelMixingError is raised otherwise, and UnnormalizedStateError unless
-    each component has norm harmonics 1, 0, ..., 0.
+    apart (_coupled_pair tests both separations), so that components never
+    interfere.  HarmonicSynthesisError or LabelMixingError is raised
+    otherwise, and UnnormalizedStateError unless each component has norm
+    harmonics 1, 0, ..., 0.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -574,10 +579,10 @@ class TeleportEngine:
             if side.intersection(idxs):
                 side.update(idxs)
         bob = np.isin(np.arange(len(reg)), list(side))
-        if np.any((circ.transfer() != 0) & (bob[:, None] != bob)):
-            raise HarmonicSynthesisError("the analyzer's circuit couples Bob's side to other modes")
-
-        _check_labels_separate(circ)
+        t = circ.transfer()
+        if pair := _coupled_pair(reg, t, bob):
+            raise HarmonicSynthesisError("the analyzer's circuit couples {} to {}".format(*pair))
+        _check_labels_separate(reg, t)
         components = _components(pair_branches())
         s = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um) ** 2
         overlap = _overlap_weights(components, s)
@@ -586,7 +591,7 @@ class TeleportEngine:
         mixture = _branch_mixture(reg, self.branches, (0, 1), cfg.phase_pump)
         self.degree = int(mixture.occupations[:, reg.indices_for(EPR_BOB)].sum(axis=1).max())
         mixture.occupations[:, record] = mixture.occupations[:, bob] @ bins[bob]
-        out = apply(circ, mixture)
+        out = apply(t, mixture)
         occupations = out.occupations
         delays = occupations[:, bob] @ bins[bob] - occupations[:, record]
         occupations[:, record] = 0
@@ -688,12 +693,12 @@ class _MandelEngine:
 
     def __init__(self, config: ExperimentConfig):
         circ, relay_bins = _dip_circuit(config)
-        _check_labels_separate(circ)
-        reg = circ.registry
+        reg, t = circ.registry, circ.transfer()
+        _check_labels_separate(reg, t)
         held = {k: w for k, w in branch_weights(config).items() if w > 0}
         components = _components(held)
         self.overlap = OverlapModel(config.dip_fwhm_um)
-        out = apply(circ, _branch_mixture(reg, components, relay_bins, config.phase_pump))
+        out = apply(t, _branch_mixture(reg, components, relay_bins, config.phase_pump))
         amps = out.amplitudes
         ge, ingaas = _detectors(config)[:2]
         clicks = coincidence_clicks(reg, out.occupations, ge, ingaas)[:, :2]
@@ -753,9 +758,8 @@ class CalibrationReport:
     clamped: bool
 
 
-# the dark-probability fields in _detectors' order, the herald's last; their
-# defaults are the scaling reference when a config's are all zero
-_DARK_FIELDS = ("dark_ge", "dark_ingaas_bsa", "dark_bob", "dark_herald")
+_DARK_FIELDS = tuple(dark for _, _, dark in _DETECTOR_FIELDS)
+# the scaling reference when a config's dark probabilities are all zero
 _REFERENCE_DARKS = np.array([getattr(ExperimentConfig, k) for k in _DARK_FIELDS])
 _DARK_CAP = 0.9
 

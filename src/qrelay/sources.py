@@ -42,7 +42,7 @@ def pair_count_distribution(mu: float, n_cut: int, tail_tol: float = 1e-4) -> np
     if not tail <= tail_tol:
         raise TailMassError(
             f"discarded pair-number tail {tail:.3e} exceeds {tail_tol:.1e} "
-            f"(mean_pairs={mu}, n_cut={n_cut}); raise n_cut or tail_tol"
+            f"(mean_pairs={mu}, n_cut={n_cut}); lower the pair mean or raise tail_tol"
         )
     n = np.arange(n_cut + 1)
     return mu**n / (1.0 + mu) ** (n + 1)

@@ -57,6 +57,15 @@ a config rebuilt with the scaled dark probabilities, field by field
 dark vector each trial scale of qrelay.scenarios.calibrate_dark_counts
 forms.
 
+teleport_events gives the acceptance and Bob's click in BOB_BIN in
+closed form, at any pair number: both sources are squeezers, so the
+probability that a set of detector gates stays dark is one determinant
+(closed_form_vacuum), and each accepted pattern's probability follows by
+inclusion-exclusion over its click gates (teleport_patterns).  weighted
+takes the relay as two squeezers, or as the package's thermal source on
+the total pair number by quadrature over the squeezer parameter: the
+converged reference the Fock engine's pair cut approaches.
+
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the block-by-block writer in qrelay.cli.
 
@@ -86,7 +95,11 @@ import numpy as np
 from qrelay import scenarios
 from qrelay.analysis import DipFit, FringeFit, _phase, fit_fringe
 from qrelay.detection import (
+    _BOB,
+    BOB_BIN,
+    CLOCK_WINDOW,
     Detector,
+    bell_patterns,
     coincidence_clicks,
     teleport_tables,
     teleport_weights,
@@ -528,7 +541,7 @@ def mandel_per_point(cfg: "scenarios.ExperimentConfig", mismatches_um) -> np.nda
     for x in mismatches_um:
         mixture = overlap_mixture(circ.registry, list(held), overlap.xi(x), relay_bins,
                                   cfg.phase_pump)
-        per_branch = coincidence_probability(apply(circ, mixture), ge, ingaas)
+        per_branch = coincidence_probability(apply(circ.transfer(), mixture), ge, ingaas)
         rows.append(weights @ per_branch[:, :2])
     return np.array(rows)
 
@@ -614,7 +627,7 @@ def teleport_per_phase(engine: "scenarios.TeleportEngine", phi_b: float, weights
     branches = scenarios.pair_branches()
     mixture = overlap_mixture(circ.registry, branches, xi, (0, 1), cfg.phase_pump)
     detectors = scenarios._detectors(cfg) if detectors is None else detectors
-    per_branch = teleport_outcome_distribution(apply(circ, mixture), *detectors,
+    per_branch = teleport_outcome_distribution(apply(circ.transfer(), mixture), *detectors,
                                                free_partner=cfg.symmetric_bsa)
     weights = scenarios.branch_weights(cfg) if weights is None else weights
     w = np.array([weights.get(k, 0.0) for k in branches])
@@ -667,6 +680,101 @@ def background_ratio_per_config(scale: float, engine: "scenarios.TeleportEngine"
     if signal <= 0.0:
         return 1e9
     return float(background / signal)
+
+
+# the closed form's source modes, the rows and columns of its matrix B:
+# Alice's signal in both internal labels, her herald, and the relay's pair
+# in both bins
+CLOSED_FORM_SOURCE = (
+    ModeKey(scenarios.ALICE_QUBIT, 0, 0), ModeKey(scenarios.ALICE_QUBIT, 0, 1),
+    ModeKey(scenarios.ALICE_HERALD, 0), ModeKey(scenarios.EPR_QUBIT, 0),
+    ModeKey(scenarios.EPR_QUBIT, 1), ModeKey(scenarios.EPR_BOB, 0), ModeKey(scenarios.EPR_BOB, 1),
+)
+
+
+def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float):
+    """Q(gates): the probability that none of the detector gates (channel,
+    bin), channels in _detectors' order, holds a photon, at any pair
+    number.  Alice's source is a squeezer of parameter xa, the relay's one
+    of parameter y in each of its two bins, so the state before detection
+    is Gaussian: with T_s the source rows of the teleport circuit's T with
+    the analyzer at phi_b, Pi_g = eta_g T_{s,g} T_{s,g}^H over a gate's
+    modes of every label, and G = I - sum_g Pi_g,
+
+        Q = (1 - xa)(1 - y)^2 det(I - conj(B) conj(G) B G)^(-1/2).
+    """
+    circ = scenarios._teleport_circuit(cfg)
+    reg = circ.registry
+    circ.elements += scenarios._analyzer(reg, phi_b).elements
+    t = circ.transfer()[[reg.index(k) for k in CLOSED_FORM_SOURCE]]
+    proj = {}
+    for c, det in enumerate(scenarios._detectors(cfg)):
+        for b in CLOCK_WINDOW:
+            cols = [i for i in reg.indices_for(det.spatial) if reg.key_at(i).time_bin == b]
+            proj[(c, b)] = det.efficiency * t[:, cols] @ t[:, cols].conj().T
+    xi = float(OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um))
+    source = np.zeros((7, 7), complex)
+    source[0, 2] = source[2, 0] = math.sqrt(xa) * xi
+    source[1, 2] = source[2, 1] = math.sqrt(xa * (1.0 - xi * xi))
+    for k in (0, 1):
+        source[3 + k, 5 + k] = source[5 + k, 3 + k] = math.sqrt(y) * np.exp(1j * cfg.phase_pump * k)
+
+    def vacuum_probability(gates) -> float:
+        g = np.eye(7) - sum((proj[x] for x in gates), np.zeros((7, 7)))
+        det = np.linalg.det(np.eye(7) - source.conj() @ g.conj() @ source @ g).real
+        return (1.0 - xa) * (1.0 - y) ** 2 / math.sqrt(det)
+
+    return vacuum_probability
+
+
+def teleport_patterns(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float,
+                      darks) -> np.ndarray:
+    """Each accepted Bell-state pattern's probability, and that with Bob's
+    click in BOB_BIN, shape (patterns of bell_patterns, 2), from the vacuum
+    probabilities of closed_form_vacuum by inclusion-exclusion: a pattern
+    with click gates C and dark gates V has probability
+
+        prod_{g in V} (1 - d_g) sum_{S subset of C} (-1)^|S| prod_{g in S} (1 - d_g) Q(V + S),
+
+    darks d in _detectors' order; Bob's click is one more click gate."""
+    vacuum_probability = closed_form_vacuum(cfg, phi_b, xa, y)
+    patterns = bell_patterns(cfg.symmetric_bsa, len(CLOCK_WINDOW), cfg.heralded)
+    out = np.zeros((len(patterns), 2))
+    for event, extra in enumerate(((), ((_BOB, BOB_BIN),))):
+        for p, (click, dark) in enumerate(patterns):
+            click += extra
+            keep = np.prod([1.0 - darks[c] for c, _ in dark])
+            for r in range(len(click) + 1):
+                for s in itertools.combinations(click, r):
+                    sign = (-1) ** r * np.prod([1.0 - darks[c] for c, _ in s])
+                    out[p, event] += keep * sign * vacuum_probability(dark + s)
+    return out
+
+
+def teleport_events(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float,
+                    darks) -> np.ndarray:
+    """[P(accept), P(accept and Bob clicks in BOB_BIN)] at analyzer phase
+    phi_b in closed form (teleport_patterns summed over the patterns)."""
+    return teleport_patterns(cfg, phi_b, xa, y, darks).sum(axis=0)
+
+
+def weighted(cfg: "scenarios.ExperimentConfig", phi_b: float, darks, model: str,
+             nodes: int = 8) -> np.ndarray:
+    """teleport_events under the relay's pair-number weighting `model`:
+    "two", two squeezers, one per bin, y = mu/(2 + mu), exact with no
+    truncation; or "total", the package's source, thermal (1 - x) x^n on
+    the total pair number n, x = mu/(1 + mu), which integrates the
+    two-squeezer form over y in [0, x] with weight (1 - x)/x (1 - y)^-2,
+    by `nodes`-point Gauss-Legendre.  Alice's source is thermal either
+    way, xa = mu_a/(1 + mu_a)."""
+    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
+    mu = cfg.pair_mean_epr
+    if model == "two" or mu == 0.0:
+        return teleport_events(cfg, phi_b, xa, mu / (2.0 + mu), darks)
+    x = mu / (1.0 + mu)
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    return sum(wi * (1.0 - x) / 2.0 * teleport_events(cfg, phi_b, xa, t, darks) / (1.0 - t) ** 2
+               for t, wi in zip(x * (u + 1.0) / 2.0, w))
 
 
 def fit_fringe_scipy(phases, counts) -> FringeFit:

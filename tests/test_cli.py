@@ -83,9 +83,10 @@ def test_schema_violation_exits_2(tmp_path, capsys):
 
 def test_oversized_tail_exits_3(tmp_path, capsys):
     # the overflowing mean makes mu**n overflow: its tail must still come
-    # out as 1, not NaN, and nothing may warn on the way
+    # out as 1, not NaN, and nothing may warn on the way; 0.21 is just past
+    # the default tail_tol, and the message names a remedy a config can set
     cfg = tmp_path / "hot.cfg"
-    for text in ("pair_mean = 0.9\n", "pair_mean = 1e300\n"):
+    for text in ("pair_mean = 0.21\n", "pair_mean = 0.9\n", "pair_mean = 1e300\n"):
         cfg.write_text(text)
         for command in ("teleport", "mandel", "noise"):
             with warnings.catch_warnings(record=True) as caught:
@@ -93,7 +94,8 @@ def test_oversized_tail_exits_3(tmp_path, capsys):
                 code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
             assert code == 3, (text, command)
             assert [str(w.message) for w in caught] == []
-            assert "tail" in err
+            assert "tail_tol" in err
+            assert "raise n_cut" not in err
             assert "nan" not in err
             assert out == ""
 

@@ -1,0 +1,119 @@
+"""The teleport events in closed form (oracles.weighted) against the Fock
+engine and against themselves.
+
+Both sources are squeezers, so the probability that a set of detector
+gates stays dark is one determinant at any pair number, and the accepted
+events follow by inclusion-exclusion over the click gates.  The engine
+keeps the pair branches up to MAX_PAIRS_EACH pairs in total; under
+two-squeezer weights it misses exactly the dropped branches' share, each
+a probability in [0, 1], so the closed form lies above it by at most the
+dropped weight.  Plain parametrize, numpy alone.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from oracles import closed_form_vacuum, teleport_patterns, weighted
+
+from qrelay import scenarios
+from qrelay.detection import CLOCK_WINDOW
+from qrelay.scenarios import ExperimentConfig, TeleportEngine
+
+CONFIGS = {
+    "default": {},
+    "mean-0.13-heralded": {"pair_mean": 0.13, "heralded": True},
+    "symmetric-dark-bob": {"symmetric_bsa": True, "dark_bob": 3e-4},
+    "mismatch-60-pump-0.7-lossless": {"delta_x_um": 60.0, "phase_pump": 0.7,
+                                      "alice_encoder": "lossless"},
+}
+
+# (config, model): the closed-form acceptance at phi_b = 0, as first
+# recorded; the alternating sums round at up to about 1e-8 relative
+# between summation orders, and this one agrees within 1e-10
+RECORDED_ACCEPTANCE = {
+    ("default", "total"): 2.4138624923818387e-05,
+    ("default", "two"): 2.315844227407382e-05,
+    ("mean-0.13-heralded", "total"): 2.634078997333691e-06,
+    ("mean-0.13-heralded", "two"): 2.595706939723108e-06,
+}
+RECORDED_RTOL = 1e-9
+
+
+def _darks(cfg):
+    return [det.dark_prob for det in scenarios._detectors(cfg)]
+
+
+def _squeezer_parameters(cfg):
+    """(xa, y): Alice's thermal parameter, the relay's per-bin squeezer's."""
+    return (cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice),
+            cfg.pair_mean_epr / (2.0 + cfg.pair_mean_epr))
+
+
+def _two_squeezer_weights(cfg, blocked="none"):
+    """(weights over the kept branches, normalized; their kept sum): Alice
+    thermal, the relay (n + 1)(1 - y)^2 y^n on its total n, a blocked
+    source's parameter 0."""
+    xa, y = _squeezer_parameters(cfg)
+    xa = 0.0 if blocked in ("alice", "both") else xa
+    y = 0.0 if blocked in ("epr", "both") else y
+    raw = {(na, nc): (1.0 - xa) * xa**na * (nc + 1) * (1.0 - y) ** 2 * y**nc
+           for na, nc in scenarios.pair_branches()}
+    kept = sum(raw.values())
+    return {branch: w / kept for branch, w in raw.items()}, kept
+
+
+@pytest.mark.parametrize("case, model", sorted(RECORDED_ACCEPTANCE))
+def test_closed_form_acceptance_matches_the_recorded_values(case, model):
+    cfg = ExperimentConfig(**CONFIGS[case])
+    got = weighted(cfg, 0.0, _darks(cfg), model)[0]
+    assert got == pytest.approx(RECORDED_ACCEPTANCE[(case, model)], rel=RECORDED_RTOL)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_fock_engine_lies_below_the_closed_form_by_at_most_the_dropped_weight(
+        monkeypatch, case, k):
+    cfg = ExperimentConfig(**CONFIGS[case])
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
+    monkeypatch.setattr(scenarios, "branch_weights",
+                        lambda config, blocked="none": _two_squeezer_weights(config, blocked)[0])
+    kept = _two_squeezer_weights(cfg)[1]
+    engine = TeleportEngine(cfg)
+    for phi_b in (0.3, math.pi):
+        exact = weighted(cfg, phi_b, engine.darks, "two")
+        fock = kept * np.array([engine.acceptance(), engine.scan([phi_b])[0]])
+        assert np.all(exact - fock >= 0.0), (phi_b, exact, fock)
+        assert np.all(exact - fock <= 1.0 - kept), (phi_b, exact, fock, kept)
+
+
+@pytest.mark.parametrize("case", ["default", "mean-0.13-heralded", "symmetric-dark-bob"])
+def test_closed_form_acceptance_does_not_depend_on_the_analyzer_phase(case):
+    # its gate sets hold no gate of Bob's, and the analyzer leaves every
+    # other column of T as it is
+    cfg = ExperimentConfig(**CONFIGS[case])
+    darks = _darks(cfg)
+    assert len({weighted(cfg, phi_b, darks, "total")[0] for phi_b in (0.0, 0.3, 1.7, math.pi)}) == 1
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_vacuum_probabilities_shrink_as_gates_are_added(case):
+    cfg = ExperimentConfig(**CONFIGS[case])
+    q = closed_form_vacuum(cfg, 0.3, *_squeezer_parameters(cfg))
+    assert abs(q(()) - 1.0) <= 1e-15
+    gates = [(c, b) for c in range(len(_darks(cfg))) for b in CLOCK_WINDOW]
+    for r in range(3):
+        for smaller in itertools.combinations(gates, r):
+            q_smaller = q(smaller)
+            for g in set(gates) - set(smaller):
+                # a rounding allowance of a few units in the last place
+                assert q(smaller + (g,)) <= q_smaller + 1e-15, (smaller, g)
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_pattern_probabilities_lie_in_the_unit_interval(case):
+    cfg = ExperimentConfig(**CONFIGS[case])
+    for phi_b in (0.0, 0.3, math.pi):
+        p = teleport_patterns(cfg, phi_b, *_squeezer_parameters(cfg), _darks(cfg))
+        assert np.all((p >= 0.0) & (p <= 1.0)), (phi_b, p)

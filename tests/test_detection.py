@@ -86,11 +86,11 @@ def test_thinning_matches_explicit_loss_element():
 
     reg2 = _registry("a")
     circ = Circuit(reg2)
-    circ.add_channel_loss("a", eta, "sink")
+    circ.add_channel_loss("a", eta)
     two2 = normalized(apply_creation(
         apply_creation(vacuum(reg2), ModeKey("a", 0)), ModeKey("a", 0)
     ))
-    lossy = apply(circ, two2)
+    lossy = apply(circ.transfer(), two2)
     ideal = DetectionLayout([Labeled("d", Detector("a"))])
     p_loss = _marginal(click_distribution([(1.0, lossy)], ideal), ("d", 0))
     assert abs(p_thin - p_loss) < 1e-12
@@ -203,7 +203,7 @@ def _ideal_bsa_outcome(state, symmetric):
 
 def test_antisymmetric_state_always_accepted():
     reg = _registry("a", "c", "dump", max_bins=4)
-    psi = apply(_bsa_circuit(reg), _bell_state(reg, -1.0))
+    psi = apply(_bsa_circuit(reg).transfer(), _bell_state(reg, -1.0))
     assert abs(_ideal_bsa_outcome(psi, True).accept[0] - 1.0) < 1e-12
     # the one-way trigger keeps only one of the two time orderings
     assert abs(_ideal_bsa_outcome(psi, False).accept[0] - 0.5) < 1e-12
@@ -315,7 +315,7 @@ def test_bell_patterns_of_the_relay():
 def test_symmetric_states_never_accepted():
     reg = _registry("a", "c", "dump", max_bins=4)
     for st in (_bell_state(reg, +1.0), _phi_plus(reg)):
-        out = apply(_bsa_circuit(reg), st)
+        out = apply(_bsa_circuit(reg).transfer(), st)
         assert _ideal_bsa_outcome(out, True).accept[0] < 1e-12
 
 
@@ -337,7 +337,7 @@ def test_qubit_against_pair_acceptance_is_one_quarter():
             n2[reg.index(ModeKey("a", 1))] += 1
             joint[bytes(n2)] = joint.get(bytes(n2), 0.0) + amp * np.exp(1j * phi_a) / math.sqrt(2)
         joint = normalized(from_terms(reg, joint))
-        out = apply(_bsa_circuit(reg), joint)
+        out = apply(_bsa_circuit(reg).transfer(), joint)
         res = teleport_outcome_distribution(out, Detector("a"), Detector("c"), Detector("bob"),
                                             free_partner=True)
         assert abs(res.accept[0] - 0.25) < 1e-12

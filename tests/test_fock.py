@@ -21,7 +21,7 @@ from qrelay.optics import Circuit, apply
 def _transform(state, modes, u):
     circ = Circuit(state.registry)
     circ.add_unitary(modes, u)
-    return apply(circ, state)
+    return apply(circ.transfer(), state)
 
 
 def _random_unitary(rng, k):

@@ -23,7 +23,7 @@ from qrelay.errors import (
     RegistryMismatchError,
 )
 from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry
-from qrelay.optics import Circuit, apply, loss_from_db
+from qrelay.optics import Circuit, apply, compose, loss_from_db
 
 
 def _channel_registry(*spatials, max_bins=4):
@@ -54,7 +54,7 @@ def test_identity_beamsplitter():
     circ = Circuit(reg)
     add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0), transmittance=1.0)
     st = apply_creation(vacuum(reg), ModeKey("a", 0))
-    out = apply(circ, st)
+    out = apply(circ.transfer(), st)
     assert abs(amplitude(out, [1] + [0] * (len(reg) - 1)) - 1.0) < 1e-12
 
 
@@ -64,7 +64,7 @@ def test_michelson_amplitude_map():
     reg = _channel_registry("s")
     circ = Circuit(reg)
     circ.add_michelson("s", phi, loss_spatial="l")
-    out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    out = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
 
     def amp(spatial, t):
         occ = [0] * len(reg)
@@ -83,7 +83,7 @@ def test_michelson_single_photon_split():
     reg = _channel_registry("s")
     circ = Circuit(reg)
     circ.add_michelson("s", 0.3)
-    out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    out = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
     assert abs(_bin_probability(out, "s", 0) - 0.25) < 1e-12
     assert abs(_bin_probability(out, "s", 1) - 0.25) < 1e-12
     lost = sum(
@@ -102,7 +102,7 @@ def test_chained_michelsons_interfere(phi1, phi2):
     circ = Circuit(reg)
     circ.add_michelson("s", phi1, loss_spatial="la")
     circ.add_michelson("s", phi2, loss_spatial="lb")
-    out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    out = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
     expect = (1.0 + math.cos(phi1 - phi2)) / 8.0
     assert abs(_bin_probability(out, "s", 1) - expect) < 1e-12
     assert abs(norm_sq(out) - 1.0) < 1e-12
@@ -120,21 +120,21 @@ def test_michelson_is_isometric_on_multiphoton_input():
     for occ, amp in terms(double).items():
         mix[occ] = mix.get(occ, 0.0) + amp
     mix = normalized(from_terms(reg, mix))
-    assert abs(norm_sq(apply(circ, mix)) - 1.0) < 1e-12
+    assert abs(norm_sq(apply(circ.transfer(), mix)) - 1.0) < 1e-12
 
 
 def test_loss_element_thins_photons():
     t = loss_from_db(2.0)
     reg = _channel_registry("s")
     circ = Circuit(reg)
-    circ.add_channel_loss("s", t, "sink")
+    circ.add_channel_loss("s", t)
     two = normalized(apply_creation(
         apply_creation(vacuum(reg), ModeKey("s", 0)), ModeKey("s", 0)
     ))
-    dist = occupation_distribution(apply(circ, two))
+    dist = occupation_distribution(apply(circ.transfer(), two))
     survive2 = sum(p for occ, p in dist.items() if occ[reg.index(ModeKey("s", 0))] == 2)
     assert abs(survive2 - t**2) < 1e-12
-    assert abs(norm_sq(apply(circ, two)) - 1.0) < 1e-12
+    assert abs(norm_sq(apply(circ.transfer(), two)) - 1.0) < 1e-12
 
 
 def test_channel_loss_skips_unity_transmittance():
@@ -163,9 +163,9 @@ def test_bin_delay_overflow():
     circ = Circuit(reg)
     add_delay(circ, "s", 1)
     with pytest.raises(BinOverflowError):
-        apply(circ, st)
+        apply(circ.transfer(), st)
     # vacuum in the last bin shifts without complaint
-    ok = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    ok = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
     assert abs(_bin_probability(ok, "s", 1) - 1.0) < 1e-12
 
 
@@ -173,7 +173,7 @@ def test_delay_shifts_by_its_bin_count():
     reg = _channel_registry("s", max_bins=3)
     circ = Circuit(reg)
     add_delay(circ, "s", 2)
-    out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    out = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
     assert abs(_bin_probability(out, "s", 2) - 1.0) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_bin_encoder_splits_evenly():
     reg = _channel_registry("s")
     circ = Circuit(reg)
     circ.add_bin_encoder("s", phi)
-    out = apply(circ, apply_creation(vacuum(reg), ModeKey("s", 0)))
+    out = apply(circ.transfer(), apply_creation(vacuum(reg), ModeKey("s", 0)))
     amp0 = [0] * len(reg)
     amp0[reg.index(ModeKey("s", 0))] = 1
     amp1 = [0] * len(reg)
@@ -214,7 +214,7 @@ def test_apply_matches_general_transform(k):
         u = _random_unitary(rng, k)
         circ = Circuit(reg)
         circ.add_unitary([reg.key_at(int(i)) for i in picked], u)
-        fast = terms(apply(circ, from_terms(reg, start)))
+        fast = terms(apply(circ.transfer(), from_terms(reg, start)))
         slow = general_transform(start, [int(i) for i in picked], u, PRUNE_TOL)
         assert _max_diff(fast, slow) < 1e-12
 
@@ -225,7 +225,7 @@ def test_apply_prunes_cancelled_terms():
     circ = Circuit(reg)
     add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0))
     st = apply_creation(apply_creation(vacuum(reg), ModeKey("a", 0)), ModeKey("b", 0))
-    assert bytes([1, 1]) not in terms(apply(circ, st))
+    assert bytes([1, 1]) not in terms(apply(circ.transfer(), st))
 
 
 def test_transfer_composes_in_order_and_follows_the_registry():
@@ -243,7 +243,7 @@ def test_transfer_composes_in_order_and_follows_the_registry():
     assert circ.transfer().shape == (3, 3)
     assert circ.transfer()[2, 2] == 1.0
     st = apply_creation(vacuum(reg), ModeKey("c", 0))
-    assert terms(apply(circ, st)) == {bytes([0, 0, 1]): 1.0}
+    assert terms(apply(circ.transfer(), st)) == {bytes([0, 0, 1]): 1.0}
 
 
 def test_apply_rejects_a_state_narrower_than_its_registry():
@@ -255,4 +255,26 @@ def test_apply_rejects_a_state_narrower_than_its_registry():
     circ = Circuit(reg)
     add_beamsplitter(circ, ModeKey("a", 0), ModeKey("b", 0))
     with pytest.raises(DimensionMismatchError):
-        apply(circ, st)
+        apply(circ.transfer(), st)
+
+
+def test_apply_rejects_a_transfer_matrix_of_another_size():
+    reg = _channel_registry("a", "b", max_bins=1)
+    st = apply_creation(vacuum(reg), ModeKey("a", 0))
+    for t in (np.eye(1), np.eye(3), np.eye(2)[:, :1]):
+        with pytest.raises(DimensionMismatchError):
+            apply(t, st)
+
+
+def test_transfer_is_composed_afresh_after_an_element_changes_in_place():
+    rng = np.random.default_rng(9)
+    reg = _channel_registry("a", "b")
+    circ = Circuit(reg)
+    circ.add_michelson("a", 0.4)
+    add_beamsplitter(circ, ModeKey("a", 1), ModeKey("b", 1))
+    before = circ.transfer()
+    idxs, _ = circ.elements[0]
+    circ.elements[0] = (idxs, _random_unitary(rng, len(idxs)))
+    after = circ.transfer()
+    assert np.array_equal(after, compose(circ.elements, range(len(circ.registry))))
+    assert not np.allclose(after, before)

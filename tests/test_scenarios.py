@@ -490,9 +490,9 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     real_apply = scenarios.apply
     calls = []
 
-    def counting_apply(circuit, state):
+    def counting_apply(t, state):
         calls.append(len(state))
-        return real_apply(circuit, state)
+        return real_apply(t, state)
 
     monkeypatch.setattr(scenarios, "apply", counting_apply)
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
@@ -502,6 +502,32 @@ def test_analyzer_applied_once_per_engine(monkeypatch, k):
     engine.acceptance()
     engine.background()
     engine.harmonics(scenarios._scaled_darks(cfg, 2.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("overrides", [{}, {"heralded": True, "loss_alice_db": 1.0},
+                                       {"mandel_mode": "entangled"}])
+def test_each_engine_composes_its_transfer_matrix_once(monkeypatch, overrides):
+    # the teleport engine's checks and its apply, and the dip engine's,
+    # read one T, composed once all modes are registered
+    real_transfer = scenarios.Circuit.transfer
+    calls = []
+
+    def counting_transfer(circ):
+        calls.append((circ.registry, len(circ.registry)))
+        return real_transfer(circ)
+
+    monkeypatch.setattr(scenarios.Circuit, "transfer", counting_transfer)
+    cfg = ExperimentConfig(**overrides)
+    engine = TeleportEngine(cfg)
+    engine.scan(phase_grid(8))
+    engine.background()
+    assert len(calls) == 1
+    reg, size = calls[0]
+    # composed with the delay record registered, and nothing after it
+    assert reg.index(scenarios.DELAY_RECORD) < size == len(reg)
+    calls.clear()
+    run_mandel_scan(cfg, mismatch_grid(5))
     assert len(calls) == 1
 
 

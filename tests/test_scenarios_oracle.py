@@ -91,9 +91,9 @@ def test_dip_scan_makes_one_circuit_pass(monkeypatch, points, k, overrides):
     real_detect = scenarios.coincidence_clicks
     calls, detections = [], []
 
-    def counting_apply(circuit, state):
+    def counting_apply(t, state):
         calls.append(len(state))
-        return real_apply(circuit, state)
+        return real_apply(t, state)
 
     def counting_detect(registry, occupations, det_a, det_b):
         detections.append(len(occupations))
