@@ -26,7 +26,7 @@ import math
 import re
 import sys
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -54,17 +54,8 @@ from .scenarios import (
 from .stability import DEFAULT_GAIN_UM_PER_HZ, DRIFT_KINDS, Controller, DriftModel, simulate
 
 
-@functools.lru_cache(maxsize=None)
-def _field_types() -> Dict[str, type]:
-    hints = get_type_hints(ExperimentConfig)
-    out = {}
-    for name, hint in hints.items():
-        if get_origin(hint) is Union:
-            args = [a for a in get_args(hint) if a is not type(None)]
-            hint = args[0]
-        out[name] = hint
-    return out
-
+# the config keys and the types their values convert to
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 _BOOL_WORDS = {
     "true": True,
@@ -99,7 +90,6 @@ def _convert(name: str, hint: type, raw: str):
 
 def parse_config_text(text: str) -> Dict[str, object]:
     """key = value lines into typed values; unknown keys are rejected."""
-    types = _field_types()
     values: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -108,15 +98,11 @@ def parse_config_text(text: str) -> Dict[str, object]:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         if key in values:
             raise ConfigError(f"duplicate config key {key!r} (line {lineno})")
-        values[key] = _convert(key, types[key], raw)
-    if "pair_mean" in values and ("pair_mean_alice" in values or "pair_mean_epr" in values):
-        raise ConfigError(
-            "pair_mean conflicts with pair_mean_alice/pair_mean_epr; set one form"
-        )
+        values[key] = _convert(key, _FIELD_TYPES[key], raw)
     return values
 
 
@@ -126,7 +112,7 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         values = parse_config_text(text)
     values.update({k: v for k, v in overrides.items() if v is not None})

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -85,17 +85,16 @@ MAX_PHASE = 2.0**52
 class ExperimentConfig:
     """Flat bag of physical and run parameters; field names are config keys.
 
-    pair_mean, when set, overrides both per-source means: construction
-    folds it into pair_mean_alice and pair_mean_epr and clears it, so a
-    built config holds the means a run uses.  Detector
-    efficiencies and dark probabilities default to placeholders; the dark
-    probabilities can be rescaled against measured backgrounds with
-    calibrate_dark_counts, which flips detectors_calibrated.
+    Each source has its own mean pair number: pair_mean_alice for Alice's
+    heralded source, pair_mean_epr for the relay's pair source; equal means
+    are set as both fields.  Detector efficiencies and dark probabilities
+    default to placeholders; the dark probabilities can be rescaled against
+    measured backgrounds with calibrate_dark_counts, which flips
+    detectors_calibrated.
     """
 
     pair_mean_alice: float = 0.19
     pair_mean_epr: float = 0.07
-    pair_mean: Optional[float] = None
     heralded: bool = False
     phase_pump: float = 0.0
     phase_alice: float = 0.0
@@ -134,10 +133,9 @@ class ExperimentConfig:
                               ("mode", RUN_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")
-        for name in ("pair_mean_alice", "pair_mean_epr", "pair_mean", "loss_alice_db",
-                     "loss_epr_db", "loss_herald_db", "loss_bob_db"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name in ("pair_mean_alice", "pair_mean_epr", "loss_alice_db", "loss_epr_db",
+                     "loss_herald_db", "loss_bob_db"):
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("eta_ge", "eta_ingaas_bsa", "eta_herald", "eta_bob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -158,10 +156,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in [1, 10**18]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be in [0, 2**64)")
-        if self.pair_mean is not None:
-            object.__setattr__(self, "pair_mean_alice", self.pair_mean)
-            object.__setattr__(self, "pair_mean_epr", self.pair_mean)
-            object.__setattr__(self, "pair_mean", None)
 
 
 def build_ideal_config() -> ExperimentConfig:

@@ -29,7 +29,7 @@ from .errors import TailMassError
 from .fock import multisets
 
 
-def pair_count_distribution(mu: float, n_cut: int, tail_tol: float = 1e-4) -> np.ndarray:
+def pair_count_distribution(mu: float, n_cut: int, tail_tol: float) -> np.ndarray:
     """Thermal P(0..n_cut) pairs per gate for mean pair number mu >= 0, as
     ExperimentConfig checks it; raises if the discarded tail exceeds
     tail_tol.
@@ -56,7 +56,7 @@ class OverlapModel:
     fwhm_um, which fixes the 1/e width to fwhm / sqrt(2 ln 2).
     """
 
-    fwhm_um: float = 144.0
+    fwhm_um: float
 
     def xi(self, delta_x_um):
         """The overlap amplitude at each mismatch, in the shape given."""

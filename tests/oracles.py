@@ -65,6 +65,8 @@ inclusion-exclusion over its click gates (teleport_patterns).  weighted
 takes the relay as two squeezers, or as the package's thermal source on
 the total pair number by quadrature over the squeezer parameter: the
 converged reference the Fock engine's pair cut approaches.
+dip_coincidences gives the dip's same-bin coincidences the same way, from
+the vacuum probabilities of the ge and ingaas gates on the dip circuit.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
 as str: the reference for the block-by-block writer in qrelay.cli.
@@ -692,39 +694,49 @@ CLOSED_FORM_SOURCE = (
 )
 
 
-def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float):
-    """Q(gates): the probability that none of the detector gates (channel,
-    bin), channels in _detectors' order, holds a photon, at any pair
-    number.  Alice's source is a squeezer of parameter xa, the relay's one
-    of parameter y in each of its two bins, so the state before detection
-    is Gaussian: with T_s the source rows of the teleport circuit's T with
-    the analyzer at phi_b, Pi_g = eta_g T_{s,g} T_{s,g}^H over a gate's
-    modes of every label, and G = I - sum_g Pi_g,
+def _gaussian_vacuum(circ: Circuit, detectors, relay_bins: Sequence[int], phase_pump: float,
+                     xi: float, xa: float, y: float):
+    """Q(gates) on `circ`'s transfer matrix: the probability that none of
+    the detector gates (channel, bin), channels indexing `detectors`, holds
+    a photon, at any pair number.  Alice's source is a squeezer of
+    parameter xa whose signal matches the relay's mode with amplitude xi,
+    the relay's one of parameter y in each of `relay_bins`, so the state
+    before detection is Gaussian: with T_s the source rows of T, Pi_g =
+    eta_g T_{s,g} T_{s,g}^H over a gate's modes of every label, and
+    G = I - sum_g Pi_g,
 
-        Q = (1 - xa)(1 - y)^2 det(I - conj(B) conj(G) B G)^(-1/2).
+        Q = (1 - xa)(1 - y)^(len(relay_bins)) det(I - conj(B) conj(G) B G)^(-1/2).
     """
-    circ = scenarios._teleport_circuit(cfg)
     reg = circ.registry
-    circ.elements += scenarios._analyzer(reg, phi_b).elements
     t = circ.transfer()[[reg.index(k) for k in CLOSED_FORM_SOURCE]]
     proj = {}
-    for c, det in enumerate(scenarios._detectors(cfg)):
+    for c, det in enumerate(detectors):
         for b in CLOCK_WINDOW:
             cols = [i for i in reg.indices_for(det.spatial) if reg.key_at(i).time_bin == b]
             proj[(c, b)] = det.efficiency * t[:, cols] @ t[:, cols].conj().T
-    xi = float(OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um))
     source = np.zeros((7, 7), complex)
     source[0, 2] = source[2, 0] = math.sqrt(xa) * xi
     source[1, 2] = source[2, 1] = math.sqrt(xa * (1.0 - xi * xi))
-    for k in (0, 1):
-        source[3 + k, 5 + k] = source[5 + k, 3 + k] = math.sqrt(y) * np.exp(1j * cfg.phase_pump * k)
+    for k in relay_bins:
+        source[3 + k, 5 + k] = source[5 + k, 3 + k] = math.sqrt(y) * np.exp(1j * phase_pump * k)
+    norm = (1.0 - xa) * (1.0 - y) ** len(relay_bins)
 
     def vacuum_probability(gates) -> float:
         g = np.eye(7) - sum((proj[x] for x in gates), np.zeros((7, 7)))
         det = np.linalg.det(np.eye(7) - source.conj() @ g.conj() @ source @ g).real
-        return (1.0 - xa) * (1.0 - y) ** 2 / math.sqrt(det)
+        return norm / math.sqrt(det)
 
     return vacuum_probability
+
+
+def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float):
+    """_gaussian_vacuum on the teleport circuit with the analyzer at phi_b,
+    the detectors of _detectors, the relay in both bins and the overlap at
+    the config's mismatch."""
+    circ = scenarios._teleport_circuit(cfg)
+    circ.elements += scenarios._analyzer(circ.registry, phi_b).elements
+    xi = float(OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um))
+    return _gaussian_vacuum(circ, scenarios._detectors(cfg), (0, 1), cfg.phase_pump, xi, xa, y)
 
 
 def teleport_patterns(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float,
@@ -758,23 +770,61 @@ def teleport_events(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, 
     return teleport_patterns(cfg, phi_b, xa, y, darks).sum(axis=0)
 
 
-def weighted(cfg: "scenarios.ExperimentConfig", phi_b: float, darks, model: str,
-             nodes: int = 8) -> np.ndarray:
-    """teleport_events under the relay's pair-number weighting `model`:
+def _over_relay_pairs(mu: float, model: str, events, nodes: int):
+    """events(y), a function of the relay's per-bin squeezer parameter y
+    over its two bins, under the relay's pair-number weighting `model`:
     "two", two squeezers, one per bin, y = mu/(2 + mu), exact with no
     truncation; or "total", the package's source, thermal (1 - x) x^n on
     the total pair number n, x = mu/(1 + mu), which integrates the
     two-squeezer form over y in [0, x] with weight (1 - x)/x (1 - y)^-2,
-    by `nodes`-point Gauss-Legendre.  Alice's source is thermal either
-    way, xa = mu_a/(1 + mu_a)."""
-    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
-    mu = cfg.pair_mean_epr
+    by `nodes`-point Gauss-Legendre."""
     if model == "two" or mu == 0.0:
-        return teleport_events(cfg, phi_b, xa, mu / (2.0 + mu), darks)
+        return events(mu / (2.0 + mu))
     x = mu / (1.0 + mu)
     u, w = np.polynomial.legendre.leggauss(nodes)
-    return sum(wi * (1.0 - x) / 2.0 * teleport_events(cfg, phi_b, xa, t, darks) / (1.0 - t) ** 2
+    return sum(wi * (1.0 - x) / 2.0 * events(t) / (1.0 - t) ** 2
                for t, wi in zip(x * (u + 1.0) / 2.0, w))
+
+
+def weighted(cfg: "scenarios.ExperimentConfig", phi_b: float, darks, model: str,
+             nodes: int = 8) -> np.ndarray:
+    """teleport_events under the relay's pair-number weighting `model`
+    (_over_relay_pairs).  Alice's source is thermal either way,
+    xa = mu_a/(1 + mu_a)."""
+    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
+    return _over_relay_pairs(cfg.pair_mean_epr, model,
+                             lambda y: teleport_events(cfg, phi_b, xa, y, darks), nodes)
+
+
+def dip_coincidences(cfg: "scenarios.ExperimentConfig", xi: float, model: str,
+                     nodes: int = 8) -> np.ndarray:
+    """The dip's same-bin coincidences of the ge and ingaas detectors in
+    the short and the long bin, at overlap amplitude xi, in closed form.
+
+    _gaussian_vacuum runs on _dip_circuit, the relay in the bins it emits
+    into, and a bin's coincidence is the marginal coincidence_clicks
+    computes,
+
+        1 - (1 - d_ge) Q(ge) - (1 - d_in) Q(in) + (1 - d_ge)(1 - d_in) Q(ge, in).
+
+    Alice's source is thermal, xa = mu_a/(1 + mu_a).  In symmetric mode the
+    relay emits into one bin, one squeezer of parameter mu/(1 + mu), whose
+    pair number is thermal, so both source models agree; in entangled mode
+    it emits into two, under `model` (_over_relay_pairs)."""
+    circ, relay_bins = scenarios._dip_circuit(cfg)
+    detectors = scenarios._detectors(cfg)[:2]
+    keep = [1.0 - det.dark_prob for det in detectors]
+    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
+
+    def events(y: float) -> np.ndarray:
+        q = _gaussian_vacuum(circ, detectors, relay_bins, cfg.phase_pump, xi, xa, y)
+        return np.array([1.0 - keep[0] * q(((0, b),)) - keep[1] * q(((1, b),))
+                         + keep[0] * keep[1] * q(((0, b), (1, b))) for b in (0, 1)])
+
+    mu = cfg.pair_mean_epr
+    if len(relay_bins) == 1:
+        return events(mu / (1.0 + mu))
+    return _over_relay_pairs(mu, model, events, nodes)
 
 
 def fit_fringe_scipy(phases, counts) -> FringeFit:

@@ -63,7 +63,7 @@ def _fixed(value: float) -> str:
 
 
 def _dip_scan():
-    cfg = ExperimentConfig(pair_mean=1e-3, **IDEAL_DETECTORS)
+    cfg = ExperimentConfig(pair_mean_alice=1e-3, pair_mean_epr=1e-3, **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     return xs, short, long_
@@ -139,7 +139,7 @@ def test_criterion_05_noise_limited_visibility_windows():
 
 def test_criterion_06_heralded_visibility():
     cal, _, fit5 = _noise_fringe()
-    heralded = replace(cal, heralded=True, pair_mean=0.13)
+    heralded = replace(cal, heralded=True, pair_mean_alice=0.13, pair_mean_epr=0.13)
     scan = run_teleport_scan(TeleportEngine(heralded), phase_grid(24, 2.0))
     fit = fit_fringe(scan.control, scan.counts)
     in_window = abs(fit.visibility - 0.87) <= 0.07
@@ -212,7 +212,8 @@ def test_criterion_11_montecarlo_consistency():
 
     # bunching-dip scenario
     cfg2 = ExperimentConfig(
-        pair_mean=1e-3,
+        pair_mean_alice=1e-3,
+        pair_mean_epr=1e-3,
         mode="montecarlo",
         trials=10**6,
         seed=101,

@@ -52,18 +52,20 @@ def test_unknown_config_key_names_the_key(tmp_path, capsys):
 
 def test_malformed_line_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("pair_mean 0.07\n")
+    cfg.write_text("pair_mean_alice 0.07\n")
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 2
     assert "key = value" in err
 
 
-def test_conflicting_mean_keys_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["noise", "teleport", "mandel"])
+def test_pair_mean_is_an_unknown_key(tmp_path, capsys, command):
+    # each source's mean is its own key; equal means are set as both
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("pair_mean = 0.13\npair_mean_alice = 0.19\n")
-    code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
-    assert code == 2
-    assert "pair_mean" in err
+    cfg.write_text("pair_mean = 0.13\n")
+    code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "unknown config key 'pair_mean'" in err
 
 
 def test_bad_boolean_rejected(tmp_path, capsys):
@@ -76,7 +78,7 @@ def test_bad_boolean_rejected(tmp_path, capsys):
 
 def test_schema_violation_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("pair_mean = -2\n")
+    cfg.write_text("pair_mean_alice = -2\n")
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 2
 
@@ -86,7 +88,8 @@ def test_oversized_tail_exits_3(tmp_path, capsys):
     # out as 1, not NaN, and nothing may warn on the way; 0.21 is just past
     # the default tail_tol, and the message names a remedy a config can set
     cfg = tmp_path / "hot.cfg"
-    for text in ("pair_mean = 0.21\n", "pair_mean = 0.9\n", "pair_mean = 1e300\n"):
+    for mean in ("0.21", "0.9", "1e300"):
+        text = f"pair_mean_alice = {mean}\npair_mean_epr = {mean}\n"
         cfg.write_text(text)
         for command in ("teleport", "mandel", "noise"):
             with warnings.catch_warnings(record=True) as caught:
@@ -112,11 +115,11 @@ def test_empty_config_runs_defaults(tmp_path, capsys):
 
 def test_config_block_prints_the_means_the_run_uses(tmp_path, capsys):
     cfg = tmp_path / "mean.cfg"
-    cfg.write_text("pair_mean = 0.13\n")
+    cfg.write_text("pair_mean_alice = 0.13\npair_mean_epr = 0.13\n")
     code, out, _ = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 0
     printed = json.loads(out)["config"]
-    assert printed["pair_mean"] is None
+    assert "pair_mean" not in printed
     assert printed["pair_mean_alice"] == 0.13
     assert printed["pair_mean_epr"] == 0.13
 
@@ -190,7 +193,8 @@ def test_mandel_summary_and_csv(tmp_path, capsys):
     out_csv = tmp_path / "dip.csv"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "pair_mean = 0.001\n"
+        "pair_mean_alice = 0.001\n"
+        "pair_mean_epr = 0.001\n"
         "eta_ge = 1.0\n"
         "eta_ingaas_bsa = 1.0\n"
         "dark_ge = 0\n"
@@ -283,12 +287,12 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("line", ["pair_mean = 0", "pair_mean = 1e-300"])
-def test_singular_dip_fit_prints_null_sigmas(tmp_path, capsys, line):
+@pytest.mark.parametrize("mean", ["0", "1e-300"], ids=["pair_mean = 0", "pair_mean = 1e-300"])
+def test_singular_dip_fit_prints_null_sigmas(tmp_path, capsys, mean):
     # no pairs, no dip: the fit's covariance is singular and its sigmas
     # are not numbers, which JSON cannot hold
     path = tmp_path / "flat.conf"
-    path.write_text(line + "\n")
+    path.write_text(f"pair_mean_alice = {mean}\npair_mean_epr = {mean}\n")
     code, out, _ = run_cli(capsys, ["mandel", "--config", str(path)])
     assert code == 0
     doc = json.loads(out, parse_constant=_reject_constant)
@@ -430,6 +434,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
     [
         ["teleport", "--points", "8", "--out", "{missing}"],
         ["noise", "--out", "{missing}"],
+        ["noise", "--config", "{not_utf8}"],
         ["mandel", "--span-um", "0"],
         ["validate-timing", "--group-index", "-1"],
         ["validate-timing", "--latency-ns", "-500"],
@@ -462,7 +467,7 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["validate-timing", "--group-index", "0.5"],
     ],
     ids=[
-        "teleport-out", "noise-out", "mandel-span", "group-index", "latency",
+        "teleport-out", "noise-out", "config-not-utf8", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf", "period-inf",
         "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
@@ -473,7 +478,10 @@ def test_seed_beyond_64_bits_exits_2(capsys):
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     missing = str(tmp_path / "no-such-dir" / "x.csv")
-    code, out, err = run_cli(capsys, [a.format(missing=missing) for a in argv])
+    not_utf8 = tmp_path / "latin.cfg"
+    not_utf8.write_bytes(b"\xff\xfe pair = 1\n")
+    code, out, err = run_cli(
+        capsys, [a.format(missing=missing, not_utf8=not_utf8) for a in argv])
     assert code == 2
     assert "Traceback" not in err
     assert out == ""
@@ -547,8 +555,8 @@ def test_stability_period_overflowing_the_phase_exits_2_naming_it(capsys):
 @pytest.mark.parametrize(
     "command, line",
     [
-        ("teleport", "pair_mean = nan"),
-        ("mandel", "pair_mean = nan"),
+        ("teleport", "pair_mean_alice = nan"),
+        ("mandel", "pair_mean_epr = nan"),
         ("teleport", "dip_fwhm_um = nan"),
         ("teleport", "phase_bob = inf"),
         # finite, but past 2**52 rad, where a double names no phase

@@ -1,13 +1,14 @@
-"""The teleport events in closed form (oracles.weighted) against the Fock
-engine and against themselves.
+"""The teleport events and the dip's coincidences in closed form
+(oracles.weighted, oracles.dip_coincidences) against the Fock engines and
+against themselves.
 
 Both sources are squeezers, so the probability that a set of detector
 gates stays dark is one determinant at any pair number, and the accepted
-events follow by inclusion-exclusion over the click gates.  The engine
-keeps the pair branches up to MAX_PAIRS_EACH pairs in total; under
-two-squeezer weights it misses exactly the dropped branches' share, each
-a probability in [0, 1], so the closed form lies above it by at most the
-dropped weight.  Plain parametrize, numpy alone.
+events and coincidences follow by inclusion-exclusion over the click
+gates.  The engines keep the pair branches up to MAX_PAIRS_EACH pairs in
+total; under squeezer weights they miss exactly the dropped branches'
+share, each a probability in [0, 1], so the closed form lies above them by
+at most the dropped weight.  Plain parametrize, numpy alone.
 """
 
 import itertools
@@ -15,15 +16,16 @@ import math
 
 import numpy as np
 import pytest
-from oracles import closed_form_vacuum, teleport_patterns, weighted
+from oracles import closed_form_vacuum, dip_coincidences, teleport_patterns, weighted
 
 from qrelay import scenarios
 from qrelay.detection import CLOCK_WINDOW
-from qrelay.scenarios import ExperimentConfig, TeleportEngine
+from qrelay.scenarios import MANDEL_MODES, ExperimentConfig, TeleportEngine
+from qrelay.sources import OverlapModel
 
 CONFIGS = {
     "default": {},
-    "mean-0.13-heralded": {"pair_mean": 0.13, "heralded": True},
+    "mean-0.13-heralded": {"pair_mean_alice": 0.13, "pair_mean_epr": 0.13, "heralded": True},
     "symmetric-dark-bob": {"symmetric_bsa": True, "dark_bob": 3e-4},
     "mismatch-60-pump-0.7-lossless": {"delta_x_um": 60.0, "phase_pump": 0.7,
                                       "alice_encoder": "lossless"},
@@ -45,20 +47,22 @@ def _darks(cfg):
     return [det.dark_prob for det in scenarios._detectors(cfg)]
 
 
-def _squeezer_parameters(cfg):
-    """(xa, y): Alice's thermal parameter, the relay's per-bin squeezer's."""
+def _squeezer_parameters(cfg, relay_bins=2):
+    """(xa, y): Alice's thermal parameter, and that of each of the relay's
+    `relay_bins` squeezers, which share its mean."""
     return (cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice),
-            cfg.pair_mean_epr / (2.0 + cfg.pair_mean_epr))
+            cfg.pair_mean_epr / (relay_bins + cfg.pair_mean_epr))
 
 
-def _two_squeezer_weights(cfg, blocked="none"):
+def _squeezer_weights(cfg, blocked="none", relay_bins=2):
     """(weights over the kept branches, normalized; their kept sum): Alice
-    thermal, the relay (n + 1)(1 - y)^2 y^n on its total n, a blocked
-    source's parameter 0."""
-    xa, y = _squeezer_parameters(cfg)
+    thermal, the relay C(n + m - 1, n)(1 - y)^m y^n on its total n over
+    m = relay_bins squeezers, a blocked source's parameter 0."""
+    xa, y = _squeezer_parameters(cfg, relay_bins)
     xa = 0.0 if blocked in ("alice", "both") else xa
     y = 0.0 if blocked in ("epr", "both") else y
-    raw = {(na, nc): (1.0 - xa) * xa**na * (nc + 1) * (1.0 - y) ** 2 * y**nc
+    raw = {(na, nc): (1.0 - xa) * xa**na
+           * math.comb(nc + relay_bins - 1, nc) * (1.0 - y) ** relay_bins * y**nc
            for na, nc in scenarios.pair_branches()}
     kept = sum(raw.values())
     return {branch: w / kept for branch, w in raw.items()}, kept
@@ -78,8 +82,8 @@ def test_fock_engine_lies_below_the_closed_form_by_at_most_the_dropped_weight(
     cfg = ExperimentConfig(**CONFIGS[case])
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     monkeypatch.setattr(scenarios, "branch_weights",
-                        lambda config, blocked="none": _two_squeezer_weights(config, blocked)[0])
-    kept = _two_squeezer_weights(cfg)[1]
+                        lambda config, blocked="none": _squeezer_weights(config, blocked)[0])
+    kept = _squeezer_weights(cfg)[1]
     engine = TeleportEngine(cfg)
     for phi_b in (0.3, math.pi):
         exact = weighted(cfg, phi_b, engine.darks, "two")
@@ -117,3 +121,44 @@ def test_pattern_probabilities_lie_in_the_unit_interval(case):
     for phi_b in (0.0, 0.3, math.pi):
         p = teleport_patterns(cfg, phi_b, *_squeezer_parameters(cfg), _darks(cfg))
         assert np.all((p >= 0.0) & (p <= 1.0)), (phi_b, p)
+
+
+DIP_CONFIGS = {
+    "default": {},
+    "loss-1-mandel-0.4-pump-0.3": {"loss_alice_db": 1.0, "mandel_phase": 0.4, "phase_pump": 0.3},
+    "means-0.05-0.15-dark-ge": {"pair_mean_alice": 0.05, "pair_mean_epr": 0.15, "dark_ge": 3e-4},
+}
+
+# the exact depth 1 - P(xi = 1)/P(xi = 0) of the short bin's coincidences
+# at the defaults, under the package's source, as first recorded; 8 and 16
+# quadrature nodes give the same digits (the K = 2 engine: 0.251321 and
+# 0.294560)
+RECORDED_DIP_DEPTH = {"symmetric": 0.240062, "entangled": 0.294604}
+
+
+@pytest.mark.parametrize("mode", MANDEL_MODES)
+def test_closed_form_dip_depth_matches_the_recorded_value(mode):
+    cfg = ExperimentConfig(mandel_mode=mode)
+    matched, unmatched = (dip_coincidences(cfg, xi, "total")[0] for xi in (1.0, 0.0))
+    assert abs(1.0 - matched / unmatched - RECORDED_DIP_DEPTH[mode]) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(DIP_CONFIGS))
+@pytest.mark.parametrize("mode", MANDEL_MODES)
+def test_dip_engine_lies_below_the_closed_form_by_at_most_the_dropped_weight(
+        monkeypatch, mode, case, k):
+    # the relay is one squeezer in symmetric mode, two in entangled mode
+    cfg = ExperimentConfig(mandel_mode=mode, **DIP_CONFIGS[case])
+    relay_bins = len(scenarios._dip_circuit(cfg)[1])
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
+    weights, kept = _squeezer_weights(cfg, relay_bins=relay_bins)
+    monkeypatch.setattr(scenarios, "branch_weights", lambda config, blocked="none": weights)
+    # xi^2 = 1, 1/2 and 0
+    mismatches = [0.0, cfg.dip_fwhm_um / 2.0, math.inf]
+    fock = kept * scenarios._MandelEngine(cfg).scan(mismatches)
+    overlap = OverlapModel(cfg.dip_fwhm_um)
+    for x, bins in zip(mismatches, fock.T):
+        exact = dip_coincidences(cfg, float(overlap.xi(x)), "two")
+        assert np.all(exact - bins >= 0.0), (x, exact, bins)
+        assert np.all(exact - bins <= 1.0 - kept), (x, exact, bins, kept)

@@ -39,14 +39,17 @@ ABSOLUTE = {"center_short_um": 1e-12, "center_long_um": 1e-12}
 CLI_CASES = {
     "teleport-default": (["teleport"], ""),
     "teleport-heralded": (["teleport", "--heralded"], ""),
-    "teleport-mean-0.13-heralded": (["teleport"], "pair_mean = 0.13\nheralded = true\n"),
+    "teleport-mean-0.13-heralded": (["teleport"], "pair_mean_alice = 0.13\npair_mean_epr = 0.13\n"
+                                                  "heralded = true\n"),
     "teleport-symmetric-dark-bob": (["teleport"], "symmetric_bsa = true\ndark_bob = 3e-4\n"),
     "teleport-montecarlo-seed-5": (["teleport", "--mode", "montecarlo", "--seed", "5"], ""),
     "teleport-mismatch-60-pump-0.7": (["teleport"], "delta_x_um = 60\nphase_pump = 0.7\n"),
     "teleport-mismatch-60-mean-0.13-heralded": (["teleport", "--heralded"],
-                                                "delta_x_um = 60\npair_mean = 0.13\n"),
+                                                "delta_x_um = 60\npair_mean_alice = 0.13\n"
+                                                "pair_mean_epr = 0.13\n"),
     "noise-default": (["noise"], ""),
-    "noise-mean-0.13-heralded": (["noise"], "pair_mean = 0.13\nheralded = true\n"),
+    "noise-mean-0.13-heralded": (["noise"], "pair_mean_alice = 0.13\npair_mean_epr = 0.13\n"
+                                            "heralded = true\n"),
     "noise-symmetric-dark-bob": (["noise"], "symmetric_bsa = true\ndark_bob = 3e-4\n"),
     "noise-mismatch-60-pump-0.7": (["noise"], "delta_x_um = 60\nphase_pump = 0.7\n"),
     "mandel-default": (["mandel"], ""),
@@ -77,7 +80,8 @@ CLI_CASES = {
 CALIBRATION_CASES = {
     "default-target-3": ({}, 3.0),
     "heralded-target-2": ({"heralded": True}, 2.0),
-    "mean-0.13-heralded-target-1": ({"pair_mean": 0.13, "heralded": True}, 1.0),
+    "mean-0.13-heralded-target-1": ({"pair_mean_alice": 0.13, "pair_mean_epr": 0.13,
+                                     "heralded": True}, 1.0),
     "default-target-0.2-clamped": ({}, 0.2),
     "mismatch-20-target-3": ({"delta_x_um": 20.0, "pair_mean_alice": 0.16, "pair_mean_epr": 0.04},
                              3.0),

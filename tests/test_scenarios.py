@@ -55,7 +55,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(eta_bob=1.5)
     with pytest.raises(ConfigError):
-        ExperimentConfig(pair_mean=-0.1)
+        ExperimentConfig(pair_mean_alice=-0.1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(pair_mean_epr=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(mandel_mode="sideways")
     with pytest.raises(ConfigError):
@@ -78,12 +80,13 @@ def test_phase_scan_stops_at_2_52_rad():
             phase_grid(4, periods, start)
 
 
-def test_pair_mean_override():
-    cfg = ExperimentConfig(pair_mean=0.13)
-    assert cfg.pair_mean is None
-    assert cfg.pair_mean_alice == 0.13
-    assert cfg.pair_mean_epr == 0.13
-    assert "pair_mean" in {f.name for f in fields(ExperimentConfig)}
+def test_each_source_mean_is_its_own_field():
+    # equal means are set as both fields: no common key folds into them
+    with pytest.raises(TypeError):
+        ExperimentConfig(pair_mean=0.1)
+    assert "pair_mean" not in {f.name for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(pair_mean_alice=0.13, pair_mean_epr=0.2)
+    assert (cfg.pair_mean_alice, cfg.pair_mean_epr) == (0.13, 0.2)
 
 
 def test_branch_weights_normalized():
@@ -98,7 +101,7 @@ def test_branch_weights_normalized():
 def test_branch_weights_thermal_identity():
     # for one thermal source, P0 * P2 equals P1 squared, so the double-pair
     # branches together weigh exactly as much as the coincidence branch
-    w = branch_weights(ExperimentConfig(pair_mean=0.09))
+    w = branch_weights(ExperimentConfig(pair_mean_alice=0.09, pair_mean_epr=0.09))
     assert abs(w[(2, 0)] - w[(1, 1)]) < 1e-15
     assert abs(w[(0, 2)] - w[(1, 1)]) < 1e-15
 
@@ -126,7 +129,7 @@ def test_ideal_mandel_null():
 
 
 def test_thermal_dip_depth_one_third():
-    cfg = ExperimentConfig(pair_mean=1e-3, **IDEAL_DETECTORS)
+    cfg = ExperimentConfig(pair_mean_alice=1e-3, pair_mean_epr=1e-3, **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     fs = fit_dip(xs, short.counts)
@@ -141,7 +144,8 @@ def test_thermal_dip_depth_one_third():
 def test_entangled_mode_dip_depth():
     # two-bin relay emission dilutes which-path erasure; at equal means the
     # depth lands exactly at 6/25
-    cfg = ExperimentConfig(pair_mean=0.07, mandel_mode="entangled", **IDEAL_DETECTORS)
+    cfg = ExperimentConfig(pair_mean_alice=0.07, pair_mean_epr=0.07, mandel_mode="entangled",
+                           **IDEAL_DETECTORS)
     xs = mismatch_grid(21, 300.0)
     short, long_ = run_mandel_scan(cfg, xs)
     assert abs(fit_dip(xs, short.counts).depth - 0.24) < 1e-9
@@ -154,7 +158,7 @@ def test_dip_depth_independent_of_pair_mean():
     xs = mismatch_grid(9, 200.0)
     depths = []
     for mu in (1e-3, 0.05):
-        cfg = ExperimentConfig(pair_mean=mu, **IDEAL_DETECTORS)
+        cfg = ExperimentConfig(pair_mean_alice=mu, pair_mean_epr=mu, **IDEAL_DETECTORS)
         short, _ = run_mandel_scan(cfg, xs)
         depths.append(fit_dip(xs, short.counts).depth)
     assert abs(depths[0] - depths[1]) < 1e-9
@@ -181,7 +185,7 @@ def test_heralding_never_lowers_visibility():
     phis = phase_grid(12, 1.0)
     v = {}
     for heralded in (False, True):
-        cfg = replace(cal, heralded=heralded, pair_mean=0.13)
+        cfg = replace(cal, heralded=heralded, pair_mean_alice=0.13, pair_mean_epr=0.13)
         v[heralded] = fit_fringe(phis, run_teleport_scan(TeleportEngine(cfg), phis).counts).visibility
     assert v[True] >= v[False] - 1e-12
 
@@ -191,7 +195,7 @@ def test_lower_pump_never_lowers_visibility():
     phis = phase_grid(12, 1.0)
     v = {}
     for mu in (0.13, 0.13 / 4.0):
-        cfg = replace(cal, pair_mean=mu)
+        cfg = replace(cal, pair_mean_alice=mu, pair_mean_epr=mu)
         v[mu] = fit_fringe(phis, run_teleport_scan(TeleportEngine(cfg), phis).counts).visibility
     assert v[0.13 / 4.0] >= v[0.13] - 1e-12
 
@@ -395,7 +399,8 @@ NO_SIGNALLING_CONFIGS = {
     "default": ExperimentConfig(),
     "heralded": ExperimentConfig(heralded=True),
     "symmetric-dark-bob": ExperimentConfig(symmetric_bsa=True, dark_bob=3e-4),
-    "mean-0.13-heralded": ExperimentConfig(pair_mean=0.13, heralded=True),
+    "mean-0.13-heralded": ExperimentConfig(pair_mean_alice=0.13, pair_mean_epr=0.13,
+                                           heralded=True),
     "mismatch-pump-lossless": ExperimentConfig(delta_x_um=60.0, phase_pump=0.7,
                                                alice_encoder="lossless"),
     "ideal": build_ideal_config(),
@@ -442,7 +447,7 @@ def test_more_receiver_photons_raise_the_harmonic_count(monkeypatch, k):
     # 0 to k of every probability, still from one detection pass
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     passes = _count_detection_passes(monkeypatch)
-    cfg = ExperimentConfig(pair_mean=0.1)
+    cfg = ExperimentConfig(pair_mean_alice=0.1, pair_mean_epr=0.1)
     engine = TeleportEngine(cfg)
     assert engine.degree == k
     phis = phase_grid(6, 1.3, start=0.1)

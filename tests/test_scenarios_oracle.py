@@ -42,14 +42,14 @@ DARK = hs.one_of(hs.just(0.0), hs.floats(0.0, 0.01))
 @hs.composite
 def dip_cases(draw):
     """(pair truncation K, config, mismatches) over both modes, per-source
-    means or the common pair_mean, forced single pairs, losses,
-    efficiencies and dark counts."""
+    means, equal or not, forced single pairs, losses, efficiencies and dark
+    counts."""
+    mean_alice = draw(hs.floats(0.0, 0.3))
     cfg = ExperimentConfig(
         mandel_mode=draw(hs.sampled_from(MANDEL_MODES)),
         ideal_single_pairs=draw(hs.booleans()),
-        pair_mean_alice=draw(hs.floats(0.0, 0.3)),
-        pair_mean_epr=draw(hs.floats(0.0, 0.3)),
-        pair_mean=draw(hs.one_of(hs.none(), hs.floats(0.0, 0.3))),
+        pair_mean_alice=mean_alice,
+        pair_mean_epr=draw(hs.one_of(hs.just(mean_alice), hs.floats(0.0, 0.3))),
         mandel_phase=draw(hs.floats(0.0, 2.0 * math.pi)),
         phase_pump=draw(hs.floats(0.0, 2.0 * math.pi)),
         loss_alice_db=draw(hs.floats(0.0, 6.0)),

@@ -12,7 +12,7 @@ from qrelay.sources import OverlapModel, entangled_pairs, pair_count_distributio
 
 
 def test_thermal_distribution_values():
-    p = pair_count_distribution(0.07, 3)
+    p = pair_count_distribution(0.07, 3, tail_tol=1e-4)
     assert abs(p[0] - 0.9345794392523364) < 1e-12
     assert abs(p[1] - 0.06114071097912482) < 1e-12
     assert abs(p[2] - 0.003999859596765175) < 1e-12
@@ -22,7 +22,7 @@ def test_thermal_distribution_values():
 
 def test_tail_mass_guard():
     with pytest.raises(TailMassError):
-        pair_count_distribution(0.19, 2)
+        pair_count_distribution(0.19, 2, tail_tol=1e-4)
     p = pair_count_distribution(0.19, 2, tail_tol=5e-3)
     assert p.sum() < 1.0
 

@@ -41,17 +41,16 @@ DARK = hs.one_of(hs.just(0.0), hs.floats(0.0, 0.01))
 def teleport_cases(draw):
     """(pair truncation K, config, phases, dark scale) over the ideal setup
     and configs mixing heralding, the symmetric Bell-state stage, both
-    encoders, per-source means or the common pair_mean, losses and dark
-    counts."""
+    encoders, per-source means, equal or not, losses and dark counts."""
     if draw(hs.booleans()):
         cfg = build_ideal_config()
     else:
+        mean_alice = draw(hs.floats(0.0, 0.3))
         cfg = ExperimentConfig(
             symmetric_bsa=draw(hs.booleans()),
             alice_encoder=draw(hs.sampled_from(ENCODERS)),
-            pair_mean_alice=draw(hs.floats(0.0, 0.3)),
-            pair_mean_epr=draw(hs.floats(0.0, 0.3)),
-            pair_mean=draw(hs.one_of(hs.none(), hs.floats(0.0, 0.3))),
+            pair_mean_alice=mean_alice,
+            pair_mean_epr=draw(hs.one_of(hs.just(mean_alice), hs.floats(0.0, 0.3))),
             phase_alice=draw(PHASE),
             phase_pump=draw(PHASE),
             delta_x_um=draw(hs.floats(0.0, 200.0)),
