@@ -51,7 +51,7 @@ from .scenarios import (
     run_mandel_scan,
     run_teleport_scan,
 )
-from .stability import DEFAULT_GAIN_UM_PER_HZ, DRIFT_KINDS, Controller, DriftModel, simulate
+from .stability import DEFAULT_GAIN_UM_PER_HZ, DRIFT_KINDS, DriftModel, simulate
 
 
 # the config keys and the types their values convert to
@@ -297,19 +297,10 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    drift = DriftModel(
-        kind=args.kind,
-        amplitude_k=args.amplitude_k,
-        period_h=args.period_h,
-    )
-    controller = None if args.no_controller else Controller(gain_um_per_hz=args.gain)
-    trace = simulate(
-        drift,
-        controller,
-        duration_s=args.duration_h * 3600.0,
-        dt_s=args.dt_s,
-        seed=args.seed,
-    )
+    drift = DriftModel(kind=args.kind, amplitude_k=args.amplitude_k, period_h=args.period_h)
+    gain = None if args.no_controller else args.gain
+    trace = simulate(drift, gain, duration_s=args.duration_h * 3600.0, dt_s=args.dt_s,
+                     seed=args.seed)
     if args.out:
         _write_csv(
             args.out,
@@ -324,7 +315,7 @@ def _cmd_stability(args) -> int:
     _emit_json(
         {
             "scenario": "stability",
-            "controlled": controller is not None,
+            "controlled": gain is not None,
             "kind": args.kind,
             "duration_h": args.duration_h,
             "floor": floor,
@@ -340,7 +331,6 @@ def _cmd_stability(args) -> int:
 def _cmd_validate_timing(args) -> int:
     latency = {} if args.latency_ns is None else {"decision_latency_s": args.latency_ns * 1e-9}
     budget = TimingBudget(
-        alice_spool_m=args.alice_spool_m,
         charlie_spool_m=args.charlie_spool_m,
         quantum_fiber_m=args.quantum_fiber_m,
         classical_fiber_m=args.classical_fiber_m,
@@ -406,8 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="drift and feedforward time series")
     p_stab.add_argument("--kind", choices=DRIFT_KINDS, default=DriftModel.kind)
-    p_stab.add_argument("--amplitude-k", type=float, default=DriftModel.amplitude_k)
-    p_stab.add_argument("--period-h", type=float, default=DriftModel.period_h)
+    # the rest of the plant and the motor are constants of qrelay.stability
+    p_stab.add_argument("--amplitude-k", type=float, default=DriftModel.amplitude_k, help=(
+        "sinusoid amplitude in K, driving THERMAL_UM_PER_K and RATE_COUPLING_HZ_PER_K; "
+        "the random walk, bounded by REP_WANDER_BOUND_HZ_PER_H, ignores it"))
+    p_stab.add_argument("--period-h", type=float, default=DriftModel.period_h,
+                        help="sinusoid period in hours; the random walk ignores it")
     p_stab.add_argument("--duration-h", type=float, default=24.0)
     p_stab.add_argument("--dt-s", type=float, default=60.0)
     p_stab.add_argument("--seed", type=int, default=0)
@@ -417,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.set_defaults(func=_cmd_stability)
 
     p_time = sub.add_parser("validate-timing", help="receiver gate slack in ns")
-    p_time.add_argument("--alice-spool-m", type=float, default=TimingBudget.alice_spool_m)
     p_time.add_argument("--charlie-spool-m", type=float, default=TimingBudget.charlie_spool_m)
     p_time.add_argument("--quantum-fiber-m", type=float, default=TimingBudget.quantum_fiber_m)
     p_time.add_argument("--classical-fiber-m", type=float, default=TimingBudget.classical_fiber_m)

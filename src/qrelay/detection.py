@@ -202,13 +202,10 @@ def check_group_index(group_index: float) -> None:
 
 @dataclass(frozen=True)
 class TimingBudget:
-    """Fiber lengths and electronics latency that set Bob's gate margin.
+    """Fiber lengths and electronics latency that set Bob's gate margin."""
 
-    The sender-side spool delays only the arrival synchronization at the
-    measurement station, not Bob's gate, so it stays out of the slack.
-    """
-
-    alice_spool_m: float = 177.0
+    # no sender-side spool: it delays only the arrival synchronization at
+    # the measurement station, not Bob's gate, so it stays out of the slack
     charlie_spool_m: float = 179.72
     quantum_fiber_m: float = 800.0
     classical_fiber_m: float = 800.0
@@ -218,7 +215,6 @@ class TimingBudget:
 
     def __post_init__(self):
         for name in (
-            "alice_spool_m",
             "charlie_spool_m",
             "quantum_fiber_m",
             "classical_fiber_m",

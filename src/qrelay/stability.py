@@ -7,8 +7,13 @@ laser repetition rate (which moves the spacing itself).  In the lab both
 ride the same temperature, which is why a single feedforward from the
 measured repetition rate, at an empirically fitted micrometers-per-hertz
 gain, can cancel the sum.  The model here makes that explicit: the
-default temperature-to-rate coupling is chosen so the quoted gain is
-exactly the right one for the simulated plant.
+temperature-to-rate coupling is derived so the quoted gain is exactly the
+right one for the simulated plant.
+
+The plant and its motor are module constants (THERMAL_UM_PER_K,
+REP_RATE_HZ, REP_WANDER_BOUND_HZ_PER_H, JITTER_*, MOTOR_RESOLUTION_UM,
+UPDATE_INTERVAL_S); a run sets only the drift's kind, the sinusoid's
+amplitude and period (DriftModel), and the feedforward gain.
 
 simulate() produces the time series needed to reproduce both behaviours
 on the default relay's dip, the one `qrelay mandel` scans without a config:
@@ -42,6 +47,19 @@ DRIFT_KINDS = ("sinusoid", "random-walk")
 # empirical feedforward gain, micrometers of delay per hertz of rate shift
 DEFAULT_GAIN_UM_PER_HZ = 0.07
 
+# thermal expansion of the imbalance fiber, micrometers per kelvin
+THERMAL_UM_PER_K = 100.0
+# the laser repetition rate, and the random walk's bound on its wander
+REP_RATE_HZ = 75e6
+REP_WANDER_BOUND_HZ_PER_H = 400.0
+# clipped Ornstein-Uhlenbeck spool jitter: sigma, correlation time, clip
+JITTER_SIGMA_UM = 3.0
+JITTER_TAU_S = 600.0
+JITTER_BOUND_UM = 10.0
+# the feedforward motor's step and the interval between its commands
+MOTOR_RESOLUTION_UM = 0.2
+UPDATE_INTERVAL_S = 60.0
+
 # largest step count simulate() accepts: at 1M steps tracemalloc counts a
 # peak of 42 bytes per step in simulate() and 44 in a whole `qrelay
 # stability --out` run (whose writer holds one block of rows), next to the
@@ -57,29 +75,28 @@ def pulse_spacing(rep_rate_hz: float, group_index: float) -> float:
     return _SPEED_OF_LIGHT / (group_index * rep_rate_hz)
 
 
+# micrometers of arm mismatch per hertz of repetition-rate shift
+RATE_LENGTH_UM_PER_HZ = pulse_spacing(REP_RATE_HZ, FIBER_GROUP_INDEX) * 1e6 / REP_RATE_HZ
+# chosen so the default gain cancels thermal and rate drift together:
+# gain * kappa = thermal + (spacing/f0) * kappa
+RATE_COUPLING_HZ_PER_K = THERMAL_UM_PER_K / (DEFAULT_GAIN_UM_PER_HZ - RATE_LENGTH_UM_PER_HZ)
+
+
 @dataclass(frozen=True)
 class DriftModel:
     """Slow environmental drift acting on one analyzer's arm imbalance.
 
     The lab temperature process (sinusoid or bounded random walk) drives
-    both the fiber length directly (thermal_um_per_k) and the laser
-    repetition rate (temp_to_rate_hz_per_k); a fast clipped
-    Ornstein-Uhlenbeck term models uncorrelated spool jitter.  When the
-    rate coupling is left unset it is derived so that the default
-    feedforward gain cancels the combined drift exactly.
+    both the fiber length directly (THERMAL_UM_PER_K) and the laser
+    repetition rate (RATE_COUPLING_HZ_PER_K); a fast clipped
+    Ornstein-Uhlenbeck term models uncorrelated spool jitter.  Only the
+    sinusoid reads amplitude_k and period_h: the random walk's size is set
+    by REP_WANDER_BOUND_HZ_PER_H.
     """
 
     kind: str = "sinusoid"
     amplitude_k: float = 1.0
     period_h: float = 48.0
-    thermal_um_per_k: float = 100.0
-    temp_to_rate_hz_per_k: Optional[float] = None
-    rep_wander_bound_hz_per_h: float = 400.0
-    jitter_sigma_um: float = 3.0
-    jitter_tau_s: float = 600.0
-    jitter_bound_um: float = 10.0
-    rep_rate_hz: float = 75e6
-    group_index: float = FIBER_GROUP_INDEX
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
@@ -88,68 +105,6 @@ class DriftModel:
             raise ConfigError("amplitude_k must be finite and >= 0")
         if not 0 < self.period_h < math.inf:
             raise ConfigError("period_h must be finite and > 0")
-        # an infinite coupling or wander bound overflows the drift
-        if not 0 <= self.thermal_um_per_k < math.inf:
-            raise ConfigError("thermal_um_per_k must be finite and >= 0")
-        if not 0 <= self.rep_wander_bound_hz_per_h < math.inf:
-            raise ConfigError("rep_wander_bound_hz_per_h must be finite and >= 0")
-        # an infinite bound only turns the clip off, but an infinite sigma
-        # pins the jitter at the bound from the first step (NaN where the
-        # decay rounds to 1)
-        if not 0 <= self.jitter_sigma_um < math.inf:
-            raise ConfigError("jitter_sigma_um must be finite and >= 0")
-        if not 0 < self.jitter_tau_s < math.inf:
-            raise ConfigError("jitter_tau_s must be finite and > 0")
-        if not self.jitter_bound_um >= 0:
-            raise ConfigError("jitter_bound_um must be >= 0")
-        # checks rep_rate_hz and group_index
-        self.spacing_m()
-        if self.temp_to_rate_hz_per_k is not None and not 0 <= self.temp_to_rate_hz_per_k < math.inf:
-            raise ConfigError("temp_to_rate_hz_per_k must be finite and >= 0")
-        # a finite thermal_um_per_k can still overflow the derived coupling
-        if self.temp_to_rate_hz_per_k is None and not math.isfinite(self.rate_coupling_hz_per_k()):
-            raise ConfigError("the temperature-to-rate coupling derived from thermal_um_per_k "
-                              "overflows; lower it or set temp_to_rate_hz_per_k")
-        # the walk bounds its temperature steps by the rate wander over this
-        if self.kind == "random-walk" and not self.rate_coupling_hz_per_k() > 0:
-            raise ConfigError("the random walk needs a temperature-to-rate coupling > 0")
-
-    def spacing_m(self) -> float:
-        return pulse_spacing(self.rep_rate_hz, self.group_index)
-
-    def rate_length_um_per_hz(self) -> float:
-        """Micrometers of arm mismatch per hertz of repetition-rate shift."""
-        return self.spacing_m() * 1e6 / self.rep_rate_hz
-
-    def rate_coupling_hz_per_k(self) -> float:
-        if self.temp_to_rate_hz_per_k is not None:
-            return self.temp_to_rate_hz_per_k
-        # chosen so the default gain cancels thermal and rate drift together:
-        # gain * kappa = thermal + (spacing/f0) * kappa
-        denom = DEFAULT_GAIN_UM_PER_HZ - self.rate_length_um_per_hz()
-        if denom <= 0:
-            raise ConfigError(
-                "default gain does not exceed the rate-length coefficient; "
-                "set temp_to_rate_hz_per_k explicitly"
-            )
-        return self.thermal_um_per_k / denom
-
-
-@dataclass(frozen=True)
-class Controller:
-    """Feedforward motor driven by the measured repetition-rate shift."""
-
-    gain_um_per_hz: float = DEFAULT_GAIN_UM_PER_HZ
-    motor_resolution_um: float = 0.2
-    update_interval_s: float = 60.0
-
-    def __post_init__(self):
-        if not 0 <= self.gain_um_per_hz < math.inf:
-            raise ConfigError("gain_um_per_hz must be finite and >= 0")
-        if not 0 <= self.motor_resolution_um < math.inf:
-            raise ConfigError("motor_resolution_um must be finite and >= 0")
-        if not 0 < self.update_interval_s < math.inf:
-            raise ConfigError("update_interval_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -201,13 +156,9 @@ def _temperature_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray
     # implied rate wander never exceeds the hourly bound; one uniform draw per
     # step, summed in order (cumsum adds sequentially)
     max_step = np.diff(times)
-    with np.errstate(over="ignore"):
-        max_step /= 3600.0
-        max_step *= drift.rep_wander_bound_hz_per_h
-        max_step /= drift.rate_coupling_hz_per_k()
-    # a draw spans the width 2 * max_step, which must stay finite
-    if not (max_step <= np.finfo(float).max / 2.0).all():
-        raise ConfigError("the random walk's step bound overflows; raise temp_to_rate_hz_per_k")
+    max_step /= 3600.0
+    max_step *= REP_WANDER_BOUND_HZ_PER_H
+    max_step /= RATE_COUPLING_HZ_PER_K
     theta = np.empty(len(times))
     theta[0] = 0.0
     # uniform(-m, m) is -m + 2m U on the stream random() reads U from
@@ -218,7 +169,7 @@ def _temperature_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray
     return np.cumsum(theta, out=theta)
 
 
-def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
+def _jitter_series(times: np.ndarray, rng) -> np.ndarray:
     """Clipped Ornstein-Uhlenbeck jitter, one normal draw per step.
 
     The run's distinct step sizes form one table of math.exp decays (whose
@@ -228,22 +179,18 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
     per step, on plain floats read from a chunk's array.array buffers.
     """
     out = np.zeros(len(times))
-    if drift.jitter_sigma_um == 0.0:
-        return out
     dts = np.unique(np.diff(times))
-    decays = np.array([math.exp(-dt / drift.jitter_tau_s) for dt in dts.tolist()])
-    scales = drift.jitter_sigma_um * np.sqrt(1.0 - decays * decays)
-    bound = drift.jitter_bound_um
+    decays = np.array([math.exp(-dt / JITTER_TAU_S) for dt in dts.tolist()])
+    scales = JITTER_SIGMA_UM * np.sqrt(1.0 - decays * decays)
+    bound = JITTER_BOUND_UM
     lo = -bound
     x = 0.0
     for start in range(1, len(times), _JITTER_CHUNK):
         stop = min(start + _JITTER_CHUNK, len(times))
         which = np.searchsorted(dts, np.diff(times[start - 1:stop]))
-        # normal(0, scale) draws 0 + scale * z; a sigma near the float
-        # range's top overflows a draw, which the clip then bounds
+        # normal(0, scale) draws 0 + scale * z
         noise = rng.standard_normal(stop - start)
-        with np.errstate(over="ignore"):
-            noise *= scales[which]
+        noise *= scales[which]
         noise += 0.0
         # iterating an array.array makes each float as the loop takes it;
         # chunk.append, not a bound append, is the interpreter's fast path
@@ -262,7 +209,7 @@ def _jitter_series(drift: DriftModel, times: np.ndarray, rng) -> np.ndarray:
 
 def simulate(
     drift: DriftModel,
-    controller: Optional[Controller],
+    gain_um_per_hz: Optional[float],
     duration_s: float,
     dt_s: float,
     seed: int = 0,
@@ -272,11 +219,13 @@ def simulate(
     Coincidences are the default relay's dip (_norm_coincidences),
     normalized to the far-from-overlap level, so the trace sits at the
     dip's floor while the mismatch is held at zero and climbs toward one as
-    drift pulls the analyzers apart.  The controller's motor
-    takes gain * (rate shift) every update interval, rounded to its
-    resolution, and holds it in between; a drift, rate shift or command
-    that overflows raises ConfigError.
+    drift pulls the analyzers apart.  With a gain (None runs free) the
+    motor takes gain * (rate shift) every UPDATE_INTERVAL_S, rounded to
+    MOTOR_RESOLUTION_UM, and holds it in between; a time axis, drift or
+    command that overflows raises ConfigError.
     """
+    if gain_um_per_hz is not None and not 0 <= gain_um_per_hz < math.inf:
+        raise ConfigError("gain_um_per_hz must be finite and >= 0")
     # the step count and the time axis need both finite
     if not (0 < duration_s < math.inf and 0 < dt_s < math.inf):
         raise ConfigError("duration_s and dt_s must be finite and > 0")
@@ -285,37 +234,35 @@ def simulate(
         raise ConfigError(f"duration_s / dt_s = {steps:.3g} steps, above the cap of {MAX_STEPS}")
     rng_walk, rng_jitter = keyed_generator(seed, 0), keyed_generator(seed, 1)
     n = int(round(steps)) + 1
+    # rounding the step count up can carry the last time past the float range
+    if not (n - 1) * dt_s < math.inf:
+        raise ConfigError("the time axis overflows; lower duration_s")
     times = np.arange(n) * dt_s
 
     # thermal * theta + rate_length * delta_f + jitter, built in theta's
     # array once the jitter is drawn, and then the mismatch and the rate in
     # the drift's and the shift's: at most five step arrays are alive at once
     drift_um = _temperature_series(drift, times, rng_walk)
-    jitter = _jitter_series(drift, times, rng_jitter)
+    jitter = _jitter_series(times, rng_jitter)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_f = drift.rate_coupling_hz_per_k() * drift_um
-        drift_um *= drift.thermal_um_per_k
-        drift_um += drift.rate_length_um_per_hz() * delta_f
+        delta_f = RATE_COUPLING_HZ_PER_K * drift_um
+        drift_um *= THERMAL_UM_PER_K
+        drift_um += RATE_LENGTH_UM_PER_HZ * delta_f
         drift_um += jitter
     del jitter
-    # a rate shift that overflows makes the drift overflow too
+    # only a sinusoid's amplitude can overflow the rate shift, and so the drift
     if not np.isfinite(drift_um).all():
-        raise ConfigError(
-            "the drift is not finite; its size is set by amplitude_k (sinusoid) or "
-            "rep_wander_bound_hz_per_h (random walk), thermal_um_per_k and the "
-            "temperature-to-rate coupling"
-        )
+        raise ConfigError("the drift is not finite; lower amplitude_k")
 
-    if controller is None:
+    if gain_um_per_hz is None:
         motor = np.zeros(n)
     else:
-        steps_per_update = min(max(1, int(round(controller.update_interval_s / dt_s))), n)
-        res = controller.motor_resolution_um
+        # capped at the run before rounding, as a tiny step makes it infinite
+        steps_per_update = max(1, round(min(UPDATE_INTERVAL_S / dt_s, n)))
         with np.errstate(over="ignore"):
-            target = controller.gain_um_per_hz * delta_f[::steps_per_update]
-            if res > 0:
-                # + 0.0 turns np.round's -0.0 into the 0.0 of an integer round
-                target = res * (np.round(target / res) + 0.0)
+            target = gain_um_per_hz * delta_f[::steps_per_update]
+            # + 0.0 turns np.round's -0.0 into the 0.0 of an integer round
+            target = MOTOR_RESOLUTION_UM * (np.round(target / MOTOR_RESOLUTION_UM) + 0.0)
         if not np.isfinite(target).all():
             raise ConfigError("the motor command is not finite; lower gain_um_per_hz")
         motor = np.repeat(target, steps_per_update)[:n]
@@ -323,5 +270,5 @@ def simulate(
     delta_x = drift_um
     delta_x -= motor
     rep_rate_hz = delta_f
-    rep_rate_hz += drift.rep_rate_hz
+    rep_rate_hz += REP_RATE_HZ
     return StabilityTrace(times, delta_x, rep_rate_hz, motor, _norm_coincidences(delta_x))

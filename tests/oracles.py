@@ -94,7 +94,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qrelay import scenarios
+from qrelay import scenarios, stability
 from qrelay.analysis import DipFit, FringeFit, _phase, fit_fringe
 from qrelay.detection import (
     _BOB,
@@ -556,9 +556,11 @@ def norm_coincidences_per_point(delta_x_um) -> np.ndarray:
     return short[:-1] / short[-1]
 
 
-def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0):
+def simulate_per_step(drift, gain=None, duration_s=24 * 3600.0, dt_s=60.0, seed=0):
     """qrelay.stability.simulate on valid input, one step per loop iteration:
-    (time_s, delta_x_um, rep_rate_hz, motor_um), the trace's drift fields."""
+    (time_s, delta_x_um, rep_rate_hz, motor_um), the trace's drift fields.
+    The plant and motor constants are read from qrelay.stability per call,
+    so a test may patch them."""
     n = int(round(duration_s / dt_s)) + 1
     times = np.arange(n) * dt_s
     rng_walk = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -567,41 +569,39 @@ def simulate_per_step(drift, controller=None, duration_s=24 * 3600.0, dt_s=60.0,
     if drift.kind == "sinusoid":
         theta = drift.amplitude_k * np.sin(2.0 * math.pi * times / (drift.period_h * 3600.0))
     else:
-        kappa = drift.rate_coupling_hz_per_k()
+        kappa = stability.RATE_COUPLING_HZ_PER_K
         theta = np.empty(n)
         theta[0] = 0.0
         for i in range(1, n):
             dt_h = (times[i] - times[i - 1]) / 3600.0
-            max_step = drift.rep_wander_bound_hz_per_h * dt_h / kappa
+            max_step = stability.REP_WANDER_BOUND_HZ_PER_H * dt_h / kappa
             theta[i] = theta[i - 1] + rng_walk.uniform(-max_step, max_step)
-    delta_f = drift.rate_coupling_hz_per_k() * theta
+    delta_f = stability.RATE_COUPLING_HZ_PER_K * theta
 
     jitter = np.zeros(n)
-    if drift.jitter_sigma_um != 0.0:
-        x = 0.0
-        for i in range(1, n):
-            dt = times[i] - times[i - 1]
-            decay = math.exp(-dt / drift.jitter_tau_s)
-            sigma = drift.jitter_sigma_um * math.sqrt(1.0 - decay * decay)
-            x = x * decay + rng_jitter.normal(0.0, sigma)
-            x = min(max(x, -drift.jitter_bound_um), drift.jitter_bound_um)
-            jitter[i] = x
-    drift_um = drift.thermal_um_per_k * theta + drift.rate_length_um_per_hz() * delta_f + jitter
+    bound = stability.JITTER_BOUND_UM
+    x = 0.0
+    for i in range(1, n):
+        dt = times[i] - times[i - 1]
+        decay = math.exp(-dt / stability.JITTER_TAU_S)
+        sigma = stability.JITTER_SIGMA_UM * math.sqrt(1.0 - decay * decay)
+        x = x * decay + rng_jitter.normal(0.0, sigma)
+        x = min(max(x, -bound), bound)
+        jitter[i] = x
+    drift_um = (stability.THERMAL_UM_PER_K * theta
+                + stability.RATE_LENGTH_UM_PER_HZ * delta_f + jitter)
 
     motor = np.zeros(n)
-    if controller is not None:
-        steps_per_update = max(1, int(round(controller.update_interval_s / dt_s)))
+    if gain is not None:
+        steps_per_update = max(1, int(round(stability.UPDATE_INTERVAL_S / dt_s)))
+        resolution = stability.MOTOR_RESOLUTION_UM
         held = 0.0
         for i in range(n):
             if i % steps_per_update == 0:
-                held = controller.gain_um_per_hz * delta_f[i]
-                if controller.motor_resolution_um > 0:
-                    held = controller.motor_resolution_um * round(
-                        held / controller.motor_resolution_um
-                    )
+                held = resolution * round(gain * delta_f[i] / resolution)
             motor[i] = held
 
-    return times, drift_um - motor, drift.rep_rate_hz + delta_f, motor
+    return times, drift_um - motor, stability.REP_RATE_HZ + delta_f, motor
 
 
 def format_value(value) -> str:

@@ -32,7 +32,8 @@ from qrelay.scenarios import (
     run_teleport_scan,
 )
 from qrelay.stability import (
-    Controller,
+    DEFAULT_GAIN_UM_PER_HZ,
+    RATE_LENGTH_UM_PER_HZ,
     DriftModel,
     pulse_spacing,
     simulate,
@@ -169,7 +170,7 @@ def test_criterion_07_fidelity_benchmarks():
 
 
 def test_criterion_08_spacing_arithmetic():
-    shift_um = DriftModel().rate_length_um_per_hz() * 400.0
+    shift_um = RATE_LENGTH_UM_PER_HZ * 400.0
     spacing = pulse_spacing(75e6, 1.47)
     ok = abs(shift_um - 15.0) / 15.0 <= 0.05 and abs(spacing - 2.72) / 2.72 <= 0.01
     assert _report(
@@ -182,7 +183,7 @@ def test_criterion_08_spacing_arithmetic():
 
 def test_criterion_09_drift_and_stabilization_shapes():
     free = simulate(DriftModel(), None, 6 * 3600.0, 60.0, seed=3)
-    held = simulate(DriftModel(), Controller(), 24 * 3600.0, 60.0, seed=3)
+    held = simulate(DriftModel(), DEFAULT_GAIN_UM_PER_HZ, 24 * 3600.0, 60.0, seed=3)
     floor = held.norm_coincidences.min()
     ok = free.norm_coincidences.max() >= 0.95 and held.norm_coincidences.max() <= floor + 0.1
     assert _report(

@@ -135,6 +135,16 @@ def test_ideal_noise_prints_the_unblocked_run(tmp_path, capsys):
     assert abs(json.loads(out)["blocking_probabilities"]["none"] - expected) <= 1e-12 * expected
 
 
+def test_validate_timing_has_no_sender_spool(capsys):
+    # the sender spool delays only the arrival synchronization, not Bob's gate
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate-timing", "--alice-spool-m", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alice-spool-m" in err
+    assert "Traceback" not in err
+
+
 def test_noise_takes_no_seed(capsys):
     # a noise run draws no counts, so a seed would change only the echo
     with pytest.raises(SystemExit) as exc:
@@ -322,8 +332,8 @@ def test_stability_table_spans_writer_blocks(tmp_path, capsys):
     code, _, _ = run_cli(capsys, ["stability", "--kind", "random-walk", "--duration-h", "12",
                                   "--dt-s", "5", "--seed", "4", "--out", str(out_csv)])
     assert code == 0
-    trace = stability.simulate(stability.DriftModel(kind="random-walk"), stability.Controller(),
-                               12 * 3600.0, 5.0, 4)
+    trace = stability.simulate(stability.DriftModel(kind="random-walk"),
+                               stability.DEFAULT_GAIN_UM_PER_HZ, 12 * 3600.0, 5.0, 4)
     columns = (trace.time_s, trace.delta_x_um, trace.rep_rate_hz, trace.motor_um,
                trace.norm_coincidences)
     assert len(trace.time_s) > 2 * cli._CSV_BLOCK
@@ -452,6 +462,10 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         ["stability", "--seed", str(2**64)],
         ["stability", "--seed", "-1"],
         ["stability", "--gain", "1e308"],
+        ["stability", "--gain", "-0.1"],
+        # 1.54 steps round up to 2, whose time is past the float range
+        ["stability", "--duration-h", "4.7e304", "--dt-s", "1.1e308"],
+        ["stability", "--kind", "random-walk", "--duration-h", "4.7e304", "--dt-s", "1.1e308"],
         ["validate-timing", "--group-index", "inf"],
         ["validate-timing", "--quantum-fiber-m", "inf"],
         ["validate-timing", "--quantum-fiber-m", "1e308", "--bob-spool-m", "1e308"],
@@ -470,7 +484,8 @@ def test_seed_beyond_64_bits_exits_2(capsys):
         "teleport-out", "noise-out", "config-not-utf8", "mandel-span", "group-index", "latency",
         "periods-nan", "gain-nan", "amplitude-nan", "dt-nan", "duration-nan",
         "period-nan", "gain-inf", "amplitude-inf", "duration-inf", "period-inf",
-        "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "group-index-inf",
+        "step-cap", "seed-2**64", "seed-negative", "gain-overflow", "gain-negative",
+        "time-axis-overflow", "time-axis-overflow-walk", "group-index-inf",
         "fiber-inf", "slack-overflow", "slack-nan", "slack-ns-overflow", "teleport-point-cap", "mandel-point-cap", "periods-overflow",
         "periods-past-2**52", "drift-overflow", "drift-overflow-controlled",
         "group-index-below-1",
