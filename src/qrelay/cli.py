@@ -125,32 +125,19 @@ _CSV_BLOCK = 4096
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """One line per row: a float cell prints as .9g, any other cell as str.
-
-    The columns (numpy arrays or sequences, all of one length) are written
-    _CSV_BLOCK rows at a time.  A block's cell types are read once per
-    column, so a row is one %-format call; a column that mixes floats with
-    other cells has its floats formatted first.
-    """
+    """The header line, then one line per row, written _CSV_BLOCK rows at a
+    time from columns (numpy arrays or sequences) of one length.  Each column
+    takes one cell format, from its first cell: .9g for a float (np.float64
+    included), str otherwise; a table with no rows is its header alone."""
+    rows = len(columns[0])
+    line = ",".join("%.9g" if rows and isinstance(column[0], float) else "%s"
+                    for column in columns) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for start in range(0, len(columns[0]), _CSV_BLOCK):
-                formats = []
-                cells = []
-                for column in columns:
-                    block = column[start:start + _CSV_BLOCK]
-                    if isinstance(block, np.ndarray):
-                        block = block.tolist()
-                    floats = [issubclass(kind, float) for kind in set(map(type, block))]
-                    if all(floats):
-                        formats.append("%.9g")
-                    else:
-                        formats.append("%s")
-                        if any(floats):
-                            block = ["%.9g" % v if isinstance(v, float) else v for v in block]
-                    cells.append(block)
-                line = ",".join(formats) + "\n"
+            for start in range(0, rows, _CSV_BLOCK):
+                cells = [column[start:start + _CSV_BLOCK] for column in columns]
+                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
                 handle.writelines(map(line.__mod__, zip(*cells)))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")

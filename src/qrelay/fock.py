@@ -133,12 +133,6 @@ class FockState:
     def __len__(self) -> int:
         return len(self.amplitudes)
 
-    def branches(self) -> np.ndarray:
-        """Each row's branch index: its photons in the BRANCH_RECORD mode, 0
-        when the registry has no such mode."""
-        cols = self.registry.indices_for(BRANCH_RECORD.spatial)
-        return self.occupations[:, cols].sum(axis=1, dtype=np.intp)
-
 
 @functools.lru_cache(maxsize=None)
 def multisets(n: int, parts: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Every element is a small matrix on a few listed modes.  A device is one
 element over all the modes it acts on: an unbalanced Michelson (two passes
-through a 50/50 coupler with a one-bin delay and a phase in between, exactly
-unitary including its non-detected output port), a channel's fiber loss,
-the lossless bin encoder.
+through COUPLER, the 50/50 coupler, with a one-bin delay and a phase in
+between, exactly unitary including its non-detected output port), a
+channel's fiber loss, the lossless bin encoder, the Bell-state mixer.
 
 The elements compose into one transfer matrix T over the registry
 (`Circuit.transfer`), and `apply(t, state)` runs a state through the whole
@@ -43,14 +43,10 @@ def loss_from_db(db: float) -> float:
     return 10.0 ** (-db / 10.0)
 
 
-def beamsplitter_matrix(transmittance: float = 0.5, phase: float = 0.0) -> np.ndarray:
-    """[[sqrt(t), i sqrt(1-t)], [i sqrt(1-t), sqrt(t)]] with phase on arm b."""
-    if not 0.0 <= transmittance <= 1.0:
-        raise ConfigError(f"transmittance must be in [0, 1], got {transmittance}")
-    t = math.sqrt(transmittance)
-    r = 1j * math.sqrt(1.0 - transmittance)
-    ph = np.exp(1j * phase)
-    return np.array([[t, r * ph], [r, t * ph]], dtype=complex)
+# the 50/50 fiber coupler, read-only, from sqrt(0.5): 1 / sqrt(2) is one ulp lower
+COUPLER = np.array([[math.sqrt(0.5), 1j * math.sqrt(0.5)],
+                    [1j * math.sqrt(0.5), math.sqrt(0.5)]], dtype=complex)
+COUPLER.flags.writeable = False
 
 
 def identity_blocks(matrix, n: int) -> np.ndarray:
@@ -134,7 +130,7 @@ class Circuit:
         self.registry.add_channel(ls, labels)
         port = [ModeKey(ls, m.time_bin, m.internal) for m in arm]
         n = len(arm)
-        coupler = identity_blocks(beamsplitter_matrix(), n)
+        coupler = identity_blocks(COUPLER, n)
         delay = np.eye(2 * n, dtype=complex)
         # the +pi makes the output-port relative amplitude exactly e^{i phase}
         delay[n:, n:] = np.exp(1j * (phase + math.pi)) * np.eye(n, k=len(labels))

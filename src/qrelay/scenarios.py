@@ -52,7 +52,7 @@ from .errors import (
     UnnormalizedStateError,
 )
 from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
-from .optics import Circuit, apply, beamsplitter_matrix, compose, identity_blocks, loss_from_db
+from .optics import COUPLER, Circuit, apply, compose, identity_blocks, loss_from_db
 from .sources import OverlapModel, entangled_pairs, pair_count_distribution
 
 ALICE_QUBIT = "alice-1310"
@@ -230,20 +230,21 @@ class ScanResult:
     pulses: int
 
 
-def phase_grid(points: int = 24, periods: float = 2.0, start: float = 0.0) -> np.ndarray:
+def phase_grid(points: int, periods: float) -> np.ndarray:
     """`points` equally spaced analyzer phases over `periods` periods from
-    `start`; a negative period count scans backwards."""
+    0; a negative period count scans backwards."""
     if not 4 <= points <= MAX_POINTS:
         raise ConfigError(f"a phase scan needs 4 to {MAX_POINTS} points, got {points}")
     if not math.isfinite(periods) or periods == 0:
         raise ConfigError(f"the period count must be finite and nonzero, got {periods}")
-    end = start + periods * 2.0 * math.pi
-    if not max(abs(start), abs(end)) <= MAX_PHASE:
-        raise ConfigError(f"a phase scan from {start} to {end} rad passes 2**52 rad")
-    return start + np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
+    end = periods * 2.0 * math.pi
+    if not abs(end) <= MAX_PHASE:
+        raise ConfigError(f"a phase scan to {end} rad passes 2**52 rad")
+    return np.linspace(0.0, end, points, endpoint=False)
 
 
-def mismatch_grid(points: int = 41, span_um: float = 300.0) -> np.ndarray:
+def mismatch_grid(points: int, span_um: float) -> np.ndarray:
+    """`points` equally spaced path mismatches from -span_um to span_um."""
     if not 5 <= points <= MAX_POINTS:
         raise ConfigError(f"a mismatch scan needs 5 to {MAX_POINTS} points, got {points}")
     # linspace forms the width 2 span
@@ -351,7 +352,7 @@ def _add_bell_mixer(circ: Circuit) -> None:
     and label."""
     alice = [circ.registry.key_at(i) for i in circ.registry.indices_for(ALICE_QUBIT)]
     relay = [ModeKey(EPR_QUBIT, mode.time_bin, mode.internal) for mode in alice]
-    circ.add_unitary(alice + relay, identity_blocks(beamsplitter_matrix(), len(alice)))
+    circ.add_unitary(alice + relay, identity_blocks(COUPLER, len(alice)))
 
 
 def _teleport_circuit(config: ExperimentConfig) -> Circuit:
@@ -697,7 +698,7 @@ class _MandelEngine:
         ge, ingaas = _detectors(config)[:2]
         clicks = coincidence_clicks(reg, out.occupations, ge, ingaas)[:, :2]
         # per component, (short, long) coincidences
-        coincidences = _branch_sums(out.branches(), len(components),
+        coincidences = _branch_sums(out.occupations[:, reg.index(BRANCH_RECORD)], len(components),
                                     (amps.real**2 + amps.imag**2)[None], clicks)[0]
         # c_kj for the (short, long) bins
         c = self._coefficients = np.zeros((MAX_PAIRS_EACH + 1,) * 2 + (2, 1))

@@ -212,7 +212,7 @@ def simulate(
     gain_um_per_hz: Optional[float],
     duration_s: float,
     dt_s: float,
-    seed: int = 0,
+    seed: int,
 ) -> StabilityTrace:
     """Drift, optional stabilization, and the normalized coincidence level.
 
@@ -221,8 +221,8 @@ def simulate(
     dip's floor while the mismatch is held at zero and climbs toward one as
     drift pulls the analyzers apart.  With a gain (None runs free) the
     motor takes gain * (rate shift) every UPDATE_INTERVAL_S, rounded to
-    MOTOR_RESOLUTION_UM, and holds it in between; a time axis, drift or
-    command that overflows raises ConfigError.
+    MOTOR_RESOLUTION_UM, and holds it in between; `seed` keys the random
+    streams.  A time axis, drift or command that overflows raises ConfigError.
     """
     if gain_um_per_hz is not None and not 0 <= gain_um_per_hz < math.inf:
         raise ConfigError("gain_um_per_hz must be finite and >= 0")

@@ -17,7 +17,9 @@ occupation_distribution lists a state's outcome probabilities term by
 term, and general_transform re-expands a linear-optical substitution on
 any number of modes; folded over a circuit's elements one at a time, it is
 the reference for qrelay.optics.apply.  The circuit primitives, a
-beamsplitter on a mode pair (add_beamsplitter), a phase on one mode
+beamsplitter of any transmittance and phase on a mode pair
+(beamsplitter_matrix, add_beamsplitter; at 50/50 it is
+qrelay.optics.COUPLER), a phase on one mode
 (add_phase), a loss against one sink mode (add_loss) and a bin delay
 within one channel (add_delay), append one element each to a
 qrelay.optics.Circuit: the reference each device is tested against, built
@@ -65,11 +67,15 @@ inclusion-exclusion over its click gates (teleport_patterns).  weighted
 takes the relay as two squeezers, or as the package's thermal source on
 the total pair number by quadrature over the squeezer parameter: the
 converged reference the Fock engine's pair cut approaches.
-dip_coincidences gives the dip's same-bin coincidences the same way, from
-the vacuum probabilities of the ge and ingaas gates on the dip circuit.
+dip_events and dip_coincidences give the dip's same-bin coincidences the
+same way, from the vacuum probabilities of the ge and ingaas gates on the
+dip circuit.  branch_outcomes continues either closed form to complex
+squeezer parameters, the pair amplitudes on the ket side only, and reads
+each pair-number branch's normalized outcome O(na, nc) off one 2-D FFT on
+a circle: the per-branch reference for the Fock engines.
 
 csv_text formats a table cell by cell, a float as .9g and any other value
-as str: the reference for the block-by-block writer in qrelay.cli.
+as str: the reference for the column-wise writer in qrelay.cli.
 
 fit_fringe_scipy is the fringe fit whose out-of-range refit runs
 scipy.optimize.least_squares (lm) through V = 1 / (1 + exp(-u)): the
@@ -108,7 +114,7 @@ from qrelay.detection import (
 )
 from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
 from qrelay.fock import BRANCH_RECORD, NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
-from qrelay.optics import Circuit, apply, beamsplitter_matrix
+from qrelay.optics import Circuit, apply
 from qrelay.sources import OverlapModel
 
 OccupationVector = Tuple[int, ...]
@@ -245,6 +251,17 @@ def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
     if abs(total - 1.0) > NORM_ATOL:
         raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
     return {tuple(k): abs(v) ** 2 for k, v in terms(state).items()}
+
+
+def beamsplitter_matrix(transmittance: float, phase: float) -> np.ndarray:
+    """[[sqrt(t), i sqrt(1-t)], [i sqrt(1-t), sqrt(t)]] with phase on arm b;
+    at (0.5, 0.0) it is qrelay.optics.COUPLER, byte for byte."""
+    if not 0.0 <= transmittance <= 1.0:
+        raise ConfigError(f"transmittance must be in [0, 1], got {transmittance}")
+    t = math.sqrt(transmittance)
+    r = 1j * math.sqrt(1.0 - transmittance)
+    ph = np.exp(1j * phase)
+    return np.array([[t, r * ph], [r, t * ph]], dtype=complex)
 
 
 def add_beamsplitter(circ: Circuit, mode_a, mode_b, transmittance=0.5, phase=0.0):
@@ -473,9 +490,11 @@ def herald_filter(
 def _branch_probs(state: FockState) -> np.ndarray:
     """Term probabilities per branch, shape (branches, terms): each term's
     |amplitude|^2 in its branch's row and 0 in the others; every branch must
-    be normalized."""
+    be normalized.  A row's branch is its photons in BRANCH_RECORD, and a
+    state on a registry without that mode is one branch."""
     amps = state.amplitudes
-    branch = state.branches()
+    record = state.registry.indices_for(BRANCH_RECORD.spatial)
+    branch = state.occupations[:, record].sum(axis=1, dtype=np.intp)
     probs = np.zeros((int(branch.max(initial=0)) + 1, len(amps)))
     probs[branch, np.arange(len(amps))] = amps.real**2 + amps.imag**2
     norms = probs.sum(axis=1)
@@ -695,7 +714,7 @@ CLOSED_FORM_SOURCE = (
 
 
 def _gaussian_vacuum(circ: Circuit, detectors, relay_bins: Sequence[int], phase_pump: float,
-                     xi: float, xa: float, y: float):
+                     xi: float, xa, y):
     """Q(gates) on `circ`'s transfer matrix: the probability that none of
     the detector gates (channel, bin), channels indexing `detectors`, holds
     a photon, at any pair number.  Alice's source is a squeezer of
@@ -705,7 +724,15 @@ def _gaussian_vacuum(circ: Circuit, detectors, relay_bins: Sequence[int], phase_
     eta_g T_{s,g} T_{s,g}^H over a gate's modes of every label, and
     G = I - sum_g Pi_g,
 
-        Q = (1 - xa)(1 - y)^(len(relay_bins)) det(I - conj(B) conj(G) B G)^(-1/2).
+        Q = (1 - xa)(1 - y)^(len(relay_bins)) det(I - conj(B_1) conj(G) B G)^(-1/2),
+
+    where B holds pair amplitude xa for Alice and y for the relay (the ket
+    side) and B_1 holds 1 for both (the bra side).  Each branch's ket and
+    bra hold the same pairs, so Q depends on the two sides' products
+    only: at real (xa, y) in [0, 1) it is the probability, and at complex
+    ones, arrays of one shape, its analytic continuation, which the
+    principal square root gives while |xa|, |y| < 1/2 (the at most six
+    nonzero eigenvalues of the matrix under I have modulus below 1/2).
     """
     reg = circ.registry
     t = circ.transfer()[[reg.index(k) for k in CLOSED_FORM_SOURCE]]
@@ -714,22 +741,26 @@ def _gaussian_vacuum(circ: Circuit, detectors, relay_bins: Sequence[int], phase_
         for b in CLOCK_WINDOW:
             cols = [i for i in reg.indices_for(det.spatial) if reg.key_at(i).time_bin == b]
             proj[(c, b)] = det.efficiency * t[:, cols] @ t[:, cols].conj().T
-    source = np.zeros((7, 7), complex)
-    source[0, 2] = source[2, 0] = math.sqrt(xa) * xi
-    source[1, 2] = source[2, 1] = math.sqrt(xa * (1.0 - xi * xi))
+    alice = np.zeros((7, 7))
+    alice[0, 2] = alice[2, 0] = xi
+    alice[1, 2] = alice[2, 1] = math.sqrt(1.0 - xi * xi)
+    relay = np.zeros((7, 7), complex)
     for k in relay_bins:
-        source[3 + k, 5 + k] = source[5 + k, 3 + k] = math.sqrt(y) * np.exp(1j * phase_pump * k)
+        relay[3 + k, 5 + k] = relay[5 + k, 3 + k] = np.exp(1j * phase_pump * k)
+    bra = (alice + relay).conj()
+    ket = np.multiply.outer(xa, alice) + np.multiply.outer(y, relay)
     norm = (1.0 - xa) * (1.0 - y) ** len(relay_bins)
+    real = not np.iscomplexobj(norm)
 
-    def vacuum_probability(gates) -> float:
+    def vacuum_probability(gates):
         g = np.eye(7) - sum((proj[x] for x in gates), np.zeros((7, 7)))
-        det = np.linalg.det(np.eye(7) - source.conj() @ g.conj() @ source @ g).real
-        return norm / math.sqrt(det)
+        det = np.linalg.det(np.eye(7) - bra @ g.conj() @ ket @ g)
+        return norm / np.sqrt(det.real if real else det)
 
     return vacuum_probability
 
 
-def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float):
+def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa, y):
     """_gaussian_vacuum on the teleport circuit with the analyzer at phi_b,
     the detectors of _detectors, the relay in both bins and the overlap at
     the config's mismatch."""
@@ -739,31 +770,34 @@ def closed_form_vacuum(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: floa
     return _gaussian_vacuum(circ, scenarios._detectors(cfg), (0, 1), cfg.phase_pump, xi, xa, y)
 
 
-def teleport_patterns(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float,
+def teleport_patterns(cfg: "scenarios.ExperimentConfig", phi_b: float, xa, y,
                       darks) -> np.ndarray:
     """Each accepted Bell-state pattern's probability, and that with Bob's
-    click in BOB_BIN, shape (patterns of bell_patterns, 2), from the vacuum
-    probabilities of closed_form_vacuum by inclusion-exclusion: a pattern
-    with click gates C and dark gates V has probability
+    click in BOB_BIN, shape (patterns of bell_patterns, 2) + the shape of
+    xa and y, from the vacuum probabilities of closed_form_vacuum by
+    inclusion-exclusion: a pattern with click gates C and dark gates V has
+    probability
 
         prod_{g in V} (1 - d_g) sum_{S subset of C} (-1)^|S| prod_{g in S} (1 - d_g) Q(V + S),
 
     darks d in _detectors' order; Bob's click is one more click gate."""
     vacuum_probability = closed_form_vacuum(cfg, phi_b, xa, y)
-    patterns = bell_patterns(cfg.symmetric_bsa, len(CLOCK_WINDOW), cfg.heralded)
-    out = np.zeros((len(patterns), 2))
-    for event, extra in enumerate(((), ((_BOB, BOB_BIN),))):
-        for p, (click, dark) in enumerate(patterns):
-            click += extra
-            keep = np.prod([1.0 - darks[c] for c, _ in dark])
-            for r in range(len(click) + 1):
-                for s in itertools.combinations(click, r):
+    out = []
+    for click, dark in bell_patterns(cfg.symmetric_bsa, len(CLOCK_WINDOW), cfg.heralded):
+        keep = np.prod([1.0 - darks[c] for c, _ in dark])
+        events = []
+        for gates in (click, click + ((_BOB, BOB_BIN),)):
+            total = 0.0
+            for r in range(len(gates) + 1):
+                for s in itertools.combinations(gates, r):
                     sign = (-1) ** r * np.prod([1.0 - darks[c] for c, _ in s])
-                    out[p, event] += keep * sign * vacuum_probability(dark + s)
-    return out
+                    total += keep * sign * vacuum_probability(dark + s)
+            events.append(total)
+        out.append(events)
+    return np.array(out)
 
 
-def teleport_events(cfg: "scenarios.ExperimentConfig", phi_b: float, xa: float, y: float,
+def teleport_events(cfg: "scenarios.ExperimentConfig", phi_b: float, xa, y,
                     darks) -> np.ndarray:
     """[P(accept), P(accept and Bob clicks in BOB_BIN)] at analyzer phase
     phi_b in closed form (teleport_patterns summed over the patterns)."""
@@ -796,35 +830,64 @@ def weighted(cfg: "scenarios.ExperimentConfig", phi_b: float, darks, model: str,
                              lambda y: teleport_events(cfg, phi_b, xa, y, darks), nodes)
 
 
-def dip_coincidences(cfg: "scenarios.ExperimentConfig", xi: float, model: str,
-                     nodes: int = 8) -> np.ndarray:
-    """The dip's same-bin coincidences of the ge and ingaas detectors in
-    the short and the long bin, at overlap amplitude xi, in closed form.
+def dip_events(cfg: "scenarios.ExperimentConfig", xi: float):
+    """(events, m): events(xa, y) is the dip's same-bin coincidences of the
+    ge and ingaas detectors in the short and the long bin, shape (2,) + the
+    shape of xa and y, at overlap amplitude xi, Alice's source a squeezer
+    of parameter xa and the relay one of parameter y in each of the m bins
+    it emits into.
 
-    _gaussian_vacuum runs on _dip_circuit, the relay in the bins it emits
-    into, and a bin's coincidence is the marginal coincidence_clicks
-    computes,
+    _gaussian_vacuum runs on _dip_circuit, and a bin's coincidence is the
+    marginal coincidence_clicks computes,
 
-        1 - (1 - d_ge) Q(ge) - (1 - d_in) Q(in) + (1 - d_ge)(1 - d_in) Q(ge, in).
-
-    Alice's source is thermal, xa = mu_a/(1 + mu_a).  In symmetric mode the
-    relay emits into one bin, one squeezer of parameter mu/(1 + mu), whose
-    pair number is thermal, so both source models agree; in entangled mode
-    it emits into two, under `model` (_over_relay_pairs)."""
+        1 - (1 - d_ge) Q(ge) - (1 - d_in) Q(in) + (1 - d_ge)(1 - d_in) Q(ge, in)."""
     circ, relay_bins = scenarios._dip_circuit(cfg)
     detectors = scenarios._detectors(cfg)[:2]
     keep = [1.0 - det.dark_prob for det in detectors]
-    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
 
-    def events(y: float) -> np.ndarray:
+    def events(xa, y) -> np.ndarray:
         q = _gaussian_vacuum(circ, detectors, relay_bins, cfg.phase_pump, xi, xa, y)
         return np.array([1.0 - keep[0] * q(((0, b),)) - keep[1] * q(((1, b),))
                          + keep[0] * keep[1] * q(((0, b), (1, b))) for b in (0, 1)])
 
+    return events, len(relay_bins)
+
+
+def dip_coincidences(cfg: "scenarios.ExperimentConfig", xi: float, model: str,
+                     nodes: int = 8) -> np.ndarray:
+    """The dip's same-bin coincidences in the short and the long bin at
+    overlap amplitude xi, in closed form (dip_events).  Alice's source is
+    thermal, xa = mu_a/(1 + mu_a).  In symmetric mode the relay emits into
+    one bin, one squeezer of parameter mu/(1 + mu), whose pair number is
+    thermal, so both source models agree; in entangled mode it emits into
+    two, under `model` (_over_relay_pairs)."""
+    events, relay_bins = dip_events(cfg, xi)
+    xa = cfg.pair_mean_alice / (1.0 + cfg.pair_mean_alice)
     mu = cfg.pair_mean_epr
-    if len(relay_bins) == 1:
-        return events(mu / (1.0 + mu))
-    return _over_relay_pairs(mu, model, events, nodes)
+    if relay_bins == 1:
+        return events(xa, mu / (1.0 + mu))
+    return _over_relay_pairs(mu, model, lambda y: events(xa, y), nodes)
+
+
+def branch_outcomes(events, relay_bins: int, max_pairs: int, radius: float = 0.3,
+                    points: int = 32) -> Dict[Tuple[int, int], np.ndarray]:
+    """Every branch's normalized outcome O(na, nc), na + nc <= max_pairs,
+    from events(xa, y), a closed form of the two squeezer parameters that
+    takes complex arrays (dip_events, teleport_events).  With m =
+    relay_bins squeezers on the relay, each holding y,
+
+        events(xa, y) / ((1 - xa)(1 - y)^m) = sum xa^na y^nc C(nc + m - 1, nc) O(na, nc),
+
+    so one 2-D FFT of its values on |xa| = |y| = radius, `points` equally
+    spaced angles each, gives every coefficient at once.  Aliasing adds
+    the coefficients `points` orders up, times radius^points; rounding
+    errors grow as radius^-(na + nc)."""
+    t = radius * np.exp(2j * math.pi * np.arange(points) / points)
+    xa, y = np.meshgrid(t, t, indexing="ij")
+    coefficients = np.fft.fft2(events(xa, y) / ((1.0 - xa) * (1.0 - y) ** relay_bins))
+    return {(na, nc): coefficients[..., na, nc].real
+            / (points**2 * radius ** (na + nc) * math.comb(nc + relay_bins - 1, nc))
+            for na in range(max_pairs + 1) for nc in range(max_pairs + 1 - na)}
 
 
 def fit_fringe_scipy(phases, counts) -> FringeFit:

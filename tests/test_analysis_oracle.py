@@ -179,8 +179,8 @@ def constrained_fringes(draw):
     """(phases, counts): Poisson fringes of 6-29 points over 1-2 periods,
     visibility 0.9-1 and mean counts 10-1e5, whose linear fit leaves
     [0, 1]; the noise is redrawn until it does."""
-    xs = phase_grid(draw(hs.integers(6, 29)), draw(hs.floats(1.0, 2.0)),
-                    draw(hs.floats(-math.pi, math.pi)))
+    xs = draw(hs.floats(-math.pi, math.pi)) + phase_grid(draw(hs.integers(6, 29)),
+                                                         draw(hs.floats(1.0, 2.0)))
     mean = 10.0 ** draw(hs.floats(1.0, 5.0)) * (
         1.0 + draw(hs.floats(0.9, 1.0)) * np.cos(xs - draw(hs.floats(-math.pi, math.pi)))
     )

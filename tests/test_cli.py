@@ -341,16 +341,6 @@ def test_stability_table_spans_writer_blocks(tmp_path, capsys):
     assert out_csv.read_bytes() == csv_text(header, zip(*(c.tolist() for c in columns))).encode()
 
 
-def test_write_csv_reads_cell_types_per_block(tmp_path, monkeypatch):
-    # a mixed column whose blocks hold only floats, only strings, or both
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
-    columns = ([0.5, 1.0, "a", "b", 2.5, "c", -0.0], np.arange(7.0) / 3.0, list(range(7)))
-    path = tmp_path / "table.csv"
-    cli._write_csv(str(path), ("x", "y", "z"), columns)
-    rows = zip(columns[0], columns[1].tolist(), columns[2])
-    assert path.read_bytes() == csv_text(("x", "y", "z"), rows).encode()
-
-
 def test_stability_uncontrolled_flag(capsys):
     code, out, _ = run_cli(
         capsys,

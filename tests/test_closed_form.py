@@ -8,19 +8,35 @@ events and coincidences follow by inclusion-exclusion over the click
 gates.  The engines keep the pair branches up to MAX_PAIRS_EACH pairs in
 total; under squeezer weights they miss exactly the dropped branches'
 share, each a probability in [0, 1], so the closed form lies above them by
-at most the dropped weight.  Plain parametrize, numpy alone.
+at most the dropped weight.
+
+That bound is loose, so each pair-number branch is also checked on its
+own: the closed form continued to complex squeezer parameters gives every
+branch's normalized outcome from one contour (oracles.branch_outcomes),
+and the Fock engine at K = 3 with all weight on that branch must match it
+to rounding.  Plain parametrize, numpy alone.
 """
 
+import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import closed_form_vacuum, dip_coincidences, teleport_patterns, weighted
+from oracles import (
+    branch_outcomes,
+    closed_form_vacuum,
+    dip_coincidences,
+    dip_events,
+    teleport_events,
+    teleport_patterns,
+    weighted,
+)
 
 from qrelay import scenarios
 from qrelay.detection import CLOCK_WINDOW
-from qrelay.scenarios import MANDEL_MODES, ExperimentConfig, TeleportEngine
+from qrelay.scenarios import MANDEL_MODES, ExperimentConfig, TeleportEngine, build_ideal_config
 from qrelay.sources import OverlapModel
 
 CONFIGS = {
@@ -162,3 +178,83 @@ def test_dip_engine_lies_below_the_closed_form_by_at_most_the_dropped_weight(
         exact = dip_coincidences(cfg, float(overlap.xi(x)), "two")
         assert np.all(exact - bins >= 0.0), (x, exact, bins)
         assert np.all(exact - bins <= 1.0 - kept), (x, exact, bins, kept)
+
+
+# the per-branch contour: aliasing leaves radius^points, 2e-17, and the
+# FFT's rounding, about eps at radius 1, grows as radius^-(na + nc)
+BRANCH_RADIUS = 0.3
+BRANCH_POINTS = 32
+BRANCH_K = 3
+BRANCHES = [(na, nc) for na in range(BRANCH_K + 1) for nc in range(BRANCH_K + 1 - na)]
+BRANCH_IDS = [f"na{na}-nc{nc}" for na, nc in BRANCHES]
+DIP_MISMATCHES = (0.0, 72.0)
+TELEPORT_PHASE = 0.3
+
+
+def _branch_atol(branch):
+    """The per-branch tolerance: 64 eps at radius 1 (the largest gap seen
+    over these cases is 2.6e-16), scaled by radius^-(na + nc)."""
+    return 64 * np.finfo(float).eps / BRANCH_RADIUS ** sum(branch)
+
+
+def _on_one_branch(monkeypatch, branch):
+    monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", BRANCH_K)
+    monkeypatch.setattr(scenarios, "branch_weights", lambda config, blocked="none": {branch: 1.0})
+
+
+@functools.lru_cache(maxsize=None)
+def _dip_branches(mode, case, mismatch, xi_scale=1.0):
+    cfg = ExperimentConfig(mandel_mode=mode, **DIP_CONFIGS[case])
+    xi = float(OverlapModel(cfg.dip_fwhm_um).xi(mismatch)) * xi_scale
+    return branch_outcomes(*dip_events(cfg, xi), BRANCH_K, BRANCH_RADIUS, BRANCH_POINTS)
+
+
+@functools.lru_cache(maxsize=None)
+def _teleport_branches(case):
+    cfg = ExperimentConfig(**CONFIGS[case])
+    return branch_outcomes(lambda xa, y: teleport_events(cfg, TELEPORT_PHASE, xa, y, _darks(cfg)),
+                           2, BRANCH_K, BRANCH_RADIUS, BRANCH_POINTS)
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=BRANCH_IDS)
+@pytest.mark.parametrize("case", ["default", "loss-1-mandel-0.4-pump-0.3"])
+@pytest.mark.parametrize("mode", MANDEL_MODES)
+def test_dip_branch_matches_the_closed_form(monkeypatch, mode, case, branch):
+    _on_one_branch(monkeypatch, branch)
+    cfg = ExperimentConfig(mandel_mode=mode, **DIP_CONFIGS[case])
+    fock = scenarios._MandelEngine(cfg).scan(DIP_MISMATCHES)
+    for x, bins in zip(DIP_MISMATCHES, fock.T):
+        exact = _dip_branches(mode, case, x)[branch]
+        assert np.all(np.abs(exact - bins) <= _branch_atol(branch)), (x, exact, bins)
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=BRANCH_IDS)
+@pytest.mark.parametrize("case", ["default", "mean-0.13-heralded"])
+def test_teleport_branch_matches_the_closed_form(monkeypatch, case, branch):
+    _on_one_branch(monkeypatch, branch)
+    engine = TeleportEngine(ExperimentConfig(**CONFIGS[case]))
+    fock = np.array([engine.acceptance(), engine.scan([TELEPORT_PHASE])[0]])
+    exact = _teleport_branches(case)[branch]
+    assert np.all(np.abs(exact - fock) <= _branch_atol(branch)), (exact, fock)
+
+
+@pytest.mark.parametrize("mode", MANDEL_MODES)
+def test_branch_comparison_catches_an_overlap_one_percent_low(monkeypatch, mode):
+    # the dip sandwich above still holds with xi 1 % low in the closed form
+    cfg = ExperimentConfig(mandel_mode=mode)
+    low = _dip_branches(mode, "default", 0.0, 0.99)
+    missed = []
+    for branch in BRANCHES:
+        _on_one_branch(monkeypatch, branch)
+        bins = scenarios._MandelEngine(cfg).scan([0.0])[:, 0]
+        missed.append(np.all(np.abs(low[branch] - bins) <= _branch_atol(branch)))
+    assert not all(missed)
+
+
+@pytest.mark.parametrize("mode", MANDEL_MODES)
+def test_ideal_single_pair_dip_null_in_closed_form(mode):
+    # criterion 01's null on build_ideal_config, whose weight sits on
+    # branch (1, 1), from the contour instead of the Fock engine
+    cfg = replace(build_ideal_config(), mandel_mode=mode)
+    null = branch_outcomes(*dip_events(cfg, 1.0), BRANCH_K, BRANCH_RADIUS, BRANCH_POINTS)[(1, 1)]
+    assert np.all(np.abs(null) < 1e-12), null

@@ -14,7 +14,7 @@ from oracles import (
     vacuum,
 )
 from qrelay.errors import RegistryMismatchError, UnnormalizedStateError
-from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry, multisets
+from qrelay.fock import FockState, ModeKey, ModeRegistry, multisets
 from qrelay.optics import Circuit, apply
 
 
@@ -171,17 +171,6 @@ def test_occupation_matrix_and_bin_indicator():
     # a mode registered later resizes the indicator
     reg.add_channel("b")
     assert reg.bin_indicator(("b", "a")).shape == (6, 4)
-
-
-def test_branches_read_the_record_mode():
-    reg, a, _ = _two_mode_registry()
-    occ = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.uint8)
-    # no record mode: the whole state is branch 0
-    assert FockState(reg, occ, [1, 1, 1]).branches().tolist() == [0, 0, 0]
-    rec = reg.add(BRANCH_RECORD)
-    tagged = np.zeros((3, len(reg)), dtype=np.uint8)
-    tagged[:, rec] = [2, 0, 1]
-    assert FockState(reg, tagged, [1, 1, 1]).branches().tolist() == [2, 0, 1]
 
 
 def test_multisets_count_every_split_once():

@@ -8,6 +8,7 @@ from oracles import (
     add_delay,
     amplitude,
     apply_creation,
+    beamsplitter_matrix,
     from_terms,
     general_transform,
     norm_sq,
@@ -23,7 +24,7 @@ from qrelay.errors import (
     RegistryMismatchError,
 )
 from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry
-from qrelay.optics import Circuit, apply, compose, loss_from_db
+from qrelay.optics import COUPLER, Circuit, apply, compose, loss_from_db
 
 
 def _channel_registry(*spatials, max_bins=4):
@@ -47,6 +48,13 @@ def test_loss_from_db():
     assert abs(loss_from_db(10.0 * math.log10(2.0)) - 0.5) < 1e-12
     with pytest.raises(ConfigError):
         loss_from_db(-1.0)
+
+
+def test_coupler_is_the_read_only_50_50_beamsplitter():
+    assert COUPLER.dtype == complex
+    assert COUPLER.tobytes() == beamsplitter_matrix(0.5, 0.0).tobytes()
+    with pytest.raises(ValueError):
+        COUPLER[0, 1] = 1.0
 
 
 def test_identity_beamsplitter():

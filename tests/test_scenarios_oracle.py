@@ -102,7 +102,7 @@ def test_dip_scan_makes_one_circuit_pass(monkeypatch, points, k, overrides):
     monkeypatch.setattr(scenarios, "apply", counting_apply)
     monkeypatch.setattr(scenarios, "coincidence_clicks", counting_detect)
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
-    run_mandel_scan(ExperimentConfig(tail_tol=0.5, **overrides), mismatch_grid(points))
+    run_mandel_scan(ExperimentConfig(tail_tol=0.5, **overrides), mismatch_grid(points, 300.0))
     assert len(calls) == 1
     assert len(detections) == 1
 
@@ -117,7 +117,7 @@ def test_unnormalized_dip_branch_raises(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_branch_mixture", short_mixture)
     with pytest.raises(UnnormalizedStateError, match="norm"):
-        run_mandel_scan(ExperimentConfig(), mismatch_grid(5))
+        run_mandel_scan(ExperimentConfig(), mismatch_grid(5, 300.0))
 
 
 def test_label_mixing_circuit_raises(monkeypatch, capsys):
@@ -130,7 +130,7 @@ def test_label_mixing_circuit_raises(monkeypatch, capsys):
 
     monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
     with pytest.raises(LabelMixingError):
-        run_mandel_scan(ExperimentConfig(), mismatch_grid(5))
+        run_mandel_scan(ExperimentConfig(), mismatch_grid(5, 300.0))
     assert cli.main(["mandel", "--points", "5"]) == 3
     assert "couples" in capsys.readouterr().err
 

@@ -62,8 +62,9 @@ def test_relay_after_single_bin_matches_oracle(na, nc, xi, phase, relay_bins):
     components = scenarios._components([(na, nc)])
     mixture = scenarios._branch_mixture(reg, components, relay_bins, phase)
     weights = scenarios._overlap_weights(components, xi * xi)
-    mixture.amplitudes *= np.sqrt(weights)[mixture.branches()]
-    mixture.occupations[:, reg.index(BRANCH_RECORD)] = 0
+    record = reg.index(BRANCH_RECORD)
+    mixture.amplitudes *= np.sqrt(weights)[mixture.occupations[:, record]]
+    mixture.occupations[:, record] = 0
     oracle = oracles.overlap_mixture(reg, [(na, nc)], xi, relay_bins, phase)
     assert _max_diff(mixture, oracle) < 1e-12
     assert abs(norm_sq(mixture) - 1.0) < 1e-12
