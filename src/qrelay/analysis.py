@@ -97,10 +97,10 @@ def fit_fringe(phases, counts) -> FringeFit:
     y = np.asarray(counts, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("phases and counts must be equal-length 1-d arrays")
-    if x.size < 4 or np.unique(np.mod(x, 2 * math.pi)).size < 3:
-        raise InsufficientPointsError(
-            f"need >= 4 points at >= 3 distinct phases, got {x.size}"
-        )
+    distinct = np.unique(np.mod(x, 2 * math.pi)).size
+    if x.size < 4 or distinct < 3:
+        raise InsufficientPointsError(f"need >= 4 points at >= 3 distinct phases, got {x.size} "
+                                      f"points at {distinct} distinct phases")
     w = 1.0 / _sigmas(y)
     basis = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     # each basis row has norm sqrt(2): this is the weighted design's condition

@@ -110,7 +110,7 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
     values: Dict[str, object] = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
@@ -263,7 +263,7 @@ def _cmd_teleport(args) -> int:
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config, _common_overrides(args))
     engine = TeleportEngine(cfg)
-    probs = dict(zip(BLOCK_CHOICES, engine.blocking(BLOCK_CHOICES)))
+    probs = dict(zip(BLOCK_CHOICES, engine.blocking()))
     if args.out:
         _write_csv(
             args.out,
@@ -316,14 +316,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_validate_timing(args) -> int:
-    latency = {} if args.latency_ns is None else {"decision_latency_s": args.latency_ns * 1e-9}
     budget = TimingBudget(
         charlie_spool_m=args.charlie_spool_m,
         quantum_fiber_m=args.quantum_fiber_m,
         classical_fiber_m=args.classical_fiber_m,
         bob_spool_m=args.bob_spool_m,
         group_index=args.group_index,
-        **latency,
+        decision_latency_s=args.latency_ns * 1e-9,
     )
     slack = validate_timing(budget)
     print(f"slack_ns {slack * 1e9:.9g}")
@@ -403,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_time.add_argument("--classical-fiber-m", type=float, default=TimingBudget.classical_fiber_m)
     p_time.add_argument("--bob-spool-m", type=float, default=TimingBudget.bob_spool_m)
     p_time.add_argument("--group-index", type=float, default=TimingBudget.group_index)
-    # unset, the budget keeps its own latency
-    p_time.add_argument("--latency-ns", type=float, default=None)
+    p_time.add_argument("--latency-ns", type=float, default=TimingBudget.decision_latency_s * 1e9)
     p_time.set_defaults(func=_cmd_validate_timing)
 
     p_lim = sub.add_parser("limits", help="classical and cloning benchmarks")

@@ -90,7 +90,7 @@ class ExperimentConfig:
     are set as both fields.  Detector efficiencies and dark probabilities
     default to placeholders; the dark probabilities can be rescaled against
     measured backgrounds with calibrate_dark_counts, which flips
-    detectors_calibrated.
+    detectors_calibrated.  Bob's analyzer phase is no key: a scan sets it.
     """
 
     pair_mean_alice: float = 0.19
@@ -98,7 +98,6 @@ class ExperimentConfig:
     heralded: bool = False
     phase_pump: float = 0.0
     phase_alice: float = 0.0
-    phase_bob: float = 0.0
     delta_x_um: float = 0.0
     dip_fwhm_um: float = 144.0
     mandel_mode: str = "symmetric"
@@ -143,7 +142,7 @@ class ExperimentConfig:
         for name in ("dark_ge", "dark_ingaas_bsa", "dark_herald", "dark_bob"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        for name in ("phase_alice", "phase_bob", "phase_pump", "mandel_phase"):
+        for name in ("phase_alice", "phase_pump", "mandel_phase"):
             if not abs(getattr(self, name)) <= MAX_PHASE:
                 raise ConfigError(f"|{name}| must be <= 2**52 rad, got {getattr(self, name)}")
         if not 0.0 < self.tail_tol < 1.0:
@@ -496,13 +495,13 @@ def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
     return sums[:, :, 1:]
 
 
-def _background(central: np.ndarray, phase_bob: float) -> float:
-    """Phase-independent background from the harmonics of Bob's click
-    under the four weightings, the columns of `central` in BLOCK_CHOICES
-    order: alice + epr - both, each synthesized at phase_bob.  Single-source
+def _background(h0: np.ndarray) -> float:
+    """Phase-independent background from harmonic 0 of Bob's click under
+    the four weightings, in BLOCK_CHOICES order: alice + epr - both, since
+    with a source blocked his click has no harmonic past 0.  Single-source
     backgrounds add; the both-blocked (dark only) term is counted in each
     single-blocking run, so it is subtracted once."""
-    alice, epr, both = _synthesize(central[:, 1:], [phase_bob])[0]
+    alice, epr, both = h0[1:].real
     return alice + epr - both
 
 
@@ -525,8 +524,9 @@ class TeleportEngine:
     `harmonics` contracts the monomials' weights for the detectors' dark
     probabilities (teleport_weights) and the four weightings into them, in
     one product, so rescaled dark counts cost no pass.  The engine keeps
-    that product for its own detectors, and its four read-outs, `scan` and
-    `acceptance`, `blocking` and `background`, slice it.
+    that product for its own detectors, and its read-outs slice it: `scan`
+    and `blocking` synthesize phases, and `acceptance` and `background`,
+    which Bob's analyzer phase cannot change, read harmonic 0.
 
     The analyzer, the only element that depends on phi_b, joins the circuit
     (transfer matrix T) at phi_b = 0.  A photon that takes its delay arm
@@ -629,23 +629,20 @@ class TeleportEngine:
         return _synthesize(self._harmonics[:, 1, :1], phases)[:, 0]
 
     def acceptance(self) -> float:
-        """The Bell-state acceptance (and herald) at phase_bob.  Bob's
-        analyzer cannot signal to the relay, so its harmonics past 0 are
-        rounding."""
-        return _synthesize(self._harmonics[:, 0, :1], [self.config.phase_bob])[0, 0]
+        """The Bell-state acceptance (and herald), its harmonic 0: Bob's
+        analyzer cannot signal to the relay, so the rest are rounding."""
+        return self._harmonics[0, 0, 0].real
 
-    def blocking(self, blocked: Sequence[str]) -> np.ndarray:
-        """P(acceptance and Bob's click in BOB_BIN) at phase_bob under the
-        weighting of each entry of `blocked` (see branch_weights)."""
-        if not set(blocked) <= set(BLOCK_CHOICES):
-            raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}, got {blocked!r}")
-        columns = [BLOCK_CHOICES.index(b) for b in blocked]
-        return _synthesize(self._harmonics[:, 1, columns], [self.config.phase_bob])[0]
+    def blocking(self) -> np.ndarray:
+        """P(acceptance and Bob's click in BOB_BIN) at phi_b = 0 under each
+        weighting of BLOCK_CHOICES (see branch_weights): "none" is the
+        fringe's first point, and the blocked runs have no harmonic past 0."""
+        return _synthesize(self._harmonics[:, 1], [0.0])[0]
 
     def background(self) -> float:
         """Phase-independent background estimated from blocking runs
         (_background)."""
-        return _background(self._harmonics[:, 1], self.config.phase_bob)
+        return _background(self._harmonics[0, 1])
 
 
 def run_teleport_scan(engine: TeleportEngine, phases: Sequence[float]) -> ScanResult:
@@ -774,12 +771,12 @@ def _with_dark_scale(config: ExperimentConfig, scale: float) -> ExperimentConfig
 
 def _background_ratio(scale: float, engine: TeleportEngine) -> float:
     """Background over signal with every dark probability scaled by `scale`
-    (_scaled_darks, one vector): the harmonics of Bob's click under the four
-    weightings from one contraction, the blockings synthesized at phase_bob
-    (_background) and the signal's mean read from harmonic 0 of "none"."""
-    central = engine.harmonics(_scaled_darks(engine.config, scale)[:len(engine.darks)])[:, 1]
-    background = _background(central, engine.config.phase_bob)
-    signal = central[0, 0].real - background
+    (_scaled_darks, one vector): harmonic 0 of Bob's click under the four
+    weightings from one contraction, which gives the background
+    (_background) and the signal's mean, that of "none"."""
+    h0 = engine.harmonics(_scaled_darks(engine.config, scale)[:len(engine.darks)])[0, 1]
+    background = _background(h0)
+    signal = h0[0].real - background
     if signal <= 0.0:
         return 1e9
     return float(background / signal)
@@ -820,9 +817,9 @@ def calibrate_dark_counts(
     of detector parameters, and the engine's photon tables of the dark
     probabilities, so the whole search costs one engine build and one
     detection pass, and each trial scale contracts one dark vector into
-    them (_background_ratio).  The scale is bracketed by growing it
-    fourfold from 1 until the ratio reaches the target, then found by
-    _regula_falsi to 1e-6 relative; a target must be finite and > 0."""
+    them and reads harmonic 0 (_background_ratio).  The scale is bracketed
+    by growing it fourfold from 1 until the ratio reaches the target, then
+    found by _regula_falsi to 1e-6 relative; a target must be finite, > 0."""
     if not 0 < target_ratio < math.inf:
         raise ConfigError(f"target_ratio must be finite and > 0, got {target_ratio}")
     cfg = replace(config, ideal_single_pairs=False)

@@ -695,9 +695,9 @@ def background_ratio_per_config(scale: float, engine: "scenarios.TeleportEngine"
     (qrelay.scenarios._detectors), and their dark probabilities contracted
     into the engine's photon tables."""
     detectors = scenarios._detectors(with_dark_scale_per_field(engine.config, scale))
-    central = engine.harmonics([det.dark_prob for det in detectors])[:, 1]
-    background = scenarios._background(central, engine.config.phase_bob)
-    signal = central[0, 0].real - background
+    h0 = engine.harmonics([det.dark_prob for det in detectors])[0, 1]
+    background = scenarios._background(h0)
+    signal = h0[0].real - background
     if signal <= 0.0:
         return 1e9
     return float(background / signal)

@@ -58,6 +58,16 @@ def test_malformed_line_rejected(tmp_path, capsys):
     assert "key = value" in err
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"pair_mean_alice = 0.1\n")
+    marked.write_bytes(b"\xef\xbb\xbfpair_mean_alice = 0.1\n")
+    code, out, err = run_cli(capsys, ["noise", "--config", str(marked)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["pair_mean_alice"] == 0.1
+    assert (code, out, err) == run_cli(capsys, ["noise", "--config", str(plain)])
+
+
 @pytest.mark.parametrize("command", ["noise", "teleport", "mandel"])
 def test_pair_mean_is_an_unknown_key(tmp_path, capsys, command):
     # each source's mean is its own key; equal means are set as both
@@ -130,8 +140,7 @@ def test_ideal_noise_prints_the_unblocked_run(tmp_path, capsys):
     cfg_file.write_text("ideal_single_pairs = true\n")
     code, out, _ = run_cli(capsys, ["noise", "--config", str(cfg_file)])
     assert code == 0
-    cfg = ExperimentConfig(ideal_single_pairs=True)
-    expected = scenarios.TeleportEngine(cfg).scan([cfg.phase_bob])[0]
+    expected = scenarios.TeleportEngine(ExperimentConfig(ideal_single_pairs=True)).scan([0.0])[0]
     assert abs(json.loads(out)["blocking_probabilities"]["none"] - expected) <= 1e-12 * expected
 
 
@@ -143,6 +152,16 @@ def test_validate_timing_has_no_sender_spool(capsys):
     err = capsys.readouterr().err
     assert "--alice-spool-m" in err
     assert "Traceback" not in err
+
+
+def test_validate_timing_defaults_are_the_budget_own(capsys):
+    # each flag defaults to its TimingBudget field; the latency in ns round-trips
+    args = cli.build_parser().parse_args(["validate-timing"])
+    assert args.latency_ns * 1e-9 == detection.TimingBudget.decision_latency_s
+    code, out, _ = run_cli(capsys, ["validate-timing"])
+    assert code == 0
+    slack = detection.validate_timing(detection.TimingBudget())
+    assert out.splitlines()[0] == f"slack_ns {slack * 1e9:.9g}"
 
 
 def test_noise_takes_no_seed(capsys):
@@ -291,6 +310,13 @@ def test_fringe_on_phases_rounding_cannot_tell_apart_exits_3(capsys, points, per
     assert code == 3
     assert "too close together" in err
     assert out == ""
+
+
+def test_fringe_on_two_distinct_phases_names_both_counts(capsys):
+    # over the default 2 periods, 4 points fall on 0, pi, 2 pi and 3 pi
+    code, out, err = run_cli(capsys, ["teleport", "--points", "4"])
+    assert (code, out) == (3, "")
+    assert "got 4 points at 2 distinct phases" in err
 
 
 def _reject_constant(name):
@@ -563,15 +589,15 @@ def test_stability_period_overflowing_the_phase_exits_2_naming_it(capsys):
         ("teleport", "pair_mean_alice = nan"),
         ("mandel", "pair_mean_epr = nan"),
         ("teleport", "dip_fwhm_um = nan"),
-        ("teleport", "phase_bob = inf"),
+        ("teleport", "phase_pump = inf"),
         # finite, but past 2**52 rad, where a double names no phase
         ("teleport", "phase_alice = 1e308"),
-        ("teleport", "phase_bob = -1e308"),
+        ("teleport", "phase_alice = -1e308"),
         ("mandel", "phase_pump = 1e308"),
         ("mandel", "mandel_phase = 4503599627370497"),
     ],
-    ids=["teleport-pair-mean", "mandel-pair-mean", "dip-fwhm", "phase-bob", "phase-alice-huge",
-         "phase-bob-huge", "phase-pump-huge", "mandel-phase-past-2**52"],
+    ids=["teleport-pair-mean", "mandel-pair-mean", "dip-fwhm", "phase-pump", "phase-alice-huge",
+         "phase-alice-huge-negative", "phase-pump-huge", "mandel-phase-past-2**52"],
 )
 def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -612,19 +638,20 @@ def test_count_bound_is_inclusive():
 @pytest.mark.parametrize(
     "line",
     ["n_max = 4", "max_bins = 3", "rep_rate_hz = 75e6", "bin_pitch_ns = 1.2",
-     "statistics = thermal", "statistics = poissonian"],
+     "statistics = thermal", "statistics = poissonian", "phase_bob = 0.3"],
     ids=["n_max", "max_bins", "rep_rate_hz", "bin_pitch_ns", "statistics-thermal",
-         "statistics-poissonian"],
+         "statistics-poissonian", "phase_bob"],
 )
 def test_config_may_not_name_n_max(tmp_path, capsys, line):
     # the truncation follows from the pair limit and the time bins from the
     # clock window; the pulse rate and bin pitch enter no simulated number,
-    # and every source is thermal
+    # every source is thermal, and a scan sets Bob's analyzer phase per point
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
-    assert code == 2
-    assert line.split()[0] in err
+    code, out, err = run_cli(capsys, ["noise", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"unknown config key {line.split()[0]!r}" in err
+    assert "Traceback" not in err
 
 
 # prints, as JSON, the scipy modules loaded after `import qrelay.cli`, after

@@ -64,7 +64,7 @@ def test_config_validation():
         ExperimentConfig(mode="exact")
 
 
-@pytest.mark.parametrize("name", ["phase_alice", "phase_bob", "phase_pump", "mandel_phase"])
+@pytest.mark.parametrize("name", ["phase_alice", "phase_pump", "mandel_phase"])
 def test_config_phases_stop_at_2_52_rad(name):
     for phase in (2.0**52, -(2.0**52)):
         assert getattr(ExperimentConfig(**{name: phase}), name) == phase
@@ -203,10 +203,10 @@ def test_blocking_behaviour():
     base = ExperimentConfig()
     engine = TeleportEngine(base)
     # placeholder dark counts keep every blocked configuration clicking
-    assert np.all(engine.blocking(("epr", "both")) > 0.0)
+    assert np.all(engine.blocking()[2:] > 0.0)
     cal, _ = calibrate_dark_counts(base)
     calibrated = TeleportEngine(cal)
-    alice, epr, both = calibrated.blocking(("alice", "epr", "both"))
+    alice, epr, both = calibrated.blocking()[1:]
     if cal.dark_bob == 0.0:
         # with dark-free calibrated detectors the receiver cannot click
         # unless the relay source fired
@@ -214,8 +214,6 @@ def test_blocking_behaviour():
         assert both == 0.0
     assert alice > 0.0
     assert calibrated.background() > 0.0
-    with pytest.raises(ConfigError):
-        engine.blocking(("charlie",))
 
 
 def test_calibration_clamps_when_multipair_background_dominates():
@@ -342,7 +340,7 @@ def _count_detection_passes(monkeypatch):
 @pytest.mark.parametrize("heralded", [False, True])
 def test_harmonic_scan_matches_per_phase_outcome(monkeypatch, heralded):
     passes = _count_detection_passes(monkeypatch)
-    cfg = ExperimentConfig(heralded=heralded, phase_bob=0.4)
+    cfg = ExperimentConfig(heralded=heralded)
     phis = 0.25 + phase_grid(13, 1.7)
     engine = TeleportEngine(cfg)
     scan = run_teleport_scan(engine, phis)
@@ -352,6 +350,7 @@ def test_harmonic_scan_matches_per_phase_outcome(monkeypatch, heralded):
     assert engine.degree == 2
     assert len(passes) == 1
     engine.acceptance()
+    engine.blocking()
     engine.background()
     assert len(passes) == 1
 
@@ -369,7 +368,7 @@ def test_one_detection_pass_per_engine(monkeypatch, heralded):
     assert len(engine.detectors) == (4 if heralded else 3)
     engine.scan(phase_grid(24, 2.0))
     engine.acceptance()
-    engine.blocking(scenarios.BLOCK_CHOICES)
+    engine.blocking()
     engine.background()
     assert len(passes) == 1
     _, report = calibrate_dark_counts(cfg, target_ratio=3.0)
@@ -411,8 +410,8 @@ NO_SIGNALLING_CONFIGS = {
 )
 def test_receiver_phase_cannot_signal_to_the_acceptance(monkeypatch, k, name):
     # no-signalling: Bob's analyzer phase leaves the Bell-state acceptance
-    # alone, so its harmonics past 0 are rounding and acceptance() may read
-    # it at phase_bob
+    # alone, so its harmonics past 0 are rounding and acceptance() reads
+    # harmonic 0
     monkeypatch.setattr(scenarios, "MAX_PAIRS_EACH", k)
     accept = TeleportEngine(NO_SIGNALLING_CONFIGS[name]).harmonics()[:, 0, 0]
     assert accept[0].real > 0.0
@@ -421,11 +420,13 @@ def test_receiver_phase_cannot_signal_to_the_acceptance(monkeypatch, k, name):
 
 @pytest.mark.parametrize("name", NO_SIGNALLING_CONFIGS)
 def test_unblocked_run_is_the_config_own(name):
-    # "none" is the config's own weighting, forced single pairs included
+    # "none" is the config's own weighting, forced single pairs included, and
+    # the fringe's first point; the blocked runs do not depend on phi_b, and
+    # are harmonic 0 to the bit
     engine = TeleportEngine(NO_SIGNALLING_CONFIGS[name])
-    phase_bob = engine.config.phase_bob
-    unblocked, scanned = engine.blocking(("none",))[0], engine.scan([phase_bob])[0]
-    assert abs(unblocked - scanned) <= 1e-12 * scanned
+    blocking, scanned = engine.blocking(), engine.scan([0.0])[0]
+    assert abs(blocking[0] - scanned) <= 1e-12 * scanned
+    assert blocking[1:].tolist() == engine.harmonics()[0, 1, 1:].real.tolist()
 
 
 @pytest.mark.parametrize(
@@ -581,7 +582,7 @@ def test_weights_computed_once_per_engine(monkeypatch):
         engine.scan([0.0, 1.0])
         engine.acceptance()
         engine.background()
-        engine.blocking(scenarios.BLOCK_CHOICES)
+        engine.blocking()
     # one set per blocking choice, "none" being the config's own, at build
     assert calls == list(scenarios.BLOCK_CHOICES)
 
