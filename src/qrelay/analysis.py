@@ -11,7 +11,7 @@ The dip fit and the constrained fringe refit are one bounded
 Levenberg-Marquardt iteration in numpy on each model's analytic Jacobian.
 It stops once a step would lower the weighted cost by at most 1e-12 of it,
 move the parameters by at most 1e-12 of their norm, or fails at the data's
-rounding floor; a non-finite cost or 5000 trials raise FitConvergenceError.
+rounding floor; a non-finite cost or 5000 trials raise QRelayError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitConvergenceError, InsufficientPointsError
+from .errors import ConfigError, QRelayError
 
 _EPS = np.finfo(float).eps
 
@@ -51,13 +51,19 @@ class NetVisibility:
 
 
 def net_visibility(raw_visibility: float, mean_count: float, background: float) -> NetVisibility:
-    """Background-corrected visibility V * mean / (mean - background), capped at 1."""
+    """Background-corrected visibility V * mean / (mean - background), capped at 1.
+
+    A mean above the background by at most 64 eps of it is a signal that
+    rounding made up, and its correction diverges as one below it does."""
     if background < 0 or mean_count <= 0:
         raise ConfigError("mean_count must be > 0 and background >= 0")
     if background >= mean_count:
         raise ConfigError(
             f"background {background} >= mean count {mean_count}; correction diverges"
         )
+    if mean_count - background <= 64 * _EPS * mean_count:
+        raise ConfigError(f"mean count {mean_count} exceeds background {background} "
+                          "only by rounding; correction diverges")
     value = raw_visibility * mean_count / (mean_count - background)
     if value > 1.0:
         return NetVisibility(1.0, True)
@@ -99,18 +105,18 @@ def fit_fringe(phases, counts) -> FringeFit:
         raise ConfigError("phases and counts must be equal-length 1-d arrays")
     distinct = np.unique(np.mod(x, 2 * math.pi)).size
     if x.size < 4 or distinct < 3:
-        raise InsufficientPointsError(f"need >= 4 points at >= 3 distinct phases, got {x.size} "
-                                      f"points at {distinct} distinct phases")
+        raise QRelayError(f"need >= 4 points at >= 3 distinct phases, got {x.size} "
+                          f"points at {distinct} distinct phases")
     w = 1.0 / _sigmas(y)
     basis = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     # each basis row has norm sqrt(2): this is the weighted design's condition
     # number with its rows equilibrated, set by the phases, not the counts
     if not np.linalg.cond(basis) <= 1.0 / math.sqrt(_EPS):
-        raise InsufficientPointsError("the phases are too close together to fit a fringe")
+        raise QRelayError("the phases are too close together to fit a fringe")
     coef, *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
     c0, c1, c2 = coef
     if c0 <= 0:
-        raise FitConvergenceError(f"non-positive fringe offset {c0:.3g}")
+        raise QRelayError(f"non-positive fringe offset {c0:.3g}")
     r = math.hypot(c1, c2)
     visibility = r / c0
     phase0 = _phase(c2, c1)
@@ -189,7 +195,7 @@ def _fit_box(residuals, jacobian, p, lo, hi, data):
     a cost at most the rounding floor of the weighted counts `data`: eps times
     the zero model's cost, residuals within sqrt(eps) of the data, all that
     normal equations, which square the residuals, resolve.  A non-finite
-    cost or _MAX_TRIALS trials raise FitConvergenceError.  Growing lam
+    cost or _MAX_TRIALS trials raise QRelayError.  Growing lam
     shrinks the step, but lam has no ceiling that stops the fit.
     """
     r, aux = residuals(p)
@@ -228,7 +234,7 @@ def _fit_box(residuals, jacobian, p, lo, hi, data):
         r_trial, aux_trial = residuals(trial)
         cost_trial = 0.5 * (r_trial @ r_trial)
         if not math.isfinite(cost_trial):
-            raise FitConvergenceError("fit cost is not finite")
+            raise QRelayError("fit cost is not finite")
         converged = (
             0.0 <= predicted <= _FTOL * cost
             or math.sqrt(step @ step) <= _XTOL * (_XTOL + math.sqrt(trial @ trial))
@@ -242,7 +248,7 @@ def _fit_box(residuals, jacobian, p, lo, hi, data):
             lam *= 4.0
         if converged:
             return p
-    raise FitConvergenceError(f"fit did not converge in {_MAX_TRIALS} trials")
+    raise QRelayError(f"fit did not converge in {_MAX_TRIALS} trials")
 
 
 def fit_dip(positions, counts) -> DipFit:
@@ -252,7 +258,7 @@ def fit_dip(positions, counts) -> DipFit:
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("positions and counts must be equal-length 1-d arrays")
     if x.size < 5:
-        raise InsufficientPointsError(f"need >= 5 points for a dip fit, got {x.size}")
+        raise QRelayError(f"need >= 5 points for a dip fit, got {x.size}")
     w = 1.0 / _sigmas(y)
 
     a0 = max(float(np.median(np.sort(y)[-max(3, x.size // 4):])), 1e-9)
@@ -270,7 +276,7 @@ def fit_dip(positions, counts) -> DipFit:
         hi = np.array([np.inf, 1.0, x.max() + span, 10 * span + 1.0])
         start_finite = np.all(np.isfinite(_dip_residuals(x, y, w, p0)[0]))
         if not start_finite:
-            raise FitConvergenceError("dip fit residuals are not finite at the starting point")
+            raise QRelayError("dip fit residuals are not finite at the starting point")
         p = _fit_box(lambda p: _dip_residuals(x, y, w, p),
                      lambda p, gauss: _dip_jacobian(x, w, p, gauss), p0, lo, hi, y * w)
         jac = _dip_jacobian(x, w, p, _dip_residuals(x, y, w, p)[1])
@@ -280,5 +286,7 @@ def fit_dip(positions, counts) -> DipFit:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((4, 4), np.nan)
-    sd = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # a variance that is not > 0 is rounding, not certainty: NaN prints null
+    var = np.diag(cov)
+    sd = np.sqrt(np.where(var > 0, var, np.nan))
     return DipFit(a, d, sd[1], c, sd[2], abs(fw), sd[3])

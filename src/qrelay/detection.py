@@ -46,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, RegistryMismatchError
+from .errors import ConfigError, QRelayError
 from .fock import ModeRegistry
 
 # speed of light in vacuum, m/s; exact in the SI
@@ -70,12 +70,6 @@ class Detector:
     spatial: str
     efficiency: float = 1.0
     dark_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ConfigError(f"dark_prob must be in [0, 1), got {self.dark_prob}")
 
 
 def _misses(registry: ModeRegistry, occupations: np.ndarray,
@@ -135,12 +129,12 @@ def teleport_tables(
     BOB_BIN.  Bob's click is one more click gate, d_bob or (1 - d_bob) u,
     which teleport_weights applies, so bob's exponents are 0.  Every entry
     is >= 0; tests/oracles.py holds the full click-pattern enumeration the
-    tables, weighted, agree with.  Raises RegistryMismatchError when the
+    tables, weighted, agree with.  Raises QRelayError when the
     registry's bins do not cover CLOCK_WINDOW and BOB_BIN.
     """
     if registry.max_bins <= max(CLOCK_WINDOW + (BOB_BIN,)):
-        raise RegistryMismatchError(f"{registry.max_bins} registry bins do not hold bins "
-                                    f"{sorted(set(CLOCK_WINDOW + (BOB_BIN,)))}")
+        raise QRelayError(f"{registry.max_bins} registry bins do not hold bins "
+                          f"{sorted(set(CLOCK_WINDOW + (BOB_BIN,)))}")
     miss = _misses(registry, occupations, detectors)
     # the herald is the fourth detector, there only in a heralded run
     patterns = bell_patterns(free_partner, registry.max_bins, len(detectors) > _HERALD)
@@ -194,12 +188,6 @@ def coincidence_clicks(
 FIBER_GROUP_INDEX = 1.468
 
 
-def check_group_index(group_index: float) -> None:
-    """ConfigError unless a fiber group index is finite and >= 1."""
-    if not 1.0 <= group_index < math.inf:
-        raise ConfigError(f"group_index must be finite and >= 1, got {group_index}")
-
-
 @dataclass(frozen=True)
 class TimingBudget:
     """Fiber lengths and electronics latency that set Bob's gate margin."""
@@ -224,7 +212,8 @@ class TimingBudget:
             # written so that NaN fails too
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        check_group_index(self.group_index)
+        if not 1.0 <= self.group_index < math.inf:
+            raise ConfigError(f"group_index must be finite and >= 1, got {self.group_index}")
 
 
 def validate_timing(budget: TimingBudget) -> float:

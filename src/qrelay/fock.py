@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import RegistryMismatchError
+from .errors import QRelayError
 
 PRUNE_TOL = 1e-15
 NORM_ATOL = 1e-9
@@ -46,8 +46,6 @@ class ModeRegistry:
     lists each mode's bin, and each channel's indices are kept as it grows."""
 
     def __init__(self, max_bins: int):
-        if max_bins < 1:
-            raise ValueError("max_bins must be >= 1")
         self.max_bins = max_bins
         self._keys: List[ModeKey] = []
         self._index: Dict[ModeKey, int] = {}
@@ -58,11 +56,11 @@ class ModeRegistry:
         if key in self._index:
             return self._index[key]
         if not 0 <= key.time_bin < self.max_bins:
-            raise RegistryMismatchError(
+            raise QRelayError(
                 f"time_bin {key.time_bin} outside [0, {self.max_bins}) for {key}"
             )
         if key.internal not in (0, 1):
-            raise RegistryMismatchError(
+            raise QRelayError(
                 f"internal label must be 0 or 1, got {key.internal}"
             )
         idx = len(self._keys)
@@ -84,7 +82,7 @@ class ModeRegistry:
         try:
             return self._index[key]
         except KeyError:
-            raise RegistryMismatchError(f"mode {key} is not registered") from None
+            raise QRelayError(f"mode {key} is not registered") from None
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -44,13 +44,7 @@ from .detection import (
     teleport_tables,
     teleport_weights,
 )
-from .errors import (
-    ConfigError,
-    FitConvergenceError,
-    HarmonicSynthesisError,
-    LabelMixingError,
-    UnnormalizedStateError,
-)
+from .errors import ConfigError, QRelayError
 from .fock import BRANCH_RECORD, NORM_ATOL, FockState, ModeKey, ModeRegistry
 from .optics import COUPLER, Circuit, apply, compose, identity_blocks, loss_from_db
 from .sources import OverlapModel, entangled_pairs, pair_count_distribution
@@ -207,8 +201,6 @@ def branch_weights(config: ExperimentConfig, blocked: str = "none") -> Dict[Tupl
     the total discards more (6.3e-3 of the probability at the defaults,
     above tail_tol) and nothing checks it yet.
     """
-    if blocked not in BLOCK_CHOICES:
-        raise ConfigError(f"blocked must be one of {BLOCK_CHOICES}, got {blocked!r}")
     if config.ideal_single_pairs and blocked == "none":
         return {(1, 1): 1.0}
     means = (0.0 if blocked in ("alice", "both") else config.pair_mean_alice,
@@ -293,7 +285,7 @@ def _relay_registry() -> ModeRegistry:
     Sources emit into bins 0 and 1 and one analyzer delay reaches bin 2, so
     the window holds every occupied mode, and the Bell-state veto ("only
     this gate clicks") spans exactly the gates the detectors open.  A delay
-    that pushes an occupied mode further raises BinOverflowError.
+    that pushes an occupied mode further raises QRelayError.
     """
     reg = ModeRegistry(len(CLOCK_WINDOW))
     reg.add_channel(ALICE_QUBIT, (0, 1))
@@ -397,8 +389,8 @@ def _analyzer(registry: ModeRegistry, phi_b: float) -> Circuit:
 
 
 def _check_phase_rides_the_delay(analyzer: Circuit, bins: np.ndarray) -> None:
-    """Raise HarmonicSynthesisError unless phi_b enters the analyzer, built
-    at phi_b = 0, only as a factor e^{i phi_b} per bin that an entry of its
+    """Raise QRelayError unless phi_b enters the analyzer, built at
+    phi_b = 0, only as a factor e^{i phi_b} per bin that an entry of its
     transfer matrix moves a photon later; `bins` holds each mode's time bin.
     The matrices are compared at one probe phase away from multiples of pi/2,
     over the modes either build's elements touch, the identity elsewhere."""
@@ -409,7 +401,7 @@ def _check_phase_rides_the_delay(analyzer: Circuit, bins: np.ndarray) -> None:
     expected = compose(analyzer.elements, modes) * np.exp(1j * probe * shift)
     off = np.abs(compose(at_probe, modes) - expected).max(initial=0.0)
     if off > _SYNTHESIS_RTOL:
-        raise HarmonicSynthesisError(
+        raise QRelayError(
             f"the analyzer phase enters other than through its delay arm ({off:.3e} off)"
         )
 
@@ -421,12 +413,12 @@ def _delay_harmonics(occupations: np.ndarray, delays: np.ndarray, amplitudes: np
     Row r holds amplitudes[r] e^{i delays[r] phi} at analyzer phase phi, so
     a group's amplitudes A_k, k in [0, degree], give |amplitude|^2 =
     Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) with c_m = sum_k A_{k+m} conj(A_k);
-    c has shape (degree + 1, groups).  Raises HarmonicSynthesisError if a
+    c has shape (degree + 1, groups).  Raises QRelayError if a
     delay count lies outside [0, degree] or repeats within one occupation.
     """
     outside = (delays < 0) | (delays > degree)
     if np.any(outside):
-        raise HarmonicSynthesisError(
+        raise QRelayError(
             f"a row has {delays[outside][0]} delayed photons, outside [0, {degree}]"
         )
     occupations = np.ascontiguousarray(occupations)
@@ -434,7 +426,7 @@ def _delay_harmonics(occupations: np.ndarray, delays: np.ndarray, amplitudes: np
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     slots = delays * len(first) + inverse.ravel()
     if np.bincount(slots).max(initial=0) > 1:
-        raise HarmonicSynthesisError("two rows of one occupation have the same delay count")
+        raise QRelayError("two rows of one occupation have the same delay count")
     coeffs = np.zeros((degree + 1, len(first)), dtype=complex)
     coeffs.flat[slots] = amplitudes
     conj = coeffs.conj()
@@ -449,7 +441,7 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     H_m in the rows of a (D+1, columns) array: shape (len(phases), columns).
     |H_0| + 2 sum |H_m| bounds the magnitude and scales the rounding floor:
     rounding-level negatives at zeros are clamped to 0, and anything more
-    negative raises HarmonicSynthesisError."""
+    negative raises QRelayError."""
     factors = np.full(len(harmonics), 2.0)
     factors[0] = 1.0
     m = np.arange(len(harmonics))
@@ -457,7 +449,7 @@ def _synthesize(harmonics: np.ndarray, phases) -> np.ndarray:
     values = (rotations @ harmonics).real
     floor = -_SYNTHESIS_RTOL * (factors @ np.abs(harmonics))
     if np.any(values < floor):
-        raise HarmonicSynthesisError(
+        raise QRelayError(
             f"a synthesized probability is {np.max(floor - values):.3e} below its rounding floor"
         )
     return np.maximum(values, 0.0)
@@ -471,10 +463,10 @@ def _coupled_pair(registry: ModeRegistry, t: np.ndarray, groups: np.ndarray):
 
 
 def _check_labels_separate(registry: ModeRegistry, t: np.ndarray) -> None:
-    """Raise LabelMixingError if T joins modes of different internal labels."""
+    """Raise QRelayError if T joins modes of different internal labels."""
     labels = np.array([registry.key_at(i).internal for i in range(len(registry))])
     if pair := _coupled_pair(registry, t, labels):
-        raise LabelMixingError("the circuit couples {} to {}".format(*pair))
+        raise QRelayError("the circuit couples {} to {}".format(*pair))
 
 
 def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
@@ -482,7 +474,7 @@ def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
     """(degree + 1, rows) harmonics times each column of (rows, columns)
     per_row, summed per mixture branch (row r in branch group[r] < count) by
     a 0/1 indicator matmul: shape (degree + 1, count, columns).  Raises
-    UnnormalizedStateError unless each branch's norm harmonics are 1, 0, ..."""
+    QRelayError unless each branch's norm harmonics are 1, 0, ..."""
     in_branch = group == np.arange(count)[:, None]
     columns = np.column_stack([np.ones(len(group)), per_row])
     sums = in_branch @ (harmonics[:, :, None] * columns)
@@ -490,8 +482,8 @@ def _branch_sums(group: np.ndarray, count: int, harmonics: np.ndarray,
     off = np.abs(norms - (np.arange(len(harmonics)) == 0)[:, None])
     if np.any(off > NORM_ATOL):
         b = int(np.argmax(off.max(axis=0)))
-        raise UnnormalizedStateError(f"mixture branch {b} has norm^2 harmonics {norms[:, b]}, "
-                                     "expected 1, 0, ...")
+        raise QRelayError(f"mixture branch {b} has norm^2 harmonics {norms[:, b]}, "
+                          "expected 1, 0, ...")
     return sums[:, :, 1:]
 
 
@@ -554,9 +546,8 @@ class TeleportEngine:
       delayed by at most one bin, and is unique within its output occupation,
     and the overlap weights are exact when T keeps the internal labels
     apart (_coupled_pair tests both separations), so that components never
-    interfere.  HarmonicSynthesisError or LabelMixingError is raised
-    otherwise, and UnnormalizedStateError unless each component has norm
-    harmonics 1, 0, ..., 0.
+    interfere.  QRelayError is raised otherwise, and unless each component
+    has norm harmonics 1, 0, ..., 0.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -576,7 +567,7 @@ class TeleportEngine:
         bob = np.isin(np.arange(len(reg)), list(side))
         t = circ.transfer()
         if pair := _coupled_pair(reg, t, bob):
-            raise HarmonicSynthesisError("the analyzer's circuit couples {} to {}".format(*pair))
+            raise QRelayError("the analyzer's circuit couples {} to {}".format(*pair))
         _check_labels_separate(reg, t)
         components = _components(pair_branches())
         s = OverlapModel(cfg.dip_fwhm_um).xi(cfg.delta_x_um) ** 2
@@ -609,7 +600,7 @@ class TeleportEngine:
         """Each component's pair weight times its overlap weight."""
         w = np.array([weights.get((na, nc), 0.0) for na, _, nc in self.branches]) * self._overlap
         if abs(sum(weights.values()) - 1.0) > 1e-9 or abs(w.sum() - 1.0) > 1e-9:
-            raise UnnormalizedStateError(f"weights {weights} do not sum to 1 on {self.branches}")
+            raise QRelayError(f"weights {weights} do not sum to 1 on {self.branches}")
         return w
 
     def harmonics(self, darks=None) -> np.ndarray:
@@ -676,11 +667,11 @@ class _MandelEngine:
     the engine holds per bin the coefficients c_kj >= 0 of t^k s^j, each
     the sum of C(n_a, j) w_c P_c over the components with n_a - j = k.
     This is exact when the circuit keeps the internal labels apart
-    (LabelMixingError otherwise), so that components never interfere, and
+    (QRelayError otherwise), so that components never interfere, and
     detection reads only photon numbers summed over labels, as every
     detector model here does.  At s = 1, where t is exactly 0, only j = n_a
     is left, so the ideal Hong-Ou-Mandel null is exactly 0.  A component
-    whose |amplitude|^2 does not sum to 1 raises UnnormalizedStateError.
+    whose |amplitude|^2 does not sum to 1 raises QRelayError.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -803,7 +794,7 @@ def _regula_falsi(f, a, fa, b, fb, rtol=1e-6, xtol=2e-12):
         else:
             fa *= 1.0 - fc / fb if fc / fb < 1.0 else 0.5
         b, fb = c, fc
-    raise FitConvergenceError("dark-count calibration root search did not converge")
+    raise QRelayError("dark-count calibration root search did not converge")
 
 
 def calibrate_dark_counts(
@@ -832,7 +823,7 @@ def calibrate_dark_counts(
     lo, r_lo, hi, r_hi = 0.0, r0, 1.0, _background_ratio(1.0, engine)
     while r_hi < target_ratio:
         if 4.0 * hi > 1e7:
-            raise FitConvergenceError("dark-count calibration cannot reach the target ratio")
+            raise QRelayError("dark-count calibration cannot reach the target ratio")
         lo, r_lo, hi, r_hi = hi, r_hi, 4.0 * hi, _background_ratio(4.0 * hi, engine)
     scale, miss = _regula_falsi(lambda s: _background_ratio(s, engine) - target_ratio,
                                 lo, r_lo - target_ratio, hi, r_hi - target_ratio)

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import TailMassError
+from .errors import QRelayError
 from .fock import multisets
 
 
@@ -40,7 +40,7 @@ def pair_count_distribution(mu: float, n_cut: int, tail_tol: float) -> np.ndarra
     tail = (mu / (1.0 + mu)) ** (n_cut + 1)
     # written so that NaN fails too
     if not tail <= tail_tol:
-        raise TailMassError(
+        raise QRelayError(
             f"discarded pair-number tail {tail:.3e} exceeds {tail_tol:.1e} "
             f"(mean_pairs={mu}, n_cut={n_cut}); lower the pair mean or raise tail_tol"
         )

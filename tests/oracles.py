@@ -112,7 +112,7 @@ from qrelay.detection import (
     teleport_tables,
     teleport_weights,
 )
-from qrelay.errors import ConfigError, FitConvergenceError, UnnormalizedStateError
+from qrelay.errors import ConfigError, QRelayError
 from qrelay.fock import BRANCH_RECORD, NORM_ATOL, PRUNE_TOL, FockState, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply
 from qrelay.sources import OverlapModel
@@ -140,7 +140,7 @@ def norm_sq(state: FockState) -> float:
 def normalized(state: FockState) -> FockState:
     n = math.sqrt(norm_sq(state))
     if n == 0.0:
-        raise UnnormalizedStateError("cannot normalize the zero vector")
+        raise QRelayError("cannot normalize the zero vector")
     return FockState(state.registry, state.occupations, state.amplitudes / n)
 
 
@@ -249,7 +249,7 @@ def occupation_distribution(state: FockState) -> Dict[OccupationVector, float]:
     """Probabilities over occupation outcomes; input must be normalized."""
     total = norm_sq(state)
     if abs(total - 1.0) > NORM_ATOL:
-        raise UnnormalizedStateError(f"state norm^2 = {total}, expected 1")
+        raise QRelayError(f"state norm^2 = {total}, expected 1")
     return {tuple(k): abs(v) ** 2 for k, v in terms(state).items()}
 
 
@@ -285,7 +285,7 @@ def add_delay(circ: Circuit, spatial: str, shift: int = 1) -> None:
     """Shift every time bin of one spatial channel by `shift` bins.
 
     A mode pushed past the last registered bin gets a zero row, so a state
-    that occupies it makes `apply` raise BinOverflowError.
+    that occupies it makes `apply` raise QRelayError.
     """
     reg = circ.registry
     idxs = reg.indices_for(spatial)
@@ -426,7 +426,7 @@ def _subset_probs(gates: List[Tuple[str, int, float]]):
 def _check_ensemble(ensemble: Ensemble) -> None:
     total = sum(w for w, _ in ensemble)
     if abs(total - 1.0) > 1e-9:
-        raise UnnormalizedStateError(f"ensemble weights sum to {total}, not 1")
+        raise QRelayError(f"ensemble weights sum to {total}, not 1")
 
 
 def click_distribution(ensemble: Ensemble, layout: DetectionLayout) -> Dict[ClickPattern, float]:
@@ -500,7 +500,7 @@ def _branch_probs(state: FockState) -> np.ndarray:
     norms = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
     if len(bad):
-        raise UnnormalizedStateError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
+        raise QRelayError(f"branch {bad[0]} has norm^2 = {norms[bad[0]]}, expected 1")
     return probs
 
 
@@ -914,10 +914,10 @@ def fit_fringe_scipy(phases, counts) -> FringeFit:
     u0 = 6.0 if visibility > 1.0 else -6.0
     sol = least_squares(residuals, [c0, u0, phase0], method="lm", max_nfev=2000)
     if not sol.success:
-        raise FitConvergenceError(f"constrained fringe fit failed: {sol.message}")
+        raise QRelayError(f"constrained fringe fit failed: {sol.message}")
     off, u, ph = sol.x
     if off <= 0:
-        raise FitConvergenceError(f"non-positive fringe offset {off:.3g}")
+        raise QRelayError(f"non-positive fringe offset {off:.3g}")
     v = 1.0 / (1.0 + math.exp(-u))
     return FringeFit(
         v, fit.visibility_sigma, _phase(math.sin(ph), math.cos(ph)), off, True, visibility
@@ -952,7 +952,7 @@ def fit_dip_scipy(positions, counts) -> DipFit:
         gtol=1e-12,
     )
     if not sol.success:
-        raise FitConvergenceError(f"dip fit failed: {sol.message}")
+        raise QRelayError(f"dip fit failed: {sol.message}")
     a, d, c, fw = sol.x
     jac = np.empty((x.size, 4))
     for i in range(4):

@@ -11,7 +11,7 @@ from qrelay.analysis import (
     fit_fringe,
     net_visibility,
 )
-from qrelay.errors import ConfigError, FitConvergenceError, InsufficientPointsError
+from qrelay.errors import ConfigError, QRelayError
 
 
 def test_fidelity_arithmetic():
@@ -41,6 +41,11 @@ def test_net_visibility():
         net_visibility(0.5, 100.0, 100.0)
     with pytest.raises(ConfigError):
         net_visibility(0.5, 100.0, -1.0)
+    # a mean above the background by rounding alone is no signal
+    eps = np.finfo(float).eps
+    with pytest.raises(ConfigError, match="only by rounding"):
+        net_visibility(0.5, 100.0, 100.0 * (1.0 - 32 * eps))
+    assert net_visibility(0.5, 100.0, 100.0 * (1.0 - 128 * eps)).capped
 
 
 def test_fringe_fit_recovers_exact_data():
@@ -117,10 +122,10 @@ def test_constrained_fringe_at_pi_reports_minus_pi(monkeypatch, ph):
 
 
 def test_fringe_fit_rejects_too_few_points():
-    with pytest.raises(InsufficientPointsError):
+    with pytest.raises(QRelayError, match=r"need >= 4 points at >= 3 distinct phases, got 3 "):
         fit_fringe([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
     # many samples at only two distinct phases cannot pin three parameters
-    with pytest.raises(InsufficientPointsError):
+    with pytest.raises(QRelayError, match=r"got 4 points at 2 distinct phases"):
         fit_fringe([0.0, math.pi, 0.0, math.pi], [1.0, 2.0, 1.0, 2.0])
 
 
@@ -161,14 +166,14 @@ def test_dip_fit_under_poisson_noise():
 
 
 def test_dip_fit_rejects_too_few_points():
-    with pytest.raises(InsufficientPointsError):
+    with pytest.raises(QRelayError, match=r"need >= 5 points for a dip fit, got 4"):
         fit_dip([0, 1, 2, 3], [1, 0.5, 0.4, 1])
 
 
 def test_dip_fit_rejects_non_finite_start():
     # a starting width of span / 8 squares past the float range
     x = np.linspace(-1e155, 1e155, 5)
-    with pytest.raises(FitConvergenceError):
+    with pytest.raises(QRelayError, match="dip fit residuals are not finite at the starting point"):
         fit_dip(x, [10.0, 10.0, 5.0, 10.0, 10.0])
 
 

@@ -11,6 +11,7 @@ import pytest
 from oracles import csv_text
 
 from qrelay import cli, detection, scenarios, stability
+from qrelay.errors import ConfigError, QRelayError
 from qrelay.scenarios import ExperimentConfig
 
 
@@ -91,6 +92,11 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     cfg.write_text("pair_mean_alice = -2\n")
     code, _, err = run_cli(capsys, ["noise", "--config", str(cfg)])
     assert code == 2
+
+
+def test_two_errors_for_two_exit_codes():
+    # bad input exits 2 and a numeric failure 3: no caller tells more apart
+    assert QRelayError.__subclasses__() == [ConfigError]
 
 
 def test_oversized_tail_exits_3(tmp_path, capsys):
@@ -335,6 +341,34 @@ def test_singular_dip_fit_prints_null_sigmas(tmp_path, capsys, mean):
     assert doc["visibility_sigma"] is None
     assert doc["fwhm_sigma_um"] is None
     assert doc["visibility"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "config, argv, keys",
+    [
+        ("pair_mean_epr = 0\n", ["teleport"], ["net.visibility_net"]),
+        ("pair_mean_alice = 0\nheralded = true\n", ["teleport"], ["net.visibility_net"]),
+        ("pair_mean_alice = 0\npair_mean_epr = 0\n", ["teleport"], ["net.visibility_net"]),
+        ("", ["mandel", "--mode", "montecarlo", "--seed", "3"],
+         ["visibility_sigma", "fwhm_sigma_um"]),
+    ],
+    ids=["epr-off", "alice-off-heralded", "both-off", "montecarlo-dip-seed-3"],
+)
+def test_numbers_that_rounding_made_up_print_null(tmp_path, capsys, config, argv, keys):
+    # with a source off the fringe's mean exceeds the blocked-run background
+    # by rounding only, and the Monte-Carlo dip's covariance has negative
+    # variances: neither is a number to print
+    path = tmp_path / "run.conf"
+    path.write_text(config)
+    code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    for key in keys:
+        section, _, name = key.rpartition(".")
+        assert (doc[section] if section else doc)[name] is None
+    if argv == ["teleport"]:
+        assert "only by rounding" in doc["net"]["note"]
+        assert "classification_net" not in doc["net"]
 
 
 def test_stability_trace_and_summary(tmp_path, capsys):

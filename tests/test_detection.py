@@ -29,7 +29,7 @@ from qrelay.detection import (
     coincidence_clicks,
     validate_timing,
 )
-from qrelay.errors import ConfigError, RegistryMismatchError, UnnormalizedStateError
+from qrelay.errors import ConfigError, QRelayError
 from qrelay.fock import BRANCH_RECORD, FockState, ModeKey, ModeRegistry
 from qrelay.optics import Circuit, apply
 
@@ -134,16 +134,12 @@ def test_layout_validation():
         )
     with pytest.raises(ConfigError):
         DetectionLayout([Labeled("d", Detector("a"), follows="ghost")])
-    with pytest.raises(ConfigError):
-        Detector("a", efficiency=1.5)
-    with pytest.raises(ConfigError):
-        Detector("a", dark_prob=1.0)
 
 
 def test_ensemble_weights_must_sum_to_one():
     reg = _registry("a")
     layout = DetectionLayout([Labeled("d", Detector("a"))])
-    with pytest.raises(UnnormalizedStateError):
+    with pytest.raises(QRelayError, match="ensemble weights sum to 0.5, not 1"):
         click_distribution([(0.5, vacuum(reg))], layout)
 
 
@@ -212,7 +208,7 @@ def test_antisymmetric_state_always_accepted():
 def test_teleport_clicks_needs_the_clock_window_and_bob_bins():
     reg = _registry("a", "c", "b")
     ge, ingaas, bob = Detector("a"), Detector("c"), Detector("b")
-    with pytest.raises(RegistryMismatchError):
+    with pytest.raises(QRelayError, match=r"registry bins do not hold bins \[0, 1, 2\]"):
         teleport_clicks(reg, vacuum(reg).occupations, ge, ingaas, bob, free_partner=False)
 
 
@@ -389,11 +385,11 @@ def test_each_branch_of_a_record_mixture_must_be_normalized():
     # together carry norm^2 2
     per_branch = coincidence_probability(FockState(reg, occ, [1.0, 1.0]), da, db)
     assert np.allclose(per_branch, np.full((2, 2), 0.25), rtol=0, atol=1e-15)
-    with pytest.raises(UnnormalizedStateError, match="branch 1"):
+    with pytest.raises(QRelayError, match=r"^branch 1 has norm\^2 = "):
         coincidence_probability(FockState(reg, occ, [1.0, 0.5]), da, db)
     # a record that skips branch 1 leaves that branch empty
     occ[1, rec] = 2
-    with pytest.raises(UnnormalizedStateError, match="branch 1"):
+    with pytest.raises(QRelayError, match=r"^branch 1 has norm\^2 = "):
         coincidence_probability(FockState(reg, occ, [1.0, 1.0]), da, db)
 
 

@@ -13,7 +13,7 @@ from oracles import (
     terms,
     vacuum,
 )
-from qrelay.errors import RegistryMismatchError, UnnormalizedStateError
+from qrelay.errors import QRelayError
 from qrelay.fock import FockState, ModeKey, ModeRegistry, multisets
 from qrelay.optics import Circuit, apply
 
@@ -56,9 +56,9 @@ def test_registry_add_is_idempotent():
 
 def test_registry_rejects_unknown_mode():
     reg, a, _ = _two_mode_registry()
-    with pytest.raises(RegistryMismatchError):
+    with pytest.raises(QRelayError, match="is not registered"):
         reg.index(ModeKey("c", 0))
-    with pytest.raises(RegistryMismatchError):
+    with pytest.raises(QRelayError, match=r"time_bin 5 outside \[0, "):
         reg.add(ModeKey("a", 5))  # past max_bins
 
 
@@ -148,7 +148,7 @@ def test_transform_checks_matrix_shape():
 def test_occupation_distribution_requires_normalization():
     reg, a, _ = _two_mode_registry()
     st = FockState(reg, [[1, 0]], [0.5])
-    with pytest.raises(UnnormalizedStateError):
+    with pytest.raises(QRelayError, match="state norm.2 = 0.25, expected 1"):
         occupation_distribution(st)
     dist = occupation_distribution(normalized(st))
     assert abs(sum(dist.values()) - 1.0) < 1e-12

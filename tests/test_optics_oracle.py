@@ -23,7 +23,7 @@ from oracles import (  # noqa: E402
     normalized,
     terms,
 )
-from qrelay.errors import BinOverflowError  # noqa: E402
+from qrelay.errors import QRelayError  # noqa: E402
 from qrelay import scenarios  # noqa: E402
 from qrelay.fock import PRUNE_TOL, ModeKey, ModeRegistry  # noqa: E402
 from qrelay.optics import Circuit, apply  # noqa: E402
@@ -106,7 +106,8 @@ def test_apply_matches_element_by_element_oracle(data):
     lost = 1.0 - _norm_sq(fold)
     try:
         out = terms(apply(circ.transfer(), state))
-    except BinOverflowError:
+    except QRelayError as exc:
+        assert "past the last bin" in str(exc)
         assert lost > 1e-12
         return
     assert max(

@@ -14,12 +14,7 @@ from oracles import (
 )
 from qrelay import cli, scenarios
 from qrelay.analysis import fit_dip, fit_fringe
-from qrelay.errors import (
-    ConfigError,
-    HarmonicSynthesisError,
-    LabelMixingError,
-    UnnormalizedStateError,
-)
+from qrelay.errors import ConfigError, QRelayError
 from qrelay.fock import BRANCH_RECORD, ModeKey
 from qrelay.scenarios import (
     ExperimentConfig,
@@ -437,7 +432,7 @@ def test_unblocked_run_is_the_config_own(name):
 def test_outcome_needs_unit_weight_on_the_engine_branches(weights):
     # every read-out's weights pass this check; at K = 2 the engine holds no
     # (3, 0) branch
-    with pytest.raises(UnnormalizedStateError):
+    with pytest.raises(QRelayError, match="do not sum to 1 on"):
         TeleportEngine(ExperimentConfig())._weight_vector(weights)
 
 
@@ -484,7 +479,7 @@ def test_harmonic_scan_clamps_only_rounding(monkeypatch):
     monkeypatch.setattr(engine, "_harmonics", harmonics(1e-18))
     assert 0.0 <= engine.scan(phis)[0] < 1e-15
     monkeypatch.setattr(engine, "_harmonics", harmonics(1e-6))
-    with pytest.raises(HarmonicSynthesisError):
+    with pytest.raises(QRelayError, match="below its rounding floor"):
         engine.scan(phis)
 
 
@@ -596,13 +591,15 @@ def test_delay_grouping_forms_the_harmonics():
 
 
 @pytest.mark.parametrize(
-    "delays",
-    [[0, 2, 0], [-1, 0, 0], [1, 1, 0]],
+    "delays, message",
+    [([0, 2, 0], r"2 delayed photons, outside \[0, 1\]"),
+     ([-1, 0, 0], r"-1 delayed photons, outside \[0, 1\]"),
+     ([1, 1, 0], "same delay count")],
     ids=["beyond-degree", "negative", "repeated"],
 )
-def test_delay_grouping_rejects_inexact_rows(delays):
+def test_delay_grouping_rejects_inexact_rows(delays, message):
     occ = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
-    with pytest.raises(HarmonicSynthesisError):
+    with pytest.raises(QRelayError, match=message):
         scenarios._delay_harmonics(occ, np.array(delays), np.ones(3, dtype=complex), 1)
 
 
@@ -618,12 +615,16 @@ def test_engine_rejects_an_unnormalized_branch(monkeypatch):
         return mixture
 
     monkeypatch.setattr(scenarios, "_branch_mixture", scaled)
-    with pytest.raises(UnnormalizedStateError, match="branch 4"):
+    with pytest.raises(QRelayError, match=r"^mixture branch 4 has norm\^2 harmonics"):
         TeleportEngine(ExperimentConfig())
 
 
-@pytest.mark.parametrize("fault", ["delayed-loss-port", "phase-off-the-delay", "bob-meets-alice"])
-def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, fault):
+@pytest.mark.parametrize("fault, message", [
+    ("delayed-loss-port", "the analyzer phase enters other than through its delay arm"),
+    ("phase-off-the-delay", "the analyzer phase enters other than through its delay arm"),
+    ("bob-meets-alice", "the analyzer's circuit couples"),
+], ids=["delayed-loss-port", "phase-off-the-delay", "bob-meets-alice"])
+def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, fault, message):
     real = scenarios._analyzer
 
     def faulty(registry, phi_b):
@@ -639,7 +640,7 @@ def test_analyzer_outside_the_exactness_conditions_raises(monkeypatch, capsys, f
         return circ
 
     monkeypatch.setattr(scenarios, "_analyzer", faulty)
-    with pytest.raises(HarmonicSynthesisError):
+    with pytest.raises(QRelayError, match=message):
         TeleportEngine(ExperimentConfig())
     assert cli.main(["teleport", "--points", "8"]) == 3
     assert "analyzer" in capsys.readouterr().err
@@ -673,7 +674,7 @@ def test_label_mixing_teleport_circuit_raises(monkeypatch, capsys):
                          ModeKey(scenarios.ALICE_QUBIT, 0, 1))
 
     monkeypatch.setattr(scenarios, "_add_bell_mixer", mixing_mixer)
-    with pytest.raises(LabelMixingError):
+    with pytest.raises(QRelayError, match="^the circuit couples "):
         TeleportEngine(ExperimentConfig())
     assert cli.main(["teleport", "--points", "8"]) == 3
     assert "couples" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import amplitude
 from qrelay import scenarios
-from qrelay.errors import TailMassError
+from qrelay.errors import QRelayError
 from qrelay.fock import ModeKey
 from qrelay.sources import OverlapModel, entangled_pairs, pair_count_distribution
 
@@ -21,7 +21,7 @@ def test_thermal_distribution_values():
 
 
 def test_tail_mass_guard():
-    with pytest.raises(TailMassError):
+    with pytest.raises(QRelayError, match="discarded pair-number tail .* exceeds 1.0e-04"):
         pair_count_distribution(0.19, 2, tail_tol=1e-4)
     p = pair_count_distribution(0.19, 2, tail_tol=5e-3)
     assert p.sum() < 1.0
@@ -31,7 +31,7 @@ def test_tail_check_holds_where_the_terms_overflow():
     # mu**n overflows: the check must neither pass on a NaN tail nor warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(TailMassError, match=r"tail 1\.000e\+00 exceeds"):
+        with pytest.raises(QRelayError, match=r"tail 1\.000e\+00 exceeds"):
             pair_count_distribution(1e300, 2, tail_tol=5e-3)
     assert [str(w.message) for w in caught] == []
 

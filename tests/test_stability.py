@@ -5,6 +5,7 @@ import pytest
 
 from qrelay import stability
 from qrelay.analysis import fit_dip
+from qrelay.detection import TimingBudget
 from qrelay.errors import ConfigError
 from qrelay.scenarios import ExperimentConfig, mismatch_grid, run_mandel_scan
 from qrelay.stability import (
@@ -33,12 +34,7 @@ def test_pulse_spacing_values():
 @pytest.mark.parametrize("group_index", [0.5, 0.0, -1.0, math.inf, math.nan])
 def test_group_index_must_be_finite_and_at_least_one(group_index):
     with pytest.raises(ConfigError, match="group_index"):
-        pulse_spacing(75e6, group_index)
-
-
-def test_pulse_spacing_validation():
-    with pytest.raises(ConfigError):
-        pulse_spacing(0.0, 1.47)
+        TimingBudget(group_index=group_index)
 
 
 def test_rate_coupling_makes_the_default_gain_cancel_the_drift():
